@@ -256,26 +256,17 @@ fn simulator_suite(quick: bool) -> Json {
     let gov_ns_per_tick = r.median_ns / sim_ms as f64;
     results.push(r);
 
-    // Event-core rows: a steady, span-friendly scenario (constant
-    // demand, no monitor noise) run through BOTH cores, so the derived
-    // speedups compare bit-identical work. The spotify rows above are
-    // per-millisecond by construction (the app and background load draw
-    // randomness every millisecond) and cannot coalesce without
-    // changing results — see DESIGN.md §9.
+    // Span-friendly rows: a steady scenario (constant demand, no
+    // monitor noise) the engine coalesces into long spans. The spotify
+    // rows above are per-millisecond by construction (the app and
+    // background load draw randomness every millisecond) and cannot
+    // coalesce without changing results — see DESIGN.md §9.
     let steady_cfg = || {
         let mut c = DeviceConfig::nexus6();
         c.monitor_noise_w = 0.0;
         c
     };
     let steady_app = || ConstantWorkload::new("steady", 0.5, 1.5, 1.0);
-
-    let r = bench(&format!("sim_tick_bare/{sim_ms}ms"), &run_cfg, || {
-        let mut device = Device::new(steady_cfg());
-        let mut app = steady_app();
-        black_box(sim::run(&mut device, &mut app, &mut [], sim_ms));
-    });
-    let tick_bare_ns = r.median_ns;
-    results.push(r);
 
     let events = Cell::new(0u64);
     let r = bench(&format!("sim_event_bare/{sim_ms}ms"), &run_cfg, || {
@@ -287,17 +278,6 @@ fn simulator_suite(quick: bool) -> Json {
     });
     let event_bare_ns = r.median_ns;
     let bare_events = events.get();
-    results.push(r);
-
-    let r = bench(&format!("sim_tick_governors/{sim_ms}ms"), &run_cfg, || {
-        let mut device = Device::new(steady_cfg());
-        let mut app = steady_app();
-        let mut bw = CpubwHwmon::default();
-        let mut gpu = AdrenoTz::default();
-        let mut policies: [&mut dyn Policy; 2] = [&mut bw, &mut gpu];
-        black_box(sim::run(&mut device, &mut app, &mut policies, sim_ms));
-    });
-    let tick_gov_ns = r.median_ns;
     results.push(r);
 
     let r = bench(&format!("sim_event_governors/{sim_ms}ms"), &run_cfg, || {
@@ -318,9 +298,6 @@ fn simulator_suite(quick: bool) -> Json {
     derived.set("bare_ns_per_tick", bare_ns_per_tick);
     derived.set("governors_ns_per_tick", gov_ns_per_tick);
     derived.set("bare_ticks_per_sec", 1e9 / bare_ns_per_tick);
-    // Event-core aggregates (bit-identical runs, same simulated span).
-    derived.set("event_speedup_bare", tick_bare_ns / event_bare_ns);
-    derived.set("event_speedup_governors", tick_gov_ns / event_gov_ns);
     derived.set("event_bare_events", bare_events as f64);
     derived.set("event_governors_events", gov_events as f64);
     derived.set("events_per_sec", gov_events as f64 / (event_gov_ns * 1e-9));

@@ -19,7 +19,6 @@
 
 use asgov_fleet::{Fleet, FleetConfig, PolicyStore};
 use asgov_soc::DeviceConfig;
-use asgov_util::par::{scoped_ordered_map, WorkerPool};
 use asgov_util::Json;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -119,41 +118,6 @@ fn peak_rss_kib() -> u64 {
         .unwrap_or(0)
 }
 
-/// Micro-benchmark the persistent pool against the scoped-thread
-/// engine it replaced: identical small fork-join batches through both,
-/// ratio of wall-clocks (> 1 means the pool is faster).
-fn pool_speedup_vs_scoped(threads: usize) -> f64 {
-    let jobs = threads.max(1) * 4;
-    let batches = 300usize;
-    let work = |i: usize| -> u64 {
-        let mut acc = i as u64 ^ 0x9e37_79b9_7f4a_7c15;
-        for k in 0..2_000u64 {
-            acc = acc
-                .wrapping_mul(0xbf58_476d_1ce4_e5b9)
-                .rotate_left(17)
-                .wrapping_add(k);
-        }
-        acc
-    };
-    let mut pool = WorkerPool::new(threads);
-    // Warm both paths once so thread spawn-up noise lands outside the
-    // measured region for the pool (spawn cost is exactly what the
-    // scoped engine pays per batch — that is the comparison).
-    std::hint::black_box(pool.ordered_map(jobs, work));
-    std::hint::black_box(scoped_ordered_map(jobs, threads, work));
-    let t = Instant::now();
-    for _ in 0..batches {
-        std::hint::black_box(pool.ordered_map(jobs, work));
-    }
-    let pool_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    for _ in 0..batches {
-        std::hint::black_box(scoped_ordered_map(jobs, threads, work));
-    }
-    let scoped_secs = t.elapsed().as_secs_f64();
-    scoped_secs / pool_secs.max(1e-12)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Invocation { cfg, tier } = match parse_args(&args) {
@@ -203,7 +167,6 @@ fn main() {
     } else {
         cfg.threads
     };
-    let speedup = pool_speedup_vs_scoped(threads);
 
     let s = &report.totals.savings;
     println!("\nenergy savings vs default governor, percent (mean ± std [min, max], n):");
@@ -224,7 +187,7 @@ fn main() {
     );
     println!(
         "\nthroughput: {devices_per_sec:.0} device-epochs/sec, {cycles_per_sec:.0} controller-cycles/sec, \
-         pool speedup {speedup:.2}x vs scoped, peak RSS {:.1} MiB",
+         peak RSS {:.1} MiB",
         rss_kib as f64 / 1024.0
     );
 
@@ -241,7 +204,6 @@ fn main() {
     row.set("device_epochs", device_epochs as f64);
     row.set("devices_per_sec", devices_per_sec);
     row.set("controller_cycles_per_sec", cycles_per_sec);
-    row.set("pool_speedup_vs_scoped", speedup);
     row.set("peak_rss_kib", rss_kib as f64);
     row.set("report", report.to_json());
 
@@ -272,7 +234,6 @@ fn main() {
         "device_epochs",
         "devices_per_sec",
         "controller_cycles_per_sec",
-        "pool_speedup_vs_scoped",
         "peak_rss_kib",
         "report",
     ] {

@@ -15,16 +15,15 @@
 //! - [`FleetReport`] — per-app / per-fault-class savings
 //!   distributions over a columnar `FleetStats` aggregator
 //!   ([`report`]).
-//! - [`Fleet`] — the epoch engines. [`Fleet::step`] is the barriered
-//!   path: every shard advances exactly one epoch, then merges. The
-//!   hot path, [`Fleet::run`], pipelines shard epochs over a
-//!   persistent `asgov_util::par::WorkerPool`: each shard enters
-//!   epoch `e + 1` as soon as its *own* epoch `e` lands — no global
-//!   barrier — and completed `(epoch, shard)` statistics are buffered
-//!   and folded in barriered order afterward.
+//! - [`Fleet`] — the epoch engine. [`Fleet::run`] pipelines shard
+//!   epochs over a persistent `asgov_util::par::WorkerPool`: each
+//!   shard enters epoch `e + 1` as soon as its *own* epoch `e` lands —
+//!   no global barrier — and completed `(epoch, shard)` statistics are
+//!   buffered and folded epoch-major/shard-minor afterward.
+//!   [`Fleet::step`] is the same engine bounded to one epoch.
 //!
 //! Determinism contract: the aggregate report is **bit-identical**
-//! for any thread count, across the barriered and pipelined engines,
+//! for any thread count, across any split of the run into `step`s,
 //! and across a mid-run checkpoint/restore — every random draw
 //! derives from `(seed, device_id, epoch)`, the savings columns merge
 //! exactly (integer fixed-point), and the one floating-point total
@@ -50,7 +49,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// A fleet run in progress: shard states, the accumulated report, and
-/// the persistent worker pool the epoch engines fan out over.
+/// the persistent worker pool the epoch engine fans out over.
 #[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
@@ -61,7 +60,7 @@ pub struct Fleet {
 
 impl Fleet {
     /// Set up a fleet run (epoch 0, no controller state yet). Spawns
-    /// the worker pool once; both epoch engines reuse it.
+    /// the worker pool once; every `run` and `step` reuses it.
     ///
     /// # Errors
     ///
@@ -100,46 +99,18 @@ impl Fleet {
         &self.report
     }
 
-    /// Run one epoch: every shard advances one epoch in parallel
-    /// (deterministic fan-out, epoch barrier on return), then the
-    /// shard statistics merge into the report **in shard order**.
+    /// Run one epoch (a no-op once every epoch has run): [`Fleet::run`]
+    /// bounded to the next epoch boundary, so the report is
+    /// bit-identical to running the same epochs in one [`Fleet::run`]
+    /// call.
     ///
     /// # Errors
     ///
-    /// The first shard error in shard order; the fleet state is left
-    /// unchanged on error.
+    /// As [`Fleet::run`]: the earliest `(epoch, shard)` error. A failed
+    /// step does not roll back — errors are deterministic, so a retry
+    /// would fail identically, and the fleet must be discarded.
     pub fn step(&mut self, store: &PolicyStore) -> Result<(), FleetError> {
-        if self.done() {
-            return Ok(());
-        }
-        let config = self.config;
-        let prev = &self.shards;
-        let results = self.pool.ordered_map(prev.len(), |s| {
-            prev.get(s)
-                .map(|state| shard::run_epoch(&config, store, state))
-        });
-        let mut next = Vec::with_capacity(self.shards.len());
-        let mut merged = EpochStats::default();
-        for r in results {
-            let (state, stats) = match r {
-                Some(Ok(pair)) => pair,
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(FleetError::BadConfig(
-                        "shard index out of range in fan-out".into(),
-                    ))
-                }
-            };
-            merged.merge(&stats).map_err(|_| FleetError::StatsLayout)?;
-            next.push(state);
-        }
-        self.shards = next;
-        self.report
-            .totals
-            .merge(&merged)
-            .map_err(|_| FleetError::StatsLayout)?;
-        self.report.epochs_run += 1;
-        Ok(())
+        self.run_until(store, self.report.epochs_run + 1)
     }
 
     /// Run all remaining epochs **pipelined** and return the final
@@ -154,16 +125,23 @@ impl Fleet {
     /// # Errors
     ///
     /// The earliest `(epoch, shard)` error any worker hit. The fleet
-    /// is left partially advanced and must be discarded — unlike
-    /// [`Fleet::step`], a failed pipelined run does not roll back
-    /// (errors are deterministic, so a retry would fail identically).
+    /// is left partially advanced and must be discarded (errors are
+    /// deterministic, so a retry would fail identically).
     pub fn run(&mut self, store: &PolicyStore) -> Result<&FleetReport, FleetError> {
-        if self.done() {
-            return Ok(&self.report);
-        }
+        self.run_until(store, self.config.epochs)?;
+        Ok(&self.report)
+    }
+
+    /// The pipelined engine behind [`Fleet::run`] and [`Fleet::step`]:
+    /// advance every shard from the current epoch up to (excluding)
+    /// `end_epoch`, capped at the configured epoch count.
+    fn run_until(&mut self, store: &PolicyStore, end_epoch: u64) -> Result<(), FleetError> {
         let config = self.config;
-        let total_epochs = config.epochs;
+        let end_epoch = end_epoch.min(config.epochs);
         let start_epoch = self.report.epochs_run;
+        if start_epoch >= end_epoch {
+            return Ok(());
+        }
         let nshards = self.shards.len() as u64;
         for shard in &self.shards {
             if shard.next_epoch != start_epoch {
@@ -177,7 +155,7 @@ impl Fleet {
             self.shards.drain(..).map(|s| Mutex::new(Some(s))).collect();
         let queue = Mutex::new(PipelineQueue {
             ready: (0..nshards).collect(),
-            remaining: nshards * (total_epochs - start_epoch),
+            remaining: nshards * (end_epoch - start_epoch),
             abort: false,
         });
         let work_ready = Condvar::new();
@@ -221,7 +199,7 @@ impl Fleet {
             let epoch = state.next_epoch;
             match shard::run_epoch_into(&config, store, &mut state) {
                 Ok(stats) => {
-                    let more = state.next_epoch < total_epochs;
+                    let more = state.next_epoch < end_epoch;
                     *lock(slot) = Some(state);
                     lock(&results).insert((epoch, shard), stats);
                     let finished = {
@@ -264,14 +242,14 @@ impl Fleet {
             return Err(e);
         }
 
-        // Fold the buffered statistics exactly as the barriered loop
-        // would: per epoch, merge shards in shard order into a fresh
-        // accumulator, then fold that into the totals — the f64
-        // energy sum sees the identical grouping.
+        // Fold the buffered statistics epoch-major, shard-minor: per
+        // epoch, merge shards in shard order into a fresh accumulator,
+        // then fold that into the totals — the f64 energy sum sees the
+        // same grouping however the run is split into steps.
         let results = results
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for epoch in start_epoch..total_epochs {
+        for epoch in start_epoch..end_epoch {
             let mut merged = EpochStats::default();
             for shard in 0..nshards {
                 let Some(stats) = results.get(&(epoch, shard)) else {
@@ -285,7 +263,7 @@ impl Fleet {
                 .map_err(|_| FleetError::StatsLayout)?;
             self.report.epochs_run += 1;
         }
-        Ok(&self.report)
+        Ok(())
     }
 
     /// Encode the whole run — shard states *and* the report so far —

@@ -105,25 +105,6 @@ impl ShardState {
     }
 }
 
-/// Run one epoch of `prev`'s shard without mutating it: clones the
-/// state and delegates to [`run_epoch_into`]. Convenience wrapper for
-/// callers that want value semantics; the hot pipelined path mutates
-/// shard state in place instead.
-///
-/// # Errors
-///
-/// [`FleetError::UnknownSignature`] if a device's `(app, load)` pair
-/// is missing from `store`.
-pub fn run_epoch(
-    cfg: &FleetConfig,
-    store: &PolicyStore,
-    prev: &ShardState,
-) -> Result<(ShardState, EpochStats), FleetError> {
-    let mut state = prev.clone();
-    let stats = run_epoch_into(cfg, store, &mut state)?;
-    Ok((state, stats))
-}
-
 /// Run one epoch of `state`'s shard in place: simulate every online
 /// device for `cfg.epoch_ms`, moving each carried controller snapshot
 /// out of its slot and the successor snapshot back in (no per-device
@@ -131,8 +112,7 @@ pub fn run_epoch(
 ///
 /// Pure per shard: every draw derives from
 /// `(cfg.seed, device_id, epoch)`, so the result is independent of
-/// which worker thread runs it and identical to the value-semantics
-/// [`run_epoch`].
+/// which worker thread runs it.
 ///
 /// # Errors
 ///

@@ -63,16 +63,16 @@ fn report_is_bit_identical_across_thread_counts() {
 #[test]
 fn pipelined_run_is_bit_identical_to_the_barriered_step_loop() {
     let store = store();
-    // Barriered reference: `step` holds a global epoch barrier and is
-    // the engine the checkpoint codec is defined against.
+    // Epoch-at-a-time reference: a `step` loop stops every shard at
+    // each epoch boundary, where checkpoints are taken.
     let mut barriered = Fleet::new(small_cfg(1)).expect("valid config");
     while !barriered.done() {
         barriered.step(&store).expect("barriered epoch");
     }
     let reference = barriered.report().to_json().to_pretty();
-    // Pipelined engine at several worker counts: shards cross epoch
+    // One pipelined run at several worker counts: shards cross epoch
     // boundaries independently, yet the folded report must match the
-    // barriered one bit for bit.
+    // step loop's bit for bit.
     for threads in [1, 2, 4, 8] {
         let mut pipelined = Fleet::new(small_cfg(threads)).expect("valid config");
         pipelined.run(&store).expect("pipelined run");

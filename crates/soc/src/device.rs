@@ -1,6 +1,7 @@
 //! The simulated device: clock, CPU, memory bus, counters and actuation.
 //!
-//! [`Device`] advances in 1 ms ticks. Each tick it takes the foreground
+//! [`Device`] advances in spans of whole 1 ms ticks
+//! ([`Device::tick_span`]). Each tick it takes the foreground
 //! application's [`Demand`], runs the roofline performance model at the
 //! current (frequency, bandwidth) operating point, retires instructions
 //! into the [`Pmu`], computes whole-device power through the
@@ -636,11 +637,36 @@ impl Device {
 
     // ---- execution -----------------------------------------------------
 
-    /// Execute one 1 ms tick under the given foreground demand.
+    /// Execute one 1 ms tick under the given foreground demand: a span
+    /// of one millisecond ([`Device::tick_span`]).
     pub fn tick(&mut self, demand: &Demand) -> TickOutcome {
-        // Fault-plan side effects scheduled for this tick (external
-        // governor resets, hotplug churn, thermal force-down). The
-        // branch is free when no injector is installed.
+        self.tick_span(demand, 1)
+    }
+
+    /// Execute `span_ms` consecutive 1 ms ticks under a demand that is
+    /// constant over the span, in a single call. This is the device's
+    /// only time-advance primitive: [`Device::tick`] is a span of one,
+    /// and the event engine ([`crate::event::run`]) advances by whole
+    /// spans. A `span_ms` of 0 is treated as 1.
+    ///
+    /// Bit-identical to calling [`Device::tick`] `span_ms` times with
+    /// the same demand, provided no fault boundary falls strictly inside
+    /// the span (the caller bounds spans by
+    /// [`Device::next_fault_boundary_ms`]): the expensive contention /
+    /// roofline / power model is evaluated once, and every
+    /// per-millisecond accumulator (PMU counters, busy time, monitor
+    /// energy — including its per-sample noise draws — battery, GPU and
+    /// radio counters) then receives the exact same sequence of
+    /// floating-point additions a 1 ms loop would produce. Pending DVFS
+    /// transition energy is charged into the first millisecond only.
+    /// The returned outcome is that of the first millisecond of the span
+    /// (the remaining milliseconds are identical except for the
+    /// transition-energy surcharge).
+    pub fn tick_span(&mut self, demand: &Demand, span_ms: u64) -> TickOutcome {
+        let span_ms = span_ms.max(1);
+        // Fault side effects fire at span start; interior milliseconds
+        // would be no-ops because the caller never lets a span cross or
+        // sit inside a fault window (see `FaultInjector::next_event_ms`).
         let now = self.now_ms;
         if let Some(actions) = self.faults.as_mut().map(|f| f.on_tick(now)) {
             if let Some(gov) = actions.governor_reset {
@@ -664,6 +690,7 @@ impl Device {
                 self.obs_event("controller-kill");
             }
         }
+        // --- model evaluation, once per span.
         let dt_s = TICK_MS as f64 * 1e-3;
         let f_hz = self.table.freq(self.freq).hz();
         let bw_bps = self.table.bw(self.bw).bytes_per_sec();
@@ -697,10 +724,10 @@ impl Device {
         // demanded render work, the render thread blocks on the fence
         // and CPU-side throughput scales down with it.
         let ips_cpu_side = ips_hw;
-        let (gpu_fraction, gpu_power_w) = self.gpu.tick(demand.gpu_work);
+        let (gpu_fraction, gpu_power_w) = self.gpu.tick_span(demand.gpu_work, span_ms);
         // Network-bound throttling: coalesced packets delay
         // network-paced work the same way GPU fences delay render work.
-        let (net_fraction, net_power_w) = self.radio.tick(demand.net_pps);
+        let (net_fraction, net_power_w) = self.radio.tick_span(demand.net_pps, span_ms);
         let ips_hw = ips_hw * gpu_fraction * net_fraction;
         let ips_capped = match demand.gips_cap {
             Some(cap) => ips_hw.min(cap * 1e9),
@@ -736,170 +763,10 @@ impl Device {
         let fg_traffic_bps = (instructions * demand.bytes_per_instr / dt_s).min(bus_avail_bps);
         let traffic_mbps = (fg_traffic_bps + bg_traffic_bps) / 1e6;
 
-        // --- accounting.
-        let cycles = fg_busy_cores * f_hz * dt_s;
-        self.pmu.record(
-            instructions,
-            cycles,
-            (fg_traffic_bps + bg_traffic_bps) * dt_s,
-        );
-        self.busy_core_ms += busy_cores * TICK_MS as f64;
-        self.busy_ms += busy_frac * TICK_MS as f64;
-        self.bg_util_ms += demand.bg.cpu_util * TICK_MS as f64;
-        self.bg_traffic_mb += demand.bg.traffic_mbps * dt_s;
-
-        // --- power. With cpuidle enabled, idle core time sheds part of
-        // its leakage (deep C-states power-gate the core).
-        let idle_cores = (self.online_cores - busy_cores).max(0.0);
-        let effective_cores = self.online_cores - idle_cores * self.cpuidle_leak_reduction;
-        let mut power = self.power_model.power(
-            &self.table,
-            self.freq,
-            self.bw,
-            effective_cores,
-            busy_cores,
-            traffic_mbps,
-            demand.extra_power_w + self.tool_power_w,
-            demand.bg.power_w,
-        );
-        power.gpu_w = gpu_power_w;
-        power.extra_w += net_power_w;
-        if self.pending_transition_energy_j > 0.0 {
-            power.extra_w += self.pending_transition_energy_j / dt_s;
-            self.pending_transition_energy_j = 0.0;
-        }
-        let total_w = power.total_w();
-        self.monitor.record(self.now_ms, total_w);
-        self.battery.drain(total_w * dt_s);
-
-        // --- statistics.
-        if let Some(t) = self.time_in_freq_ms.get_mut(self.freq.0) {
-            *t += TICK_MS;
-        }
-        if let Some(t) = self.time_in_bw_ms.get_mut(self.bw.0) {
-            *t += TICK_MS;
-        }
-        if demand.touch {
-            self.last_touch_ms = Some(self.now_ms);
-        }
-        self.last_busy_frac = busy_frac;
-        self.now_ms += TICK_MS;
-
-        TickOutcome {
-            executed: Executed {
-                instructions,
-                gips: ips_run / 1e9,
-                busy_frac,
-                traffic_mb: traffic_mbps * dt_s,
-            },
-            power,
-        }
-    }
-
-    /// Execute `span_ms` consecutive 1 ms ticks under a demand that is
-    /// constant over the span, in a single call — the event engine's
-    /// time-advance primitive ([`crate::event::run`]).
-    ///
-    /// Bit-identical to calling [`Device::tick`] `span_ms` times with
-    /// the same demand, provided no fault boundary falls strictly inside
-    /// the span (the caller bounds spans by
-    /// [`Device::next_fault_boundary_ms`]): the expensive contention /
-    /// roofline / power model is evaluated once, and every
-    /// per-millisecond accumulator (PMU counters, busy time, monitor
-    /// energy — including its per-sample noise draws — battery, GPU and
-    /// radio counters) then receives the exact same sequence of
-    /// floating-point additions a 1 ms loop would produce. Pending DVFS
-    /// transition energy is charged into the first millisecond only,
-    /// exactly as the tick core does. The returned outcome is that of
-    /// the first millisecond of the span (the remaining milliseconds are
-    /// identical except for the transition-energy surcharge).
-    pub fn tick_span(&mut self, demand: &Demand, span_ms: u64) -> TickOutcome {
-        if span_ms <= 1 {
-            return self.tick(demand);
-        }
-        // Fault side effects fire at span start; interior milliseconds
-        // would be no-ops because the caller never lets a span cross or
-        // sit inside a fault window (see `FaultInjector::next_event_ms`).
-        let now = self.now_ms;
-        if let Some(actions) = self.faults.as_mut().map(|f| f.on_tick(now)) {
-            if let Some(gov) = actions.governor_reset {
-                self.set_cpu_governor(&gov);
-            }
-            if let Some(cores) = actions.set_cores {
-                self.online_cores = cores.clamp(1.0, 4.0);
-            } else if actions.restore_cores {
-                self.online_cores = self.default_online_cores;
-            }
-            if let Some(ceiling) = actions.thermal_ceiling {
-                if self.freq.0 > ceiling {
-                    self.set_cpu_freq(FreqIndex(ceiling));
-                    if let Some(f) = self.faults.as_mut() {
-                        f.note_thermal_clamp();
-                    }
-                }
-            }
-            if actions.controller_kill {
-                self.pending_kill = true;
-                self.obs_event("controller-kill");
-            }
-        }
-        // --- model evaluation: identical arithmetic to `tick`, done once.
-        let dt_s = TICK_MS as f64 * 1e-3;
-        let f_hz = self.table.freq(self.freq).hz();
-        let bw_bps = self.table.bw(self.bw).bytes_per_sec();
-
-        let stolen_util = (demand.bg.cpu_util + self.tool_load).min(0.9);
-        let cores_avail = (self.online_cores * (1.0 - stolen_util)).max(0.1);
-        let fg_cores = demand.active_cores.clamp(0.0, cores_avail);
-        let bg_traffic_bps = demand.bg.traffic_mbps * 1e6;
-        let bus_avail_bps = (bw_bps - bg_traffic_bps).max(0.4 * bw_bps);
-
-        let ips_cpu = demand.ipc0 * fg_cores * f_hz;
-        let ips_mem = if demand.bytes_per_instr > 0.0 {
-            bus_avail_bps / demand.bytes_per_instr
-        } else {
-            f64::INFINITY
-        };
-        let ips_hw = if ips_cpu <= 0.0 {
-            0.0
-        } else if ips_mem.is_finite() && ips_mem > 0.0 {
-            1.0 / (1.0 / ips_cpu + (1.0 - self.mem_overlap) / ips_mem)
-        } else {
-            ips_cpu
-        };
-        let ips_cpu_side = ips_hw;
-        let (gpu_fraction, gpu_power_w) = self.gpu.tick_span(demand.gpu_work, span_ms);
-        let (net_fraction, net_power_w) = self.radio.tick_span(demand.net_pps, span_ms);
-        let ips_hw = ips_hw * gpu_fraction * net_fraction;
-        let ips_capped = match demand.gips_cap {
-            Some(cap) => ips_hw.min(cap * 1e9),
-            None => ips_hw,
-        };
-        let ips_run = match demand.desired_gips {
-            Some(want) => ips_capped.min(want.max(0.0) * 1e9),
-            None => ips_capped,
-        };
-
-        let instructions = ips_run * dt_s;
-        let busy_denominator = if demand.cap_busy {
-            ips_capped
-        } else {
-            ips_cpu_side
-        };
-        let fg_busy = if busy_denominator > 0.0 {
-            (ips_run / busy_denominator).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let busy_frac = (fg_busy + stolen_util).clamp(0.0, 1.0);
-        let fg_busy_cores = fg_busy * fg_cores;
-        let busy_cores = (fg_busy_cores + stolen_util * self.online_cores).min(self.online_cores);
-
-        let fg_traffic_bps = (instructions * demand.bytes_per_instr / dt_s).min(bus_avail_bps);
-        let traffic_mbps = (fg_traffic_bps + bg_traffic_bps) / 1e6;
-
         // --- power: the model is pure, so per-millisecond re-evaluation
-        // would produce the same value; evaluate once.
+        // would produce the same value; evaluate once. With cpuidle
+        // enabled, idle core time sheds part of its leakage (deep
+        // C-states power-gate the core).
         let idle_cores = (self.online_cores - busy_cores).max(0.0);
         let effective_cores = self.online_cores - idle_cores * self.cpuidle_leak_reduction;
         let mut power = self.power_model.power(
@@ -924,9 +791,9 @@ impl Device {
         let total_first_w = first.total_w();
         let total_rest_w = power.total_w();
 
-        // --- accounting: one fused residue loop replaying the tick
-        // core's per-millisecond statements in the tick core's own
-        // order. Each accumulator receives the identical sequence of
+        // --- accounting: one fused residue loop replaying the
+        // per-millisecond statements in 1 ms tick order. Each
+        // accumulator receives the identical sequence of
         // additions a 1 ms loop would produce (f64 addition is not
         // associative, so the per-ms adds must not be hoisted; fusing
         // is safe because the accumulators are independent and the
@@ -959,7 +826,7 @@ impl Device {
             *t += TICK_MS * span_ms;
         }
         if demand.touch {
-            // The tick core latches the touch each millisecond; the
+            // A 1 ms loop latches the touch each millisecond; the
             // surviving value is the last millisecond of the span.
             self.last_touch_ms = Some(now + span_ms - 1);
         }
@@ -1405,6 +1272,62 @@ mod tests {
             (d.monitor().energy_j(), d.pmu().instructions())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// A span of `n` ms leaves every accumulator bit-identical to `n`
+    /// single ticks: monitor noise on, a DVFS transition pending (its
+    /// surcharge lands in the first millisecond only), GPU and radio busy.
+    #[test]
+    fn tick_span_is_bit_identical_to_repeated_ticks() {
+        let demand = Demand {
+            gpu_work: 0.35,
+            net_pps: 700.0,
+            touch: true,
+            bg: BackgroundDemand {
+                cpu_util: 0.2,
+                traffic_mbps: 150.0,
+                power_w: 0.05,
+            },
+            ..cpu_demand(0.4)
+        };
+        let fresh = || {
+            let mut d = Device::new(DeviceConfig::nexus6().with_seed(7));
+            d.set_cpu_freq(FreqIndex(9));
+            d.set_mem_bw(BwIndex(4));
+            d.set_gpu_freq(GpuFreqIndex(4));
+            d
+        };
+        let fingerprint = |d: &Device| {
+            let mut bits = vec![
+                d.now_ms(),
+                d.pmu().instructions().to_bits(),
+                d.pmu().cycles().to_bits(),
+                d.pmu().bus_bytes().to_bits(),
+                d.monitor().energy_j().to_bits(),
+                d.battery().drained_j().to_bits(),
+                d.gpu().busy_ms().to_bits(),
+                d.radio().serviced_packets().to_bits(),
+                d.busy_core_ms().to_bits(),
+                d.busy_ms().to_bits(),
+                d.bg_util_ms().to_bits(),
+                d.bg_traffic_mb().to_bits(),
+                d.last_touch_ms().unwrap_or(u64::MAX),
+            ];
+            bits.extend(d.stats().time_in_freq_ms);
+            bits.extend(d.gpu().time_in_freq_ms());
+            bits
+        };
+        for n in [1u64, 2, 7, 200] {
+            let mut spanned = fresh();
+            let span_out = spanned.tick_span(&demand, n);
+            let mut ticked = fresh();
+            let first_out = ticked.tick(&demand);
+            for _ in 1..n {
+                ticked.tick(&demand);
+            }
+            assert_eq!(span_out, first_out, "n = {n}: outcome of the first tick");
+            assert_eq!(fingerprint(&spanned), fingerprint(&ticked), "n = {n}");
+        }
     }
 
     #[test]

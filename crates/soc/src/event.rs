@@ -1,12 +1,10 @@
-//! Event-driven simulation core: next-event time advance over the same
-//! device model as the 1 ms tick core in [`crate::sim`].
+//! The simulation engine: next-event time advance over the device model.
 //!
-//! The tick core advances the clock one millisecond at a time and asks
-//! every workload and policy what it wants on every tick — although the
-//! controller of the paper only acts at 200 ms dwell boundaries and 2 s
-//! control periods, and sampling governors every 10–100 ms. The event
-//! engine instead merges four *clock domains* into a single next-event
-//! horizon each iteration:
+//! The controller of the paper acts only at 200 ms dwell boundaries and
+//! 2 s control periods, and sampling governors every 10–100 ms, so
+//! asking every workload and policy what it wants on every millisecond
+//! wastes almost all of the work. The engine instead merges four *clock
+//! domains* into a single next-event horizon each iteration:
 //!
 //! 1. the workload's next demand change ([`Workload::next_event_ms`]),
 //! 2. every policy's next non-trivial tick ([`Policy::next_event_ms`] —
@@ -19,17 +17,18 @@
 //! [`Device::tick_span`] call, which evaluates the contention / roofline
 //! / power model once and replays only the per-millisecond accumulator
 //! additions. Every hook defaults to "the very next millisecond", so
-//! any workload or policy that has not opted in degrades the engine to
-//! exactly the tick core's 1 ms schedule.
+//! any workload or policy that has not opted in runs on a 1 ms
+//! schedule: demand, tick, deliver and every policy tick, each
+//! millisecond.
 //!
 //! # Bit-identity
 //!
-//! [`run`] produces a [`RunReport`] bit-identical to [`crate::sim::run`]
-//! for *any* combination of workloads, policies and fault plans, by
-//! construction:
+//! [`run`] produces a [`RunReport`] bit-identical to a 1 ms loop over
+//! the same device, workload and policies, for *any* combination of
+//! workloads, policies and fault plans, by construction:
 //!
 //! - a source that keeps the default hook forces 1 ms spans, i.e. the
-//!   tick core's exact call sequence;
+//!   1 ms loop's exact call sequence;
 //! - a source that advertises a longer horizon contracts that it is a
 //!   pure no-op (no state change, no RNG draws, constant demand) at
 //!   every interior millisecond, so skipping those calls is unobservable;
@@ -42,9 +41,12 @@
 //!   untouched.
 //!
 //! The differential suites (`event.rs` unit tests, `tests/event_core.rs`
-//! at the workspace root) assert `RunReport` equality — energy bits,
-//! instruction bits, histograms, health — across apps, governors, the
-//! hardened controller, fault plans and seeds.
+//! at the workspace root) check this against a forced-1 ms oracle: a
+//! test-only workload wrapper that keeps the default hooks, so the
+//! engine takes 1 ms spans. They assert `RunReport` equality — energy
+//! bits, instruction bits, histograms, health — across apps, governors,
+//! the hardened controller, fault plans and seeds, and golden pins
+//! captured from the original 1 ms loop anchor both sides.
 
 use crate::device::Device;
 use crate::sim::{collect_report, RunReport};
@@ -72,9 +74,13 @@ impl EngineStats {
 }
 
 /// Run `workload` on `device` under `policies` for at most `max_ms`
-/// simulated milliseconds using next-event time advance. Drop-in
-/// replacement for [`crate::sim::run`] with a bit-identical
-/// [`RunReport`] (see the module docs for why).
+/// simulated milliseconds (stopping earlier if the workload finishes),
+/// using next-event time advance. Re-exported as [`crate::sim::run`].
+///
+/// Device statistics are reset at the start of the run, so the returned
+/// report covers exactly this run. Policies receive `start`, one `tick`
+/// after each span (every millisecond unless every clock domain
+/// advertises a longer horizon; see the module docs) and `finish`.
 pub fn run(
     device: &mut Device,
     workload: &mut dyn Workload,
@@ -207,11 +213,34 @@ mod tests {
         }
     }
 
+    /// The forced-1 ms oracle: forwards every call to the wrapped
+    /// workload but keeps the default `next_event_ms`/`deliver_span`
+    /// hooks, so the engine takes 1 ms spans — the exact call sequence
+    /// of a 1 ms tick loop.
+    struct PerMs<'a>(&'a mut dyn Workload);
+    impl Workload for PerMs<'_> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn demand(&mut self, now_ms: u64) -> Demand {
+            self.0.demand(now_ms)
+        }
+        fn deliver(&mut self, now_ms: u64, executed: Executed) {
+            self.0.deliver(now_ms, executed);
+        }
+        fn finished(&self) -> bool {
+            self.0.finished()
+        }
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+    }
+
     /// Fixed-work workload with the default (1 ms) hooks.
     struct Batch {
         remaining: f64,
     }
-    impl crate::workload::Workload for Batch {
+    impl Workload for Batch {
         fn name(&self) -> &str {
             "batch"
         }
@@ -250,7 +279,7 @@ mod tests {
     }
 
     /// Noise on: the monitor's per-sample RNG stream must survive span
-    /// coalescing bit-for-bit.
+    /// coalescing bit-for-bit, against the forced-1 ms oracle.
     #[test]
     fn event_core_matches_tick_core_with_noise_and_faults() {
         for (i, plan) in fault_plans().into_iter().enumerate() {
@@ -268,7 +297,12 @@ mod tests {
                 let mut app = ConstantWorkload::new("toy", 0.6, 1.5, 1.0);
                 let mut dev_tick = mk(&plan);
                 let mut stepper = Stepper::new(50);
-                let tick = crate::sim::run(&mut dev_tick, &mut app, &mut [&mut stepper], 3_000);
+                let tick = run(
+                    &mut dev_tick,
+                    &mut PerMs(&mut app),
+                    &mut [&mut stepper],
+                    3_000,
+                );
 
                 let mut app = ConstantWorkload::new("toy", 0.6, 1.5, 1.0);
                 let mut dev_event = mk(&plan);
@@ -303,7 +337,12 @@ mod tests {
         let mut app = ConstantWorkload::new("toy", 0.3, 1.5, 1.0);
         let mut dev_tick = Device::new(cfg.clone());
         let mut per_ms = EveryMs { ticks: 0 };
-        let tick = crate::sim::run(&mut dev_tick, &mut app, &mut [&mut per_ms], 1_000);
+        let tick = run(
+            &mut dev_tick,
+            &mut PerMs(&mut app),
+            &mut [&mut per_ms],
+            1_000,
+        );
         let tick_ticks = per_ms.ticks;
 
         let mut app = ConstantWorkload::new("toy", 0.3, 1.5, 1.0);
@@ -322,7 +361,7 @@ mod tests {
 
         let mut app = Batch { remaining: 1e9 };
         let mut dev_tick = Device::new(cfg.clone());
-        let tick = crate::sim::run(&mut dev_tick, &mut app, &mut [], 60_000);
+        let tick = run(&mut dev_tick, &mut PerMs(&mut app), &mut [], 60_000);
         assert!(tick.completed);
 
         app.reset();

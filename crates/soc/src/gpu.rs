@@ -127,31 +127,14 @@ impl Gpu {
     /// Returns `(throughput_fraction, power_w)` where the fraction is
     /// 1.0 when the GPU keeps up and < 1.0 when it is the bottleneck.
     pub fn tick(&mut self, gpu_work: f64) -> (f64, f64) {
-        let f = self.freq_ghz(self.cur);
-        let v = self.voltage(self.cur);
-        let util = if gpu_work <= 0.0 {
-            0.0
-        } else {
-            (gpu_work / f).min(1.0)
-        };
-        let fraction = if gpu_work <= f || gpu_work <= 0.0 {
-            1.0
-        } else {
-            f / gpu_work
-        };
-        self.busy_ms += util;
-        if let Some(t) = self.time_in_freq_ms.get_mut(self.cur.0) {
-            *t += 1;
-        }
-        let power = self.leak_w_per_v * v + self.dyn_w_per_v2ghz * v * v * f * util;
-        (fraction, power)
+        self.tick_span(gpu_work, 1)
     }
 
     /// Execute `span_ms` consecutive ticks under constant `gpu_work` in
     /// one call — bit-identical to calling [`Gpu::tick`] `span_ms`
     /// times: the busy accumulator receives the exact same sequence of
     /// per-millisecond additions, and the (time-invariant) fraction and
-    /// power of the first tick are returned.
+    /// power of one tick are returned.
     pub(crate) fn tick_span(&mut self, gpu_work: f64, span_ms: u64) -> (f64, f64) {
         let f = self.freq_ghz(self.cur);
         let v = self.voltage(self.cur);

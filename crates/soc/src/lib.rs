@@ -13,7 +13,8 @@
 //! - [`DvfsTable`] — the exact frequency/bandwidth ladders of Table II of
 //!   the paper, plus a Krait-like voltage ladder.
 //! - [`Device`] — a discrete-time (1 ms tick) whole-device simulator with
-//!   a roofline performance model and a component-wise power model.
+//!   a roofline performance model and a component-wise power model,
+//!   advanced in spans of ticks by the event engine in [`event`].
 //! - [`Pmu`] — per-core retired-instruction counters, read through
 //!   [`PerfReader`] which models the `perf` tool's sampling period,
 //!   computational overhead and measurement noise.
@@ -81,9 +82,11 @@ pub use workload::{BackgroundDemand, ConstantWorkload, Demand, Executed, Workloa
 
 /// Trait implemented by DVFS governors and by the online controller.
 ///
-/// A policy is stepped once per simulated millisecond *after* the device
-/// has executed that tick. Policies keep their own notion of sampling
-/// cadence by inspecting [`Device::now_ms`]. Policies actuate either
+/// A policy is stepped *after* the device has executed each tick —
+/// once per simulated millisecond, except that the event engine skips
+/// the ticks a policy declares no-ops ([`Policy::next_event_ms`]) and
+/// steps it once after the whole span. Policies keep their own notion
+/// of sampling cadence by inspecting [`Device::now_ms`]. Policies actuate either
 /// through the internal driver interface ([`Device::set_cpu_freq`],
 /// [`Device::set_mem_bw`]) — as in-kernel governors do — or through the
 /// virtual sysfs tree ([`Device::sysfs_write`]) as user-space controllers
@@ -95,7 +98,8 @@ pub trait Policy {
     /// Called once before the simulation starts.
     fn start(&mut self, _device: &mut Device) {}
 
-    /// Called once per simulated millisecond, after the device tick.
+    /// Called after the device tick: once per simulated millisecond, or
+    /// once per span the engine coalesced (see [`Policy::next_event_ms`]).
     fn tick(&mut self, device: &mut Device);
 
     /// Called once after the simulation ends.

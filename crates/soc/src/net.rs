@@ -93,16 +93,7 @@ impl Radio {
     /// packets serviced this tick (1.0 when the setting suffices) and
     /// the radio power.
     pub fn tick(&mut self, offered_pps: f64) -> (f64, f64) {
-        let cap = self.rate_pps(self.cur);
-        let serviced = offered_pps.min(cap);
-        let fraction = if offered_pps <= 0.0 {
-            1.0
-        } else {
-            serviced / offered_pps
-        };
-        self.serviced_packets += serviced * 1e-3; // per 1 ms tick
-        let power = self.poll_w_per_pps * cap + self.energy_per_packet_j * serviced;
-        (fraction, power)
+        self.tick_span(offered_pps, 1)
     }
 
     /// Service `span_ms` consecutive ticks of constant `offered_pps` in

@@ -1,5 +1,6 @@
 //! Simulation harness: runs a workload on a device under a set of
-//! policies and reports energy/performance statistics.
+//! policies and reports energy/performance statistics. [`run`] is the
+//! event engine ([`crate::event::run`]); this module owns its report.
 
 use crate::device::{Device, DeviceStats};
 use crate::health::HealthReport;
@@ -66,45 +67,10 @@ impl RunReport {
     }
 }
 
-/// Run `workload` on `device` under `policies` for at most `max_ms`
-/// simulated milliseconds (stopping earlier if the workload finishes).
-///
-/// Device statistics are reset at the start of the run, so the returned
-/// report covers exactly this run. Policies receive `start`, one `tick`
-/// per millisecond (after the device tick) and `finish`.
-pub fn run(
-    device: &mut Device,
-    workload: &mut dyn Workload,
-    policies: &mut [&mut dyn Policy],
-    max_ms: u64,
-) -> RunReport {
-    for p in policies.iter_mut() {
-        p.start(device);
-    }
-    device.reset_stats();
-    let start_ms = device.now_ms();
+pub use crate::event::run;
 
-    let mut completed = false;
-    while device.now_ms() - start_ms < max_ms {
-        let now = device.now_ms();
-        let demand = workload.demand(now);
-        let outcome = device.tick(&demand);
-        workload.deliver(now, outcome.executed);
-        for p in policies.iter_mut() {
-            p.tick(device);
-        }
-        if workload.finished() {
-            completed = true;
-            break;
-        }
-    }
-
-    collect_report(device, workload, policies, max_ms, completed)
-}
-
-/// Finish the policies and assemble the [`RunReport`] — shared by the
-/// tick core ([`run`]) and the event core ([`crate::event::run`]) so
-/// both produce structurally identical reports.
+/// Finish the policies and assemble the [`RunReport`] at the end of a
+/// [`run`].
 pub(crate) fn collect_report(
     device: &mut Device,
     workload: &dyn Workload,

@@ -182,11 +182,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input.
+    /// Returns [`JsonError`] with a byte offset on malformed input,
+    /// including arrays and objects nested more than [`MAX_NESTING`]
+    /// levels deep (the parser recurses per level, so unbounded nesting
+    /// would overflow the stack).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters"));
@@ -293,8 +296,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_NESTING: usize = 128;
+
+/// Parse one value enclosed in `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth >= MAX_NESTING && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(JsonError::at(*pos, "nesting too deep"));
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -310,7 +320,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -338,7 +348,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(JsonError::at(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                map.insert(key, parse_value(bytes, pos)?);
+                map.insert(key, parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -556,6 +566,26 @@ mod tests {
         );
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(doc.get("missing"), None);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_NESTING);
+        let objects = r#"{"a":"#.repeat(MAX_NESTING + 1);
+        assert_eq!(
+            Json::parse(&objects).unwrap_err().message,
+            "nesting too deep"
+        );
+        // Exactly MAX_NESTING levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        let mut v = &Json::parse(&ok).unwrap();
+        for _ in 1..MAX_NESTING {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v, &Json::Arr(Vec::new()));
     }
 
     #[test]

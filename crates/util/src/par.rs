@@ -10,18 +10,12 @@
 //! differential testing (`ordered_map(n, 1, f) == ordered_map(n, k, f)`
 //! for any pure-per-index `f`).
 //!
-//! Two execution engines share that contract:
-//!
-//! * [`WorkerPool`] — a **persistent** pool: threads spawn once, park
-//!   on a condvar between batches, and receive work through an
-//!   epoch-numbered handoff. Results land in lock-free once-written
-//!   slots (no per-slot `Mutex`). This is the hot-path engine: the
-//!   fleet tier broadcasts thousands of batches, and spawn/join per
-//!   batch is exactly the overhead the pool removes.
-//! * [`scoped_ordered_map`] — the original `std::thread::scope`
-//!   engine (spawn per call, `Mutex<Option<T>>` slots), kept as the
-//!   reference implementation and as the baseline the fleet bench
-//!   reports `pool_speedup_vs_scoped` against.
+//! The execution engine is [`WorkerPool`], a **persistent** pool:
+//! threads spawn once, park on a condvar between batches, and receive
+//! work through an epoch-numbered handoff. Results land in lock-free
+//! once-written slots (no per-slot `Mutex`). The fleet tier broadcasts
+//! thousands of batches, and spawn/join per batch is exactly the
+//! overhead the pool removes.
 //!
 //! The free [`ordered_map`] is a thin compatibility wrapper over a
 //! transient [`WorkerPool`].
@@ -404,7 +398,7 @@ impl<T> Drop for Slots<T> {
 }
 
 // ---------------------------------------------------------------------
-// Compatibility / reference engines
+// Compatibility wrapper and serial engine
 // ---------------------------------------------------------------------
 
 /// Run `f(0..jobs)` across `threads` workers and return the results in
@@ -454,50 +448,6 @@ where
     out
 }
 
-/// The original scoped-thread engine: spawns `threads` scoped workers
-/// per call and collects results through per-slot mutexes. Retained as
-/// the reference implementation the pool is differentially tested
-/// against, and as the baseline for the fleet bench's
-/// `pool_speedup_vs_scoped` row.
-pub fn scoped_ordered_map<T, F>(jobs: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, jobs);
-    if threads == 1 {
-        return serial_ordered_map(jobs, f);
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let value = f(i);
-                if let Some(slot) = slots.get(i) {
-                    *lock(slot) = Some(value);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            lock(&m)
-                .take()
-                // asgov-analyze: allow(hot-path-panic): the scope join above proves every slot was filled or a worker already panicked
-                .expect("scoped workers fill every slot before the scope joins")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,13 +471,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_scoped_and_serial() {
+    fn pool_matches_serial() {
         let f = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i as u64;
         let serial: Vec<u64> = serial_ordered_map(64, f);
-        let scoped: Vec<u64> = scoped_ordered_map(64, 5, f);
         let mut pool = WorkerPool::new(5);
         let pooled: Vec<u64> = pool.ordered_map(64, f);
-        assert_eq!(serial, scoped);
         assert_eq!(serial, pooled);
     }
 

@@ -557,8 +557,8 @@ impl Workload for PhasedApp {
             self.coarse_deliver(executed.instructions * span_ms as f64 / 1e9, span_ms);
         } else {
             // Exact model: replay the per-ms delivery sequence so
-            // accumulator order (and bit-identity with the tick core)
-            // is preserved.
+            // accumulator order (and bit-identity with 1 ms spans) is
+            // preserved.
             for j in 0..span_ms {
                 self.deliver(now_ms + j, executed);
             }

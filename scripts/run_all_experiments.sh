@@ -6,12 +6,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 QUICK="${1:-}"
 mkdir -p results
-# Differential smoke first, failing loudly even in --quick mode: if the
-# event core and the tick core ever diverge, no experiment output below
-# can be trusted.
-echo "=== diff_smoke ==="
-cargo run --release -p asgov-experiments --bin diff_smoke -- $QUICK \
-  | tee "results/diff_smoke.txt"
 for bin in table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4 fig5 \
            ablations scope related_work traces chaos; do
   echo "=== $bin ==="

@@ -1,17 +1,58 @@
 //! Differential tests for the event-driven simulator core: for every
 //! supported application, policy stack, fault plan and seed, the
 //! next-event engine in `asgov::soc::event` must produce a `RunReport`
-//! bit-identical to the retained 1 ms tick core in `asgov::soc::sim` —
-//! same energy bits, same instruction count, same residency histograms,
-//! same health summary. The golden-pin test additionally anchors both
-//! cores to values captured from the pre-refactor tick loop, so neither
-//! core can drift from the original semantics unnoticed.
+//! bit-identical to a forced-1 ms run of the same engine (the "tick"
+//! side, see [`PerMs`]) — same energy bits, same instruction count,
+//! same residency histograms, same health summary. The golden-pin test
+//! additionally anchors both sides to values captured from the original
+//! 1 ms tick loop, so neither can drift from its semantics unnoticed.
 
 use asgov::governors::{AdrenoTz, CpubwHwmon, Interactive, Ondemand};
 use asgov::prelude::*;
-use asgov::soc::{event, FaultInjector, FaultKind, FaultPlan};
+use asgov::soc::sim::RunReport;
+use asgov::soc::{event, Demand, Executed, FaultInjector, FaultKind, FaultPlan};
 use asgov::util::Json;
 use asgov::workloads::PhasedApp;
+
+/// The forced-1 ms oracle: forwards every call to the wrapped workload
+/// but keeps the default `next_event_ms`/`deliver_span` hooks, so
+/// `event::run` takes 1 ms spans — exactly the call sequence of the
+/// original 1 ms tick loop.
+struct PerMs<'a>(&'a mut dyn Workload);
+
+impl Workload for PerMs<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn demand(&mut self, now_ms: u64) -> Demand {
+        self.0.demand(now_ms)
+    }
+    fn deliver(&mut self, now_ms: u64, executed: Executed) {
+        self.0.deliver(now_ms, executed);
+    }
+    fn finished(&self) -> bool {
+        self.0.finished()
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+/// Run through the requested side: `"tick"` is the forced-1 ms oracle,
+/// anything else the engine's own coalesced spans.
+fn run_on(
+    core: &str,
+    device: &mut Device,
+    app: &mut dyn Workload,
+    policies: &mut [&mut dyn Policy],
+    max_ms: u64,
+) -> RunReport {
+    if core == "tick" {
+        event::run(device, &mut PerMs(app), policies, max_ms)
+    } else {
+        event::run(device, app, policies, max_ms)
+    }
+}
 
 /// Constructor signature shared by every packaged application.
 type AppCtor = fn(BackgroundLoad) -> PhasedApp;
@@ -68,7 +109,7 @@ fn run_config(
     plan: &Option<FaultPlan>,
     seed: u64,
     max_ms: u64,
-) -> asgov::soc::sim::RunReport {
+) -> RunReport {
     let cfg = DeviceConfig::nexus6().with_seed(seed);
     let mut device = Device::new(cfg);
     if let Some(plan) = plan {
@@ -89,18 +130,14 @@ fn run_config(
         "controller" => vec![&mut controller],
         other => panic!("unknown policy tag {other}"),
     };
-    if core == "tick" {
-        sim::run(&mut device, &mut app, &mut policies, max_ms)
-    } else {
-        event::run(&mut device, &mut app, &mut policies, max_ms)
-    }
+    run_on(core, &mut device, &mut app, &mut policies, max_ms)
 }
 
 /// The full differential matrix: every app x {ondemand, interactive,
-/// hardened controller} x 3 fault plans x 3 seeds, tick core vs event
-/// core, whole-report equality (covers residency histograms and the
-/// health summary via `RunReport: PartialEq`) plus explicit bit checks
-/// on the energy integrator.
+/// hardened controller} x 3 fault plans x 3 seeds, forced-1 ms oracle
+/// vs event engine, whole-report equality (covers residency histograms
+/// and the health summary via `RunReport: PartialEq`) plus explicit bit
+/// checks on the energy integrator.
 #[test]
 fn event_core_is_bit_identical_to_tick_core() {
     let profile_opts = ProfileOptions {
@@ -145,29 +182,19 @@ fn event_core_is_bit_identical_to_tick_core() {
     }
 }
 
-/// Bit-exact values captured from the tick core *before* the event
-/// engine existed. Both cores must keep reproducing them: the tick core
-/// so the refactor provably changed nothing, the event core so its
-/// span integration provably matches the original per-ms semantics.
+/// Bit-exact values captured from the original 1 ms tick loop *before*
+/// the event engine existed. Both sides must keep reproducing them: the
+/// forced-1 ms oracle so the per-ms model provably changed nothing, the
+/// engine so its span integration provably matches the original per-ms
+/// semantics.
 #[test]
 fn golden_pins_from_pre_refactor_tick_core() {
     let cfg = DeviceConfig::nexus6();
     for core in ["tick", "event"] {
-        let run = |device: &mut Device,
-                   app: &mut dyn Workload,
-                   policies: &mut [&mut dyn Policy],
-                   ms: u64| {
-            if core == "tick" {
-                sim::run(device, app, policies, ms)
-            } else {
-                event::run(device, app, policies, ms)
-            }
-        };
-
         // Bare run: spotify + baseline background, monitor noise on.
         let mut device = Device::new(cfg.clone());
         let mut app = apps::spotify(BackgroundLoad::baseline(1));
-        let r = run(&mut device, &mut app, &mut [], 5_000);
+        let r = run_on(core, &mut device, &mut app, &mut [], 5_000);
         assert_eq!(
             r.energy_j.to_bits(),
             0x401fc7c1be611bb2,
@@ -187,7 +214,7 @@ fn golden_pins_from_pre_refactor_tick_core() {
         let mut bw = CpubwHwmon::default();
         let mut gpu = AdrenoTz::default();
         let mut policies: [&mut dyn Policy; 3] = [&mut cpu, &mut bw, &mut gpu];
-        let r = run(&mut device, &mut app, &mut policies, 5_000);
+        let r = run_on(core, &mut device, &mut app, &mut policies, 5_000);
         assert_eq!(
             r.energy_j.to_bits(),
             0x402f0bef4bbc4466,
@@ -210,7 +237,7 @@ fn golden_pins_from_pre_refactor_tick_core() {
         let mut app = apps::angrybirds(BackgroundLoad::heavy(3));
         let mut cpu = Interactive::default();
         let mut policies: [&mut dyn Policy; 1] = [&mut cpu];
-        let r = run(&mut device, &mut app, &mut policies, 6_000);
+        let r = run_on(core, &mut device, &mut app, &mut policies, 6_000);
         assert_eq!(
             r.energy_j.to_bits(),
             0x40368c941011ee92,
@@ -230,10 +257,10 @@ fn golden_pins_from_pre_refactor_tick_core() {
 }
 
 /// A supervised controller killed mid-run (twice) must restart and
-/// produce bit-identical reports under both cores, in both warm and
+/// produce bit-identical reports on both sides, in both warm and
 /// cold restart modes: kills latch inside forced-tick fault windows,
 /// checkpoints land on supervisor-advertised event times, and restarts
-/// wake the event core at exactly the backoff deadline.
+/// wake the engine at exactly the backoff deadline.
 #[test]
 fn supervised_kill_restart_is_bit_identical_across_cores() {
     use asgov::core::{Supervisor, SupervisorConfig};
@@ -265,11 +292,7 @@ fn supervised_kill_restart_is_bit_identical_across_cores() {
             },
         );
         let mut policies: [&mut dyn Policy; 2] = [&mut gpu, &mut supervisor];
-        if core == "tick" {
-            sim::run(&mut device, &mut app, &mut policies, 10_000)
-        } else {
-            event::run(&mut device, &mut app, &mut policies, 10_000)
-        }
+        run_on(core, &mut device, &mut app, &mut policies, 10_000)
     };
 
     for warm in [true, false] {
@@ -300,7 +323,7 @@ fn supervised_kill_restart_is_bit_identical_across_cores() {
 
 /// With no kills injected, wrapping the controller in a supervisor must
 /// change nothing: same report, bit for bit, as the unsupervised stack,
-/// under both cores. (Checkpoints still happen — they must be pure
+/// on both sides. (Checkpoints still happen — they must be pure
 /// reads.)
 #[test]
 fn supervisor_without_kills_is_transparent() {
@@ -328,11 +351,7 @@ fn supervisor_without_kills_is_transparent() {
         } else {
             [&mut gpu, &mut controller]
         };
-        if core == "tick" {
-            sim::run(&mut device, &mut app, &mut policies, 8_000)
-        } else {
-            event::run(&mut device, &mut app, &mut policies, 8_000)
-        }
+        run_on(core, &mut device, &mut app, &mut policies, 8_000)
     };
 
     for core in ["tick", "event"] {
@@ -345,24 +364,20 @@ fn supervisor_without_kills_is_transparent() {
     }
 }
 
-/// A workload that finishes before the time limit must stop both cores
+/// A workload that finishes before the time limit must stop both sides
 /// at the same millisecond with the same report.
 #[test]
 fn early_completion_is_identical() {
     let cfg = DeviceConfig::nexus6();
-    let run = |use_event: bool| {
+    let run = |core: &str| {
         let mut device = Device::new(cfg.clone());
         let mut app = apps::vidcon(BackgroundLoad::baseline(1));
         let mut cpu = Ondemand::default();
         let mut policies: [&mut dyn Policy; 1] = [&mut cpu];
-        if use_event {
-            event::run(&mut device, &mut app, &mut policies, 300_000)
-        } else {
-            sim::run(&mut device, &mut app, &mut policies, 300_000)
-        }
+        run_on(core, &mut device, &mut app, &mut policies, 300_000)
     };
-    let tick = run(false);
-    let event = run(true);
+    let tick = run("tick");
+    let event = run("event");
     assert!(tick.completed, "vidcon must finish inside the limit");
     assert!(tick.duration_ms < 300_000);
     assert_eq!(tick, event);
