@@ -1,6 +1,6 @@
 //! The energy optimizer: the LP of paper Eqns. 4–7 over a profile table.
 
-use asgov_linprog::{gradient, two_point, HullSolver};
+use asgov_linprog::{gradient, HullSolver};
 use asgov_profiler::{Config, ProfileTable};
 
 /// Minimum-energy configuration selection over an offline profile.
@@ -115,19 +115,10 @@ impl EnergyOptimizer {
     /// non-positive inputs.
     ///
     /// Runs on the precomputed convex hull: `O(log N)` per call. The
-    /// `O(N²)` brute force is available as
-    /// [`solve_exhaustive`](EnergyOptimizer::solve_exhaustive) and is
-    /// differentially tested to produce equal-energy plans.
+    /// unit tests check it against the `O(N²)` brute force
+    /// (`asgov_linprog::two_point`) for equal-energy plans.
     pub fn solve(&self, target_speedup: f64, period_s: f64) -> Option<Plan> {
         let sched = self.hull.as_ref()?.solve(target_speedup, period_s)?;
-        Some(self.plan_from(sched))
-    }
-
-    /// Escape hatch: solve with the brute-force `O(N²)` pair search
-    /// instead of the hull. Same answers (the hull is exact, not an
-    /// approximation) — useful for differential testing and debugging.
-    pub fn solve_exhaustive(&self, target_speedup: f64, period_s: f64) -> Option<Plan> {
-        let sched = two_point::optimize(&self.speedups, &self.powers, target_speedup, period_s)?;
         Some(self.plan_from(sched))
     }
 
@@ -281,10 +272,13 @@ mod tests {
 
     #[test]
     fn hull_and_exhaustive_agree() {
-        let opt = EnergyOptimizer::new(&table());
+        let t = table();
+        let (speedups, powers) = (t.speedups(), t.powers());
+        let opt = EnergyOptimizer::new(&t);
         for k in 0..=50 {
             let target = 0.5 + k as f64 * 0.08; // spans below..above range
-            match (opt.solve(target, 2.0), opt.solve_exhaustive(target, 2.0)) {
+            let exhaustive = asgov_linprog::two_point::optimize(&speedups, &powers, target, 2.0);
+            match (opt.solve(target, 2.0), exhaustive) {
                 (Some(a), Some(b)) => {
                     assert!(
                         (a.energy_j - b.energy_j).abs() < 1e-9,
@@ -292,7 +286,7 @@ mod tests {
                         a.energy_j,
                         b.energy_j
                     );
-                    assert!((a.speedup - b.speedup).abs() < 1e-9);
+                    assert!((a.speedup - b.expected_speedup(&speedups)).abs() < 1e-9);
                 }
                 (a, b) => panic!("solvers disagree at {target}: {a:?} vs {b:?}"),
             }

@@ -1,11 +1,12 @@
 //! Fleet experiment — N simulated devices under supervised controllers
-//! in pipelined sharded epochs (ROADMAP item 2, DESIGN.md §11–§12).
+//! in sharded epochs on a worker pool (ROADMAP item 2, DESIGN.md
+//! §11–§12).
 //!
 //! Prints the aggregate energy-savings distributions per application
 //! and per fault class, and writes `BENCH_fleet.json` at the repository
-//! root with throughput figures (devices/sec, pool speedup over the
-//! scoped-thread engine, peak RSS), keyed per tier so the 10³/10⁵/10⁶
-//! rows accumulate across invocations.
+//! root with throughput figures (device-epochs/sec, controller
+//! cycles/sec, peak RSS), keyed per tier so the 10³/10⁵/10⁶ rows
+//! accumulate across invocations.
 //!
 //! Run: `cargo run --release -p asgov-experiments --bin fleet --
 //!       [--tier smoke|bench|bench-1m] [--devices N] [--shards N]
@@ -159,7 +160,7 @@ fn main() {
     let run_secs = t_run.elapsed().as_secs_f64();
 
     let device_epochs = report.totals.online + report.totals.offline;
-    let devices_per_sec = device_epochs as f64 / run_secs.max(1e-9);
+    let device_epochs_per_sec = device_epochs as f64 / run_secs.max(1e-9);
     let cycles_per_sec = report.controller_cycles() as f64 / run_secs.max(1e-9);
     let rss_kib = peak_rss_kib();
     let threads = if cfg.threads == 0 {
@@ -186,7 +187,7 @@ fn main() {
         t.restarts, t.warm_restarts, t.warm_migrations, t.snapshot_errors, t.downtime_ms
     );
     println!(
-        "\nthroughput: {devices_per_sec:.0} device-epochs/sec, {cycles_per_sec:.0} controller-cycles/sec, \
+        "\nthroughput: {device_epochs_per_sec:.0} device-epochs/sec, {cycles_per_sec:.0} controller-cycles/sec, \
          peak RSS {:.1} MiB",
         rss_kib as f64 / 1024.0
     );
@@ -202,13 +203,13 @@ fn main() {
     row.set("store_resolve_secs", store_secs);
     row.set("run_secs", run_secs);
     row.set("device_epochs", device_epochs as f64);
-    row.set("devices_per_sec", devices_per_sec);
+    row.set("device_epochs_per_sec", device_epochs_per_sec);
     row.set("controller_cycles_per_sec", cycles_per_sec);
     row.set("peak_rss_kib", rss_kib as f64);
     row.set("report", report.to_json());
 
     // Top level mirrors this run (back-compat for the regression gate,
-    // which reads `devices_per_sec` of the smoke tier) and keys every
+    // which reads `device_epochs_per_sec` of the smoke tier) and keys every
     // tier's latest row under "tiers" so the 10³/10⁵/10⁶ results
     // accumulate across invocations.
     let path = repo_root().join("BENCH_fleet.json");
@@ -232,7 +233,7 @@ fn main() {
         "store_resolve_secs",
         "run_secs",
         "device_epochs",
-        "devices_per_sec",
+        "device_epochs_per_sec",
         "controller_cycles_per_sec",
         "peak_rss_kib",
         "report",

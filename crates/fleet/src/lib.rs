@@ -15,21 +15,20 @@
 //! - [`FleetReport`] — per-app / per-fault-class savings
 //!   distributions over a columnar `FleetStats` aggregator
 //!   ([`report`]).
-//! - [`Fleet`] — the epoch engine. [`Fleet::run`] pipelines shard
-//!   epochs over a persistent `asgov_util::par::WorkerPool`: each
-//!   shard enters epoch `e + 1` as soon as its *own* epoch `e` lands —
-//!   no global barrier — and completed `(epoch, shard)` statistics are
-//!   buffered and folded epoch-major/shard-minor afterward.
+//! - [`Fleet`] — the epoch engine. [`Fleet::run`] is one
+//!   `ordered_map` batch on a persistent `asgov_util::par::WorkerPool`:
+//!   job `s` advances shard `s` through every remaining epoch — no
+//!   global barrier — and the per-shard results fold afterward.
 //!   [`Fleet::step`] is the same engine bounded to one epoch.
 //!
 //! Determinism contract: the aggregate report is **bit-identical**
 //! for any thread count, across any split of the run into `step`s,
 //! and across a mid-run checkpoint/restore — every random draw
-//! derives from `(seed, device_id, epoch)`, the savings columns merge
-//! exactly (integer fixed-point), and the one floating-point total
-//! folds in a fixed (epoch-major, shard-minor) order. The
-//! differential suite in `tests/fleet_determinism.rs` pins all three
-//! properties.
+//! derives from `(seed, device_id, epoch)`, the counters and savings
+//! columns merge exactly (integers and integer fixed-point), and the
+//! one floating-point total folds in a fixed (epoch-major,
+//! shard-minor) order. The differential suite in
+//! `tests/fleet_determinism.rs` pins all three properties.
 
 pub mod report;
 pub mod shard;
@@ -45,8 +44,7 @@ use asgov_core::persist::{ensure, ensure_config, require};
 use asgov_core::{SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_obs::FleetStats;
 use asgov_util::par::WorkerPool;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, PoisonError};
 
 /// A fleet run in progress: shard states, the accumulated report, and
 /// the persistent worker pool the epoch engine fans out over.
@@ -113,27 +111,26 @@ impl Fleet {
         self.run_until(store, self.report.epochs_run + 1)
     }
 
-    /// Run all remaining epochs **pipelined** and return the final
-    /// report: one pool broadcast covers every remaining shard-epoch,
-    /// and a shard re-enters the ready queue for epoch `e + 1` the
-    /// moment its own epoch `e` lands — workers never idle at a
-    /// global epoch barrier. Completed `(epoch, shard)` statistics
-    /// are buffered and folded epoch-major/shard-minor afterward, so
-    /// the report is bit-identical to running [`Fleet::step`] in a
-    /// loop.
+    /// Run all remaining epochs and return the final report. One pool
+    /// batch covers the whole run: job `s` advances shard `s` through
+    /// every remaining epoch, so workers never idle at a global epoch
+    /// barrier. The per-shard results fold epoch-major/shard-minor
+    /// afterward, so the report is bit-identical to running
+    /// [`Fleet::step`] in a loop.
     ///
     /// # Errors
     ///
-    /// The earliest `(epoch, shard)` error any worker hit. The fleet
-    /// is left partially advanced and must be discarded (errors are
-    /// deterministic, so a retry would fail identically).
+    /// The earliest `(epoch, shard)` error, ties going to the lowest
+    /// shard. The fleet is left partially advanced and must be
+    /// discarded (errors are deterministic, so a retry would fail
+    /// identically).
     pub fn run(&mut self, store: &PolicyStore) -> Result<&FleetReport, FleetError> {
         self.run_until(store, self.config.epochs)?;
         Ok(&self.report)
     }
 
-    /// The pipelined engine behind [`Fleet::run`] and [`Fleet::step`]:
-    /// advance every shard from the current epoch up to (excluding)
+    /// The engine behind [`Fleet::run`] and [`Fleet::step`]: advance
+    /// every shard from the current epoch up to (excluding)
     /// `end_epoch`, capped at the configured epoch count.
     fn run_until(&mut self, store: &PolicyStore, end_epoch: u64) -> Result<(), FleetError> {
         let config = self.config;
@@ -142,127 +139,67 @@ impl Fleet {
         if start_epoch >= end_epoch {
             return Ok(());
         }
-        let nshards = self.shards.len() as u64;
-        for shard in &self.shards {
-            if shard.next_epoch != start_epoch {
-                return Err(FleetError::BadConfig(
-                    "shard epochs out of alignment; cannot pipeline".into(),
-                ));
-            }
+        if self.shards.iter().any(|s| s.next_epoch != start_epoch) {
+            return Err(FleetError::BadConfig(
+                "shard epochs out of alignment".into(),
+            ));
         }
 
-        let slots: Vec<Mutex<Option<ShardState>>> =
-            self.shards.drain(..).map(|s| Mutex::new(Some(s))).collect();
-        let queue = Mutex::new(PipelineQueue {
-            ready: (0..nshards).collect(),
-            remaining: nshards * (end_epoch - start_epoch),
-            abort: false,
-        });
-        let work_ready = Condvar::new();
-        let results: Mutex<BTreeMap<(u64, u64), EpochStats>> = Mutex::new(BTreeMap::new());
-        let first_error: Mutex<Option<((u64, u64), FleetError)>> = Mutex::new(None);
-
-        let fail = |at: (u64, u64), e: FleetError| {
-            let mut slot = lock(&first_error);
-            let replace = match &*slot {
-                None => true,
-                Some((prev_at, _)) => at < *prev_at,
-            };
-            if replace {
-                *slot = Some((at, e));
+        // Job `s` runs shard `s` to `end_epoch` (or its first error).
+        // Each epoch's energy is kept apart for the epoch-major fold
+        // below; the exact counters and savings columns merge
+        // shard-major as they land.
+        let slots: Vec<Mutex<&mut ShardState>> = self.shards.iter_mut().map(Mutex::new).collect();
+        let runs = self.pool.ordered_map(slots.len(), |s| {
+            // asgov-analyze: allow(hot-path-index): ordered_map runs jobs `0..slots.len()` only
+            let mut state = slots[s].lock().unwrap_or_else(PoisonError::into_inner);
+            let mut energy = Vec::new();
+            let mut merged = EpochStats::default();
+            while state.next_epoch < end_epoch {
+                let epoch = state.next_epoch;
+                let mut stats =
+                    shard::run_epoch_into(&config, store, &mut state).map_err(|e| (epoch, e))?;
+                energy.push(std::mem::take(&mut stats.energy_j));
+                merged
+                    .merge(&stats)
+                    .map_err(|_| (epoch, FleetError::StatsLayout))?;
             }
-            lock(&queue).abort = true;
-            work_ready.notify_all();
-        };
-
-        self.pool.broadcast(&|_worker| loop {
-            let shard = {
-                let mut q = lock(&queue);
-                loop {
-                    if q.abort || q.remaining == 0 {
-                        return;
-                    }
-                    if let Some(s) = q.ready.pop_front() {
-                        break s;
-                    }
-                    q = wait(&work_ready, q);
-                }
-            };
-            let Some(slot) = slots.get(shard as usize) else {
-                fail((start_epoch, shard), internal_error("shard slot missing"));
-                return;
-            };
-            let Some(mut state) = lock(slot).take() else {
-                fail((start_epoch, shard), internal_error("shard slot empty"));
-                return;
-            };
-            let epoch = state.next_epoch;
-            match shard::run_epoch_into(&config, store, &mut state) {
-                Ok(stats) => {
-                    let more = state.next_epoch < end_epoch;
-                    *lock(slot) = Some(state);
-                    lock(&results).insert((epoch, shard), stats);
-                    let finished = {
-                        let mut q = lock(&queue);
-                        q.remaining = q.remaining.saturating_sub(1);
-                        if more {
-                            q.ready.push_back(shard);
-                        }
-                        q.remaining == 0
-                    };
-                    if finished {
-                        work_ready.notify_all();
-                    } else if more {
-                        work_ready.notify_one();
-                    }
-                }
-                Err(e) => {
-                    *lock(slot) = Some(state);
-                    fail((epoch, shard), e);
-                    return;
-                }
-            }
+            Ok((energy, merged))
         });
 
-        // Reassemble shard states (every worker put its state back
-        // before returning, on both the success and error paths).
-        let mut shards = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-            {
-                Some(state) => shards.push(state),
-                None => return Err(internal_error("shard state lost in pipeline")),
+        // The earliest `(epoch, shard)` error wins; runs arrive in
+        // shard order, so a strict `<` keeps the lowest shard on ties.
+        let mut shard_runs = Vec::with_capacity(runs.len());
+        let mut first_error: Option<(u64, FleetError)> = None;
+        for run in runs {
+            match run {
+                Ok(done) => shard_runs.push(done),
+                Err((epoch, e)) => {
+                    if first_error.as_ref().is_none_or(|(first, _)| epoch < *first) {
+                        first_error = Some((epoch, e));
+                    }
+                }
             }
         }
-        self.shards = shards;
-
-        if let Some((_, e)) = lock(&first_error).take() {
+        if let Some((_, e)) = first_error {
             return Err(e);
         }
 
-        // Fold the buffered statistics epoch-major, shard-minor: per
-        // epoch, merge shards in shard order into a fresh accumulator,
-        // then fold that into the totals — the f64 energy sum sees the
-        // same grouping however the run is split into steps.
-        let results = results
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for epoch in start_epoch..end_epoch {
-            let mut merged = EpochStats::default();
-            for shard in 0..nshards {
-                let Some(stats) = results.get(&(epoch, shard)) else {
-                    return Err(internal_error("missing shard-epoch result"));
-                };
-                merged.merge(stats).map_err(|_| FleetError::StatsLayout)?;
+        // Per epoch, sum the shards' energy in shard order, then add
+        // that to the total: the same f64 add sequence as a `step`
+        // loop, however the run is split into steps.
+        let totals = &mut self.report.totals;
+        for i in 0..end_epoch - start_epoch {
+            let mut epoch_j = 0.0;
+            for (energy, _) in &shard_runs {
+                epoch_j += energy.get(i as usize).copied().unwrap_or(0.0);
             }
-            self.report
-                .totals
-                .merge(&merged)
-                .map_err(|_| FleetError::StatsLayout)?;
-            self.report.epochs_run += 1;
+            totals.energy_j += epoch_j;
         }
+        for (_, merged) in &shard_runs {
+            totals.merge(merged).map_err(|_| FleetError::StatsLayout)?;
+        }
+        self.report.epochs_run = end_epoch;
         Ok(())
     }
 
@@ -323,8 +260,8 @@ impl Fleet {
             let frame = r.take_bytes()?;
             let state = ShardState::restore_bytes(&config, frame)?;
             // Checkpoints are taken at epoch boundaries: every shard
-            // must sit at exactly the fleet's resume epoch, or the
-            // pipelined engine could not schedule it.
+            // must sit at exactly the fleet's resume epoch, or `run`
+            // would reject the fleet as out of alignment.
             ensure(state.next_epoch == epochs_run)?;
             shards.push(state);
         }
@@ -345,33 +282,6 @@ impl Fleet {
     pub fn shards(&self) -> &[ShardState] {
         &self.shards
     }
-}
-
-/// Scheduling state of the pipelined engine, all under one mutex so
-/// ready-queue pushes, the remaining-work counter and the abort flag
-/// change atomically with respect to waiting workers.
-struct PipelineQueue {
-    ready: VecDeque<u64>,
-    remaining: u64,
-    abort: bool,
-}
-
-/// Lock that ignores poisoning: a panicking worker (itself a bug the
-/// pool propagates) must not cascade into opaque poison panics here.
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Condvar wait with the same poison policy as [`lock`].
-fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard)
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// An invariant the pipeline itself maintains was violated — always a
-/// bug in this crate, surfaced as an error instead of a panic.
-fn internal_error(what: &str) -> FleetError {
-    FleetError::BadConfig(format!("internal pipeline invariant broken: {what}"))
 }
 
 fn encode_stats(w: &mut SnapshotWriter, s: &EpochStats) -> Result<(), SnapshotError> {

@@ -8,7 +8,7 @@
 //! bit-exactly in any order; the one floating-point total
 //! (`energy_j`) is folded in a fixed (epoch-major, shard-minor)
 //! order, so reports are bit-identical across thread counts and
-//! across the barriered and pipelined execution paths.
+//! however a run is split into steps.
 
 use crate::spec::{roster_names, FaultClass, FleetConfig};
 use asgov_obs::{FleetStats, LayoutMismatch};

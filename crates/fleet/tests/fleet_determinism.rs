@@ -1,11 +1,11 @@
-//! Differential determinism suite for the fleet (ISSUE/ROADMAP item
-//! 2): the aggregate report must be **bit-identical** across thread
-//! counts, across the barriered (`step`) and pipelined (`run`) epoch
-//! engines, and across a mid-run shard checkpoint + warm restore; and
-//! damaged fleet snapshots must always decode to `SnapshotError` —
-//! never panic.
+//! Differential determinism suite for the fleet (ROADMAP item 2): the
+//! aggregate report must be **bit-identical** across thread counts,
+//! between one `run` and an epoch-at-a-time `step` loop, and across a
+//! mid-run shard checkpoint + warm restore; errors must be
+//! deterministic; and damaged fleet snapshots must always decode to
+//! `SnapshotError` — never panic.
 
-use asgov_fleet::{savings_agg, Fleet, FleetConfig, PolicyStore};
+use asgov_fleet::{savings_agg, DeviceSpec, Fleet, FleetConfig, FleetError, PolicyStore};
 use asgov_obs::FleetStats;
 use asgov_soc::DeviceConfig;
 use asgov_util::Rng;
@@ -61,7 +61,7 @@ fn report_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn pipelined_run_is_bit_identical_to_the_barriered_step_loop() {
+fn one_run_is_bit_identical_to_a_step_loop() {
     let store = store();
     // Epoch-at-a-time reference: a `step` loop stops every shard at
     // each epoch boundary, where checkpoints are taken.
@@ -70,9 +70,9 @@ fn pipelined_run_is_bit_identical_to_the_barriered_step_loop() {
         barriered.step(&store).expect("barriered epoch");
     }
     let reference = barriered.report().to_json().to_pretty();
-    // One pipelined run at several worker counts: shards cross epoch
-    // boundaries independently, yet the folded report must match the
-    // step loop's bit for bit.
+    // One run at several worker counts: shards cross epoch boundaries
+    // independently, yet the folded report must match the step loop's
+    // bit for bit.
     for threads in [1, 2, 4, 8] {
         let mut pipelined = Fleet::new(small_cfg(threads)).expect("valid config");
         pipelined.run(&store).expect("pipelined run");
@@ -80,6 +80,30 @@ fn pipelined_run_is_bit_identical_to_the_barriered_step_loop() {
             reference,
             pipelined.report().to_json().to_pretty(),
             "pipelined report diverged at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn an_unknown_signature_fails_run_and_step_deterministically() {
+    // An empty store knows no signature, so every shard fails in its
+    // first epoch; the lowest shard's first device names the error.
+    let store = PolicyStore::default();
+    let expected =
+        FleetError::UnknownSignature(DeviceSpec::derive(small_cfg(1).seed, 0).signature());
+    for threads in [1, 2, 4] {
+        let config = small_cfg(threads);
+        let mut fleet = Fleet::new(config).expect("valid config");
+        assert_eq!(
+            fleet.run(&store).err(),
+            Some(expected.clone()),
+            "run at {threads} threads"
+        );
+        assert_eq!(fleet.shards().len() as u64, config.shards);
+        assert_eq!(
+            fleet.step(&store),
+            Err(expected.clone()),
+            "step at {threads} threads"
         );
     }
 }
@@ -118,8 +142,8 @@ fn fleet_stats_merge_is_associative_over_random_partitions() {
     // Partition a stream of savings samples into K partial aggregates
     // at random, then fold them left-to-right and as a pairwise tree:
     // the columnar state must come out bit-identical (the fixed-point
-    // moments make merge exactly associative), which is what lets the
-    // pipelined engine buffer and fold shard stats in any grouping.
+    // moments make merge exactly associative), which is what lets a
+    // run merge each shard's epochs first and still match a step loop.
     let mut rng = Rng::seed_from_u64(0xa55e7);
     for trial in 0..25 {
         let parts_n = 2 + rng.gen_range_usize(0..7);

@@ -11,9 +11,9 @@
 //! # Exact, order-fixed merging
 //!
 //! `merge` must be **associative and commutative down to the bit** so
-//! a pipelined fleet (shards completing in scheduler-dependent order)
-//! can fold partial aggregates in any grouping and still produce the
-//! bit-identical report the serial path does. Floating-point addition
+//! a fleet run can merge each shard's epochs first (shard-major) and
+//! still produce the bit-identical report an epoch-at-a-time `step`
+//! loop (epoch-major) does. Floating-point addition
 //! is not associative, so the moment sums are kept as **Q32 signed
 //! fixed-point integers** (`i128`, value × 2³²): integer addition is
 //! exact, hence associative; histogram bucket counts are `u64` adds;

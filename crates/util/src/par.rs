@@ -13,9 +13,9 @@
 //! The execution engine is [`WorkerPool`], a **persistent** pool:
 //! threads spawn once, park on a condvar between batches, and receive
 //! work through an epoch-numbered handoff. Results land in lock-free
-//! once-written slots (no per-slot `Mutex`). The fleet tier broadcasts
-//! thousands of batches, and spawn/join per batch is exactly the
-//! overhead the pool removes.
+//! once-written slots (no per-slot `Mutex`). The fleet tier runs one
+//! batch per `run` or `step` on a long-lived pool, and spawn/join per
+//! batch is exactly the overhead the pool removes.
 //!
 //! The free [`ordered_map`] is a thin compatibility wrapper over a
 //! transient [`WorkerPool`].
@@ -47,7 +47,7 @@ pub fn default_threads(jobs: usize) -> usize {
 // ---------------------------------------------------------------------
 
 /// The task pointer published to workers for one batch. Lifetime is
-/// erased: the pointee is a stack borrow in [`WorkerPool::broadcast`],
+/// erased: the pointee is a stack borrow in `WorkerPool::broadcast`,
 /// which blocks until every worker has finished the batch, so workers
 /// never dereference it after it dies.
 #[derive(Clone, Copy)]
@@ -85,7 +85,7 @@ struct PoolShared {
 /// A persistent fork–join worker pool.
 ///
 /// Threads spawn once in [`WorkerPool::new`] and park between batches;
-/// [`WorkerPool::broadcast`] wakes them for one batch and blocks until
+/// `WorkerPool::broadcast` wakes them for one batch and blocks until
 /// all of them finish, so batch task borrows never outlive the call.
 /// The calling thread participates as the last executor — a pool of
 /// `n` threads uses `n - 1` parked OS threads, and `WorkerPool::new(1)`
@@ -158,7 +158,7 @@ impl WorkerPool {
     /// highest worker index itself. If any invocation panicked, the
     /// first captured payload is re-raised here after the batch fully
     /// drains (so no invocation is still running when it propagates).
-    pub fn broadcast(&mut self, task: &(dyn Fn(usize) + Sync)) {
+    fn broadcast(&mut self, task: &(dyn Fn(usize) + Sync)) {
         let workers = self.handles.len();
         if workers > 0 {
             // Erase the task borrow's lifetime for the handoff; see

@@ -26,11 +26,11 @@ done
 # otherwise. Both write ./BENCH_fleet.json (per-tier rows accumulate
 # under its "tiers" key).
 echo "=== fleet ==="
-# Extract a tier's devices_per_sec from BENCH_fleet.json: the file's
-# keys are sorted, so the first devices_per_sec after the tier key is
-# that tier's row.
+# Extract a tier's device_epochs_per_sec from BENCH_fleet.json: the
+# file's keys are sorted, so the first device_epochs_per_sec after the
+# tier key is that tier's row.
 smoke_dps() {
-  awk '/"smoke": \{/{f=1} f && /"devices_per_sec":/{gsub(/[",]/,"",$2); print $2; exit}' \
+  awk '/"smoke": \{/{f=1} f && /"device_epochs_per_sec":/{gsub(/[",]/,"",$2); print $2; exit}' \
     BENCH_fleet.json 2>/dev/null || true
 }
 if [ "$QUICK" = "--quick" ]; then
@@ -38,14 +38,13 @@ if [ "$QUICK" = "--quick" ]; then
   BASELINE_DPS="$(smoke_dps)"
   cargo run --release -p asgov-experiments --bin fleet -- --smoke \
     > "results/fleet.txt" 2>&1
-  # Perf regression gate: the 10^3 smoke tier runs through the
-  # pipelined pool path and must stay within 30% of the committed
-  # baseline throughput.
+  # Perf regression gate: the 10^3 smoke tier's device-epochs/sec must
+  # stay within 30% of the committed baseline throughput.
   NEW_DPS="$(smoke_dps)"
   if [ -n "$BASELINE_DPS" ] && [ -n "$NEW_DPS" ]; then
     awk -v b="$BASELINE_DPS" -v n="$NEW_DPS" \
-      'BEGIN { printf "fleet smoke gate: %.0f devices/sec vs committed %.0f (floor 70%%)\n", n, b; exit !(n >= 0.7 * b) }' \
-      || { echo "FAIL: fleet smoke throughput regressed more than 30% vs the committed baseline" >&2; exit 1; }
+      'BEGIN { printf "fleet smoke gate: %.0f device-epochs/sec vs committed %.0f (floor 70%%)\n", n, b; exit !(n >= 0.7 * b) }' \
+      || { echo "FAIL: fleet smoke device-epochs/sec regressed more than 30% vs the committed baseline" >&2; exit 1; }
   else
     echo "fleet smoke gate: no committed smoke baseline; gate skipped"
   fi
