@@ -665,8 +665,9 @@ impl Device {
     pub fn tick_span(&mut self, demand: &Demand, span_ms: u64) -> TickOutcome {
         let span_ms = span_ms.max(1);
         // Fault side effects fire at span start; interior milliseconds
-        // would be no-ops because the caller never lets a span cross or
-        // sit inside a fault window (see `FaultInjector::next_event_ms`).
+        // would be no-ops because the caller never lets a span cross a
+        // window edge, and cuts it to 1 ms wherever a fault changes
+        // state on the tick (see `FaultInjector::next_event_ms`).
         let now = self.now_ms;
         if let Some(actions) = self.faults.as_mut().map(|f| f.on_tick(now)) {
             if let Some(gov) = actions.governor_reset {
@@ -847,7 +848,9 @@ impl Device {
     /// Earliest millisecond after `now_ms` at which the installed fault
     /// plan's behaviour may change ([`u64::MAX`] when no injector is
     /// installed or the plan is exhausted) — the event engine's fault
-    /// clock domain. See [`FaultInjector::next_event_ms`].
+    /// clock domain: the next window start or end, or `now_ms + 1` at a
+    /// millisecond where a fault changes device state on the tick. See
+    /// [`FaultInjector::next_event_ms`].
     pub fn next_fault_boundary_ms(&self, now_ms: u64) -> u64 {
         self.faults
             .as_ref()

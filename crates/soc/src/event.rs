@@ -9,7 +9,8 @@
 //! 1. the workload's next demand change ([`Workload::next_event_ms`]),
 //! 2. every policy's next non-trivial tick ([`Policy::next_event_ms`] —
 //!    governor sampling deadlines, dwell boundaries, control periods),
-//! 3. the fault plan's next window start/end
+//! 3. the fault plan's next window start or end, or the next
+//!    millisecond after a fault changed device state
 //!    ([`Device::next_fault_boundary_ms`]), and
 //! 4. the end of the run,
 //!
@@ -36,9 +37,21 @@
 //!   order of every per-millisecond accumulator (f64 addition is not
 //!   associative, so sums are replayed, not hoisted), including the
 //!   power monitor's per-sample noise draws;
-//! - spans never cross a fault window edge, and collapse to 1 ms inside
-//!   active windows, so injection behaviour (and its RNG stream) is
+//! - spans never cross a fault window edge. Inside an active window a
+//!   span is cut to 1 ms only where the fault changes device state on
+//!   the tick: an unfired one-shot, a thermal clamp's first millisecond,
+//!   a hotplug window's first millisecond and the one past its end (see
+//!   [`FaultInjector::next_event_ms`](crate::faults::FaultInjector::next_event_ms)).
+//!   Every other active millisecond is a no-op in the per-tick hook,
+//!   and call-triggered faults draw only inside policy ticks, which are
+//!   span ends, so injection behaviour (and its RNG stream) is
 //!   untouched.
+//!
+//! A span is at least 1 ms, so once one source has put the horizon at
+//! `now + 1` or earlier the engine polls no further sources: the hooks
+//! take `&self` and are pure, so skipping them cannot be observed. The
+//! workload is polled first, since batch apps sit at `now + 1` every
+//! millisecond.
 //!
 //! The differential suites (`event.rs` unit tests, `tests/event_core.rs`
 //! at the workspace root) check this against a forced-1 ms oracle: a
@@ -114,12 +127,18 @@ pub fn run_counted(
         // Merge the clock domains into the next-event horizon. Sources
         // are re-polled every iteration, so a policy whose deadline
         // moved (governor handoff, controller degradation) is always
-        // honoured from the next event on; a horizon at or before `now`
-        // degrades to a 1 ms span.
-        let mut horizon = end_ms
-            .min(workload.next_event_ms(now))
-            .min(device.next_fault_boundary_ms(now));
+        // honoured from the next event on. A horizon at or before
+        // `now + 1` gives a 1 ms span whatever the other sources say, so
+        // they are not polled once it is that low.
+        let floor = now + 1;
+        let mut horizon = end_ms.min(workload.next_event_ms(now));
+        if horizon > floor {
+            horizon = horizon.min(device.next_fault_boundary_ms(now));
+        }
         for p in policies.iter() {
+            if horizon <= floor {
+                break;
+            }
             horizon = horizon.min(p.next_event_ms(device));
         }
         let span = horizon.saturating_sub(now).clamp(1, end_ms - now);
@@ -381,5 +400,43 @@ mod tests {
         assert_eq!(engine.events, 1, "no clock domain fires before the end");
         assert_eq!(report.duration_ms, 20_000);
         assert!(report.energy_j > 0.0);
+    }
+
+    /// Exact event counts pin the fault clock domain: a 1000 ms
+    /// policy-free run with one window costs the window's two edges,
+    /// plus one 1 ms span per millisecond at which the fault changes
+    /// device state on the tick.
+    #[test]
+    fn fault_windows_cut_spans_only_where_they_act() {
+        let events = |end_ms, kind: FaultKind| {
+            let plan = FaultPlan::new()
+                .window(100, end_ms, kind)
+                .expect("valid window");
+            let mut device = Device::new(DeviceConfig::nexus6());
+            device.install_faults(FaultInjector::new(plan, 7));
+            let mut app = ConstantWorkload::new("steady", 0.5, 1.5, 1.0);
+            let (report, engine) = run_counted(&mut device, &mut app, &mut [], 1_000);
+            assert_eq!(report.duration_ms, 1_000);
+            engine.events
+        };
+        for kind in [
+            FaultKind::SysfsBusy,
+            FaultKind::PerfDropout,
+            FaultKind::PerfNan,
+            FaultKind::PerfZero,
+            FaultKind::PerfSpike(4.0),
+            FaultKind::CheckpointCorrupt,
+            FaultKind::ClockJump,
+        ] {
+            assert_eq!(events(900, kind.clone()), 3, "{}", kind.label());
+        }
+        assert_eq!(events(900, FaultKind::ThermalClamp(4)), 4, "clamp");
+        assert_eq!(events(900, FaultKind::Hotplug(2.0)), 5, "hotplug");
+        assert_eq!(events(300, FaultKind::ControllerKill), 4, "kill");
+        assert_eq!(
+            events(300, FaultKind::GovernorReset("interactive".into())),
+            4,
+            "governor reset"
+        );
     }
 }

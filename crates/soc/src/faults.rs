@@ -37,32 +37,47 @@ use crate::error::SocError;
 use asgov_util::Rng;
 
 /// What a fault window injects while active.
+///
+/// Each kind acts either **on the tick** (the device's per-millisecond
+/// fault hook changes state) or **on a call** (it draws only when a
+/// sysfs write, perf poll, checkpoint or restore happens). The event
+/// engine's fault clock domain follows from that split: see
+/// [`FaultInjector::next_event_ms`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Every sysfs write fails with [`SocError::Busy`] (the kernel's
-    /// transient `-EBUSY`), subject to the window's probability.
+    /// transient `-EBUSY`), subject to the window's probability. Acts on
+    /// a call: each sysfs write.
     SysfsBusy,
     /// One-shot: at the window start an external agent writes this
     /// governor into `scaling_governor`, kicking the controller off the
-    /// `userspace` policy (e.g. `"interactive"`).
+    /// `userspace` policy (e.g. `"interactive"`). Acts on the tick, once:
+    /// the first active millisecond fires it, and the window is inert
+    /// afterwards.
     GovernorReset(String),
     /// Perf readings are lost (the sampling window closes with no
-    /// sample delivered).
+    /// sample delivered). Acts on a call: each perf poll.
     PerfDropout,
     /// Perf readings come back NaN (a torn read of the counter file).
+    /// Acts on a call: each perf poll.
     PerfNan,
     /// Perf readings come back zero (counter reset underneath the
-    /// reader).
+    /// reader). Acts on a call: each perf poll.
     PerfZero,
     /// Perf readings are multiplied by this factor (wrap/scaling bug;
-    /// use a large factor for spikes, a tiny one for dips).
+    /// use a large factor for spikes, a tiny one for dips). Acts on a
+    /// call: each perf poll.
     PerfSpike(f64),
     /// msm-thermal-style mitigation: the CPU frequency is silently
     /// clamped to at most this frequency *index*; `scaling_setspeed`
-    /// writes still report success.
+    /// writes still report success. Acts on the tick at the window's
+    /// first millisecond; afterwards every `set_cpu_freq` applies the
+    /// ceiling itself, so later ticks change nothing.
     ThermalClamp(usize),
     /// mpdecision-style hotplug: the online core count is forced to
     /// this value while the window is active and restored afterwards.
+    /// Acts on the tick at the window's first millisecond and at the
+    /// first one past it; ticks in between re-apply the same count.
     Hotplug(f64),
     /// Process-level: the controller daemon is killed (LMK/OOM kill,
     /// app-triggered restart). One-shot per window, fired at the window
@@ -70,19 +85,22 @@ pub enum FaultKind {
     /// and a supervising harness consumes it through
     /// [`Device::take_pending_kill`](crate::Device::take_pending_kill).
     /// The device hardware itself keeps running with whatever
-    /// configuration the dead controller last applied.
+    /// configuration the dead controller last applied. Acts on the tick,
+    /// once, like [`FaultKind::GovernorReset`].
     ControllerKill,
     /// Level-triggered: checkpoint images written while the window is
     /// active are corrupted (torn write / bad flash block). Queried by
     /// the supervisor through
     /// [`Device::draw_checkpoint_corrupt`](crate::Device::draw_checkpoint_corrupt)
     /// at each checkpoint write, subject to the window's probability.
+    /// Acts on a call: each checkpoint write.
     CheckpointCorrupt,
     /// Level-triggered: the wall clock jumped (NTP step, timezone
     /// change, suspend/resume drift) while the window is active, so
     /// checkpoint timestamps cannot be trusted; a supervisor must
     /// refuse warm restore and fall back to a cold restart. Queried
     /// through [`Device::draw_clock_jump`](crate::Device::draw_clock_jump).
+    /// Acts on a call: each restore attempt.
     ClockJump,
 }
 
@@ -275,32 +293,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// Earliest millisecond after `now_ms` at which the plan's
-    /// tick-level behaviour may differ from its behaviour at `now_ms` —
-    /// the event engine's fault clock domain. While *any* window is
-    /// active this is the very next millisecond (active windows may draw
-    /// randomness or act on every tick, so spans collapse to the exact
-    /// per-tick sequence); otherwise it is the nearest upcoming window
-    /// start or end, or [`u64::MAX`] for an empty/exhausted plan.
-    pub fn next_event_ms(&self, now_ms: u64) -> u64 {
-        let mut next = u64::MAX;
-        for w in &self.windows {
-            if (w.start_ms..w.end_ms).contains(&now_ms) {
-                return now_ms.saturating_add(1);
-            }
-            if w.start_ms > now_ms {
-                next = next.min(w.start_ms);
-            }
-            // The first millisecond *past* a window is also a boundary:
-            // hotplug restore (and any level-triggered cleanup) fires on
-            // the first inactive tick.
-            if w.end_ms > now_ms {
-                next = next.min(w.end_ms);
-            }
-        }
-        next
-    }
 }
 
 /// Cumulative injection counters (what the injector actually did).
@@ -396,14 +388,42 @@ impl FaultInjector {
     }
 
     /// Earliest millisecond after `now_ms` at which injection behaviour
-    /// may change — see [`FaultPlan::next_event_ms`]. Used by the event
-    /// engine via [`Device::next_fault_boundary_ms`](crate::Device::next_fault_boundary_ms)
-    /// to collapse spans to single ticks inside active windows and to
-    /// land exactly on window starts and ends.
+    /// may change: the event engine's fault clock domain, read through
+    /// [`Device::next_fault_boundary_ms`](crate::Device::next_fault_boundary_ms),
+    /// or [`u64::MAX`] for an empty or exhausted plan.
+    ///
+    /// Window starts and ends are always horizons. Beyond those, only a
+    /// millisecond at which the per-tick hook changes device state
+    /// forces the very next millisecond, so policies re-poll right after
+    /// the change, as a 1 ms loop would (see [`FaultKind`]):
+    ///
+    /// - one-shots (`GovernorReset`, `ControllerKill`): every active
+    ///   millisecond until the window has fired, then never;
+    /// - `ThermalClamp`: the window's first millisecond (later ones
+    ///   re-apply a ceiling that `set_cpu_freq` already enforces);
+    /// - `Hotplug`: the first millisecond and the first one past the
+    ///   window (where the core count is set and restored);
+    /// - call-triggered kinds: never. They draw only inside a sysfs
+    ///   write, perf poll, checkpoint or restore, which happen in policy
+    ///   ticks, and those are span ends already.
     pub fn next_event_ms(&self, now_ms: u64) -> u64 {
         let mut next = u64::MAX;
-        for w in &self.windows {
-            if Self::active(w, now_ms) {
+        for (w, &fired) in self.windows.iter().zip(&self.fired) {
+            let acts_now = match w.kind {
+                FaultKind::GovernorReset(_) | FaultKind::ControllerKill => {
+                    !fired && Self::active(w, now_ms)
+                }
+                FaultKind::ThermalClamp(_) => now_ms == w.start_ms,
+                FaultKind::Hotplug(_) => now_ms == w.start_ms || now_ms == w.end_ms,
+                FaultKind::SysfsBusy
+                | FaultKind::PerfDropout
+                | FaultKind::PerfNan
+                | FaultKind::PerfZero
+                | FaultKind::PerfSpike(_)
+                | FaultKind::CheckpointCorrupt
+                | FaultKind::ClockJump => false,
+            };
+            if acts_now {
                 return now_ms.saturating_add(1);
             }
             if w.start_ms > now_ms {
@@ -420,8 +440,8 @@ impl FaultInjector {
         (w.start_ms..w.end_ms).contains(&now_ms)
     }
 
-    /// Per-tick state changes (called by `Device::tick` before the
-    /// tick executes).
+    /// Per-tick state changes (called by `Device::tick_span` at the
+    /// start of each span).
     pub(crate) fn on_tick(&mut self, now_ms: u64) -> TickActions {
         let mut actions = TickActions::default();
         let mut hotplug_active = false;
@@ -858,9 +878,11 @@ mod tests {
         let plan = FaultPlan::new()
             .window(500, 510, FaultKind::ControllerKill)
             .expect("valid window");
-        assert_eq!(plan.next_event_ms(0), 500);
-        assert_eq!(plan.next_event_ms(500), 501, "active window ⇒ 1 ms spans");
-        assert_eq!(plan.next_event_ms(509), 510);
-        assert_eq!(plan.next_event_ms(510), u64::MAX);
+        let mut inj = FaultInjector::new(plan, 7);
+        assert_eq!(inj.next_event_ms(0), 500);
+        assert_eq!(inj.next_event_ms(500), 501, "unfired kill ⇒ 1 ms span");
+        assert!(inj.on_tick(500).controller_kill);
+        assert_eq!(inj.next_event_ms(501), 510, "fired kill is inert");
+        assert_eq!(inj.next_event_ms(510), u64::MAX);
     }
 }

@@ -6,13 +6,19 @@
 //! same residency histograms, same health summary. The golden-pin test
 //! additionally anchors both sides to values captured from the original
 //! 1 ms tick loop, so neither can drift from its semantics unnoticed.
+//! Every [`FaultKind`] is covered, at probability 1 and below, under
+//! the governor stacks and under the supervised controller.
 
+use asgov::core::{Supervisor, SupervisorConfig};
 use asgov::governors::{AdrenoTz, CpubwHwmon, Interactive, Ondemand};
 use asgov::prelude::*;
+use asgov::soc::faults::FaultStats;
 use asgov::soc::sim::RunReport;
 use asgov::soc::{event, Demand, Executed, FaultInjector, FaultKind, FaultPlan};
 use asgov::util::Json;
 use asgov::workloads::PhasedApp;
+use asgov_fleet::spec::build_app;
+use asgov_fleet::{DeviceSpec, FaultClass};
 
 /// The forced-1 ms oracle: forwards every call to the wrapped workload
 /// but keeps the default `next_event_ms`/`deliver_span` hooks, so
@@ -70,9 +76,30 @@ fn all_apps() -> Vec<(&'static str, AppCtor)> {
     ]
 }
 
-/// The three fault plans of the differential matrix: no faults, DVFS
-/// interference (thermal clamp + governor reset), and noisy telemetry
-/// (hotplug + perf spikes + sysfs busy).
+/// Every fault kind the other plans lack, in one 3 s plan: perf
+/// faults at p = 1 and p < 1, overlapping thermal clamps with different
+/// ceilings, back-to-back hotplug windows, kills at p = 1 and p < 1, and
+/// the checkpoint and restore faults around them.
+fn every_kind_plan() -> FaultPlan {
+    FaultPlan::new()
+        .window(200, 1_600, FaultKind::PerfNan)
+        .and_then(|p| p.window(300, 1_400, FaultKind::ThermalClamp(8)))
+        .and_then(|p| p.window_p(400, 2_600, 0.5, FaultKind::PerfDropout))
+        .and_then(|p| p.window(500, 700, FaultKind::ControllerKill))
+        .and_then(|p| p.window(500, 1_000, FaultKind::ClockJump))
+        .and_then(|p| p.window(800, 1_100, FaultKind::ThermalClamp(3)))
+        .and_then(|p| p.window_p(900, 2_900, 0.5, FaultKind::CheckpointCorrupt))
+        .and_then(|p| p.window(1_200, 2_800, FaultKind::PerfZero))
+        .and_then(|p| p.window(1_500, 1_900, FaultKind::Hotplug(2.0)))
+        .and_then(|p| p.window(1_900, 2_300, FaultKind::Hotplug(3.0)))
+        .and_then(|p| p.window_p(2_100, 2_300, 0.5, FaultKind::ControllerKill))
+        .and_then(|p| p.window_p(2_100, 2_600, 0.5, FaultKind::ClockJump))
+        .expect("valid windows")
+}
+
+/// The four fault plans of the differential matrix: no faults, DVFS
+/// interference (thermal clamp + governor reset), noisy telemetry
+/// (hotplug + perf spikes + sysfs busy), and every other kind.
 fn fault_plans() -> Vec<(&'static str, Option<FaultPlan>)> {
     vec![
         ("none", None),
@@ -97,6 +124,7 @@ fn fault_plans() -> Vec<(&'static str, Option<FaultPlan>)> {
                     .expect("valid windows"),
             ),
         ),
+        ("every-kind", Some(every_kind_plan())),
     ]
 }
 
@@ -134,7 +162,7 @@ fn run_config(
 }
 
 /// The full differential matrix: every app x {ondemand, interactive,
-/// hardened controller} x 3 fault plans x 3 seeds, forced-1 ms oracle
+/// hardened controller} x 4 fault plans x 3 seeds, forced-1 ms oracle
 /// vs event engine, whole-report equality (covers residency histograms
 /// and the health summary via `RunReport: PartialEq`) plus explicit bit
 /// checks on the energy integrator.
@@ -258,7 +286,8 @@ fn golden_pins_from_pre_refactor_tick_core() {
 
 /// A supervised controller killed mid-run (twice) must restart and
 /// produce bit-identical reports on both sides, in both warm and
-/// cold restart modes: kills latch inside forced-tick fault windows,
+/// cold restart modes: a kill latches on a 1 ms span at its window's
+/// start, so the supervisor sees it one millisecond later,
 /// checkpoints land on supervisor-advertised event times, and restarts
 /// wake the engine at exactly the backoff deadline.
 #[test]
@@ -361,6 +390,195 @@ fn supervisor_without_kills_is_transparent() {
         assert_eq!(health.restarts, 0, "{core}: no kills, no restarts");
         assert_eq!(health.downtime_ms, 0, "{core}: no downtime");
         assert_eq!(bare, supervised, "{core}: supervision must be free");
+    }
+}
+
+/// A policy that wakes only while the CPU frequency, online core count
+/// or cpufreq governor differs from what it last saw, and logs each
+/// change with the millisecond at which it saw it. It keeps the engine
+/// contract (it advertises `now + 1` exactly while a change is unseen),
+/// so its log pins *when* policies observe a fault's state change: a
+/// clamp, a hotplug set or restore, a governor reset.
+#[derive(Default)]
+struct Watcher {
+    seen: Option<(usize, u64, String)>,
+    log: Vec<Sighting>,
+}
+
+/// One [`Watcher`] log entry: when, then frequency index, online core
+/// count (as bits) and cpufreq governor.
+type Sighting = (u64, usize, u64, String);
+
+impl Watcher {
+    fn state(device: &Device) -> (usize, u64, String) {
+        (
+            device.freq().0,
+            device.online_cores().to_bits(),
+            device.cpu_governor().to_string(),
+        )
+    }
+}
+
+impl Policy for Watcher {
+    fn name(&self) -> &str {
+        "watcher"
+    }
+    fn tick(&mut self, device: &mut Device) {
+        let state = Self::state(device);
+        if self.seen.as_ref() != Some(&state) {
+            let (freq, cores, governor) = state.clone();
+            self.log.push((device.now_ms(), freq, cores, governor));
+            self.seen = Some(state);
+        }
+    }
+    fn next_event_ms(&self, device: &Device) -> u64 {
+        if self.seen.as_ref() == Some(&Self::state(device)) {
+            u64::MAX
+        } else {
+            device.now_ms() + 1
+        }
+    }
+}
+
+/// A roster app on a coarse demand quantum, delivered one millisecond
+/// at a time: it forwards the app's quantum-boundary horizons but keeps
+/// the default `deliver_span`. The coarse model's own `deliver_span`
+/// books a span's work in one add, so its low-order bits depend on
+/// where the engine cuts spans, and no schedule-independent oracle
+/// exists for it. Per-ms delivery keeps the engine contract exactly,
+/// so a run still takes quantum-long spans and the comparison isolates
+/// the fault and policy clock domains.
+struct QuantumApp(PhasedApp);
+
+impl Workload for QuantumApp {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn demand(&mut self, now_ms: u64) -> Demand {
+        self.0.demand(now_ms)
+    }
+    fn deliver(&mut self, now_ms: u64, executed: Executed) {
+        self.0.deliver(now_ms, executed);
+    }
+    fn finished(&self) -> bool {
+        self.0.finished()
+    }
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+    fn next_event_ms(&self, now_ms: u64) -> u64 {
+        self.0.next_event_ms(now_ms)
+    }
+}
+
+/// One supervised device-epoch as a fleet shard runs it (roster app at
+/// demand quantum 20, Adreno GPU governor, supervised controller with
+/// the fleet's restart policy), plus a [`Watcher`]. Checkpoints every
+/// 500 ms rather than the fleet's 2 s, so kills find a checkpoint to
+/// restore and the checkpoint and clock-jump faults get drawn.
+fn run_supervised(
+    core: &str,
+    app: &str,
+    profile: &ProfileTable,
+    plan: Option<FaultInjector>,
+    seed: u64,
+) -> (RunReport, FaultStats, Vec<Sighting>) {
+    let mut device = Device::new(DeviceConfig::nexus6().with_seed(seed));
+    if let Some(injector) = plan {
+        device.install_faults(injector);
+    }
+    let mut app =
+        QuantumApp(build_app(app, BackgroundLoad::baseline(seed), 20).expect("roster app"));
+    let mut watcher = Watcher::default();
+    let mut gpu = AdrenoTz::default();
+    let p = profile.clone();
+    let mut supervisor = Supervisor::new(
+        move || ControllerBuilder::new(p.clone()).target_gips(0.5).build(),
+        SupervisorConfig {
+            max_restarts: 8,
+            backoff_base_ms: 50,
+            backoff_max_ms: 400,
+            checkpoint_period_ms: 500,
+            warm: true,
+        },
+    );
+    let mut policies: [&mut dyn Policy; 3] = [&mut watcher, &mut gpu, &mut supervisor];
+    let report = run_on(core, &mut device, &mut app, &mut policies, 4_000);
+    let stats = device.faults().map(|f| *f.stats()).unwrap_or_default();
+    (report, stats, watcher.log)
+}
+
+/// Every fleet fault class's plan (`DeviceSpec::fault_injector` over a
+/// 4 s epoch), and the every-kind plan, on every roster app at demand
+/// quantum 20 under the supervised controller: the coalesced engine
+/// must match the forced-1 ms oracle bit for bit, in the report, in
+/// what the injector did, and in when the watcher saw each change.
+#[test]
+fn every_fault_class_is_bit_identical_under_supervision() {
+    let profile_opts = ProfileOptions {
+        runs_per_config: 1,
+        run_ms: 2_000,
+        freq_stride: 4,
+        interpolate: true,
+    };
+    let dev_cfg = DeviceConfig::nexus6();
+    let mut injected = Vec::new();
+    for (app_idx, app) in asgov_fleet::spec::roster_names().into_iter().enumerate() {
+        let mut profile_src = build_app(app, BackgroundLoad::baseline(1), 1).expect("roster app");
+        let profile = profile_app(&dev_cfg, &mut profile_src, &profile_opts);
+        for seed in 1..=3u64 {
+            // Per app and seed, so the probabilistic windows draw afresh.
+            let fault_seed = 0x5eed ^ (seed << 8) ^ app_idx as u64;
+            let mut plans: Vec<(&str, Option<FaultInjector>)> = FaultClass::all()
+                .into_iter()
+                .map(|fault_class| {
+                    let spec = DeviceSpec {
+                        device_id: 0,
+                        app,
+                        app_idx,
+                        load: LoadLevel::Baseline,
+                        fault_class,
+                    };
+                    (fault_class.label(), spec.fault_injector(4_000, fault_seed))
+                })
+                .collect();
+            plans.push((
+                "every-kind",
+                Some(FaultInjector::new(every_kind_plan(), fault_seed)),
+            ));
+            for (plan_name, injector) in plans {
+                let label = format!("{app}/{plan_name}/seed{seed}");
+                let (tick, tick_stats, tick_log) =
+                    run_supervised("tick", app, &profile, injector.clone(), seed);
+                let (event, event_stats, event_log) =
+                    run_supervised("event", app, &profile, injector, seed);
+                assert_eq!(
+                    tick.energy_j.to_bits(),
+                    event.energy_j.to_bits(),
+                    "{label}: energy bits diverged"
+                );
+                assert_eq!(tick.health, event.health, "{label}: health diverged");
+                assert_eq!(tick, event, "{label}: reports diverged");
+                assert_eq!(tick_stats, event_stats, "{label}: injections diverged");
+                assert_eq!(tick_log, event_log, "{label}: observed changes diverged");
+                injected.push(tick_stats);
+            }
+        }
+    }
+    // Every kind actually fired somewhere, so each was compared live.
+    let total = |count: fn(&FaultStats) -> u64| injected.iter().map(count).sum::<u64>();
+    for (what, n) in [
+        ("kills", total(|s| s.controller_kills)),
+        ("corrupt checkpoints", total(|s| s.checkpoint_corruptions)),
+        ("clock jumps", total(|s| s.clock_jumps)),
+        ("perf dropouts", total(|s| s.perf_dropouts)),
+        ("perf corruptions", total(|s| s.perf_corrupted)),
+        ("thermal clamps", total(|s| s.thermal_clamps)),
+        ("hotplug changes", total(|s| s.hotplug_changes)),
+        ("governor resets", total(|s| s.governor_resets)),
+        ("sysfs busy", total(|s| s.sysfs_busy)),
+    ] {
+        assert!(n > 0, "no {what} fired");
     }
 }
 
