@@ -37,8 +37,8 @@ pub struct FleetConfig {
     /// out of coverage) and skips the epoch entirely.
     pub offline_rate: f64,
     /// Demand quantum for device workloads, simulated ms (`1` = the
-    /// exact per-ms arrival model; larger values run rate-based apps
-    /// on the coarse windowed model — see `PhasedApp::with_quantum`).
+    /// exact per-ms arrival model; larger values run every app on the
+    /// coarse windowed model — see `PhasedApp::with_quantum`).
     /// Part of the run's deterministic identity: it changes simulated
     /// trajectories, so checkpoints pin it like the seed.
     pub demand_quantum_ms: u64,
@@ -227,8 +227,8 @@ pub fn signature(app: &str, load: LoadLevel) -> String {
 /// Construct the roster app named `app` with the given background
 /// load and demand quantum. `None` for names outside the roster.
 /// `quantum_ms == 1` is the exact per-ms model; larger quanta switch
-/// rate-based apps to the coarse windowed model (batch apps ignore the
-/// quantum — see `PhasedApp::with_quantum`).
+/// every app, batch apps included, to the coarse windowed model (see
+/// `PhasedApp::with_quantum`).
 pub fn build_app(app: &str, load: BackgroundLoad, quantum_ms: u64) -> Option<PhasedApp> {
     ROSTER
         .iter()

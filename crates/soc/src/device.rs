@@ -97,6 +97,10 @@ pub struct TickOutcome {
     pub executed: Executed,
     /// Power breakdown for the tick.
     pub power: PowerBreakdown,
+    /// Milliseconds the call advanced the clock: the requested span, or
+    /// fewer when the workload's remaining work bounds it (see
+    /// [`Device::tick_span`]).
+    pub span_ms: u64,
 }
 
 /// Cumulative statistics snapshot (see [`Device::stats`]).
@@ -640,29 +644,44 @@ impl Device {
     /// Execute one 1 ms tick under the given foreground demand: a span
     /// of one millisecond ([`Device::tick_span`]).
     pub fn tick(&mut self, demand: &Demand) -> TickOutcome {
-        self.tick_span(demand, 1)
+        self.tick_span(demand, 1, None)
     }
 
-    /// Execute `span_ms` consecutive 1 ms ticks under a demand that is
-    /// constant over the span, in a single call. This is the device's
-    /// only time-advance primitive: [`Device::tick`] is a span of one,
-    /// and the event engine ([`crate::event::run`]) advances by whole
-    /// spans. A `span_ms` of 0 is treated as 1.
+    /// Execute up to `span_ms` consecutive 1 ms ticks under a demand
+    /// that is constant over the span, in a single call. This is the
+    /// device's only time-advance primitive: [`Device::tick`] is a span
+    /// of one, and the event engine ([`crate::event::run`]) advances by
+    /// whole spans. A `span_ms` of 0 is treated as 1.
     ///
-    /// Bit-identical to calling [`Device::tick`] `span_ms` times with
-    /// the same demand, provided no fault boundary falls strictly inside
-    /// the span (the caller bounds spans by
-    /// [`Device::next_fault_boundary_ms`]): the expensive contention /
-    /// roofline / power model is evaluated once, and every
-    /// per-millisecond accumulator (PMU counters, busy time, monitor
-    /// energy — including its per-sample noise draws — battery, GPU and
-    /// radio counters) then receives the exact same sequence of
-    /// floating-point additions a 1 ms loop would produce. Pending DVFS
+    /// `work_left_gi` is the workload's remaining work
+    /// ([`Workload::work_left_gi`](crate::Workload::work_left_gi)). When
+    /// given, the span is cut to `⌊left / instructions-per-ms⌋` ticks (at
+    /// least one), which never passes the millisecond at which a 1 ms
+    /// loop would see the work run out: f64 rounding can only shorten
+    /// the span, leaving a trailing 1 ms span. The span actually run is
+    /// returned in [`TickOutcome::span_ms`].
+    ///
+    /// The expensive contention / roofline / power model is evaluated
+    /// once, and every per-millisecond accumulator (PMU counters, busy
+    /// time, monitor energy, battery, GPU and radio counters) then
+    /// receives the exact same sequence of floating-point additions a
+    /// 1 ms loop would produce, provided no fault boundary falls
+    /// strictly inside the span (the caller bounds spans by
+    /// [`Device::next_fault_boundary_ms`]). The one exception is the
+    /// power monitor's measurement noise, drawn once per span (see
+    /// [`PowerMonitor`]): a span is bit-identical to calling
+    /// [`Device::tick`] `span_ms` times when it is one tick long or the
+    /// monitor is noiseless, and equal in law otherwise. Pending DVFS
     /// transition energy is charged into the first millisecond only.
     /// The returned outcome is that of the first millisecond of the span
     /// (the remaining milliseconds are identical except for the
     /// transition-energy surcharge).
-    pub fn tick_span(&mut self, demand: &Demand, span_ms: u64) -> TickOutcome {
+    pub fn tick_span(
+        &mut self,
+        demand: &Demand,
+        span_ms: u64,
+        work_left_gi: Option<f64>,
+    ) -> TickOutcome {
         let span_ms = span_ms.max(1);
         // Fault side effects fire at span start; interior milliseconds
         // would be no-ops because the caller never lets a span cross a
@@ -725,11 +744,11 @@ impl Device {
         // demanded render work, the render thread blocks on the fence
         // and CPU-side throughput scales down with it.
         let ips_cpu_side = ips_hw;
-        let (gpu_fraction, gpu_power_w) = self.gpu.tick_span(demand.gpu_work, span_ms);
+        let gpu = self.gpu.evaluate(demand.gpu_work);
         // Network-bound throttling: coalesced packets delay
         // network-paced work the same way GPU fences delay render work.
-        let (net_fraction, net_power_w) = self.radio.tick_span(demand.net_pps, span_ms);
-        let ips_hw = ips_hw * gpu_fraction * net_fraction;
+        let radio = self.radio.evaluate(demand.net_pps);
+        let ips_hw = ips_hw * gpu.fraction * radio.fraction;
         let ips_capped = match demand.gips_cap {
             Some(cap) => ips_hw.min(cap * 1e9),
             None => ips_hw,
@@ -740,6 +759,17 @@ impl Device {
         };
 
         let instructions = ips_run * dt_s;
+        // Work-bounded span: ⌊left / per-ms⌋ ticks never outrun the
+        // per-ms completion (rounding error is far below one tick), and
+        // a fractional remainder becomes a trailing 1 ms span.
+        let span_ms = match work_left_gi {
+            Some(left_gi) if instructions > 0.0 => {
+                span_ms.min(((left_gi * 1e9 / instructions) as u64).max(1))
+            }
+            _ => span_ms,
+        };
+        self.gpu.accumulate(gpu, span_ms);
+        self.radio.accumulate(radio, span_ms);
         // Fraction of the tick the foreground app occupies the CPU
         // (memory stalls count as busy time, as cpufreq sees them).
         // When the pipeline cap binds: a dependency-stalled pipeline
@@ -780,8 +810,8 @@ impl Device {
             demand.extra_power_w + self.tool_power_w,
             demand.bg.power_w,
         );
-        power.gpu_w = gpu_power_w;
-        power.extra_w += net_power_w;
+        power.gpu_w = gpu.power_w;
+        power.extra_w += radio.power_w;
         // Pending transition energy is charged into the first
         // millisecond only, exactly as a 1 ms loop would.
         let mut first = power;
@@ -797,9 +827,9 @@ impl Device {
         // accumulator receives the identical sequence of
         // additions a 1 ms loop would produce (f64 addition is not
         // associative, so the per-ms adds must not be hoisted; fusing
-        // is safe because the accumulators are independent and the
-        // monitor's noise-RNG call order is unchanged). The first
+        // is safe because the accumulators are independent). The first
         // millisecond is peeled: it carries the transition surcharge.
+        // The monitor books the span itself, with one noise draw.
         let cycles = fg_busy_cores * f_hz * dt_s;
         let bus_bytes = (fg_traffic_bps + bg_traffic_bps) * dt_s;
         self.pmu.record(instructions, cycles, bus_bytes);
@@ -807,15 +837,15 @@ impl Device {
         self.busy_ms += busy_frac * TICK_MS as f64;
         self.bg_util_ms += demand.bg.cpu_util * TICK_MS as f64;
         self.bg_traffic_mb += demand.bg.traffic_mbps * dt_s;
-        self.monitor.record(now, total_first_w);
+        self.monitor
+            .record_span(now, total_first_w, total_rest_w, span_ms);
         self.battery.drain(total_first_w * dt_s);
-        for j in 1..span_ms {
+        for _ in 1..span_ms {
             self.pmu.record(instructions, cycles, bus_bytes);
             self.busy_core_ms += busy_cores * TICK_MS as f64;
             self.busy_ms += busy_frac * TICK_MS as f64;
             self.bg_util_ms += demand.bg.cpu_util * TICK_MS as f64;
             self.bg_traffic_mb += demand.bg.traffic_mbps * dt_s;
-            self.monitor.record(now + j, total_rest_w);
             self.battery.drain(total_rest_w * dt_s);
         }
 
@@ -842,6 +872,7 @@ impl Device {
                 traffic_mb: traffic_mbps * dt_s,
             },
             power: first,
+            span_ms,
         }
     }
 
@@ -1278,8 +1309,10 @@ mod tests {
     }
 
     /// A span of `n` ms leaves every accumulator bit-identical to `n`
-    /// single ticks: monitor noise on, a DVFS transition pending (its
-    /// surcharge lands in the first millisecond only), GPU and radio busy.
+    /// single ticks, with a DVFS transition pending (its surcharge lands
+    /// in the first millisecond only) and the GPU and radio busy. Monitor
+    /// noise is on for the 1 ms span and off for longer ones, since a
+    /// span draws its noise once (see `monitor`).
     #[test]
     fn tick_span_is_bit_identical_to_repeated_ticks() {
         let demand = Demand {
@@ -1293,8 +1326,12 @@ mod tests {
             },
             ..cpu_demand(0.4)
         };
-        let fresh = || {
-            let mut d = Device::new(DeviceConfig::nexus6().with_seed(7));
+        let fresh = |n: u64| {
+            let mut cfg = DeviceConfig::nexus6().with_seed(7);
+            if n > 1 {
+                cfg.monitor_noise_w = 0.0;
+            }
+            let mut d = Device::new(cfg);
             d.set_cpu_freq(FreqIndex(9));
             d.set_mem_bw(BwIndex(4));
             d.set_gpu_freq(GpuFreqIndex(4));
@@ -1321,14 +1358,22 @@ mod tests {
             bits
         };
         for n in [1u64, 2, 7, 200] {
-            let mut spanned = fresh();
-            let span_out = spanned.tick_span(&demand, n);
-            let mut ticked = fresh();
+            let mut spanned = fresh(n);
+            let span_out = spanned.tick_span(&demand, n, None);
+            let mut ticked = fresh(n);
             let first_out = ticked.tick(&demand);
             for _ in 1..n {
                 ticked.tick(&demand);
             }
-            assert_eq!(span_out, first_out, "n = {n}: outcome of the first tick");
+            assert_eq!(span_out.span_ms, n, "n = {n}: span run");
+            assert_eq!(
+                TickOutcome {
+                    span_ms: 1,
+                    ..span_out
+                },
+                first_out,
+                "n = {n}: outcome of the first tick"
+            );
             assert_eq!(fingerprint(&spanned), fingerprint(&ticked), "n = {n}");
         }
     }

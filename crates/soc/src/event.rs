@@ -7,6 +7,8 @@
 //! domains* into a single next-event horizon each iteration:
 //!
 //! 1. the workload's next demand change ([`Workload::next_event_ms`]),
+//!    with the span cut where a fixed-work workload's remaining work
+//!    runs out ([`Workload::work_left_gi`]),
 //! 2. every policy's next non-trivial tick ([`Policy::next_event_ms`] —
 //!    governor sampling deadlines, dwell boundaries, control periods),
 //! 3. the fault plan's next window start or end, or the next
@@ -26,17 +28,25 @@
 //!
 //! [`run`] produces a [`RunReport`] bit-identical to a 1 ms loop over
 //! the same device, workload and policies, for *any* combination of
-//! workloads, policies and fault plans, by construction:
+//! workloads, policies and fault plans, whenever every span is 1 ms or
+//! the power monitor is noiseless, by construction:
 //!
 //! - a source that keeps the default hook forces 1 ms spans, i.e. the
 //!   1 ms loop's exact call sequence;
 //! - a source that advertises a longer horizon contracts that it is a
 //!   pure no-op (no state change, no RNG draws, constant demand) at
 //!   every interior millisecond, so skipping those calls is unobservable;
+//! - a fixed-work workload may advertise a horizon past its completion
+//!   only if it reports its remaining work; [`Device::tick_span`] then
+//!   ends the span at or before the millisecond the work runs out;
 //! - [`Device::tick_span`] preserves the exact floating-point addition
 //!   order of every per-millisecond accumulator (f64 addition is not
-//!   associative, so sums are replayed, not hoisted), including the
-//!   power monitor's per-sample noise draws;
+//!   associative, so sums are replayed, not hoisted). The power
+//!   monitor's measurement noise is the exception: one draw `σ·√n·z`
+//!   per `n`-ms span ([`PowerMonitor`](crate::PowerMonitor)), the
+//!   exact law of `n` per-ms draws, identical to the per-ms draw at
+//!   `n = 1` and absent at `σ = 0`. Coalesced spans with noise on
+//!   therefore match the 1 ms loop in law, not in bits;
 //! - spans never cross a fault window edge. Inside an active window a
 //!   span is cut to 1 ms only where the fault changes device state on
 //!   the tick: an unfired one-shot, a thermal clamp's first millisecond,
@@ -50,16 +60,18 @@
 //! A span is at least 1 ms, so once one source has put the horizon at
 //! `now + 1` or earlier the engine polls no further sources: the hooks
 //! take `&self` and are pure, so skipping them cannot be observed. The
-//! workload is polled first, since batch apps sit at `now + 1` every
-//! millisecond.
+//! workload is polled first, since at demand quantum 1 phased apps sit
+//! at `now + 1` every millisecond.
 //!
 //! The differential suites (`event.rs` unit tests, `tests/event_core.rs`
 //! at the workspace root) check this against a forced-1 ms oracle: a
 //! test-only workload wrapper that keeps the default hooks, so the
 //! engine takes 1 ms spans. They assert `RunReport` equality — energy
 //! bits, instruction bits, histograms, health — across apps, governors,
-//! the hardened controller, fault plans and seeds, and golden pins
-//! captured from the original 1 ms loop anchor both sides.
+//! the hardened controller, fault plans and seeds (noise on wherever
+//! spans are 1 ms, off where they coalesce), and golden pins captured
+//! from the original 1 ms loop anchor both sides. A law test covers
+//! coalesced spans with noise on.
 
 use crate::device::Device;
 use crate::sim::{collect_report, RunReport};
@@ -142,8 +154,15 @@ pub fn run_counted(
             horizon = horizon.min(p.next_event_ms(device));
         }
         let span = horizon.saturating_sub(now).clamp(1, end_ms - now);
+        // Fixed-work workloads bound the span by their remaining work.
+        let work_left_gi = if span > 1 {
+            workload.work_left_gi()
+        } else {
+            None
+        };
 
-        let outcome = device.tick_span(&demand, span);
+        let outcome = device.tick_span(&demand, span, work_left_gi);
+        let span = outcome.span_ms;
         workload.deliver_span(now, outcome.executed, span);
         for p in policies.iter_mut() {
             p.tick(device);
@@ -297,14 +316,17 @@ mod tests {
         ]
     }
 
-    /// Noise on: the monitor's per-sample RNG stream must survive span
-    /// coalescing bit-for-bit, against the forced-1 ms oracle.
+    /// Coalesced spans against the forced-1 ms oracle under fault plans,
+    /// bit for bit. The monitor is noiseless here: a span draws its
+    /// noise once, so noisy coalesced runs agree with the oracle in law
+    /// (`span_noise_matches_per_ms_noise_in_law`), not in bits.
     #[test]
     fn event_core_matches_tick_core_with_noise_and_faults() {
         for (i, plan) in fault_plans().into_iter().enumerate() {
             for seed in [1u64, 2, 3] {
                 let mut cfg = DeviceConfig::nexus6();
                 cfg.seed = seed;
+                cfg.monitor_noise_w = 0.0;
                 let mk = |plan: &FaultPlan| {
                     let mut d = Device::new(cfg.clone());
                     if !plan.is_empty() {
@@ -346,6 +368,81 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Monitor noise drawn once per span has the law of per-ms noise:
+    /// over many seeds of one 20 ms span at σ = 4 mW, the measured
+    /// energy's deviation from the noiseless run has mean 0 and variance
+    /// 20σ² (in W·ms), on the engine and on the forced-1 ms oracle alike.
+    #[test]
+    fn span_noise_matches_per_ms_noise_in_law() {
+        const SEEDS: u64 = 4_000;
+        const SPAN_MS: u64 = 20;
+        let sigma = 0.004;
+        let energy = |seed: u64, noise_w: f64, per_ms: bool| {
+            let mut cfg = DeviceConfig::nexus6().with_seed(seed);
+            cfg.monitor_noise_w = noise_w;
+            let mut device = Device::new(cfg);
+            let mut app = ConstantWorkload::new("steady", 0.5, 1.5, 1.0);
+            let (report, engine) = if per_ms {
+                run_counted(&mut device, &mut PerMs(&mut app), &mut [], SPAN_MS)
+            } else {
+                run_counted(&mut device, &mut app, &mut [], SPAN_MS)
+            };
+            let expected_events = if per_ms { SPAN_MS } else { 1 };
+            assert_eq!(engine.events, expected_events);
+            report.energy_j
+        };
+        let quiet = energy(0, 0.0, false);
+        assert_eq!(quiet.to_bits(), energy(0, 0.0, true).to_bits());
+        let var = SPAN_MS as f64 * sigma * sigma;
+        for per_ms in [false, true] {
+            // Deviation from the noiseless run, summed over the span, W.
+            let dev: Vec<f64> = (0..SEEDS)
+                .map(|seed| (energy(seed, sigma, per_ms) - quiet) / 1e-3)
+                .collect();
+            let n = dev.len() as f64;
+            let mean = dev.iter().sum::<f64>() / n;
+            let sample_var = dev.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            let se = (var / n).sqrt();
+            assert!(
+                mean.abs() < 4.0 * se,
+                "per_ms {per_ms}: mean noise {mean} W beyond 4 SE ({se} W)"
+            );
+            assert!(
+                (sample_var / var - 1.0).abs() < 0.1,
+                "per_ms {per_ms}: variance {sample_var} vs {var} W²"
+            );
+        }
+    }
+
+    /// The clamp applies to a span's measured total: one 20 s span of a
+    /// steady workload at σ = 4 mW (σ√n ≈ 0.57 W, beyond the first
+    /// millisecond's power) never measures negative energy and stays
+    /// within 6σ√n · 1 ms of the noiseless energy.
+    #[test]
+    fn long_span_noise_keeps_energy_nonnegative_and_bounded() {
+        const SPAN_MS: u64 = 20_000;
+        let sigma = 0.004;
+        let run = |seed: u64, noise_w: f64| {
+            let mut cfg = DeviceConfig::nexus6().with_seed(seed);
+            cfg.monitor_noise_w = noise_w;
+            let mut device = Device::new(cfg);
+            let mut app = ConstantWorkload::new("steady", 0.5, 1.5, 1.0);
+            let (report, engine) = run_counted(&mut device, &mut app, &mut [], SPAN_MS);
+            assert_eq!(engine.events, 1);
+            report.energy_j
+        };
+        let quiet = run(0, 0.0);
+        let bound_j = 6.0 * sigma * (SPAN_MS as f64).sqrt() * 1e-3;
+        for seed in 0..500 {
+            let energy = run(seed, sigma);
+            assert!(energy >= 0.0, "seed {seed}: negative energy {energy}");
+            assert!(
+                (energy - quiet).abs() <= bound_j,
+                "seed {seed}: {energy} J vs noiseless {quiet} J"
+            );
         }
     }
 

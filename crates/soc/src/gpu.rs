@@ -127,15 +127,14 @@ impl Gpu {
     /// Returns `(throughput_fraction, power_w)` where the fraction is
     /// 1.0 when the GPU keeps up and < 1.0 when it is the bottleneck.
     pub fn tick(&mut self, gpu_work: f64) -> (f64, f64) {
-        self.tick_span(gpu_work, 1)
+        let rate = self.evaluate(gpu_work);
+        self.accumulate(rate, 1);
+        (rate.fraction, rate.power_w)
     }
 
-    /// Execute `span_ms` consecutive ticks under constant `gpu_work` in
-    /// one call — bit-identical to calling [`Gpu::tick`] `span_ms`
-    /// times: the busy accumulator receives the exact same sequence of
-    /// per-millisecond additions, and the (time-invariant) fraction and
-    /// power of one tick are returned.
-    pub(crate) fn tick_span(&mut self, gpu_work: f64, span_ms: u64) -> (f64, f64) {
+    /// The per-tick rates at the current operating point under
+    /// `gpu_work`; pure, so a span evaluates it once.
+    pub(crate) fn evaluate(&self, gpu_work: f64) -> GpuRate {
         let f = self.freq_ghz(self.cur);
         let v = self.voltage(self.cur);
         let util = if gpu_work <= 0.0 {
@@ -148,15 +147,36 @@ impl Gpu {
         } else {
             f / gpu_work
         };
+        let power_w = self.leak_w_per_v * v + self.dyn_w_per_v2ghz * v * v * f * util;
+        GpuRate {
+            util,
+            fraction,
+            power_w,
+        }
+    }
+
+    /// Book `span_ms` ticks at `rate`: the busy accumulator receives
+    /// the same per-millisecond additions `span_ms` calls to
+    /// [`Gpu::tick`] would make.
+    pub(crate) fn accumulate(&mut self, rate: GpuRate, span_ms: u64) {
         for _ in 0..span_ms {
-            self.busy_ms += util;
+            self.busy_ms += rate.util;
         }
         if let Some(t) = self.time_in_freq_ms.get_mut(self.cur.0) {
             *t += span_ms;
         }
-        let power = self.leak_w_per_v * v + self.dyn_w_per_v2ghz * v * v * f * util;
-        (fraction, power)
     }
+}
+
+/// One tick's GPU rates (see [`Gpu::evaluate`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GpuRate {
+    /// Busy fraction of the tick.
+    util: f64,
+    /// CPU-side throughput fraction (1.0 when the GPU keeps up).
+    pub(crate) fraction: f64,
+    /// GPU power, watts.
+    pub(crate) power_w: f64,
 }
 
 impl Default for Gpu {

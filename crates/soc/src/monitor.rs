@@ -1,10 +1,11 @@
 //! Monsoon-style whole-device power monitor.
 //!
 //! The paper samples device power at 5 kHz with a Monsoon Power Monitor
-//! and integrates to energy. Our simulator advances in 1 ms ticks, so the
-//! monitor records one (optionally noisy) averaged sample per tick —
+//! and integrates to energy. Our simulator advances in spans of whole
+//! 1 ms ticks, and the monitor records one averaged sample per tick —
 //! exactly what a 5 kHz monitor's per-millisecond average would be — and
-//! integrates energy tick by tick.
+//! integrates energy tick by tick. Measurement noise is drawn once per
+//! span, not once per tick (see [`PowerMonitor`]).
 
 use asgov_util::Rng;
 
@@ -19,6 +20,15 @@ pub struct PowerSample {
 
 /// Whole-device power monitor: records a power trace and integrates it
 /// to energy.
+///
+/// Measurement noise is drawn once per span of ticks, not once per
+/// tick: a span of `n` ticks gets one Gaussian draw `σ·√n·z`, the exact
+/// law of the sum of `n` independent N(0, σ²) per-tick errors, added to
+/// its first sample. The span's measured total is clamped at zero (a
+/// monitor cannot read negative energy). A 1 ms span is therefore the
+/// per-tick model verbatim, and with σ = 0 every span integrates the
+/// same bits as its ticks one at a time. With the trace kept, the first
+/// sample of each span carries the whole span's noise.
 #[derive(Debug, Clone)]
 pub struct PowerMonitor {
     noise_sigma_w: f64,
@@ -51,27 +61,47 @@ impl PowerMonitor {
         self.keep_trace = keep;
     }
 
-    /// Record one tick's average power.
+    /// Record a span of `span_ms` ticks (at least one): `first_w` is the
+    /// average power of the tick at `t_ms`, `rest_w` that of each later
+    /// tick. One noise draw `σ·√n·z` covers the span and lands on its
+    /// first sample; the later samples add their noiseless power in tick
+    /// order. At `span_ms == 1` this is one noisy per-tick sample.
     #[inline]
-    pub(crate) fn record(&mut self, t_ms: u64, power_w: f64) {
+    pub(crate) fn record_span(&mut self, t_ms: u64, first_w: f64, rest_w: f64, span_ms: u64) {
         let noise = if self.noise_sigma_w > 0.0 {
             // Box-Muller transform; the RNG is deterministic per seed.
             let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
             let u2: f64 = self.rng.gen_range(0.0..1.0);
             self.noise_sigma_w
+                * (span_ms as f64).sqrt()
                 * (-2.0_f64 * u1.ln()).sqrt()
                 * (2.0 * std::f64::consts::PI * u2).cos()
         } else {
             0.0
         };
-        let measured = (power_w + noise).max(0.0);
-        self.energy_j += measured * 1e-3; // 1 ms tick
-        self.elapsed_ms += 1;
+        // Clamp the span's measured total, not its first sample: at one
+        // tick this is the per-sample `max(0.0)`.
+        let rest_sum_w = rest_w * (span_ms - 1) as f64;
+        let noisy = first_w + noise;
+        let first = if noisy + rest_sum_w < 0.0 {
+            0.0 - rest_sum_w
+        } else {
+            noisy
+        };
+        self.energy_j += first * 1e-3; // 1 ms tick
+        for _ in 1..span_ms {
+            self.energy_j += rest_w * 1e-3;
+        }
+        self.elapsed_ms += span_ms;
         if self.keep_trace {
             self.trace.push(PowerSample {
                 t_ms,
-                power_w: measured,
+                power_w: first,
             });
+            self.trace.extend((1..span_ms).map(|j| PowerSample {
+                t_ms: t_ms + j,
+                power_w: rest_w,
+            }));
         }
     }
 
@@ -117,7 +147,7 @@ mod tests {
     fn integrates_energy_exactly_without_noise() {
         let mut m = PowerMonitor::new(0.0, 1);
         for t in 0..1000 {
-            m.record(t, 2.0);
+            m.record_span(t, 2.0, 2.0, 1);
         }
         assert!((m.energy_j() - 2.0).abs() < 1e-9, "2 W for 1 s = 2 J");
         assert_eq!(m.elapsed_ms(), 1000);
@@ -128,7 +158,7 @@ mod tests {
     fn noise_is_zero_mean_in_aggregate() {
         let mut m = PowerMonitor::new(0.005, 42);
         for t in 0..100_000 {
-            m.record(t, 1.5);
+            m.record_span(t, 1.5, 1.5, 1);
         }
         let avg = m.average_power_w();
         assert!(
@@ -140,10 +170,10 @@ mod tests {
     #[test]
     fn trace_only_kept_when_enabled() {
         let mut m = PowerMonitor::new(0.0, 1);
-        m.record(0, 1.0);
+        m.record_span(0, 1.0, 1.0, 1);
         assert!(m.trace().is_empty());
         m.set_keep_trace(true);
-        m.record(1, 1.0);
+        m.record_span(1, 1.0, 1.0, 1);
         assert_eq!(m.trace().len(), 1);
         assert_eq!(m.trace()[0].t_ms, 1);
     }
@@ -152,7 +182,7 @@ mod tests {
     fn reset_clears_everything() {
         let mut m = PowerMonitor::new(0.0, 1);
         m.set_keep_trace(true);
-        m.record(0, 3.0);
+        m.record_span(0, 3.0, 3.0, 1);
         m.reset();
         assert_eq!(m.energy_j(), 0.0);
         assert_eq!(m.elapsed_ms(), 0);
@@ -164,7 +194,7 @@ mod tests {
         let run = |seed| {
             let mut m = PowerMonitor::new(0.01, seed);
             for t in 0..1000 {
-                m.record(t, 1.0);
+                m.record_span(t, 1.0, 1.0, 1);
             }
             m.energy_j()
         };

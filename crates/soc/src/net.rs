@@ -93,27 +93,49 @@ impl Radio {
     /// packets serviced this tick (1.0 when the setting suffices) and
     /// the radio power.
     pub fn tick(&mut self, offered_pps: f64) -> (f64, f64) {
-        self.tick_span(offered_pps, 1)
+        let rate = self.evaluate(offered_pps);
+        self.accumulate(rate, 1);
+        (rate.fraction, rate.power_w)
     }
 
-    /// Service `span_ms` consecutive ticks of constant `offered_pps` in
-    /// one call — bit-identical to calling [`Radio::tick`] `span_ms`
-    /// times (the serviced-packet accumulator receives the same
-    /// per-millisecond additions).
-    pub(crate) fn tick_span(&mut self, offered_pps: f64, span_ms: u64) -> (f64, f64) {
+    /// The per-tick rates at the current setting under `offered_pps`;
+    /// pure, so a span evaluates it once.
+    pub(crate) fn evaluate(&self, offered_pps: f64) -> RadioRate {
         let cap = self.rate_pps(self.cur);
-        let serviced = offered_pps.min(cap);
+        let serviced_pps = offered_pps.min(cap);
         let fraction = if offered_pps <= 0.0 {
             1.0
         } else {
-            serviced / offered_pps
+            serviced_pps / offered_pps
         };
-        for _ in 0..span_ms {
-            self.serviced_packets += serviced * 1e-3; // per 1 ms tick
+        let power_w = self.poll_w_per_pps * cap + self.energy_per_packet_j * serviced_pps;
+        RadioRate {
+            serviced_pps,
+            fraction,
+            power_w,
         }
-        let power = self.poll_w_per_pps * cap + self.energy_per_packet_j * serviced;
-        (fraction, power)
     }
+
+    /// Book `span_ms` ticks at `rate`: the serviced-packet accumulator
+    /// receives the same per-millisecond additions `span_ms` calls to
+    /// [`Radio::tick`] would make.
+    pub(crate) fn accumulate(&mut self, rate: RadioRate, span_ms: u64) {
+        for _ in 0..span_ms {
+            self.serviced_packets += rate.serviced_pps * 1e-3; // per 1 ms tick
+        }
+    }
+}
+
+/// One tick's radio rates (see [`Radio::evaluate`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RadioRate {
+    /// Packets per second serviced.
+    serviced_pps: f64,
+    /// Fraction of offered packets serviced (1.0 when the setting
+    /// suffices).
+    pub(crate) fraction: f64,
+    /// Radio power, watts.
+    pub(crate) power_w: f64,
 }
 
 impl Default for Radio {

@@ -180,8 +180,8 @@ pub struct PhasedApp {
     active_events: Vec<(usize, u64)>, // (event index, end time)
     seed: u64,
     /// Demand quantum, ms. `1` (the default) is the exact per-ms model;
-    /// larger values switch rate-based apps to the coarse windowed
-    /// model (see [`PhasedApp::with_quantum`]).
+    /// larger values switch to the coarse windowed model (see
+    /// [`PhasedApp::with_quantum`]).
     quantum_ms: u64,
     /// Exclusive end of the currently cached demand window.
     window_until_ms: u64,
@@ -227,9 +227,9 @@ impl PhasedApp {
     /// Switch to a coarse demand quantum of `quantum_ms` (clamped to
     /// ≥ 1; `1` keeps the exact per-ms model).
     ///
-    /// In quantum mode a rate-based app's stochastic bookkeeping —
-    /// frame arrivals, periodic events, Poisson touches, background
-    /// wander — happens once per *window* of `quantum_ms` simulated
+    /// In quantum mode an app's stochastic bookkeeping — frame
+    /// arrivals, periodic events, Poisson touches, background wander —
+    /// happens once per *window* of `quantum_ms` simulated
     /// milliseconds, anchored to absolute multiples of the quantum, and
     /// [`Workload::next_event_ms`] advertises the window boundary so
     /// the event engine can execute the whole window in one span. This
@@ -237,8 +237,10 @@ impl PhasedApp {
     /// window; event power is pro-rated by window overlap) for a large
     /// reduction in per-simulated-ms work. Determinism is unchanged:
     /// every draw derives from the seed and absolute window position.
-    /// Batch apps keep the exact model regardless (their finish time
-    /// must stay ms-accurate).
+    /// Batch apps have no frames and run as fast as the hardware allows
+    /// in every window; their finish time stays ms-accurate because
+    /// they report [`Workload::work_left_gi`], which cuts the engine's
+    /// span at the millisecond the work runs out.
     pub fn with_quantum(mut self, quantum_ms: u64) -> Self {
         self.quantum_ms = quantum_ms.max(1);
         self
@@ -251,7 +253,11 @@ impl PhasedApp {
 
     /// Whether the coarse windowed model is active for this app.
     fn coarse(&self) -> bool {
-        self.quantum_ms > 1 && !matches!(self.spec.kind, AppKind::Batch { .. })
+        self.quantum_ms > 1
+    }
+
+    fn is_batch(&self) -> bool {
+        matches!(self.spec.kind, AppKind::Batch { .. })
     }
 
     /// The specification.
@@ -305,12 +311,15 @@ impl PhasedApp {
     }
 
     /// Batched work delivery for the coarse model: one accumulator
-    /// update for the whole span instead of a per-ms replay.
+    /// update for the whole span instead of a per-ms replay. Batch apps
+    /// keep no backlog.
     fn coarse_deliver(&mut self, gi: f64, span_ms: u64) {
         self.executed_gi += gi;
-        let from_events = gi.min(self.event_backlog_gi);
-        self.event_backlog_gi -= from_events;
-        self.frame_backlog_gi = (self.frame_backlog_gi - (gi - from_events)).max(0.0);
+        if !self.is_batch() {
+            let from_events = gi.min(self.event_backlog_gi);
+            self.event_backlog_gi -= from_events;
+            self.frame_backlog_gi = (self.frame_backlog_gi - (gi - from_events)).max(0.0);
+        }
         self.advance_phase_clock_by(span_ms);
     }
 
@@ -326,20 +335,23 @@ impl PhasedApp {
             let w1 = w0 + q;
             self.window_until_ms = w1;
             let phase = self.current_phase().clone();
+            let is_batch = self.is_batch();
 
-            // Window arrival: the window is one macro-frame (one jitter
-            // draw covers it).
-            let jitter = if phase.rate_jitter > 0.0 {
-                1.0 + self.rng.gen_range(-phase.rate_jitter..phase.rate_jitter)
-            } else {
-                1.0
-            };
-            self.frame_backlog_gi += phase.rate_gips * jitter * q as f64 * 1e-3;
-            if let Some(max_frames) = self.spec.max_backlog_frames {
-                let granule = phase.frame_period_ms.max(q).max(1) as f64;
-                let cap = phase.rate_gips * granule * 1e-3 * max_frames;
-                if self.frame_backlog_gi > cap {
-                    self.frame_backlog_gi = cap;
+            // Window arrival (rate apps only): the window is one
+            // macro-frame (one jitter draw covers it).
+            if !is_batch {
+                let jitter = if phase.rate_jitter > 0.0 {
+                    1.0 + self.rng.gen_range(-phase.rate_jitter..phase.rate_jitter)
+                } else {
+                    1.0
+                };
+                self.frame_backlog_gi += phase.rate_gips * jitter * q as f64 * 1e-3;
+                if let Some(max_frames) = self.spec.max_backlog_frames {
+                    let granule = phase.frame_period_ms.max(q).max(1) as f64;
+                    let cap = phase.rate_gips * granule * 1e-3 * max_frames;
+                    if self.frame_backlog_gi > cap {
+                        self.frame_backlog_gi = cap;
+                    }
                 }
             }
 
@@ -389,8 +401,12 @@ impl PhasedApp {
             // Drain the backlog over the window: delivering exactly
             // `backlog / window` for the window clears it, and carried
             // backlog raises the request above the steady rate until
-            // the app catches up.
-            let desired = (self.backlog_gi() / (q as f64 * 1e-3)).max(0.0);
+            // the app catches up. Batch work runs unthrottled.
+            let desired = if is_batch {
+                None
+            } else {
+                Some((self.backlog_gi() / (q as f64 * 1e-3)).max(0.0))
+            };
             let mut bg = self.background.demand_window(w0, q);
             bg.traffic_mbps += extra_traffic;
             self.window_demand = Some(Demand {
@@ -398,7 +414,7 @@ impl PhasedApp {
                 bytes_per_instr: phase.bytes_per_instr,
                 gips_cap: phase.gips_cap,
                 cap_busy: phase.cap_busy,
-                desired_gips: Some(desired),
+                desired_gips: desired,
                 active_cores: phase.active_cores,
                 extra_power_w: extra_power,
                 gpu_work: phase.gpu_work_ghz,
@@ -420,7 +436,7 @@ impl Workload for PhasedApp {
         if self.coarse() {
             return self.coarse_demand(now_ms);
         }
-        let is_batch = matches!(self.spec.kind, AppKind::Batch { .. });
+        let is_batch = self.is_batch();
         let phase = self.current_phase().clone();
 
         // --- frame-granular work arrival (rate apps only).
@@ -510,7 +526,7 @@ impl Workload for PhasedApp {
         }
         let gi = executed.instructions / 1e9;
         self.executed_gi += gi;
-        if !matches!(self.spec.kind, AppKind::Batch { .. }) {
+        if !self.is_batch() {
             // Event work drains first (it is what the user is waiting
             // on), then frame work.
             let from_events = gi.min(self.event_backlog_gi);
@@ -524,6 +540,13 @@ impl Workload for PhasedApp {
         match self.spec.kind {
             AppKind::Batch { total_gi } => self.executed_gi >= total_gi,
             AppKind::Interactive => false,
+        }
+    }
+
+    fn work_left_gi(&self) -> Option<f64> {
+        match self.spec.kind {
+            AppKind::Batch { total_gi } => Some(total_gi - self.executed_gi),
+            AppKind::Interactive => None,
         }
     }
 
@@ -837,35 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn quantum_is_inert_for_batch_apps_and_quantum_one() {
-        // Batch apps keep the exact model: identical finish behavior.
-        let spec = AppSpec {
-            name: "batch",
-            kind: AppKind::Batch { total_gi: 0.5 },
-            phases: vec![PhaseSpec {
-                ipc0: 1.8,
-                bytes_per_instr: 0.3,
-                active_cores: 3.0,
-                ..PhaseSpec::default()
-            }],
-            touch: None,
-            events: vec![],
-            profile_freq_range: (0, 17),
-            max_backlog_frames: None,
-            test_duration_ms: 60_000,
-        };
-        let mut a = PhasedApp::new(spec.clone(), BackgroundLoad::none(1), 1);
-        let mut b = PhasedApp::new(spec, BackgroundLoad::none(1), 1).with_quantum(64);
-        assert_eq!(b.next_event_ms(100), 101, "batch stays ms-exact");
-        for now in 0..200u64 {
-            assert_eq!(a.demand(now), b.demand(now));
-            let e = Executed {
-                instructions: 1e6,
-                ..Executed::default()
-            };
-            a.deliver(now, e);
-            b.deliver(now, e);
-        }
+    fn quantum_one_is_the_exact_model() {
         // quantum(1) is the legacy model verbatim.
         let mut c = PhasedApp::new(steady_spec(0.3), BackgroundLoad::baseline(5), 3);
         let mut d =

@@ -16,7 +16,7 @@ use asgov::soc::faults::FaultStats;
 use asgov::soc::sim::RunReport;
 use asgov::soc::{event, Demand, Executed, FaultInjector, FaultKind, FaultPlan};
 use asgov::util::Json;
-use asgov::workloads::PhasedApp;
+use asgov::workloads::{AppKind, AppSpec, PhaseSpec, PhasedApp, TouchSpec};
 use asgov_fleet::spec::build_app;
 use asgov_fleet::{DeviceSpec, FaultClass};
 
@@ -441,13 +441,14 @@ impl Policy for Watcher {
 }
 
 /// A roster app on a coarse demand quantum, delivered one millisecond
-/// at a time: it forwards the app's quantum-boundary horizons but keeps
-/// the default `deliver_span`. The coarse model's own `deliver_span`
-/// books a span's work in one add, so its low-order bits depend on
-/// where the engine cuts spans, and no schedule-independent oracle
-/// exists for it. Per-ms delivery keeps the engine contract exactly,
-/// so a run still takes quantum-long spans and the comparison isolates
-/// the fault and policy clock domains.
+/// at a time: it forwards the app's quantum-boundary horizons and its
+/// remaining work but keeps the default `deliver_span`. The coarse
+/// model's own `deliver_span` books a span's work in one add, so its
+/// low-order bits depend on where the engine cuts spans, and no
+/// schedule-independent oracle exists for it. Per-ms delivery keeps the
+/// engine contract exactly, so a run still takes quantum-long spans
+/// (cut short where a batch app's work runs out) and the comparison
+/// isolates the fault, policy and work-bound clock domains.
 struct QuantumApp(PhasedApp);
 
 impl Workload for QuantumApp {
@@ -469,13 +470,18 @@ impl Workload for QuantumApp {
     fn next_event_ms(&self, now_ms: u64) -> u64 {
         self.0.next_event_ms(now_ms)
     }
+    fn work_left_gi(&self) -> Option<f64> {
+        self.0.work_left_gi()
+    }
 }
 
 /// One supervised device-epoch as a fleet shard runs it (roster app at
 /// demand quantum 20, Adreno GPU governor, supervised controller with
 /// the fleet's restart policy), plus a [`Watcher`]. Checkpoints every
 /// 500 ms rather than the fleet's 2 s, so kills find a checkpoint to
-/// restore and the checkpoint and clock-jump faults get drawn.
+/// restore and the checkpoint and clock-jump faults get drawn. The
+/// monitor is noiseless: coalesced spans draw noise once per span, so
+/// only σ = 0 has a bit-exact forced-1 ms oracle.
 fn run_supervised(
     core: &str,
     app: &str,
@@ -483,7 +489,9 @@ fn run_supervised(
     plan: Option<FaultInjector>,
     seed: u64,
 ) -> (RunReport, FaultStats, Vec<Sighting>) {
-    let mut device = Device::new(DeviceConfig::nexus6().with_seed(seed));
+    let mut cfg = DeviceConfig::nexus6().with_seed(seed);
+    cfg.monitor_noise_w = 0.0;
+    let mut device = Device::new(cfg);
     if let Some(injector) = plan {
         device.install_faults(injector);
     }
@@ -599,6 +607,112 @@ fn early_completion_is_identical() {
     assert!(tick.completed, "vidcon must finish inside the limit");
     assert!(tick.duration_ms < 300_000);
     assert_eq!(tick, event);
+}
+
+/// A batch app on the coarse model (demand quantum 20) stops at the
+/// same millisecond, with the same report, as the forced-1 ms oracle:
+/// the engine cuts its span where the work runs out, mid-window too.
+/// Monitor noise is off, the only setting with a bit-exact oracle for
+/// coalesced spans.
+#[test]
+fn coarse_batch_completion_is_identical() {
+    let small = || {
+        let spec = AppSpec {
+            name: "small-batch",
+            kind: AppKind::Batch { total_gi: 0.7 },
+            phases: vec![
+                PhaseSpec {
+                    name: "crunch",
+                    duration_ms: 300,
+                    ipc0: 1.6,
+                    bytes_per_instr: 0.2,
+                    active_cores: 2.5,
+                    ..PhaseSpec::default()
+                },
+                PhaseSpec {
+                    name: "render",
+                    duration_ms: 140,
+                    gips_cap: Some(1.0),
+                    gpu_work_ghz: 0.3,
+                    ..PhaseSpec::default()
+                },
+            ],
+            touch: Some(TouchSpec {
+                rate_per_s: 2.0,
+                work_gi: 0.01,
+            }),
+            events: vec![],
+            profile_freq_range: (0, 17),
+            max_backlog_frames: None,
+            test_duration_ms: 60_000,
+        };
+        PhasedApp::new(spec, BackgroundLoad::baseline(1), 7).with_quantum(20)
+    };
+    let vidcon = || apps::vidcon(BackgroundLoad::baseline(1)).with_quantum(20);
+    let cases: [(&str, &dyn Fn() -> PhasedApp, &str, u64); 3] = [
+        ("small-batch", &small, "none", 60_000),
+        ("small-batch", &small, "ondemand", 60_000),
+        ("vidcon", &vidcon, "ondemand", 300_000),
+    ];
+    for (name, app, policy, max_ms) in cases {
+        let label = format!("{name}/{policy}");
+        let run = |per_ms: bool| {
+            let mut cfg = DeviceConfig::nexus6();
+            cfg.monitor_noise_w = 0.0;
+            let mut device = Device::new(cfg);
+            let mut app = QuantumApp(app());
+            let mut cpu = Ondemand::default();
+            let mut policies: Vec<&mut dyn Policy> = match policy {
+                "ondemand" => vec![&mut cpu],
+                _ => vec![],
+            };
+            if per_ms {
+                event::run_counted(&mut device, &mut PerMs(&mut app), &mut policies, max_ms)
+            } else {
+                event::run_counted(&mut device, &mut app, &mut policies, max_ms)
+            }
+        };
+        let (tick, _) = run(true);
+        let (event, engine) = run(false);
+        assert!(tick.completed, "{label}: must finish inside the limit");
+        assert_eq!(tick.duration_ms, event.duration_ms, "{label}: duration");
+        assert_eq!(tick.completed, event.completed, "{label}: completion");
+        assert_eq!(
+            tick.energy_j.to_bits(),
+            event.energy_j.to_bits(),
+            "{label}: energy bits diverged"
+        );
+        assert_eq!(
+            tick.instructions.to_bits(),
+            event.instructions.to_bits(),
+            "{label}: instruction bits diverged"
+        );
+        assert_eq!(tick, event, "{label}: reports diverged");
+        assert!(
+            engine.events * 4 < event.duration_ms,
+            "{label}: {} events over {} ms, spans must coalesce",
+            engine.events,
+            event.duration_ms
+        );
+        if name == "small-batch" {
+            assert_ne!(event.duration_ms % 20, 0, "{label}: finish mid-window");
+        }
+    }
+}
+
+/// Batch apps at demand quantum 20 take one span per window: with no
+/// policies and no faults, a 4 s run is exactly 200 engine events (it
+/// was 4 000 while batch apps stayed on the exact 1 ms model).
+#[test]
+fn coarse_batch_apps_take_one_span_per_window() {
+    for app_fn in [apps::vidcon as AppCtor, apps::mobilebench] {
+        let mut device = Device::new(DeviceConfig::nexus6());
+        let mut app = app_fn(BackgroundLoad::baseline(1)).with_quantum(20);
+        let (report, engine) = event::run_counted(&mut device, &mut app, &mut [], 4_000);
+        assert!(!report.completed, "{}: still running", report.app);
+        assert_eq!(engine.events, 200, "{}: one event per window", report.app);
+        assert_eq!(engine.simulated_ms, 4_000);
+    }
 }
 
 /// `RunReport::to_json` carries the run-summary contract downstream
