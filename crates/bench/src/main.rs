@@ -4,7 +4,8 @@
 
 use asgov_bench::{bench, suite_report, synthetic_profile, synthetic_table, BenchConfig};
 use asgov_control::{AdaptiveIntegrator, KalmanFilter};
-use asgov_core::{ControllerBuilder, EnergyController, EnergyOptimizer};
+use asgov_core::persist::crc32;
+use asgov_core::{ControllerBuilder, EnergyController, EnergyOptimizer, Restartable};
 use asgov_governors::{AdrenoTz, CpubwHwmon};
 use asgov_linprog::{two_point, HullSolver};
 use asgov_obs::{CycleRecord, RingSink, TraceSink as _};
@@ -208,8 +209,41 @@ fn controller_suite(quick: bool) -> Json {
         },
     ));
 
+    // The snapshot codec every checkpoint and migration goes through:
+    // the frame checksum alone, then a warmed controller's full
+    // snapshot -> restore round trip.
+    const CRC_BYTES: usize = 64 << 10;
+    let mut rng = Rng::seed_from_u64(0xc3c3);
+    let payload: Vec<u8> = (0..CRC_BYTES).map(|_| rng.next_u64() as u8).collect();
+    let r = bench("persist_crc32/64KiB", &cfg, || {
+        black_box(crc32(black_box(&payload)));
+    });
+    let crc32_ns_per_byte = r.median_ns / CRC_BYTES as f64;
+    results.push(r);
+
+    let warm_ms: u64 = 4_000;
+    let mut ctrl: EnergyController = ControllerBuilder::new(table.clone())
+        .target_gips(0.5)
+        .seed(0xc0de)
+        .build();
+    {
+        let mut device = Device::new(DeviceConfig::nexus6());
+        let mut app = apps::spotify(BackgroundLoad::baseline(1));
+        let mut gpu = AdrenoTz::default();
+        let mut policies: [&mut dyn Policy; 2] = [&mut gpu, &mut ctrl];
+        sim::run(&mut device, &mut app, &mut policies, warm_ms);
+    }
+    let snapshot_len = ctrl.snapshot_bytes(warm_ms).map_or(0, |b| b.len());
+    results.push(bench("controller_snapshot_roundtrip", &cfg, || {
+        let bytes = ctrl.snapshot_bytes(black_box(warm_ms));
+        let restored = bytes.map(|b| ctrl.restore_bytes(&b, warm_ms));
+        assert!(matches!(restored, Ok(Ok(()))), "snapshot round trip");
+    }));
+
     let mut derived = Json::object();
     derived.set("controller_run_ns_per_sim_ms", ns_per_sim_ms);
+    derived.set("persist_crc32_ns_per_byte", crc32_ns_per_byte);
+    derived.set("controller_snapshot_bytes", snapshot_len);
     // A faster traced run than untraced run is measurement noise, not a
     // negative overhead: clamp at zero so the report never carries a
     // nonsensical negative percentage.

@@ -19,9 +19,12 @@
 //! decode the complete payload first and only then apply it, so a
 //! failure partway through decoding leaves the controller untouched.
 //!
-//! Everything here is dependency-free; the CRC-32 is the bitwise IEEE
-//! (reflected, polynomial `0xEDB88320`) implementation, small enough to
-//! vendor and stable across platforms.
+//! Everything here is dependency-free. The CRC-32 is the IEEE one
+//! (reflected, polynomial `0xEDB88320`, zlib-compatible), computed
+//! slicing-by-8: eight 256-entry tables built at compile time take
+//! eight payload bytes per step. Every checkpoint, device migration
+//! and fleet frame is checksummed, so this loop is on the fleet's
+//! epoch path; its output is the bitwise definition's, bit for bit.
 
 use asgov_soc::{Device, Policy};
 use std::fmt;
@@ -97,17 +100,66 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`.
-/// Bitwise implementation — no table, no dependencies, identical output
-/// to zlib's `crc32`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC32_TABLES[k][b]` is the CRC register after
+/// byte `b` followed by `k` zero bytes, so row 0 is the classic
+/// byte-at-a-time table and row 7 serves the first byte of an 8-byte
+/// step.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Build [`CRC32_TABLES`] at compile time: each row is the previous
+/// one advanced by one zero byte (eight bitwise steps).
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut k = 0;
+        while k < 8 {
+            let mut bit = 0;
+            while bit < 8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+                bit += 1;
+            }
+            // asgov-analyze: allow(hot-path-index): const-evaluated, so an out-of-range index is a build error, not a runtime panic
+            tables[k][b] = crc;
+            k += 1;
         }
+        b += 1;
+    }
+    tables
+}
+
+/// Table entry for the low byte of `v`. The index is below 256 by
+/// construction, so the compiler drops the bounds check.
+#[inline(always)]
+fn crc32_lookup(table: &[u32; 256], v: u64) -> u32 {
+    table.get((v & 0xFF) as usize).copied().unwrap_or(0)
+}
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`,
+/// identical to zlib's `crc32`. Slicing-by-8: eight bytes per step
+/// through the compile-time tables, then the tail one byte at a time
+/// through row 0. No dependencies, no `unsafe`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let v = u64::from_le_bytes(chunk.try_into().unwrap_or([0; 8])) ^ u64::from(crc);
+        crc = crc32_lookup(t7, v)
+            ^ crc32_lookup(t6, v >> 8)
+            ^ crc32_lookup(t5, v >> 16)
+            ^ crc32_lookup(t4, v >> 24)
+            ^ crc32_lookup(t3, v >> 32)
+            ^ crc32_lookup(t2, v >> 40)
+            ^ crc32_lookup(t1, v >> 48)
+            ^ crc32_lookup(t0, v >> 56);
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ crc32_lookup(t0, u64::from(crc ^ u32::from(b)));
     }
     !crc
 }
@@ -508,6 +560,49 @@ pub trait Restartable: Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bitwise definition of the CRC-32: the oracle the table
+    /// implementation must match bit for bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle() {
+        let mut rng = asgov_util::Rng::seed_from_u64(0xc3c3_2032);
+        let buf: Vec<u8> = (0..(1 << 20) + 8).map(|_| rng.next_u64() as u8).collect();
+        // Every short length at every start offset: the 8-byte main
+        // loop, the byte tail and their boundary, unaligned.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = buf.get(start..start + len).expect("in range");
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
+        // Random slices up to 1 MiB, lengths log-uniform so the
+        // bitwise oracle stays cheap in debug builds, plus the whole
+        // buffer.
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf), "whole buffer");
+        for case in 0..200 {
+            let bits = rng.gen_range_usize(0..21);
+            let len = rng.gen_range_usize(0..(1 << bits) + 1);
+            let start = rng.gen_range_usize(0..buf.len() - len + 1);
+            let s = buf.get(start..start + len).expect("in range");
+            assert_eq!(
+                crc32(s),
+                crc32_bitwise(s),
+                "case {case}: start {start} len {len}"
+            );
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -315,6 +315,9 @@ fn decode_stats(r: &mut SnapshotReader) -> Result<EpochStats, SnapshotError> {
     };
     ensure(s.energy_j.is_finite())?;
     let nwords = r.take_u64()?;
+    // Bound the allocation by the bytes actually present before
+    // reserving it: a short frame must not reserve megabytes.
+    ensure(nwords <= r.remaining() as u64 / 8)?;
     ensure(nwords <= 1 << 22)?;
     let mut words = Vec::with_capacity(nwords as usize);
     for _ in 0..nwords {
@@ -354,6 +357,26 @@ mod tests {
         let back = Fleet::restore(cfg, &bytes).expect("clean frame");
         assert_eq!(back.epochs_run(), 0);
         assert_eq!(back.shards(), fleet.shards());
+    }
+
+    #[test]
+    fn stats_word_count_past_the_frame_is_corrupt() {
+        // A valid stats header declaring 2^22 savings words with none
+        // present: rejected before the 32 MiB reservation, as Corrupt.
+        let mut w = SnapshotWriter::new();
+        w.put_u64(1); // online
+        w.put_u64(1); // offline
+        w.put_f64(1.0); // energy_j
+        for _ in 0..5 {
+            w.put_u64(0); // restarts .. downtime_ms
+        }
+        w.put_u64(1 << 22); // savings word count
+        let frame = w.finish().expect("small frame");
+        let mut r = SnapshotReader::new(&frame).expect("intact frame");
+        assert_eq!(
+            decode_stats(&mut r).map(|_| ()),
+            Err(SnapshotError::Corrupt)
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! deterministic; and damaged fleet snapshots must always decode to
 //! `SnapshotError` — never panic.
 
+use asgov_core::persist::crc32;
 use asgov_fleet::{savings_agg, DeviceSpec, Fleet, FleetConfig, FleetError, PolicyStore};
 use asgov_obs::FleetStats;
 use asgov_soc::DeviceConfig;
@@ -247,4 +248,21 @@ fn damaged_fleet_snapshots_error_and_never_panic() {
             "bit flip at byte {byte} bit {bit} must be rejected"
         );
     }
+}
+
+/// Golden pin on the fleet frame's bytes: the length and CRC-32 of the
+/// `FleetConfig::smoke()` checkpoint after one epoch. The constants
+/// were captured with the bitwise CRC-32, before the table-driven one
+/// replaced it, and cross-checked against zlib's `crc32` of the same
+/// bytes. A change to the checksum, the frame layout or any simulated
+/// state moves them.
+#[test]
+fn smoke_checkpoint_frame_is_pinned() {
+    let cfg = FleetConfig::smoke();
+    let store = PolicyStore::resolve(&cfg, &DeviceConfig::nexus6());
+    let mut fleet = Fleet::new(cfg).expect("valid config");
+    fleet.step(&store).expect("epoch 0");
+    let frame = fleet.checkpoint().expect("checkpoint encodes");
+    assert_eq!(frame.len(), 292_361, "smoke checkpoint length moved");
+    assert_eq!(crc32(&frame), 0xA996_889D, "smoke checkpoint bytes moved");
 }
