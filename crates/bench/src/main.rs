@@ -244,11 +244,9 @@ fn controller_suite(quick: bool) -> Json {
     derived.set("controller_run_ns_per_sim_ms", ns_per_sim_ms);
     derived.set("persist_crc32_ns_per_byte", crc32_ns_per_byte);
     derived.set("controller_snapshot_bytes", snapshot_len);
-    // A faster traced run than untraced run is measurement noise, not a
-    // negative overhead: clamp at zero so the report never carries a
-    // nonsensical negative percentage.
-    let trace_overhead_pct =
-        ((traced_median_ns - untraced_median_ns) / untraced_median_ns * 100.0).max(0.0);
+    // Signed: a traced run faster than the untraced one reads as a
+    // negative overhead, which shows how large the run-to-run noise is.
+    let trace_overhead_pct = (traced_median_ns - untraced_median_ns) / untraced_median_ns * 100.0;
     derived.set("trace_overhead_pct", trace_overhead_pct);
     derived.set("controller_run_traced_median_ns", traced_median_ns);
     derived.set("controller_run_untraced_median_ns", untraced_median_ns);

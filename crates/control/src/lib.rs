@@ -10,8 +10,6 @@
 //!   `y_n = s_{n-1} · b_n + v` (paper §III-B3, following POET).
 //! - [`Ewma`] — exponentially-weighted moving average, used for signal
 //!   smoothing by the baseline governors.
-//! - [`PidController`] — a classical fixed-gain PID, provided as a
-//!   comparison baseline for the adaptive integrator.
 //! - [`PhaseDetector`] — a variance-based application phase-change
 //!   detector (paper §V-B discusses rapidly varying phases as the hard
 //!   case; this hook lets the controller re-seed its estimator).
@@ -26,10 +24,8 @@ mod ewma;
 mod integrator;
 mod kalman;
 mod phase;
-mod pid;
 
 pub use ewma::Ewma;
 pub use integrator::AdaptiveIntegrator;
 pub use kalman::{KalmanEstimate, KalmanFilter};
 pub use phase::{PhaseDetector, PhaseEvent};
-pub use pid::PidController;

@@ -146,7 +146,7 @@ impl Policy for Interactive {
     }
 
     fn tick(&mut self, device: &mut Device) {
-        if device.cpu_governor() != "interactive" || device.now_ms() < self.next_sample_ms {
+        if device.now_ms() < self.next_sample_ms || device.cpu_governor() != "interactive" {
             return;
         }
         self.next_sample_ms = device.now_ms() + self.params.timer_rate_ms;
@@ -261,7 +261,7 @@ impl Policy for Ondemand {
     }
 
     fn tick(&mut self, device: &mut Device) {
-        if device.cpu_governor() != "ondemand" || device.now_ms() < self.next_sample_ms {
+        if device.now_ms() < self.next_sample_ms || device.cpu_governor() != "ondemand" {
             return;
         }
         self.next_sample_ms = device.now_ms() + self.params.sampling_rate_ms;
@@ -323,7 +323,7 @@ impl Policy for Conservative {
     }
 
     fn tick(&mut self, device: &mut Device) {
-        if device.cpu_governor() != "conservative" || device.now_ms() < self.next_sample_ms {
+        if device.now_ms() < self.next_sample_ms || device.cpu_governor() != "conservative" {
             return;
         }
         self.next_sample_ms = device.now_ms() + 100;

@@ -83,7 +83,7 @@ impl Policy for CpubwHwmon {
     }
 
     fn tick(&mut self, device: &mut Device) {
-        if device.bw_governor() != "cpubw_hwmon" || device.now_ms() < self.next_sample_ms {
+        if device.now_ms() < self.next_sample_ms || device.bw_governor() != "cpubw_hwmon" {
             return;
         }
         self.next_sample_ms = device.now_ms() + self.params.sample_ms;

@@ -64,7 +64,7 @@ impl Policy for AdrenoTz {
     }
 
     fn tick(&mut self, device: &mut Device) {
-        if device.gpu().governor() != "msm-adreno-tz" || device.now_ms() < self.next_sample_ms {
+        if device.now_ms() < self.next_sample_ms || device.gpu().governor() != "msm-adreno-tz" {
             return;
         }
         self.next_sample_ms = device.now_ms() + self.params.sample_ms;

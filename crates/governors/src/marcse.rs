@@ -121,7 +121,7 @@ impl Policy for MarCse {
     }
 
     fn tick(&mut self, device: &mut Device) {
-        if device.cpu_governor() != "userspace" || device.now_ms() < self.next_sample_ms {
+        if device.now_ms() < self.next_sample_ms || device.cpu_governor() != "userspace" {
             return;
         }
         self.next_sample_ms = device.now_ms() + self.sample_ms;

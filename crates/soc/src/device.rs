@@ -21,7 +21,7 @@ use crate::gpu::{Gpu, GpuFreqIndex};
 use crate::monitor::PowerMonitor;
 use crate::net::{NetRateIndex, Radio};
 use crate::pmu::Pmu;
-use crate::power::{PowerBreakdown, PowerModel, PowerModelParams};
+use crate::power::{OpPoint, PowerBreakdown, PowerModel, PowerModelParams};
 use crate::trace::{Trace, TraceEvent};
 use crate::workload::{Demand, Executed};
 use asgov_obs::{CycleRecord, TraceSink};
@@ -175,6 +175,9 @@ pub struct Device {
     now_ms: u64,
     freq: FreqIndex,
     bw: BwIndex,
+    // `power_model`'s terms at (`freq`, `bw`); refreshed by the only two
+    // writers of those fields, `set_cpu_freq` and `set_mem_bw`.
+    op: OpPoint,
     cpu_governor: String,
     bw_governor: String,
     gpu: Gpu,
@@ -212,14 +215,17 @@ impl Device {
     pub fn new(cfg: DeviceConfig) -> Self {
         let nf = cfg.table.num_freqs();
         let nb = cfg.table.num_bws();
+        let power_model = PowerModel::new(cfg.power);
+        let op = power_model.op_point(&cfg.table, FreqIndex(0), BwIndex(0));
         Self {
-            power_model: PowerModel::new(cfg.power),
+            power_model,
             online_cores: cfg.online_cores,
             mem_overlap: cfg.mem_overlap.clamp(0.0, 1.0),
             cpuidle_leak_reduction: cfg.cpuidle_leak_reduction.clamp(0.0, 1.0),
             now_ms: 0,
             freq: FreqIndex(0),
             bw: BwIndex(0),
+            op,
             cpu_governor: "interactive".to_string(),
             bw_governor: "cpubw_hwmon".to_string(),
             gpu: Gpu::adreno420(),
@@ -520,6 +526,7 @@ impl Device {
                 .record(self.now_ms, TraceEvent::CpuFreq(self.freq.0, idx.0));
             self.obs_event("cpu-freq");
             self.freq = idx;
+            self.op = self.power_model.op_point(&self.table, self.freq, self.bw);
             self.freq_transitions += 1;
             self.pending_transition_energy_j += TRANSITION_ENERGY_J;
         }
@@ -553,6 +560,7 @@ impl Device {
                 .record(self.now_ms, TraceEvent::MemBw(self.bw.0, idx.0));
             self.obs_event("mem-bw");
             self.bw = idx;
+            self.op = self.power_model.op_point(&self.table, self.freq, self.bw);
             self.bw_transitions += 1;
             self.pending_transition_energy_j += TRANSITION_ENERGY_J;
         }
@@ -712,8 +720,9 @@ impl Device {
         }
         // --- model evaluation, once per span.
         let dt_s = TICK_MS as f64 * 1e-3;
-        let f_hz = self.table.freq(self.freq).hz();
-        let bw_bps = self.table.bw(self.bw).bytes_per_sec();
+        let op = self.op;
+        let f_hz = op.f_hz;
+        let bw_bps = op.bw_bps;
 
         // --- contention: background + tool activity steal core time and
         // bus bandwidth from the foreground application.
@@ -795,15 +804,14 @@ impl Device {
         let traffic_mbps = (fg_traffic_bps + bg_traffic_bps) / 1e6;
 
         // --- power: the model is pure, so per-millisecond re-evaluation
-        // would produce the same value; evaluate once. With cpuidle
-        // enabled, idle core time sheds part of its leakage (deep
-        // C-states power-gate the core).
+        // would produce the same value; evaluate once, from the cached
+        // operating point (bit-identical to `PowerModel::power`). With
+        // cpuidle enabled, idle core time sheds part of its leakage
+        // (deep C-states power-gate the core).
         let idle_cores = (self.online_cores - busy_cores).max(0.0);
         let effective_cores = self.online_cores - idle_cores * self.cpuidle_leak_reduction;
-        let mut power = self.power_model.power(
-            &self.table,
-            self.freq,
-            self.bw,
+        let mut power = self.power_model.power_at(
+            &op,
             effective_cores,
             busy_cores,
             traffic_mbps,
@@ -1179,6 +1187,38 @@ mod tests {
         }
         assert!(d.sysfs_write(&path, "300000").is_ok());
         assert_eq!(d.faults().unwrap().stats().sysfs_busy, 1);
+    }
+
+    /// Every path that moves `freq` or `bw` refreshes the cached
+    /// operating point: it always equals one built fresh.
+    #[test]
+    fn cached_op_point_tracks_every_frequency_and_bandwidth_change() {
+        use crate::faults::{FaultInjector, FaultKind, FaultPlan};
+        let fresh = |d: &Device| d.power_model.op_point(&d.table, d.freq, d.bw);
+        let mut d = quiet_device();
+        assert_eq!(d.op, fresh(&d), "boot state");
+        d.set_cpu_governor("userspace");
+        d.set_cpu_freq(FreqIndex(17));
+        assert_eq!(d.op, fresh(&d), "set_cpu_freq");
+        d.set_mem_bw(BwIndex(9));
+        assert_eq!(d.op, fresh(&d), "set_mem_bw");
+        let khz = d.table().freq(FreqIndex(11)).khz();
+        d.sysfs_write(
+            &format!("{}/scaling_setspeed", crate::sysfs::CPUFREQ),
+            &khz.to_string(),
+        )
+        .unwrap();
+        assert_eq!(d.freq(), FreqIndex(11));
+        assert_eq!(d.op, fresh(&d), "scaling_setspeed");
+        let plan = FaultPlan::new()
+            .window(1, 5, FaultKind::ThermalClamp(3))
+            .expect("valid window");
+        d.install_faults(FaultInjector::new(plan, 1));
+        for _ in 0..2 {
+            d.tick(&Demand::idle());
+        }
+        assert_eq!(d.freq(), FreqIndex(3), "clamped on the tick");
+        assert_eq!(d.op, fresh(&d), "thermal clamp");
     }
 
     #[test]

@@ -106,9 +106,13 @@ impl EngineStats {
 /// report covers exactly this run. Policies receive `start`, one `tick`
 /// after each span (every millisecond unless every clock domain
 /// advertises a longer horizon; see the module docs) and `finish`.
-pub fn run(
+///
+/// The engine is generic over the workload, so a concrete workload's
+/// per-span hooks are statically dispatched (and inlinable) while a
+/// `&mut dyn Workload` still runs the same loop.
+pub fn run<W: Workload + ?Sized>(
     device: &mut Device,
-    workload: &mut dyn Workload,
+    workload: &mut W,
     policies: &mut [&mut dyn Policy],
     max_ms: u64,
 ) -> RunReport {
@@ -117,9 +121,9 @@ pub fn run(
 
 /// [`run`], additionally reporting the engine's event counters (used by
 /// the bench harness to derive `events_per_sec`).
-pub fn run_counted(
+pub fn run_counted<W: Workload + ?Sized>(
     device: &mut Device,
-    workload: &mut dyn Workload,
+    workload: &mut W,
     policies: &mut [&mut dyn Policy],
     max_ms: u64,
 ) -> (RunReport, EngineStats) {

@@ -93,6 +93,29 @@ impl PowerBreakdown {
     }
 }
 
+/// The operating-point-dependent terms of [`PowerModel::power`] at one
+/// `(freq, bw)` pair, cached by the device so the per-span power
+/// evaluation does no table lookups. Each term is the exact left-to-right
+/// prefix of the corresponding expression in [`PowerModel::power`], so
+/// [`PowerModel::power_at`] reproduces it bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OpPoint {
+    /// CPU clock, Hz.
+    pub(crate) f_hz: f64,
+    /// Configured bus bandwidth, bytes/s.
+    pub(crate) bw_bps: f64,
+    /// `cpu_leak_w_per_v · v`, per online core.
+    leak_w_per_core: f64,
+    /// `cpu_dyn_w_per_v2ghz · v · v · f_ghz`, per busy core.
+    dyn_w_per_busy_core: f64,
+    /// `cpu_uncore_w_per_v2ghz · v · v · f_ghz`.
+    uncore_w: f64,
+    /// `mem_static_w + mem_bw_w_per_mbps · bw_mbps`.
+    mem_fixed_w: f64,
+    /// `screen_w + wifi_w + rest_w + soc_static_w`.
+    base_w: f64,
+}
+
 /// The whole-device power model. See the module docs for the equation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
@@ -147,6 +170,51 @@ impl PowerModel {
             cpu_w: cpu_leak + cpu_dyn,
             mem_w: mem,
             gpu_w: 0.0, // filled in by the device, which owns the GPU
+            extra_w,
+            background_w,
+        }
+    }
+
+    /// The cached terms of [`PowerModel::power`] at `(freq, bw)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of the table's range.
+    pub(crate) fn op_point(&self, table: &DvfsTable, freq: FreqIndex, bw: BwIndex) -> OpPoint {
+        let p = &self.params;
+        let v = table.voltage(freq);
+        let f = table.freq(freq);
+        let b = table.bw(bw);
+        OpPoint {
+            f_hz: f.hz(),
+            bw_bps: b.bytes_per_sec(),
+            leak_w_per_core: p.cpu_leak_w_per_v * v,
+            dyn_w_per_busy_core: p.cpu_dyn_w_per_v2ghz * v * v * f.0,
+            uncore_w: p.cpu_uncore_w_per_v2ghz * v * v * f.0,
+            mem_fixed_w: p.mem_static_w + p.mem_bw_w_per_mbps * b.0,
+            base_w: p.screen_w + p.wifi_w + p.rest_w + p.soc_static_w,
+        }
+    }
+
+    /// [`PowerModel::power`] at a cached operating point `op` (built by
+    /// [`PowerModel::op_point`] from this model), bit for bit.
+    #[inline]
+    pub(crate) fn power_at(
+        &self,
+        op: &OpPoint,
+        online_cores: f64,
+        busy_cores: f64,
+        traffic_mbps: f64,
+        extra_w: f64,
+        background_w: f64,
+    ) -> PowerBreakdown {
+        let cpu_leak = op.leak_w_per_core * online_cores;
+        let cpu_dyn = op.dyn_w_per_busy_core * busy_cores + op.uncore_w;
+        PowerBreakdown {
+            base_w: op.base_w,
+            cpu_w: cpu_leak + cpu_dyn,
+            mem_w: op.mem_fixed_w + self.params.mem_traffic_w_per_mbps * traffic_mbps,
+            gpu_w: 0.0,
             extra_w,
             background_w,
         }
@@ -230,5 +298,48 @@ mod tests {
         let d2 = p2.cpu_w;
         // Leakage part identical; dynamic part doubles.
         assert!(d2 > d1 * 1.4 && d2 < d1 * 2.0);
+    }
+
+    /// The field-for-field bit pattern of a breakdown, plus its total.
+    fn bits(b: &PowerBreakdown) -> [u64; 7] {
+        [
+            b.base_w,
+            b.cpu_w,
+            b.mem_w,
+            b.gpu_w,
+            b.extra_w,
+            b.background_w,
+            b.total_w(),
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// The device's cached operating point evaluates to exactly
+    /// `PowerModel::power`: every (freq, bw) pair of the Nexus 6 table,
+    /// over a seeded grid of per-tick signals, bit for bit.
+    #[test]
+    fn cached_op_point_matches_power_bit_for_bit() {
+        let (m, t) = model();
+        let mut rng = asgov_util::Rng::seed_from_u64(0x0b9_7041);
+        for f in t.freq_indices() {
+            for b in t.bw_indices() {
+                let op = m.op_point(&t, f, b);
+                assert_eq!(op.f_hz.to_bits(), t.freq(f).hz().to_bits(), "{f} {b}");
+                assert_eq!(op.bw_bps.to_bits(), t.bw(b).bytes_per_sec().to_bits());
+                for _ in 0..64 {
+                    let online = rng.gen_range(1.0..4.0);
+                    let effective = online - rng.gen_range(0.0..online);
+                    let busy = rng.gen_range(0.0..online);
+                    let traffic = rng.gen_range(0.0..16_000.0);
+                    let extra = rng.gen_range(0.0..2.0);
+                    let background = rng.gen_range(0.0..0.5);
+                    for cores in [online, effective] {
+                        let cached = m.power_at(&op, cores, busy, traffic, extra, background);
+                        let oracle = m.power(&t, f, b, cores, busy, traffic, extra, background);
+                        assert_eq!(bits(&cached), bits(&oracle), "{f} {b}");
+                    }
+                }
+            }
+        }
     }
 }

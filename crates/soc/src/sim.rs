@@ -71,9 +71,9 @@ pub use crate::event::run;
 
 /// Finish the policies and assemble the [`RunReport`] at the end of a
 /// [`run`].
-pub(crate) fn collect_report(
+pub(crate) fn collect_report<W: Workload + ?Sized>(
     device: &mut Device,
-    workload: &dyn Workload,
+    workload: &W,
     policies: &mut [&mut dyn Policy],
     max_ms: u64,
     completed: bool,

@@ -59,6 +59,7 @@ impl Rng {
     }
 
     /// The next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let out = self
             .s0
@@ -76,6 +77,7 @@ impl Rng {
     }
 
     /// A uniform `f64` in `[0, 1)` (53 mantissa bits of randomness).
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -85,6 +87,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if the range is empty or either bound is non-finite.
+    #[inline]
     pub fn gen_range(&mut self, range: Range<f64>) -> f64 {
         assert!(
             range.start.is_finite() && range.end.is_finite() && range.start < range.end,
@@ -121,6 +124,7 @@ impl Rng {
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             // Keep the stream advancing the same way for all p.
@@ -136,6 +140,7 @@ impl Rng {
 
     /// A standard-normal draw (Box–Muller, cosine branch). One uniform
     /// pair per call; no state beyond the generator itself.
+    #[inline]
     pub fn gen_normal(&mut self) -> f64 {
         let u1 = self.gen_range(f64::EPSILON..1.0);
         let u2 = self.next_f64();

@@ -18,7 +18,7 @@ use asgov_soc::{Demand, Executed, Workload};
 use asgov_util::Rng;
 
 /// One application phase.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSpec {
     /// Phase label (for traces).
     pub name: &'static str,
@@ -334,7 +334,7 @@ impl PhasedApp {
             let w0 = now_ms - now_ms % q;
             let w1 = w0 + q;
             self.window_until_ms = w1;
-            let phase = self.current_phase().clone();
+            let phase = *self.current_phase();
             let is_batch = self.is_batch();
 
             // Window arrival (rate apps only): the window is one
@@ -437,7 +437,7 @@ impl Workload for PhasedApp {
             return self.coarse_demand(now_ms);
         }
         let is_batch = self.is_batch();
-        let phase = self.current_phase().clone();
+        let phase = *self.current_phase();
 
         // --- frame-granular work arrival (rate apps only).
         if !is_batch {

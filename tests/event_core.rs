@@ -715,6 +715,50 @@ fn coarse_batch_apps_take_one_span_per_window() {
     }
 }
 
+/// The engine is generic over the workload: a concrete `&mut PhasedApp`
+/// (statically dispatched) and the same app behind `&mut dyn Workload`
+/// run one loop and give equal reports, energy and instruction bits
+/// included — for the six paper apps on the exact per-ms model (monitor
+/// noise on) and at demand quantum 20, under the stock governors.
+#[test]
+fn static_and_dynamic_dispatch_give_identical_reports() {
+    for quantum in [1, 20] {
+        let apps = asgov::workloads::paper_apps(BackgroundLoad::baseline(1));
+        for app in apps {
+            let app = app.with_quantum(quantum);
+            let run = |dynamic: bool| {
+                let mut device = Device::new(DeviceConfig::nexus6().with_seed(11));
+                let mut app = app.clone();
+                let mut gpu = AdrenoTz::default();
+                let mut cpu = Interactive::default();
+                let mut bw = CpubwHwmon::default();
+                let mut policies: [&mut dyn Policy; 3] = [&mut gpu, &mut cpu, &mut bw];
+                if dynamic {
+                    let app: &mut dyn Workload = &mut app;
+                    event::run_counted(&mut device, app, &mut policies, 3_000)
+                } else {
+                    event::run_counted(&mut device, &mut app, &mut policies, 3_000)
+                }
+            };
+            let (concrete, concrete_engine) = run(false);
+            let (dynamic, dynamic_engine) = run(true);
+            let label = format!("{}/q{quantum}", concrete.app);
+            assert_eq!(
+                concrete.energy_j.to_bits(),
+                dynamic.energy_j.to_bits(),
+                "{label}: energy bits"
+            );
+            assert_eq!(
+                concrete.instructions.to_bits(),
+                dynamic.instructions.to_bits(),
+                "{label}: instruction bits"
+            );
+            assert_eq!(concrete, dynamic, "{label}: reports");
+            assert_eq!(concrete_engine, dynamic_engine, "{label}: engine counters");
+        }
+    }
+}
+
 /// `RunReport::to_json` carries the run-summary contract downstream
 /// tooling parses: policy name, elapsed vs requested time, and the
 /// scalar measurements.
