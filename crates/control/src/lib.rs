@@ -8,8 +8,6 @@
 //! - [`KalmanFilter`] — the scalar Kalman filter that continuously
 //!   estimates the application *base speed* `b_n` from measurements
 //!   `y_n = s_{n-1} · b_n + v` (paper §III-B3, following POET).
-//! - [`Ewma`] — exponentially-weighted moving average, used for signal
-//!   smoothing by the baseline governors.
 //! - [`PhaseDetector`] — a variance-based application phase-change
 //!   detector (paper §V-B discusses rapidly varying phases as the hard
 //!   case; this hook lets the controller re-seed its estimator).
@@ -20,12 +18,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod ewma;
 mod integrator;
 mod kalman;
 mod phase;
 
-pub use ewma::Ewma;
 pub use integrator::AdaptiveIntegrator;
 pub use kalman::{KalmanEstimate, KalmanFilter};
 pub use phase::{PhaseDetector, PhaseEvent};

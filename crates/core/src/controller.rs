@@ -349,11 +349,6 @@ impl EnergyController {
         self.scheduler.writes_failed()
     }
 
-    /// Current degradation level (see [`DegradationLevel`]).
-    pub fn degradation_level(&self) -> DegradationLevel {
-        self.ladder.level()
-    }
-
     /// The run's health counters so far (always available; attached to
     /// [`asgov_soc::sim::RunReport`] through [`Policy::health`]).
     pub fn health_report(&self) -> HealthReport {

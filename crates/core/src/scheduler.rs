@@ -93,11 +93,6 @@ impl ConfigScheduler {
         self
     }
 
-    /// Whether this scheduler actuates only the CPU axis.
-    pub fn is_cpu_only(&self) -> bool {
-        self.cpu_only
-    }
-
     /// The average speedup the *rounded* schedule actually applies over
     /// the cycle (the Kalman filter's measurement coefficient).
     pub fn applied_speedup(&self) -> f64 {

@@ -216,9 +216,9 @@ pub fn compare(
     }
 }
 
-/// Run [`compare`] for every app, fanning the apps out across
-/// `std::thread::scope` workers, and return the comparisons in input
-/// order.
+/// Run [`compare`] for every app, fanning the apps out across the
+/// worker pool ([`asgov_util::par::ordered_map`]), and return the
+/// comparisons in input order.
 ///
 /// Results are identical to calling [`compare`] serially per app: every
 /// simulation seed derives from the device seed and the run index, never

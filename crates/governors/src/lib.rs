@@ -54,12 +54,3 @@ pub use netrate::{NetRateManager, NetRateManagerParams};
 pub fn android_defaults() -> (Interactive, CpubwHwmon) {
     (Interactive::default(), CpubwHwmon::default())
 }
-
-/// The full default governor set including the GPU's `msm-adreno-tz`.
-pub fn android_defaults_with_gpu() -> (Interactive, CpubwHwmon, AdrenoTz) {
-    (
-        Interactive::default(),
-        CpubwHwmon::default(),
-        AdrenoTz::default(),
-    )
-}

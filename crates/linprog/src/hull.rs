@@ -18,7 +18,7 @@
 //! Out-of-range targets clamp through the *same* plateau logic as the
 //! brute-force solver (`two_point::clamp_extremes`), so the two paths
 //! are differentially tested to produce equal energy on every table
-//! (`tests/hull_differential.rs`).
+//! (`hull_matches_two_point_exhaustively` in `tests/properties.rs`).
 
 use crate::two_point::{self, Schedule, PLATEAU_TOL};
 
@@ -128,11 +128,6 @@ impl HullSolver {
             high_i,
             high_p: powers[high_i],
         })
-    }
-
-    /// Number of envelope vertices (`H ≤ N`).
-    pub fn num_vertices(&self) -> usize {
-        self.idx.len()
     }
 
     /// Original configuration indices of the envelope vertices, in

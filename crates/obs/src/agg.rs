@@ -25,8 +25,6 @@
 //! ~4.6 × 10¹⁸) or non-finite are counted as *excluded* — same policy
 //! as a degenerate baseline — rather than poisoning the sums.
 
-use asgov_util::Json;
-
 /// Q32 fixed-point scale for the exact moment sums.
 const Q32: f64 = 4_294_967_296.0; // 2^32
 
@@ -302,32 +300,6 @@ impl FleetStats {
             .chain(std::iter::once(f64::INFINITY))
             .zip(counts.iter().copied())
             .filter(|(_, c)| *c > 0)
-    }
-
-    /// JSON summary for one stream: counts, derived moments, quantile
-    /// bounds and the non-empty buckets.
-    pub fn stream_json(&self, stream: usize) -> Json {
-        let mut o = Json::object();
-        o.set("count", self.count(stream) as f64);
-        o.set("excluded", self.excluded(stream) as f64);
-        o.set("mean", self.mean(stream));
-        o.set("std", self.std(stream));
-        o.set("min", self.min(stream).unwrap_or(0.0));
-        o.set("max", self.max(stream).unwrap_or(0.0));
-        for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
-            o.set(key, self.quantile(stream, q).unwrap_or(0.0));
-        }
-        let buckets: Vec<Json> = self
-            .buckets(stream)
-            .map(|(b, c)| {
-                let mut e = Json::object();
-                e.set("le", b);
-                e.set("n", c as f64);
-                e
-            })
-            .collect();
-        o.set("buckets", buckets);
-        o
     }
 
     /// Serialize the full columnar state to a self-describing word

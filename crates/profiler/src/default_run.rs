@@ -1,7 +1,7 @@
 //! Measuring the default-governor baseline (`R_def`, `P_def`, `T_def`,
 //! `E_def` — paper §III-A) and arbitrary fixed-configuration runs.
 
-use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
+use crate::profile::{run_pinned, Pin};
 use asgov_soc::sim::RunReport;
 use asgov_soc::Workload as _;
 use asgov_soc::{sim, Device, DeviceConfig, Policy};
@@ -38,7 +38,9 @@ impl DefaultMeasurement {
 
 /// Run the application under the stock Android governors
 /// (`interactive` + `cpubw_hwmon`), `runs` times, for at most `max_ms`
-/// each (batch applications stop at completion).
+/// each (batch applications stop at completion). `perf` runs here too:
+/// paper §III-A measures `R_def` with the same tooling as the online
+/// controller.
 pub fn measure_default(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
@@ -46,24 +48,9 @@ pub fn measure_default(
     max_ms: u64,
 ) -> DefaultMeasurement {
     assert!(runs > 0, "need at least one run");
-    let mut reports = Vec::with_capacity(runs);
-    for run in 0..runs {
-        let mut device = Device::new(
-            dev_cfg
-                .clone()
-                .with_seed(dev_cfg.seed ^ (0xd0 + run as u64)),
-        );
-        // `perf` runs during the default measurement too (paper §III-A
-        // measures R_def with the same tooling as the online controller).
-        device.set_tool_overhead(0.04, 0.015);
-        let mut cpu = Interactive::default();
-        let mut bw = CpubwHwmon::default();
-        let mut gpu = AdrenoTz::default();
-        app.reset();
-        let report = sim::run(&mut device, app, &mut [&mut cpu, &mut bw, &mut gpu], max_ms);
-        reports.push(report);
-    }
-    DefaultMeasurement::from_reports(reports)
+    let seeds = (0..runs as u64).map(|run| dev_cfg.seed ^ (run + 0xd0));
+    let reports = seeds.map(|seed| run_pinned(dev_cfg, app, Pin::default(), seed, max_ms).0);
+    DefaultMeasurement::from_reports(reports.collect())
 }
 
 /// Run the application under an arbitrary policy stack (e.g. the online

@@ -105,11 +105,6 @@ impl LoadModel {
         Ok(Self { anchors })
     }
 
-    /// Number of anchor profiles.
-    pub fn num_anchors(&self) -> usize {
-        self.anchors.len()
-    }
-
     /// Generate the profile predicted for `sig`: linear interpolation of
     /// every row's speedup and power between the two bracketing anchors
     /// (clamped at the extremes). The base speed is interpolated too.

@@ -1,23 +1,19 @@
 //! The offline profiling procedure (paper §III-A).
+//!
+//! Every profiled point is one [`run_pinned`] call: a fresh device with
+//! `perf`'s overhead on, the pinned axes under `userspace` and the rest
+//! under their stock governors. [`sweep`] measures a table's corners
+//! across the frequency ladder, and each public profiler is a corner
+//! list plus a row layout.
 
 use crate::table::{Config, ProfileEntry, ProfileTable};
-use asgov_governors::{AdrenoTz, CpubwHwmon};
+use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
+use asgov_soc::gpu::ADRENO420_FREQS_GHZ;
+use asgov_soc::sim::RunReport;
 use asgov_soc::Workload;
-use asgov_soc::{sim, Device, DeviceConfig, FreqIndex, GpuFreqIndex, Policy};
+use asgov_soc::{sim, BwIndex, Device, DeviceConfig, FreqIndex, GpuFreqIndex, Policy};
 use asgov_util::par;
 use asgov_workloads::PhasedApp;
-
-/// The profiled frequency ladder: every `stride`-th index in
-/// `lo..=hi`. Shared by all sweeps so they fan out identically.
-fn freq_ladder(lo: usize, hi: usize, stride: usize) -> Vec<usize> {
-    let mut freqs = Vec::new();
-    let mut f = lo;
-    while f <= hi {
-        freqs.push(f);
-        f += stride;
-    }
-    freqs
-}
 
 /// Knobs of the profiling procedure. The defaults mirror the paper.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,10 +26,10 @@ pub struct ProfileOptions {
     /// Profile every `freq_stride`-th frequency (paper: alternate
     /// frequencies → 2).
     pub freq_stride: usize,
-    /// Fill the intermediate bandwidths of each profiled frequency by
-    /// linear interpolation between the lowest and highest bandwidth
-    /// (paper behaviour). When `false` the table keeps only measured
-    /// points.
+    /// Fill the intermediate bandwidths (and GPU frequencies) of each
+    /// profiled frequency by linear interpolation between the measured
+    /// lowest and highest settings (paper behaviour). When `false` the
+    /// table keeps only measured points.
     pub interpolate: bool,
 }
 
@@ -48,37 +44,232 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Measure GIPS and power at one pinned configuration, averaged over
-/// `runs` fresh runs.
-fn measure_config(
+/// The operating point a profiling run pins. An axis left `None` runs
+/// under its stock governor: `interactive`, `cpubw_hwmon` or
+/// `msm-adreno-tz`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Pin {
+    freq: Option<FreqIndex>,
+    bw: Option<BwIndex>,
+    gpu: Option<GpuFreqIndex>,
+}
+
+/// One run of `app` for at most `run_ms` on a fresh device seeded
+/// `seed`, with `pin` applied. Returns the report and the device (for
+/// its PMU counters).
+pub(crate) fn run_pinned(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
-    config: Config,
-    runs: usize,
+    pin: Pin,
+    seed: u64,
     run_ms: u64,
-) -> (f64, f64) {
-    let mut gips_sum = 0.0;
-    let mut power_sum = 0.0;
-    for run in 0..runs {
-        let mut device = Device::new(dev_cfg.clone().with_seed(dev_cfg.seed ^ (run as u64 + 1)));
-        // The paper measures performance with `perf` at a 1 s period in
-        // every run — profiling included — so its 4 % load and 15 mW
-        // power overhead are present here just as they are online.
-        device.set_tool_overhead(0.04, 0.015);
+) -> (RunReport, Device) {
+    let mut device = Device::new(dev_cfg.clone().with_seed(seed));
+    // The paper measures performance with `perf` at a 1 s period in
+    // every run — profiling and the default baseline included — so its
+    // 4 % load and 15 mW power overhead are present here just as they
+    // are online.
+    device.set_tool_overhead(0.04, 0.015);
+    if pin.freq.is_some() {
         device.set_cpu_governor("userspace");
-        device.set_bw_governor("userspace");
-        device.set_cpu_freq(config.freq);
-        device.set_mem_bw(config.bw);
-        // The GPU stays under its stock governor throughout (the paper
-        // does not include it in the controlled configuration).
-        let mut gpu_gov = AdrenoTz::default();
-        let mut policies: [&mut dyn Policy; 1] = [&mut gpu_gov];
-        app.reset();
-        let report = sim::run(&mut device, app, &mut policies, run_ms);
-        gips_sum += report.avg_gips;
-        power_sum += report.avg_power_w;
     }
-    (gips_sum / runs as f64, power_sum / runs as f64)
+    if pin.bw.is_some() {
+        device.set_bw_governor("userspace");
+    }
+    if pin.gpu.is_some() {
+        device.set_gpu_governor("userspace");
+    }
+    if let Some(freq) = pin.freq {
+        device.set_cpu_freq(freq);
+    }
+    if let Some(bw) = pin.bw {
+        device.set_mem_bw(bw);
+    }
+    if let Some(gpu) = pin.gpu {
+        device.set_gpu_freq(gpu);
+    }
+    let mut cpu = Interactive::default();
+    let mut bw = CpubwHwmon::default();
+    let mut gpu = AdrenoTz::default();
+    let stock: [(bool, &mut dyn Policy); 3] = [
+        (pin.freq.is_none(), &mut cpu),
+        (pin.bw.is_none(), &mut bw),
+        (pin.gpu.is_none(), &mut gpu),
+    ];
+    let mut policies: Vec<&mut dyn Policy> = stock
+        .into_iter()
+        .filter_map(|(stock, policy)| stock.then_some(policy))
+        .collect();
+    app.reset();
+    let report = sim::run(&mut device, app, &mut policies, run_ms);
+    (report, device)
+}
+
+/// Average (GIPS, W) at `pin` over `opts.runs_per_config` runs seeded
+/// `dev_cfg.seed ^ (run + salt)`.
+fn measure(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    opts: &ProfileOptions,
+    pin: Pin,
+    salt: u64,
+) -> (f64, f64) {
+    let (mut gips, mut power) = (0.0, 0.0);
+    for run in 0..opts.runs_per_config as u64 {
+        let (report, _) = run_pinned(dev_cfg, app, pin, dev_cfg.seed ^ (run + salt), opts.run_ms);
+        gips += report.avg_gips;
+        power += report.avg_power_w;
+    }
+    let runs = opts.runs_per_config as f64;
+    (gips / runs, power / runs)
+}
+
+/// A table's measured corners: per profiled frequency, one (GIPS, W)
+/// pair per corner, in corner order.
+struct Sweep {
+    app: String,
+    base_gips: f64,
+    freqs: Vec<FreqIndex>,
+    corners: Vec<Vec<(f64, f64)>>,
+}
+
+/// One row of a table axis: its setting, its position `t` between the
+/// axis's low and high corner, and, when the row was measured, the
+/// offset its corner adds to the sweep's corner index.
+type Rung<T> = (T, f64, Option<usize>);
+
+/// The rungs of an axis measured at its first and last setting, whose
+/// physical values (MB/s, GHz) are `values`. `hi` is the last setting's
+/// corner offset.
+fn axis<T>(values: &[f64], hi: usize, setting: impl Fn(usize) -> T) -> Vec<Rung<T>> {
+    // asgov-analyze: allow(hot-path-transitive): values is a DVFS table's bandwidth ladder or the GPU ladder, never empty
+    let (lo, last) = (values[0], values.len() - 1);
+    let span = values[last] - lo;
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            let corner = match i {
+                0 => Some(0),
+                _ if i == last => Some(hi),
+                _ => None,
+            };
+            (setting(i), (v - lo) / span, corner)
+        })
+        .collect()
+}
+
+/// Measure `corners` (pins without a frequency) at every
+/// `freq_stride`-th frequency of the app's profile range, after the
+/// base point: the SoC's lowest frequency at `corners[0]`, whatever the
+/// app's range (it anchors the speedup scale).
+///
+/// Each frequency is one job on the worker pool with a private app
+/// clone (reset before every run anyway). Every seed derives from
+/// `(dev_cfg.seed, run, salt)`, never from the worker, so the result is
+/// independent of `threads` (`0` = auto: the machine's available
+/// parallelism, clamped to the number of profiled frequencies). A
+/// corner equal to the base pin reuses its measurement: same seeds,
+/// same bits.
+fn sweep(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    opts: &ProfileOptions,
+    threads: usize,
+    salt: u64,
+    corners: &[Pin],
+) -> Sweep {
+    assert!(opts.runs_per_config > 0, "need at least one run");
+    assert!(opts.freq_stride > 0, "stride must be positive");
+    let (lo_f, hi_f) = app.spec().profile_freq_range;
+    let base_pin = Pin {
+        freq: Some(dev_cfg.table.min_freq()),
+        // asgov-analyze: allow(hot-path-transitive): every profiler passes a non-empty corner list, and ordered_map hands the closure below indices drawn from 0..freqs.len()
+        ..corners[0]
+    };
+    let base = measure(dev_cfg, app, opts, base_pin, salt);
+    let freqs: Vec<FreqIndex> = (lo_f..=hi_f.min(dev_cfg.table.num_freqs() - 1))
+        .step_by(opts.freq_stride)
+        .map(FreqIndex)
+        .collect();
+    let threads = match threads {
+        0 => par::default_threads(freqs.len()),
+        n => n,
+    };
+    let app_ref: &PhasedApp = app;
+    let measured = par::ordered_map(freqs.len(), threads, |i| {
+        let mut worker_app = app_ref.clone();
+        let freq = Some(freqs[i]);
+        corners
+            .iter()
+            .map(|&corner| match (Pin { freq, ..corner }) {
+                pin if pin == base_pin => base,
+                pin => measure(dev_cfg, &mut worker_app, opts, pin, salt),
+            })
+            .collect()
+    });
+    Sweep {
+        app: app.spec().name.to_string(),
+        base_gips: base.0.max(1e-6),
+        freqs,
+        corners: measured,
+    }
+}
+
+impl Sweep {
+    /// Lay the corners out as table rows, bandwidth-major within each
+    /// frequency. With `interpolate` every (bandwidth, GPU) rung pair is
+    /// bilinear between its frequency's measured corners; without it
+    /// only the measured pairs are kept, at their measured values. A
+    /// one-rung axis sits at `t = 0` with offset 0 at both ends, so it
+    /// adds `0.0` and leaves the other axis's values bit-exact.
+    fn table(
+        self,
+        bws: &[Rung<BwIndex>],
+        gpus: &[Rung<Option<GpuFreqIndex>>],
+        interpolate: bool,
+    ) -> ProfileTable {
+        // The last rung is the high corner (or, alone, the only one).
+        let bh = bws.last().and_then(|r| r.2).unwrap_or(0);
+        let gh = gpus.last().and_then(|r| r.2).unwrap_or(0);
+        let lerp = |lo: (f64, f64), hi: (f64, f64), t: f64| {
+            (lo.0 + t * (hi.0 - lo.0), lo.1 + t * (hi.1 - lo.1))
+        };
+        let mut entries = Vec::new();
+        for (&freq, c) in self.freqs.iter().zip(&self.corners) {
+            for &(bw, tb, cb) in bws {
+                for &(gpu, tg, cg) in gpus {
+                    let measured = cb.zip(cg).map(|(b, g)| c[b + g]);
+                    let (gips, power_w) = match measured {
+                        _ if interpolate => {
+                            lerp(lerp(c[0], c[bh], tb), lerp(c[gh], c[bh + gh], tb), tg)
+                        }
+                        Some(point) => point,
+                        None => continue,
+                    };
+                    entries.push(ProfileEntry {
+                        config: Config { freq, bw, gpu },
+                        speedup: gips / self.base_gips,
+                        power_w,
+                        measured: measured.is_some(),
+                    });
+                }
+            }
+        }
+        ProfileTable {
+            app: self.app,
+            base_gips: self.base_gips,
+            entries,
+        }
+    }
+}
+
+/// The bandwidth axis of `dev_cfg`, measured at its lowest and highest
+/// setting; `hi` is the highest setting's corner offset.
+fn bw_axis(dev_cfg: &DeviceConfig, hi: usize) -> Vec<Rung<BwIndex>> {
+    let t = &dev_cfg.table;
+    let mbps: Vec<f64> = t.bw_indices().map(|b| t.bw(b).0).collect();
+    axis(&mbps, hi, BwIndex)
 }
 
 /// Profile an application offline (paper §III-A): measure its base
@@ -92,8 +283,8 @@ fn measure_config(
 ///
 /// The per-frequency measurements are independent simulations whose
 /// seeds derive only from `(dev_cfg.seed, run)`, so the sweep fans out
-/// across `std::thread::scope` workers; results are bit-identical to
-/// the serial sweep ([`profile_app_serial`]) for any thread count.
+/// across the worker pool; results are bit-identical to the serial
+/// sweep ([`profile_app_serial`]) for any thread count.
 ///
 /// # Panics
 ///
@@ -130,157 +321,24 @@ pub fn profile_app_threads(
     opts: &ProfileOptions,
     threads: usize,
 ) -> ProfileTable {
-    assert!(opts.runs_per_config > 0, "need at least one run");
-    assert!(opts.freq_stride > 0, "stride must be positive");
-
-    let table = dev_cfg.table.clone();
-    let (lo_f, hi_f) = app.spec().profile_freq_range;
-    let hi_f = hi_f.min(table.num_freqs() - 1);
-    let bw_lo = table.min_bw();
-    let bw_hi = table.max_bw();
-
-    // Base speed: the lowest configuration of the SoC, regardless of the
-    // app's usable profile range (it anchors the speedup scale).
-    let base_cfg = Config {
-        freq: table.min_freq(),
-        bw: table.min_bw(),
-        gpu: None,
-    };
-    let (base_gips, base_power) =
-        measure_config(dev_cfg, app, base_cfg, opts.runs_per_config, opts.run_ms);
-    let base_gips = base_gips.max(1e-6);
-
-    // Fan the per-frequency measurements out across workers. Each job
-    // owns a fresh clone of the app (reset before every run anyway) and
-    // every simulation seed derives from (dev_cfg.seed, run), never
-    // from the worker, so the table below is independent of `threads`.
-    let freqs = freq_ladder(lo_f, hi_f, opts.freq_stride);
-    let threads = if threads == 0 {
-        par::default_threads(freqs.len())
-    } else {
-        threads
-    };
-    let app_ref: &PhasedApp = app;
-    let sweep = par::ordered_map(freqs.len(), threads, |i| {
-        // asgov-analyze: allow(hot-path-transitive): ordered_map hands the closure indices drawn from 0..freqs.len()
-        let freq = FreqIndex(freqs[i]);
-        let mut worker_app = app_ref.clone();
-        let lo = Config {
-            freq,
-            bw: bw_lo,
-            gpu: None,
-        };
-        let hi = Config {
-            freq,
-            bw: bw_hi,
-            gpu: None,
-        };
-        let lo_m = if lo == base_cfg {
-            (base_gips, base_power)
-        } else {
-            measure_config(
-                dev_cfg,
-                &mut worker_app,
-                lo,
-                opts.runs_per_config,
-                opts.run_ms,
-            )
-        };
-        let hi_m = measure_config(
-            dev_cfg,
-            &mut worker_app,
-            hi,
-            opts.runs_per_config,
-            opts.run_ms,
-        );
-        (lo_m, hi_m)
+    let t = &dev_cfg.table;
+    // The GPU stays under its stock governor throughout (the paper
+    // does not include it in the controlled configuration).
+    let corners = [t.min_bw(), t.max_bw()].map(|bw| Pin {
+        bw: Some(bw),
+        ..Pin::default()
     });
-
-    let mut entries = Vec::new();
-    for (&f, &((g_lo, p_lo), (g_hi, p_hi))) in freqs.iter().zip(&sweep) {
-        let freq = FreqIndex(f);
-        if opts.interpolate {
-            let span = table.bw(bw_hi).0 - table.bw(bw_lo).0;
-            for b in table.bw_indices() {
-                let t = (table.bw(b).0 - table.bw(bw_lo).0) / span;
-                entries.push(ProfileEntry {
-                    config: Config {
-                        freq,
-                        bw: b,
-                        gpu: None,
-                    },
-                    speedup: (g_lo + t * (g_hi - g_lo)) / base_gips,
-                    power_w: p_lo + t * (p_hi - p_lo),
-                    measured: b == bw_lo || b == bw_hi,
-                });
-            }
-        } else {
-            entries.push(ProfileEntry {
-                config: Config {
-                    freq,
-                    bw: bw_lo,
-                    gpu: None,
-                },
-                speedup: g_lo / base_gips,
-                power_w: p_lo,
-                measured: true,
-            });
-            entries.push(ProfileEntry {
-                config: Config {
-                    freq,
-                    bw: bw_hi,
-                    gpu: None,
-                },
-                speedup: g_hi / base_gips,
-                power_w: p_hi,
-                measured: true,
-            });
-        }
-    }
-
-    ProfileTable {
-        app: app.spec().name.to_string(),
-        base_gips,
-        entries,
-    }
-}
-
-/// Measure one fully pinned (CPU, bandwidth, GPU) point.
-fn measure_config_gpu(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    config: Config,
-    gpu: GpuFreqIndex,
-    runs: usize,
-    run_ms: u64,
-) -> (f64, f64) {
-    let mut gips_sum = 0.0;
-    let mut power_sum = 0.0;
-    for run in 0..runs {
-        let mut device = Device::new(
-            dev_cfg
-                .clone()
-                .with_seed(dev_cfg.seed ^ (run as u64 + 0x30)),
-        );
-        device.set_tool_overhead(0.04, 0.015);
-        device.set_cpu_governor("userspace");
-        device.set_bw_governor("userspace");
-        device.set_gpu_governor("userspace");
-        device.set_cpu_freq(config.freq);
-        device.set_mem_bw(config.bw);
-        device.set_gpu_freq(gpu);
-        app.reset();
-        let report = sim::run(&mut device, app, &mut [], run_ms);
-        gips_sum += report.avg_gips;
-        power_sum += report.avg_power_w;
-    }
-    (gips_sum / runs as f64, power_sum / runs as f64)
+    sweep(dev_cfg, app, opts, threads, 1, &corners).table(
+        &bw_axis(dev_cfg, 1),
+        &[(None, 0.0, Some(0))],
+        opts.interpolate,
+    )
 }
 
 /// Three-axis offline profile (the paper's §VII extension): every
 /// `freq_stride`-th CPU frequency × {lowest, highest} memory bandwidth
 /// × {lowest, highest} GPU frequency, with linear interpolation along
-/// both the bandwidth and the GPU ladders.
+/// both the bandwidth and the GPU ladders (when `opts.interpolate`).
 ///
 /// # Panics
 ///
@@ -290,125 +348,24 @@ pub fn profile_app_with_gpu(
     app: &mut PhasedApp,
     opts: &ProfileOptions,
 ) -> ProfileTable {
-    assert!(opts.runs_per_config > 0, "need at least one run");
-    assert!(opts.freq_stride > 0, "stride must be positive");
-
-    let table = dev_cfg.table.clone();
-    let gpu_count = asgov_soc::gpu::ADRENO420_FREQS_GHZ.len();
-    let (lo_f, hi_f) = app.spec().profile_freq_range;
-    let hi_f = hi_f.min(table.num_freqs() - 1);
-    let bw_lo = table.min_bw();
-    let bw_hi = table.max_bw();
-    let (gpu_lo, gpu_hi) = (GpuFreqIndex(0), GpuFreqIndex(gpu_count - 1));
-    let gpu_ghz = |i: usize| asgov_soc::gpu::ADRENO420_FREQS_GHZ[i];
-
-    let base_cfg = Config::new(table.min_freq(), table.min_bw());
-    let (base_gips, _) = measure_config_gpu(
-        dev_cfg,
-        app,
-        base_cfg,
-        gpu_lo,
-        opts.runs_per_config,
-        opts.run_ms,
-    );
-    let base_gips = base_gips.max(1e-6);
-
-    // Same fan-out as `profile_app`: one job per profiled frequency,
-    // each measuring its four (bw, gpu) corners on a private app clone.
-    let freqs = freq_ladder(lo_f, hi_f, opts.freq_stride);
-    let app_ref: &PhasedApp = app;
-    let sweep = par::ordered_map(freqs.len(), par::default_threads(freqs.len()), |i| {
-        let freq = FreqIndex(freqs[i]);
-        let mut worker_app = app_ref.clone();
-        // Four measured corners per frequency: (bw, gpu) ∈ {lo,hi}².
-        let mut corner = [[(0.0f64, 0.0f64); 2]; 2];
-        for (bi, bw) in [bw_lo, bw_hi].into_iter().enumerate() {
-            for (gi, gpu) in [gpu_lo, gpu_hi].into_iter().enumerate() {
-                corner[bi][gi] = measure_config_gpu(
-                    dev_cfg,
-                    &mut worker_app,
-                    Config::new(freq, bw),
-                    gpu,
-                    opts.runs_per_config,
-                    opts.run_ms,
-                );
-            }
-        }
-        corner
-    });
-
-    let mut entries = Vec::new();
-    for (&f, corner) in freqs.iter().zip(&sweep) {
-        let freq = FreqIndex(f);
-        let bw_span = table.bw(bw_hi).0 - table.bw(bw_lo).0;
-        let gpu_span = gpu_ghz(gpu_count - 1) - gpu_ghz(0);
-        for b in table.bw_indices() {
-            let tb = (table.bw(b).0 - table.bw(bw_lo).0) / bw_span;
-            for g in 0..gpu_count {
-                let tg = (gpu_ghz(g) - gpu_ghz(0)) / gpu_span;
-                // Bilinear interpolation across the two measured axes.
-                fn lerp2(c: &[[f64; 2]; 2], tb: f64, tg: f64) -> f64 {
-                    let lo_g = c[0][0] + tb * (c[1][0] - c[0][0]);
-                    let hi_g = c[0][1] + tb * (c[1][1] - c[0][1]);
-                    lo_g + tg * (hi_g - lo_g)
-                }
-                let gips_c = [
-                    [corner[0][0].0, corner[0][1].0],
-                    [corner[1][0].0, corner[1][1].0],
-                ];
-                let power_c = [
-                    [corner[0][0].1, corner[0][1].1],
-                    [corner[1][0].1, corner[1][1].1],
-                ];
-                let gips = lerp2(&gips_c, tb, tg);
-                let power = lerp2(&power_c, tb, tg);
-                let measured = (b == bw_lo || b == bw_hi) && (g == 0 || g == gpu_count - 1);
-                entries.push(ProfileEntry {
-                    config: Config::with_gpu(freq, b, GpuFreqIndex(g)),
-                    speedup: gips / base_gips,
-                    power_w: power,
-                    measured,
-                });
-            }
-        }
-    }
-
-    ProfileTable {
-        app: app.spec().name.to_string(),
-        base_gips,
-        entries,
-    }
-}
-
-/// Measure GIPS and power with the CPU pinned and the memory bandwidth
-/// under the default `cpubw_hwmon` governor (for the CPU-only ablation).
-fn measure_config_cpu_only(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    freq: FreqIndex,
-    runs: usize,
-    run_ms: u64,
-) -> (f64, f64) {
-    let mut gips_sum = 0.0;
-    let mut power_sum = 0.0;
-    for run in 0..runs {
-        let mut device = Device::new(
-            dev_cfg
-                .clone()
-                .with_seed(dev_cfg.seed ^ (run as u64 + 0x10)),
-        );
-        device.set_tool_overhead(0.04, 0.015);
-        device.set_cpu_governor("userspace");
-        device.set_cpu_freq(freq);
-        let mut bw_gov = CpubwHwmon::default();
-        let mut gpu_gov = AdrenoTz::default();
-        let mut policies: [&mut dyn Policy; 2] = [&mut bw_gov, &mut gpu_gov];
-        app.reset();
-        let report = sim::run(&mut device, app, &mut policies, run_ms);
-        gips_sum += report.avg_gips;
-        power_sum += report.avg_power_w;
-    }
-    (gips_sum / runs as f64, power_sum / runs as f64)
+    let t = &dev_cfg.table;
+    let gpu_hi = GpuFreqIndex(ADRENO420_FREQS_GHZ.len() - 1);
+    // Four measured corners per frequency: (bw, gpu) ∈ {lo, hi}²,
+    // bandwidth-major.
+    let corners = [t.min_bw(), t.max_bw()]
+        .into_iter()
+        .flat_map(|bw| [GpuFreqIndex(0), gpu_hi].map(|gpu| (bw, gpu)))
+        .map(|(bw, gpu)| Pin {
+            freq: None,
+            bw: Some(bw),
+            gpu: Some(gpu),
+        })
+        .collect::<Vec<_>>();
+    sweep(dev_cfg, app, opts, 0, 0x30, &corners).table(
+        &bw_axis(dev_cfg, 2),
+        &axis(&ADRENO420_FREQS_GHZ, 1, |g| Some(GpuFreqIndex(g))),
+        opts.interpolate,
+    )
 }
 
 /// Profile for the paper's §V-D CPU-only ablation: the CPU frequency is
@@ -425,55 +382,11 @@ pub fn profile_app_cpu_only(
     app: &mut PhasedApp,
     opts: &ProfileOptions,
 ) -> ProfileTable {
-    assert!(opts.runs_per_config > 0, "need at least one run");
-    assert!(opts.freq_stride > 0, "stride must be positive");
-
-    let table = dev_cfg.table.clone();
-    let (lo_f, hi_f) = app.spec().profile_freq_range;
-    let hi_f = hi_f.min(table.num_freqs() - 1);
-
-    let (base_gips, _) = measure_config_cpu_only(
-        dev_cfg,
-        app,
-        table.min_freq(),
-        opts.runs_per_config,
-        opts.run_ms,
-    );
-    let base_gips = base_gips.max(1e-6);
-
-    // Same fan-out as `profile_app`: one measurement job per frequency.
-    let freqs = freq_ladder(lo_f, hi_f, opts.freq_stride);
-    let app_ref: &PhasedApp = app;
-    let sweep = par::ordered_map(freqs.len(), par::default_threads(freqs.len()), |i| {
-        let mut worker_app = app_ref.clone();
-        measure_config_cpu_only(
-            dev_cfg,
-            &mut worker_app,
-            FreqIndex(freqs[i]),
-            opts.runs_per_config,
-            opts.run_ms,
-        )
-    });
-
-    let mut entries = Vec::new();
-    for (&f, &(g, p)) in freqs.iter().zip(&sweep) {
-        entries.push(ProfileEntry {
-            config: Config {
-                freq: FreqIndex(f),
-                bw: table.min_bw(),
-                gpu: None,
-            },
-            speedup: g / base_gips,
-            power_w: p,
-            measured: true,
-        });
-    }
-
-    ProfileTable {
-        app: app.spec().name.to_string(),
-        base_gips,
-        entries,
-    }
+    sweep(dev_cfg, app, opts, 0, 0x10, &[Pin::default()]).table(
+        &[(dev_cfg.table.min_bw(), 0.0, Some(0))],
+        &[(None, 0.0, Some(0))],
+        opts.interpolate,
+    )
 }
 
 /// Fit a MAR-CSE model (paper §VI, Liang & Lai): for each training
@@ -487,35 +400,28 @@ pub fn fit_mar_cse(
     opts: &ProfileOptions,
 ) -> asgov_governors::MarCseModel {
     assert!(!apps.is_empty(), "need at least one training application");
-    let table = dev_cfg.table.clone();
+    let table = &dev_cfg.table;
     let mut points = Vec::new();
     for app in apps.iter_mut() {
         // One job per swept frequency; the (energy/instr, MAR) samples
         // come back in ladder order, so the fold below matches the
         // serial sweep exactly.
-        let freqs = freq_ladder(0, table.num_freqs() - 1, opts.freq_stride);
+        let freqs: Vec<FreqIndex> = table.freq_indices().step_by(opts.freq_stride).collect();
         let app_ref: &PhasedApp = app;
         let sweep = par::ordered_map(freqs.len(), par::default_threads(freqs.len()), |i| {
-            let f = freqs[i];
-            let freq = FreqIndex(f);
-            let mut worker_app = app_ref.clone();
-            let mut device =
-                Device::new(dev_cfg.clone().with_seed(dev_cfg.seed ^ (f as u64 + 0x50)));
-            device.set_tool_overhead(0.04, 0.015);
-            device.set_cpu_governor("userspace");
-            device.set_bw_governor("userspace");
-            device.set_cpu_freq(freq);
-            let mut gpu_gov = AdrenoTz::default();
-            let mut policies: [&mut dyn Policy; 1] = [&mut gpu_gov];
-            worker_app.reset();
-            let report = sim::run(&mut device, &mut worker_app, &mut policies, opts.run_ms);
-            if report.instructions > 0.0 {
-                let energy_per_instr = report.energy_j / report.instructions;
+            let freq = freqs[i];
+            let pin = Pin {
+                freq: Some(freq),
+                bw: Some(table.min_bw()),
+                gpu: None,
+            };
+            let seed = dev_cfg.seed ^ (freq.0 as u64 + 0x50);
+            let (report, device) =
+                run_pinned(dev_cfg, &mut app_ref.clone(), pin, seed, opts.run_ms);
+            (report.instructions > 0.0).then(|| {
                 let mar = device.pmu().bus_bytes() / device.pmu().instructions();
-                Some((energy_per_instr, freq, mar))
-            } else {
-                None
-            }
+                (report.energy_j / report.instructions, freq, mar)
+            })
         });
 
         let mut best: Option<(f64, FreqIndex)> = None; // (energy per instr, freq)
@@ -642,6 +548,34 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.entries.iter().all(|e| e.measured));
         assert!(t.entries[1].speedup >= t.entries[0].speedup * 0.9);
+    }
+
+    #[test]
+    fn gpu_profile_without_interpolation_keeps_only_measured_corners() {
+        let dev_cfg = DeviceConfig::nexus6();
+        let mut app = apps::angrybirds(BackgroundLoad::baseline(1));
+        let opts = ProfileOptions {
+            interpolate: false,
+            ..opts_fast()
+        };
+        let t = profile_app_with_gpu(&dev_cfg, &mut app, &opts);
+        // AngryBirds profiles f1..f10 with stride 4 -> f1, f5, f9.
+        assert_eq!(t.len(), 3 * 4);
+        assert!(t.entries.iter().all(|e| e.measured));
+        for rows in t.entries.chunks(4) {
+            let corners: Vec<_> = rows.iter().map(|e| (e.config.bw, e.config.gpu)).collect();
+            let (bw_hi, gpu_hi) = (dev_cfg.table.max_bw(), GpuFreqIndex(4));
+            assert_eq!(
+                corners,
+                [
+                    (BwIndex(0), Some(GpuFreqIndex(0))),
+                    (BwIndex(0), Some(gpu_hi)),
+                    (bw_hi, Some(GpuFreqIndex(0))),
+                    (bw_hi, Some(gpu_hi)),
+                ]
+            );
+            assert!(rows.iter().all(|e| e.config.freq == rows[0].config.freq));
+        }
     }
 
     #[test]

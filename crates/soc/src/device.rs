@@ -408,11 +408,6 @@ impl Device {
         self.faults.as_ref()
     }
 
-    /// Remove and return the installed fault injector.
-    pub fn take_faults(&mut self) -> Option<FaultInjector> {
-        self.faults.take()
-    }
-
     /// Consume a pending [`FaultKind::ControllerKill`](crate::FaultKind::ControllerKill)
     /// event: `true` exactly once per fired kill, after which the latch
     /// clears. A supervising harness polls this after each tick to
@@ -464,16 +459,6 @@ impl Device {
     /// un-instrumented runs pay nothing.
     pub fn has_obs_sink(&self) -> bool {
         self.obs.is_some()
-    }
-
-    /// The installed sink, if any.
-    pub fn obs_sink(&self) -> Option<&Rc<RefCell<dyn TraceSink>>> {
-        self.obs.as_ref()
-    }
-
-    /// Remove and return the installed sink.
-    pub fn take_obs_sink(&mut self) -> Option<Rc<RefCell<dyn TraceSink>>> {
-        self.obs.take()
     }
 
     /// Emit one control-cycle record into the sink, if present. Called

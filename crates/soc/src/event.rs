@@ -87,17 +87,6 @@ pub struct EngineStats {
     pub simulated_ms: u64,
 }
 
-impl EngineStats {
-    /// Mean span length in simulated milliseconds per event.
-    pub fn mean_span_ms(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.simulated_ms as f64 / self.events as f64
-        }
-    }
-}
-
 /// Run `workload` on `device` under `policies` for at most `max_ms`
 /// simulated milliseconds (stopping earlier if the workload finishes),
 /// using next-event time advance. Re-exported as [`crate::sim::run`].

@@ -265,11 +265,6 @@ impl PhasedApp {
         &self.spec
     }
 
-    /// The background-load generator (mutable, e.g. to swap scenarios).
-    pub fn background_mut(&mut self) -> &mut BackgroundLoad {
-        &mut self.background
-    }
-
     /// Total work executed so far, giga-instructions.
     pub fn executed_gi(&self) -> f64 {
         self.executed_gi

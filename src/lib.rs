@@ -14,8 +14,8 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`core`] | `asgov-core` | the controller: regulator, Kalman estimator, LP optimizer, scheduler |
-//! | [`control`] | `asgov-control` | adaptive integrator, Kalman filter, EWMA, PID, phase detector |
-//! | [`linprog`] | `asgov-linprog` | simplex + the O(N²) two-configuration solver |
+//! | [`control`] | `asgov-control` | adaptive integrator, Kalman filter, phase detector |
+//! | [`linprog`] | `asgov-linprog` | convex-hull solver (runtime path), simplex, O(N²) two-configuration oracle |
 //! | [`soc`] | `asgov-soc` | simulated device: DVFS, power model, PMU, perf, Monsoon, sysfs |
 //! | [`governors`] | `asgov-governors` | interactive, ondemand, conservative, userspace, performance, powersave, cpubw_hwmon |
 //! | [`workloads`] | `asgov-workloads` | the six paper applications + eBook, BL/NL/HL background loads |
