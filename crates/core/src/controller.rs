@@ -230,6 +230,27 @@ impl ControllerBuilder {
     /// Panics if the profile table is empty.
     pub fn build(self) -> EnergyController {
         let optimizer = EnergyOptimizer::new(&self.profile);
+        self.build_with(optimizer)
+    }
+
+    /// Build the controller around a prebuilt optimizer for this
+    /// builder's profile, skipping the hull construction: a caller that
+    /// builds many controllers of one profile (a fleet signature's
+    /// device-epochs and supervised restarts) builds
+    /// `EnergyOptimizer::new(&profile)` once and passes a clone of it
+    /// here. With that optimizer the controller is identical to
+    /// [`ControllerBuilder::build`]'s.
+    ///
+    /// Passing an optimizer built from a different profile is a logic
+    /// error that is not detected: the controller would plan over the
+    /// other table's hull. Debug builds check only that the two tables
+    /// have the same length.
+    pub fn build_with(self, optimizer: EnergyOptimizer) -> EnergyController {
+        debug_assert_eq!(
+            optimizer.len(),
+            self.profile.len(),
+            "optimizer built from another profile"
+        );
         let min_s = optimizer.min_speedup().max(1e-9);
         // Clamp marginally inside the table's maximum: a target within
         // measurement noise of the absolute maximum would otherwise pin

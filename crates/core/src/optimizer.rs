@@ -40,6 +40,11 @@ pub struct EnergyOptimizer {
     /// `O(N²)`. `None` only when the table contains non-finite values
     /// (then every solve returns `None`, as the brute force would).
     hull: Option<HullSolver>,
+    /// Smallest and largest speedup and the index of the largest,
+    /// folded once at construction.
+    min_speedup: f64,
+    max_speedup: f64,
+    max_speedup_index: usize,
 }
 
 /// A solved control input `u_n`: two dwell intervals (paper Fig. 3).
@@ -64,7 +69,10 @@ pub struct Plan {
 }
 
 impl EnergyOptimizer {
-    /// Build an optimizer from a profile table.
+    /// Build an optimizer from a profile table. Everything a solve or
+    /// a controller build reads is derived here, once, so one optimizer
+    /// can be cloned into many controllers of the same profile (see
+    /// [`ControllerBuilder::build_with`](crate::ControllerBuilder::build_with)).
     ///
     /// # Panics
     ///
@@ -75,9 +83,22 @@ impl EnergyOptimizer {
         let powers = table.powers();
         let hull = HullSolver::new(&speedups, &powers);
         Self {
+            configs: (0..table.len()).map(|i| table.config(i)).collect(),
+            min_speedup: speedups.iter().copied().fold(f64::INFINITY, f64::min),
+            max_speedup: speedups.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            max_speedup_index: speedups
+                .iter()
+                .enumerate()
+                .fold((0, f64::NEG_INFINITY), |(bi, bs), (i, &s)| {
+                    if s > bs {
+                        (i, s)
+                    } else {
+                        (bi, bs)
+                    }
+                })
+                .0,
             speedups,
             powers,
-            configs: (0..table.len()).map(|i| table.config(i)).collect(),
             hull,
         }
     }
@@ -94,7 +115,7 @@ impl EnergyOptimizer {
 
     /// Smallest available speedup.
     pub fn min_speedup(&self) -> f64 {
-        self.speedups.iter().copied().fold(f64::INFINITY, f64::min)
+        self.min_speedup
     }
 
     /// Whether any configuration in the table pins the GPU axis.
@@ -104,10 +125,7 @@ impl EnergyOptimizer {
 
     /// Largest available speedup.
     pub fn max_speedup(&self) -> f64 {
-        self.speedups
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
+        self.max_speedup
     }
 
     /// Solve for the minimum-energy plan delivering `target_speedup`
@@ -164,17 +182,7 @@ impl EnergyOptimizer {
     /// energy but never performance, so a degraded controller that has
     /// lost trust in its measurements falls back to it.
     pub fn max_speedup_index(&self) -> usize {
-        self.speedups
-            .iter()
-            .enumerate()
-            .fold((0, f64::NEG_INFINITY), |(bi, bs), (i, &s)| {
-                if s > bs {
-                    (i, s)
-                } else {
-                    (bi, bs)
-                }
-            })
-            .0
+        self.max_speedup_index
     }
 
     /// A degenerate single-configuration plan pinning `index` for the

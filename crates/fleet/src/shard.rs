@@ -11,13 +11,12 @@
 use crate::report::{app_stream, fault_stream, EpochStats};
 use crate::spec::{DeviceSpec, FleetConfig, FleetError};
 use crate::store::PolicyStore;
-use asgov_core::{
-    ControllerBuilder, SnapshotError, SnapshotReader, SnapshotWriter, Supervisor, SupervisorConfig,
-};
+use asgov_core::{SnapshotError, SnapshotReader, SnapshotWriter, Supervisor, SupervisorConfig};
 use asgov_governors::AdrenoTz;
 use asgov_soc::{event, Device, DeviceConfig, Policy, Workload as _};
 use asgov_util::Rng;
 use asgov_workloads::BackgroundLoad;
+use std::sync::Arc;
 
 /// Supervision tuning for fleet devices: checkpoints on the control
 /// cycle, quick restarts (an epoch is only seconds long).
@@ -160,15 +159,9 @@ pub fn run_epoch_into(
             device.install_faults(injector);
         }
 
-        let factory_profile = policy.profile.clone();
-        let target = policy.target_gips;
+        let factory_policy = Arc::clone(policy);
         let mut supervisor = Supervisor::new(
-            move || {
-                ControllerBuilder::new(factory_profile.clone())
-                    .target_gips(target)
-                    .seed(epoch_seed)
-                    .build()
-            },
+            move || factory_policy.controller(epoch_seed),
             supervisor_config(),
         );
         // Move the carried snapshot out of its slot — the successor

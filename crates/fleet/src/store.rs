@@ -4,6 +4,7 @@
 //! of re-profiling per device (10⁵ devices, 18 signatures).
 
 use crate::spec::{build_app, roster_signatures, FleetConfig};
+use asgov_core::{ControllerBuilder, EnergyController, EnergyOptimizer};
 use asgov_profiler::{measure_default, profile_app_serial, ProfileOptions, ProfileTable};
 use asgov_soc::DeviceConfig;
 use asgov_util::par::ordered_map;
@@ -18,7 +19,10 @@ use std::sync::Arc;
 pub struct StoredPolicy {
     /// The `(app, load)` signature this policy serves.
     pub signature: String,
-    /// Offline `(frequency, bandwidth)` profile.
+    /// Offline `(frequency, bandwidth)` profile. The fleet's
+    /// controllers are built around the optimizer derived from it at
+    /// resolution, so a policy whose profile (or target) is edited
+    /// must be resolved again, not patched in place.
     pub profile: ProfileTable,
     /// Controller performance target, GIPS (the default governor's
     /// delivered performance, as in the paper's methodology).
@@ -28,6 +32,26 @@ pub struct StoredPolicy {
     /// Whether the app is deadline-based (batch) rather than
     /// rate-based.
     pub deadline_based: bool,
+    /// `EnergyOptimizer::new(&profile)`, built once at resolution
+    /// (`None` only for an empty placeholder profile).
+    optimizer: Option<EnergyOptimizer>,
+}
+
+impl StoredPolicy {
+    /// A fresh controller for this signature, seeded with `seed`: the
+    /// fleet's device-epoch controller, and every supervised restart's.
+    /// It is built around a clone of the stored optimizer, so no device
+    /// rebuilds the signature's hull; the controller is identical to
+    /// one from [`ControllerBuilder::build`].
+    pub(crate) fn controller(&self, seed: u64) -> EnergyController {
+        let builder = ControllerBuilder::new(self.profile.clone())
+            .target_gips(self.target_gips)
+            .seed(seed);
+        match &self.optimizer {
+            Some(optimizer) => builder.build_with(optimizer.clone()),
+            None => builder.build(),
+        }
+    }
 }
 
 /// The resolved store: signature → shared policy.
@@ -120,6 +144,7 @@ fn resolve_one(
             target_gips: 0.0,
             baseline_energy_j: 0.0,
             deadline_based: false,
+            optimizer: None,
         };
     };
     let deadline_based = matches!(app.spec().kind, asgov_workloads::AppKind::Batch { .. });
@@ -139,6 +164,7 @@ fn resolve_one(
     );
     StoredPolicy {
         signature: sig.to_string(),
+        optimizer: (!profile.is_empty()).then(|| EnergyOptimizer::new(&profile)),
         profile,
         target_gips: baseline.gips,
         baseline_energy_j: baseline.energy_j,
@@ -170,6 +196,74 @@ mod tests {
             assert!(p.target_gips > 0.0, "{sig}: target");
             assert!(!p.profile.entries.is_empty(), "{sig}: profile");
         }
+    }
+
+    /// A controller built around the stored optimizer runs exactly as
+    /// one from `ControllerBuilder::build`: the same `RunReport` and the
+    /// same snapshot bytes over six control cycles, through two
+    /// supervised restarts.
+    #[test]
+    fn shared_optimizer_controller_matches_build() {
+        use asgov_core::{Restartable, Supervisor, SupervisorConfig};
+        use asgov_governors::AdrenoTz;
+        use asgov_soc::faults::{FaultInjector, FaultKind, FaultPlan};
+        use asgov_soc::{event, Device, Policy, Workload as _};
+
+        let cfg = FleetConfig {
+            demand_quantum_ms: 20,
+            ..tiny_cfg()
+        };
+        let store = PolicyStore::resolve(&cfg, &DeviceConfig::nexus6());
+        let (sig, app, load) = roster_signatures()
+            .into_iter()
+            .next()
+            .expect("a roster signature");
+        let policy = Arc::clone(store.get(&sig).expect("resolved"));
+        let run = |shared: bool| {
+            let seed = 0x5eed;
+            let policy = Arc::clone(&policy);
+            let factory = move || {
+                if shared {
+                    policy.controller(seed)
+                } else {
+                    ControllerBuilder::new(policy.profile.clone())
+                        .target_gips(policy.target_gips)
+                        .seed(seed)
+                        .build()
+                }
+            };
+            let mut supervisor = Supervisor::new(
+                factory,
+                SupervisorConfig {
+                    max_restarts: 8,
+                    backoff_base_ms: 50,
+                    backoff_max_ms: 400,
+                    checkpoint_period_ms: 2_000,
+                    warm: true,
+                },
+            );
+            let plan = FaultPlan::new()
+                .window(3_000, 3_200, FaultKind::ControllerKill)
+                .and_then(|p| p.window(7_500, 7_700, FaultKind::ControllerKill))
+                .expect("valid windows");
+            let mut device = Device::new(DeviceConfig::nexus6().with_seed(3));
+            device.install_faults(FaultInjector::new(plan, 4));
+            let mut app = build_app(app, BackgroundLoad::with_level(load, 5), 20).expect("app");
+            app.reset();
+            let mut gpu_gov = AdrenoTz::default();
+            let report = {
+                let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut supervisor];
+                event::run(&mut device, &mut app, &mut policies, 12_000)
+            };
+            let snapshot = supervisor
+                .inner()
+                .snapshot_bytes(device.now_ms())
+                .expect("snapshot encodes");
+            (report, snapshot, supervisor.restarts())
+        };
+        let (built, shared) = (run(false), run(true));
+        assert_eq!(built.2, 2, "both kills restart the controller");
+        assert_eq!(shared, built);
     }
 
     #[test]

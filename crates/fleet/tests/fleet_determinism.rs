@@ -266,3 +266,21 @@ fn smoke_checkpoint_frame_is_pinned() {
     assert_eq!(frame.len(), 292_361, "smoke checkpoint length moved");
     assert_eq!(crc32(&frame), 0xA996_889D, "smoke checkpoint bytes moved");
 }
+
+/// The q20 tier's checkpoint frame after one epoch, pinned like the
+/// q1 smoke frame above: the coarse demand model (spans of up to 20
+/// ms, clamp-once battery replay) must keep every byte of device
+/// state it had when the pin was taken.
+#[test]
+fn smoke_q20_checkpoint_frame_is_pinned() {
+    let cfg = FleetConfig {
+        demand_quantum_ms: 20,
+        ..FleetConfig::smoke()
+    };
+    let store = PolicyStore::resolve(&cfg, &DeviceConfig::nexus6());
+    let mut fleet = Fleet::new(cfg).expect("valid config");
+    fleet.step(&store).expect("epoch 0");
+    let frame = fleet.checkpoint().expect("checkpoint encodes");
+    assert_eq!(frame.len(), 291_736, "q20 checkpoint length moved");
+    assert_eq!(crc32(&frame), 0x365A_5A12, "q20 checkpoint bytes moved");
+}

@@ -39,6 +39,26 @@ impl Battery {
         self.drained_j = (self.drained_j + joules).min(self.capacity_j);
     }
 
+    /// Drain `joules` per millisecond for `n` milliseconds, leaving the
+    /// same bits as `n` calls to [`Battery::drain`].
+    ///
+    /// The drained total is always at most the capacity (only `drain`
+    /// and this method move it, and both clamp), so the per-millisecond
+    /// clamp can only bind on the way up, and the clamped sequence
+    /// equals one `min(capacity)` on the unclamped sum: f64 addition of
+    /// `x ≥ 0` rounds monotonically, and once a partial sum reaches the
+    /// capacity the clamped one sits at the capacity (`C + x ≥ C`) while
+    /// the unclamped one never falls back below it.
+    #[inline]
+    pub(crate) fn drain_span(&mut self, joules: f64, n: u64) {
+        debug_assert!(joules >= 0.0);
+        let mut drained = self.drained_j;
+        for _ in 0..n {
+            drained += joules;
+        }
+        self.drained_j = drained.min(self.capacity_j);
+    }
+
     /// Total capacity, joules.
     pub fn capacity_j(&self) -> f64 {
         self.capacity_j
@@ -97,6 +117,70 @@ mod tests {
         b.drain(25.0);
         assert_eq!(b.remaining_j(), 0.0);
         assert!(b.empty());
+    }
+
+    /// `n` single drains from `drained`, the reference for `drain_span`.
+    fn drained_by_steps(capacity: f64, drained: f64, joules: f64, n: u64) -> f64 {
+        let mut b = Battery::new(capacity);
+        b.drain(drained);
+        for _ in 0..n {
+            b.drain(joules);
+        }
+        b.drained_j()
+    }
+
+    fn drained_by_span(capacity: f64, drained: f64, joules: f64, n: u64) -> f64 {
+        let mut b = Battery::new(capacity);
+        b.drain(drained);
+        b.drain_span(joules, n);
+        b.drained_j()
+    }
+
+    /// Clamping once per span leaves the bits of clamping every
+    /// millisecond, over random start levels, per-ms drains, span
+    /// lengths and capacities (many of which cross the capacity).
+    #[test]
+    fn drain_span_is_bit_identical_to_repeated_drains() {
+        let mut rng = asgov_util::Rng::seed_from_u64(0xba77);
+        for case in 0..2_000 {
+            let capacity = rng.gen_range(1e-3..50.0);
+            let drained = capacity * rng.gen_range(0.0..1.2);
+            let joules = match case % 4 {
+                0 => 0.0,
+                1 => rng.gen_range(0.0..1e-3),
+                _ => rng.gen_range(0.0..capacity / 8.0),
+            };
+            let n = rng.gen_range_usize(0..400) as u64;
+            assert_eq!(
+                drained_by_span(capacity, drained, joules, n).to_bits(),
+                drained_by_steps(capacity, drained, joules, n).to_bits(),
+                "case {case}: capacity {capacity}, drained {drained}, {joules} J x {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn drain_span_edges_match_repeated_drains() {
+        let cases = [
+            // Crosses the capacity mid-span.
+            (10.0, 9.0, 0.3, 7),
+            // Starts at the capacity.
+            (10.0, 10.0, 0.3, 7),
+            // A zero drain, at rest and at the capacity.
+            (10.0, 4.0, 0.0, 50),
+            (10.0, 10.0, 0.0, 50),
+            // An empty span.
+            (10.0, 4.0, 0.3, 0),
+            // The Nexus 6 pack at a q20 span's per-ms drain.
+            (Battery::nexus6().capacity_j(), 1234.5, 2.1e-3, 19),
+        ];
+        for (capacity, drained, joules, n) in cases {
+            assert_eq!(
+                drained_by_span(capacity, drained, joules, n).to_bits(),
+                drained_by_steps(capacity, drained, joules, n).to_bits(),
+                "capacity {capacity}, drained {drained}, {joules} J x {n}"
+            );
+        }
     }
 
     #[test]

@@ -657,15 +657,28 @@ impl Device {
     /// The expensive contention / roofline / power model is evaluated
     /// once, and every per-millisecond accumulator (PMU counters, busy
     /// time, monitor energy, battery, GPU and radio counters) then
-    /// receives the exact same sequence of floating-point additions a
-    /// 1 ms loop would produce, provided no fault boundary falls
+    /// ends with the exact bits the sequence of floating-point additions
+    /// of a 1 ms loop would produce, provided no fault boundary falls
     /// strictly inside the span (the caller bounds spans by
-    /// [`Device::next_fault_boundary_ms`]). The one exception is the
-    /// power monitor's measurement noise, drawn once per span (see
-    /// [`PowerMonitor`]): a span is bit-identical to calling
-    /// [`Device::tick`] `span_ms` times when it is one tick long or the
-    /// monitor is noiseless, and equal in law otherwise. Pending DVFS
-    /// transition energy is charged into the first millisecond only.
+    /// [`Device::next_fault_boundary_ms`]). Two replay rules skip work
+    /// without moving a bit:
+    ///
+    /// - *clamp once* — the battery's drained total gets plain adds over
+    ///   the span and one `min(capacity)` at the end
+    ///   (`Battery::drain_span`): the drained total never exceeds the
+    ///   capacity, and for a non-negative per-ms drain rounded addition
+    ///   is monotone, so the per-ms clamped sequence equals the clamped
+    ///   unclamped sum;
+    /// - *one add for a zero increment* — an idle GPU's or radio's
+    ///   per-ms `+ 0.0` is idempotent (for either sign of zero), so one
+    ///   add books the whole span.
+    ///
+    /// The one exception is the power monitor's measurement noise,
+    /// drawn once per span (see [`PowerMonitor`]): a span is
+    /// bit-identical to calling [`Device::tick`] `span_ms` times when it
+    /// is one tick long or the monitor is noiseless, and equal in law
+    /// otherwise. Pending DVFS transition energy is charged into the
+    /// first millisecond only.
     /// The returned outcome is that of the first millisecond of the span
     /// (the remaining milliseconds are identical except for the
     /// transition-energy surcharge).
@@ -822,7 +835,8 @@ impl Device {
         // associative, so the per-ms adds must not be hoisted; fusing
         // is safe because the accumulators are independent). The first
         // millisecond is peeled: it carries the transition surcharge.
-        // The monitor books the span itself, with one noise draw.
+        // The monitor books the span itself, with one noise draw, and
+        // the battery books the rest of the span with one clamp.
         let cycles = fg_busy_cores * f_hz * dt_s;
         let bus_bytes = (fg_traffic_bps + bg_traffic_bps) * dt_s;
         self.pmu.record(instructions, cycles, bus_bytes);
@@ -839,7 +853,9 @@ impl Device {
             self.busy_ms += busy_frac * TICK_MS as f64;
             self.bg_util_ms += demand.bg.cpu_util * TICK_MS as f64;
             self.bg_traffic_mb += demand.bg.traffic_mbps * dt_s;
-            self.battery.drain(total_rest_w * dt_s);
+        }
+        if span_ms > 1 {
+            self.battery.drain_span(total_rest_w * dt_s, span_ms - 1);
         }
 
         // --- statistics: integer counters hoist exactly.
@@ -1335,12 +1351,13 @@ mod tests {
 
     /// A span of `n` ms leaves every accumulator bit-identical to `n`
     /// single ticks, with a DVFS transition pending (its surcharge lands
-    /// in the first millisecond only) and the GPU and radio busy. Monitor
-    /// noise is on for the 1 ms span and off for longer ones, since a
-    /// span draws its noise once (see `monitor`).
+    /// in the first millisecond only), with the GPU and radio busy and
+    /// with both idle (their one-add zero replay). Monitor noise is on
+    /// for the 1 ms span and off for longer ones, since a span draws its
+    /// noise once (see `monitor`).
     #[test]
     fn tick_span_is_bit_identical_to_repeated_ticks() {
-        let demand = Demand {
+        let busy = Demand {
             gpu_work: 0.35,
             net_pps: 700.0,
             touch: true,
@@ -1350,6 +1367,11 @@ mod tests {
                 power_w: 0.05,
             },
             ..cpu_demand(0.4)
+        };
+        let idle_gpu_and_radio = Demand {
+            gpu_work: 0.0,
+            net_pps: 0.0,
+            ..busy
         };
         let fresh = |n: u64| {
             let mut cfg = DeviceConfig::nexus6().with_seed(7);
@@ -1382,24 +1404,30 @@ mod tests {
             bits.extend(d.gpu().time_in_freq_ms());
             bits
         };
-        for n in [1u64, 2, 7, 200] {
-            let mut spanned = fresh(n);
-            let span_out = spanned.tick_span(&demand, n, None);
-            let mut ticked = fresh(n);
-            let first_out = ticked.tick(&demand);
-            for _ in 1..n {
-                ticked.tick(&demand);
+        for (label, demand) in [("busy", busy), ("idle GPU and radio", idle_gpu_and_radio)] {
+            for n in [1u64, 2, 7, 200] {
+                let mut spanned = fresh(n);
+                let span_out = spanned.tick_span(&demand, n, None);
+                let mut ticked = fresh(n);
+                let first_out = ticked.tick(&demand);
+                for _ in 1..n {
+                    ticked.tick(&demand);
+                }
+                assert_eq!(span_out.span_ms, n, "{label}, n = {n}: span run");
+                assert_eq!(
+                    TickOutcome {
+                        span_ms: 1,
+                        ..span_out
+                    },
+                    first_out,
+                    "{label}, n = {n}: outcome of the first tick"
+                );
+                assert_eq!(
+                    fingerprint(&spanned),
+                    fingerprint(&ticked),
+                    "{label}, n = {n}"
+                );
             }
-            assert_eq!(span_out.span_ms, n, "n = {n}: span run");
-            assert_eq!(
-                TickOutcome {
-                    span_ms: 1,
-                    ..span_out
-                },
-                first_out,
-                "n = {n}: outcome of the first tick"
-            );
-            assert_eq!(fingerprint(&spanned), fingerprint(&ticked), "n = {n}");
         }
     }
 

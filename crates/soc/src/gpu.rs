@@ -157,9 +157,16 @@ impl Gpu {
 
     /// Book `span_ms` ticks at `rate`: the busy accumulator receives
     /// the same per-millisecond additions `span_ms` calls to
-    /// [`Gpu::tick`] would make.
+    /// [`Gpu::tick`] would make. An idle GPU's `+ 0.0` is idempotent
+    /// (for either sign of zero), so one add books the whole span.
     pub(crate) fn accumulate(&mut self, rate: GpuRate, span_ms: u64) {
-        for _ in 0..span_ms {
+        // asgov-analyze: allow(float-eq): exact test for the idempotent `+ 0.0`, not a tolerance comparison
+        let adds = if rate.util == 0.0 {
+            span_ms.min(1)
+        } else {
+            span_ms
+        };
+        for _ in 0..adds {
             self.busy_ms += rate.util;
         }
         if let Some(t) = self.time_in_freq_ms.get_mut(self.cur.0) {

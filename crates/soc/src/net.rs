@@ -118,10 +118,19 @@ impl Radio {
 
     /// Book `span_ms` ticks at `rate`: the serviced-packet accumulator
     /// receives the same per-millisecond additions `span_ms` calls to
-    /// [`Radio::tick`] would make.
+    /// [`Radio::tick`] would make. An idle radio's `+ 0.0` is idempotent
+    /// (for either sign of zero), so one add books the whole span.
     pub(crate) fn accumulate(&mut self, rate: RadioRate, span_ms: u64) {
-        for _ in 0..span_ms {
-            self.serviced_packets += rate.serviced_pps * 1e-3; // per 1 ms tick
+        // Packets serviced per 1 ms tick.
+        let per_ms = rate.serviced_pps * 1e-3;
+        // asgov-analyze: allow(float-eq): exact test for the idempotent `+ 0.0`, not a tolerance comparison
+        let adds = if per_ms == 0.0 {
+            span_ms.min(1)
+        } else {
+            span_ms
+        };
+        for _ in 0..adds {
+            self.serviced_packets += per_ms;
         }
     }
 }

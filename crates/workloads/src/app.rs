@@ -901,6 +901,98 @@ mod tests {
         );
     }
 
+    /// A rate app with periodic events whose periods are not multiples
+    /// of the test quanta (one is), under heavy load's sync bursts.
+    fn evented_app(q: u64) -> PhasedApp {
+        let mut spec = steady_spec(0.2);
+        spec.touch = Some(TouchSpec {
+            rate_per_s: 2.0,
+            work_gi: 0.01,
+        });
+        for (period_ms, duration_ms) in [(13, 5), (45, 30), (140, 1), (1_001, 250)] {
+            spec.events.push(EventSpec {
+                name: "tick",
+                period_ms,
+                duration_ms,
+                power_w: 0.1,
+                work_gi: 0.001,
+                extra_traffic_mbps: 5.0,
+                touch: false,
+            });
+        }
+        PhasedApp::new(spec, BackgroundLoad::heavy(5), 9).with_quantum(q)
+    }
+
+    /// Drive `app` window by window over `[from, to)` the way the event
+    /// engine does (demand, horizon, deliver), checking every horizon
+    /// against the next quantum boundary and returning every event
+    /// start `(event, start)` the windows booked.
+    fn drive_windows(app: &mut PhasedApp, from: u64, to: u64) -> Vec<(usize, u64)> {
+        let q = app.quantum_ms();
+        let mut starts = Vec::new();
+        let mut now = from;
+        while now < to {
+            let _ = app.demand(now);
+            // Every event here lasts ≥ 1 ms, so a start booked by this
+            // window is still listed after the window's `retain`.
+            starts.extend(app.active_windows.iter().map(|&(i, start, _)| (i, start)));
+            let next = app.next_event_ms(now);
+            assert_eq!(next, (now / q + 1) * q, "q {q}: horizon at {now}");
+            app.deliver_span(now, Executed::default(), next - now);
+            now = next;
+        }
+        starts.sort_unstable();
+        starts.dedup();
+        starts
+    }
+
+    /// The per-ms reference: every `t` in `[from, to)` with
+    /// `t % period == 0` (t > 0) starts its event.
+    fn scanned_starts(app: &PhasedApp, from: u64, to: u64) -> Vec<(usize, u64)> {
+        let mut starts = Vec::new();
+        for (i, ev) in app.spec().events.iter().enumerate() {
+            for t in from.max(1)..to {
+                if t % ev.period_ms == 0 {
+                    starts.push((i, t));
+                }
+            }
+        }
+        starts.sort_unstable();
+        starts
+    }
+
+    /// Coarse windows book exactly the event starts of the per-ms
+    /// model, for quanta that do not divide the event periods, from
+    /// time zero, on a clone first driven from an unaligned time, and
+    /// across a mid-run `reset`.
+    #[test]
+    fn window_event_starts_match_a_per_ms_scan() {
+        for q in [7u64, 20, 60] {
+            let horizon = 6_000;
+            let mut app = evented_app(q);
+            let mut late = app.clone();
+            let from = 5 * q + 3;
+            assert_eq!(
+                drive_windows(&mut late, from, horizon),
+                scanned_starts(&late, from - from % q, horizon),
+                "q {q}: clone driven from {from}"
+            );
+            assert_eq!(
+                drive_windows(&mut app, 0, horizon),
+                scanned_starts(&app, 0, horizon),
+                "q {q}: from zero"
+            );
+            let mut again = evented_app(q);
+            let _ = drive_windows(&mut again, 0, 1_234);
+            again.reset();
+            assert_eq!(
+                drive_windows(&mut again, 0, horizon),
+                scanned_starts(&again, 0, horizon),
+                "q {q}: after reset"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "phases")]
     fn empty_spec_rejected() {
