@@ -1,6 +1,7 @@
 //! Minimal hand-rolled argument parsing (the workspace deliberately
 //! carries no CLI dependency).
 
+use asgov_workloads::LoadLevel;
 use std::fmt;
 
 /// CLI usage text.
@@ -45,7 +46,7 @@ pub enum Command {
         stride: usize,
         runs: usize,
         window_s: u64,
-        load: String,
+        load: LoadLevel,
         cpu_only: bool,
         gpu: bool,
     },
@@ -53,7 +54,7 @@ pub enum Command {
     Baseline {
         app: String,
         duration_s: u64,
-        load: String,
+        load: LoadLevel,
     },
     /// `asgov control`
     Control {
@@ -61,14 +62,14 @@ pub enum Command {
         profile: String,
         target: Option<f64>,
         duration_s: u64,
-        load: String,
+        load: LoadLevel,
         cpu_only: bool,
     },
     /// `asgov compare`
     Compare {
         app: String,
         duration_s: u64,
-        load: String,
+        load: LoadLevel,
         quick: bool,
     },
     /// `asgov trace`
@@ -77,7 +78,7 @@ pub enum Command {
         profile: Option<String>,
         target: Option<f64>,
         duration_s: u64,
-        load: String,
+        load: LoadLevel,
         out: Option<String>,
         capacity: usize,
     },
@@ -154,12 +155,9 @@ fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, ParseError>
         .map_err(|_| err(format!("{name}: cannot parse {v:?}")))
 }
 
-fn parse_load(v: Option<&str>) -> Result<String, ParseError> {
+fn parse_load(v: Option<&str>) -> Result<LoadLevel, ParseError> {
     let v = v.unwrap_or("BL").to_uppercase();
-    match v.as_str() {
-        "BL" | "NL" | "HL" => Ok(v),
-        other => Err(err(format!("--load must be BL, NL or HL, got {other:?}"))),
-    }
+    LoadLevel::from_label(&v).ok_or_else(|| err(format!("--load must be BL, NL or HL, got {v:?}")))
 }
 
 /// Parse an argv (without the binary name) into a [`Command`].
@@ -313,7 +311,7 @@ mod tests {
             } => {
                 assert_eq!(app, "AngryBirds");
                 assert_eq!((stride, runs, window_s), (2, 3, 30));
-                assert_eq!(load, "BL");
+                assert_eq!(load, LoadLevel::Baseline);
                 assert!(!cpu_only && !gpu);
                 assert!(out.is_none());
             }
@@ -350,6 +348,8 @@ mod tests {
             "--target",
             "0.12",
             "--cpu-only",
+            "--load",
+            "hl",
         ]))
         .unwrap();
         match cmd {
@@ -357,12 +357,14 @@ mod tests {
                 app,
                 profile,
                 target,
+                load,
                 cpu_only,
                 ..
             } => {
                 assert_eq!(app, "Spotify");
                 assert_eq!(profile, "p.tsv");
                 assert_eq!(target, Some(0.12));
+                assert_eq!(load, LoadLevel::Heavy);
                 assert!(cpu_only);
             }
             other => panic!("wrong command {other:?}"),
@@ -394,7 +396,7 @@ mod tests {
                 assert_eq!(app, "VidCon");
                 assert!(profile.is_none() && target.is_none() && out.is_none());
                 assert_eq!((duration_s, capacity), (60, 4096));
-                assert_eq!(load, "BL");
+                assert_eq!(load, LoadLevel::Baseline);
             }
             other => panic!("wrong command {other:?}"),
         }

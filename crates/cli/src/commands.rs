@@ -9,46 +9,15 @@ use asgov_profiler::{
     ProfileTable,
 };
 use asgov_soc::{event, Device, DeviceConfig, Policy, Workload as _};
-use asgov_workloads::{apps, BackgroundLoad, LoadLevel, PhasedApp};
+use asgov_workloads::{apps, BackgroundLoad};
 use std::cell::RefCell;
 use std::error::Error;
 use std::rc::Rc;
 
 type Result<T> = std::result::Result<T, Box<dyn Error>>;
 
-const APP_NAMES: [&str; 7] = [
-    "VidCon",
-    "MobileBench",
-    "AngryBirds",
-    "WeChat",
-    "MXPlayer",
-    "Spotify",
-    "eBook",
-];
-
-fn load_level(label: &str) -> LoadLevel {
-    match label {
-        "NL" => LoadLevel::None,
-        "HL" => LoadLevel::Heavy,
-        _ => LoadLevel::Baseline,
-    }
-}
-
-fn make_app(name: &str, load: &str) -> Result<PhasedApp> {
-    let bg = BackgroundLoad::with_level(load_level(load), 1);
-    let app = match name {
-        "VidCon" => apps::vidcon(bg),
-        "MobileBench" => apps::mobilebench(bg),
-        "AngryBirds" => apps::angrybirds(bg),
-        "WeChat" => apps::wechat(bg),
-        "MXPlayer" => apps::mxplayer(bg),
-        "Spotify" => apps::spotify(bg),
-        "eBook" => apps::ebook(bg),
-        other => {
-            return Err(format!("unknown application {other:?}; see `asgov list-apps`").into())
-        }
-    };
-    Ok(app)
+fn unknown_app(name: &str) -> String {
+    format!("unknown application {name:?}; see `asgov list-apps`")
 }
 
 /// Execute a parsed command.
@@ -60,7 +29,7 @@ pub fn run(cmd: Command) -> Result<()> {
     match cmd {
         Command::ListApps => {
             println!("built-in application models (see asgov-workloads):");
-            for name in APP_NAMES {
+            for (name, _) in apps::REGISTRY {
                 println!("  {name}");
             }
             Ok(())
@@ -76,7 +45,8 @@ pub fn run(cmd: Command) -> Result<()> {
             gpu,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
-            let mut a = make_app(&app, &load)?;
+            let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
+                .ok_or_else(|| unknown_app(&app))?;
             let opts = ProfileOptions {
                 runs_per_config: runs,
                 run_ms: window_s * 1000,
@@ -103,7 +73,8 @@ pub fn run(cmd: Command) -> Result<()> {
             load,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
-            let mut a = make_app(&app, &load)?;
+            let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
+                .ok_or_else(|| unknown_app(&app))?;
             let m = measure_default(&dev_cfg, &mut a, 3, duration_s * 1000);
             println!("{app} under interactive + cpubw_hwmon + msm-adreno-tz ({load}):");
             println!("  R_def = {:.4} GIPS", m.gips);
@@ -121,7 +92,8 @@ pub fn run(cmd: Command) -> Result<()> {
             cpu_only,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
-            let mut a = make_app(&app, &load)?;
+            let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
+                .ok_or_else(|| unknown_app(&app))?;
             let text = std::fs::read_to_string(&profile)?;
             let table = ProfileTable::from_tsv(&text)?;
             if table.app != app {
@@ -197,7 +169,8 @@ pub fn run(cmd: Command) -> Result<()> {
             quick,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
-            let mut a = make_app(&app, &load)?;
+            let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
+                .ok_or_else(|| unknown_app(&app))?;
             let opts = if quick {
                 ProfileOptions {
                     runs_per_config: 1,
@@ -257,7 +230,8 @@ pub fn run(cmd: Command) -> Result<()> {
             capacity,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
-            let mut a = make_app(&app, &load)?;
+            let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
+                .ok_or_else(|| unknown_app(&app))?;
             let table = match profile {
                 Some(path) => {
                     let text = std::fs::read_to_string(&path)?;

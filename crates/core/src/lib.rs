@@ -20,8 +20,9 @@
 //!    integrator `s_n = s_{n-1} + e_{n-1}/b_{n-1}` (paper Eqn. 3) with a
 //!    Kalman filter continuously estimating the base speed `b_n`.
 //! 3. **Optimize** — [`EnergyOptimizer`]: the linear program of Eqns.
-//!    4–7 over the offline [`asgov_profiler::ProfileTable`], solved by
-//!    the `O(N²)` two-configuration search ([`asgov_linprog`]).
+//!    4–7 over the offline [`asgov_profiler::ProfileTable`], solved in
+//!    `O(log N)` on its precomputed convex hull
+//!    ([`asgov_linprog::HullSolver`]).
 //! 4. **Schedule** — [`ConfigScheduler`]: apply `c_l` for `τ_l` then
 //!    `c_h` for `τ_h` through sysfs under the `userspace` governors,
 //!    with the paper's 200 ms minimum dwell.

@@ -43,7 +43,7 @@ fn main() {
 
             let mut perf = Vec::new();
             let mut energy = Vec::new();
-            for level in [LoadLevel::Baseline, LoadLevel::None, LoadLevel::Heavy] {
+            for level in LoadLevel::ALL {
                 let load = BackgroundLoad::with_level(level, 1);
                 let mut app = apps_under(&load).remove(idx);
                 let default = measure_default(&dev_cfg, &mut app, opts.runs, duration);

@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run --release -p asgov-experiments --bin traces [--app NAME]`
 //! Writes `results/<app>_{default,controller}_{series,events}.csv`.
+//! `NAME` is any registry application (default AngryBirds); an unknown
+//! name exits with status 2 and lists the valid ones.
 
 use asgov_core::ControllerBuilder;
 use asgov_experiments::render::csv;
@@ -42,13 +44,12 @@ fn main() {
         .skip_while(|a| a != "--app")
         .nth(1)
         .unwrap_or_else(|| "AngryBirds".into());
-    let dev_cfg = DeviceConfig::nexus6();
-    let mut app = match app_name.as_str() {
-        "VidCon" => apps::vidcon(BackgroundLoad::baseline(1)),
-        "WeChat" => apps::wechat(BackgroundLoad::baseline(1)),
-        "Spotify" => apps::spotify(BackgroundLoad::baseline(1)),
-        _ => apps::angrybirds(BackgroundLoad::baseline(1)),
+    let Some(mut app) = apps::by_name(&app_name, BackgroundLoad::baseline(1)) else {
+        let names = apps::REGISTRY.map(|(name, _)| name).join(", ");
+        eprintln!("traces: unknown app {app_name:?}; valid names: {names}");
+        std::process::exit(2);
     };
+    let dev_cfg = DeviceConfig::nexus6();
     let duration = 60_000;
     std::fs::create_dir_all("results").expect("create results dir");
 

@@ -10,7 +10,8 @@
 
 use asgov_soc::{FaultInjector, FaultKind, FaultPlan};
 use asgov_util::Rng;
-use asgov_workloads::{apps, BackgroundLoad, LoadLevel, PhasedApp};
+use asgov_workloads::apps::{AppCtor, PAPER_APPS};
+use asgov_workloads::{BackgroundLoad, LoadLevel, PhasedApp};
 
 /// A fleet run description. All fields are part of the deterministic
 /// identity of the run except `threads`, which must not change any
@@ -186,20 +187,10 @@ const SALT_IDENTITY: u64 = 0x1d;
 /// Salt for the per-epoch device stream (sim noise, churn, faults).
 const SALT_EPOCH: u64 = 0xe7;
 
-/// Constructor for a roster application under a given background load.
-type AppCtor = fn(BackgroundLoad) -> PhasedApp;
-
-/// The applications fleet devices run, with their constructors. Batch
-/// apps (VidCon, MobileBench) complete early within an epoch; the rest
-/// run the full epoch window.
-const ROSTER: [(&str, AppCtor); 6] = [
-    ("VidCon", apps::vidcon),
-    ("MobileBench", apps::mobilebench),
-    ("AngryBirds", apps::angrybirds),
-    ("WeChat", apps::wechat),
-    ("MXPlayer", apps::mxplayer),
-    ("Spotify", apps::spotify),
-];
+/// The applications fleet devices run: the six paper applications of
+/// the workloads registry. Batch apps (VidCon, MobileBench) complete
+/// early within an epoch; the rest run the full epoch window.
+const ROSTER: &[(&str, AppCtor); 6] = PAPER_APPS;
 
 /// Roster application names, in roster order. This order defines the
 /// per-app stream indices of the columnar savings aggregator.
@@ -211,8 +202,8 @@ pub fn roster_names() -> [&'static str; 6] {
 /// order. The policy store must resolve exactly this set.
 pub fn roster_signatures() -> Vec<(String, &'static str, LoadLevel)> {
     let mut out = Vec::new();
-    for (name, _) in ROSTER {
-        for load in [LoadLevel::Baseline, LoadLevel::None, LoadLevel::Heavy] {
+    for &(name, _) in ROSTER {
+        for load in LoadLevel::ALL {
             out.push((signature(name, load), name, load));
         }
     }
@@ -530,6 +521,10 @@ mod tests {
 
     #[test]
     fn signatures_enumerate_apps_times_loads() {
+        // The roster is the registry's head, in order: this pins the
+        // aggregator's per-app stream indices.
+        let registry = asgov_workloads::apps::REGISTRY.map(|(name, _)| name);
+        assert_eq!(roster_names(), registry[..6]);
         let sigs = roster_signatures();
         assert_eq!(sigs.len(), ROSTER.len() * 3);
         let unique: std::collections::BTreeSet<_> =

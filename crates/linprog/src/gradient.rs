@@ -9,7 +9,7 @@
 //! two-point time-mixing) and can stop in a local minimum of the
 //! energy/performance trade-off.
 
-use crate::two_point::Schedule;
+use crate::hull::Schedule;
 
 /// Greedy local search: starting from `start`, repeatedly move to the
 /// neighbouring index (±1 in the table order) that reduces power while
@@ -71,13 +71,7 @@ pub fn descend(
         cur = best;
     }
 
-    Some(Schedule {
-        lower: cur,
-        upper: cur,
-        tau_lower: period_s,
-        tau_upper: 0.0,
-        energy_j: period_s * powers[cur],
-    })
+    Some(Schedule::single(cur, powers[cur], period_s))
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Convex-hull energy optimizer: `O(log N)` per solve.
 //!
-//! The brute-force [`two_point::optimize`] pair search is `O(N²)` per
-//! control tick. But the minimum-energy two-configuration schedule for
-//! a target speedup `s` is exactly the **lower convex envelope** of the
-//! (speedup, power) point set evaluated at `s`: any chord through two
+//! The brute-force [`two_point::optimize`](crate::two_point::optimize)
+//! pair search is `O(N²)` per control tick. But the minimum-energy
+//! two-configuration schedule for a target speedup `s` is exactly the
+//! **lower convex envelope** of the (speedup, power) point set
+//! evaluated at `s`: any chord through two
 //! configurations bracketing `s` is a candidate schedule, and the
 //! cheapest chord at `s` is, by definition, the envelope. Configurations
 //! strictly above the envelope can never appear in an optimal schedule.
@@ -15,12 +16,164 @@
 //! configuration table this turns tens of thousands of pair evaluations
 //! into ~8 comparisons (see `BENCH_optimizer.json`).
 //!
-//! Out-of-range targets clamp through the *same* plateau logic as the
-//! brute-force solver (`two_point::clamp_extremes`), so the two paths
-//! are differentially tested to produce equal energy on every table
+//! This module also owns the runtime LP types and rules: the
+//! [`Schedule`] every solver returns and the plateau clamp for
+//! out-of-range targets. The brute-force oracle clamps through the same
+//! precomputed clamp, so the two paths are differentially tested to
+//! produce equal energy on every table
 //! (`hull_matches_two_point_exhaustively` in `tests/properties.rs`).
 
-use crate::two_point::{self, Schedule, PLATEAU_TOL};
+/// The optimizer's output: run configuration `lower` for `tau_lower`
+/// seconds, then configuration `upper` for `tau_upper` seconds.
+///
+/// `lower == upper` (with `tau_upper == 0`) when a single configuration
+/// meets the target exactly or the target is outside the achievable
+/// speedup range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Schedule {
+    /// Index of the configuration with speedup ≤ target.
+    pub lower: usize,
+    /// Index of the configuration with speedup ≥ target.
+    pub upper: usize,
+    /// Time to spend in `lower`, seconds.
+    pub tau_lower: f64,
+    /// Time to spend in `upper`, seconds.
+    pub tau_upper: f64,
+    /// Expected energy over the cycle, joules (`τ_l·P_l + τ_h·P_h`).
+    pub energy_j: f64,
+}
+
+impl Schedule {
+    /// Configuration `i`, drawing `power_w`, for the whole `period_s`.
+    pub fn single(i: usize, power_w: f64, period_s: f64) -> Self {
+        Self {
+            lower: i,
+            upper: i,
+            tau_lower: period_s,
+            tau_upper: 0.0,
+            energy_j: period_s * power_w,
+        }
+    }
+
+    /// Expected average speedup delivered by this schedule.
+    pub fn expected_speedup(&self, speedups: &[f64]) -> f64 {
+        let total = self.tau_lower + self.tau_upper;
+        if total <= 0.0 {
+            return 0.0;
+        }
+        // asgov-analyze: allow(hot-path-transitive): lower/upper were produced by the solver as indices into this same speedup table; a schedule is only meaningful against the table that built it
+        (self.tau_lower * speedups[self.lower] + self.tau_upper * speedups[self.upper]) / total
+    }
+}
+
+/// Relative speedup tolerance below which two configurations count as
+/// performance-equivalent at the extremes of the table.
+///
+/// Profiled speedups carry measurement noise. Without the tolerance, a
+/// saturated application (GIPS flat across most of the table) would be
+/// parked on whichever configuration happened to measure
+/// epsilon-fastest — often a needlessly expensive one.
+pub const PLATEAU_TOL: f64 = 0.005;
+
+/// The plateau clamp of one (speedup, power) table, precomputed once.
+///
+/// Targets at or below the low band clamp to the cheapest configuration
+/// whose speedup is within [`PLATEAU_TOL`] of the minimum; targets in
+/// the high band clamp to the cheapest within [`PLATEAU_TOL`] of the
+/// maximum. Both solvers clamp through this, so their clamping is
+/// bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Clamp {
+    /// Lowest/highest speedup in the table (band thresholds).
+    s_min: f64,
+    s_max: f64,
+    /// Cheapest members of the low/high plateaus, with their
+    /// speedup/power.
+    low_i: usize,
+    low_s: f64,
+    low_p: f64,
+    high_i: usize,
+    high_p: f64,
+}
+
+impl Clamp {
+    /// Precompute the clamp of a non-empty table of equal-length,
+    /// finite `speedups` and `powers`.
+    pub(crate) fn new(speedups: &[f64], powers: &[f64]) -> Self {
+        let (min_i, max_i) = extreme_speedup_indices(speedups, powers);
+        let low_i = cheapest_low_plateau(speedups, powers, min_i);
+        let high_i = cheapest_high_plateau(speedups, powers, max_i);
+        Self {
+            // asgov-analyze: allow(hot-path-transitive): min_i/max_i/low_i/high_i index these same validated equal-length slices
+            s_min: speedups[min_i],
+            s_max: speedups[max_i],
+            low_i,
+            low_s: speedups[low_i],
+            low_p: powers[low_i],
+            high_i,
+            high_p: powers[high_i],
+        }
+    }
+
+    /// The single-configuration schedule for an out-of-range target;
+    /// `None` for an interior target, which goes to the pair search.
+    /// The low band goes first, and a target above the cheapest low
+    /// plateau member falls through to the interior.
+    pub(crate) fn apply(&self, target_speedup: f64, period_s: f64) -> Option<Schedule> {
+        if target_speedup <= self.s_min * (1.0 + PLATEAU_TOL)
+            && target_speedup <= self.low_s.max(self.s_min)
+        {
+            return Some(Schedule::single(self.low_i, self.low_p, period_s));
+        }
+        if target_speedup >= self.s_max * (1.0 - PLATEAU_TOL) {
+            return Some(Schedule::single(self.high_i, self.high_p, period_s));
+        }
+        None
+    }
+}
+
+/// The cheapest configuration inside the low-speedup plateau (speedups
+/// within `PLATEAU_TOL` of the minimum).
+fn cheapest_low_plateau(speedups: &[f64], powers: &[f64], min_i: usize) -> usize {
+    // asgov-analyze: allow(hot-path-transitive): min_i comes from extreme_speedup_indices over this table; filter indices range over 0..len of the same validated equal-length slices
+    let cutoff = speedups[min_i] * (1.0 + PLATEAU_TOL);
+    (0..speedups.len())
+        .filter(|&i| speedups[i] <= cutoff)
+        .min_by(|&a, &b| powers[a].total_cmp(&powers[b]))
+        .unwrap_or(min_i)
+}
+
+/// The cheapest configuration inside the high-speedup plateau (speedups
+/// within `PLATEAU_TOL` of the maximum).
+fn cheapest_high_plateau(speedups: &[f64], powers: &[f64], max_i: usize) -> usize {
+    // asgov-analyze: allow(hot-path-transitive): max_i comes from extreme_speedup_indices over this table; filter indices range over 0..len of the same validated equal-length slices
+    let cutoff = speedups[max_i] * (1.0 - PLATEAU_TOL);
+    (0..speedups.len())
+        .filter(|&i| speedups[i] >= cutoff)
+        .min_by(|&a, &b| powers[a].total_cmp(&powers[b]))
+        .unwrap_or(max_i)
+}
+
+/// Indices of the lowest- and highest-speedup configurations, breaking
+/// ties by lower power.
+fn extreme_speedup_indices(speedups: &[f64], powers: &[f64]) -> (usize, usize) {
+    let mut min_i = 0;
+    let mut max_i = 0;
+    for i in 1..speedups.len() {
+        // asgov-analyze: allow(hot-path-transitive): i ranges over 1..len, min_i/max_i over previously visited indices; powers.len() == speedups.len() is checked by every entry point
+        if speedups[i] < speedups[min_i]
+            || (speedups[i] == speedups[min_i] && powers[i] < powers[min_i])
+        {
+            min_i = i;
+        }
+        if speedups[i] > speedups[max_i]
+            || (speedups[i] == speedups[max_i] && powers[i] < powers[max_i])
+        {
+            max_i = i;
+        }
+    }
+    (min_i, max_i)
+}
 
 /// Precomputed lower convex envelope of a (speedup, power) table.
 ///
@@ -31,17 +184,15 @@ use crate::two_point::{self, Schedule, PLATEAU_TOL};
 ///
 /// ```
 /// use asgov_linprog::hull::HullSolver;
-/// use asgov_linprog::two_point;
 ///
 /// let speedups = [1.0, 1.8, 2.0, 2.5];
 /// let powers = [1.6, 2.2, 3.5, 3.1]; // config 2 is dominated
 /// let hull = HullSolver::new(&speedups, &powers).unwrap();
-/// let fast = hull.solve(2.0, 2.0).unwrap();
-/// let brute = two_point::optimize(&speedups, &powers, 2.0, 2.0).unwrap();
-/// assert!((fast.energy_j - brute.energy_j).abs() < 1e-12);
-/// // The dominated config is never scheduled.
-/// assert_ne!(fast.lower, 2);
-/// assert_ne!(fast.upper, 2);
+/// let sched = hull.solve(2.0, 2.0).unwrap();
+/// // The dominated config is never scheduled: its neighbours on the
+/// // envelope share the period instead.
+/// assert_eq!((sched.lower, sched.upper), (1, 3));
+/// assert!((sched.expected_speedup(&speedups) - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct HullSolver {
@@ -51,23 +202,15 @@ pub struct HullSolver {
     ys: Vec<f64>,
     /// Original configuration index of each hull vertex.
     idx: Vec<usize>,
-    /// Lowest/highest speedup in the *full* table (clamp thresholds).
-    s_min: f64,
-    s_max: f64,
-    /// Clamp targets: cheapest members of the low/high plateaus, with
-    /// their speedup/power (identical selection to the brute force).
-    low_i: usize,
-    low_s: f64,
-    low_p: f64,
-    high_i: usize,
-    high_p: f64,
+    /// The plateau clamp of the *full* table.
+    clamp: Clamp,
 }
 
 impl HullSolver {
     /// Build the lower convex envelope of `(speedups[i], powers[i])`.
     /// `O(N log N)`. Returns `None` when the inputs are empty,
     /// mismatched, or contain non-finite values — the same rejections
-    /// as [`two_point::optimize`].
+    /// as [`two_point::optimize`](crate::two_point::optimize).
     pub fn new(speedups: &[f64], powers: &[f64]) -> Option<Self> {
         let n = speedups.len();
         if n == 0
@@ -76,11 +219,6 @@ impl HullSolver {
         {
             return None;
         }
-
-        // Clamp precomputation, shared with the brute-force path.
-        let (min_i, max_i) = two_point::extreme_speedup_indices(speedups, powers);
-        let low_i = two_point::cheapest_low_plateau(speedups, powers, min_i);
-        let high_i = two_point::cheapest_high_plateau(speedups, powers, max_i);
 
         // Sort configuration indices by (speedup, power, index); for
         // duplicate speedups only the cheapest can be on the envelope.
@@ -120,13 +258,7 @@ impl HullSolver {
             xs: stack.iter().map(|&i| speedups[i]).collect(),
             ys: stack.iter().map(|&i| powers[i]).collect(),
             idx: stack,
-            s_min: speedups[min_i],
-            s_max: speedups[max_i],
-            low_i,
-            low_s: speedups[low_i],
-            low_p: powers[low_i],
-            high_i,
-            high_p: powers[high_i],
+            clamp: Clamp::new(speedups, powers),
         })
     }
 
@@ -138,7 +270,7 @@ impl HullSolver {
 
     /// Minimum-energy schedule delivering `target_speedup` over
     /// `period_s` seconds: `O(log H)`. Energy-equal to
-    /// [`two_point::optimize`] on every
+    /// [`two_point::optimize`](crate::two_point::optimize) on every
     /// input (differentially tested); `None` only for non-finite or
     /// non-positive `target_speedup`/`period_s`.
     pub fn solve(&self, target_speedup: f64, period_s: f64) -> Option<Schedule> {
@@ -146,15 +278,8 @@ impl HullSolver {
             return None;
         }
 
-        // Plateau clamping, in the same order as the brute force: low
-        // band first (with the interior fall-through), then high band.
-        if target_speedup <= self.s_min * (1.0 + PLATEAU_TOL)
-            && target_speedup <= self.low_s.max(self.s_min)
-        {
-            return Some(single(self.low_i, self.low_p, period_s));
-        }
-        if target_speedup >= self.s_max * (1.0 - PLATEAU_TOL) {
-            return Some(single(self.high_i, self.high_p, period_s));
+        if let Some(sched) = self.clamp.apply(target_speedup, period_s) {
+            return Some(sched);
         }
 
         // Interior target: the envelope segment bracketing it is the
@@ -173,7 +298,7 @@ impl HullSolver {
         }
         if self.xs.len() == 1 {
             // Lone vertex reachable only by exact match.
-            return Some(single(self.idx[0], self.ys[0], period_s));
+            return Some(Schedule::single(self.idx[0], self.ys[0], period_s));
         }
         let (l, h) = if up == self.xs.len() {
             (up - 2, up - 1) // target == s_max: last segment, τ_l = 0
@@ -193,20 +318,9 @@ impl HullSolver {
     }
 }
 
-fn single(i: usize, power_w: f64, period_s: f64) -> Schedule {
-    Schedule {
-        lower: i,
-        upper: i,
-        tau_lower: period_s,
-        tau_upper: 0.0,
-        energy_j: period_s * power_w,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::two_point::optimize;
 
     const T: f64 = 2.0;
 
@@ -224,63 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn collinear_points_cost_the_same() {
-        let s = [1.0, 2.0, 3.0];
-        let p = [1.0, 2.0, 3.0];
-        let hull = HullSolver::new(&s, &p).unwrap();
-        let sched = hull.solve(1.5, T).unwrap();
-        let brute = optimize(&s, &p, 1.5, T).unwrap();
-        assert!((sched.energy_j - brute.energy_j).abs() < 1e-12);
-    }
-
-    #[test]
     fn duplicate_speedups_keep_the_cheapest() {
         let s = [1.0, 1.0, 3.0];
         let p = [2.0, 1.0, 3.0];
         let hull = HullSolver::new(&s, &p).unwrap();
         // Vertex at speedup 1.0 must be config 1 (power 1.0).
         assert_eq!(hull.vertices()[0], 1);
-    }
-
-    #[test]
-    fn matches_brute_force_on_fixed_tables() {
-        let s = [1.0, 1.3, 1.9, 2.4, 3.1, 3.8];
-        let p = [1.5, 1.7, 2.4, 2.9, 3.8, 5.0];
-        let hull = HullSolver::new(&s, &p).unwrap();
-        for k in 0..=40 {
-            let target = 0.8 + k as f64 * 0.1; // sweeps below, through, above
-            let a = hull.solve(target, T).unwrap();
-            let b = optimize(&s, &p, target, T).unwrap();
-            assert!(
-                (a.energy_j - b.energy_j).abs() < 1e-9,
-                "target {target}: hull {} vs brute {}",
-                a.energy_j,
-                b.energy_j
-            );
-            assert!(
-                (a.expected_speedup(&s) - b.expected_speedup(&s)).abs() < 1e-9,
-                "target {target}: speedups diverge"
-            );
-        }
-    }
-
-    #[test]
-    fn clamps_identically_to_brute_force() {
-        // A plateaued table: the last three configs are within 0.5 % in
-        // speedup but differ in power — the clamp must pick the cheapest.
-        let s = [1.0, 2.0, 3.000, 3.004, 3.008];
-        let p = [1.0, 2.0, 4.0, 3.6, 3.8];
-        let hull = HullSolver::new(&s, &p).unwrap();
-        for target in [0.2, 0.999, 1.0, 3.0, 3.01, 99.0] {
-            let a = hull.solve(target, T).unwrap();
-            let b = optimize(&s, &p, target, T).unwrap();
-            assert_eq!(
-                (a.lower, a.upper),
-                (b.lower, b.upper),
-                "clamp indices diverge at target {target}"
-            );
-            assert!((a.energy_j - b.energy_j).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -12,27 +12,31 @@
 //! whose optimum provably uses **at most two** system configurations
 //! `c_l, c_h` bracketing the required speedup. This crate provides:
 //!
-//! - [`hull`] — the production solver: precompute the lower convex
+//! - [`hull`] — the runtime solver: precompute the lower convex
 //!   envelope of the (speedup, power) points once (`O(N log N)`), then
 //!   answer every per-tick solve with a binary search + one
-//!   interpolation (`O(log N)`),
-//! - [`two_point`] — the specialized `O(N²)` pair-search solver the
-//!   paper's controller runs online (kept as the brute-force oracle the
-//!   hull solver is differentially tested against),
-//! - [`simplex`] — a general dense two-phase simplex solver (the
-//!   substrate; also used to *verify* the specialized solvers in tests),
+//!   interpolation (`O(log N)`). It also owns the [`Schedule`] type
+//!   and the plateau clamp for out-of-range targets,
+//! - [`two_point`] — the paper's `O(N²)` pair search, kept as the
+//!   brute-force oracle the hull solver is differentially tested
+//!   against and as the optimizer benchmark's baseline,
 //! - [`gradient`] — a CoScale-style greedy local search (paper §VI's
 //!   point of comparison), provided to quantify why the paper prefers
 //!   the exact LP.
 //!
+//! A general dense simplex solver lives in the crate's test support
+//! (`tests/support/simplex.rs`); the property tests check the
+//! two-configuration solvers against it.
+//!
 //! # Example
 //!
 //! ```
-//! use asgov_linprog::two_point::{optimize, Schedule};
+//! use asgov_linprog::HullSolver;
 //!
 //! let speedups = [1.0, 1.8, 2.5];
 //! let powers = [1.6, 2.2, 3.1];
-//! let sched = optimize(&speedups, &powers, 2.0, 2.0).unwrap();
+//! let hull = HullSolver::new(&speedups, &powers).unwrap();
+//! let sched = hull.solve(2.0, 2.0).unwrap();
 //! // Bracket the target speedup 2.0 between configs 1 (s=1.8) and 2 (s=2.5).
 //! assert_eq!((sched.lower, sched.upper), (1, 2));
 //! let achieved = (sched.tau_lower * 1.8 + sched.tau_upper * 2.5) / 2.0;
@@ -44,10 +48,6 @@
 
 pub mod gradient;
 pub mod hull;
-pub mod simplex;
 pub mod two_point;
 
-pub use gradient::descend;
-pub use hull::HullSolver;
-pub use simplex::{solve, LpError, LpSolution};
-pub use two_point::{optimize, Schedule};
+pub use hull::{HullSolver, Schedule};

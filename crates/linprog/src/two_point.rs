@@ -1,43 +1,16 @@
-//! The specialized two-configuration energy optimizer (paper Fig. 3).
+//! The brute-force two-configuration energy optimizer (paper Fig. 3).
 //!
 //! The LP of Eqns. 4–7 has two equality constraints, so its basic optimal
 //! solutions have at most two nonzero `τ` values: the optimizer picks at
 //! most two configurations `c_l, c_h` with `𝕊(l) ≤ s_n < 𝕊(h)` and time
-//! shares `τ_l + τ_h = T`. This module implements the `O(N²)` pair
-//! search the paper's controller runs online (N ≤ a few hundred, so this
-//! is microseconds — see `asgov-bench`).
+//! shares `τ_l + τ_h = T`. This module implements that `O(N²)` pair
+//! search as written in the paper. It is the oracle the runtime
+//! [`HullSolver`](crate::HullSolver) is differentially tested against,
+//! and the baseline of the `asgov-bench` optimizer rows; no controller
+//! runs it. It clamps through the hull's plateau clamp, so the two
+//! agree bit for bit on every clamped target.
 
-/// The optimizer's output: run configuration `lower` for `tau_lower`
-/// seconds, then configuration `upper` for `tau_upper` seconds.
-///
-/// `lower == upper` (with `tau_upper == 0`) when a single configuration
-/// meets the target exactly or the target is outside the achievable
-/// speedup range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Schedule {
-    /// Index of the configuration with speedup ≤ target.
-    pub lower: usize,
-    /// Index of the configuration with speedup ≥ target.
-    pub upper: usize,
-    /// Time to spend in `lower`, seconds.
-    pub tau_lower: f64,
-    /// Time to spend in `upper`, seconds.
-    pub tau_upper: f64,
-    /// Expected energy over the cycle, joules (`τ_l·P_l + τ_h·P_h`).
-    pub energy_j: f64,
-}
-
-impl Schedule {
-    /// Expected average speedup delivered by this schedule.
-    pub fn expected_speedup(&self, speedups: &[f64]) -> f64 {
-        let total = self.tau_lower + self.tau_upper;
-        if total <= 0.0 {
-            return 0.0;
-        }
-        // asgov-analyze: allow(hot-path-transitive): lower/upper were produced by the solver as indices into this same speedup table; a schedule is only meaningful against the table that built it
-        (self.tau_lower * speedups[self.lower] + self.tau_upper * speedups[self.upper]) / total
-    }
-}
+use crate::hull::{Clamp, Schedule};
 
 /// Find the minimum-energy schedule delivering average speedup
 /// `target_speedup` over a control cycle of `period_s` seconds.
@@ -51,14 +24,10 @@ impl Schedule {
 /// minimum-power configuration among those with the lowest speedup;
 /// targets above the highest clamp to the maximum-speedup configuration
 /// (minimum power among near-ties) — matching the regulator's clamping.
-///
-/// Profiled speedups carry measurement noise, so configurations whose
-/// speedups differ by less than `PLATEAU_TOL` (0.5 % relative) are
-/// treated as performance-equivalent when clamping at the extremes:
-/// among them, the cheapest one wins. Without this, a saturated
-/// application (GIPS flat across most of the table) would be parked on
-/// whichever config happened to measure epsilon-fastest — often a
-/// needlessly expensive one.
+/// Configurations whose speedups differ by less than
+/// [`PLATEAU_TOL`](crate::hull::PLATEAU_TOL) (0.5 % relative) count as
+/// performance-equivalent when clamping: among them, the cheapest one
+/// wins.
 pub fn optimize(
     speedups: &[f64],
     powers: &[f64],
@@ -76,10 +45,7 @@ pub fn optimize(
         return None;
     }
 
-    // Clamp out-of-range targets to a single configuration, treating
-    // near-equal speedups as a plateau and picking the cheapest member.
-    // (Shared with `hull::HullSolver` so both solvers clamp identically.)
-    if let Some(sched) = clamp_extremes(speedups, powers, target_speedup, period_s) {
+    if let Some(sched) = Clamp::new(speedups, powers).apply(target_speedup, period_s) {
         return Some(sched);
     }
 
@@ -114,10 +80,9 @@ pub fn optimize(
         }
     }
     // An exact-match configuration may beat every strict pair.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        if (speedups[i] - target_speedup).abs() < 1e-12 {
-            let cand = single(i, powers, period_s);
+    for (i, (&s, &p)) in speedups.iter().zip(powers).enumerate() {
+        if (s - target_speedup).abs() < 1e-12 {
+            let cand = Schedule::single(i, p, period_s);
             if best.as_ref().is_none_or(|b| cand.energy_j <= b.energy_j) {
                 best = Some(cand);
             }
@@ -126,94 +91,10 @@ pub fn optimize(
     best
 }
 
-/// Relative speedup tolerance below which two configurations count as
-/// performance-equivalent at the extremes of the table.
-pub const PLATEAU_TOL: f64 = 0.005;
-
-pub(crate) fn single(i: usize, powers: &[f64], period_s: f64) -> Schedule {
-    Schedule {
-        lower: i,
-        upper: i,
-        tau_lower: period_s,
-        tau_upper: 0.0,
-        // asgov-analyze: allow(hot-path-transitive): every caller passes an index it derived from 0..powers.len()
-        energy_j: period_s * powers[i],
-    }
-}
-
-/// The cheapest configuration inside the low-speedup plateau (speedups
-/// within `PLATEAU_TOL` of the minimum).
-pub(crate) fn cheapest_low_plateau(speedups: &[f64], powers: &[f64], min_i: usize) -> usize {
-    // asgov-analyze: allow(hot-path-transitive): min_i comes from extreme_speedup_indices over this table; filter indices range over 0..len of the same validated equal-length slices
-    let cutoff = speedups[min_i] * (1.0 + PLATEAU_TOL);
-    (0..speedups.len())
-        .filter(|&i| speedups[i] <= cutoff)
-        .min_by(|&a, &b| powers[a].total_cmp(&powers[b]))
-        .unwrap_or(min_i)
-}
-
-/// The cheapest configuration inside the high-speedup plateau (speedups
-/// within `PLATEAU_TOL` of the maximum).
-pub(crate) fn cheapest_high_plateau(speedups: &[f64], powers: &[f64], max_i: usize) -> usize {
-    // asgov-analyze: allow(hot-path-transitive): max_i comes from extreme_speedup_indices over this table; filter indices range over 0..len of the same validated equal-length slices
-    let cutoff = speedups[max_i] * (1.0 - PLATEAU_TOL);
-    (0..speedups.len())
-        .filter(|&i| speedups[i] >= cutoff)
-        .min_by(|&a, &b| powers[a].total_cmp(&powers[b]))
-        .unwrap_or(max_i)
-}
-
-/// Out-of-range targets clamp to a single plateau configuration; an
-/// interior target returns `None` and must go to a pair search. Both
-/// the brute-force and the hull solver route through this so their
-/// clamping is bit-identical.
-pub(crate) fn clamp_extremes(
-    speedups: &[f64],
-    powers: &[f64],
-    target_speedup: f64,
-    period_s: f64,
-) -> Option<Schedule> {
-    let (min_i, max_i) = extreme_speedup_indices(speedups, powers);
-    // asgov-analyze: allow(hot-path-transitive): min_i/max_i are 0 or loop indices over 0..len; both public entry points (optimize, HullSolver::new) reject empty or mismatched tables before calling
-    if target_speedup <= speedups[min_i] * (1.0 + PLATEAU_TOL) {
-        let cheapest = cheapest_low_plateau(speedups, powers, min_i);
-        // Only clamp if the target really is at/below the bottom band —
-        // a target in the interior must go to the pair search.
-        if target_speedup <= speedups[cheapest].max(speedups[min_i]) {
-            return Some(single(cheapest, powers, period_s));
-        }
-    }
-    if target_speedup >= speedups[max_i] * (1.0 - PLATEAU_TOL) {
-        let cheapest = cheapest_high_plateau(speedups, powers, max_i);
-        return Some(single(cheapest, powers, period_s));
-    }
-    None
-}
-
-/// Indices of the lowest- and highest-speedup configurations, breaking
-/// ties by lower power.
-pub(crate) fn extreme_speedup_indices(speedups: &[f64], powers: &[f64]) -> (usize, usize) {
-    let mut min_i = 0;
-    let mut max_i = 0;
-    for i in 1..speedups.len() {
-        // asgov-analyze: allow(hot-path-transitive): i ranges over 1..len, min_i/max_i over previously visited indices; powers.len() == speedups.len() is checked by every entry point
-        if speedups[i] < speedups[min_i]
-            || (speedups[i] == speedups[min_i] && powers[i] < powers[min_i])
-        {
-            min_i = i;
-        }
-        if speedups[i] > speedups[max_i]
-            || (speedups[i] == speedups[max_i] && powers[i] < powers[max_i])
-        {
-            max_i = i;
-        }
-    }
-    (min_i, max_i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HullSolver;
 
     const T: f64 = 2.0;
 
@@ -279,21 +160,53 @@ mod tests {
     }
 
     #[test]
-    fn matches_simplex_on_a_real_shape() {
-        // Cross-check against the general solver.
+    fn collinear_points_cost_the_same() {
+        let s = [1.0, 2.0, 3.0];
+        let p = [1.0, 2.0, 3.0];
+        let hull = HullSolver::new(&s, &p).unwrap();
+        let sched = hull.solve(1.5, T).unwrap();
+        let brute = optimize(&s, &p, 1.5, T).unwrap();
+        assert!((sched.energy_j - brute.energy_j).abs() < 1e-12);
+    }
+
+    #[test]
+    fn matches_brute_force_on_fixed_tables() {
         let s = [1.0, 1.3, 1.9, 2.4, 3.1, 3.8];
         let p = [1.5, 1.7, 2.4, 2.9, 3.8, 5.0];
-        let target = 2.0;
-        let sched = optimize(&s, &p, target, T).unwrap();
+        let hull = HullSolver::new(&s, &p).unwrap();
+        for k in 0..=40 {
+            let target = 0.8 + k as f64 * 0.1; // sweeps below, through, above
+            let a = hull.solve(target, T).unwrap();
+            let b = optimize(&s, &p, target, T).unwrap();
+            assert!(
+                (a.energy_j - b.energy_j).abs() < 1e-9,
+                "target {target}: hull {} vs brute {}",
+                a.energy_j,
+                b.energy_j
+            );
+            assert!(
+                (a.expected_speedup(&s) - b.expected_speedup(&s)).abs() < 1e-9,
+                "target {target}: speedups diverge"
+            );
+        }
+    }
 
-        let a = vec![s.to_vec(), vec![1.0; s.len()]];
-        let b = vec![target * T, T];
-        let lp = crate::simplex::solve(&a, &b, &p).unwrap();
-        assert!(
-            (sched.energy_j - lp.objective).abs() < 1e-6,
-            "two-point {} vs simplex {}",
-            sched.energy_j,
-            lp.objective
-        );
+    #[test]
+    fn clamps_identically_to_brute_force() {
+        // A plateaued table: the last three configs are within 0.5 % in
+        // speedup but differ in power — the clamp must pick the cheapest.
+        let s = [1.0, 2.0, 3.000, 3.004, 3.008];
+        let p = [1.0, 2.0, 4.0, 3.6, 3.8];
+        let hull = HullSolver::new(&s, &p).unwrap();
+        for target in [0.2, 0.999, 1.0, 3.0, 3.01, 99.0] {
+            let a = hull.solve(target, T).unwrap();
+            let b = optimize(&s, &p, target, T).unwrap();
+            assert_eq!(
+                (a.lower, a.upper),
+                (b.lower, b.upper),
+                "clamp indices diverge at target {target}"
+            );
+            assert!((a.energy_j - b.energy_j).abs() < 1e-12);
+        }
     }
 }

@@ -7,7 +7,11 @@
 //! Randomized inputs come from a seeded [`asgov_util::Rng`] so every
 //! run exercises the same cases (the hermetic stand-in for proptest).
 
-use asgov_linprog::{simplex, two_point, HullSolver};
+#[path = "support/simplex.rs"]
+mod simplex;
+
+use asgov_linprog::hull::PLATEAU_TOL;
+use asgov_linprog::{two_point, HullSolver};
 use asgov_util::Rng;
 
 /// A random profile table of 2–40 configurations with positive
@@ -54,9 +58,9 @@ fn schedule_meets_target() {
         let lo = speedups.iter().copied().fold(f64::INFINITY, f64::min);
         // Interior targets are met exactly; extreme targets clamp within
         // the plateau tolerance.
-        let tol = (hi - lo).max(1.0) * two_point::PLATEAU_TOL + 1e-9;
+        let tol = (hi - lo).max(1.0) * PLATEAU_TOL + 1e-9;
         assert!(
-            (achieved - target).abs() <= tol.max(hi * two_point::PLATEAU_TOL),
+            (achieved - target).abs() <= tol.max(hi * PLATEAU_TOL),
             "case {case}: target {target}, achieved {achieved}"
         );
     }
@@ -71,7 +75,7 @@ fn schedule_brackets_target() {
         let (speedups, powers, target) = instance(&mut rng);
         let sched = two_point::optimize(&speedups, &powers, target, 2.0).unwrap();
         let hi = speedups.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let slack = hi * two_point::PLATEAU_TOL + 1e-9;
+        let slack = hi * PLATEAU_TOL + 1e-9;
         assert!(speedups[sched.lower] <= target + slack, "case {case}");
         assert!(speedups[sched.upper] >= target - slack, "case {case}");
     }
@@ -79,12 +83,18 @@ fn schedule_brackets_target() {
 
 /// The specialized solver is optimal: it never does worse than the
 /// general simplex solver on the same LP (and never better, either,
-/// apart from plateau-tolerance clamping).
+/// apart from plateau-tolerance clamping). Case 0 is a fixed
+/// profile-like shape, the rest are random.
 #[test]
 fn two_point_matches_simplex() {
     let mut rng = Rng::seed_from_u64(0x19_0004);
-    for case in 0..128 {
-        let (speedups, powers, target) = instance(&mut rng);
+    let fixed = (
+        vec![1.0, 1.3, 1.9, 2.4, 3.1, 3.8],
+        vec![1.5, 1.7, 2.4, 2.9, 3.8, 5.0],
+        2.0,
+    );
+    let cases = std::iter::once(fixed).chain((0..128).map(|_| instance(&mut rng)));
+    for (case, (speedups, powers, target)) in cases.enumerate() {
         let period = 2.0;
         let sched = two_point::optimize(&speedups, &powers, target, period).unwrap();
 
@@ -231,9 +241,24 @@ fn targets_for(rng: &mut Rng, speedups: &[f64]) -> Vec<f64> {
     targets
 }
 
+/// The plateau clamp's thresholds: `s_min·(1+PLATEAU_TOL)`, the speedup
+/// of the cheapest low-plateau configuration, and `s_max·(1−PLATEAU_TOL)`.
+fn clamp_thresholds(speedups: &[f64], powers: &[f64]) -> [f64; 3] {
+    let lo = speedups.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = speedups.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let cutoff = lo * (1.0 + PLATEAU_TOL);
+    let low_s = (0..speedups.len())
+        .filter(|&i| speedups[i] <= cutoff)
+        .min_by(|&a, &b| powers[a].total_cmp(&powers[b]))
+        .map_or(lo, |i| speedups[i]);
+    [cutoff, low_s, hi * (1.0 - PLATEAU_TOL)]
+}
+
 /// The hull solver and the brute-force pair search are the same
 /// function: same solvability, same energy (±1e-9 J), same delivered
-/// speedup, on >1000 random tables across all four shapes.
+/// speedup, on >1000 random tables across all four shapes. At the
+/// plateau clamp's thresholds, where both solvers share one clamp, the
+/// chosen configurations and the energy bits are equal too.
 #[test]
 fn hull_matches_two_point_exhaustively() {
     const TABLES_PER_SHAPE: usize = 300; // 4 shapes × 300 = 1200 tables
@@ -250,11 +275,23 @@ fn hull_matches_two_point_exhaustively() {
             let (speedups, powers) = random_table(&mut rng, shape);
             let hull =
                 HullSolver::new(&speedups, &powers).expect("finite tables always build a hull");
-            for target in targets_for(&mut rng, &speedups) {
+            let random = targets_for(&mut rng, &speedups).into_iter();
+            let thresholds = clamp_thresholds(&speedups, &powers).into_iter();
+            for (target, exact) in random
+                .map(|t| (t, false))
+                .chain(thresholds.map(|t| (t, true)))
+            {
                 let fast = hull.solve(target, period);
                 let oracle = two_point::optimize(&speedups, &powers, target, period);
                 match (fast, oracle) {
                     (Some(a), Some(b)) => {
+                        if exact {
+                            assert_eq!(
+                                (a.lower, a.upper, a.energy_j.to_bits()),
+                                (b.lower, b.upper, b.energy_j.to_bits()),
+                                "{shape:?} case {case} threshold {target}"
+                            );
+                        }
                         assert!(
                             (a.energy_j - b.energy_j).abs() < 1e-9,
                             "{shape:?} case {case} target {target}: \

@@ -30,15 +30,6 @@ impl Config {
             gpu: None,
         }
     }
-
-    /// A three-axis configuration including the GPU.
-    pub fn with_gpu(freq: FreqIndex, bw: BwIndex, gpu: GpuFreqIndex) -> Self {
-        Self {
-            freq,
-            bw,
-            gpu: Some(gpu),
-        }
-    }
 }
 
 impl fmt::Display for Config {

@@ -9,6 +9,37 @@
 use crate::app::{AppKind, AppSpec, EventSpec, PhaseSpec, PhasedApp, TouchSpec};
 use crate::background::BackgroundLoad;
 
+/// Constructor of a named application model under a background load.
+pub type AppCtor = fn(BackgroundLoad) -> PhasedApp;
+
+/// Every application model that has a name to look it up by: the six
+/// paper applications in Table III order ([`PAPER_APPS`]), then eBook.
+pub const REGISTRY: [(&str, AppCtor); 7] = [
+    ("VidCon", vidcon),
+    ("MobileBench", mobilebench),
+    ("AngryBirds", angrybirds),
+    ("WeChat", wechat),
+    ("MXPlayer", mxplayer),
+    ("Spotify", spotify),
+    ("eBook", ebook),
+];
+
+/// The six paper applications, in Table III order: the head of
+/// [`REGISTRY`].
+pub const PAPER_APPS: &[(&str, AppCtor); 6] = match REGISTRY.first_chunk() {
+    Some(head) => head,
+    None => panic!("the registry starts with the six paper applications"),
+};
+
+/// The [`REGISTRY`] application called `name`, under `load`; `None`
+/// for any other name.
+pub fn by_name(name: &str, load: BackgroundLoad) -> Option<PhasedApp> {
+    REGISTRY
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, ctor)| ctor(load))
+}
+
 /// **VidCon** — FFmpeg-based video converter. Fixed-size HD mp4
 /// conversion: a pure batch job with a uniform power/performance
 /// profile that scales all the way up the frequency ladder. The paper
@@ -608,5 +639,23 @@ mod tests {
                 "Spotify"
             ]
         );
+        // They follow the registry, whose head they are.
+        let registry = REGISTRY.map(|(name, _)| name);
+        assert_eq!(names, registry[..PAPER_APPS.len()]);
+        assert_eq!(PAPER_APPS.map(|(name, _)| name), names[..]);
+    }
+
+    #[test]
+    fn registry_names_build_their_apps() {
+        for (name, _) in REGISTRY {
+            let app = by_name(name, BackgroundLoad::baseline(1)).expect("registry name");
+            assert_eq!(asgov_soc::Workload::name(&app), name);
+        }
+        for unknown in ["", "angrybirds", "AngryBirds ", "Idler", "BL"] {
+            assert!(
+                by_name(unknown, BackgroundLoad::baseline(1)).is_none(),
+                "{unknown:?} is not a registry name"
+            );
+        }
     }
 }

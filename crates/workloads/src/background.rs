@@ -10,6 +10,7 @@
 
 use asgov_soc::BackgroundDemand;
 use asgov_util::Rng;
+use std::fmt;
 
 /// The three load scenarios of Table IV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,6 +24,9 @@ pub enum LoadLevel {
 }
 
 impl LoadLevel {
+    /// The three levels, in Table IV order.
+    pub const ALL: [LoadLevel; 3] = [LoadLevel::Baseline, LoadLevel::None, LoadLevel::Heavy];
+
     /// Short label used in reports ("BL" / "NL" / "HL").
     pub fn label(self) -> &'static str {
         match self {
@@ -30,6 +34,18 @@ impl LoadLevel {
             LoadLevel::None => "NL",
             LoadLevel::Heavy => "HL",
         }
+    }
+
+    /// The level whose [`label`](Self::label) is `label`; `None` for
+    /// any other string.
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|level| level.label() == label)
+    }
+}
+
+impl fmt::Display for LoadLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -305,5 +321,11 @@ mod tests {
         assert_eq!(LoadLevel::Baseline.label(), "BL");
         assert_eq!(LoadLevel::None.label(), "NL");
         assert_eq!(LoadLevel::Heavy.label(), "HL");
+        for level in LoadLevel::ALL {
+            assert_eq!(LoadLevel::from_label(level.label()), Some(level));
+        }
+        for other in ["", "bl", "XL", "BL "] {
+            assert_eq!(LoadLevel::from_label(other), None, "{other:?}");
+        }
     }
 }

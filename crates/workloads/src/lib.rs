@@ -13,6 +13,9 @@
 //! | [`apps::spotify`] | Spotify | tiny audio decode, song-change bursts every 20 s |
 //! | [`apps::ebook`] | e-book reader (paper Fig. 1) | near-idle reading, rare page-turn bursts |
 //!
+//! [`apps::REGISTRY`] maps each model's name to its constructor
+//! ([`apps::by_name`] looks one up).
+//!
 //! Applications are built from [`AppSpec`]s — cyclic phase machines with
 //! frame-granular work arrival, Poisson touch events and periodic
 //! power/work events — executed by [`PhasedApp`], which implements
@@ -38,12 +41,8 @@ pub use trace_workload::{TraceParseError, TraceSample, TraceWorkload};
 /// All six paper applications (Table III order), under a given
 /// background load.
 pub fn paper_apps(load: BackgroundLoad) -> Vec<PhasedApp> {
-    vec![
-        apps::vidcon(load.clone()),
-        apps::mobilebench(load.clone()),
-        apps::angrybirds(load.clone()),
-        apps::wechat(load.clone()),
-        apps::mxplayer(load.clone()),
-        apps::spotify(load),
-    ]
+    apps::PAPER_APPS
+        .iter()
+        .map(|(_, ctor)| ctor(load.clone()))
+        .collect()
 }

@@ -15,7 +15,7 @@
 //! |--------|-------|----------|
 //! | [`core`] | `asgov-core` | the controller: regulator, Kalman estimator, LP optimizer, scheduler |
 //! | [`control`] | `asgov-control` | adaptive integrator, Kalman filter, phase detector |
-//! | [`linprog`] | `asgov-linprog` | convex-hull solver (runtime path), simplex, O(N²) two-configuration oracle |
+//! | [`linprog`] | `asgov-linprog` | convex-hull solver (runtime path), O(N²) two-configuration oracle |
 //! | [`soc`] | `asgov-soc` | simulated device: DVFS, power model, PMU, perf, Monsoon, sysfs |
 //! | [`governors`] | `asgov-governors` | interactive, ondemand, conservative, userspace, performance, powersave, cpubw_hwmon |
 //! | [`workloads`] | `asgov-workloads` | the six paper applications + eBook, BL/NL/HL background loads |
