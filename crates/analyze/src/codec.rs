@@ -18,9 +18,11 @@
 //!
 //! **Extraction** walks the function body with control flow:
 //!
-//! - primitive calls map to symmetric ops (`put_u64`/`take_u64` → `u64`,
-//!   `put_f64_slice`/`take_f64_vec` → `f64_slice`, `put_opt_*`/`take_opt_*`
-//!   → `opt_*`);
+//! - primitive calls map to symmetric ops (`put_uvar`/`take_uvar` →
+//!   `uvar`, `put_u64`/`take_u64` → `u64`, `put_f64_slice`/`take_f64_vec`
+//!   → `f64_slice`, `put_opt_*`/`take_opt_*` → `opt_*`), so a varint
+//!   writer against a fixed-width reader is drift like any other width
+//!   change;
 //! - calls to other codec-prefixed functions become `helper:<key>` ops
 //!   (`put_config(…)` ↔ `take_config(…)` → `helper:config`; nested
 //!   frames `snapshot_bytes` ↔ `restore_bytes` → `helper:bytes`);
@@ -33,8 +35,8 @@
 //! and empty groups collapse, and the remaining arms compare as an
 //! unordered set. That is exactly enough to unify the canonical
 //! `Option` encodings — a writer `match { None => put_u8(0), Some(v)
-//! => { put_u8(1); put_u32(v) } }` against a reader `let tag =
-//! take_u8()?; if tag == 1 { Some(take_u32()?) } else { None }` — and
+//! => { put_u8(1); put_uvar(v) } }` against a reader `let tag =
+//! take_u8()?; if tag == 1 { Some(take_uvar()?) } else { None }` — and
 //! fixed-layout loops, without attempting full symbolic execution.
 
 use crate::lexer::{Tok, TokKind};
@@ -79,28 +81,26 @@ enum Side {
 }
 
 /// The primitive vocabularies, writer spelling → symmetric op name.
-const WRITER_PRIMS: [(&str, &str); 11] = [
+const WRITER_PRIMS: [(&str, &str); 10] = [
     ("put_u8", "u8"),
-    ("put_u32", "u32"),
+    ("put_uvar", "uvar"),
     ("put_u64", "u64"),
     ("put_f64", "f64"),
     ("put_bool", "bool"),
     ("put_opt_u8", "opt_u8"),
-    ("put_opt_u32", "opt_u32"),
-    ("put_opt_u64", "opt_u64"),
+    ("put_opt_uvar", "opt_uvar"),
     ("put_opt_bytes", "opt_bytes"),
     ("put_bytes", "bytes"),
     ("put_f64_slice", "f64_slice"),
 ];
-const READER_PRIMS: [(&str, &str); 11] = [
+const READER_PRIMS: [(&str, &str); 10] = [
     ("take_u8", "u8"),
-    ("take_u32", "u32"),
+    ("take_uvar", "uvar"),
     ("take_u64", "u64"),
     ("take_f64", "f64"),
     ("take_bool", "bool"),
     ("take_opt_u8", "opt_u8"),
-    ("take_opt_u32", "opt_u32"),
-    ("take_opt_u64", "opt_u64"),
+    ("take_opt_uvar", "opt_uvar"),
     ("take_opt_bytes", "opt_bytes"),
     ("take_bytes", "bytes"),
     ("take_f64_vec", "f64_slice"),
@@ -590,10 +590,21 @@ fn decode_state(r: &mut R) { let b = r.take_f64(); let a = r.take_u64(); }
     fn width_mismatch_is_drift() {
         let src = "\
 fn put_count(w: &mut W) { w.put_u64(n); }
-fn take_count(r: &mut R) { let n = r.take_u32(); }
+fn take_count(r: &mut R) { let n = r.take_u8(); }
 ";
         let pairs = pairs_of(src);
         assert!(pairs[0].mismatch.is_some());
+    }
+
+    #[test]
+    fn varint_writer_against_fixed_reader_is_drift() {
+        let src = "\
+fn put_count(w: &mut W) { w.put_uvar(n); }
+fn take_count(r: &mut R) { let n = r.take_u64(); }
+";
+        let pairs = pairs_of(src);
+        let m = pairs[0].mismatch.as_deref().expect("drift detected");
+        assert!(m.contains("writer has uvar but reader has u64"), "{m}");
     }
 
     #[test]
@@ -602,13 +613,13 @@ fn take_count(r: &mut R) { let n = r.take_u32(); }
 fn put_gpu(w: &mut W, gpu: Option<u32>) {
     match gpu {
         None => w.put_u8(0),
-        Some(g) => { w.put_u8(1); w.put_u32(g); }
+        Some(g) => { w.put_u8(1); w.put_uvar(g); }
     }
 }
 fn take_gpu(r: &mut R) -> Result<Option<u32>, E> {
     let tag = r.take_u8()?;
     ensure(tag <= 1)?;
-    if tag == 1 { Ok(Some(r.take_u32()?)) } else { Ok(None) }
+    if tag == 1 { Ok(Some(r.take_uvar()?)) } else { Ok(None) }
 }
 ";
         let pairs = pairs_of(src);
@@ -621,11 +632,11 @@ fn take_gpu(r: &mut R) -> Result<Option<u32>, E> {
 fn put_gpu(w: &mut W, gpu: Option<u32>) {
     match gpu {
         None => w.put_u8(0),
-        Some(g) => { w.put_u8(1); w.put_u32(g); }
+        Some(g) => { w.put_u8(1); w.put_uvar(g); }
     }
 }
 fn take_gpu(r: &mut R) -> Result<Option<u32>, E> {
-    Ok(Some(r.take_u32()?))
+    Ok(Some(r.take_uvar()?))
 }
 ";
         let pairs = pairs_of(src);
@@ -657,7 +668,7 @@ fn decode_all(r: &mut R) -> Result<Vec<Item>, E> {
     fn loop_body_drift_is_reported_inside_the_repeat() {
         let src = "\
 fn encode_all(w: &mut W, vs: &[u64]) { for v in vs { w.put_u64(*v); } }
-fn decode_all(r: &mut R) { for _ in 0..n { r.take_u32(); } }
+fn decode_all(r: &mut R) { for _ in 0..n { r.take_uvar(); } }
 ";
         let pairs = pairs_of(src);
         let m = pairs[0].mismatch.as_deref().expect("drift");
@@ -700,11 +711,11 @@ fn restore(&mut self, s: &State) { self.a = s.a; }
     #[test]
     fn opt_helpers_must_match_opt_helpers() {
         let src = "\
-fn put_deadline(w: &mut W, d: Option<u64>) { w.put_opt_u64(d); }
-fn take_deadline(r: &mut R) -> Result<u64, E> { r.take_u64() }
+fn put_deadline(w: &mut W, d: Option<u64>) { w.put_opt_uvar(d); }
+fn take_deadline(r: &mut R) -> Result<u64, E> { r.take_uvar() }
 ";
         let pairs = pairs_of(src);
         let m = pairs[0].mismatch.as_deref().expect("drift");
-        assert!(m.contains("opt_u64"), "{m}");
+        assert!(m.contains("opt_uvar"), "{m}");
     }
 }

@@ -11,13 +11,13 @@ impl Drifted {
     pub fn snapshot_bytes(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.count);
         w.put_bool(self.flag);
-        w.put_opt_u64(None);
+        w.put_opt_uvar(None);
     }
 
     pub fn restore_bytes(&mut self, r: &mut SnapshotReader) {
         self.flag = r.take_bool();
-        self.count = u64::from(r.take_u32());
-        let _ = r.take_opt_u64();
+        self.count = u64::from(r.take_u8());
+        let _ = r.take_opt_uvar();
     }
 }
 

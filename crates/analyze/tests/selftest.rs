@@ -123,6 +123,28 @@ fn codec_drift_fixture_flags_only_the_drifted_pair() {
 }
 
 #[test]
+fn codec_varint_fixture_flags_the_fixed_width_reader() {
+    // Teeth: a `put_uvar` writer read back with `take_u64` is caught at
+    // the writer's definition line, as a mismatch of two primitives
+    // (not of an unknown `helper:uvar`); the all-varint pair is quiet.
+    let findings = scan(
+        "codec_varint.rs",
+        "crates/fleet/src/codec_varint.rs",
+        "asgov-fleet",
+    );
+    assert_eq!(
+        rule_lines(&findings),
+        [("codec-symmetry", 13)],
+        "{findings:#?}"
+    );
+    let message = &findings.first().expect("one finding").message;
+    assert!(
+        message.contains("writer has uvar but reader has u64"),
+        "{message}"
+    );
+}
+
+#[test]
 fn unit_mix_fixture_flags_each_cross_unit_op() {
     // Teeth: cross-unit `+`, cross-unit `<`, and a cross-suffix
     // binding each produce exactly one finding; the same-unit function

@@ -133,10 +133,10 @@ impl Policy for LoadAdaptiveController {
 impl Restartable for LoadAdaptiveController {
     fn snapshot_bytes(&self, now_ms: u64) -> Result<Vec<u8>, SnapshotError> {
         let mut w = SnapshotWriter::new();
-        w.put_u64(now_ms);
-        w.put_u64(self.swaps);
-        w.put_u64(self.next_refresh_ms);
-        w.put_u64(self.last_sample_ms);
+        w.put_uvar(now_ms);
+        w.put_uvar(self.swaps);
+        w.put_uvar(self.next_refresh_ms);
+        w.put_uvar(self.last_sample_ms);
         w.put_f64(self.last_bg_util_ms);
         w.put_f64(self.last_bg_traffic_mb);
         w.put_bytes(&self.inner.snapshot_bytes(now_ms)?)?;
@@ -145,10 +145,10 @@ impl Restartable for LoadAdaptiveController {
 
     fn restore_bytes(&mut self, bytes: &[u8], now_ms: u64) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::new(bytes)?;
-        let saved_at_ms = r.take_u64()?;
-        let swaps = r.take_u64()?;
-        let next_refresh_ms = r.take_u64()?;
-        let last_sample_ms = r.take_u64()?;
+        let saved_at_ms = r.take_uvar()?;
+        let swaps = r.take_uvar()?;
+        let next_refresh_ms = r.take_uvar()?;
+        let last_sample_ms = r.take_uvar()?;
         let last_bg_util_ms = r.take_f64()?;
         let last_bg_traffic_mb = r.take_f64()?;
         let inner_bytes = r.take_bytes()?.to_vec();

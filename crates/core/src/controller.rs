@@ -633,20 +633,24 @@ impl EnergyController {
 }
 
 /// Append one profile configuration to a snapshot payload. The GPU
-/// index rides in a typed `put_opt_u32` field, so the presence tag is
+/// index rides in a typed `put_opt_uvar` field, so the presence tag is
 /// persist.rs's 0/1 convention rather than a hand-rolled byte.
 fn put_config(w: &mut SnapshotWriter, cfg: Config) {
-    w.put_u32(cfg.freq.0 as u32);
-    w.put_u32(cfg.bw.0 as u32);
-    w.put_opt_u32(cfg.gpu.map(|g| g.0 as u32));
+    w.put_uvar(cfg.freq.0 as u64);
+    w.put_uvar(cfg.bw.0 as u64);
+    w.put_opt_uvar(cfg.gpu.map(|g| g.0 as u64));
 }
 
 /// Decode one profile configuration (indices are validated against the
 /// profile table by the caller).
 fn take_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
-    let freq = FreqIndex(r.take_u32()? as usize);
-    let bw = BwIndex(r.take_u32()? as usize);
-    let gpu = r.take_opt_u32()?.map(|g| GpuFreqIndex(g as usize));
+    let freq = FreqIndex(persist::narrow(r.take_uvar()?)?);
+    let bw = BwIndex(persist::narrow(r.take_uvar()?)?);
+    let gpu = r
+        .take_opt_uvar()?
+        .map(persist::narrow)
+        .transpose()?
+        .map(GpuFreqIndex);
     Ok(Config { freq, bw, gpu })
 }
 
@@ -700,15 +704,15 @@ struct DecodedSnapshot {
 impl EnergyController {
     fn encode_snapshot(&self, now_ms: u64) -> Result<Vec<u8>, SnapshotError> {
         let mut w = SnapshotWriter::new();
-        w.put_u64(now_ms);
-        w.put_u64(self.cycle_end_ms);
-        w.put_u64(self.cycles);
+        w.put_uvar(now_ms);
+        w.put_uvar(self.cycle_end_ms);
+        w.put_uvar(self.cycles);
         w.put_f64(self.last_measured);
         w.put_f64_slice(&self.readings)?;
-        w.put_u64(self.drought_run);
-        w.put_u64(self.perf_droughts);
-        w.put_u64(self.phase_changes);
-        w.put_u64(self.last_lower_index as u64);
+        w.put_uvar(self.drought_run);
+        w.put_uvar(self.perf_droughts);
+        w.put_uvar(self.phase_changes);
+        w.put_uvar(self.last_lower_index as u64);
 
         let reg = self.regulator.checkpoint();
         w.put_f64(reg.base_estimate);
@@ -718,53 +722,53 @@ impl EnergyController {
         w.put_f64(reg.last_innovation);
 
         let sched = self.scheduler.checkpoint();
-        w.put_opt_u64(sched.switch_at_ms);
+        w.put_opt_uvar(sched.switch_at_ms);
         put_opt_config(&mut w, sched.pending_upper);
         w.put_f64(sched.applied_speedup);
-        w.put_u64(sched.last_dwell_ms.0);
-        w.put_u64(sched.last_dwell_ms.1);
+        w.put_uvar(sched.last_dwell_ms.0);
+        w.put_uvar(sched.last_dwell_ms.1);
         put_opt_config(&mut w, sched.retry_config);
-        w.put_u64(sched.retry_at_ms);
-        w.put_u32(sched.retry_attempts);
-        w.put_u64(sched.writes_failed);
-        w.put_u64(sched.sysfs_busy);
-        w.put_u64(sched.wrong_governor);
-        w.put_u64(sched.other_errors);
-        w.put_u64(sched.retries);
-        w.put_u64(sched.governor_reasserts);
-        w.put_u64(sched.thermal_clamps_detected);
+        w.put_uvar(sched.retry_at_ms);
+        w.put_uvar(u64::from(sched.retry_attempts));
+        w.put_uvar(sched.writes_failed);
+        w.put_uvar(sched.sysfs_busy);
+        w.put_uvar(sched.wrong_governor);
+        w.put_uvar(sched.other_errors);
+        w.put_uvar(sched.retries);
+        w.put_uvar(sched.governor_reasserts);
+        w.put_uvar(sched.thermal_clamps_detected);
         w.put_bool(sched.cycle_failed);
         put_opt_fault(&mut w, sched.last_fault);
 
         let ladder = self.ladder.checkpoint();
         w.put_u8(ladder.level.wire_code());
-        w.put_u64(ladder.cycle);
-        w.put_u64(ladder.consecutive_failed);
-        w.put_u64(ladder.consecutive_clean);
-        w.put_u64(ladder.failed_cycles);
-        w.put_u64(ladder.degradations);
-        w.put_u64(ladder.recoveries);
-        w.put_opt_u64(ladder.last_failed_cycle);
-        w.put_opt_u64(ladder.episode_start);
-        w.put_opt_u64(ladder.recovery_latency);
-        w.put_opt_u64(ladder.climb_latency);
+        w.put_uvar(ladder.cycle);
+        w.put_uvar(ladder.consecutive_failed);
+        w.put_uvar(ladder.consecutive_clean);
+        w.put_uvar(ladder.failed_cycles);
+        w.put_uvar(ladder.degradations);
+        w.put_uvar(ladder.recoveries);
+        w.put_opt_uvar(ladder.last_failed_cycle);
+        w.put_opt_uvar(ladder.episode_start);
+        w.put_opt_uvar(ladder.recovery_latency);
+        w.put_opt_uvar(ladder.climb_latency);
 
-        w.put_u64(self.gate.rejected());
-        w.put_u64(self.guard.reseeds());
+        w.put_uvar(self.gate.rejected());
+        w.put_uvar(self.guard.reseeds());
         w.finish()
     }
 
     fn decode_snapshot(&self, bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
         let mut r = SnapshotReader::new(bytes)?;
-        let saved_at_ms = r.take_u64()?;
-        let cycle_end_ms = r.take_u64()?;
-        let cycles = r.take_u64()?;
+        let saved_at_ms = r.take_uvar()?;
+        let cycle_end_ms = r.take_uvar()?;
+        let cycles = r.take_uvar()?;
         let last_measured = r.take_f64()?;
         let readings = r.take_f64_vec()?;
-        let drought_run = r.take_u64()?;
-        let perf_droughts = r.take_u64()?;
-        let phase_changes = r.take_u64()?;
-        let last_lower_index = r.take_u64()?;
+        let drought_run = r.take_uvar()?;
+        let perf_droughts = r.take_uvar()?;
+        let phase_changes = r.take_uvar()?;
+        let last_lower_index = r.take_uvar()?;
 
         let regulator = RegulatorState {
             base_estimate: r.take_f64()?,
@@ -775,40 +779,40 @@ impl EnergyController {
         };
 
         let scheduler = SchedulerState {
-            switch_at_ms: r.take_opt_u64()?,
+            switch_at_ms: r.take_opt_uvar()?,
             pending_upper: take_opt_config(&mut r)?,
             applied_speedup: r.take_f64()?,
-            last_dwell_ms: (r.take_u64()?, r.take_u64()?),
+            last_dwell_ms: (r.take_uvar()?, r.take_uvar()?),
             retry_config: take_opt_config(&mut r)?,
-            retry_at_ms: r.take_u64()?,
-            retry_attempts: r.take_u32()?,
-            writes_failed: r.take_u64()?,
-            sysfs_busy: r.take_u64()?,
-            wrong_governor: r.take_u64()?,
-            other_errors: r.take_u64()?,
-            retries: r.take_u64()?,
-            governor_reasserts: r.take_u64()?,
-            thermal_clamps_detected: r.take_u64()?,
+            retry_at_ms: r.take_uvar()?,
+            retry_attempts: persist::narrow(r.take_uvar()?)?,
+            writes_failed: r.take_uvar()?,
+            sysfs_busy: r.take_uvar()?,
+            wrong_governor: r.take_uvar()?,
+            other_errors: r.take_uvar()?,
+            retries: r.take_uvar()?,
+            governor_reasserts: r.take_uvar()?,
+            thermal_clamps_detected: r.take_uvar()?,
             cycle_failed: r.take_bool()?,
             last_fault: take_opt_fault(&mut r)?,
         };
 
         let ladder = LadderState {
             level: persist::require(DegradationLevel::from_wire(r.take_u8()?))?,
-            cycle: r.take_u64()?,
-            consecutive_failed: r.take_u64()?,
-            consecutive_clean: r.take_u64()?,
-            failed_cycles: r.take_u64()?,
-            degradations: r.take_u64()?,
-            recoveries: r.take_u64()?,
-            last_failed_cycle: r.take_opt_u64()?,
-            episode_start: r.take_opt_u64()?,
-            recovery_latency: r.take_opt_u64()?,
-            climb_latency: r.take_opt_u64()?,
+            cycle: r.take_uvar()?,
+            consecutive_failed: r.take_uvar()?,
+            consecutive_clean: r.take_uvar()?,
+            failed_cycles: r.take_uvar()?,
+            degradations: r.take_uvar()?,
+            recoveries: r.take_uvar()?,
+            last_failed_cycle: r.take_opt_uvar()?,
+            episode_start: r.take_opt_uvar()?,
+            recovery_latency: r.take_opt_uvar()?,
+            climb_latency: r.take_opt_uvar()?,
         };
 
-        let gate_rejected = r.take_u64()?;
-        let guard_reseeds = r.take_u64()?;
+        let gate_rejected = r.take_uvar()?;
+        let guard_reseeds = r.take_uvar()?;
         r.finish()?;
 
         // Domain validation: a frame can be checksum-clean yet carry

@@ -12,6 +12,20 @@
 //! 16      n     payload
 //! ```
 //!
+//! The header is fixed-width in every version, so a reader always
+//! finds the version. In the version-2 payload, every integer a codec
+//! writes (timestamps, counters, indices, the payloads of optional
+//! integers, and the length prefixes of byte fields and `f64` slices)
+//! is an unsigned LEB128 varint ([`SnapshotWriter::put_uvar`]): seven
+//! bits per byte, low group first, the top bit set on every byte but
+//! the last. Only the canonical, shortest form decodes, so a value has
+//! exactly one encoding and frames stay byte-deterministic. `f64`s stay
+//! their fixed 8-byte bit patterns, and `u64` words written with
+//! [`SnapshotWriter::put_u64`] stay fixed 8 bytes. Version 1 wrote
+//! every integer fixed-width; its frames now decode to
+//! [`SnapshotError::VersionMismatch`], which a supervisor counts as a
+//! cold start.
+//!
 //! The codec is deliberately paranoid: every decode path returns a
 //! [`SnapshotError`] instead of panicking, so a truncated, bit-flipped
 //! or crafted snapshot can never take the supervisor down — the worst
@@ -34,7 +48,7 @@ pub const MAGIC: [u8; 4] = *b"ASGV";
 
 /// Current snapshot format version. Bump on any payload layout change;
 /// restores reject other versions rather than misinterpret bytes.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Size of the fixed frame header, bytes.
 pub const HEADER_LEN: usize = 16;
@@ -57,10 +71,9 @@ pub enum SnapshotError {
         /// The version recorded in the frame header.
         found: u32,
     },
-    /// A payload or length-prefixed field is too large for the frame's
-    /// `u32` length prefix. Writing it would silently truncate the
-    /// length and round-trip corrupt data, so the writer refuses it
-    /// up front.
+    /// A payload or length-prefixed field is 4 GiB or longer, past the
+    /// `u32` payload length of the frame header. No frame could hold
+    /// it, so the writer refuses it up front.
     TooLarge {
         /// The offending length, bytes (fields) or elements (slices).
         len: u64,
@@ -86,7 +99,10 @@ impl fmt::Display for SnapshotError {
                 write!(f, "snapshot version {found} not supported (want {VERSION})")
             }
             SnapshotError::TooLarge { len } => {
-                write!(f, "snapshot field of length {len} overflows the u32 prefix")
+                write!(
+                    f,
+                    "snapshot field of length {len} overflows the u32 frame length"
+                )
             }
             SnapshotError::ConfigMismatch { field } => {
                 write!(
@@ -165,9 +181,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Builds a snapshot payload field by field, then frames it with the
-/// header and checksum. All integers are little-endian; floats are
-/// stored as their IEEE-754 bit patterns, so round-trips are bit-exact
-/// (including NaN payloads and signed zeros).
+/// header and checksum. Integers are LEB128 varints
+/// ([`SnapshotWriter::put_uvar`]) or fixed little-endian `u64` words;
+/// floats are stored as their IEEE-754 bit patterns, so round-trips
+/// are bit-exact (including NaN payloads and signed zeros).
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
@@ -184,12 +201,18 @@ impl SnapshotWriter {
         self.buf.push(v);
     }
 
-    /// Append a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Append a `u64` as an unsigned LEB128 varint: one byte below
+    /// 128, at most 10 bytes, always the shortest form.
+    #[inline]
+    pub fn put_uvar(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
-    /// Append a `u64`, little-endian.
+    /// Append a `u64` as a fixed 8-byte little-endian word.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -204,20 +227,20 @@ impl SnapshotWriter {
         self.put_u8(u8::from(v));
     }
 
-    /// Append an optional `u64`: a one-byte tag (0 absent, 1 present)
-    /// followed by the value when present.
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
+    /// Append an optional integer: a one-byte tag (0 absent, 1 present)
+    /// followed by the value as a varint when present.
+    pub fn put_opt_uvar(&mut self, v: Option<u64>) {
         match v {
             None => self.put_u8(0),
             Some(x) => {
                 self.put_u8(1);
-                self.put_u64(x);
+                self.put_uvar(x);
             }
         }
     }
 
-    /// Append an optional `u8` (tag byte then value). Same wire shape
-    /// as [`SnapshotWriter::put_opt_u64`] with a one-byte payload.
+    /// Append an optional `u8` (tag byte then value). Same tag as
+    /// [`SnapshotWriter::put_opt_uvar`] with a one-byte payload.
     pub fn put_opt_u8(&mut self, v: Option<u8>) {
         match v {
             None => self.put_u8(0),
@@ -228,25 +251,14 @@ impl SnapshotWriter {
         }
     }
 
-    /// Append an optional `u32` (tag byte then little-endian value).
-    pub fn put_opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.put_u8(0),
-            Some(x) => {
-                self.put_u8(1);
-                self.put_u32(x);
-            }
-        }
-    }
-
     /// Append an optional length-prefixed byte slice (tag byte, then
     /// the slice as [`SnapshotWriter::put_bytes`] when present).
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::TooLarge`] when the present slice overflows the
-    /// `u32` length prefix; the writer is left unchanged (the tag is
-    /// only written once the length is known to fit).
+    /// [`SnapshotError::TooLarge`] when the present slice is 4 GiB or
+    /// longer; the writer is left unchanged (the tag is only written
+    /// once the length is known to fit).
     pub fn put_opt_bytes(&mut self, v: Option<&[u8]>) -> Result<(), SnapshotError> {
         match v {
             None => {
@@ -261,31 +273,30 @@ impl SnapshotWriter {
         }
     }
 
-    /// Append a byte slice with a `u32` length prefix (used to nest one
+    /// Append a byte slice with a varint length prefix (used to nest one
     /// snapshot — e.g. a wrapped controller's — inside another).
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::TooLarge`] when the slice is longer than the
-    /// `u32` prefix can record (≥ 4 GiB). Writing `len as u32` would
-    /// silently truncate and round-trip corrupt data; on error the
-    /// writer is left unchanged.
+    /// [`SnapshotError::TooLarge`] when the slice is 4 GiB or longer:
+    /// no frame can hold it, because the header's payload length is a
+    /// `u32`. On error the writer is left unchanged.
     pub fn put_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let len = encode_len(bytes.len())?;
-        self.put_u32(len);
+        self.put_uvar(u64::from(len));
         self.buf.extend_from_slice(bytes);
         Ok(())
     }
 
-    /// Append an `f64` slice with a `u32` length prefix.
+    /// Append an `f64` slice with a varint element-count prefix.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::TooLarge`] when the element count overflows the
-    /// `u32` prefix; the writer is left unchanged.
+    /// [`SnapshotError::TooLarge`] when the element count does not fit
+    /// a `u32`; the writer is left unchanged.
     pub fn put_f64_slice(&mut self, vs: &[f64]) -> Result<(), SnapshotError> {
         let len = encode_len(vs.len())?;
-        self.put_u32(len);
+        self.put_uvar(u64::from(len));
         for &v in vs {
             self.put_f64(v);
         }
@@ -317,9 +328,10 @@ impl SnapshotWriter {
     }
 }
 
-/// Validate a length against the `u32` wire prefix. Factored out so
-/// the oversize rejection is testable without materializing a real
-/// 4 GiB buffer — tests feed lengths directly.
+/// Validate a length against the `u32` limit of the frame header (a
+/// field longer than the header's payload length could never decode).
+/// Factored out so the oversize rejection is testable without
+/// materializing a real 4 GiB buffer — tests feed lengths directly.
 fn encode_len(len: usize) -> Result<u32, SnapshotError> {
     u32::try_from(len).map_err(|_| SnapshotError::TooLarge { len: len as u64 })
 }
@@ -393,12 +405,37 @@ impl<'a> SnapshotReader<'a> {
         raw.first().copied().ok_or(SnapshotError::Truncated)
     }
 
-    /// Read a little-endian `u32`.
-    pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
-        read_u32_at(&mut self.rest)
+    /// Read an unsigned LEB128 varint written by
+    /// [`SnapshotWriter::put_uvar`]. Only the canonical form decodes:
+    /// a varint that ends mid-value is `Truncated`; a zero final byte
+    /// after a continuation (a non-minimal form), or a tenth byte above
+    /// 1 (bits past the 64th, or an eleventh byte) is `Corrupt`. On any
+    /// error the cursor does not move.
+    #[inline]
+    pub fn take_uvar(&mut self) -> Result<u64, SnapshotError> {
+        let mut rest = self.rest;
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let (&b, tail) = rest.split_first().ok_or(SnapshotError::Truncated)?;
+            rest = tail;
+            // The tenth byte holds only bit 63 and must end the value.
+            if shift == 63 && b > 1 {
+                return Err(SnapshotError::Corrupt);
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                if b == 0 && shift > 0 {
+                    return Err(SnapshotError::Corrupt);
+                }
+                self.rest = rest;
+                return Ok(v);
+            }
+            shift += 7;
+        }
     }
 
-    /// Read a little-endian `u64`.
+    /// Read a fixed 8-byte little-endian `u64` word.
     pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
         let raw = take(&mut self.rest, 8)?;
         let arr: [u8; 8] = raw.try_into().map_err(|_| SnapshotError::Truncated)?;
@@ -419,12 +456,12 @@ impl<'a> SnapshotReader<'a> {
         }
     }
 
-    /// Read an optional `u64` (tag byte then value); any tag other than
-    /// 0 or 1 is `Corrupt`.
-    pub fn take_opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
+    /// Read an optional integer (tag byte then varint); any tag other
+    /// than 0 or 1 is `Corrupt`.
+    pub fn take_opt_uvar(&mut self) -> Result<Option<u64>, SnapshotError> {
         match self.take_u8()? {
             0 => Ok(None),
-            1 => Ok(Some(self.take_u64()?)),
+            1 => Ok(Some(self.take_uvar()?)),
             _ => Err(SnapshotError::Corrupt),
         }
     }
@@ -434,15 +471,6 @@ impl<'a> SnapshotReader<'a> {
         match self.take_u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.take_u8()?)),
-            _ => Err(SnapshotError::Corrupt),
-        }
-    }
-
-    /// Read an optional `u32`; any tag other than 0 or 1 is `Corrupt`.
-    pub fn take_opt_u32(&mut self) -> Result<Option<u32>, SnapshotError> {
-        match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.take_u32()?)),
             _ => Err(SnapshotError::Corrupt),
         }
     }
@@ -460,22 +488,22 @@ impl<'a> SnapshotReader<'a> {
     /// Read a length-prefixed byte slice. A declared length past the
     /// end of the payload is `Corrupt`.
     pub fn take_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let n = self.take_u32()? as usize;
-        if n > self.rest.len() {
+        let n = self.take_uvar()?;
+        if n > self.rest.len() as u64 {
             return Err(SnapshotError::Corrupt);
         }
-        take(&mut self.rest, n)
+        take(&mut self.rest, n as usize)
     }
 
     /// Read a length-prefixed `f64` vector. A declared length that
     /// cannot fit in the remaining payload is `Corrupt` (a crafted
     /// length would otherwise ask for an absurd allocation).
     pub fn take_f64_vec(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let n = self.take_u32()? as usize;
-        if n.saturating_mul(8) > self.rest.len() {
+        let n = self.take_uvar()?;
+        if n > self.rest.len() as u64 / 8 {
             return Err(SnapshotError::Corrupt);
         }
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n as usize);
         for _ in 0..n {
             out.push(self.take_f64()?);
         }
@@ -499,6 +527,12 @@ impl<'a> SnapshotReader<'a> {
 /// error variants (the error-taxonomy lint polices that).
 pub fn require<T>(v: Option<T>) -> Result<T, SnapshotError> {
     v.ok_or(SnapshotError::Corrupt)
+}
+
+/// Narrow a decoded varint to the field's own integer type; a value
+/// that does not fit is `Corrupt`.
+pub fn narrow<T: TryFrom<u64>>(v: u64) -> Result<T, SnapshotError> {
+    T::try_from(v).map_err(|_| SnapshotError::Corrupt)
 }
 
 /// `Ok(())` when the condition holds, `Corrupt` otherwise. Companion
@@ -534,9 +568,9 @@ pub trait Restartable: Policy {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::TooLarge`] when some field overflows the wire
-    /// format's `u32` length prefixes. A supervisor treats a failed
-    /// checkpoint like a corrupt one: counted, never fatal.
+    /// [`SnapshotError::TooLarge`] when some field or the payload is
+    /// 4 GiB or longer. A supervisor treats a failed checkpoint like a
+    /// corrupt one: counted, never fatal.
     fn snapshot_bytes(&self, now_ms: u64) -> Result<Vec<u8>, SnapshotError>;
 
     /// Restore state from [`Restartable::snapshot_bytes`] output.
@@ -560,6 +594,9 @@ pub trait Restartable: Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Longest canonical LEB128 encoding of a `u64`: ⌈64 / 7⌉ bytes.
+    const MAX_UVAR_LEN: usize = 10;
 
     /// The bitwise definition of the CRC-32: the oracle the table
     /// implementation must match bit for bit.
@@ -618,17 +655,16 @@ mod tests {
     fn sample_frame() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.put_u8(7);
-        w.put_u32(0xDEAD_BEEF);
+        w.put_uvar(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_f64(-0.0);
         w.put_f64(f64::NAN);
         w.put_bool(true);
-        w.put_opt_u64(None);
-        w.put_opt_u64(Some(42));
+        w.put_opt_uvar(None);
+        w.put_opt_uvar(Some(42));
         w.put_opt_u8(None);
         w.put_opt_u8(Some(9));
-        w.put_opt_u32(None);
-        w.put_opt_u32(Some(0xFEED_F00D));
+        w.put_opt_uvar(Some(u64::MAX));
         w.put_opt_bytes(None).expect("tag only");
         w.put_opt_bytes(Some(b"inner")).expect("small field");
         w.put_f64_slice(&[1.5, -2.5, 1e300]).expect("small slice");
@@ -641,17 +677,16 @@ mod tests {
         let frame = sample_frame();
         let mut r = SnapshotReader::new(&frame).expect("valid frame");
         assert_eq!(r.take_u8(), Ok(7));
-        assert_eq!(r.take_u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.take_uvar(), Ok(0xDEAD_BEEF));
         assert_eq!(r.take_u64(), Ok(u64::MAX - 1));
         assert_eq!(r.take_f64().map(f64::to_bits), Ok((-0.0f64).to_bits()));
         assert_eq!(r.take_f64().map(f64::to_bits), Ok(f64::NAN.to_bits()));
         assert_eq!(r.take_bool(), Ok(true));
-        assert_eq!(r.take_opt_u64(), Ok(None));
-        assert_eq!(r.take_opt_u64(), Ok(Some(42)));
+        assert_eq!(r.take_opt_uvar(), Ok(None));
+        assert_eq!(r.take_opt_uvar(), Ok(Some(42)));
         assert_eq!(r.take_opt_u8(), Ok(None));
         assert_eq!(r.take_opt_u8(), Ok(Some(9)));
-        assert_eq!(r.take_opt_u32(), Ok(None));
-        assert_eq!(r.take_opt_u32(), Ok(Some(0xFEED_F00D)));
+        assert_eq!(r.take_opt_uvar(), Ok(Some(u64::MAX)));
         assert_eq!(r.take_opt_bytes(), Ok(None));
         assert_eq!(r.take_opt_bytes(), Ok(Some(&b"inner"[..])));
         let vs = r.take_f64_vec().expect("vec");
@@ -694,17 +729,21 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_reported_not_misread() {
-        let mut w = SnapshotWriter::new();
-        w.put_u64(99);
-        let mut frame = w.finish().expect("small frame");
-        // Patch the version field (bytes 4..8) to a future version.
-        let future = (VERSION + 1).to_le_bytes();
-        frame.splice(4..8, future);
-        assert_eq!(
-            SnapshotReader::new(&frame).err(),
-            Some(SnapshotError::VersionMismatch { found: VERSION + 1 })
-        );
+    fn other_versions_are_reported_not_misread() {
+        // Version 1 (fixed-width integers) and a future version: both
+        // are intact frames the reader refuses to interpret.
+        for found in [1, VERSION + 1] {
+            let mut w = SnapshotWriter::new();
+            w.put_u64(99);
+            let mut frame = w.finish().expect("small frame");
+            // Patch the version field (bytes 4..8); the CRC covers only
+            // the payload, so the frame stays intact.
+            frame.splice(4..8, found.to_le_bytes());
+            assert_eq!(
+                SnapshotReader::new(&frame).err(),
+                Some(SnapshotError::VersionMismatch { found })
+            );
+        }
     }
 
     #[test]
@@ -725,11 +764,9 @@ mod tests {
         let mut r = SnapshotReader::new(&frame).expect("frame itself is valid");
         assert_eq!(r.take_bool(), Err(SnapshotError::Corrupt));
         let mut r = SnapshotReader::new(&frame).expect("frame itself is valid");
-        assert_eq!(r.take_opt_u64(), Err(SnapshotError::Corrupt));
+        assert_eq!(r.take_opt_uvar(), Err(SnapshotError::Corrupt));
         let mut r = SnapshotReader::new(&frame).expect("frame itself is valid");
         assert_eq!(r.take_opt_u8(), Err(SnapshotError::Corrupt));
-        let mut r = SnapshotReader::new(&frame).expect("frame itself is valid");
-        assert_eq!(r.take_opt_u32(), Err(SnapshotError::Corrupt));
         let mut r = SnapshotReader::new(&frame).expect("frame itself is valid");
         assert_eq!(r.take_opt_bytes(), Err(SnapshotError::Corrupt));
     }
@@ -741,18 +778,16 @@ mod tests {
         w.put_u8(1);
         let frame = w.finish().expect("small frame");
         let mut r = SnapshotReader::new(&frame).expect("valid frame");
-        assert_eq!(r.take_opt_u64(), Err(SnapshotError::Truncated));
+        assert_eq!(r.take_opt_uvar(), Err(SnapshotError::Truncated));
         let mut r = SnapshotReader::new(&frame).expect("valid frame");
         assert_eq!(r.take_opt_u8(), Err(SnapshotError::Truncated));
-        let mut r = SnapshotReader::new(&frame).expect("valid frame");
-        assert_eq!(r.take_opt_u32(), Err(SnapshotError::Truncated));
         let mut r = SnapshotReader::new(&frame).expect("valid frame");
         assert_eq!(r.take_opt_bytes(), Err(SnapshotError::Truncated));
         // A present-tagged byte field declaring more than remains is
         // Corrupt (crafted length), mirroring take_bytes.
         let mut w = SnapshotWriter::new();
         w.put_u8(1);
-        w.put_u32(u32::MAX);
+        w.put_uvar(u64::from(u32::MAX));
         let frame = w.finish().expect("small frame");
         let mut r = SnapshotReader::new(&frame).expect("valid frame");
         assert_eq!(r.take_opt_bytes(), Err(SnapshotError::Corrupt));
@@ -761,12 +796,155 @@ mod tests {
     #[test]
     fn crafted_vec_length_is_corrupt_not_oom() {
         let mut w = SnapshotWriter::new();
-        w.put_u32(u32::MAX); // declares a ~34 GB vector
+        w.put_uvar(u64::MAX); // declares a vector of 2^64 - 1 floats
         let frame = w.finish().expect("small frame");
         let mut r = SnapshotReader::new(&frame).expect("frame itself is valid");
         assert_eq!(r.take_f64_vec(), Err(SnapshotError::Corrupt));
         let mut r = SnapshotReader::new(&frame).expect("frame itself is valid");
         assert_eq!(r.take_bytes(), Err(SnapshotError::Corrupt));
+        // The bound is exact: two floats need 16 bytes, 15 are short.
+        for (present, ok) in [(15, false), (16, true)] {
+            let mut w = SnapshotWriter::new();
+            w.put_uvar(2);
+            for _ in 0..present {
+                w.put_u8(0);
+            }
+            let frame = w.finish().expect("small frame");
+            let mut r = SnapshotReader::new(&frame).expect("frame itself is valid");
+            assert_eq!(r.take_f64_vec().is_ok(), ok, "{present} bytes present");
+        }
+    }
+
+    /// Frame `raw` as a payload and read one varint from it, returning
+    /// the value and the bytes left after it.
+    fn take_uvar_from(raw: &[u8]) -> (Result<u64, SnapshotError>, usize) {
+        let mut w = SnapshotWriter::new();
+        for &b in raw {
+            w.put_u8(b);
+        }
+        let frame = w.finish().expect("small frame");
+        let mut r = SnapshotReader::new(&frame).expect("valid frame");
+        let v = r.take_uvar();
+        (v, r.remaining())
+    }
+
+    fn uvar_bytes(v: u64) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_uvar(v);
+        w.buf
+    }
+
+    #[test]
+    fn uvar_round_trips_in_its_shortest_form() {
+        let mut rng = asgov_util::Rng::seed_from_u64(0x1eb_128);
+        let mut values = vec![0, 1, 127, 128, 255, 16_383, 16_384, 1 << 63, u64::MAX];
+        for bit in 0..64 {
+            values.extend([(1u64 << bit) - 1, 1 << bit, (1 << bit) + 1]);
+        }
+        // Random values with a uniform bit length, so every encoded
+        // width is well covered.
+        values.extend((0..10_000).map(|_| rng.next_u64() >> rng.gen_range_usize(0..64)));
+        for v in values {
+            let bytes = uvar_bytes(v);
+            let bits = 64 - v.leading_zeros() as usize;
+            assert_eq!(bytes.len(), bits.div_ceil(7).max(1), "width of {v}");
+            assert!(bytes.len() <= MAX_UVAR_LEN);
+            let mut w = SnapshotWriter::new();
+            w.put_uvar(v);
+            w.put_u8(0xA5);
+            let frame = w.finish().expect("small frame");
+            let mut r = SnapshotReader::new(&frame).expect("valid frame");
+            assert_eq!(r.take_uvar(), Ok(v));
+            assert_eq!(r.take_u8(), Ok(0xA5), "cursor after {v}");
+            r.finish().expect("fully consumed");
+        }
+        assert_eq!(uvar_bytes(0), [0x00]);
+        assert_eq!(uvar_bytes(300), [0xAC, 0x02]);
+        assert_eq!(
+            uvar_bytes(u64::MAX),
+            [[0xFF; 9].as_slice(), &[0x01]].concat()
+        );
+    }
+
+    #[test]
+    fn uvar_rejects_an_eleventh_byte() {
+        // Ten continuation bytes: the tenth may not continue.
+        let raw = [[0x80; 10].as_slice(), &[0x00]].concat();
+        assert_eq!(take_uvar_from(&raw), (Err(SnapshotError::Corrupt), 11));
+        let raw = [[0xFF; 10].as_slice(), &[0x01]].concat();
+        assert_eq!(take_uvar_from(&raw), (Err(SnapshotError::Corrupt), 11));
+    }
+
+    #[test]
+    fn uvar_rejects_a_tenth_byte_above_one() {
+        let top = |last: u8| take_uvar_from(&[[0xFF; 9].as_slice(), &[last]].concat());
+        assert_eq!(top(0x01), (Ok(u64::MAX), 0));
+        for last in [0x02, 0x03, 0x40, 0x7F] {
+            assert_eq!(top(last), (Err(SnapshotError::Corrupt), 10), "{last:#x}");
+        }
+    }
+
+    #[test]
+    fn uvar_rejects_non_minimal_forms() {
+        assert_eq!(take_uvar_from(&[0x00]), (Ok(0), 0));
+        assert_eq!(
+            take_uvar_from(&[0x80, 0x00]),
+            (Err(SnapshotError::Corrupt), 2)
+        );
+        assert_eq!(
+            take_uvar_from(&[0xFF, 0x80, 0x00]),
+            (Err(SnapshotError::Corrupt), 3)
+        );
+        let padded_max = [[0xFF; 9].as_slice(), &[0x81, 0x00]].concat();
+        assert_eq!(
+            take_uvar_from(&padded_max),
+            (Err(SnapshotError::Corrupt), 11)
+        );
+    }
+
+    #[test]
+    fn uvar_truncated_mid_value_is_truncated() {
+        assert_eq!(take_uvar_from(&[]), (Err(SnapshotError::Truncated), 0));
+        for n in 1..MAX_UVAR_LEN {
+            let raw = vec![0xFF; n];
+            assert_eq!(
+                take_uvar_from(&raw),
+                (Err(SnapshotError::Truncated), n),
+                "{n} bytes"
+            );
+        }
+        let whole = uvar_bytes(u64::MAX);
+        for n in 0..whole.len() {
+            let (v, left) = take_uvar_from(whole.get(..n).expect("prefix"));
+            assert_eq!((v, left), (Err(SnapshotError::Truncated), n));
+        }
+    }
+
+    #[test]
+    fn uvar_accepts_only_canonical_encodings() {
+        // Any byte string either fails or starts with exactly the
+        // encoding of the value it decodes to: one value, one form.
+        let mut rng = asgov_util::Rng::seed_from_u64(0xca_90e);
+        for case in 0..20_000 {
+            let len = rng.gen_range_usize(0..13);
+            let raw: Vec<u8> = (0..len)
+                .map(|_| match rng.gen_range_usize(0..4) {
+                    0 => 0x00,
+                    1 => 0x80,
+                    2 => 0xFF,
+                    _ => rng.next_u64() as u8,
+                })
+                .collect();
+            let (v, left) = take_uvar_from(&raw);
+            match v {
+                Ok(v) => {
+                    let enc = uvar_bytes(v);
+                    assert_eq!(raw.get(..enc.len()), Some(enc.as_slice()), "case {case}");
+                    assert_eq!(left, raw.len() - enc.len());
+                }
+                Err(_) => assert_eq!(left, raw.len(), "case {case}: cursor moved"),
+            }
+        }
     }
 
     #[test]

@@ -460,12 +460,12 @@ mod tests {
     impl Restartable for FakePolicy {
         fn snapshot_bytes(&self, _now_ms: u64) -> Result<Vec<u8>, SnapshotError> {
             let mut w = SnapshotWriter::new();
-            w.put_u64(self.counter);
+            w.put_uvar(self.counter);
             w.finish()
         }
         fn restore_bytes(&mut self, bytes: &[u8], _now_ms: u64) -> Result<(), SnapshotError> {
             let mut r = SnapshotReader::new(bytes)?;
-            self.counter = r.take_u64()?;
+            self.counter = r.take_uvar()?;
             r.finish()?;
             self.level = DegradationLevel::Full;
             self.probation = 0;
@@ -726,6 +726,24 @@ mod tests {
         cold.start(&mut d2);
         assert_eq!(cold.warm_migrations(), 0);
         assert_eq!(cold.snapshot_errors(), 0);
+    }
+
+    #[test]
+    fn version_one_migration_is_a_counted_cold_start() {
+        let mut d = device();
+        let mut sup = Supervisor::new(FakePolicy::new, config());
+        sup.start(&mut d);
+        step(&mut sup, &mut d, 25);
+        let mut snap = sup.migrate_out(d.now_ms()).expect("live policy encodes");
+        // The same intact frame, stamped with the retired version 1.
+        snap.splice(4..8, 1u32.to_le_bytes());
+        let mut d2 = device();
+        let mut sup2 = Supervisor::new(FakePolicy::new, config());
+        sup2.migrate_in(snap);
+        sup2.start(&mut d2);
+        assert_eq!(sup2.warm_migrations(), 0);
+        assert_eq!(sup2.snapshot_errors(), 1);
+        assert_eq!(sup2.inner().counter, 0, "fresh incarnation kept");
     }
 
     #[test]

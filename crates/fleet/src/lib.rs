@@ -209,17 +209,17 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::TooLarge`] if any component overflows the u32
-    /// length prefix.
+    /// [`SnapshotError::TooLarge`] if any component is 4 GiB or
+    /// longer.
     pub fn checkpoint(&self) -> Result<Vec<u8>, SnapshotError> {
         let mut w = SnapshotWriter::new();
-        w.put_u64(self.config.devices);
-        w.put_u64(self.config.shards);
-        w.put_u64(self.config.epochs);
-        w.put_u64(self.config.epoch_ms);
-        w.put_u64(self.config.seed);
-        w.put_u64(self.config.demand_quantum_ms);
-        w.put_u64(self.report.epochs_run);
+        w.put_uvar(self.config.devices);
+        w.put_uvar(self.config.shards);
+        w.put_uvar(self.config.epochs);
+        w.put_uvar(self.config.epoch_ms);
+        w.put_uvar(self.config.seed);
+        w.put_uvar(self.config.demand_quantum_ms);
+        w.put_uvar(self.report.epochs_run);
         encode_stats(&mut w, &self.report.totals)?;
         for shard in &self.shards {
             w.put_bytes(&shard.snapshot_bytes()?)?;
@@ -243,16 +243,16 @@ impl Fleet {
         // Per-field identity checks: an intact checkpoint taken under a
         // different run configuration reports *which* field the operator
         // changed (`ConfigMismatch`), not "corrupt".
-        ensure_config(r.take_u64()? == config.devices, "devices")?;
-        ensure_config(r.take_u64()? == config.shards, "shards")?;
-        ensure_config(r.take_u64()? == config.epochs, "epochs")?;
-        ensure_config(r.take_u64()? == config.epoch_ms, "epoch_ms")?;
-        ensure_config(r.take_u64()? == config.seed, "seed")?;
+        ensure_config(r.take_uvar()? == config.devices, "devices")?;
+        ensure_config(r.take_uvar()? == config.shards, "shards")?;
+        ensure_config(r.take_uvar()? == config.epochs, "epochs")?;
+        ensure_config(r.take_uvar()? == config.epoch_ms, "epoch_ms")?;
+        ensure_config(r.take_uvar()? == config.seed, "seed")?;
         ensure_config(
-            r.take_u64()? == config.demand_quantum_ms,
+            r.take_uvar()? == config.demand_quantum_ms,
             "demand_quantum_ms",
         )?;
-        let epochs_run = r.take_u64()?;
+        let epochs_run = r.take_uvar()?;
         ensure(epochs_run <= config.epochs)?;
         let totals = decode_stats(&mut r)?;
         let mut shards = Vec::with_capacity(config.shards as usize);
@@ -285,16 +285,16 @@ impl Fleet {
 }
 
 fn encode_stats(w: &mut SnapshotWriter, s: &EpochStats) -> Result<(), SnapshotError> {
-    w.put_u64(s.online);
-    w.put_u64(s.offline);
+    w.put_uvar(s.online);
+    w.put_uvar(s.offline);
     w.put_f64(s.energy_j);
-    w.put_u64(s.restarts);
-    w.put_u64(s.warm_restarts);
-    w.put_u64(s.warm_migrations);
-    w.put_u64(s.snapshot_errors);
-    w.put_u64(s.downtime_ms);
+    w.put_uvar(s.restarts);
+    w.put_uvar(s.warm_restarts);
+    w.put_uvar(s.warm_migrations);
+    w.put_uvar(s.snapshot_errors);
+    w.put_uvar(s.downtime_ms);
     let words = s.savings.serialize_words();
-    w.put_u64(words.len() as u64);
+    w.put_uvar(words.len() as u64);
     for word in words {
         w.put_u64(word);
     }
@@ -303,20 +303,22 @@ fn encode_stats(w: &mut SnapshotWriter, s: &EpochStats) -> Result<(), SnapshotEr
 
 fn decode_stats(r: &mut SnapshotReader) -> Result<EpochStats, SnapshotError> {
     let mut s = EpochStats {
-        online: r.take_u64()?,
-        offline: r.take_u64()?,
+        online: r.take_uvar()?,
+        offline: r.take_uvar()?,
         energy_j: r.take_f64()?,
-        restarts: r.take_u64()?,
-        warm_restarts: r.take_u64()?,
-        warm_migrations: r.take_u64()?,
-        snapshot_errors: r.take_u64()?,
-        downtime_ms: r.take_u64()?,
+        restarts: r.take_uvar()?,
+        warm_restarts: r.take_uvar()?,
+        warm_migrations: r.take_uvar()?,
+        snapshot_errors: r.take_uvar()?,
+        downtime_ms: r.take_uvar()?,
         ..EpochStats::default()
     };
     ensure(s.energy_j.is_finite())?;
-    let nwords = r.take_u64()?;
+    let nwords = r.take_uvar()?;
     // Bound the allocation by the bytes actually present before
-    // reserving it: a short frame must not reserve megabytes.
+    // reserving it: a short frame must not reserve megabytes. The words
+    // stay fixed 8-byte `u64`s (about half are `f64` bit patterns, which
+    // a varint would lengthen), so each needs exactly 8 bytes.
     ensure(nwords <= r.remaining() as u64 / 8)?;
     ensure(nwords <= 1 << 22)?;
     let mut words = Vec::with_capacity(nwords as usize);
@@ -364,13 +366,13 @@ mod tests {
         // A valid stats header declaring 2^22 savings words with none
         // present: rejected before the 32 MiB reservation, as Corrupt.
         let mut w = SnapshotWriter::new();
-        w.put_u64(1); // online
-        w.put_u64(1); // offline
+        w.put_uvar(1); // online
+        w.put_uvar(1); // offline
         w.put_f64(1.0); // energy_j
         for _ in 0..5 {
-            w.put_u64(0); // restarts .. downtime_ms
+            w.put_uvar(0); // restarts .. downtime_ms
         }
-        w.put_u64(1 << 22); // savings word count
+        w.put_uvar(1 << 22); // savings word count
         let frame = w.finish().expect("small frame");
         let mut r = SnapshotReader::new(&frame).expect("intact frame");
         assert_eq!(

@@ -62,12 +62,12 @@ impl ShardState {
     /// # Errors
     ///
     /// [`SnapshotError::TooLarge`] if a device snapshot or the frame
-    /// overflows the u32 length prefix.
+    /// is 4 GiB or longer.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
         let mut w = SnapshotWriter::new();
-        w.put_u64(self.shard);
-        w.put_u64(self.next_epoch);
-        w.put_u64(self.snapshots.len() as u64);
+        w.put_uvar(self.shard);
+        w.put_uvar(self.next_epoch);
+        w.put_uvar(self.snapshots.len() as u64);
         for snap in &self.snapshots {
             w.put_opt_bytes(snap.as_deref())?;
         }
@@ -84,9 +84,9 @@ impl ShardState {
     /// does not match `cfg`'s partition.
     pub fn restore_bytes(cfg: &FleetConfig, bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::new(bytes)?;
-        let shard = r.take_u64()?;
-        let next_epoch = r.take_u64()?;
-        let count = r.take_u64()?;
+        let shard = r.take_uvar()?;
+        let next_epoch = r.take_uvar()?;
+        let count = r.take_uvar()?;
         asgov_core::persist::ensure(shard < cfg.shards)?;
         asgov_core::persist::ensure(next_epoch <= cfg.epochs)?;
         let (_, expected) = cfg.shard_range(shard);
