@@ -63,10 +63,23 @@ pub struct ControlCycleLog {
     pub actuation_fault: Option<SocErrorKind>,
 }
 
+/// What a [`ControllerBuilder`] plans over.
+#[derive(Debug, Clone)]
+enum Plant {
+    /// An offline profile; [`ControllerBuilder::build`] derives its
+    /// optimizer.
+    Profile(ProfileTable),
+    /// A prebuilt optimizer and its profile's base speed, GIPS.
+    Optimizer {
+        base_gips: f64,
+        optimizer: EnergyOptimizer,
+    },
+}
+
 /// Builder for [`EnergyController`].
 #[derive(Debug, Clone)]
 pub struct ControllerBuilder {
-    profile: ProfileTable,
+    plant: Plant,
     target_gips: Option<f64>,
     period_ms: u64,
     perf_period_ms: u64,
@@ -85,8 +98,31 @@ pub struct ControllerBuilder {
 impl ControllerBuilder {
     /// Start building a controller around an offline profile.
     pub fn new(profile: ProfileTable) -> Self {
+        Self::around(Plant::Profile(profile))
+    }
+
+    /// Start building a controller around a prebuilt optimizer and the
+    /// base speed (`base_gips`) of the profile it was built from — all
+    /// a controller needs of the profile. A caller that builds many
+    /// controllers of one profile (a fleet signature's device-epochs
+    /// and supervised restarts) builds `EnergyOptimizer::new(&profile)`
+    /// once and passes a clone of it here: no hull is rebuilt and no
+    /// table is copied. With that optimizer the controller is
+    /// identical to [`ControllerBuilder::new`]`(profile)`'s.
+    ///
+    /// Passing an optimizer built from another profile is a logic
+    /// error that is not detected: the controller would plan over the
+    /// other table.
+    pub fn with_optimizer(base_gips: f64, optimizer: EnergyOptimizer) -> Self {
+        Self::around(Plant::Optimizer {
+            base_gips,
+            optimizer,
+        })
+    }
+
+    fn around(plant: Plant) -> Self {
         Self {
-            profile,
+            plant,
             target_gips: None,
             period_ms: 2_000,
             perf_period_ms: 1_000,
@@ -227,30 +263,15 @@ impl ControllerBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the profile table is empty.
+    /// Panics if the builder was started from an empty profile table.
     pub fn build(self) -> EnergyController {
-        let optimizer = EnergyOptimizer::new(&self.profile);
-        self.build_with(optimizer)
-    }
-
-    /// Build the controller around a prebuilt optimizer for this
-    /// builder's profile, skipping the hull construction: a caller that
-    /// builds many controllers of one profile (a fleet signature's
-    /// device-epochs and supervised restarts) builds
-    /// `EnergyOptimizer::new(&profile)` once and passes a clone of it
-    /// here. With that optimizer the controller is identical to
-    /// [`ControllerBuilder::build`]'s.
-    ///
-    /// Passing an optimizer built from a different profile is a logic
-    /// error that is not detected: the controller would plan over the
-    /// other table's hull. Debug builds check only that the two tables
-    /// have the same length.
-    pub fn build_with(self, optimizer: EnergyOptimizer) -> EnergyController {
-        debug_assert_eq!(
-            optimizer.len(),
-            self.profile.len(),
-            "optimizer built from another profile"
-        );
+        let (base_gips, optimizer) = match self.plant {
+            Plant::Profile(profile) => (profile.base_gips, EnergyOptimizer::new(&profile)),
+            Plant::Optimizer {
+                base_gips,
+                optimizer,
+            } => (base_gips, optimizer),
+        };
         let min_s = optimizer.min_speedup().max(1e-9);
         // Clamp marginally inside the table's maximum: a target within
         // measurement noise of the absolute maximum would otherwise pin
@@ -258,9 +279,9 @@ impl ControllerBuilder {
         let max_s = (optimizer.max_speedup() * 0.995).max(min_s);
         let target = self
             .target_gips
-            .unwrap_or(self.profile.base_gips * 0.5 * (min_s + max_s))
+            .unwrap_or(base_gips * 0.5 * (min_s + max_s))
             * (1.0 - self.target_margin);
-        let profiled_base = self.profile.base_gips.max(1e-6);
+        let profiled_base = base_gips.max(1e-6);
         let regulator = PerformanceRegulator::with_gain(profiled_base, min_s, max_s, self.gain);
         let scheduler = ConfigScheduler::new(self.min_dwell_ms, self.mode == ControlMode::CpuOnly)
             .with_retry(self.resilience.max_retries, self.resilience.backoff_base_ms);
@@ -412,15 +433,12 @@ impl EnergyController {
 
     /// Hand the device back to the stock governors (ladder bottom).
     fn enter_fallback(&mut self, device: &mut Device) {
-        let _ = device.sysfs_write(
-            &format!("{}/scaling_governor", sysfs::CPUFREQ),
-            "interactive",
-        );
+        let _ = device.sysfs_write(sysfs::CPU_GOVERNOR, "interactive");
         if self.mode == ControlMode::Coordinated {
-            let _ = device.sysfs_write(&format!("{}/governor", sysfs::DEVFREQ), "cpubw_hwmon");
+            let _ = device.sysfs_write(sysfs::BW_GOVERNOR, "cpubw_hwmon");
         }
         if self.optimizer.controls_gpu() {
-            let _ = device.sysfs_write(&format!("{}/governor", sysfs::KGSL), "msm-adreno-tz");
+            let _ = device.sysfs_write(sysfs::GPU_GOVERNOR, "msm-adreno-tz");
         }
     }
 
@@ -916,12 +934,12 @@ impl Policy for EnergyController {
         // Take over the subsystems exactly as the paper does: select the
         // `userspace` governors through sysfs, then actuate via
         // `scaling_setspeed` / `userspace/set_freq`.
-        let _ = device.sysfs_write(&format!("{}/scaling_governor", sysfs::CPUFREQ), "userspace");
+        let _ = device.sysfs_write(sysfs::CPU_GOVERNOR, "userspace");
         if self.mode == ControlMode::Coordinated {
-            let _ = device.sysfs_write(&format!("{}/governor", sysfs::DEVFREQ), "userspace");
+            let _ = device.sysfs_write(sysfs::BW_GOVERNOR, "userspace");
         }
         if self.optimizer.controls_gpu() {
-            let _ = device.sysfs_write(&format!("{}/governor", sysfs::KGSL), "userspace");
+            let _ = device.sysfs_write(sysfs::GPU_GOVERNOR, "userspace");
         }
         self.perf.enable(device);
         self.cycle_end_ms = device.now_ms() + self.period_ms;

@@ -2,6 +2,7 @@
 
 use asgov_linprog::{gradient, HullSolver};
 use asgov_profiler::{Config, ProfileTable};
+use std::sync::Arc;
 
 /// Minimum-energy configuration selection over an offline profile.
 ///
@@ -30,16 +31,20 @@ use asgov_profiler::{Config, ProfileTable};
 /// assert!(plan.speedup_lower <= 2.0 && plan.speedup_upper >= 2.0);
 /// assert!((plan.tau_lower + plan.tau_upper - 2.0).abs() < 1e-9);
 /// ```
+///
+/// The tables are immutable after construction and shared: a clone
+/// bumps at most four reference counts and copies three scalars, so
+/// every controller of one profile plans over the same tables.
 #[derive(Debug, Clone)]
 pub struct EnergyOptimizer {
-    speedups: Vec<f64>,
-    powers: Vec<f64>,
-    configs: Vec<Config>,
+    speedups: Arc<[f64]>,
+    powers: Arc<[f64]>,
+    configs: Arc<[Config]>,
     /// Lower convex envelope, precomputed once at construction; makes
     /// every [`solve`](EnergyOptimizer::solve) `O(log N)` instead of
     /// `O(N²)`. `None` only when the table contains non-finite values
     /// (then every solve returns `None`, as the brute force would).
-    hull: Option<HullSolver>,
+    hull: Option<Arc<HullSolver>>,
     /// Smallest and largest speedup and the index of the largest,
     /// folded once at construction.
     min_speedup: f64,
@@ -72,7 +77,7 @@ impl EnergyOptimizer {
     /// Build an optimizer from a profile table. Everything a solve or
     /// a controller build reads is derived here, once, so one optimizer
     /// can be cloned into many controllers of the same profile (see
-    /// [`ControllerBuilder::build_with`](crate::ControllerBuilder::build_with)).
+    /// [`ControllerBuilder::with_optimizer`](crate::ControllerBuilder::with_optimizer)).
     ///
     /// # Panics
     ///
@@ -81,7 +86,7 @@ impl EnergyOptimizer {
         assert!(!table.is_empty(), "profile table must not be empty");
         let speedups = table.speedups();
         let powers = table.powers();
-        let hull = HullSolver::new(&speedups, &powers);
+        let hull = HullSolver::new(&speedups, &powers).map(Arc::new);
         Self {
             configs: (0..table.len()).map(|i| table.config(i)).collect(),
             min_speedup: speedups.iter().copied().fold(f64::INFINITY, f64::min),
@@ -97,8 +102,8 @@ impl EnergyOptimizer {
                     }
                 })
                 .0,
-            speedups,
-            powers,
+            speedups: speedups.into(),
+            powers: powers.into(),
             hull,
         }
     }

@@ -41,6 +41,7 @@
 //! epoch path; its output is the bitwise definition's, bit for bit.
 
 use asgov_soc::{Device, Policy};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Frame magic: identifies a byte buffer as an asgov snapshot.
@@ -180,20 +181,77 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Capacity of a fresh payload buffer: room for a controller snapshot
+/// (about 120 bytes) many times over, so one never grows.
+const SCRATCH_CAPACITY: usize = 1 << 10;
+
+/// Payload buffers above this capacity (a shard or fleet frame's) are
+/// freed when their writer finishes instead of being kept for reuse.
+const SCRATCH_KEEP_MAX: usize = 1 << 16;
+
+/// Payload buffers kept per thread: one per level of writer nesting
+/// (fleet → shard), with room to spare.
+const SCRATCH_POOL_MAX: usize = 4;
+
+thread_local! {
+    /// Payload buffers of finished writers on this thread, handed to
+    /// the next [`SnapshotWriter::new`]. Reuse changes no byte a writer
+    /// produces: a buffer is cleared before it is kept.
+    static SCRATCH: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Builds a snapshot payload field by field, then frames it with the
 /// header and checksum. Integers are LEB128 varints
 /// ([`SnapshotWriter::put_uvar`]) or fixed little-endian `u64` words;
 /// floats are stored as their IEEE-754 bit patterns, so round-trips
 /// are bit-exact (including NaN payloads and signed zeros).
-#[derive(Debug, Default)]
+///
+/// The payload is assembled in a per-thread scratch buffer that
+/// outlives the writer, so in steady state a frame costs one
+/// allocation: the exactly sized frame [`SnapshotWriter::finish`]
+/// returns (a frame kept for later, as the fleet keeps one per device,
+/// carries no spare capacity).
+#[derive(Debug)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
 }
 
+impl Default for SnapshotWriter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Drop for SnapshotWriter {
+    fn drop(&mut self) {
+        let mut buf = std::mem::take(&mut self.buf);
+        if buf.capacity() > SCRATCH_KEEP_MAX {
+            return;
+        }
+        buf.clear();
+        // `try_with`/`try_borrow_mut`: during thread teardown the pool
+        // may be gone, and then the buffer is simply freed.
+        let _ = SCRATCH.try_with(|pool| {
+            if let Ok(mut pool) = pool.try_borrow_mut() {
+                if pool.len() < SCRATCH_POOL_MAX {
+                    pool.push(buf);
+                }
+            }
+        });
+    }
+}
+
 impl SnapshotWriter {
-    /// Start an empty payload.
+    /// Start an empty payload (in a reused scratch buffer when this
+    /// thread has one).
     pub fn new() -> Self {
-        Self::default()
+        let reused = SCRATCH
+            .try_with(|pool| pool.try_borrow_mut().ok().and_then(|mut pool| pool.pop()))
+            .ok()
+            .flatten();
+        Self {
+            buf: reused.unwrap_or_else(|| Vec::with_capacity(SCRATCH_CAPACITY)),
+        }
     }
 
     /// Append one byte.
@@ -309,7 +367,7 @@ impl SnapshotWriter {
     }
 
     /// Frame the payload: header (magic, version, length, CRC-32)
-    /// followed by the payload bytes.
+    /// followed by the payload bytes, in one exactly sized allocation.
     ///
     /// # Errors
     ///
@@ -672,6 +730,30 @@ mod tests {
         w.finish().expect("small frame")
     }
 
+    /// Frames written from a reused scratch buffer are the same bytes
+    /// as from a fresh one, and carry no spare capacity — also after a
+    /// nested writer and one that outgrew the kept size.
+    #[test]
+    fn reused_scratch_gives_identical_exactly_sized_frames() {
+        let first = sample_frame();
+        let mut outer = SnapshotWriter::new();
+        let mut big = SnapshotWriter::new();
+        big.put_bytes(&vec![7; SCRATCH_KEEP_MAX + 1])
+            .expect("small field");
+        let inner = big.finish().expect("small frame");
+        outer.put_bytes(&inner).expect("small field");
+        let nested = outer.finish().expect("small frame");
+        assert_eq!(nested.capacity(), nested.len());
+        let again = sample_frame();
+        assert_eq!(again, first);
+        assert_eq!(again.capacity(), again.len());
+        // An abandoned writer's leftovers never reach the next frame.
+        let mut abandoned = SnapshotWriter::new();
+        abandoned.put_bytes(b"left behind").expect("small field");
+        drop(abandoned);
+        assert_eq!(sample_frame(), first);
+    }
+
     #[test]
     fn round_trip_is_bit_exact() {
         let frame = sample_frame();
@@ -831,7 +913,7 @@ mod tests {
     fn uvar_bytes(v: u64) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.put_uvar(v);
-        w.buf
+        std::mem::take(&mut w.buf)
     }
 
     #[test]

@@ -9,7 +9,8 @@
 
 use crate::optimizer::Plan;
 use asgov_profiler::Config;
-use asgov_soc::{sysfs, Device, SocErrorKind};
+use asgov_soc::sysfs::{self, Decimal};
+use asgov_soc::{Device, SocErrorKind};
 
 /// What happened to actuation over the control cycle just ended
 /// (consumed by the controller's degradation ladder each cycle).
@@ -278,6 +279,9 @@ impl ConfigScheduler {
     /// a user-space agent; it has no kernel driver path). Transient
     /// failures arm a backed-off retry of the whole configuration (the
     /// writes are idempotent); exhausted retries mark the cycle failed.
+    /// On a healthy device it allocates nothing: the paths are
+    /// constants, the values are formatted on the stack and the
+    /// read-back is numeric.
     fn apply(&mut self, device: &mut Device, config: Config) {
         let mut busy = false;
         let mut hard_failure = false;
@@ -285,18 +289,18 @@ impl ConfigScheduler {
         let khz = device.table().freq(config.freq).khz();
         match self.write_recovering(
             device,
-            &format!("{}/scaling_setspeed", sysfs::CPUFREQ),
-            &khz.to_string(),
-            &format!("{}/scaling_governor", sysfs::CPUFREQ),
+            sysfs::CPU_SETSPEED,
+            Decimal::new(khz).as_str(),
+            sysfs::CPU_GOVERNOR,
         ) {
             Ok(()) => {
                 // Detect silent thermal mitigation: the write succeeded
                 // but the policy may have clamped the running frequency.
-                if let Ok(cur) = device.sysfs_read(&format!("{}/scaling_cur_freq", sysfs::CPUFREQ))
+                if device
+                    .sysfs_read_u64(sysfs::CPU_CUR_FREQ)
+                    .is_ok_and(|cur| cur < khz)
                 {
-                    if cur.trim().parse::<u64>().is_ok_and(|c| c < khz) {
-                        self.thermal_clamps_detected += 1;
-                    }
+                    self.thermal_clamps_detected += 1;
                 }
             }
             Err(SocErrorKind::Busy) => busy = true,
@@ -306,9 +310,9 @@ impl ConfigScheduler {
             let mbps = device.table().bw(config.bw).0.round() as u64;
             match self.write_recovering(
                 device,
-                &format!("{}/userspace/set_freq", sysfs::DEVFREQ),
-                &mbps.to_string(),
-                &format!("{}/governor", sysfs::DEVFREQ),
+                sysfs::BW_SET_FREQ,
+                Decimal::new(mbps).as_str(),
+                sysfs::BW_GOVERNOR,
             ) {
                 Ok(()) => {}
                 Err(SocErrorKind::Busy) => busy = true,
@@ -319,9 +323,9 @@ impl ConfigScheduler {
             let hz = (device.gpu().freq_ghz(g) * 1e9).round() as u64;
             match self.write_recovering(
                 device,
-                &format!("{}/gpuclk", sysfs::KGSL),
-                &hz.to_string(),
-                &format!("{}/governor", sysfs::KGSL),
+                sysfs::GPU_CLK,
+                Decimal::new(hz).as_str(),
+                sysfs::GPU_GOVERNOR,
             ) {
                 Ok(()) => {}
                 Err(SocErrorKind::Busy) => busy = true,

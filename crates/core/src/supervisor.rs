@@ -243,25 +243,26 @@ impl<P: Restartable> Supervisor<P> {
         let mut fresh = (self.factory)();
         let mut warm = false;
         if self.config.warm {
-            if let Some(snap) = self.snapshot.clone() {
+            // Taken, not cloned: a usable checkpoint is put back below,
+            // an unusable one stays dropped.
+            if let Some(snap) = self.snapshot.take() {
                 if device.draw_clock_jump() {
                     // The wall clock jumped across the outage (NTP
                     // step, suspend): the snapshot's time anchors are
                     // meaningless, treat it as unusable.
                     self.snapshot_errors += 1;
-                    self.snapshot = None;
                 } else {
                     fresh.start(device);
                     match fresh.restore_bytes(&snap, now) {
                         Ok(()) => {
                             self.warm_restarts += 1;
                             warm = true;
+                            self.snapshot = Some(snap);
                         }
                         Err(_) => {
                             // Corrupt/truncated/mismatched checkpoint:
                             // never fatal, always a counted cold start.
                             self.snapshot_errors += 1;
-                            self.snapshot = None;
                         }
                     }
                 }

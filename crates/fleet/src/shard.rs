@@ -141,17 +141,16 @@ pub fn run_epoch_into(
             continue;
         }
 
-        let sig = spec.signature();
         let policy = store
-            .get(&sig)
-            .ok_or_else(|| FleetError::UnknownSignature(sig.clone()))?;
+            .get_indexed(spec.app_idx, spec.load)
+            .ok_or_else(|| FleetError::UnknownSignature(spec.signature()))?;
 
         let Some(mut app) = crate::spec::build_app(
             spec.app,
             BackgroundLoad::with_level(spec.load, rng.next_u64()),
             cfg.demand_quantum_ms,
         ) else {
-            return Err(FleetError::UnknownSignature(sig));
+            return Err(FleetError::UnknownSignature(spec.signature()));
         };
 
         let mut device = Device::new(DeviceConfig::nexus6().with_seed(rng.next_u64()));

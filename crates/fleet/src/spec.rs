@@ -215,6 +215,13 @@ pub fn signature(app: &str, load: LoadLevel) -> String {
     format!("{app}/{}", load.label())
 }
 
+/// Position of roster app `app_idx` under `load` in
+/// [`roster_signatures`] (`None` for an index outside the roster).
+pub(crate) fn signature_index(app_idx: usize, load: LoadLevel) -> Option<usize> {
+    let load_idx = LoadLevel::ALL.iter().position(|&l| l == load)?;
+    (app_idx < ROSTER.len()).then_some(app_idx * LoadLevel::ALL.len() + load_idx)
+}
+
 /// Construct the roster app named `app` with the given background
 /// load and demand quantum. `None` for names outside the roster.
 /// `quantum_ms == 1` is the exact per-ms model; larger quanta switch

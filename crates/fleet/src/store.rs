@@ -3,13 +3,12 @@
 //! shared (via `Arc`) by every device carrying that signature, instead
 //! of re-profiling per device (10⁵ devices, 18 signatures).
 
-use crate::spec::{build_app, roster_signatures, FleetConfig};
+use crate::spec::{build_app, roster_signatures, signature_index, FleetConfig};
 use asgov_core::{ControllerBuilder, EnergyController, EnergyOptimizer};
 use asgov_profiler::{measure_default, profile_app_serial, ProfileOptions, ProfileTable};
 use asgov_soc::DeviceConfig;
 use asgov_util::par::ordered_map;
 use asgov_workloads::{BackgroundLoad, LoadLevel};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Everything a device needs to run its controller, resolved once per
@@ -40,24 +39,28 @@ pub struct StoredPolicy {
 impl StoredPolicy {
     /// A fresh controller for this signature, seeded with `seed`: the
     /// fleet's device-epoch controller, and every supervised restart's.
-    /// It is built around a clone of the stored optimizer, so no device
-    /// rebuilds the signature's hull; the controller is identical to
-    /// one from [`ControllerBuilder::build`].
+    /// It is built around a clone of the stored optimizer (shared
+    /// tables) and the profile's base speed, so no device rebuilds the
+    /// signature's hull or copies its profile; the controller is
+    /// identical to one from `ControllerBuilder::new(profile).build()`.
     pub(crate) fn controller(&self, seed: u64) -> EnergyController {
-        let builder = ControllerBuilder::new(self.profile.clone())
-            .target_gips(self.target_gips)
-            .seed(seed);
-        match &self.optimizer {
-            Some(optimizer) => builder.build_with(optimizer.clone()),
-            None => builder.build(),
-        }
+        let builder = match &self.optimizer {
+            Some(optimizer) => {
+                ControllerBuilder::with_optimizer(self.profile.base_gips, optimizer.clone())
+            }
+            None => ControllerBuilder::new(self.profile.clone()),
+        };
+        builder.target_gips(self.target_gips).seed(seed).build()
     }
 }
 
 /// The resolved store: signature → shared policy.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyStore {
-    policies: BTreeMap<String, Arc<StoredPolicy>>,
+    /// One policy per signature, in roster order
+    /// ([`roster_signatures`]), so a device finds its policy by index
+    /// ([`PolicyStore::get_indexed`]) without formatting its signature.
+    policies: Vec<Arc<StoredPolicy>>,
 }
 
 impl PolicyStore {
@@ -72,16 +75,22 @@ impl PolicyStore {
             sigs.get(i)
                 .map(|(sig, app, load)| resolve_one(cfg, dev_cfg, sig, app, *load))
         });
-        let mut policies = BTreeMap::new();
-        for p in resolved.into_iter().flatten() {
-            policies.insert(p.signature.clone(), Arc::new(p));
+        Self {
+            policies: resolved.into_iter().flatten().map(Arc::new).collect(),
         }
-        Self { policies }
     }
 
     /// Look up the shared policy for a signature.
     pub fn get(&self, sig: &str) -> Option<&Arc<StoredPolicy>> {
-        self.policies.get(sig)
+        self.policies.iter().find(|p| p.signature == sig)
+    }
+
+    /// Look up the shared policy of roster app `app_idx` (a
+    /// [`DeviceSpec::app_idx`](crate::DeviceSpec::app_idx)) under
+    /// `load`: the policy [`PolicyStore::get`] returns for that pair's
+    /// signature, found without building the signature string.
+    pub fn get_indexed(&self, app_idx: usize, load: LoadLevel) -> Option<&Arc<StoredPolicy>> {
+        self.policies.get(signature_index(app_idx, load)?)
     }
 
     /// Number of resolved signatures.
@@ -264,6 +273,25 @@ mod tests {
         let (built, shared) = (run(false), run(true));
         assert_eq!(built.2, 2, "both kills restart the controller");
         assert_eq!(shared, built);
+    }
+
+    #[test]
+    fn indexed_lookup_matches_the_signature_lookup() {
+        let store = PolicyStore::resolve(&tiny_cfg(), &DeviceConfig::nexus6());
+        for (app_idx, name) in crate::spec::roster_names().into_iter().enumerate() {
+            for load in LoadLevel::ALL {
+                let by_name = store.get(&crate::spec::signature(name, load));
+                let by_index = store.get_indexed(app_idx, load);
+                assert!(by_name.is_some(), "{name}/{load}");
+                assert!(by_name
+                    .zip(by_index)
+                    .is_some_and(|(a, b)| Arc::ptr_eq(a, b)));
+            }
+        }
+        assert!(store.get_indexed(6, LoadLevel::Baseline).is_none());
+        assert!(PolicyStore::default()
+            .get_indexed(0, LoadLevel::Baseline)
+            .is_none());
     }
 
     #[test]

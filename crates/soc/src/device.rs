@@ -22,9 +22,11 @@ use crate::monitor::PowerMonitor;
 use crate::net::{NetRateIndex, Radio};
 use crate::pmu::Pmu;
 use crate::power::{OpPoint, PowerBreakdown, PowerModel, PowerModelParams};
+use crate::sysfs::{self, BW_GOVERNORS, CPU_GOVERNORS};
 use crate::trace::{Trace, TraceEvent};
 use crate::workload::{Demand, Executed};
 use asgov_obs::{CycleRecord, TraceSink};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -178,8 +180,9 @@ pub struct Device {
     // `power_model`'s terms at (`freq`, `bw`); refreshed by the only two
     // writers of those fields, `set_cpu_freq` and `set_mem_bw`.
     op: OpPoint,
-    cpu_governor: String,
-    bw_governor: String,
+    // Borrowed from the sysfs governor lists for every stock name.
+    cpu_governor: Cow<'static, str>,
+    bw_governor: Cow<'static, str>,
     gpu: Gpu,
     radio: Radio,
     pmu: Pmu,
@@ -226,8 +229,8 @@ impl Device {
             freq: FreqIndex(0),
             bw: BwIndex(0),
             op,
-            cpu_governor: "interactive".to_string(),
-            bw_governor: "cpubw_hwmon".to_string(),
+            cpu_governor: Cow::Borrowed("interactive"),
+            bw_governor: Cow::Borrowed("cpubw_hwmon"),
             gpu: Gpu::adreno420(),
             radio: Radio::wifi(),
             pmu: Pmu::new(),
@@ -532,9 +535,18 @@ impl Device {
         }
     }
 
-    /// Select the GPU devfreq governor.
+    /// Select the GPU devfreq governor (kernel path; sysfs writes
+    /// route here). `performance` and `powersave` pin the top and
+    /// bottom of the ladder through [`Device::set_gpu_freq`], so the
+    /// move is charged and traced like any other GPU transition — as
+    /// the CPU and bus governors do through their frequency paths.
     pub fn set_gpu_governor(&mut self, name: &str) {
         self.gpu.set_governor(name);
+        match name {
+            "performance" => self.set_gpu_freq(GpuFreqIndex(self.gpu.num_freqs() - 1)),
+            "powersave" => self.set_gpu_freq(GpuFreqIndex(0)),
+            _ => {}
+        }
     }
 
     /// Set the memory-bus bandwidth. In-kernel driver path.
@@ -553,15 +565,9 @@ impl Device {
 
     /// Select the cpufreq governor (kernel path; sysfs writes route here).
     pub fn set_cpu_governor(&mut self, name: &str) {
-        self.trace.record(
-            self.now_ms,
-            TraceEvent::Governor {
-                subsystem: "cpufreq",
-                name: name.to_string(),
-            },
-        );
+        self.trace_governor("cpufreq", name);
         self.obs_event("cpufreq-governor");
-        self.cpu_governor = name.to_string();
+        self.cpu_governor = sysfs::governor_name(&CPU_GOVERNORS, name);
         match name {
             "performance" => self.set_cpu_freq(self.table.max_freq()),
             "powersave" => self.set_cpu_freq(self.table.min_freq()),
@@ -571,19 +577,27 @@ impl Device {
 
     /// Select the devfreq governor (kernel path; sysfs writes route here).
     pub fn set_bw_governor(&mut self, name: &str) {
-        self.trace.record(
-            self.now_ms,
-            TraceEvent::Governor {
-                subsystem: "devfreq",
-                name: name.to_string(),
-            },
-        );
+        self.trace_governor("devfreq", name);
         self.obs_event("devfreq-governor");
-        self.bw_governor = name.to_string();
+        self.bw_governor = sysfs::governor_name(&BW_GOVERNORS, name);
         match name {
             "performance" => self.set_mem_bw(self.table.max_bw()),
             "powersave" => self.set_mem_bw(self.table.min_bw()),
             _ => {}
+        }
+    }
+
+    /// Record a governor selection in the event trace. The record owns
+    /// a copy of the name, so it is built only when the trace records.
+    fn trace_governor(&mut self, subsystem: &'static str, name: &str) {
+        if self.trace.is_enabled() {
+            self.trace.record(
+                self.now_ms,
+                TraceEvent::Governor {
+                    subsystem,
+                    name: name.to_string(),
+                },
+            );
         }
     }
 
@@ -905,7 +919,20 @@ impl Device {
     ///
     /// Returns [`crate::SocError::NoSuchFile`] for unknown paths.
     pub fn sysfs_read(&self, path: &str) -> Result<String, crate::SocError> {
-        crate::sysfs::read(self, path)
+        sysfs::read(self, path)
+    }
+
+    /// Read a numeric virtual sysfs file (a current or requested
+    /// frequency or bandwidth) without building its text: the number
+    /// `sysfs_read(path)?.trim().parse::<u64>()` would give.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::SocError::NoSuchFile`] for unknown paths, as
+    /// [`Device::sysfs_read`]; [`crate::SocError::InvalidValue`]
+    /// (carrying the file's text) for a file that is not one number.
+    pub fn sysfs_read_u64(&self, path: &str) -> Result<u64, crate::SocError> {
+        sysfs::read_u64(self, path)
     }
 
     /// Write a virtual sysfs file. See [`crate::sysfs`] for the tree and
@@ -924,7 +951,7 @@ impl Device {
                 return Err(err);
             }
         }
-        crate::sysfs::write(self, path, value)
+        sysfs::write(self, path, value)
     }
 }
 
@@ -1093,6 +1120,44 @@ mod tests {
         assert_eq!(d.freq(), FreqIndex(0));
     }
 
+    /// A `performance`/`powersave` write to the GPU governor file moves
+    /// the clock through the GPU's frequency path exactly as the same
+    /// write to `scaling_governor` moves the CPU through its own: one
+    /// charged transition, one trace record each way.
+    #[test]
+    fn gpu_governor_pins_take_the_frequency_path_like_the_cpu() {
+        use crate::sysfs::{CPU_GOVERNOR, GPU_GOVERNOR};
+        let pins = |governor_path: &str| {
+            let mut d = quiet_device();
+            d.trace_mut().set_enabled(true);
+            let mut charged = Vec::new();
+            for name in ["performance", "powersave"] {
+                d.sysfs_write(governor_path, name).expect("stock governor");
+                charged.push(std::mem::take(&mut d.pending_transition_energy_j));
+            }
+            let moves: Vec<_> = d
+                .trace()
+                .records()
+                .filter_map(|r| match r.event {
+                    TraceEvent::CpuFreq(from, to) | TraceEvent::GpuFreq(from, to) => {
+                        Some((from, to))
+                    }
+                    _ => None,
+                })
+                .collect();
+            (d, charged, moves)
+        };
+        let (cpu, cpu_charged, cpu_moves) = pins(CPU_GOVERNOR);
+        let (gpu, gpu_charged, gpu_moves) = pins(GPU_GOVERNOR);
+        assert_eq!(gpu_charged, cpu_charged, "one transition charged per move");
+        assert_eq!(gpu_charged, [TRANSITION_ENERGY_J; 2]);
+        assert_eq!(cpu_moves, [(0, 17), (17, 0)]);
+        assert_eq!(gpu_moves, [(0, 4), (4, 0)]);
+        assert_eq!(cpu.freq(), FreqIndex(0));
+        assert_eq!(gpu.gpu().freq(), GpuFreqIndex(0));
+        assert_eq!(gpu.gpu().governor(), "powersave");
+    }
+
     #[test]
     fn stats_reset_zeroes_histograms() {
         let mut d = quiet_device();
@@ -1176,17 +1241,17 @@ mod tests {
             .window(5, 10, FaultKind::SysfsBusy)
             .expect("valid window");
         d.install_faults(FaultInjector::new(plan, 1));
-        let path = format!("{}/scaling_setspeed", crate::sysfs::CPUFREQ);
-        assert!(d.sysfs_write(&path, "1497600").is_ok());
+        let path = crate::sysfs::CPU_SETSPEED;
+        assert!(d.sysfs_write(path, "1497600").is_ok());
         for _ in 0..5 {
             d.tick(&Demand::idle());
         }
-        let err = d.sysfs_write(&path, "300000").unwrap_err();
+        let err = d.sysfs_write(path, "300000").unwrap_err();
         assert_eq!(err.kind(), crate::SocErrorKind::Busy);
         for _ in 0..5 {
             d.tick(&Demand::idle());
         }
-        assert!(d.sysfs_write(&path, "300000").is_ok());
+        assert!(d.sysfs_write(path, "300000").is_ok());
         assert_eq!(d.faults().unwrap().stats().sysfs_busy, 1);
     }
 
@@ -1204,11 +1269,8 @@ mod tests {
         d.set_mem_bw(BwIndex(9));
         assert_eq!(d.op, fresh(&d), "set_mem_bw");
         let khz = d.table().freq(FreqIndex(11)).khz();
-        d.sysfs_write(
-            &format!("{}/scaling_setspeed", crate::sysfs::CPUFREQ),
-            &khz.to_string(),
-        )
-        .unwrap();
+        d.sysfs_write(crate::sysfs::CPU_SETSPEED, &khz.to_string())
+            .unwrap();
         assert_eq!(d.freq(), FreqIndex(11));
         assert_eq!(d.op, fresh(&d), "scaling_setspeed");
         let plan = FaultPlan::new()
@@ -1238,21 +1300,15 @@ mod tests {
         assert_eq!(d.freq(), FreqIndex(5), "running freq forced to ceiling");
         // A write above the ceiling succeeds but is clamped.
         let khz = d.table().freq(FreqIndex(15)).khz();
-        d.sysfs_write(
-            &format!("{}/scaling_setspeed", crate::sysfs::CPUFREQ),
-            &khz.to_string(),
-        )
-        .unwrap();
+        d.sysfs_write(crate::sysfs::CPU_SETSPEED, &khz.to_string())
+            .unwrap();
         assert_eq!(d.freq(), FreqIndex(5));
         // After the window the same write takes full effect.
         for _ in 0..10 {
             d.tick(&Demand::idle());
         }
-        d.sysfs_write(
-            &format!("{}/scaling_setspeed", crate::sysfs::CPUFREQ),
-            &khz.to_string(),
-        )
-        .unwrap();
+        d.sysfs_write(crate::sysfs::CPU_SETSPEED, &khz.to_string())
+            .unwrap();
         assert_eq!(d.freq(), FreqIndex(15));
         assert!(d.faults().unwrap().stats().thermal_clamps >= 2);
     }

@@ -4,6 +4,7 @@
 //! the 18 CPU clock frequencies and 13 memory-bus bandwidths supported by
 //! the Snapdragon 805 in the Nexus 6.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The 18 CPU clock frequencies (GHz) of the Nexus 6 (paper Table II).
@@ -17,6 +18,27 @@ pub const NEXUS6_MEM_BWS_MBPS: [f64; 13] = [
     762.0, 1144.0, 1525.0, 2288.0, 3051.0, 3952.0, 4684.0, 5996.0, 7019.0, 8056.0, 10101.0,
     12145.0, 16250.0,
 ];
+
+/// The Krait-like core voltage ladder `V(f) = 0.55 + 0.23·f` (V, f in
+/// GHz): ≈ 0.62 V at 300 MHz to ≈ 1.16 V at 2.65 GHz, the 28 nm HPm
+/// envelope.
+const fn krait_volts(ghz: f64) -> f64 {
+    0.55 + 0.23 * ghz
+}
+
+/// [`krait_volts`] over the Nexus 6 ladder, evaluated at compile time
+/// (IEEE arithmetic, so the same bits as at run time), so
+/// [`DvfsTable::nexus6`] borrows all three of its ladders.
+static NEXUS6_VOLTS: [f64; NEXUS6_CPU_FREQS_GHZ.len()] = {
+    let mut volts = [0.0; NEXUS6_CPU_FREQS_GHZ.len()];
+    let mut i = 0;
+    while i < volts.len() {
+        // asgov-analyze: allow(hot-path-index): const-evaluated, `i` bounded by the loop
+        volts[i] = krait_volts(NEXUS6_CPU_FREQS_GHZ[i]);
+        i += 1;
+    }
+    volts
+};
 
 /// Index into the CPU frequency ladder (0-based; the paper numbers 1–18).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -95,9 +117,11 @@ impl fmt::Display for MemBw {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DvfsTable {
-    freqs_ghz: Vec<f64>,
-    bws_mbps: Vec<f64>,
-    volts: Vec<f64>,
+    // Borrowed statics for the Nexus 6 table, so building (or cloning)
+    // a device's table allocates nothing; owned for custom ladders.
+    freqs_ghz: Cow<'static, [f64]>,
+    bws_mbps: Cow<'static, [f64]>,
+    volts: Cow<'static, [f64]>,
 }
 
 impl DvfsTable {
@@ -105,6 +129,9 @@ impl DvfsTable {
     /// ladders. Voltages follow a Krait-like linear ladder
     /// `V(f) = 0.55 + 0.23·f` (≈ 0.62 V at 300 MHz to ≈ 1.16 V at
     /// 2.65 GHz, the 28 nm HPm envelope).
+    ///
+    /// The table owns copies of the ladders; [`DvfsTable::nexus6`]
+    /// borrows static ones instead.
     ///
     /// # Panics
     ///
@@ -122,17 +149,21 @@ impl DvfsTable {
             bws_mbps.windows(2).all(|w| w[0] < w[1]),
             "bandwidth ladder must be strictly increasing"
         );
-        let volts = freqs_ghz.iter().map(|f| 0.55 + 0.23 * f).collect();
         Self {
-            freqs_ghz: freqs_ghz.to_vec(),
-            bws_mbps: bws_mbps.to_vec(),
-            volts,
+            freqs_ghz: Cow::Owned(freqs_ghz.to_vec()),
+            bws_mbps: Cow::Owned(bws_mbps.to_vec()),
+            volts: freqs_ghz.iter().map(|&f| krait_volts(f)).collect(),
         }
     }
 
-    /// The Nexus 6 / Snapdragon 805 table (paper Table II).
+    /// The Nexus 6 / Snapdragon 805 table (paper Table II). Borrows
+    /// static ladders: it allocates nothing.
     pub fn nexus6() -> Self {
-        Self::new(&NEXUS6_CPU_FREQS_GHZ, &NEXUS6_MEM_BWS_MBPS)
+        Self {
+            freqs_ghz: Cow::Borrowed(&NEXUS6_CPU_FREQS_GHZ),
+            bws_mbps: Cow::Borrowed(&NEXUS6_MEM_BWS_MBPS),
+            volts: Cow::Borrowed(&NEXUS6_VOLTS),
+        }
     }
 
     /// Number of CPU frequency operating points.
@@ -250,6 +281,17 @@ impl Default for DvfsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn static_nexus6_table_equals_the_built_one() {
+        let built = DvfsTable::new(&NEXUS6_CPU_FREQS_GHZ, &NEXUS6_MEM_BWS_MBPS);
+        let table = DvfsTable::nexus6();
+        assert_eq!(table, built);
+        for i in table.freq_indices() {
+            assert_eq!(table.voltage(i).to_bits(), built.voltage(i).to_bits());
+        }
+        assert!(matches!(table.volts, Cow::Borrowed(_)));
+    }
 
     #[test]
     fn nexus6_ladder_sizes_match_paper() {

@@ -8,6 +8,9 @@
 //! faster than the GPU executes, which caps its CPU-side instruction
 //! rate too (the render thread blocks on the GPU fence).
 
+use crate::sysfs::{self, GPU_GOVERNORS};
+use std::borrow::Cow;
+
 /// The Adreno 420 frequency ladder, GHz.
 pub const ADRENO420_FREQS_GHZ: [f64; 5] = [0.20, 0.30, 0.42, 0.50, 0.60];
 
@@ -24,28 +27,28 @@ impl std::fmt::Display for GpuFreqIndex {
 /// The GPU: ladder, current operating point, and power model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gpu {
-    freqs_ghz: Vec<f64>,
+    freqs_ghz: &'static [f64],
     cur: GpuFreqIndex,
-    governor: String,
+    governor: Cow<'static, str>,
     /// Dynamic power coefficient, W per (V² · GHz) at full utilization.
     dyn_w_per_v2ghz: f64,
     /// Leakage, W per volt.
     leak_w_per_v: f64,
     busy_ms: f64,
-    time_in_freq_ms: Vec<u64>,
+    time_in_freq_ms: [u64; ADRENO420_FREQS_GHZ.len()],
 }
 
 impl Gpu {
     /// An Adreno 420-like GPU.
     pub fn adreno420() -> Self {
         Self {
-            freqs_ghz: ADRENO420_FREQS_GHZ.to_vec(),
+            freqs_ghz: &ADRENO420_FREQS_GHZ,
             cur: GpuFreqIndex(0),
-            governor: "msm-adreno-tz".to_string(),
+            governor: Cow::Borrowed("msm-adreno-tz"),
             dyn_w_per_v2ghz: 1.6,
             leak_w_per_v: 0.04,
             busy_ms: 0.0,
-            time_in_freq_ms: vec![0; ADRENO420_FREQS_GHZ.len()],
+            time_in_freq_ms: [0; ADRENO420_FREQS_GHZ.len()],
         }
     }
 
@@ -97,14 +100,12 @@ impl Gpu {
         &self.governor
     }
 
-    /// Select the GPU governor.
+    /// Record the selected GPU governor. The name only: the ladder
+    /// pins of `performance` and `powersave` are applied by
+    /// [`Device::set_gpu_governor`](crate::Device::set_gpu_governor)
+    /// through the device's frequency path.
     pub fn set_governor(&mut self, name: &str) {
-        self.governor = name.to_string();
-        match name {
-            "performance" => self.cur = GpuFreqIndex(self.freqs_ghz.len() - 1),
-            "powersave" => self.cur = GpuFreqIndex(0),
-            _ => {}
-        }
+        self.governor = sysfs::governor_name(&GPU_GOVERNORS, name);
     }
 
     /// Cumulative GPU busy time, ms (for the tz governor's load signal).
@@ -233,12 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn governor_pins() {
+    fn governor_records_the_name_only() {
         let mut g = Gpu::adreno420();
+        g.set_freq(GpuFreqIndex(2));
         g.set_governor("performance");
-        assert_eq!(g.freq(), GpuFreqIndex(4));
-        g.set_governor("powersave");
-        assert_eq!(g.freq(), GpuFreqIndex(0));
+        assert_eq!(g.governor(), "performance");
+        assert_eq!(g.freq(), GpuFreqIndex(2), "pins belong to the device");
         g.set_governor("userspace");
         assert_eq!(g.governor(), "userspace");
     }

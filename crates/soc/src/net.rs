@@ -24,7 +24,7 @@ impl std::fmt::Display for NetRateIndex {
 /// The radio: ladder, current setting, and power model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Radio {
-    rates_pps: Vec<f64>,
+    rates_pps: &'static [f64],
     cur: NetRateIndex,
     /// Poll power per packet-per-second of the *setting*, watts.
     poll_w_per_pps: f64,
@@ -37,7 +37,7 @@ impl Radio {
     /// A Nexus 6-like WiFi radio.
     pub fn wifi() -> Self {
         Self {
-            rates_pps: PACKET_RATES_PPS.to_vec(),
+            rates_pps: &PACKET_RATES_PPS,
             cur: NetRateIndex(2),
             poll_w_per_pps: 2.0e-5,
             energy_per_packet_j: 8.0e-6,

@@ -85,11 +85,16 @@ pub(crate) fn collect_report<W: Workload + ?Sized>(
     let policy = if policies.is_empty() {
         "none".to_string()
     } else {
-        policies
-            .iter()
-            .map(super::Policy::name)
-            .collect::<Vec<_>>()
-            .join("+")
+        // `a+b+…`, built in one exactly sized allocation.
+        let len = policies.iter().map(|p| p.name().len() + 1).sum::<usize>() - 1;
+        let mut joined = String::with_capacity(len);
+        for (i, p) in policies.iter().enumerate() {
+            if i > 0 {
+                joined.push('+');
+            }
+            joined.push_str(p.name());
+        }
+        joined
     };
 
     let stats = device.stats();
