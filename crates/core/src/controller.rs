@@ -4,7 +4,7 @@ use crate::optimizer::EnergyOptimizer;
 use crate::persist::{self, Restartable, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::regulator::{PerformanceRegulator, RegulatorState};
 use crate::resilience::{
-    DegradationLadder, DivergenceGuard, LadderEvent, LadderState, PerfGate, ResilienceConfig,
+    self, DegradationLadder, DivergenceGuard, LadderEvent, LadderState, PerfGate,
 };
 use crate::scheduler::{ConfigScheduler, SchedulerState};
 use asgov_control::{PhaseDetector, PhaseEvent};
@@ -63,26 +63,16 @@ pub struct ControlCycleLog {
     pub actuation_fault: Option<SocErrorKind>,
 }
 
-/// What a [`ControllerBuilder`] plans over.
-#[derive(Debug, Clone)]
-enum Plant {
-    /// An offline profile; [`ControllerBuilder::build`] derives its
-    /// optimizer.
-    Profile(ProfileTable),
-    /// A prebuilt optimizer and its profile's base speed, GIPS.
-    Optimizer {
-        base_gips: f64,
-        optimizer: EnergyOptimizer,
-    },
-}
+/// `perf` sampling period, ms (the paper's 1 s).
+const PERF_PERIOD_MS: u64 = 1_000;
 
 /// Builder for [`EnergyController`].
 #[derive(Debug, Clone)]
 pub struct ControllerBuilder {
-    plant: Plant,
+    base_gips: f64,
+    optimizer: EnergyOptimizer,
     target_gips: Option<f64>,
     period_ms: u64,
-    perf_period_ms: u64,
     perf_noise_rel: f64,
     min_dwell_ms: u64,
     mode: ControlMode,
@@ -92,13 +82,16 @@ pub struct ControllerBuilder {
     gain: f64,
     phase_detection: bool,
     strategy: OptimizerStrategy,
-    resilience: ResilienceConfig,
 }
 
 impl ControllerBuilder {
     /// Start building a controller around an offline profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile table is empty.
     pub fn new(profile: ProfileTable) -> Self {
-        Self::around(Plant::Profile(profile))
+        Self::with_optimizer(profile.base_gips, EnergyOptimizer::new(&profile))
     }
 
     /// Start building a controller around a prebuilt optimizer and the
@@ -114,18 +107,11 @@ impl ControllerBuilder {
     /// error that is not detected: the controller would plan over the
     /// other table.
     pub fn with_optimizer(base_gips: f64, optimizer: EnergyOptimizer) -> Self {
-        Self::around(Plant::Optimizer {
+        Self {
             base_gips,
             optimizer,
-        })
-    }
-
-    fn around(plant: Plant) -> Self {
-        Self {
-            plant,
             target_gips: None,
             period_ms: 2_000,
-            perf_period_ms: 1_000,
             perf_noise_rel: 0.02,
             min_dwell_ms: 200,
             mode: ControlMode::Coordinated,
@@ -135,7 +121,6 @@ impl ControllerBuilder {
             gain: 0.45,
             phase_detection: false,
             strategy: OptimizerStrategy::default(),
-            resilience: ResilienceConfig::default(),
         }
     }
 
@@ -156,12 +141,6 @@ impl ControllerBuilder {
     /// Control cycle duration 𝕋, ms (paper: 2000).
     pub fn period_ms(mut self, ms: u64) -> Self {
         self.period_ms = ms.max(200);
-        self
-    }
-
-    /// `perf` sampling period, ms (paper: 1000; minimum 100).
-    pub fn perf_period_ms(mut self, ms: u64) -> Self {
-        self.perf_period_ms = ms;
         self
     }
 
@@ -251,27 +230,9 @@ impl ControllerBuilder {
         self
     }
 
-    /// Tune the resilience layer (retry budget, sanity-gate bounds,
-    /// degradation ladder thresholds). The defaults never fire on a
-    /// healthy device.
-    pub fn resilience(mut self, config: ResilienceConfig) -> Self {
-        self.resilience = config;
-        self
-    }
-
     /// Build the controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the builder was started from an empty profile table.
     pub fn build(self) -> EnergyController {
-        let (base_gips, optimizer) = match self.plant {
-            Plant::Profile(profile) => (profile.base_gips, EnergyOptimizer::new(&profile)),
-            Plant::Optimizer {
-                base_gips,
-                optimizer,
-            } => (base_gips, optimizer),
-        };
+        let optimizer = self.optimizer;
         let min_s = optimizer.min_speedup().max(1e-9);
         // Clamp marginally inside the table's maximum: a target within
         // measurement noise of the absolute maximum would otherwise pin
@@ -279,12 +240,12 @@ impl ControllerBuilder {
         let max_s = (optimizer.max_speedup() * 0.995).max(min_s);
         let target = self
             .target_gips
-            .unwrap_or(base_gips * 0.5 * (min_s + max_s))
+            .unwrap_or(self.base_gips * 0.5 * (min_s + max_s))
             * (1.0 - self.target_margin);
-        let profiled_base = base_gips.max(1e-6);
+        let profiled_base = self.base_gips.max(1e-6);
         let regulator = PerformanceRegulator::with_gain(profiled_base, min_s, max_s, self.gain);
         let scheduler = ConfigScheduler::new(self.min_dwell_ms, self.mode == ControlMode::CpuOnly)
-            .with_retry(self.resilience.max_retries, self.resilience.backoff_base_ms);
+            .with_retry(resilience::MAX_RETRIES, resilience::BACKOFF_BASE_MS);
         // The plant cannot physically exceed base × max speedup; beyond
         // that (with headroom) a reading is corrupt, not optimistic.
         let plausible_max = (profiled_base * optimizer.max_speedup()).max(target);
@@ -293,7 +254,7 @@ impl ControllerBuilder {
             optimizer,
             regulator,
             scheduler,
-            perf: PerfReader::new(self.perf_period_ms, self.perf_noise_rel, self.seed),
+            perf: PerfReader::new(PERF_PERIOD_MS, self.perf_noise_rel, self.seed),
             target_gips: target,
             period_ms: self.period_ms,
             mode: self.mode,
@@ -310,13 +271,9 @@ impl ControllerBuilder {
             phase_changes: 0,
             strategy: self.strategy,
             last_lower_index: 0,
-            resilience: self.resilience,
-            gate: PerfGate::new(self.resilience.outlier_factor, plausible_max),
-            guard: DivergenceGuard::new(self.resilience.divergence_factor, profiled_base),
-            ladder: DegradationLadder::new(
-                self.resilience.degrade_after,
-                self.resilience.probation_cycles,
-            ),
+            gate: PerfGate::new(resilience::OUTLIER_FACTOR, plausible_max),
+            guard: DivergenceGuard::new(resilience::DIVERGENCE_FACTOR, profiled_base),
+            ladder: DegradationLadder::new(resilience::DEGRADE_AFTER, resilience::PROBATION_CYCLES),
             profiled_base,
             safe_index,
             drought_run: 0,
@@ -348,7 +305,6 @@ pub struct EnergyController {
     phase_changes: u64,
     strategy: OptimizerStrategy,
     last_lower_index: usize,
-    resilience: ResilienceConfig,
     gate: PerfGate,
     guard: DivergenceGuard,
     ladder: DegradationLadder,
@@ -470,7 +426,7 @@ impl EnergyController {
         } else {
             self.drought_run = 0;
         }
-        let cycle_failed = outcome.failed || self.drought_run >= self.resilience.drought_cycles;
+        let cycle_failed = outcome.failed || self.drought_run >= resilience::DROUGHT_CYCLES;
         let mut entered_fallback = false;
         match self.ladder.observe(cycle_failed) {
             LadderEvent::Down(DegradationLevel::SafeConfig) => {

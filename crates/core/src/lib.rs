@@ -74,8 +74,6 @@ pub use controller::{
 pub use optimizer::EnergyOptimizer;
 pub use persist::{Restartable, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use regulator::{PerformanceRegulator, RegulatorState};
-pub use resilience::{
-    DegradationLadder, DivergenceGuard, LadderEvent, LadderState, PerfGate, ResilienceConfig,
-};
+pub use resilience::{DegradationLadder, DivergenceGuard, LadderEvent, LadderState, PerfGate};
 pub use scheduler::{ConfigScheduler, CycleOutcome, SchedulerState};
 pub use supervisor::{Supervisor, SupervisorConfig};

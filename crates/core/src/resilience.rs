@@ -21,47 +21,33 @@
 
 use asgov_soc::DegradationLevel;
 
-/// Tuning knobs for the resilience layer. The defaults are deliberately
-/// conservative: a healthy run never trips any of them, which is what
-/// keeps the hardened controller bit-identical to the original on a
-/// fault-free device.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// Backed-off retries per rejected actuation before the cycle is
-    /// declared failed.
-    pub max_retries: u32,
-    /// Base backoff, ms (doubles per attempt).
-    pub backoff_base_ms: u64,
-    /// Perf readings above `outlier_factor ×` the plausible maximum
-    /// (profiled base × maximum speedup, or the target if larger) are
-    /// rejected as corrupt.
-    pub outlier_factor: f64,
-    /// Consecutive cycles without one accepted perf reading before the
-    /// cycle is treated as failed (measurement drought).
-    pub drought_cycles: u64,
-    /// The base-speed estimate is re-seeded when it strays beyond
-    /// `divergence_factor ×` (or below `1/factor ×`) the profiled base.
-    pub divergence_factor: f64,
-    /// Consecutive failed cycles per step *down* the ladder (the
-    /// issue's K).
-    pub degrade_after: u64,
-    /// Consecutive clean cycles per step *up* the ladder (probation).
-    pub probation_cycles: u64,
-}
+// The controller's fixed tunings of the resilience layer. They are
+// deliberately conservative: a healthy run never trips any of them,
+// which is what keeps the hardened controller bit-identical to the
+// original on a fault-free device. The component constructors below
+// still take their values as parameters, so their unit tests can
+// exercise other settings.
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_base_ms: 10,
-            outlier_factor: 8.0,
-            drought_cycles: 2,
-            divergence_factor: 50.0,
-            degrade_after: 3,
-            probation_cycles: 2,
-        }
-    }
-}
+/// Backed-off retries per rejected actuation before the cycle is
+/// declared failed.
+pub(crate) const MAX_RETRIES: u32 = 3;
+/// Base backoff, ms (doubles per attempt).
+pub(crate) const BACKOFF_BASE_MS: u64 = 10;
+/// Perf readings above `OUTLIER_FACTOR ×` the plausible maximum
+/// (profiled base × maximum speedup, or the target if larger) are
+/// rejected as corrupt.
+pub(crate) const OUTLIER_FACTOR: f64 = 8.0;
+/// Consecutive cycles without one accepted perf reading before the
+/// cycle is treated as failed (measurement drought).
+pub(crate) const DROUGHT_CYCLES: u64 = 2;
+/// The base-speed estimate is re-seeded when it strays beyond
+/// `DIVERGENCE_FACTOR ×` (or below `1/factor ×`) the profiled base.
+pub(crate) const DIVERGENCE_FACTOR: f64 = 50.0;
+/// Consecutive failed cycles per step *down* the ladder (the module
+/// diagram's K).
+pub(crate) const DEGRADE_AFTER: u64 = 3;
+/// Consecutive clean cycles per step *up* the ladder (probation).
+pub(crate) const PROBATION_CYCLES: u64 = 2;
 
 /// Sanity gate on raw perf readings: rejects non-finite, negative and
 /// implausibly large samples, holding the last good value instead.
@@ -520,10 +506,9 @@ mod tests {
 
     #[test]
     fn defaults_are_the_documented_ones() {
-        let c = ResilienceConfig::default();
-        assert_eq!(c.max_retries, 3);
-        assert_eq!(c.degrade_after, 3);
-        assert_eq!(c.probation_cycles, 2);
-        assert!(c.outlier_factor > 1.0);
+        assert_eq!(MAX_RETRIES, 3);
+        assert_eq!(DEGRADE_AFTER, 3);
+        assert_eq!(PROBATION_CYCLES, 2);
+        const { assert!(OUTLIER_FACTOR > 1.0) };
     }
 }

@@ -39,16 +39,6 @@ impl Summary {
     pub fn display(&self, decimals: usize) -> String {
         format!("{:.*} ± {:.*}", decimals, self.mean, decimals, self.std)
     }
-
-    /// A crude significance check: do two summaries differ by more than
-    /// the sum of their standard errors? (Not a t-test; a reading aid.)
-    pub fn clearly_differs_from(&self, other: &Summary) -> bool {
-        if self.n < 2 || other.n < 2 {
-            return false;
-        }
-        let se = self.std / (self.n as f64).sqrt() + other.std / (other.n as f64).sqrt();
-        (self.mean - other.mean).abs() > se
-    }
 }
 
 #[cfg(test)]
@@ -75,15 +65,5 @@ mod tests {
     fn display_rounds() {
         let s = Summary::of(&[1.0, 2.0]);
         assert_eq!(s.display(1), "1.5 ± 0.7");
-    }
-
-    #[test]
-    fn difference_check() {
-        let a = Summary::of(&[10.0, 10.1, 9.9]);
-        let b = Summary::of(&[12.0, 12.1, 11.9]);
-        assert!(a.clearly_differs_from(&b));
-        let c = Summary::of(&[10.0, 12.0, 8.0]);
-        assert!(!a.clearly_differs_from(&c));
-        assert!(!a.clearly_differs_from(&Summary::of(&[5.0])));
     }
 }

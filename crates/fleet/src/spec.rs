@@ -190,7 +190,7 @@ const SALT_EPOCH: u64 = 0xe7;
 /// The applications fleet devices run: the six paper applications of
 /// the workloads registry. Batch apps (VidCon, MobileBench) complete
 /// early within an epoch; the rest run the full epoch window.
-const ROSTER: &[(&str, AppCtor); 6] = PAPER_APPS;
+pub(crate) const ROSTER: &[(&str, AppCtor); 6] = PAPER_APPS;
 
 /// Roster application names, in roster order. This order defines the
 /// per-app stream indices of the columnar savings aggregator.

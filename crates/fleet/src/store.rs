@@ -3,11 +3,12 @@
 //! shared (via `Arc`) by every device carrying that signature, instead
 //! of re-profiling per device (10⁵ devices, 18 signatures).
 
-use crate::spec::{build_app, roster_signatures, signature_index, FleetConfig};
+use crate::spec::{signature, signature_index, FleetConfig, ROSTER};
 use asgov_core::{ControllerBuilder, EnergyController, EnergyOptimizer};
 use asgov_profiler::{measure_default, profile_app_serial, ProfileOptions, ProfileTable};
 use asgov_soc::DeviceConfig;
 use asgov_util::par::ordered_map;
+use asgov_workloads::apps::AppCtor;
 use asgov_workloads::{BackgroundLoad, LoadLevel};
 use std::sync::Arc;
 
@@ -31,9 +32,8 @@ pub struct StoredPolicy {
     /// Whether the app is deadline-based (batch) rather than
     /// rate-based.
     pub deadline_based: bool,
-    /// `EnergyOptimizer::new(&profile)`, built once at resolution
-    /// (`None` only for an empty placeholder profile).
-    optimizer: Option<EnergyOptimizer>,
+    /// `EnergyOptimizer::new(&profile)`, built once at resolution.
+    optimizer: EnergyOptimizer,
 }
 
 impl StoredPolicy {
@@ -44,13 +44,10 @@ impl StoredPolicy {
     /// signature's hull or copies its profile; the controller is
     /// identical to one from `ControllerBuilder::new(profile).build()`.
     pub(crate) fn controller(&self, seed: u64) -> EnergyController {
-        let builder = match &self.optimizer {
-            Some(optimizer) => {
-                ControllerBuilder::with_optimizer(self.profile.base_gips, optimizer.clone())
-            }
-            None => ControllerBuilder::new(self.profile.clone()),
-        };
-        builder.target_gips(self.target_gips).seed(seed).build()
+        ControllerBuilder::with_optimizer(self.profile.base_gips, self.optimizer.clone())
+            .target_gips(self.target_gips)
+            .seed(seed)
+            .build()
     }
 }
 
@@ -58,22 +55,28 @@ impl StoredPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct PolicyStore {
     /// One policy per signature, in roster order
-    /// ([`roster_signatures`]), so a device finds its policy by index
-    /// ([`PolicyStore::get_indexed`]) without formatting its signature.
+    /// ([`roster_signatures`](crate::spec::roster_signatures)), so a
+    /// device finds its policy by index ([`PolicyStore::get_indexed`])
+    /// without formatting its signature.
     policies: Vec<Arc<StoredPolicy>>,
 }
 
 impl PolicyStore {
     /// Profile and baseline every roster signature for the given
     /// device model, fanning the signatures out over `cfg.threads`
-    /// workers. Resolution is deterministic: every profiling seed
-    /// derives from the signature's position, never from scheduling.
+    /// workers. Each signature's app is built by the roster constructor
+    /// it names, in [`roster_signatures`](crate::spec::roster_signatures)
+    /// order. Resolution is deterministic: every profiling seed derives
+    /// from the signature's position, never from scheduling.
     pub fn resolve(cfg: &FleetConfig, dev_cfg: &DeviceConfig) -> Self {
-        let sigs = roster_signatures();
+        let sigs: Vec<(&str, AppCtor, LoadLevel)> = ROSTER
+            .iter()
+            .flat_map(|&(name, ctor)| LoadLevel::ALL.map(|load| (name, ctor, load)))
+            .collect();
         let threads = resolve_threads(cfg.threads, sigs.len());
         let resolved = ordered_map(sigs.len(), threads, |i| {
             sigs.get(i)
-                .map(|(sig, app, load)| resolve_one(cfg, dev_cfg, sig, app, *load))
+                .map(|&(name, ctor, load)| resolve_one(cfg, dev_cfg, name, ctor, load))
         });
         Self {
             policies: resolved.into_iter().flatten().map(Arc::new).collect(),
@@ -127,35 +130,16 @@ fn profile_options() -> ProfileOptions {
 fn resolve_one(
     cfg: &FleetConfig,
     dev_cfg: &DeviceConfig,
-    sig: &str,
     app_name: &str,
+    ctor: AppCtor,
     load: LoadLevel,
 ) -> StoredPolicy {
     // The canonical profiling seed is the fleet seed: profiles are
     // shared state, not per-device state. Profiling runs the same
     // demand quantum as the epochs so baselines match the model the
     // devices actually execute.
-    let Some(mut app) = build_app(
-        app_name,
-        BackgroundLoad::with_level(load, cfg.seed),
-        cfg.demand_quantum_ms,
-    ) else {
-        // Unreachable for roster signatures; an empty profile would be
-        // rejected downstream, so return an inert placeholder rather
-        // than panicking in library code.
-        return StoredPolicy {
-            signature: sig.to_string(),
-            profile: ProfileTable {
-                app: app_name.to_string(),
-                base_gips: 0.0,
-                entries: Vec::new(),
-            },
-            target_gips: 0.0,
-            baseline_energy_j: 0.0,
-            deadline_based: false,
-            optimizer: None,
-        };
-    };
+    let mut app =
+        ctor(BackgroundLoad::with_level(load, cfg.seed)).with_quantum(cfg.demand_quantum_ms);
     let deadline_based = matches!(app.spec().kind, asgov_workloads::AppKind::Batch { .. });
     // Serial per-signature profiling: the signature fan-out above is
     // already parallel, and `profile_app_serial` is bit-identical to
@@ -172,8 +156,8 @@ fn resolve_one(
         cfg.epoch_ms,
     );
     StoredPolicy {
-        signature: sig.to_string(),
-        optimizer: (!profile.is_empty()).then(|| EnergyOptimizer::new(&profile)),
+        signature: signature(app_name, load),
+        optimizer: EnergyOptimizer::new(&profile),
         profile,
         target_gips: baseline.gips,
         baseline_energy_j: baseline.energy_j,
@@ -184,6 +168,7 @@ fn resolve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{build_app, roster_signatures};
 
     fn tiny_cfg() -> FleetConfig {
         FleetConfig {

@@ -349,12 +349,12 @@ fn smoke_restored_controller_state_is_pinned() {
     });
     assert_eq!(
         q1,
-        (0xFD72_0828_6116_7DDD, 952),
+        (0x015E_2FA1_61CC_0349, 952),
         "q1 restored controller state moved"
     );
     assert_eq!(
         q20,
-        (0x5D53_0C85_34A9_1E26, 952),
+        (0xF9F6_AE16_5C31_DBC2, 952),
         "q20 restored controller state moved"
     );
 }

@@ -32,51 +32,6 @@ impl LoadSampler {
     }
 }
 
-/// Tunables of the [`Interactive`] governor — names follow the sysfs
-/// files of the AOSP implementation, values follow the Nexus 6 defaults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InteractiveParams {
-    /// Load-sampling period, ms (`timer_rate`).
-    pub timer_rate_ms: u64,
-    /// Load at which the governor jumps straight to `hispeed_freq`.
-    pub go_hispeed_load: f64,
-    /// The frequency index jumped to on high load. On the Nexus 6 this
-    /// is 1 497 600 kHz — the paper's frequency №10 — which is why the
-    /// default governor parks there 12.7–27.9 % of the time (Fig. 4).
-    pub hispeed_freq: FreqIndex,
-    /// Load the governor tries to hold when scaling proportionally.
-    pub target_load: f64,
-    /// Minimum time at a frequency before ramping *down*, ms
-    /// (`min_sample_time`).
-    pub min_sample_time_ms: u64,
-    /// Time the governor must observe high load above `hispeed_freq`
-    /// before exceeding it, ms (`above_hispeed_delay`).
-    pub above_hispeed_delay_ms: u64,
-    /// Maximum ladder steps the governor descends per down-ramp. AOSP
-    /// `interactive` ramps *up* in one jump but releases frequency in a
-    /// staircase, which is why the Nexus 6 spends so much accumulated
-    /// time at elevated frequencies (paper Figs. 1 and 4).
-    pub max_down_steps: usize,
-    /// Hold time between consecutive *down* steps, ms (shorter than
-    /// `min_sample_time`, which gates the first release after a ramp).
-    pub down_step_hold_ms: u64,
-}
-
-impl Default for InteractiveParams {
-    fn default() -> Self {
-        Self {
-            timer_rate_ms: 20,
-            go_hispeed_load: 0.90,
-            hispeed_freq: FreqIndex(9),
-            target_load: 0.90,
-            min_sample_time_ms: 80,
-            above_hispeed_delay_ms: 20,
-            max_down_steps: 2,
-            down_step_hold_ms: 40,
-        }
-    }
-}
-
 /// The Android default CPU governor.
 ///
 /// Every `timer_rate` it samples CPU load. Crossing `go_hispeed_load`
@@ -84,7 +39,9 @@ impl Default for InteractiveParams {
 /// further up toward the frequency that would bring load down to
 /// `target_load`. Ramping down is damped by `min_sample_time`. This is
 /// deliberately responsive — and, as the paper observes, deliberately
-/// performance-first rather than energy-optimal.
+/// performance-first rather than energy-optimal. The tunings are the
+/// Nexus 6 defaults, named after the sysfs files of the AOSP
+/// implementation.
 ///
 /// # Example
 ///
@@ -99,9 +56,8 @@ impl Default for InteractiveParams {
 /// sim::run(&mut device, &mut app, &mut [&mut governor], 2_000);
 /// assert_eq!(device.freq(), device.table().max_freq());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Interactive {
-    params: InteractiveParams,
     sampler: LoadSampler,
     next_sample_ms: u64,
     floor_until_ms: u64,
@@ -109,27 +65,31 @@ pub struct Interactive {
 }
 
 impl Interactive {
-    /// Create with explicit tunables.
-    pub fn new(params: InteractiveParams) -> Self {
-        Self {
-            params,
-            sampler: LoadSampler::default(),
-            next_sample_ms: 0,
-            floor_until_ms: 0,
-            hispeed_since_ms: None,
-        }
-    }
-
-    /// The tunables in use.
-    pub fn params(&self) -> &InteractiveParams {
-        &self.params
-    }
-}
-
-impl Default for Interactive {
-    fn default() -> Self {
-        Self::new(InteractiveParams::default())
-    }
+    /// Load-sampling period, ms (`timer_rate`).
+    const TIMER_RATE_MS: u64 = 20;
+    /// Load at which the governor jumps straight to `HISPEED_FREQ`.
+    const GO_HISPEED_LOAD: f64 = 0.90;
+    /// The frequency index jumped to on high load. On the Nexus 6 this
+    /// is 1 497 600 kHz — the paper's frequency №10 — which is why the
+    /// default governor parks there 12.7–27.9 % of the time (Fig. 4).
+    const HISPEED_FREQ: FreqIndex = FreqIndex(9);
+    /// Load the governor tries to hold when scaling proportionally.
+    const TARGET_LOAD: f64 = 0.90;
+    /// Minimum time at a frequency before ramping *down*, ms
+    /// (`min_sample_time`).
+    const MIN_SAMPLE_TIME_MS: u64 = 80;
+    /// Time the governor must observe high load above `HISPEED_FREQ`
+    /// before exceeding it, ms (`above_hispeed_delay`).
+    const ABOVE_HISPEED_DELAY_MS: u64 = 20;
+    /// Maximum ladder steps the governor descends per down-ramp. AOSP
+    /// `interactive` ramps *up* in one jump but releases frequency in a
+    /// staircase, which is why the Nexus 6 spends so much accumulated
+    /// time at elevated frequencies (paper Figs. 1 and 4).
+    const MAX_DOWN_STEPS: usize = 2;
+    /// Hold time between consecutive *down* steps, ms (shorter than
+    /// `MIN_SAMPLE_TIME_MS`, which gates the first release after a
+    /// ramp).
+    const DOWN_STEP_HOLD_MS: u64 = 40;
 }
 
 impl Policy for Interactive {
@@ -140,7 +100,7 @@ impl Policy for Interactive {
     fn start(&mut self, device: &mut Device) {
         device.set_cpu_governor("interactive");
         self.sampler.reset(device);
-        self.next_sample_ms = device.now_ms() + self.params.timer_rate_ms;
+        self.next_sample_ms = device.now_ms() + Self::TIMER_RATE_MS;
         self.floor_until_ms = 0;
         self.hispeed_since_ms = None;
     }
@@ -149,29 +109,30 @@ impl Policy for Interactive {
         if device.now_ms() < self.next_sample_ms || device.cpu_governor() != "interactive" {
             return;
         }
-        self.next_sample_ms = device.now_ms() + self.params.timer_rate_ms;
+        self.next_sample_ms = device.now_ms() + Self::TIMER_RATE_MS;
         let Some(load) = self.sampler.sample(device) else {
             return;
         };
-        let p = &self.params;
         let now = device.now_ms();
         let cur = device.freq();
         let cur_ghz = device.table().freq(cur).0;
         let max_idx = device.table().max_freq();
 
         // Frequency that would bring load down to target_load.
-        let scaled = device.table().freq_at_least(cur_ghz * load / p.target_load);
+        let scaled = device
+            .table()
+            .freq_at_least(cur_ghz * load / Self::TARGET_LOAD);
 
-        let target = if load >= p.go_hispeed_load {
-            let boosted = scaled.max(p.hispeed_freq);
-            if boosted > p.hispeed_freq {
+        let target = if load >= Self::GO_HISPEED_LOAD {
+            let boosted = scaled.max(Self::HISPEED_FREQ);
+            if boosted > Self::HISPEED_FREQ {
                 // Exceeding hispeed requires sustained high load.
                 match self.hispeed_since_ms {
-                    Some(t0) if now.saturating_sub(t0) >= p.above_hispeed_delay_ms => boosted,
-                    Some(_) => p.hispeed_freq.max(cur),
+                    Some(t0) if now.saturating_sub(t0) >= Self::ABOVE_HISPEED_DELAY_MS => boosted,
+                    Some(_) => Self::HISPEED_FREQ.max(cur),
                     None => {
                         self.hispeed_since_ms = Some(now);
-                        p.hispeed_freq.max(cur)
+                        Self::HISPEED_FREQ.max(cur)
                     }
                 }
             } else {
@@ -185,13 +146,13 @@ impl Policy for Interactive {
 
         if target > cur {
             device.set_cpu_freq(target);
-            self.floor_until_ms = now + p.min_sample_time_ms;
+            self.floor_until_ms = now + Self::MIN_SAMPLE_TIME_MS;
         } else if target < cur && now >= self.floor_until_ms {
-            // Staircase release: at most `max_down_steps` per hold
+            // Staircase release: at most `MAX_DOWN_STEPS` per hold
             // window.
-            let stepped = FreqIndex(cur.0.saturating_sub(p.max_down_steps).max(target.0));
+            let stepped = FreqIndex(cur.0.saturating_sub(Self::MAX_DOWN_STEPS).max(target.0));
             device.set_cpu_freq(stepped);
-            self.floor_until_ms = now + p.down_step_hold_ms;
+            self.floor_until_ms = now + Self::DOWN_STEP_HOLD_MS;
         }
     }
     fn next_event_ms(&self, device: &Device) -> u64 {
@@ -203,50 +164,21 @@ impl Policy for Interactive {
     }
 }
 
-/// Tunables of the [`Ondemand`] governor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OndemandParams {
-    /// Sampling period, ms.
-    pub sampling_rate_ms: u64,
-    /// Load above which the governor jumps to the maximum frequency.
-    pub up_threshold: f64,
-}
-
-impl Default for OndemandParams {
-    fn default() -> Self {
-        Self {
-            sampling_rate_ms: 100,
-            up_threshold: 0.80,
-        }
-    }
-}
-
 /// The classic Linux `ondemand` governor: periodically checks CPU load;
 /// above `up_threshold` it jumps straight to the maximum frequency,
 /// below it it scales the frequency proportionally so that the load
 /// would sit just under the threshold.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Ondemand {
-    params: OndemandParams,
     sampler: LoadSampler,
     next_sample_ms: u64,
 }
 
 impl Ondemand {
-    /// Create with explicit tunables.
-    pub fn new(params: OndemandParams) -> Self {
-        Self {
-            params,
-            sampler: LoadSampler::default(),
-            next_sample_ms: 0,
-        }
-    }
-}
-
-impl Default for Ondemand {
-    fn default() -> Self {
-        Self::new(OndemandParams::default())
-    }
+    /// Sampling period, ms.
+    const SAMPLING_RATE_MS: u64 = 100;
+    /// Load above which the governor jumps to the maximum frequency.
+    const UP_THRESHOLD: f64 = 0.80;
 }
 
 impl Policy for Ondemand {
@@ -257,24 +189,24 @@ impl Policy for Ondemand {
     fn start(&mut self, device: &mut Device) {
         device.set_cpu_governor("ondemand");
         self.sampler.reset(device);
-        self.next_sample_ms = device.now_ms() + self.params.sampling_rate_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLING_RATE_MS;
     }
 
     fn tick(&mut self, device: &mut Device) {
         if device.now_ms() < self.next_sample_ms || device.cpu_governor() != "ondemand" {
             return;
         }
-        self.next_sample_ms = device.now_ms() + self.params.sampling_rate_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLING_RATE_MS;
         let Some(load) = self.sampler.sample(device) else {
             return;
         };
-        if load >= self.params.up_threshold {
+        if load >= Self::UP_THRESHOLD {
             device.set_cpu_freq(device.table().max_freq());
         } else {
             let cur_ghz = device.table().freq(device.freq()).0;
             let target = device
                 .table()
-                .freq_at_least(cur_ghz * load / self.params.up_threshold);
+                .freq_at_least(cur_ghz * load / Self::UP_THRESHOLD);
             device.set_cpu_freq(target);
         }
     }
@@ -289,26 +221,10 @@ impl Policy for Ondemand {
 
 /// The `conservative` governor: like `ondemand` but moves one ladder
 /// step at a time (up above 80 % load, down below 30 %).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Conservative {
     sampler: LoadSampler,
     next_sample_ms: u64,
-}
-
-impl Conservative {
-    /// Create with the kernel default thresholds.
-    pub fn new() -> Self {
-        Self {
-            sampler: LoadSampler::default(),
-            next_sample_ms: 0,
-        }
-    }
-}
-
-impl Default for Conservative {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Policy for Conservative {
@@ -346,55 +262,24 @@ impl Policy for Conservative {
     }
 }
 
-/// Tunables of the [`Schedutil`] governor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedutilParams {
-    /// Sampling period, ms (scheduler-tick driven in real kernels).
-    pub sample_ms: u64,
-    /// Headroom factor: `f_next = factor · f_cur · util`.
-    pub headroom: f64,
-    /// Minimum time before reducing frequency, ms (`down_rate_limit`).
-    pub down_rate_limit_ms: u64,
-}
-
-impl Default for SchedutilParams {
-    fn default() -> Self {
-        Self {
-            sample_ms: 10,
-            headroom: 1.25,
-            down_rate_limit_ms: 20,
-        }
-    }
-}
-
 /// The modern `schedutil` governor (not yet mainline at the paper's
 /// Linux 3.10, provided as an additional comparison baseline): selects
 /// `f = 1.25 · f_cur · util`, ramping both directions quickly with a
 /// short down-rate limit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Schedutil {
-    params: SchedutilParams,
     sampler: LoadSampler,
     next_sample_ms: u64,
     floor_until_ms: u64,
 }
 
 impl Schedutil {
-    /// Create with explicit tunables.
-    pub fn new(params: SchedutilParams) -> Self {
-        Self {
-            params,
-            sampler: LoadSampler::default(),
-            next_sample_ms: 0,
-            floor_until_ms: 0,
-        }
-    }
-}
-
-impl Default for Schedutil {
-    fn default() -> Self {
-        Self::new(SchedutilParams::default())
-    }
+    /// Sampling period, ms (scheduler-tick driven in real kernels).
+    const SAMPLE_MS: u64 = 10;
+    /// Headroom factor: `f_next = HEADROOM · f_cur · util`.
+    const HEADROOM: f64 = 1.25;
+    /// Minimum time before reducing frequency, ms (`down_rate_limit`).
+    const DOWN_RATE_LIMIT_MS: u64 = 20;
 }
 
 impl Policy for Schedutil {
@@ -408,14 +293,14 @@ impl Policy for Schedutil {
         // through the driver path, which is adequate for baselining.
         device.set_cpu_governor("userspace");
         self.sampler.reset(device);
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
     }
 
     fn tick(&mut self, device: &mut Device) {
         if device.now_ms() < self.next_sample_ms {
             return;
         }
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
         let Some(load) = self.sampler.sample(device) else {
             return;
         };
@@ -423,11 +308,11 @@ impl Policy for Schedutil {
         let cur_ghz = device.table().freq(cur).0;
         let target = device
             .table()
-            .freq_at_least(self.params.headroom * cur_ghz * load);
+            .freq_at_least(Self::HEADROOM * cur_ghz * load);
         let now = device.now_ms();
         if target > cur {
             device.set_cpu_freq(target);
-            self.floor_until_ms = now + self.params.down_rate_limit_ms;
+            self.floor_until_ms = now + Self::DOWN_RATE_LIMIT_MS;
         } else if target < cur && now >= self.floor_until_ms {
             device.set_cpu_freq(target);
         }

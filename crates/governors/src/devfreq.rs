@@ -2,43 +2,14 @@
 
 use asgov_soc::{Device, Policy};
 
-/// Tunables of the [`CpubwHwmon`] governor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpubwHwmonParams {
-    /// Traffic-sampling period, ms.
-    pub sample_ms: u64,
-    /// Target bus utilization: the governor votes for
-    /// `traffic / io_percent` of bandwidth (headroom above the measured
-    /// traffic), mirroring the `io_percent` tunable of the Qualcomm
-    /// `bw_hwmon` driver.
-    pub io_percent: f64,
-    /// Per-sample multiplicative decay of the internal bandwidth vote
-    /// while traffic is below it — the *exponential back-off* the paper
-    /// calls out: the governor lowers bandwidth much more slowly than it
-    /// raises it, holding a higher-than-necessary setting for most of
-    /// the runtime (Fig. 5).
-    pub decay: f64,
-}
-
-impl Default for CpubwHwmonParams {
-    fn default() -> Self {
-        Self {
-            sample_ms: 50,
-            io_percent: 0.16,
-            decay: 0.96,
-        }
-    }
-}
-
 /// The Qualcomm `cpubw_hwmon` devfreq governor: monitors CPU→memory
 /// traffic through L2 cache-event hardware counters and votes bus
 /// bandwidth accordingly — up immediately, down by exponential back-off.
 ///
 /// Crucially (for the paper's thesis) it knows nothing about what the
 /// CPU governor is doing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CpubwHwmon {
-    params: CpubwHwmonParams,
     next_sample_ms: u64,
     last_ms: u64,
     last_bus_bytes: f64,
@@ -46,26 +17,23 @@ pub struct CpubwHwmon {
 }
 
 impl CpubwHwmon {
-    /// Create with explicit tunables.
-    pub fn new(params: CpubwHwmonParams) -> Self {
-        Self {
-            params,
-            next_sample_ms: 0,
-            last_ms: 0,
-            last_bus_bytes: 0.0,
-            vote_mbps: 0.0,
-        }
-    }
+    /// Traffic-sampling period, ms.
+    const SAMPLE_MS: u64 = 50;
+    /// Target bus utilization: the governor votes for
+    /// `traffic / IO_PERCENT` of bandwidth (headroom above the measured
+    /// traffic), mirroring the `io_percent` tunable of the Qualcomm
+    /// `bw_hwmon` driver.
+    const IO_PERCENT: f64 = 0.16;
+    /// Per-sample multiplicative decay of the internal bandwidth vote
+    /// while traffic is below it — the *exponential back-off* the paper
+    /// calls out: the governor lowers bandwidth much more slowly than it
+    /// raises it, holding a higher-than-necessary setting for most of
+    /// the runtime (Fig. 5).
+    const DECAY: f64 = 0.96;
 
     /// The current internal bandwidth vote, MBps.
     pub fn vote_mbps(&self) -> f64 {
         self.vote_mbps
-    }
-}
-
-impl Default for CpubwHwmon {
-    fn default() -> Self {
-        Self::new(CpubwHwmonParams::default())
     }
 }
 
@@ -76,7 +44,7 @@ impl Policy for CpubwHwmon {
 
     fn start(&mut self, device: &mut Device) {
         device.set_bw_governor("cpubw_hwmon");
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
         self.last_ms = device.now_ms();
         self.last_bus_bytes = device.pmu().bus_bytes();
         self.vote_mbps = device.table().bw(device.bw()).0;
@@ -86,7 +54,7 @@ impl Policy for CpubwHwmon {
         if device.now_ms() < self.next_sample_ms || device.bw_governor() != "cpubw_hwmon" {
             return;
         }
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
 
         let now = device.now_ms();
         let dt_s = (now - self.last_ms) as f64 * 1e-3;
@@ -98,12 +66,12 @@ impl Policy for CpubwHwmon {
         self.last_ms = now;
         self.last_bus_bytes = bytes;
 
-        let desired = traffic_mbps / self.params.io_percent;
+        let desired = traffic_mbps / Self::IO_PERCENT;
         if desired > self.vote_mbps {
             self.vote_mbps = desired; // vote up immediately
         } else {
             // Exponential back-off downwards.
-            self.vote_mbps = (self.vote_mbps * self.params.decay).max(desired);
+            self.vote_mbps = (self.vote_mbps * Self::DECAY).max(desired);
         }
         let idx = device.table().bw_at_least(self.vote_mbps);
         device.set_mem_bw(idx);

@@ -2,53 +2,22 @@
 
 use asgov_soc::{Device, GpuFreqIndex, Policy};
 
-/// Tunables of the [`AdrenoTz`] governor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdrenoTzParams {
-    /// Sampling period, ms.
-    pub sample_ms: u64,
-    /// GPU busy fraction above which the governor steps up.
-    pub up_threshold: f64,
-    /// GPU busy fraction below which the governor steps down.
-    pub down_threshold: f64,
-}
-
-impl Default for AdrenoTzParams {
-    fn default() -> Self {
-        Self {
-            sample_ms: 50,
-            up_threshold: 0.80,
-            down_threshold: 0.30,
-        }
-    }
-}
-
 /// Simplified `msm-adreno-tz`, the stock Adreno GPU governor: samples
 /// GPU busy time and steps the frequency one ladder level at a time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdrenoTz {
-    params: AdrenoTzParams,
     next_sample_ms: u64,
     last_ms: u64,
     last_busy_ms: f64,
 }
 
 impl AdrenoTz {
-    /// Create with explicit tunables.
-    pub fn new(params: AdrenoTzParams) -> Self {
-        Self {
-            params,
-            next_sample_ms: 0,
-            last_ms: 0,
-            last_busy_ms: 0.0,
-        }
-    }
-}
-
-impl Default for AdrenoTz {
-    fn default() -> Self {
-        Self::new(AdrenoTzParams::default())
-    }
+    /// Sampling period, ms.
+    const SAMPLE_MS: u64 = 50;
+    /// GPU busy fraction above which the governor steps up.
+    const UP_THRESHOLD: f64 = 0.80;
+    /// GPU busy fraction below which the governor steps down.
+    const DOWN_THRESHOLD: f64 = 0.30;
 }
 
 impl Policy for AdrenoTz {
@@ -58,7 +27,7 @@ impl Policy for AdrenoTz {
 
     fn start(&mut self, device: &mut Device) {
         device.set_gpu_governor("msm-adreno-tz");
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
         self.last_ms = device.now_ms();
         self.last_busy_ms = device.gpu().busy_ms();
     }
@@ -67,7 +36,7 @@ impl Policy for AdrenoTz {
         if device.now_ms() < self.next_sample_ms || device.gpu().governor() != "msm-adreno-tz" {
             return;
         }
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
         let now = device.now_ms();
         let dt = now.saturating_sub(self.last_ms) as f64;
         if dt <= 0.0 {
@@ -79,9 +48,9 @@ impl Policy for AdrenoTz {
         self.last_busy_ms = busy;
 
         let cur = device.gpu().freq();
-        if load > self.params.up_threshold && cur.0 + 1 < device.gpu().num_freqs() {
+        if load > Self::UP_THRESHOLD && cur.0 + 1 < device.gpu().num_freqs() {
             device.set_gpu_freq(GpuFreqIndex(cur.0 + 1));
-        } else if load < self.params.down_threshold && cur.0 > 0 {
+        } else if load < Self::DOWN_THRESHOLD && cur.0 > 0 {
             device.set_gpu_freq(GpuFreqIndex(cur.0 - 1));
         }
     }

@@ -9,59 +9,26 @@
 
 use asgov_soc::{Device, Policy};
 
-/// Tunables of [`MpDecision`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MpDecisionParams {
-    /// Sampling period, ms.
-    pub sample_ms: u64,
-    /// Per-online-core load above which another core is onlined.
-    pub up_threshold: f64,
-    /// Per-online-core load below which a core is offlined.
-    pub down_threshold: f64,
-    /// Minimum online cores.
-    pub min_cores: f64,
-    /// Maximum online cores.
-    pub max_cores: f64,
-}
-
-impl Default for MpDecisionParams {
-    fn default() -> Self {
-        Self {
-            sample_ms: 100,
-            up_threshold: 0.70,
-            down_threshold: 0.25,
-            min_cores: 1.0,
-            max_cores: 4.0,
-        }
-    }
-}
-
 /// Simplified `mpdecision`: steps the online-core count one core at a
 /// time based on aggregate load.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MpDecision {
-    params: MpDecisionParams,
     next_sample_ms: u64,
     last_ms: u64,
     last_busy_core_ms: f64,
 }
 
 impl MpDecision {
-    /// Create with explicit tunables.
-    pub fn new(params: MpDecisionParams) -> Self {
-        Self {
-            params,
-            next_sample_ms: 0,
-            last_ms: 0,
-            last_busy_core_ms: 0.0,
-        }
-    }
-}
-
-impl Default for MpDecision {
-    fn default() -> Self {
-        Self::new(MpDecisionParams::default())
-    }
+    /// Sampling period, ms.
+    const SAMPLE_MS: u64 = 100;
+    /// Per-online-core load above which another core is onlined.
+    const UP_THRESHOLD: f64 = 0.70;
+    /// Per-online-core load below which a core is offlined.
+    const DOWN_THRESHOLD: f64 = 0.25;
+    /// Minimum online cores.
+    const MIN_CORES: f64 = 1.0;
+    /// Maximum online cores.
+    const MAX_CORES: f64 = 4.0;
 }
 
 impl Policy for MpDecision {
@@ -70,7 +37,7 @@ impl Policy for MpDecision {
     }
 
     fn start(&mut self, device: &mut Device) {
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
         self.last_ms = device.now_ms();
         self.last_busy_core_ms = device.busy_core_ms();
     }
@@ -79,7 +46,7 @@ impl Policy for MpDecision {
         if device.now_ms() < self.next_sample_ms {
             return;
         }
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
         let now = device.now_ms();
         let dt = now.saturating_sub(self.last_ms) as f64;
         if dt <= 0.0 {
@@ -91,10 +58,10 @@ impl Policy for MpDecision {
 
         let online = device.online_cores();
         let per_core = busy_cores / online;
-        if per_core > self.params.up_threshold && online < self.params.max_cores {
-            device.set_online_cores((online + 1.0).min(self.params.max_cores));
-        } else if per_core < self.params.down_threshold && online > self.params.min_cores {
-            device.set_online_cores((online - 1.0).max(self.params.min_cores));
+        if per_core > Self::UP_THRESHOLD && online < Self::MAX_CORES {
+            device.set_online_cores((online + 1.0).min(Self::MAX_CORES));
+        } else if per_core < Self::DOWN_THRESHOLD && online > Self::MIN_CORES {
+            device.set_online_cores((online - 1.0).max(Self::MIN_CORES));
         }
     }
 

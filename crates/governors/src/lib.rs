@@ -40,14 +40,13 @@ pub mod marcse;
 pub mod netrate;
 
 pub use cpufreq::{
-    Conservative, Interactive, InteractiveParams, Ondemand, OndemandParams, PerformanceCpu,
-    PowersaveCpu, Schedutil, SchedutilParams, UserspaceCpu,
+    Conservative, Interactive, Ondemand, PerformanceCpu, PowersaveCpu, Schedutil, UserspaceCpu,
 };
-pub use devfreq::{CpubwHwmon, CpubwHwmonParams, PerformanceBw, PowersaveBw, UserspaceBw};
-pub use gpufreq::{AdrenoTz, AdrenoTzParams};
-pub use hotplug::{MpDecision, MpDecisionParams};
+pub use devfreq::{CpubwHwmon, PerformanceBw, PowersaveBw, UserspaceBw};
+pub use gpufreq::AdrenoTz;
+pub use hotplug::MpDecision;
 pub use marcse::{MarCse, MarCseModel};
-pub use netrate::{NetRateManager, NetRateManagerParams};
+pub use netrate::NetRateManager;
 
 /// The default governor pair on the paper's Nexus 6:
 /// `interactive` for the CPU and `cpubw_hwmon` for the memory bus.

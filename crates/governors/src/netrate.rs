@@ -7,54 +7,23 @@
 
 use asgov_soc::{Device, NetRateIndex, Policy};
 
-/// Tunables of [`NetRateManager`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetRateManagerParams {
-    /// Sampling period, ms.
-    pub sample_ms: u64,
-    /// Utilization of the current setting above which the manager steps
-    /// up (saturation means demand is being throttled).
-    pub up_threshold: f64,
-    /// Utilization of the *next lower* setting below which the manager
-    /// steps down.
-    pub down_threshold: f64,
-}
-
-impl Default for NetRateManagerParams {
-    fn default() -> Self {
-        Self {
-            sample_ms: 100,
-            up_threshold: 0.95,
-            down_threshold: 0.60,
-        }
-    }
-}
-
 /// Steps the radio's packet service rate to track offered load.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetRateManager {
-    params: NetRateManagerParams,
     next_sample_ms: u64,
     last_ms: u64,
     last_serviced: f64,
 }
 
 impl NetRateManager {
-    /// Create with explicit tunables.
-    pub fn new(params: NetRateManagerParams) -> Self {
-        Self {
-            params,
-            next_sample_ms: 0,
-            last_ms: 0,
-            last_serviced: 0.0,
-        }
-    }
-}
-
-impl Default for NetRateManager {
-    fn default() -> Self {
-        Self::new(NetRateManagerParams::default())
-    }
+    /// Sampling period, ms.
+    const SAMPLE_MS: u64 = 100;
+    /// Utilization of the current setting above which the manager steps
+    /// up (saturation means demand is being throttled).
+    const UP_THRESHOLD: f64 = 0.95;
+    /// Utilization of the *next lower* setting below which the manager
+    /// steps down.
+    const DOWN_THRESHOLD: f64 = 0.60;
 }
 
 impl Policy for NetRateManager {
@@ -63,7 +32,7 @@ impl Policy for NetRateManager {
     }
 
     fn start(&mut self, device: &mut Device) {
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
         self.last_ms = device.now_ms();
         self.last_serviced = device.radio().serviced_packets();
     }
@@ -72,7 +41,7 @@ impl Policy for NetRateManager {
         if device.now_ms() < self.next_sample_ms {
             return;
         }
-        self.next_sample_ms = device.now_ms() + self.params.sample_ms;
+        self.next_sample_ms = device.now_ms() + Self::SAMPLE_MS;
         let now = device.now_ms();
         let dt_s = now.saturating_sub(self.last_ms) as f64 * 1e-3;
         if dt_s <= 0.0 {
@@ -85,11 +54,11 @@ impl Policy for NetRateManager {
 
         let cur = device.radio().rate();
         let cap = device.radio().rate_pps(cur);
-        if rate_pps > self.params.up_threshold * cap && cur.0 + 1 < device.radio().num_rates() {
+        if rate_pps > Self::UP_THRESHOLD * cap && cur.0 + 1 < device.radio().num_rates() {
             device.set_net_rate(NetRateIndex(cur.0 + 1));
         } else if cur.0 > 0 {
             let lower_cap = device.radio().rate_pps(NetRateIndex(cur.0 - 1));
-            if rate_pps < self.params.down_threshold * lower_cap {
+            if rate_pps < Self::DOWN_THRESHOLD * lower_cap {
                 device.set_net_rate(NetRateIndex(cur.0 - 1));
             }
         }

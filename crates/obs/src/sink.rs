@@ -81,11 +81,6 @@ impl Metrics {
         self.faults.iter().sum()
     }
 
-    /// Total completed recoveries across all classes.
-    pub fn total_recoveries(&self) -> u64 {
-        self.recoveries_by_fault.iter().sum()
-    }
-
     /// JSON summary (used by `asgov trace` / `asgov stats` output).
     pub fn to_json(&self) -> Json {
         let mut o = Json::object();
@@ -247,7 +242,6 @@ mod tests {
         assert_eq!(m.level_cycles[Level::SafeConfig.index()], 2);
         assert_eq!(m.degradations, 1);
         assert_eq!(m.recoveries_by_fault[FaultClass::Busy.index()], 1);
-        assert_eq!(m.total_recoveries(), 1);
         assert_eq!(m.solve_ns.count(), 5);
         assert_eq!(m.innovation_abs.count(), 5);
     }

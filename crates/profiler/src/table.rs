@@ -135,11 +135,6 @@ impl ProfileTable {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// GIPS the table predicts for row `i` (`speedup × base`).
-    pub fn predicted_gips(&self, i: usize) -> f64 {
-        self.entries[i].speedup * self.base_gips
-    }
-
     /// Sanity-check the table before handing it to a controller.
     /// Returns a list of human-readable issues (empty = healthy).
     ///
@@ -478,12 +473,6 @@ mod tests {
         let t = sample();
         assert_eq!(t.min_speedup(), 1.0);
         assert_eq!(t.max_speedup(), 1.837);
-    }
-
-    #[test]
-    fn predicted_gips_scales_base() {
-        let t = sample();
-        assert!((t.predicted_gips(2) - 1.837 * 0.129).abs() < 1e-12);
     }
 
     #[test]

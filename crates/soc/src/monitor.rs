@@ -70,15 +70,14 @@ impl PowerMonitor {
     pub(crate) fn record_span(&mut self, t_ms: u64, first_w: f64, rest_w: f64, span_ms: u64) {
         let noise = if self.noise_sigma_w > 0.0 {
             // Box-Muller transform; the RNG is deterministic per seed.
-            let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = self.rng.gen_range(0.0..1.0);
+            let (radius, cosine) = self.rng.gen_normal_factors();
             // σ·√1 is σ exactly, so a 1 ms span skips the square root.
             let sigma_span = if span_ms == 1 {
                 self.noise_sigma_w
             } else {
                 self.noise_sigma_w * (span_ms as f64).sqrt()
             };
-            sigma_span * (-2.0_f64 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+            sigma_span * radius * cosine
         } else {
             0.0
         };

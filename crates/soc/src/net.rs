@@ -75,14 +75,6 @@ impl Radio {
         self.cur = idx;
     }
 
-    /// Smallest index servicing at least `pps` (max index if beyond).
-    pub fn rate_at_least(&self, pps: f64) -> NetRateIndex {
-        match self.rates_pps.iter().position(|&r| r >= pps) {
-            Some(i) => NetRateIndex(i),
-            None => NetRateIndex(self.rates_pps.len() - 1),
-        }
-    }
-
     /// Total packets serviced (for rate managers sampling demand).
     pub fn serviced_packets(&self) -> f64 {
         self.serviced_packets
@@ -187,14 +179,6 @@ mod tests {
             p_hi > p_lo + 0.1,
             "idle poll power dominates at high settings: {p_lo} vs {p_hi}"
         );
-    }
-
-    #[test]
-    fn rate_at_least_brackets() {
-        let r = Radio::wifi();
-        assert_eq!(r.rate_at_least(0.0), NetRateIndex(0));
-        assert_eq!(r.rate_at_least(600.0), NetRateIndex(2));
-        assert_eq!(r.rate_at_least(1e9), NetRateIndex(4));
     }
 
     #[test]

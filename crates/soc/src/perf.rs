@@ -122,10 +122,7 @@ impl PerfReader {
         let delta = instructions - self.last_instructions;
         let gips_true = delta / (window as f64 * 1e-3) / 1e9;
         let mut gips = if self.noise_rel > 0.0 {
-            let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = self.rng.gen_range(0.0..1.0);
-            let z = (-2.0_f64 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            (gips_true * (1.0 + self.noise_rel * z)).max(0.0)
+            (gips_true * (1.0 + self.noise_rel * self.rng.gen_normal())).max(0.0)
         } else {
             gips_true
         };

@@ -138,13 +138,27 @@ impl Rng {
         }
     }
 
-    /// A standard-normal draw (Box–Muller, cosine branch). One uniform
-    /// pair per call; no state beyond the generator itself.
+    /// A standard-normal draw (Box–Muller, cosine branch): the product
+    /// of [`Rng::gen_normal_factors`].
     #[inline]
     pub fn gen_normal(&mut self) -> f64 {
+        let (radius, cosine) = self.gen_normal_factors();
+        radius * cosine
+    }
+
+    /// The two Box–Muller factors of one standard-normal draw, the
+    /// radius `√(−2 ln u₁)` and the cosine `cos 2πu₂`, from one uniform
+    /// pair. A caller that scales the draw by `σ` and must round as
+    /// `(σ · radius) · cosine` multiplies them itself; everyone else
+    /// calls [`Rng::gen_normal`].
+    #[inline]
+    pub fn gen_normal_factors(&mut self) -> (f64, f64) {
         let u1 = self.gen_range(f64::EPSILON..1.0);
         let u2 = self.next_f64();
-        (-2.0_f64 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        (
+            (-2.0_f64 * u1.ln()).sqrt(),
+            (2.0 * std::f64::consts::PI * u2).cos(),
+        )
     }
 }
 

@@ -276,6 +276,7 @@ impl PhasedApp {
     }
 
     fn current_phase(&self) -> &PhaseSpec {
+        // asgov-analyze: allow(hot-path-transitive): new() rejects an empty phase list, the spec is never mutated after, and phase_idx only takes 0 or (phase_idx + 1) % phases.len()
         &self.spec.phases[self.phase_idx]
     }
 

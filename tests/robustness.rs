@@ -166,8 +166,7 @@ fn controller_survives_empty_measurement_cycles() {
     let profile = profile_app(&dev_cfg, &mut app, &quick_profile());
     let mut controller = ControllerBuilder::new(profile)
         .target_gips(0.1)
-        .period_ms(400) // shorter cycle than ...
-        .perf_period_ms(1000) // ... the measurement period
+        .period_ms(400) // shorter cycle than the 1 s measurement period
         .build();
     let mut gpu = AdrenoTz::default();
     let mut device = Device::new(dev_cfg);
