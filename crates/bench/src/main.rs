@@ -250,13 +250,6 @@ fn controller_suite(quick: bool) -> Json {
     derived.set("trace_overhead_pct", trace_overhead_pct);
     derived.set("controller_run_traced_median_ns", traced_median_ns);
     derived.set("controller_run_untraced_median_ns", untraced_median_ns);
-    // Fail loudly only on a genuine budget violation (§V-A1 acceptance:
-    // tracing must stay under 5 % of the untraced loop).
-    assert!(
-        trace_overhead_pct <= 5.0,
-        "tracing overhead {trace_overhead_pct:.2}% exceeds the 5% budget \
-         (untraced {untraced_median_ns:.0} ns, traced {traced_median_ns:.0} ns)"
-    );
     suite_report("controller", quick, &results, derived)
 }
 
@@ -349,6 +342,7 @@ fn main() {
         }
     }
     let root = repo_root();
+    let mut overhead = (f64::NAN, f64::NAN, f64::NAN);
     for (suite, report) in [
         ("optimizer", optimizer_suite(quick)),
         ("controller", controller_suite(quick)),
@@ -358,12 +352,34 @@ fn main() {
         std::fs::write(&path, report.to_pretty()).expect("write benchmark report");
         println!("wrote {}", path.display());
         if suite == "optimizer" {
-            let speedup = report
-                .get("derived")
-                .and_then(|d| d.get("hull_speedup_at_234"))
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN);
+            let speedup = derived(&report, "hull_speedup_at_234");
             println!("  hull vs two-point at N=234: {speedup:.1}x");
         }
+        if suite == "controller" {
+            overhead = (
+                derived(&report, "trace_overhead_pct"),
+                derived(&report, "controller_run_untraced_median_ns"),
+                derived(&report, "controller_run_traced_median_ns"),
+            );
+        }
     }
+    // Judged after every report is written, so a failing run still
+    // leaves its numbers behind. Fail loudly only on a genuine budget
+    // violation (§V-A1 acceptance: tracing must stay under 5 % of the
+    // untraced loop).
+    let (trace_overhead_pct, untraced_median_ns, traced_median_ns) = overhead;
+    assert!(
+        trace_overhead_pct <= 5.0,
+        "tracing overhead {trace_overhead_pct:.2}% exceeds the 5% budget \
+         (untraced {untraced_median_ns:.0} ns, traced {traced_median_ns:.0} ns)"
+    );
+}
+
+/// A number from a suite report's `derived` object (NaN when absent).
+fn derived(report: &Json, key: &str) -> f64 {
+    report
+        .get("derived")
+        .and_then(|d| d.get(key))
+        .and_then(Json::as_f64)
+        .unwrap_or(f64::NAN)
 }

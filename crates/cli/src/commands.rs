@@ -16,6 +16,9 @@ use std::rc::Rc;
 
 type Result<T> = std::result::Result<T, Box<dyn Error>>;
 
+/// Cycle records `asgov control` retains for its fault list.
+const MAX_CONTROL_RECORDS: u64 = 1 << 16;
+
 fn unknown_app(name: &str) -> String {
     format!("unknown application {name:?}; see `asgov list-apps`")
 }
@@ -118,11 +121,15 @@ pub fn run(cmd: Command) -> Result<()> {
             let mut controller = ControllerBuilder::new(table)
                 .target_gips(target)
                 .mode(mode)
-                .keep_log(true)
                 .build();
             let mut bw = CpubwHwmon::default();
             let mut gpu_gov = AdrenoTz::default();
             let mut device = Device::new(dev_cfg);
+            // One record per 2 s control cycle; past the cap the fault
+            // list covers the newest cycles.
+            let retained = (duration_s / 2 + 1).min(MAX_CONTROL_RECORDS);
+            let sink = Rc::new(RefCell::new(RingSink::new(retained as usize)));
+            device.install_obs_sink(sink.clone());
             a.reset();
             let mut policies: Vec<&mut dyn Policy> = Vec::new();
             if cpu_only {
@@ -140,19 +147,20 @@ pub fn run(cmd: Command) -> Result<()> {
                 report.energy_j,
                 report.duration_s()
             );
+            let sink = sink.borrow();
             println!(
                 "  base-speed estimate = {:.4} GIPS, {} control cycles, {} actuation failures",
                 controller.base_estimate(),
-                controller.cycle_log().len(),
+                sink.metrics().cycles,
                 controller.actuation_failures()
             );
             if let Some(health) = report.health {
                 println!("  health   = {}", health.summary());
             }
-            let faults: Vec<_> = controller
-                .cycle_log()
+            let faults: Vec<_> = sink
+                .records()
                 .iter()
-                .filter_map(|c| c.actuation_fault.map(|k| (c.t_ms, k)))
+                .filter_map(|c| c.fault.map(|k| (c.t_ms, k)))
                 .collect();
             if !faults.is_empty() {
                 println!("  actuation faults by cycle:");

@@ -41,28 +41,6 @@ pub enum ControlMode {
     CpuOnly,
 }
 
-/// One control cycle's diagnostic record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlCycleLog {
-    /// Cycle end time, ms.
-    pub t_ms: u64,
-    /// Measured performance `y_n`, GIPS.
-    pub measured_gips: f64,
-    /// Kalman base-speed estimate `b_n`, GIPS.
-    pub base_estimate: f64,
-    /// Required speedup `s_{n+1}` computed by the regulator.
-    pub required_speedup: f64,
-    /// Chosen lower configuration `c_l`.
-    pub lower: Config,
-    /// Chosen upper configuration `c_h`.
-    pub upper: Config,
-    /// Dwell in `c_l`, seconds (after rounding).
-    pub tau_lower_s: f64,
-    /// Cause of the last actuation failure observed during the cycle
-    /// that just ended (`None` when every write landed cleanly).
-    pub actuation_fault: Option<SocErrorKind>,
-}
-
 /// `perf` sampling period, ms (the paper's 1 s).
 const PERF_PERIOD_MS: u64 = 1_000;
 
@@ -76,7 +54,6 @@ pub struct ControllerBuilder {
     perf_noise_rel: f64,
     min_dwell_ms: u64,
     mode: ControlMode,
-    keep_log: bool,
     seed: u64,
     target_margin: f64,
     gain: f64,
@@ -115,7 +92,6 @@ impl ControllerBuilder {
             perf_noise_rel: 0.02,
             min_dwell_ms: 200,
             mode: ControlMode::Coordinated,
-            keep_log: false,
             seed: 0xc0,
             target_margin: 0.01,
             gain: 0.45,
@@ -165,13 +141,6 @@ impl ControllerBuilder {
     /// Select coordinated or CPU-only control.
     pub fn mode(mut self, mode: ControlMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Keep a per-cycle diagnostic log (see
-    /// [`EnergyController::cycle_log`]).
-    pub fn keep_log(mut self, keep: bool) -> Self {
-        self.keep_log = keep;
         self
     }
 
@@ -260,8 +229,6 @@ impl ControllerBuilder {
             mode: self.mode,
             cycle_end_ms: 0,
             readings: Vec::new(),
-            log: Vec::new(),
-            keep_log: self.keep_log,
             last_measured: 0.0,
             phase_detector: if self.phase_detection {
                 Some(PhaseDetector::new(3, 12, 0.3))
@@ -298,8 +265,6 @@ pub struct EnergyController {
     mode: ControlMode,
     cycle_end_ms: u64,
     readings: Vec<f64>,
-    log: Vec<ControlCycleLog>,
-    keep_log: bool,
     last_measured: f64,
     phase_detector: Option<PhaseDetector>,
     phase_changes: u64,
@@ -334,11 +299,6 @@ impl EnergyController {
     /// The current base-speed estimate `b_n`.
     pub fn base_estimate(&self) -> f64 {
         self.regulator.base_speed()
-    }
-
-    /// Per-cycle diagnostics (empty unless built with `keep_log(true)`).
-    pub fn cycle_log(&self) -> &[ControlCycleLog] {
-        &self.log
     }
 
     /// Number of sysfs actuation failures that survived the recovery
@@ -469,19 +429,6 @@ impl EnergyController {
                         self.apply_safe_config(device);
                     }
                 }
-                if self.keep_log {
-                    let cfg = self.optimizer.config(self.safe_index);
-                    self.log.push(ControlCycleLog {
-                        t_ms: device.now_ms(),
-                        measured_gips: self.last_measured,
-                        base_estimate: self.regulator.base_speed(),
-                        required_speedup: self.optimizer.speedup_at(self.safe_index),
-                        lower: cfg,
-                        upper: cfg,
-                        tau_lower_s: self.period_ms as f64 * 1e-3,
-                        actuation_fault: outcome.fault,
-                    });
-                }
                 if tracing {
                     let cfg = self.optimizer.config(self.safe_index);
                     let pinned = (cfg.freq.0 as u32, cfg.bw.0 as u32);
@@ -588,19 +535,6 @@ impl EnergyController {
                 level: self.ladder.level().into(),
                 restarts: self.restarts,
                 snapshot_errors: self.snapshot_errors,
-            });
-        }
-
-        if self.keep_log {
-            self.log.push(ControlCycleLog {
-                t_ms: device.now_ms(),
-                measured_gips: y,
-                base_estimate: self.regulator.base_speed(),
-                required_speedup: s_next,
-                lower: plan.lower,
-                upper: plan.upper,
-                tau_lower_s: plan.tau_lower,
-                actuation_fault: outcome.fault,
             });
         }
     }
@@ -951,9 +885,12 @@ impl Policy for EnergyController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgov_obs::RingSink;
     use asgov_profiler::{measure_default, profile_app, ProfileOptions};
     use asgov_soc::{sim, DeviceConfig, Workload as _};
     use asgov_workloads::{apps, BackgroundLoad};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn fast_opts() -> ProfileOptions {
         ProfileOptions {
@@ -973,9 +910,10 @@ mod tests {
 
         let mut controller = ControllerBuilder::new(profile)
             .target_gips(default.gips)
-            .keep_log(true)
             .build();
         let mut device = Device::new(dev_cfg);
+        let sink = Rc::new(RefCell::new(RingSink::new(32)));
+        device.install_obs_sink(sink.clone());
         app.reset();
         let report = sim::run(&mut device, &mut app, &mut [&mut controller], 40_000);
 
@@ -987,7 +925,7 @@ mod tests {
             report.avg_gips
         );
         assert_eq!(controller.actuation_failures(), 0);
-        assert!(!controller.cycle_log().is_empty());
+        assert!(sink.borrow().metrics().cycles > 0);
     }
 
     #[test]

@@ -68,9 +68,7 @@ mod scheduler;
 mod supervisor;
 
 pub use adaptive::LoadAdaptiveController;
-pub use controller::{
-    ControlCycleLog, ControlMode, ControllerBuilder, EnergyController, OptimizerStrategy,
-};
+pub use controller::{ControlMode, ControllerBuilder, EnergyController, OptimizerStrategy};
 pub use optimizer::EnergyOptimizer;
 pub use persist::{Restartable, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use regulator::{PerformanceRegulator, RegulatorState};

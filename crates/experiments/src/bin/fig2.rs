@@ -4,10 +4,13 @@
 //! binary: it prints the loop structure and demonstrates, on one live
 //! control cycle, which component produced which quantity.
 
-use asgov_core::ControllerBuilder;
+use asgov_core::{ControllerBuilder, EnergyOptimizer};
+use asgov_obs::RingSink;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
 use asgov_soc::{event, Device, DeviceConfig, Workload as _};
 use asgov_workloads::{apps, BackgroundLoad};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const DIAGRAM: &str = r#"
             r (target GIPS)
@@ -42,26 +45,33 @@ fn main() {
         },
     );
     let target = measure_default(&dev_cfg, &mut app, 1, 20_000).gips;
-    let mut controller = ControllerBuilder::new(profile)
-        .target_gips(target)
-        .keep_log(true)
-        .build();
+    // The cycle records carry the dwell rounded to whole ms; the
+    // unrounded u_n is the optimizer's plan for the recorded s_n over
+    // the controller's 2 s period.
+    let optimizer = EnergyOptimizer::new(&profile);
+    let period_s = 2_000.0 * 1e-3;
+    let mut controller = ControllerBuilder::new(profile).target_gips(target).build();
     let mut device = Device::new(dev_cfg);
+    let sink = Rc::new(RefCell::new(RingSink::new(16)));
+    device.install_obs_sink(sink.clone());
     app.reset();
     event::run(&mut device, &mut app, &mut [&mut controller], 10_000);
 
     println!("one live run, r = {target:.4} GIPS; per-cycle quantities:");
-    for c in controller.cycle_log() {
+    for rec in sink.borrow().records() {
+        let plan = optimizer
+            .solve(rec.required_speedup, period_s)
+            .expect("the controller planned this speedup");
         println!(
             "  t={:>5} ms  y_n={:.4}  b_n={:.4}  s_n={:.3}  u_n=({} for {:.2}s, {} for {:.2}s)",
-            c.t_ms,
-            c.measured_gips,
-            c.base_estimate,
-            c.required_speedup,
-            c.lower,
-            c.tau_lower_s,
-            c.upper,
-            2.0 - c.tau_lower_s,
+            rec.t_ms,
+            rec.measured_gips,
+            rec.base_estimate,
+            rec.required_speedup,
+            plan.lower,
+            plan.tau_lower,
+            plan.upper,
+            2.0 - plan.tau_lower,
         );
     }
 }

@@ -349,12 +349,12 @@ fn smoke_restored_controller_state_is_pinned() {
     });
     assert_eq!(
         q1,
-        (0x015E_2FA1_61CC_0349, 952),
+        (0x471F_CB4F_55C5_3263, 952),
         "q1 restored controller state moved"
     );
     assert_eq!(
         q20,
-        (0xF9F6_AE16_5C31_DBC2, 952),
+        (0x31A7_B917_0931_BC58, 952),
         "q20 restored controller state moved"
     );
 }

@@ -20,9 +20,12 @@
 //!   moments and shared-bounds log histograms with a bit-exactly
 //!   associative `merge`, so sharded partial aggregates fold in any
 //!   order without materializing per-device rows.
-//! - [`TraceSink`] — the trait the device and controller emit into;
-//!   [`NullSink`] discards everything (and is bit-identical to no sink
-//!   at all), [`RingSink`] retains records and aggregates [`Metrics`].
+//! - [`TraceSink`] — the trait the device and controller emit into:
+//!   control cycles, typed [`DeviceEvent`]s (DVFS transitions,
+//!   governor selections) and the power monitor's sample spans. It is
+//!   the one recorder of a run; [`NullSink`] discards everything (and
+//!   is bit-identical to no sink at all), [`RingSink`] retains records
+//!   and aggregates [`Metrics`].
 //!
 //! Records serialize to JSONL (one compact object per line, each line
 //! carrying the [`SCHEMA`] tag) through the vendored
@@ -50,4 +53,4 @@ pub use agg::{FleetStats, LayoutMismatch};
 pub use hist::Histogram;
 pub use record::{parse_jsonl, CycleRecord, FaultClass, Level, RecordError, LEGACY_SCHEMA, SCHEMA};
 pub use ring::RingBuffer;
-pub use sink::{Metrics, NullSink, RingSink, TraceSink};
+pub use sink::{DeviceEvent, Metrics, NullSink, RingSink, TraceSink};

@@ -4,11 +4,64 @@ use crate::hist::Histogram;
 use crate::record::{CycleRecord, FaultClass, Level};
 use crate::ring::RingBuffer;
 use asgov_util::Json;
+use std::fmt;
 
-/// Receives per-cycle records (from the controller) and actuation
-/// events (from the simulated device). Implementations must be cheap:
-/// the controller calls into the sink from its hot path, and the bench
-/// suite holds the overhead budget to < 5 % per cycle.
+/// One device-level event, borrowed for the duration of the
+/// [`TraceSink::device_event`] call. Ladder indices are 0-based; the
+/// `Display` form (a CSV row tail `kind,from,to`) uses the paper's
+/// 1-based numbering (`f1`…`f18`, `bw1`…`bw13`, `g1`…).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeviceEvent<'a> {
+    /// The CPU frequency changed.
+    CpuFreq {
+        /// Old frequency index.
+        from: usize,
+        /// New frequency index.
+        to: usize,
+    },
+    /// The memory-bus bandwidth changed.
+    MemBw {
+        /// Old bandwidth index.
+        from: usize,
+        /// New bandwidth index.
+        to: usize,
+    },
+    /// The GPU frequency changed.
+    GpuFreq {
+        /// Old GPU frequency index.
+        from: usize,
+        /// New GPU frequency index.
+        to: usize,
+    },
+    /// A governor was (re)selected for a subsystem.
+    Governor {
+        /// `"cpufreq"` or `"devfreq"`.
+        subsystem: &'static str,
+        /// The newly selected governor.
+        name: &'a str,
+    },
+    /// The fault injector killed the controller process.
+    ControllerKill,
+}
+
+impl fmt::Display for DeviceEvent<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            DeviceEvent::CpuFreq { from, to } => write!(f, "cpufreq,f{},f{}", from + 1, to + 1),
+            DeviceEvent::MemBw { from, to } => write!(f, "membw,bw{},bw{}", from + 1, to + 1),
+            DeviceEvent::GpuFreq { from, to } => write!(f, "gpufreq,g{},g{}", from + 1, to + 1),
+            DeviceEvent::Governor { subsystem, name } => write!(f, "governor,{subsystem},{name}"),
+            DeviceEvent::ControllerKill => f.write_str("controller-kill,,"),
+        }
+    }
+}
+
+/// Receives per-cycle records (from the controller), actuation events
+/// and the power monitor's samples (from the simulated device). A sink
+/// is the one recorder of a run: the device keeps no trace of its own.
+/// Implementations must be cheap: the controller calls into the sink
+/// from its hot path, and the bench suite holds the overhead budget to
+/// < 5 % per cycle.
 ///
 /// `Debug` is a supertrait so sinks can live inside `Device`, which
 /// derives `Debug`.
@@ -16,10 +69,19 @@ pub trait TraceSink: std::fmt::Debug {
     /// One control cycle completed.
     fn record_cycle(&mut self, rec: &CycleRecord);
 
-    /// A device-level actuation happened (`kind` is a stable name such
-    /// as `"cpu-freq"` or `"cpufreq-governor"`). Default: ignored.
-    fn device_event(&mut self, t_ms: u64, kind: &str) {
-        let _ = (t_ms, kind);
+    /// A device-level event happened at `t_ms`. Default: ignored.
+    fn device_event(&mut self, t_ms: u64, event: DeviceEvent<'_>) {
+        let _ = (t_ms, event);
+    }
+
+    /// The power monitor booked a span of `span_ms` 1 ms samples
+    /// starting at `t_ms`: the first reads `first_w` watts (the span's
+    /// measurement noise included, clamped as the monitor integrated
+    /// it), each later one `rest_w`. Adding `w · 1e-3` per sample in
+    /// that order reproduces the monitor's energy integral bit for bit.
+    /// Default: ignored.
+    fn power_span(&mut self, t_ms: u64, first_w: f64, rest_w: f64, span_ms: u64) {
+        let _ = (t_ms, first_w, rest_w, span_ms);
     }
 }
 
@@ -49,7 +111,7 @@ pub struct Metrics {
     /// Completed recoveries (back to `Full`), attributed to the fault
     /// class that opened the degraded episode.
     pub recoveries_by_fault: [u64; 5],
-    /// Device-level actuation events, by kind.
+    /// Device-level events ([`DeviceEvent`]) of every kind, in total.
     pub device_events: u64,
     /// Optimizer solve time, ns.
     pub solve_ns: Histogram,
@@ -205,7 +267,7 @@ impl TraceSink for RingSink {
         self.ring.push(*rec);
     }
 
-    fn device_event(&mut self, _t_ms: u64, _kind: &str) {
+    fn device_event(&mut self, _t_ms: u64, _event: DeviceEvent<'_>) {
         self.metrics.device_events += 1;
     }
 }
@@ -277,7 +339,33 @@ mod tests {
     fn null_sink_accepts_everything() {
         let mut sink = NullSink;
         sink.record_cycle(&rec(0, None, Level::Full));
-        sink.device_event(10, "cpu-freq");
+        sink.device_event(10, DeviceEvent::CpuFreq { from: 0, to: 9 });
+        sink.power_span(10, 1.5, 1.5, 4);
+    }
+
+    #[test]
+    fn device_events_render_paper_numbering() {
+        let rows = [
+            DeviceEvent::CpuFreq { from: 0, to: 9 },
+            DeviceEvent::MemBw { from: 12, to: 0 },
+            DeviceEvent::GpuFreq { from: 4, to: 3 },
+            DeviceEvent::Governor {
+                subsystem: "cpufreq",
+                name: "userspace",
+            },
+            DeviceEvent::ControllerKill,
+        ]
+        .map(|e| e.to_string());
+        assert_eq!(
+            rows,
+            [
+                "cpufreq,f1,f10",
+                "membw,bw13,bw1",
+                "gpufreq,g5,g4",
+                "governor,cpufreq,userspace",
+                "controller-kill,,",
+            ]
+        );
     }
 
     #[test]

@@ -23,9 +23,8 @@ use crate::net::{NetRateIndex, Radio};
 use crate::pmu::Pmu;
 use crate::power::{OpPoint, PowerBreakdown, PowerModel, PowerModelParams};
 use crate::sysfs::{self, BW_GOVERNORS, CPU_GOVERNORS};
-use crate::trace::{Trace, TraceEvent};
 use crate::workload::{Demand, Executed};
-use asgov_obs::{CycleRecord, TraceSink};
+use asgov_obs::{CycleRecord, DeviceEvent, TraceSink};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -205,7 +204,6 @@ pub struct Device {
     last_busy_frac: f64,
     tool_load: f64,
     tool_power_w: f64,
-    trace: Trace,
     faults: Option<FaultInjector>,
     pending_kill: bool,
     obs: Option<Rc<RefCell<dyn TraceSink>>>,
@@ -251,7 +249,6 @@ impl Device {
             last_busy_frac: 0.0,
             tool_load: 0.0,
             tool_power_w: 0.0,
-            trace: Trace::default(),
             faults: None,
             pending_kill: false,
             obs: None,
@@ -311,24 +308,9 @@ impl Device {
         &self.monitor
     }
 
-    /// Mutable access to the power monitor (enable tracing, reset).
-    pub fn monitor_mut(&mut self) -> &mut PowerMonitor {
-        &mut self.monitor
-    }
-
     /// The battery.
     pub fn battery(&self) -> &Battery {
         &self.battery
-    }
-
-    /// The event trace (disabled by default; see [`Device::trace_mut`]).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the event trace (enable, clear, export).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// Number of online cores (all four unless hotplugging changed it).
@@ -448,11 +430,14 @@ impl Device {
 
     // ---- observability ------------------------------------------------
 
-    /// Install an observability sink (see [`asgov_obs`]). The sink is
-    /// shared — clones of the device emit into the same sink. Without
-    /// one, the observability layer costs nothing; with a
-    /// [`asgov_obs::NullSink`], simulation outputs are bit-identical to
-    /// no sink at all (asserted in `tests/observability.rs`).
+    /// Install an observability sink (see [`asgov_obs`]): the one
+    /// recorder of the run, which receives every actuation as a
+    /// [`DeviceEvent`], every power-monitor span and every control
+    /// cycle. The sink is shared — clones of the device emit into the
+    /// same sink. Without one, the observability layer costs nothing;
+    /// with a [`asgov_obs::NullSink`], simulation outputs are
+    /// bit-identical to no sink at all (asserted in
+    /// `tests/observability.rs`).
     pub fn install_obs_sink(&mut self, sink: Rc<RefCell<dyn TraceSink>>) {
         self.obs = Some(sink);
     }
@@ -472,10 +457,10 @@ impl Device {
         }
     }
 
-    /// Emit a device-level actuation event into the sink, if present.
-    fn obs_event(&self, kind: &'static str) {
+    /// Emit a device-level event into the sink, if present.
+    fn obs_event(&self, event: DeviceEvent<'_>) {
         if let Some(sink) = &self.obs {
-            sink.borrow_mut().device_event(self.now_ms, kind);
+            sink.borrow_mut().device_event(self.now_ms, event);
         }
     }
 
@@ -510,9 +495,10 @@ impl Device {
             }
         }
         if idx != self.freq {
-            self.trace
-                .record(self.now_ms, TraceEvent::CpuFreq(self.freq.0, idx.0));
-            self.obs_event("cpu-freq");
+            self.obs_event(DeviceEvent::CpuFreq {
+                from: self.freq.0,
+                to: idx.0,
+            });
             self.freq = idx;
             self.op = self.power_model.op_point(&self.table, self.freq, self.bw);
             self.freq_transitions += 1;
@@ -527,9 +513,10 @@ impl Device {
     /// Panics if `idx` is out of the GPU ladder's range.
     pub fn set_gpu_freq(&mut self, idx: GpuFreqIndex) {
         if idx != self.gpu.freq() {
-            self.trace
-                .record(self.now_ms, TraceEvent::GpuFreq(self.gpu.freq().0, idx.0));
-            self.obs_event("gpu-freq");
+            self.obs_event(DeviceEvent::GpuFreq {
+                from: self.gpu.freq().0,
+                to: idx.0,
+            });
             self.gpu.set_freq(idx);
             self.pending_transition_energy_j += TRANSITION_ENERGY_J;
         }
@@ -538,7 +525,7 @@ impl Device {
     /// Select the GPU devfreq governor (kernel path; sysfs writes
     /// route here). `performance` and `powersave` pin the top and
     /// bottom of the ladder through [`Device::set_gpu_freq`], so the
-    /// move is charged and traced like any other GPU transition — as
+    /// move is charged and reported like any other GPU transition — as
     /// the CPU and bus governors do through their frequency paths.
     pub fn set_gpu_governor(&mut self, name: &str) {
         self.gpu.set_governor(name);
@@ -553,9 +540,10 @@ impl Device {
     pub fn set_mem_bw(&mut self, idx: BwIndex) {
         assert!(idx.0 < self.table.num_bws(), "bandwidth index out of range");
         if idx != self.bw {
-            self.trace
-                .record(self.now_ms, TraceEvent::MemBw(self.bw.0, idx.0));
-            self.obs_event("mem-bw");
+            self.obs_event(DeviceEvent::MemBw {
+                from: self.bw.0,
+                to: idx.0,
+            });
             self.bw = idx;
             self.op = self.power_model.op_point(&self.table, self.freq, self.bw);
             self.bw_transitions += 1;
@@ -565,8 +553,10 @@ impl Device {
 
     /// Select the cpufreq governor (kernel path; sysfs writes route here).
     pub fn set_cpu_governor(&mut self, name: &str) {
-        self.trace_governor("cpufreq", name);
-        self.obs_event("cpufreq-governor");
+        self.obs_event(DeviceEvent::Governor {
+            subsystem: "cpufreq",
+            name,
+        });
         self.cpu_governor = sysfs::governor_name(&CPU_GOVERNORS, name);
         match name {
             "performance" => self.set_cpu_freq(self.table.max_freq()),
@@ -577,27 +567,15 @@ impl Device {
 
     /// Select the devfreq governor (kernel path; sysfs writes route here).
     pub fn set_bw_governor(&mut self, name: &str) {
-        self.trace_governor("devfreq", name);
-        self.obs_event("devfreq-governor");
+        self.obs_event(DeviceEvent::Governor {
+            subsystem: "devfreq",
+            name,
+        });
         self.bw_governor = sysfs::governor_name(&BW_GOVERNORS, name);
         match name {
             "performance" => self.set_mem_bw(self.table.max_bw()),
             "powersave" => self.set_mem_bw(self.table.min_bw()),
             _ => {}
-        }
-    }
-
-    /// Record a governor selection in the event trace. The record owns
-    /// a copy of the name, so it is built only when the trace records.
-    fn trace_governor(&mut self, subsystem: &'static str, name: &str) {
-        if self.trace.is_enabled() {
-            self.trace.record(
-                self.now_ms,
-                TraceEvent::Governor {
-                    subsystem,
-                    name: name.to_string(),
-                },
-            );
         }
     }
 
@@ -727,7 +705,7 @@ impl Device {
             }
             if actions.controller_kill {
                 self.pending_kill = true;
-                self.obs_event("controller-kill");
+                self.obs_event(DeviceEvent::ControllerKill);
             }
         }
         // --- model evaluation, once per span.
@@ -858,8 +836,9 @@ impl Device {
         self.busy_ms += busy_frac * TICK_MS as f64;
         self.bg_util_ms += demand.bg.cpu_util * TICK_MS as f64;
         self.bg_traffic_mb += demand.bg.traffic_mbps * dt_s;
-        self.monitor
-            .record_span(now, total_first_w, total_rest_w, span_ms);
+        let measured_first_w = self
+            .monitor
+            .record_span(total_first_w, total_rest_w, span_ms);
         self.battery.drain(total_first_w * dt_s);
         for _ in 1..span_ms {
             self.pmu.record(instructions, cycles, bus_bytes);
@@ -886,6 +865,14 @@ impl Device {
         }
         self.last_busy_frac = busy_frac;
         self.now_ms += TICK_MS * span_ms;
+        // The sink, if any, receives the span as the monitor measured
+        // it. The call is opaque to the optimizer, so it comes after the
+        // accounting rather than in the middle of it, where it cost the
+        // traced run more.
+        if let Some(sink) = &self.obs {
+            sink.borrow_mut()
+                .power_span(now, measured_first_w, total_rest_w, span_ms);
+        }
 
         TickOutcome {
             executed: Executed {
@@ -1123,28 +1110,32 @@ mod tests {
     /// A `performance`/`powersave` write to the GPU governor file moves
     /// the clock through the GPU's frequency path exactly as the same
     /// write to `scaling_governor` moves the CPU through its own: one
-    /// charged transition, one trace record each way.
+    /// charged transition, one frequency event each way.
     #[test]
     fn gpu_governor_pins_take_the_frequency_path_like_the_cpu() {
         use crate::sysfs::{CPU_GOVERNOR, GPU_GOVERNOR};
+        /// Keeps the (from, to) of every CPU and GPU frequency event.
+        #[derive(Debug, Default)]
+        struct Moves(Vec<(usize, usize)>);
+        impl TraceSink for Moves {
+            fn record_cycle(&mut self, _rec: &CycleRecord) {}
+            fn device_event(&mut self, _t_ms: u64, event: DeviceEvent<'_>) {
+                if let DeviceEvent::CpuFreq { from, to } | DeviceEvent::GpuFreq { from, to } = event
+                {
+                    self.0.push((from, to));
+                }
+            }
+        }
         let pins = |governor_path: &str| {
             let mut d = quiet_device();
-            d.trace_mut().set_enabled(true);
+            let sink = Rc::new(RefCell::new(Moves::default()));
+            d.install_obs_sink(sink.clone());
             let mut charged = Vec::new();
             for name in ["performance", "powersave"] {
                 d.sysfs_write(governor_path, name).expect("stock governor");
                 charged.push(std::mem::take(&mut d.pending_transition_energy_j));
             }
-            let moves: Vec<_> = d
-                .trace()
-                .records()
-                .filter_map(|r| match r.event {
-                    TraceEvent::CpuFreq(from, to) | TraceEvent::GpuFreq(from, to) => {
-                        Some((from, to))
-                    }
-                    _ => None,
-                })
-                .collect();
+            let moves = std::mem::take(&mut sink.borrow_mut().0);
             (d, charged, moves)
         };
         let (cpu, cpu_charged, cpu_moves) = pins(CPU_GOVERNOR);

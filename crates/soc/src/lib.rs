@@ -58,7 +58,6 @@ mod pmu;
 mod power;
 pub mod sim;
 pub mod sysfs;
-pub mod trace;
 mod workload;
 
 pub use battery::Battery;
@@ -72,12 +71,11 @@ pub use faults::{
 };
 pub use gpu::{Gpu, GpuFreqIndex};
 pub use health::{DegradationLevel, HealthReport};
-pub use monitor::{PowerMonitor, PowerSample};
+pub use monitor::PowerMonitor;
 pub use net::{NetRateIndex, Radio};
 pub use perf::{PerfReader, PerfReading};
 pub use pmu::Pmu;
 pub use power::{PowerBreakdown, PowerModel, PowerModelParams};
-pub use trace::{Trace, TraceEvent, TraceRecord};
 pub use workload::{BackgroundDemand, ConstantWorkload, Demand, Executed, Workload};
 
 /// Trait implemented by DVFS governors and by the online controller.

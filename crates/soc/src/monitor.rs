@@ -9,17 +9,9 @@
 
 use asgov_util::Rng;
 
-/// One recorded power sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerSample {
-    /// Simulation time at the start of the sampled tick, ms.
-    pub t_ms: u64,
-    /// Average device power over the tick, watts.
-    pub power_w: f64,
-}
-
-/// Whole-device power monitor: records a power trace and integrates it
-/// to energy.
+/// Whole-device power monitor: integrates the device's power to energy.
+/// It keeps no trace; [`Device`](crate::Device) forwards each span's
+/// samples to the installed `asgov_obs::TraceSink`.
 ///
 /// Measurement noise is drawn once per span of ticks, not once per
 /// tick: a span of `n` ticks gets one Gaussian draw `σ·√n·z`, the exact
@@ -27,47 +19,37 @@ pub struct PowerSample {
 /// its first sample. The span's measured total is clamped at zero (a
 /// monitor cannot read negative energy). A 1 ms span is therefore the
 /// per-tick model verbatim, and with σ = 0 every span integrates the
-/// same bits as its ticks one at a time. With the trace kept, the first
-/// sample of each span carries the whole span's noise.
+/// same bits as its ticks one at a time. The first sample of each span
+/// carries the whole span's noise.
 #[derive(Debug, Clone)]
 pub struct PowerMonitor {
     noise_sigma_w: f64,
     rng: Rng,
     energy_j: f64,
     elapsed_ms: u64,
-    trace: Vec<PowerSample>,
-    keep_trace: bool,
 }
 
 impl PowerMonitor {
     /// A monitor with Gaussian measurement noise of standard deviation
     /// `noise_sigma_w` watts (the paper's Monsoon is quite accurate; a
-    /// few mW is realistic). Trace recording starts disabled; energy
-    /// integration is always on.
+    /// few mW is realistic).
     pub fn new(noise_sigma_w: f64, seed: u64) -> Self {
         Self {
             noise_sigma_w,
             rng: Rng::seed_from_u64(seed),
             energy_j: 0.0,
             elapsed_ms: 0,
-            trace: Vec::new(),
-            keep_trace: false,
         }
     }
 
-    /// Enable or disable retention of the full per-tick trace (energy is
-    /// integrated regardless).
-    pub fn set_keep_trace(&mut self, keep: bool) {
-        self.keep_trace = keep;
-    }
-
     /// Record a span of `span_ms` ticks (at least one): `first_w` is the
-    /// average power of the tick at `t_ms`, `rest_w` that of each later
+    /// average power of its first tick, `rest_w` that of each later
     /// tick. One noise draw `σ·√n·z` covers the span and lands on its
     /// first sample; the later samples add their noiseless power in tick
     /// order. At `span_ms == 1` this is one noisy per-tick sample.
+    /// Returns the first sample as measured: noisy and clamped.
     #[inline]
-    pub(crate) fn record_span(&mut self, t_ms: u64, first_w: f64, rest_w: f64, span_ms: u64) {
+    pub(crate) fn record_span(&mut self, first_w: f64, rest_w: f64, span_ms: u64) -> f64 {
         let noise = if self.noise_sigma_w > 0.0 {
             // Box-Muller transform; the RNG is deterministic per seed.
             let (radius, cosine) = self.rng.gen_normal_factors();
@@ -95,16 +77,7 @@ impl PowerMonitor {
             self.energy_j += rest_w * 1e-3;
         }
         self.elapsed_ms += span_ms;
-        if self.keep_trace {
-            self.trace.push(PowerSample {
-                t_ms,
-                power_w: first,
-            });
-            self.trace.extend((1..span_ms).map(|j| PowerSample {
-                t_ms: t_ms + j,
-                power_w: rest_w,
-            }));
-        }
+        first
     }
 
     /// Total measured energy since the last reset, joules.
@@ -126,18 +99,10 @@ impl PowerMonitor {
         }
     }
 
-    /// The recorded trace (empty unless [`set_keep_trace`] was enabled).
-    ///
-    /// [`set_keep_trace`]: PowerMonitor::set_keep_trace
-    pub fn trace(&self) -> &[PowerSample] {
-        &self.trace
-    }
-
-    /// Clear the integrator and the trace.
+    /// Clear the integrator.
     pub fn reset(&mut self) {
         self.energy_j = 0.0;
         self.elapsed_ms = 0;
-        self.trace.clear();
     }
 }
 
@@ -148,8 +113,8 @@ mod tests {
     #[test]
     fn integrates_energy_exactly_without_noise() {
         let mut m = PowerMonitor::new(0.0, 1);
-        for t in 0..1000 {
-            m.record_span(t, 2.0, 2.0, 1);
+        for _ in 0..1000 {
+            m.record_span(2.0, 2.0, 1);
         }
         assert!((m.energy_j() - 2.0).abs() < 1e-9, "2 W for 1 s = 2 J");
         assert_eq!(m.elapsed_ms(), 1000);
@@ -159,8 +124,8 @@ mod tests {
     #[test]
     fn noise_is_zero_mean_in_aggregate() {
         let mut m = PowerMonitor::new(0.005, 42);
-        for t in 0..100_000 {
-            m.record_span(t, 1.5, 1.5, 1);
+        for _ in 0..100_000 {
+            m.record_span(1.5, 1.5, 1);
         }
         let avg = m.average_power_w();
         assert!(
@@ -170,33 +135,20 @@ mod tests {
     }
 
     #[test]
-    fn trace_only_kept_when_enabled() {
-        let mut m = PowerMonitor::new(0.0, 1);
-        m.record_span(0, 1.0, 1.0, 1);
-        assert!(m.trace().is_empty());
-        m.set_keep_trace(true);
-        m.record_span(1, 1.0, 1.0, 1);
-        assert_eq!(m.trace().len(), 1);
-        assert_eq!(m.trace()[0].t_ms, 1);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let mut m = PowerMonitor::new(0.0, 1);
-        m.set_keep_trace(true);
-        m.record_span(0, 3.0, 3.0, 1);
+        m.record_span(3.0, 3.0, 1);
         m.reset();
         assert_eq!(m.energy_j(), 0.0);
         assert_eq!(m.elapsed_ms(), 0);
-        assert!(m.trace().is_empty());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut m = PowerMonitor::new(0.01, seed);
-            for t in 0..1000 {
-                m.record_span(t, 1.0, 1.0, 1);
+            for _ in 0..1000 {
+                m.record_span(1.0, 1.0, 1);
             }
             m.energy_j()
         };
