@@ -16,6 +16,11 @@ use std::cell::{Cell, RefCell};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+use std::time::Instant;
+
+/// Alternating untraced/traced pairs the tracing budget is judged on
+/// (odd, so the median is one pair's value).
+const OVERHEAD_PAIRS: usize = 41;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
@@ -150,46 +155,66 @@ fn controller_suite(quick: bool) -> Json {
         samples: if quick { 5 } else { 15 },
         inner: 1,
     };
-    let r = bench(&format!("controller_run/{sim_ms}ms"), &run_cfg, || {
+    // One closed-loop run, with or without the observability sink
+    // installed; the traced run's delta is the tracing overhead budget
+    // (acceptance: < 5 % per cycle).
+    let closed_loop = |traced: bool| {
         let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = apps::spotify(BackgroundLoad::baseline(1));
-        let controller: EnergyController = ControllerBuilder::new(table.clone())
+        let mut ctrl: EnergyController = ControllerBuilder::new(table.clone())
             .target_gips(0.5)
             .seed(0xc0de)
             .build();
+        let sink = traced.then(|| Rc::new(RefCell::new(RingSink::new(4096))));
+        if let Some(sink) = &sink {
+            device.install_obs_sink(sink.clone());
+        }
         let mut gpu = AdrenoTz::default();
-        let mut ctrl = controller;
         let mut policies: [&mut dyn Policy; 2] = [&mut gpu, &mut ctrl];
         black_box(sim::run(&mut device, &mut app, &mut policies, sim_ms));
+        if let Some(sink) = sink {
+            black_box(sink.borrow().ring().len());
+        }
+    };
+    let r = bench(&format!("controller_run/{sim_ms}ms"), &run_cfg, || {
+        closed_loop(false);
     });
     let ns_per_sim_ms = r.median_ns / sim_ms as f64;
     let untraced_median_ns = r.median_ns;
     results.push(r);
-
-    // The same closed loop with the observability sink installed: the
-    // delta against the untraced run is the tracing overhead budget
-    // (acceptance: < 5 % per cycle).
     let r = bench(
         &format!("controller_run_traced/{sim_ms}ms"),
         &run_cfg,
-        || {
-            let mut device = Device::new(DeviceConfig::nexus6());
-            let mut app = apps::spotify(BackgroundLoad::baseline(1));
-            let controller: EnergyController = ControllerBuilder::new(table.clone())
-                .target_gips(0.5)
-                .seed(0xc0de)
-                .build();
-            let sink = Rc::new(RefCell::new(RingSink::new(4096)));
-            device.install_obs_sink(sink.clone());
-            let mut gpu = AdrenoTz::default();
-            let mut ctrl = controller;
-            let mut policies: [&mut dyn Policy; 2] = [&mut gpu, &mut ctrl];
-            black_box(sim::run(&mut device, &mut app, &mut policies, sim_ms));
-            black_box(sink.borrow().ring().len());
-        },
+        || closed_loop(true),
     );
     let traced_median_ns = r.median_ns;
     results.push(r);
+
+    // The budget is judged on back-to-back pairs, not on the two rows
+    // above: rows timed seconds apart see different machine load, and
+    // the ratio of their medians swung by tens of percent between
+    // invocations. Each pair times one untraced and one traced run,
+    // traced first in odd pairs; the verdict is the median pair.
+    let time_ns = |traced: bool| {
+        let t0 = Instant::now();
+        closed_loop(traced);
+        t0.elapsed().as_nanos() as f64
+    };
+    let mut pair_pct: Vec<f64> = (0..OVERHEAD_PAIRS)
+        .map(|i| {
+            let (untraced, traced) = if i % 2 == 0 {
+                let untraced = time_ns(false);
+                (untraced, time_ns(true))
+            } else {
+                let traced = time_ns(true);
+                (time_ns(false), traced)
+            };
+            (traced - untraced) / untraced * 100.0
+        })
+        .collect();
+    let pairs_json = Json::Arr(pair_pct.iter().map(|&p| Json::from(p)).collect());
+    pair_pct.sort_by(f64::total_cmp);
+    let trace_overhead_pct = pair_pct[OVERHEAD_PAIRS / 2];
 
     // The sink's record path in isolation.
     let mut sink = RingSink::new(4096);
@@ -246,8 +271,8 @@ fn controller_suite(quick: bool) -> Json {
     derived.set("controller_snapshot_bytes", snapshot_len);
     // Signed: a traced run faster than the untraced one reads as a
     // negative overhead, which shows how large the run-to-run noise is.
-    let trace_overhead_pct = (traced_median_ns - untraced_median_ns) / untraced_median_ns * 100.0;
     derived.set("trace_overhead_pct", trace_overhead_pct);
+    derived.set("trace_overhead_pair_pct", pairs_json);
     derived.set("controller_run_traced_median_ns", traced_median_ns);
     derived.set("controller_run_untraced_median_ns", untraced_median_ns);
     suite_report("controller", quick, &results, derived)

@@ -45,7 +45,7 @@ pub enum Command {
         out: Option<String>,
         stride: usize,
         runs: usize,
-        window_s: u64,
+        window_ms: u64,
         load: LoadLevel,
         cpu_only: bool,
         gpu: bool,
@@ -53,7 +53,7 @@ pub enum Command {
     /// `asgov baseline`
     Baseline {
         app: String,
-        duration_s: u64,
+        duration_ms: u64,
         load: LoadLevel,
     },
     /// `asgov control`
@@ -61,14 +61,14 @@ pub enum Command {
         app: String,
         profile: String,
         target: Option<f64>,
-        duration_s: u64,
+        duration_ms: u64,
         load: LoadLevel,
         cpu_only: bool,
     },
     /// `asgov compare`
     Compare {
         app: String,
-        duration_s: u64,
+        duration_ms: u64,
         load: LoadLevel,
         quick: bool,
     },
@@ -77,7 +77,7 @@ pub enum Command {
         app: String,
         profile: Option<String>,
         target: Option<f64>,
-        duration_s: u64,
+        duration_ms: u64,
         load: LoadLevel,
         out: Option<String>,
         capacity: usize,
@@ -86,20 +86,37 @@ pub enum Command {
     Stats { trace: String },
 }
 
-/// Parse error.
+/// Parse error (the CLI prints it with the usage text and exits 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(pub String);
+pub enum ParseError {
+    /// Unknown subcommand, missing or stray flag, or unparsable value.
+    Usage(String),
+    /// A seconds flag whose value does not fit in `u64` milliseconds.
+    SecondsOverflow {
+        /// The flag, e.g. `--duration-s`.
+        flag: &'static str,
+        /// The value given, in seconds.
+        secs: u64,
+    },
+}
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        match self {
+            Self::Usage(msg) => write!(f, "{msg}"),
+            Self::SecondsOverflow { flag, secs } => write!(
+                f,
+                "{flag}: {secs} s is too long (at most {} s)",
+                u64::MAX / 1000
+            ),
+        }
     }
 }
 
 impl std::error::Error for ParseError {}
 
 fn err(msg: impl Into<String>) -> ParseError {
-    ParseError(msg.into())
+    ParseError::Usage(msg.into())
 }
 
 struct Flags<'a> {
@@ -155,6 +172,17 @@ fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, ParseError>
         .map_err(|_| err(format!("{name}: cannot parse {v:?}")))
 }
 
+/// A seconds flag's value converted once to milliseconds, the unit the
+/// simulator runs in; `default_s` when the flag is absent.
+fn secs_as_ms(f: &mut Flags, flag: &'static str, default_s: u64) -> Result<u64, ParseError> {
+    let secs = match f.value(flag)? {
+        Some(v) => parse_num(flag, v)?,
+        None => default_s,
+    };
+    secs.checked_mul(1000)
+        .ok_or(ParseError::SecondsOverflow { flag, secs })
+}
+
 fn parse_load(v: Option<&str>) -> Result<LoadLevel, ParseError> {
     let v = v.unwrap_or("BL").to_uppercase();
     LoadLevel::from_label(&v).ok_or_else(|| err(format!("--load must be BL, NL or HL, got {v:?}")))
@@ -185,10 +213,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 Some(v) => parse_num("--runs", v)?,
                 None => 3,
             };
-            let window_s = match f.value("--window-s")? {
-                Some(v) => parse_num("--window-s", v)?,
-                None => 30,
-            };
+            let window_ms = secs_as_ms(&mut f, "--window-s", 30)?;
             let load = parse_load(f.value("--load")?)?;
             let cpu_only = f.flag("--cpu-only");
             let gpu = f.flag("--gpu");
@@ -200,7 +225,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 out,
                 stride,
                 runs,
-                window_s,
+                window_ms,
                 load,
                 cpu_only,
                 gpu,
@@ -211,10 +236,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 .value("--app")?
                 .ok_or_else(|| err("--app is required"))?
                 .to_string(),
-            duration_s: match f.value("--duration-s")? {
-                Some(v) => parse_num("--duration-s", v)?,
-                None => 60,
-            },
+            duration_ms: secs_as_ms(&mut f, "--duration-s", 60)?,
             load: parse_load(f.value("--load")?)?,
         },
         "control" => Command::Control {
@@ -230,10 +252,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 Some(v) => Some(parse_num("--target", v)?),
                 None => None,
             },
-            duration_s: match f.value("--duration-s")? {
-                Some(v) => parse_num("--duration-s", v)?,
-                None => 60,
-            },
+            duration_ms: secs_as_ms(&mut f, "--duration-s", 60)?,
             load: parse_load(f.value("--load")?)?,
             cpu_only: f.flag("--cpu-only"),
         },
@@ -242,10 +261,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 .value("--app")?
                 .ok_or_else(|| err("--app is required"))?
                 .to_string(),
-            duration_s: match f.value("--duration-s")? {
-                Some(v) => parse_num("--duration-s", v)?,
-                None => 60,
-            },
+            duration_ms: secs_as_ms(&mut f, "--duration-s", 60)?,
             load: parse_load(f.value("--load")?)?,
             quick: f.flag("--quick"),
         },
@@ -259,10 +275,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 Some(v) => Some(parse_num("--target", v)?),
                 None => None,
             },
-            duration_s: match f.value("--duration-s")? {
-                Some(v) => parse_num("--duration-s", v)?,
-                None => 60,
-            },
+            duration_ms: secs_as_ms(&mut f, "--duration-s", 60)?,
             load: parse_load(f.value("--load")?)?,
             out: f.value("--out")?.map(str::to_string),
             capacity: match f.value("--capacity")? {
@@ -303,14 +316,14 @@ mod tests {
                 app,
                 stride,
                 runs,
-                window_s,
+                window_ms,
                 load,
                 cpu_only,
                 gpu,
                 out,
             } => {
                 assert_eq!(app, "AngryBirds");
-                assert_eq!((stride, runs, window_s), (2, 3, 30));
+                assert_eq!((stride, runs, window_ms), (2, 3, 30_000));
                 assert_eq!(load, LoadLevel::Baseline);
                 assert!(!cpu_only && !gpu);
                 assert!(out.is_none());
@@ -322,19 +335,19 @@ mod tests {
     #[test]
     fn rejects_conflicting_axes() {
         let e = parse(&v(&["profile", "--app", "X", "--cpu-only", "--gpu"])).unwrap_err();
-        assert!(e.0.contains("mutually exclusive"));
+        assert!(e.to_string().contains("mutually exclusive"));
     }
 
     #[test]
     fn rejects_unknown_flag() {
         let e = parse(&v(&["baseline", "--app", "X", "--frobnicate"])).unwrap_err();
-        assert!(e.0.contains("unrecognized"));
+        assert!(e.to_string().contains("unrecognized"));
     }
 
     #[test]
     fn rejects_bad_load() {
         let e = parse(&v(&["baseline", "--app", "X", "--load", "XXL"])).unwrap_err();
-        assert!(e.0.contains("--load"));
+        assert!(e.to_string().contains("--load"));
     }
 
     #[test]
@@ -388,18 +401,51 @@ mod tests {
                 app,
                 profile,
                 target,
-                duration_s,
+                duration_ms,
                 load,
                 out,
                 capacity,
             } => {
                 assert_eq!(app, "VidCon");
                 assert!(profile.is_none() && target.is_none() && out.is_none());
-                assert_eq!((duration_s, capacity), (60, 4096));
+                assert_eq!((duration_ms, capacity), (60_000, 4096));
                 assert_eq!(load, LoadLevel::Baseline);
             }
             other => panic!("wrong command {other:?}"),
         }
+    }
+
+    #[test]
+    fn seconds_past_the_millisecond_range_are_rejected() {
+        let max_s = u64::MAX / 1000;
+        for sub in ["baseline", "compare", "trace"] {
+            let ok = parse(&v(&[sub, "--app", "X", "--duration-s", &max_s.to_string()]));
+            assert!(ok.is_ok(), "{sub}: {ok:?}");
+            let e = parse(&v(&[
+                sub,
+                "--app",
+                "X",
+                "--duration-s",
+                "18446744073709552",
+            ]));
+            assert_eq!(
+                e,
+                Err(ParseError::SecondsOverflow {
+                    flag: "--duration-s",
+                    secs: 18_446_744_073_709_552,
+                }),
+                "{sub}"
+            );
+        }
+        let e = parse(&v(&[
+            "profile",
+            "--app",
+            "X",
+            "--window-s",
+            &(max_s + 1).to_string(),
+        ]))
+        .unwrap_err();
+        assert!(e.to_string().contains("--window-s"), "{e}");
     }
 
     #[test]

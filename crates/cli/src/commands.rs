@@ -42,7 +42,7 @@ pub fn run(cmd: Command) -> Result<()> {
             out,
             stride,
             runs,
-            window_s,
+            window_ms,
             load,
             cpu_only,
             gpu,
@@ -52,7 +52,7 @@ pub fn run(cmd: Command) -> Result<()> {
                 .ok_or_else(|| unknown_app(&app))?;
             let opts = ProfileOptions {
                 runs_per_config: runs,
-                run_ms: window_s * 1000,
+                run_ms: window_ms,
                 freq_stride: stride,
                 interpolate: true,
             };
@@ -72,13 +72,13 @@ pub fn run(cmd: Command) -> Result<()> {
         }
         Command::Baseline {
             app,
-            duration_s,
+            duration_ms,
             load,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
             let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
                 .ok_or_else(|| unknown_app(&app))?;
-            let m = measure_default(&dev_cfg, &mut a, 3, duration_s * 1000);
+            let m = measure_default(&dev_cfg, &mut a, 3, duration_ms);
             println!("{app} under interactive + cpubw_hwmon + msm-adreno-tz ({load}):");
             println!("  R_def = {:.4} GIPS", m.gips);
             println!("  P_def = {:.3} W", m.power_w);
@@ -90,7 +90,7 @@ pub fn run(cmd: Command) -> Result<()> {
             app,
             profile,
             target,
-            duration_s,
+            duration_ms,
             load,
             cpu_only,
         } => {
@@ -109,7 +109,7 @@ pub fn run(cmd: Command) -> Result<()> {
                 Some(t) => t,
                 None => {
                     eprintln!("no --target; measuring the default-governor baseline...");
-                    measure_default(&dev_cfg, &mut a, 1, duration_s * 1000).gips
+                    measure_default(&dev_cfg, &mut a, 1, duration_ms).gips
                 }
             };
 
@@ -127,7 +127,7 @@ pub fn run(cmd: Command) -> Result<()> {
             let mut device = Device::new(dev_cfg);
             // One record per 2 s control cycle; past the cap the fault
             // list covers the newest cycles.
-            let retained = (duration_s / 2 + 1).min(MAX_CONTROL_RECORDS);
+            let retained = (duration_ms / 2_000 + 1).min(MAX_CONTROL_RECORDS);
             let sink = Rc::new(RefCell::new(RingSink::new(retained as usize)));
             device.install_obs_sink(sink.clone());
             a.reset();
@@ -137,7 +137,7 @@ pub fn run(cmd: Command) -> Result<()> {
             }
             policies.push(&mut gpu_gov);
             policies.push(&mut controller);
-            let report = event::run(&mut device, &mut a, &mut policies, duration_s * 1000);
+            let report = event::run(&mut device, &mut a, &mut policies, duration_ms);
 
             println!("{app} under the asgov controller (target {target:.4} GIPS, {load}):");
             println!("  achieved = {:.4} GIPS", report.avg_gips);
@@ -172,7 +172,7 @@ pub fn run(cmd: Command) -> Result<()> {
         }
         Command::Compare {
             app,
-            duration_s,
+            duration_ms,
             load,
             quick,
         } => {
@@ -193,7 +193,7 @@ pub fn run(cmd: Command) -> Result<()> {
             eprintln!("profiling {app}...");
             let table = profile_app(&dev_cfg, &mut a, &opts);
             eprintln!("measuring the default governors...");
-            let default = measure_default(&dev_cfg, &mut a, runs, duration_s * 1000);
+            let default = measure_default(&dev_cfg, &mut a, runs, duration_ms);
 
             let mut controller = ControllerBuilder::new(table)
                 .target_gips(default.gips)
@@ -206,12 +206,12 @@ pub fn run(cmd: Command) -> Result<()> {
                 &mut device,
                 &mut a,
                 &mut [&mut gpu_gov, &mut controller],
-                duration_s * 1000,
+                duration_ms,
             );
 
             let savings = (default.energy_j - report.energy_j) / default.energy_j * 100.0;
             let perf = (report.avg_gips - default.gips) / default.gips * 100.0;
-            println!("{app} ({load}, {duration_s} s):");
+            println!("{app} ({load}, {} s):", duration_ms / 1000);
             println!(
                 "  default:    {:.4} GIPS  {:.3} W  {:.1} J",
                 default.gips, default.power_w, default.energy_j
@@ -232,7 +232,7 @@ pub fn run(cmd: Command) -> Result<()> {
             app,
             profile,
             target,
-            duration_s,
+            duration_ms,
             load,
             out,
             capacity,
@@ -260,7 +260,7 @@ pub fn run(cmd: Command) -> Result<()> {
                 Some(t) => t,
                 None => {
                     eprintln!("no --target; measuring the default-governor baseline...");
-                    measure_default(&dev_cfg, &mut a, 1, duration_s * 1000).gips
+                    measure_default(&dev_cfg, &mut a, 1, duration_ms).gips
                 }
             };
 
@@ -274,7 +274,7 @@ pub fn run(cmd: Command) -> Result<()> {
                 &mut device,
                 &mut a,
                 &mut [&mut gpu_gov, &mut controller],
-                duration_s * 1000,
+                duration_ms,
             );
 
             let sink = sink.borrow();

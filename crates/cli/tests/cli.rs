@@ -35,6 +35,28 @@ fn unknown_subcommand_fails_with_usage() {
 }
 
 #[test]
+fn overflowing_duration_is_a_usage_error() {
+    // 18446744073709552 s is 2^64 ms + 384 ms: it once wrapped to a
+    // 384 ms run that exited 0.
+    let out = asgov()
+        .args([
+            "baseline",
+            "--app",
+            "Spotify",
+            "--duration-s",
+            "18446744073709552",
+        ])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--duration-s") && err.contains("USAGE"),
+        "{err}"
+    );
+}
+
+#[test]
 fn unknown_app_fails_cleanly() {
     let out = asgov()
         .args(["baseline", "--app", "DoesNotExist", "--duration-s", "1"])

@@ -18,7 +18,9 @@
 //! - [`Fleet`] — the epoch engine. [`Fleet::run`] is one
 //!   `ordered_map` batch on a persistent `asgov_util::par::WorkerPool`:
 //!   job `s` advances shard `s` through every remaining epoch — no
-//!   global barrier — and the per-shard results fold afterward.
+//!   global barrier. Each shard-epoch's counters and savings fold into
+//!   one accumulator as it ends; only per-epoch energies wait for the
+//!   batch to end.
 //!   [`Fleet::step`] is the same engine bounded to one epoch.
 //!
 //! Determinism contract: the aggregate report is **bit-identical**
@@ -114,9 +116,9 @@ impl Fleet {
     /// Run all remaining epochs and return the final report. One pool
     /// batch covers the whole run: job `s` advances shard `s` through
     /// every remaining epoch, so workers never idle at a global epoch
-    /// barrier. The per-shard results fold epoch-major/shard-minor
-    /// afterward, so the report is bit-identical to running
-    /// [`Fleet::step`] in a loop.
+    /// barrier. The exact counters and savings fold in completion
+    /// order and the energies epoch-major/shard-minor afterward, so the
+    /// report is bit-identical to running [`Fleet::step`] in a loop.
     ///
     /// # Errors
     ///
@@ -145,40 +147,47 @@ impl Fleet {
             ));
         }
 
-        // Job `s` runs shard `s` to `end_epoch` (or its first error).
-        // Each epoch's energy is kept apart for the epoch-major fold
-        // below; the exact counters and savings columns merge
-        // shard-major as they land.
-        let slots: Vec<Mutex<&mut ShardState>> = self.shards.iter_mut().map(Mutex::new).collect();
+        // Job `s` runs shard `s` to `end_epoch` (or its first error),
+        // writing each epoch's energy into its own row of `energy` for
+        // the epoch-major fold below. The exact counters and savings
+        // columns fold into one accumulator as each epoch ends, so the
+        // batch holds O(workers) statistics however many shards it has;
+        // their merge is exact in any order, so completion order cannot
+        // change a bit.
+        let epochs = (end_epoch - start_epoch) as usize;
+        let mut energy = vec![0.0; self.shards.len() * epochs];
+        let acc = Mutex::new(EpochStats::default());
+        let slots: Vec<Mutex<(&mut ShardState, &mut [f64])>> = self
+            .shards
+            .iter_mut()
+            .zip(energy.chunks_mut(epochs))
+            .map(Mutex::new)
+            .collect();
         let runs = self.pool.ordered_map(slots.len(), |s| {
             // asgov-analyze: allow(hot-path-index): ordered_map runs jobs `0..slots.len()` only
-            let mut state = slots[s].lock().unwrap_or_else(PoisonError::into_inner);
-            let mut energy = Vec::new();
-            let mut merged = EpochStats::default();
-            while state.next_epoch < end_epoch {
+            let mut slot = slots[s].lock().unwrap_or_else(PoisonError::into_inner);
+            let (state, row) = &mut *slot;
+            for epoch_j in row.iter_mut() {
                 let epoch = state.next_epoch;
                 let mut stats =
-                    shard::run_epoch_into(&config, store, &mut state).map_err(|e| (epoch, e))?;
-                energy.push(std::mem::take(&mut stats.energy_j));
-                merged
+                    shard::run_epoch_into(&config, store, state).map_err(|e| (epoch, e))?;
+                *epoch_j = std::mem::take(&mut stats.energy_j);
+                acc.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .merge(&stats)
                     .map_err(|_| (epoch, FleetError::StatsLayout))?;
             }
-            Ok((energy, merged))
+            Ok(())
         });
+        drop(slots);
 
         // The earliest `(epoch, shard)` error wins; runs arrive in
         // shard order, so a strict `<` keeps the lowest shard on ties.
-        let mut shard_runs = Vec::with_capacity(runs.len());
+        // On error the accumulator is dropped and the report untouched.
         let mut first_error: Option<(u64, FleetError)> = None;
-        for run in runs {
-            match run {
-                Ok(done) => shard_runs.push(done),
-                Err((epoch, e)) => {
-                    if first_error.as_ref().is_none_or(|(first, _)| epoch < *first) {
-                        first_error = Some((epoch, e));
-                    }
-                }
+        for (epoch, e) in runs.into_iter().filter_map(Result::err) {
+            if first_error.as_ref().is_none_or(|(first, _)| epoch < *first) {
+                first_error = Some((epoch, e));
             }
         }
         if let Some((_, e)) = first_error {
@@ -189,16 +198,15 @@ impl Fleet {
         // that to the total: the same f64 add sequence as a `step`
         // loop, however the run is split into steps.
         let totals = &mut self.report.totals;
-        for i in 0..end_epoch - start_epoch {
+        for i in 0..epochs {
             let mut epoch_j = 0.0;
-            for (energy, _) in &shard_runs {
-                epoch_j += energy.get(i as usize).copied().unwrap_or(0.0);
+            for row in energy.chunks(epochs) {
+                epoch_j += row.get(i).copied().unwrap_or(0.0);
             }
             totals.energy_j += epoch_j;
         }
-        for (_, merged) in &shard_runs {
-            totals.merge(merged).map_err(|_| FleetError::StatsLayout)?;
-        }
+        let acc = acc.into_inner().unwrap_or_else(PoisonError::into_inner);
+        totals.merge(&acc).map_err(|_| FleetError::StatsLayout)?;
         self.report.epochs_run = end_epoch;
         Ok(())
     }

@@ -172,16 +172,16 @@ pub fn run_epoch_into(
 
         let mut gpu_gov = AdrenoTz::default();
         app.reset();
-        let report = {
+        let energy_j = {
             let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut supervisor];
-            event::run(&mut device, &mut app, &mut policies, cfg.epoch_ms)
+            event::run_energy_j(&mut device, &mut app, &mut policies, cfg.epoch_ms)
         };
         if let Some(slot) = state.snapshots.get_mut(i as usize) {
             *slot = supervisor.migrate_out(device.now_ms());
         }
 
         stats.online += 1;
-        stats.energy_j += report.energy_j;
+        stats.energy_j += energy_j;
         stats.restarts += supervisor.restarts();
         stats.warm_restarts += supervisor.warm_restarts();
         stats.warm_migrations += supervisor.warm_migrations();
@@ -190,7 +190,7 @@ pub fn run_epoch_into(
 
         let base = policy.baseline_energy_j;
         if base.is_finite() && base > 0.0 {
-            let savings = (base - report.energy_j) / base * 100.0;
+            let savings = (base - energy_j) / base * 100.0;
             stats.savings.record(app_stream(spec.app_idx), savings);
             stats
                 .savings

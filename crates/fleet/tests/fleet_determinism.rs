@@ -141,10 +141,11 @@ fn coarse_quantum_tier_is_thread_invariant_and_warm_restorable() {
 #[test]
 fn fleet_stats_merge_is_associative_over_random_partitions() {
     // Partition a stream of savings samples into K partial aggregates
-    // at random, then fold them left-to-right and as a pairwise tree:
-    // the columnar state must come out bit-identical (the fixed-point
-    // moments make merge exactly associative), which is what lets a
-    // run merge each shard's epochs first and still match a step loop.
+    // at random, then fold them left-to-right, as a pairwise tree and
+    // in random orders: the columnar state must come out bit-identical
+    // (the fixed-point moments make merge exactly associative and
+    // commutative), which is what lets a run fold each shard-epoch in
+    // completion order and still match a step loop.
     let mut rng = Rng::seed_from_u64(0xa55e7);
     for trial in 0..25 {
         let parts_n = 2 + rng.gen_range_usize(0..7);
@@ -163,6 +164,24 @@ fn fleet_stats_merge_is_associative_over_random_partitions() {
         let mut fold_left = savings_agg();
         for p in &parts {
             fold_left.merge(p).expect("same layout");
+        }
+
+        // Random permutations: the order jobs may finish in.
+        for perm in 0..4 {
+            let mut order: Vec<usize> = (0..parts_n).collect();
+            for i in (1..parts_n).rev() {
+                order.swap(i, rng.gen_range_usize(0..i + 1));
+            }
+            let mut shuffled = savings_agg();
+            for &p in &order {
+                let part = parts.get(p).expect("permutation of part indices");
+                shuffled.merge(part).expect("same layout");
+            }
+            assert_eq!(
+                fold_left.serialize_words(),
+                shuffled.serialize_words(),
+                "trial {trial} permutation {perm} ({order:?}): merge order changed the state"
+            );
         }
 
         let mut layer = parts;

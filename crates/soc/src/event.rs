@@ -122,6 +122,37 @@ pub fn run_counted<W: Workload + ?Sized>(
     policies: &mut [&mut dyn Policy],
     max_ms: u64,
 ) -> (RunReport, EngineStats) {
+    let (completed, engine) = drive(device, workload, policies, max_ms);
+    (
+        collect_report(device, workload, policies, max_ms, completed),
+        engine,
+    )
+}
+
+/// [`run`] for a caller that needs only the measured energy: the same
+/// engine loop and the same policy `finish` calls, without assembling a
+/// [`RunReport`] (no name strings, no residency-histogram copies).
+/// Returns the bits `run(..).energy_j` would.
+pub fn run_energy_j<W: Workload + ?Sized>(
+    device: &mut Device,
+    workload: &mut W,
+    policies: &mut [&mut dyn Policy],
+    max_ms: u64,
+) -> f64 {
+    drive(device, workload, policies, max_ms);
+    device.monitor().energy_j()
+}
+
+/// The engine loop behind every entry point: start the policies, reset
+/// the device statistics, advance span by span until `max_ms` has
+/// passed or the workload finishes, then finish the policies. Returns
+/// whether the workload finished, with the engine's counters.
+fn drive<W: Workload + ?Sized>(
+    device: &mut Device,
+    workload: &mut W,
+    policies: &mut [&mut dyn Policy],
+    max_ms: u64,
+) -> (bool, EngineStats) {
     for p in policies.iter_mut() {
         p.start(device);
     }
@@ -173,11 +204,10 @@ pub fn run_counted<W: Workload + ?Sized>(
             break;
         }
     }
-
-    (
-        collect_report(device, workload, policies, max_ms, completed),
-        engine,
-    )
+    for p in policies.iter_mut() {
+        p.finish(device);
+    }
+    (completed, engine)
 }
 
 #[cfg(test)]
@@ -442,6 +472,53 @@ mod tests {
                 (energy - quiet).abs() <= bound_j,
                 "seed {seed}: {energy} J vs noiseless {quiet} J"
             );
+        }
+    }
+
+    /// Counts `finish` calls, so a test sees that a run finished it.
+    struct Finishes(u32);
+    impl Policy for Finishes {
+        fn name(&self) -> &str {
+            "finishes"
+        }
+        fn tick(&mut self, _device: &mut Device) {}
+        fn next_event_ms(&self, _device: &Device) -> u64 {
+            u64::MAX
+        }
+        fn finish(&mut self, _device: &mut Device) {
+            self.0 += 1;
+        }
+    }
+
+    /// The energy-only entry point runs the same loop and `finish`
+    /// calls as `run`: the same energy bits and end-of-run device state.
+    #[test]
+    fn energy_only_run_matches_the_report() {
+        for (i, plan) in fault_plans().into_iter().enumerate() {
+            let mk = || {
+                let mut d = Device::new(DeviceConfig::nexus6().with_seed(5));
+                if !plan.is_empty() {
+                    d.install_faults(FaultInjector::new(plan.clone(), 9));
+                }
+                d
+            };
+            let mut app = ConstantWorkload::new("toy", 0.6, 1.5, 1.0);
+            let mut device = mk();
+            let (mut stepper, mut fin) = (Stepper::new(50), Finishes(0));
+            let report = run(&mut device, &mut app, &mut [&mut stepper, &mut fin], 3_000);
+
+            let mut app = ConstantWorkload::new("toy", 0.6, 1.5, 1.0);
+            let mut dev_energy = mk();
+            let (mut stepper, mut fin_energy) = (Stepper::new(50), Finishes(0));
+            let energy_j = run_energy_j(
+                &mut dev_energy,
+                &mut app,
+                &mut [&mut stepper, &mut fin_energy],
+                3_000,
+            );
+            assert_eq!(energy_j.to_bits(), report.energy_j.to_bits(), "plan {i}");
+            assert_eq!(dev_energy.stats(), report.stats, "plan {i}");
+            assert_eq!((fin.0, fin_energy.0), (1, 1), "plan {i}: one finish each");
         }
     }
 

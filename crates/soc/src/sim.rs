@@ -69,18 +69,15 @@ impl RunReport {
 
 pub use crate::event::run;
 
-/// Finish the policies and assemble the [`RunReport`] at the end of a
-/// [`run`].
+/// Assemble the [`RunReport`] at the end of a [`run`], once the
+/// policies have finished.
 pub(crate) fn collect_report<W: Workload + ?Sized>(
-    device: &mut Device,
+    device: &Device,
     workload: &W,
-    policies: &mut [&mut dyn Policy],
+    policies: &[&mut dyn Policy],
     max_ms: u64,
     completed: bool,
 ) -> RunReport {
-    for p in policies.iter_mut() {
-        p.finish(device);
-    }
     let health = policies.iter().find_map(super::Policy::health);
     let policy = if policies.is_empty() {
         "none".to_string()
