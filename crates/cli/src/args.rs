@@ -18,7 +18,7 @@ USAGE:
   asgov compare  --app <NAME> [--duration-s <N>] [--load BL|NL|HL] [--quick]
   asgov trace    --app <NAME> [--profile <FILE>] [--target <GIPS>]
                  [--duration-s <N>] [--load BL|NL|HL] [--out <FILE>]
-                 [--capacity <N>]
+                 [--capacity <N>]   (records kept, at most 65536)
   asgov stats    --trace <FILE>
 
 COMMANDS:
@@ -33,6 +33,11 @@ COMMANDS:
               and prints the metrics summary
   stats       Aggregate a JSONL trace file: cycle counts, error and
               latency statistics, fault and degradation tallies";
+
+/// Ceiling on `trace --capacity`, in cycle records. The ring reserves
+/// its whole capacity up front, and a control cycle ends about every
+/// 2 s, so this keeps the newest ~36 h of a simulated run.
+pub const MAX_TRACE_CAPACITY: usize = 1 << 16;
 
 /// Parsed command.
 #[derive(Debug, Clone, PartialEq)]
@@ -279,7 +284,14 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             load: parse_load(f.value("--load")?)?,
             out: f.value("--out")?.map(str::to_string),
             capacity: match f.value("--capacity")? {
-                Some(v) => parse_num("--capacity", v)?,
+                Some(v) => match parse_num("--capacity", v)? {
+                    n if n > MAX_TRACE_CAPACITY => {
+                        return Err(err(format!(
+                            "--capacity: {n} records is too many (at most {MAX_TRACE_CAPACITY})"
+                        )))
+                    }
+                    n => n,
+                },
                 None => 4096,
             },
         },
@@ -446,6 +458,17 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.to_string().contains("--window-s"), "{e}");
+    }
+
+    #[test]
+    fn trace_capacity_above_the_ceiling_is_rejected() {
+        let at = |n: String| parse(&v(&["trace", "--app", "X", "--capacity", &n]));
+        assert!(USAGE.contains(&format!("at most {MAX_TRACE_CAPACITY})")));
+        assert!(at(MAX_TRACE_CAPACITY.to_string()).is_ok());
+        for n in [(MAX_TRACE_CAPACITY + 1).to_string(), usize::MAX.to_string()] {
+            let e = at(n.clone()).unwrap_err();
+            assert!(e.to_string().contains("--capacity"), "{n}: {e}");
+        }
     }
 
     #[test]

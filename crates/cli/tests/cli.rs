@@ -57,6 +57,33 @@ fn overflowing_duration_is_a_usage_error() {
 }
 
 #[test]
+fn oversized_trace_capacity_is_a_usage_error() {
+    // It once reached `Vec::with_capacity` after profiling and panicked
+    // with `capacity overflow` (exit 101).
+    let out = asgov()
+        .args([
+            "trace",
+            "--app",
+            "Spotify",
+            "--target",
+            "0.1",
+            "--duration-s",
+            "1",
+            "--capacity",
+            "18446744073709551615",
+        ])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--capacity") && err.contains("USAGE"), "{err}");
+    assert!(
+        !err.contains("profiling"),
+        "profiled before rejecting: {err}"
+    );
+}
+
+#[test]
 fn unknown_app_fails_cleanly() {
     let out = asgov()
         .args(["baseline", "--app", "DoesNotExist", "--duration-s", "1"])

@@ -37,9 +37,9 @@ pub struct FleetConfig {
     /// Per-epoch probability that a device is offline (powered down,
     /// out of coverage) and skips the epoch entirely.
     pub offline_rate: f64,
-    /// Demand quantum for device workloads, simulated ms (`1` = the
-    /// exact per-ms arrival model; larger values run every app on the
-    /// coarse windowed model — see `PhasedApp::with_quantum`).
+    /// Demand quantum for device workloads, simulated ms: every app
+    /// books its demand once per window of this many ms (`1` = the
+    /// exact per-ms model; see `PhasedApp::with_quantum`).
     /// Part of the run's deterministic identity: it changes simulated
     /// trajectories, so checkpoints pin it like the seed.
     pub demand_quantum_ms: u64,
@@ -70,8 +70,8 @@ impl FleetConfig {
     }
 
     /// The million-device tier: 10⁶ devices over 1 024 shards with a
-    /// 20 ms demand quantum (the coarse workload model is what makes
-    /// this tier tractable; smoke/bench keep the exact per-ms model).
+    /// 20 ms demand quantum (20 ms demand windows are what make this
+    /// tier tractable; smoke/bench keep 1 ms windows, the exact model).
     pub fn bench_1m() -> Self {
         Self {
             devices: 1_000_000,
@@ -224,8 +224,8 @@ pub(crate) fn signature_index(app_idx: usize, load: LoadLevel) -> Option<usize> 
 
 /// Construct the roster app named `app` with the given background
 /// load and demand quantum. `None` for names outside the roster.
-/// `quantum_ms == 1` is the exact per-ms model; larger quanta switch
-/// every app, batch apps included, to the coarse windowed model (see
+/// Every app, batch apps included, books its demand once per window of
+/// `quantum_ms`; `quantum_ms == 1` is the exact per-ms model (see
 /// `PhasedApp::with_quantum`).
 pub fn build_app(app: &str, load: BackgroundLoad, quantum_ms: u64) -> Option<PhasedApp> {
     ROSTER

@@ -287,9 +287,10 @@ fn smoke_checkpoint_frame_is_pinned() {
 }
 
 /// The q20 tier's checkpoint frame after one epoch, pinned like the
-/// q1 smoke frame above: the coarse demand model (spans of up to 20
-/// ms, clamp-once battery replay) must keep every byte of device
-/// state it had when the pin was taken.
+/// q1 smoke frame above: the 20 ms demand windows (spans of up to 20
+/// ms, frames booked at their window's start, clamp-once battery
+/// replay) must keep every byte of device state they had when the pin
+/// was taken.
 #[test]
 fn smoke_q20_checkpoint_frame_is_pinned() {
     let cfg = FleetConfig {
@@ -300,8 +301,8 @@ fn smoke_q20_checkpoint_frame_is_pinned() {
     let mut fleet = Fleet::new(cfg).expect("valid config");
     fleet.step(&store).expect("epoch 0");
     let frame = fleet.checkpoint().expect("checkpoint encodes");
-    assert_eq!(frame.len(), 116_105, "q20 checkpoint length moved");
-    assert_eq!(crc32(&frame), 0x0F8E_4D85, "q20 checkpoint bytes moved");
+    assert_eq!(frame.len(), 116_345, "q20 checkpoint length moved");
+    assert_eq!(crc32(&frame), 0x97D9_14FD, "q20 checkpoint bytes moved");
 }
 
 /// FNV-1a over formatted text, fed as it is written so no large
@@ -373,7 +374,41 @@ fn smoke_restored_controller_state_is_pinned() {
     );
     assert_eq!(
         q20,
-        (0x31A7_B917_0931_BC58, 952),
+        (0x9F6D_E98B_3AEB_2698, 952),
         "q20 restored controller state moved"
+    );
+}
+
+/// FNV-1a digest of the `FleetConfig::smoke()` report's pretty JSON
+/// (the `report{}` the `fleet` binary files) after the full run, with
+/// the byte count, at demand quantum `quantum_ms`.
+fn smoke_report_digest(quantum_ms: u64) -> (u64, usize) {
+    use std::fmt::Write;
+    let cfg = FleetConfig {
+        demand_quantum_ms: quantum_ms,
+        ..FleetConfig::smoke()
+    };
+    let store = PolicyStore::resolve(&cfg, &DeviceConfig::nexus6());
+    let mut fleet = Fleet::new(cfg).expect("valid config");
+    let report = fleet.run(&store).expect("run completes");
+    let json = report.to_json().to_pretty();
+    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    write!(digest, "{json}").expect("infallible");
+    (digest.0, json.len())
+}
+
+/// The whole smoke report at quanta 1 and 20, pinned bit for bit: every
+/// savings quantile, count and energy total of both tiers.
+#[test]
+fn smoke_report_json_is_pinned() {
+    assert_eq!(
+        smoke_report_digest(1),
+        (0xA014_3D8A_5F7D_5DE0, 12_603),
+        "q1 smoke report moved"
+    );
+    assert_eq!(
+        smoke_report_digest(20),
+        (0x2285_9742_E3DC_B53E, 13_192),
+        "q20 smoke report moved"
     );
 }

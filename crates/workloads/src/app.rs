@@ -12,6 +12,9 @@
 //! and [`EventSpec`]s (periodic happenings such as AngryBirds
 //! advertisements, Spotify song changes or e-book page turns) that add
 //! power draw and enqueue extra work for a bounded duration.
+//!
+//! The model books demand once per window of `quantum_ms` simulated ms
+//! ([`PhasedApp::with_quantum`]); a 1 ms window is the exact per-ms model.
 
 use crate::background::BackgroundLoad;
 use asgov_soc::{Demand, Executed, Workload};
@@ -177,19 +180,22 @@ pub struct PhasedApp {
     event_backlog_gi: f64,
     executed_gi: f64,
     next_frame_ms: u64,
-    active_events: Vec<(usize, u64)>, // (event index, end time)
     seed: u64,
-    /// Demand quantum, ms. `1` (the default) is the exact per-ms model;
-    /// larger values switch to the coarse windowed model (see
-    /// [`PhasedApp::with_quantum`]).
+    /// Demand quantum, ms (see [`PhasedApp::with_quantum`]).
     quantum_ms: u64,
-    /// Exclusive end of the currently cached demand window.
+    /// The quantum in seconds (exactly `1e-3` at quantum 1).
+    window_s: f64,
+    /// `1 / quantum_ms`, the weight of one millisecond of a window.
+    inv_quantum: f64,
+    /// The current demand window `[window_from_ms, window_until_ms)`;
+    /// both ends are multiples of the quantum, and the window is empty
+    /// before the first demand.
+    window_from_ms: u64,
     window_until_ms: u64,
-    /// Demand cached for the current window (quantum mode).
-    window_demand: Option<Demand>,
-    /// Active event instances in quantum mode: `(index, start, end)`,
-    /// kept with their starts so partial window overlap can be scaled.
-    active_windows: Vec<(usize, u64, u64)>,
+    /// Demand of the current window.
+    window_demand: Demand,
+    /// Active event instances `(index, start, end)`.
+    active_events: Vec<(usize, u64, u64)>,
 }
 
 impl PhasedApp {
@@ -215,45 +221,33 @@ impl PhasedApp {
             event_backlog_gi: 0.0,
             executed_gi: 0.0,
             next_frame_ms: 0,
-            active_events: Vec::new(),
             seed,
             quantum_ms: 1,
+            window_s: 1e-3,
+            inv_quantum: 1.0,
+            window_from_ms: 0,
             window_until_ms: 0,
-            window_demand: None,
-            active_windows: Vec::new(),
+            window_demand: Demand::default(),
+            active_events: Vec::new(),
         }
     }
 
-    /// Switch to a coarse demand quantum of `quantum_ms` (clamped to
-    /// ≥ 1; `1` keeps the exact per-ms model).
-    ///
-    /// In quantum mode an app's stochastic bookkeeping — frame
-    /// arrivals, periodic events, Poisson touches, background wander —
-    /// happens once per *window* of `quantum_ms` simulated
-    /// milliseconds, anchored to absolute multiples of the quantum, and
-    /// [`Workload::next_event_ms`] advertises the window boundary so
-    /// the event engine can execute the whole window in one span. This
-    /// trades arrival granularity (frames become one macro-frame per
-    /// window; event power is pro-rated by window overlap) for a large
-    /// reduction in per-simulated-ms work. Determinism is unchanged:
-    /// every draw derives from the seed and absolute window position.
-    /// Batch apps have no frames and run as fast as the hardware allows
-    /// in every window; their finish time stays ms-accurate because
-    /// they report [`Workload::work_left_gi`], which cuts the engine's
-    /// span at the millisecond the work runs out.
+    /// Set the demand quantum to `quantum_ms` (clamped to ≥ 1; default
+    /// 1), before the first [`Workload::demand`]. The app books its
+    /// demand once per window of `quantum_ms` ms anchored to multiples
+    /// of the quantum, and [`Workload::next_event_ms`] advertises the
+    /// window's end so the engine runs it as one span: frames due
+    /// before the end arrive at the start, one jitter draw each; event
+    /// power is weighted by overlap; one touch and one wander draw cover
+    /// the window. A 1 ms window is the exact per-ms model. A batch
+    /// app's finish stays ms-accurate through [`Workload::work_left_gi`].
     pub fn with_quantum(mut self, quantum_ms: u64) -> Self {
         self.quantum_ms = quantum_ms.max(1);
+        self.window_s = self.quantum_ms as f64 * 1e-3;
+        self.inv_quantum = 1.0 / self.quantum_ms as f64;
+        self.window_from_ms = 0;
+        self.window_until_ms = 0;
         self
-    }
-
-    /// The demand quantum, ms (`1` = exact per-ms model).
-    pub fn quantum_ms(&self) -> u64 {
-        self.quantum_ms
-    }
-
-    /// Whether the coarse windowed model is active for this app.
-    fn coarse(&self) -> bool {
-        self.quantum_ms > 1
     }
 
     fn is_batch(&self) -> bool {
@@ -275,232 +269,132 @@ impl PhasedApp {
         self.frame_backlog_gi + self.event_backlog_gi
     }
 
+    /// Whether `now_ms` lies in the current demand window.
+    fn in_window(&self, now_ms: u64) -> bool {
+        now_ms.wrapping_sub(self.window_from_ms) < self.window_until_ms - self.window_from_ms
+    }
+
     fn current_phase(&self) -> &PhaseSpec {
         // asgov-analyze: allow(hot-path-transitive): new() rejects an empty phase list, the spec is never mutated after, and phase_idx only takes 0 or (phase_idx + 1) % phases.len()
         &self.spec.phases[self.phase_idx]
     }
 
-    fn advance_phase_clock(&mut self) {
-        self.phase_elapsed_ms += 1;
-        if self.phase_elapsed_ms >= self.current_phase().duration_ms {
-            self.phase_elapsed_ms = 0;
+    /// Advance the phase clock by `ms` simulated milliseconds, crossing
+    /// as many phase boundaries as the span covers. A phase lasts its
+    /// `duration_ms`, and at least 1 ms.
+    fn advance_phase_clock_by(&mut self, ms: u64) {
+        self.phase_elapsed_ms += ms;
+        loop {
+            let dur = self.current_phase().duration_ms.max(1);
+            if self.phase_elapsed_ms < dur {
+                break;
+            }
+            self.phase_elapsed_ms -= dur;
             self.phase_idx = (self.phase_idx + 1) % self.spec.phases.len();
         }
     }
 
-    /// Advance the phase clock by `ms` simulated milliseconds at once,
-    /// crossing as many phase boundaries as the span covers (same
-    /// cycle structure as `ms` calls to [`Self::advance_phase_clock`]).
-    fn advance_phase_clock_by(&mut self, mut ms: u64) {
-        while ms > 0 {
-            let dur = self.current_phase().duration_ms.max(1);
-            let rem = dur - self.phase_elapsed_ms.min(dur - 1);
-            if ms >= rem {
-                ms -= rem;
-                self.phase_elapsed_ms = 0;
-                self.phase_idx = (self.phase_idx + 1) % self.spec.phases.len();
-            } else {
-                self.phase_elapsed_ms += ms;
-                ms = 0;
-            }
-        }
-    }
-
-    /// Batched work delivery for the coarse model: one accumulator
-    /// update for the whole span instead of a per-ms replay. Batch apps
-    /// keep no backlog.
-    fn coarse_deliver(&mut self, gi: f64, span_ms: u64) {
-        self.executed_gi += gi;
-        if !self.is_batch() {
-            let from_events = gi.min(self.event_backlog_gi);
-            self.event_backlog_gi -= from_events;
-            self.frame_backlog_gi = (self.frame_backlog_gi - (gi - from_events)).max(0.0);
-        }
-        self.advance_phase_clock_by(span_ms);
-    }
-
-    /// Demand under the coarse windowed model: all bookkeeping happens
-    /// once per window `[w0, w0 + quantum)` (anchored to absolute
-    /// multiples of the quantum) and the resulting [`Demand`] is cached
-    /// and returned unchanged for every call inside the window — the
-    /// piecewise-constancy the event engine's span contract requires.
-    fn coarse_demand(&mut self, now_ms: u64) -> Demand {
+    /// Do the bookkeeping of the window containing `now_ms` and cache
+    /// its [`Demand`], which [`Workload::demand`] then returns unchanged
+    /// for every call inside the window — the piecewise-constancy the
+    /// event engine's span contract requires.
+    fn open_window(&mut self, now_ms: u64) -> Demand {
         let q = self.quantum_ms;
-        if now_ms >= self.window_until_ms || self.window_demand.is_none() {
-            let w0 = now_ms - now_ms % q;
-            let w1 = w0 + q;
-            self.window_until_ms = w1;
-            let phase = *self.current_phase();
-            let is_batch = self.is_batch();
-
-            // Window arrival (rate apps only): the window is one
-            // macro-frame (one jitter draw covers it).
-            if !is_batch {
-                let jitter = if phase.rate_jitter > 0.0 {
-                    1.0 + self.rng.gen_range(-phase.rate_jitter..phase.rate_jitter)
-                } else {
-                    1.0
-                };
-                self.frame_backlog_gi += phase.rate_gips * jitter * q as f64 * 1e-3;
-                if let Some(max_frames) = self.spec.max_backlog_frames {
-                    let granule = phase.frame_period_ms.max(q).max(1) as f64;
-                    let cap = phase.rate_gips * granule * 1e-3 * max_frames;
-                    if self.frame_backlog_gi > cap {
-                        self.frame_backlog_gi = cap;
-                    }
-                }
-            }
-
-            // Events whose period boundaries fall inside the window,
-            // anchored to absolute time exactly like the per-ms model.
-            let mut touch = false;
-            for (i, ev) in self.spec.events.iter().enumerate() {
-                if ev.period_ms == 0 {
-                    continue;
-                }
-                // Multiples of the period in [1, x].
-                let starts_through = |x: u64| x / ev.period_ms;
-                let n0 = starts_through(w0.saturating_sub(1));
-                let n1 = starts_through(w1 - 1);
-                for k in n0 + 1..=n1 {
-                    let start = k * ev.period_ms;
-                    self.active_windows.push((i, start, start + ev.duration_ms));
-                    self.event_backlog_gi += ev.work_gi;
-                    if ev.touch {
-                        touch = true;
-                    }
-                }
-            }
-            self.active_windows.retain(|&(_, _, end)| end > w0);
-
-            let mut extra_power = phase.extra_power_w;
-            let mut extra_traffic = phase.extra_traffic_mbps;
-            for &(i, start, end) in &self.active_windows {
-                let Some(ev) = self.spec.events.get(i) else {
-                    continue;
-                };
-                let overlap = end.min(w1).saturating_sub(start.max(w0));
-                let frac = overlap as f64 / q as f64;
-                extra_power += ev.power_w * frac;
-                extra_traffic += ev.extra_traffic_mbps * frac;
-            }
-
-            // Touches: one Poisson draw for the whole window.
-            if let Some(t) = self.spec.touch {
-                let p = (t.rate_per_s * 1e-3 * q as f64).clamp(0.0, 1.0);
-                if self.rng.gen_bool(p) {
-                    touch = true;
-                    self.event_backlog_gi += t.work_gi;
-                }
-            }
-
-            // Drain the backlog over the window: delivering exactly
-            // `backlog / window` for the window clears it, and carried
-            // backlog raises the request above the steady rate until
-            // the app catches up. Batch work runs unthrottled.
-            let desired = if is_batch {
-                None
-            } else {
-                Some((self.backlog_gi() / (q as f64 * 1e-3)).max(0.0))
-            };
-            let mut bg = self.background.demand_window(w0, q);
-            bg.traffic_mbps += extra_traffic;
-            self.window_demand = Some(Demand {
-                ipc0: phase.ipc0,
-                bytes_per_instr: phase.bytes_per_instr,
-                gips_cap: phase.gips_cap,
-                cap_busy: phase.cap_busy,
-                desired_gips: desired,
-                active_cores: phase.active_cores,
-                extra_power_w: extra_power,
-                gpu_work: phase.gpu_work_ghz,
-                net_pps: phase.net_pps,
-                touch,
-                bg,
-            });
-        }
-        self.window_demand.unwrap_or_default()
-    }
-}
-
-impl Workload for PhasedApp {
-    fn name(&self) -> &str {
-        self.spec.name
-    }
-
-    fn demand(&mut self, now_ms: u64) -> Demand {
-        if self.coarse() {
-            return self.coarse_demand(now_ms);
-        }
-        let is_batch = self.is_batch();
+        // Windows are `[w0, w0 + q)` with `w0` a multiple of `q`; the
+        // window right after the cached one needs no division.
+        let w0 = if now_ms.wrapping_sub(self.window_until_ms) < q {
+            self.window_until_ms
+        } else {
+            now_ms - now_ms % q
+        };
+        let w1 = w0 + q;
+        self.window_from_ms = w0;
+        self.window_until_ms = w1;
         let phase = *self.current_phase();
+        let is_batch = self.is_batch();
 
-        // --- frame-granular work arrival (rate apps only).
+        // Frame-granular work arrival (rate apps only): every frame due
+        // before the window ends arrives at its start, one jitter draw
+        // per frame, and the next frame is due one period after it.
         if !is_batch {
             if phase.frame_period_ms == 0 {
-                self.frame_backlog_gi += phase.rate_gips * 1e-3;
-            } else if now_ms >= self.next_frame_ms {
-                let jitter = if phase.rate_jitter > 0.0 {
-                    1.0 + self.rng.gen_range(-phase.rate_jitter..phase.rate_jitter)
-                } else {
-                    1.0
-                };
-                self.frame_backlog_gi +=
-                    phase.rate_gips * jitter * phase.frame_period_ms as f64 * 1e-3;
-                self.next_frame_ms = now_ms + phase.frame_period_ms;
+                self.frame_backlog_gi += phase.rate_gips * self.window_s;
+            } else {
+                while self.next_frame_ms < w1 {
+                    let jitter = if phase.rate_jitter > 0.0 {
+                        1.0 + self.rng.gen_range(-phase.rate_jitter..phase.rate_jitter)
+                    } else {
+                        1.0
+                    };
+                    self.frame_backlog_gi +=
+                        phase.rate_gips * jitter * phase.frame_period_ms as f64 * 1e-3;
+                    self.next_frame_ms = self.next_frame_ms.max(w0) + phase.frame_period_ms;
+                }
             }
             // Frame dropping under overload (event work is never
             // dropped: advertisements and song changes always complete).
             if let Some(max_frames) = self.spec.max_backlog_frames {
-                let cap = phase.rate_gips * phase.frame_period_ms.max(1) as f64 * 1e-3 * max_frames;
+                let granule = phase.frame_period_ms.max(q).max(1) as f64;
+                let cap = phase.rate_gips * granule * 1e-3 * max_frames;
                 if self.frame_backlog_gi > cap {
                     self.frame_backlog_gi = cap;
                 }
             }
         }
 
-        // --- events: start new ones, retire finished ones.
+        // Events start at the positive multiples of their period that
+        // fall inside the window, anchored to absolute time.
         let mut touch = false;
         for (i, ev) in self.spec.events.iter().enumerate() {
-            if ev.period_ms > 0 && now_ms.is_multiple_of(ev.period_ms) && now_ms > 0 {
-                self.active_events.push((i, now_ms + ev.duration_ms));
+            if ev.period_ms == 0 {
+                continue;
+            }
+            let mut start = (w0.saturating_sub(1) / ev.period_ms + 1).saturating_mul(ev.period_ms);
+            while start < w1 {
+                self.active_events
+                    .push((i, start, start.saturating_add(ev.duration_ms)));
                 self.event_backlog_gi += ev.work_gi;
                 if ev.touch {
                     touch = true;
                 }
+                start = start.saturating_add(ev.period_ms);
             }
         }
-        self.active_events.retain(|&(_, end)| end > now_ms);
+        self.active_events.retain(|&(_, _, end)| end > w0);
 
         let mut extra_power = phase.extra_power_w;
         let mut extra_traffic = phase.extra_traffic_mbps;
-        for &(i, _) in &self.active_events {
-            let ev = &self.spec.events[i];
-            extra_power += ev.power_w;
-            extra_traffic += ev.extra_traffic_mbps;
+        for &(i, start, end) in &self.active_events {
+            let Some(ev) = self.spec.events.get(i) else {
+                continue;
+            };
+            let overlap = end.min(w1).saturating_sub(start.max(w0));
+            let frac = overlap as f64 * self.inv_quantum;
+            extra_power += ev.power_w * frac;
+            extra_traffic += ev.extra_traffic_mbps * frac;
         }
 
-        // --- touches (Poisson).
+        // Touches: one Poisson draw for the whole window.
         if let Some(t) = self.spec.touch {
-            let p = t.rate_per_s * 1e-3;
-            if self.rng.gen_bool(p.clamp(0.0, 1.0)) {
+            let p = (t.rate_per_s * self.window_s).clamp(0.0, 1.0);
+            if self.rng.gen_bool(p) {
                 touch = true;
                 self.event_backlog_gi += t.work_gi;
             }
         }
 
-        // --- demand for this tick.
+        // Drain the backlog over the window: delivering exactly
+        // `backlog / window` clears it, and carried backlog raises the
+        // request above the steady rate until the app catches up. Batch
+        // work runs as fast as the hardware allows.
         let desired = if is_batch {
-            None // run as fast as the hardware allows
+            None
         } else {
-            // Drain the backlog as fast as possible, but no faster than
-            // the backlog allows (1 ms tick).
-            Some((self.backlog_gi() / 1e-3).max(0.0))
+            Some((self.backlog_gi() / self.window_s).max(0.0))
         };
-
-        let mut bg = self.background.demand(now_ms);
+        let mut bg = self.background.demand_window(w0, q);
         bg.traffic_mbps += extra_traffic;
-        Demand {
+        let demand = Demand {
             ipc0: phase.ipc0,
             bytes_per_instr: phase.bytes_per_instr,
             gips_cap: phase.gips_cap,
@@ -512,24 +406,26 @@ impl Workload for PhasedApp {
             net_pps: phase.net_pps,
             touch,
             bg,
-        }
+        };
+        self.window_demand = demand;
+        demand
+    }
+}
+
+impl Workload for PhasedApp {
+    fn name(&self) -> &str {
+        self.spec.name
     }
 
-    fn deliver(&mut self, _now_ms: u64, executed: Executed) {
-        if self.coarse() {
-            self.coarse_deliver(executed.instructions / 1e9, 1);
-            return;
+    fn demand(&mut self, now_ms: u64) -> Demand {
+        if self.in_window(now_ms) {
+            return self.window_demand;
         }
-        let gi = executed.instructions / 1e9;
-        self.executed_gi += gi;
-        if !self.is_batch() {
-            // Event work drains first (it is what the user is waiting
-            // on), then frame work.
-            let from_events = gi.min(self.event_backlog_gi);
-            self.event_backlog_gi -= from_events;
-            self.frame_backlog_gi = (self.frame_backlog_gi - (gi - from_events)).max(0.0);
-        }
-        self.advance_phase_clock();
+        self.open_window(now_ms)
+    }
+
+    fn deliver(&mut self, now_ms: u64, executed: Executed) {
+        self.deliver_span(now_ms, executed, 1);
     }
 
     fn finished(&self) -> bool {
@@ -554,34 +450,34 @@ impl Workload for PhasedApp {
         self.event_backlog_gi = 0.0;
         self.executed_gi = 0.0;
         self.next_frame_ms = 0;
-        self.active_events.clear();
+        self.window_from_ms = 0;
         self.window_until_ms = 0;
-        self.window_demand = None;
-        self.active_windows.clear();
+        self.active_events.clear();
         self.background.reset();
     }
 
     fn next_event_ms(&self, now_ms: u64) -> u64 {
-        if self.coarse() {
-            // The cached demand is constant (and draw-free) until the
-            // next absolute quantum boundary.
-            (now_ms / self.quantum_ms + 1).saturating_mul(self.quantum_ms)
+        // The window demand is constant (and draw-free) until the next
+        // absolute quantum boundary.
+        if self.in_window(now_ms) {
+            self.window_until_ms
         } else {
-            now_ms.saturating_add(1)
+            (now_ms / self.quantum_ms + 1).saturating_mul(self.quantum_ms)
         }
     }
 
-    fn deliver_span(&mut self, now_ms: u64, executed: Executed, span_ms: u64) {
-        if self.coarse() {
-            self.coarse_deliver(executed.instructions * span_ms as f64 / 1e9, span_ms);
-        } else {
-            // Exact model: replay the per-ms delivery sequence so
-            // accumulator order (and bit-identity with 1 ms spans) is
-            // preserved.
-            for j in 0..span_ms {
-                self.deliver(now_ms + j, executed);
-            }
+    /// Book a span's work in one accumulator update. Event work drains
+    /// first (it is what the user is waiting on), then frame work;
+    /// batch apps keep no backlog.
+    fn deliver_span(&mut self, _now_ms: u64, executed: Executed, span_ms: u64) {
+        let gi = executed.instructions * span_ms as f64 / 1e9;
+        self.executed_gi += gi;
+        if !self.is_batch() {
+            let from_events = gi.min(self.event_backlog_gi);
+            self.event_backlog_gi -= from_events;
+            self.frame_backlog_gi = (self.frame_backlog_gi - (gi - from_events)).max(0.0);
         }
+        self.advance_phase_clock_by(span_ms);
     }
 }
 
@@ -793,8 +689,8 @@ mod tests {
 
     #[test]
     fn quantum_app_delivers_its_rate_when_hardware_suffices() {
-        // The coarse model must conserve the delivered rate of the
-        // exact model when the hardware can keep up.
+        // A 16 ms quantum must deliver the rate the 1 ms quantum does
+        // when the hardware can keep up.
         let mut dev = device();
         dev.set_cpu_governor("userspace");
         dev.set_cpu_freq(asgov_soc::FreqIndex(17));
@@ -817,7 +713,7 @@ mod tests {
             let r = asgov_soc::event::run(&mut dev, &mut app, &mut [], 4_000);
             (r.energy_j.to_bits(), r.avg_gips.to_bits())
         };
-        assert_eq!(run(), run(), "same seed, same coarse trajectory");
+        assert_eq!(run(), run(), "same seed, same windowed trajectory");
         // reset() must replay the identical sequence on the same app.
         let mut app =
             PhasedApp::new(steady_spec(0.4), BackgroundLoad::heavy(9), 7).with_quantum(32);
@@ -855,16 +751,64 @@ mod tests {
         );
     }
 
+    /// A rate app with jittered frames, no touches, no events and no
+    /// backlog cap, so its backlog is the sum of the frames that
+    /// arrived.
+    fn frames_only(phases: Vec<PhaseSpec>) -> AppSpec {
+        AppSpec {
+            name: "frames",
+            kind: AppKind::Interactive,
+            phases,
+            touch: None,
+            events: vec![],
+            profile_freq_range: (0, 17),
+            max_backlog_frames: None,
+            test_duration_ms: 10_000,
+        }
+    }
+
+    /// With nothing executed, a window of any quantum books the frames
+    /// the 1 ms model books over the same milliseconds, with the same
+    /// jitter draws in the same order: at every window boundary the
+    /// backlog equals the quantum-1 app's bit for bit. The two-phase
+    /// spec's 420 ms phases are a multiple of every quantum tested, so
+    /// no window straddles a phase change.
     #[test]
-    fn quantum_one_is_the_exact_model() {
-        // quantum(1) is the legacy model verbatim.
-        let mut c = PhasedApp::new(steady_spec(0.3), BackgroundLoad::baseline(5), 3);
-        let mut d =
-            PhasedApp::new(steady_spec(0.3), BackgroundLoad::baseline(5), 3).with_quantum(1);
-        for now in 0..500u64 {
-            assert_eq!(c.demand(now), d.demand(now));
-            c.deliver(now, Executed::default());
-            d.deliver(now, Executed::default());
+    fn window_frames_match_the_quantum_one_backlog_bit_for_bit() {
+        let phase = |name, frame_period_ms, rate_gips| PhaseSpec {
+            name,
+            duration_ms: 420,
+            rate_gips,
+            frame_period_ms,
+            rate_jitter: 0.3,
+            ..PhaseSpec::default()
+        };
+        let specs = [
+            frames_only(vec![phase("one", 17, 0.3)]),
+            frames_only(vec![phase("a", 17, 0.4), phase("b", 30, 0.15)]),
+        ];
+        for spec in specs {
+            for q in [7u64, 20, 60] {
+                let mut exact = PhasedApp::new(spec.clone(), BackgroundLoad::baseline(5), 3);
+                let mut windowed =
+                    PhasedApp::new(spec.clone(), BackgroundLoad::baseline(5), 3).with_quantum(q);
+                let mut t = 0u64;
+                for w0 in (0..2_520).step_by(q as usize) {
+                    let _ = windowed.demand(w0);
+                    windowed.deliver_span(w0, Executed::default(), q);
+                    while t < w0 + q {
+                        let _ = exact.demand(t);
+                        exact.deliver(t, Executed::default());
+                        t += 1;
+                    }
+                    assert_eq!(
+                        windowed.backlog_gi().to_bits(),
+                        exact.backlog_gi().to_bits(),
+                        "{} q {q}: backlog at {t} ms",
+                        spec.phases.len()
+                    );
+                }
+            }
         }
     }
 
@@ -898,7 +842,7 @@ mod tests {
         }
         assert!(
             peak_power > quiet_power + 0.4,
-            "event power visible in coarse windows: {peak_power} vs {quiet_power}"
+            "event power visible in 25 ms windows: {peak_power} vs {quiet_power}"
         );
     }
 
@@ -929,14 +873,14 @@ mod tests {
     /// against the next quantum boundary and returning every event
     /// start `(event, start)` the windows booked.
     fn drive_windows(app: &mut PhasedApp, from: u64, to: u64) -> Vec<(usize, u64)> {
-        let q = app.quantum_ms();
+        let q = app.quantum_ms;
         let mut starts = Vec::new();
         let mut now = from;
         while now < to {
             let _ = app.demand(now);
             // Every event here lasts ≥ 1 ms, so a start booked by this
             // window is still listed after the window's `retain`.
-            starts.extend(app.active_windows.iter().map(|&(i, start, _)| (i, start)));
+            starts.extend(app.active_events.iter().map(|&(i, start, _)| (i, start)));
             let next = app.next_event_ms(now);
             assert_eq!(next, (now / q + 1) * q, "q {q}: horizon at {now}");
             app.deliver_span(now, Executed::default(), next - now);
@@ -962,8 +906,7 @@ mod tests {
         starts
     }
 
-    /// Coarse windows book exactly the event starts of the per-ms
-    /// model, for quanta that do not divide the event periods, from
+    /// Windows book exactly the event starts of a per-ms scan, for quanta that do not divide the event periods, from
     /// time zero, on a clone first driven from an unaligned time, and
     /// across a mid-run `reset`.
     #[test]

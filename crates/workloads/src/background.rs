@@ -66,6 +66,10 @@ pub struct BackgroundLoad {
     rng: Rng,
     seed: u64,
     wander: f64,
+    /// The window length `step_scale` was computed for, ms.
+    step_window_ms: u64,
+    /// √`step_window_ms`, the wander step's scale.
+    step_scale: f64,
 }
 
 impl BackgroundLoad {
@@ -85,6 +89,8 @@ impl BackgroundLoad {
             rng: Rng::seed_from_u64(seed ^ 0xb1),
             seed: seed ^ 0xb1,
             wander: 0.0,
+            step_window_ms: 1,
+            step_scale: 1.0,
         }
     }
 
@@ -103,6 +109,8 @@ impl BackgroundLoad {
             rng: Rng::seed_from_u64(seed ^ 0x17),
             seed: seed ^ 0x17,
             wander: 0.0,
+            step_window_ms: 1,
+            step_scale: 1.0,
         }
     }
 
@@ -123,6 +131,8 @@ impl BackgroundLoad {
             rng: Rng::seed_from_u64(seed ^ 0x41),
             seed: seed ^ 0x41,
             wander: 0.0,
+            step_window_ms: 1,
+            step_scale: 1.0,
         }
     }
 
@@ -140,45 +150,30 @@ impl BackgroundLoad {
         self.level
     }
 
-    /// Background demand for the tick at `now_ms`.
-    pub fn demand(&mut self, now_ms: u64) -> BackgroundDemand {
-        // Slow random wander (±20 % of base) so load is not constant.
-        let step: f64 = self.rng.gen_range(-0.002..0.002);
-        self.wander = (self.wander + step).clamp(-0.2, 0.2);
-        let scale = 1.0 + self.wander;
-
-        let in_sync =
-            self.sync_period_ms != u64::MAX && now_ms % self.sync_period_ms < self.sync_duration_ms;
-        let (su, st, sp) = if in_sync {
-            (self.sync_util, self.sync_traffic_mbps, self.sync_power_w)
-        } else {
-            (0.0, 0.0, 0.0)
-        };
-        BackgroundDemand {
-            cpu_util: (self.base_util * scale + su).clamp(0.0, 0.9),
-            traffic_mbps: (self.base_traffic_mbps * scale + st).max(0.0),
-            power_w: (self.base_power_w * scale + sp).max(0.0),
-        }
-    }
-
-    /// Background demand averaged over the window
-    /// `[now_ms, now_ms + window_ms)`, for quantized (coarse-step)
-    /// simulation: one wander draw per *window* (step scaled by √window
-    /// so the random-walk diffusion matches the per-ms walk), and sync
-    /// bursts contribute pro rata to their overlap with the window.
-    ///
-    /// With `window_ms == 1` this is the same model as
-    /// [`BackgroundLoad::demand`] (one draw, full burst in or out) but
-    /// the two methods advance the RNG identically either way, so a
-    /// generator must be driven through one of them consistently.
+    /// Background demand over the window `[now_ms, now_ms + window_ms)`:
+    /// one wander draw per window (step scaled by √window so the
+    /// random walk diffuses as a per-ms walk would), and sync bursts
+    /// contribute pro rata to their overlap with the window. A 1 ms
+    /// window is the per-millisecond model: the step is scaled by
+    /// exactly 1 and a burst is fully in or out.
     pub fn demand_window(&mut self, now_ms: u64, window_ms: u64) -> BackgroundDemand {
         let window_ms = window_ms.max(1);
-        let step: f64 = self.rng.gen_range(-0.002..0.002) * (window_ms as f64).sqrt();
+        if window_ms != self.step_window_ms {
+            self.step_window_ms = window_ms;
+            self.step_scale = (window_ms as f64).sqrt();
+        }
+        // Slow random wander (±20 % of base) so load is not constant.
+        let step: f64 = self.rng.gen_range(-0.002..0.002) * self.step_scale;
         self.wander = (self.wander + step).clamp(-0.2, 0.2);
         let scale = 1.0 + self.wander;
 
-        let overlap = self.sync_overlap_ms(now_ms, now_ms.saturating_add(window_ms));
-        let frac = overlap as f64 / window_ms as f64;
+        // A burst's share of the window; a 1 ms window is wholly in or
+        // out of a burst, so it takes no division.
+        let frac = match self.sync_overlap_ms(now_ms, window_ms) {
+            0 => 0.0,
+            overlap if overlap == window_ms => 1.0,
+            overlap => overlap as f64 / window_ms as f64,
+        };
         BackgroundDemand {
             cpu_util: (self.base_util * scale + self.sync_util * frac).clamp(0.0, 0.9),
             traffic_mbps: (self.base_traffic_mbps * scale + self.sync_traffic_mbps * frac).max(0.0),
@@ -186,16 +181,23 @@ impl BackgroundLoad {
         }
     }
 
-    /// Milliseconds of `[a, b)` that fall inside a sync burst.
-    fn sync_overlap_ms(&self, a: u64, b: u64) -> u64 {
-        if self.sync_period_ms == u64::MAX || self.sync_duration_ms == 0 || b <= a {
+    /// Milliseconds of `[a, a + len)` that fall inside a sync burst.
+    fn sync_overlap_ms(&self, a: u64, len: u64) -> u64 {
+        if self.sync_period_ms == u64::MAX || self.sync_duration_ms == 0 {
             return 0;
         }
         let p = self.sync_period_ms;
         let d = self.sync_duration_ms.min(p);
-        // Count of t in [0, x) with t % p < d.
-        let burst_ms_before = |x: u64| (x / p) * d + (x % p).min(d);
-        burst_ms_before(b) - burst_ms_before(a)
+        let r = a % p;
+        match r.checked_add(len) {
+            // The window ends inside the period it starts in.
+            Some(e) if e <= p => e.min(d) - r.min(d),
+            _ => {
+                // Count of t in [0, x) with t % p < d.
+                let burst_ms_before = |x: u64| (x / p) * d + (x % p).min(d);
+                burst_ms_before(a.saturating_add(len)) - burst_ms_before(a)
+            }
+        }
     }
 
     /// Restart the generator: replays the exact same sequence.
@@ -221,7 +223,7 @@ mod tests {
             let mut p = 0.0;
             let n = 100_000;
             for ms in 0..n {
-                let d = l.demand(ms);
+                let d = l.demand_window(ms, 1);
                 u += d.cpu_util;
                 t += d.traffic_mbps;
                 p += d.power_w;
@@ -242,7 +244,7 @@ mod tests {
         let mut in_burst = 0;
         let mut out_burst = 0;
         for ms in 0..90_000u64 {
-            let d = bl.demand(ms);
+            let d = bl.demand_window(ms, 1);
             if d.cpu_util > 0.12 {
                 in_burst += 1;
             } else {
@@ -257,7 +259,7 @@ mod tests {
     fn none_never_bursts() {
         let mut nl = BackgroundLoad::none(7);
         for ms in 0..60_000u64 {
-            let d = nl.demand(ms);
+            let d = nl.demand_window(ms, 1);
             assert!(d.cpu_util < 0.02);
         }
     }
@@ -272,7 +274,7 @@ mod tests {
         let mut windowed = BackgroundLoad::baseline(3);
         let mut a = (0.0, 0.0, 0.0);
         for ms in 0..horizon {
-            let d = per_ms.demand(ms);
+            let d = per_ms.demand_window(ms, 1);
             a = (a.0 + d.cpu_util, a.1 + d.traffic_mbps, a.2 + d.power_w);
         }
         let mut b = (0.0, 0.0, 0.0);

@@ -191,7 +191,7 @@ impl Workload for TraceWorkload {
             active_cores: s.active_cores,
             extra_power_w: s.extra_power_w,
             gpu_work: s.gpu_work_ghz,
-            bg: self.background.demand(now_ms),
+            bg: self.background.demand_window(now_ms, 1),
             ..Demand::default()
         }
     }

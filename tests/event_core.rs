@@ -442,8 +442,8 @@ impl Policy for Watcher {
 
 /// A roster app on a coarse demand quantum, delivered one millisecond
 /// at a time: it forwards the app's quantum-boundary horizons and its
-/// remaining work but keeps the default `deliver_span`. The coarse
-/// model's own `deliver_span` books a span's work in one add, so its
+/// remaining work but keeps the default `deliver_span`. The app's own
+/// `deliver_span` books a span's work in one add, so above quantum 1 its
 /// low-order bits depend on where the engine cuts spans, and no
 /// schedule-independent oracle exists for it. Per-ms delivery keeps the
 /// engine contract exactly, so a run still takes quantum-long spans
@@ -609,7 +609,7 @@ fn early_completion_is_identical() {
     assert_eq!(tick, event);
 }
 
-/// A batch app on the coarse model (demand quantum 20) stops at the
+/// A batch app on 20 ms demand windows (demand quantum 20) stops at the
 /// same millisecond, with the same report, as the forced-1 ms oracle:
 /// the engine cuts its span where the work runs out, mid-window too.
 /// Monitor noise is off, the only setting with a bit-exact oracle for
