@@ -25,7 +25,11 @@
 //!   change;
 //! - calls to other codec-prefixed functions become `helper:<key>` ops
 //!   (`put_config(…)` ↔ `take_config(…)` → `helper:config`; nested
-//!   frames `snapshot_bytes` ↔ `restore_bytes` → `helper:bytes`);
+//!   frames `snapshot_bytes` ↔ `restore_bytes` → `helper:bytes`); an
+//!   `encode_`/`decode_` method call is keyed by its receiver as well
+//!   (`self.scheduler.encode_state(w)` ↔ `scheduler.decode_state(r)` →
+//!   `helper:scheduler.state`), so components that share one method
+//!   name stay distinct;
 //! - `for`/`while`/`loop` bodies become `repeat[…]` groups;
 //! - `if`/`else` chains and `match` arms become branch groups, with
 //!   ops in the condition/scrutinee emitted before the group.
@@ -261,7 +265,7 @@ fn extract_ops_flat(code: &[&Tok], start: usize, end: usize, side: Side, out: &m
 /// strongly codec-conventional `put_`/`take_`/`encode_`/`decode_`
 /// prefixes plus the `Restartable` trait methods count. The
 /// `snapshot_*`/`restore_*`/`checkpoint`/`restore` spellings also name
-/// plain state-struct accessors (`regulator.checkpoint()`,
+/// plain accessors (a state-struct `checkpoint()`,
 /// `integrator.restore_state(…)`) that move no wire bytes — as *pair
 /// definitions* the empty-ops rule filters those out, but as call-site
 /// ops they would corrupt the sequence of a genuine codec around them.
@@ -285,12 +289,21 @@ fn op_at(code: &[&Tok], i: usize, side: Side) -> Option<Op> {
         Side::Writer => ("put_", "encode_"),
         Side::Reader => ("take_", "decode_"),
     };
-    if let Some(rest) = name.strip_prefix(w).or_else(|| name.strip_prefix(r)) {
-        if !rest.is_empty() {
-            return Some(Op::Helper(rest.to_string()));
-        }
+    if let Some(rest) = name.strip_prefix(r).filter(|rest| !rest.is_empty()) {
+        // Components encode their own state under one method name, so a
+        // method call is keyed by its receiver too: `self.ladder.
+        // encode_state(w)` pairs with `ladder.decode_state(r)`, never
+        // with the scheduler's.
+        let receiver = (i >= 2 && code[i - 1].text == "." && code[i - 2].kind == TokKind::Ident)
+            .then(|| code[i - 2].text.as_str());
+        return Some(Op::Helper(match receiver {
+            Some(recv) => format!("{recv}.{rest}"),
+            None => rest.to_string(),
+        }));
     }
-    None
+    name.strip_prefix(w)
+        .filter(|rest| !rest.is_empty())
+        .map(|rest| Op::Helper(rest.to_string()))
 }
 
 /// Find the `{` opening the block after a `for`/`if`/`match` head,
@@ -706,6 +719,38 @@ fn checkpoint(&self) -> State { State { a: self.a } }
 fn restore(&mut self, s: &State) { self.a = s.a; }
 ";
         assert!(pairs_of(src).is_empty());
+    }
+
+    #[test]
+    fn component_codecs_are_keyed_by_receiver() {
+        let src = "\
+fn snapshot_bytes(&self) -> Result<Vec<u8>, E> {
+    let mut w = SnapshotWriter::new();
+    self.scheduler.encode_state(&mut w);
+    self.ladder.encode_state(&mut w);
+    w.finish()
+}
+fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), E> {
+    let mut r = SnapshotReader::new(bytes)?;
+    let mut scheduler = self.scheduler;
+    scheduler.decode_state(&mut r)?;
+    let mut ladder = self.ladder;
+    ladder.decode_state(&mut r)?;
+    r.finish()
+}
+";
+        let pairs = pairs_of(src);
+        assert_eq!(pairs[0].mismatch, None, "{:?}", pairs[0].mismatch);
+        let swapped = src.replace(
+            "self.scheduler.encode_state(&mut w);\n    self.ladder.encode_state(&mut w);",
+            "self.ladder.encode_state(&mut w);\n    self.scheduler.encode_state(&mut w);",
+        );
+        let pairs = pairs_of(&swapped);
+        let m = pairs[0].mismatch.as_deref().expect("drift");
+        assert!(
+            m.contains("writer has helper:ladder.state but reader has helper:scheduler.state"),
+            "{m}"
+        );
     }
 
     #[test]

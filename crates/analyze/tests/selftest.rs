@@ -145,6 +145,29 @@ fn codec_varint_fixture_flags_the_fixed_width_reader() {
 }
 
 #[test]
+fn codec_order_fixture_flags_components_decoded_out_of_order() {
+    // Teeth: two components written scheduler-then-ladder and read
+    // ladder-then-scheduler are caught at the writer's definition line,
+    // although every call is an `encode_state`/`decode_state`; the
+    // components' own symmetric pair stays quiet.
+    let findings = scan(
+        "codec_order.rs",
+        "crates/core/src/codec_order.rs",
+        "asgov-core",
+    );
+    assert_eq!(
+        rule_lines(&findings),
+        [("codec-symmetry", 14)],
+        "{findings:#?}"
+    );
+    let message = &findings.first().expect("one finding").message;
+    assert!(
+        message.contains("writer has helper:scheduler.state but reader has helper:ladder.state"),
+        "{message}"
+    );
+}
+
+#[test]
 fn unit_mix_fixture_flags_each_cross_unit_op() {
     // Teeth: cross-unit `+`, cross-unit `<`, and a cross-suffix
     // binding each produce exactly one finding; the same-unit function

@@ -3,7 +3,7 @@
 use crate::args::Command;
 use asgov_core::{ControlMode, ControllerBuilder};
 use asgov_governors::{AdrenoTz, CpubwHwmon};
-use asgov_obs::{parse_jsonl, RingSink, TraceSink as _};
+use asgov_obs::{parse_jsonl, CycleRecord, RingSink, TraceSink as _};
 use asgov_profiler::{
     measure_default, profile_app, profile_app_cpu_only, profile_app_with_gpu, ProfileOptions,
     ProfileTable,
@@ -308,7 +308,7 @@ pub fn run(cmd: Command) -> Result<()> {
             for rec in &records {
                 sink.record_cycle(rec);
             }
-            let span_ms = records.last().map_or(0, |r| r.t_ms) - records[0].t_ms;
+            let span_ms = span_ms(&records);
             // Non-finite errors (serialized as JSON null, decoded as
             // NaN) would poison the aggregates; count them separately.
             let finite_errs: Vec<f64> = records
@@ -340,5 +340,39 @@ pub fn run(cmd: Command) -> Result<()> {
             println!("{}", sink.metrics().to_json().to_pretty());
             Ok(())
         }
+    }
+}
+
+/// The time the records cover, ms: from the earliest to the latest
+/// `t_ms`. Valid traces need not be in time order (two runs'
+/// traces concatenated restart the clock), so this is not
+/// `last − first`, which underflows on them.
+fn span_ms(records: &[CycleRecord]) -> u64 {
+    let first = records.iter().map(|r| r.t_ms).min();
+    let last = records.iter().map(|r| r.t_ms).max();
+    last.zip(first).map_or(0, |(last, first)| last - first)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn at(t_ms: u64) -> CycleRecord {
+        CycleRecord {
+            t_ms,
+            ..CycleRecord::default()
+        }
+    }
+
+    #[test]
+    fn span_covers_earliest_to_latest_in_any_order() {
+        assert_eq!(span_ms(&[]), 0);
+        assert_eq!(span_ms(&[at(4_000)]), 0);
+        assert_eq!(span_ms(&[at(2_000), at(4_000), at(6_000)]), 4_000);
+        // Two traces concatenated: the clock restarts mid-file.
+        assert_eq!(
+            span_ms(&[at(6_000), at(8_000), at(2_000), at(4_000)]),
+            6_000
+        );
     }
 }

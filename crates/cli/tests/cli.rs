@@ -256,6 +256,50 @@ fn stats_rejects_a_malformed_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `stats` accepts records whose times decrease (two traces
+/// concatenated) and refuses an integer field that is negative.
+#[test]
+fn stats_spans_concatenated_traces_and_refuses_negative_integers() {
+    let dir = std::env::temp_dir().join("asgov_cli_concat_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let line = |cycle: i64, t_ms: u64| {
+        format!(
+            r#"{{"actuation_ns":0,"base_estimate":0.2,"cycle":{cycle},"error":0.0,"fault":null,"innovation":0.0,"level":"full","lower_bw":3,"lower_freq":7,"measured_gips":0.5,"required_speedup":2.0,"schema":"asgov-obs/v1","solve_ns":0,"t_ms":{t_ms},"target_gips":0.5,"tau_lower_ms":2000,"tau_upper_ms":0,"upper_bw":3,"upper_freq":7}}"#
+        )
+    };
+    let concatenated = dir.join("concat.trace.jsonl");
+    let text = [
+        line(0, 6_000),
+        line(1, 8_000),
+        line(0, 2_000),
+        line(1, 4_000),
+    ]
+    .join("\n");
+    std::fs::write(&concatenated, text).unwrap();
+    let out = asgov()
+        .args(["stats", "--trace", concatenated.to_str().unwrap()])
+        .output()
+        .expect("run stats");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("4 records spanning 6.0 s"), "{text}");
+
+    let negative = dir.join("negative.trace.jsonl");
+    std::fs::write(&negative, line(-1, 2_000)).unwrap();
+    let out = asgov()
+        .args(["stats", "--trace", negative.to_str().unwrap()])
+        .output()
+        .expect("run stats");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("\"cycle\""), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn baseline_reports_the_four_quantities() {
     let out = asgov()

@@ -71,7 +71,7 @@ pub use adaptive::LoadAdaptiveController;
 pub use controller::{ControlMode, ControllerBuilder, EnergyController, OptimizerStrategy};
 pub use optimizer::EnergyOptimizer;
 pub use persist::{Restartable, SnapshotError, SnapshotReader, SnapshotWriter};
-pub use regulator::{PerformanceRegulator, RegulatorState};
-pub use resilience::{DegradationLadder, DivergenceGuard, LadderEvent, LadderState, PerfGate};
-pub use scheduler::{ConfigScheduler, CycleOutcome, SchedulerState};
+pub use regulator::PerformanceRegulator;
+pub use resilience::{DegradationLadder, DivergenceGuard, LadderEvent, PerfGate};
+pub use scheduler::{ConfigScheduler, CycleOutcome};
 pub use supervisor::{Supervisor, SupervisorConfig};

@@ -1,6 +1,7 @@
 //! The performance regulator: adaptive-gain integrator + Kalman base
 //! speed estimator (paper §III-B3, Eqns. 2–3).
 
+use crate::persist::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_control::{AdaptiveIntegrator, KalmanFilter};
 
 /// Computes the required speedup `s_n` for the next control cycle from
@@ -109,51 +110,40 @@ impl PerformanceRegulator {
         self.integrator.set_range(min_speedup, max_speedup);
     }
 
-    /// Capture the regulator's mutable state for a checkpoint.
-    pub fn checkpoint(&self) -> RegulatorState {
-        RegulatorState {
-            base_estimate: self.kalman.value(),
-            base_variance: self.kalman.variance(),
-            speedup: self.integrator.speedup(),
-            last_error: self.integrator.last_error(),
-            last_innovation: self.last_innovation,
-        }
-    }
-
-    /// Restore a [`checkpoint`](PerformanceRegulator::checkpoint). The
+    /// Append the regulator's mutable state to a snapshot payload: the
+    /// Kalman posterior estimate and variance, the integrator's speedup
+    /// and tracking error, and the most recent innovation. The
     /// configured variances, gain and speedup range are construction
-    /// parameters and are kept; only the estimator/integrator state is
-    /// replaced. Returns `false` (leaving the regulator untouched) if
-    /// the state is not restorable — a negative variance or non-finite
-    /// estimate, as produced by a corrupted snapshot.
-    pub fn restore(&mut self, state: &RegulatorState) -> bool {
-        let variance_ok = state.base_variance.is_finite() && state.base_variance >= 0.0;
-        if !variance_ok || !state.base_estimate.is_finite() || !state.speedup.is_finite() {
-            return false;
-        }
-        self.kalman.reset(state.base_estimate, state.base_variance);
-        self.integrator
-            .restore_state(state.speedup, state.last_error);
-        self.last_innovation = state.last_innovation;
-        true
+    /// parameters and are not written.
+    pub fn encode_state(&self, w: &mut SnapshotWriter) {
+        w.put_f64(self.kalman.value());
+        w.put_f64(self.kalman.variance());
+        w.put_f64(self.integrator.speedup());
+        w.put_f64(self.integrator.last_error());
+        w.put_f64(self.last_innovation);
     }
-}
 
-/// The mutable state of a [`PerformanceRegulator`], as captured by
-/// [`PerformanceRegulator::checkpoint`]. Plain data: the
-/// checkpoint codec in [`crate::persist`] serializes it field by field.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RegulatorState {
-    /// Kalman posterior base-speed estimate `b_n`, GIPS.
-    pub base_estimate: f64,
-    /// Kalman posterior error variance (must be non-negative).
-    pub base_variance: f64,
-    /// Integrator speedup `s_n`.
-    pub speedup: f64,
-    /// Integrator tracking error `e_n`.
-    pub last_error: f64,
-    /// Most recent Kalman innovation.
-    pub last_innovation: f64,
+    /// Read the state [`encode_state`](PerformanceRegulator::encode_state)
+    /// wrote. A negative or non-finite variance, or a non-finite
+    /// estimate or speedup (a corrupted or hand-crafted snapshot), is
+    /// [`SnapshotError::Corrupt`], and the regulator is left untouched.
+    pub fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let base_estimate = r.take_f64()?;
+        let base_variance = r.take_f64()?;
+        let speedup = r.take_f64()?;
+        let last_error = r.take_f64()?;
+        let last_innovation = r.take_f64()?;
+        persist::ensure(
+            base_variance.is_finite()
+                && base_variance >= 0.0
+                && base_estimate.is_finite()
+                && speedup.is_finite(),
+        )?;
+        self.kalman.reset(base_estimate, base_variance);
+        self.integrator.restore_state(speedup, last_error);
+        self.last_innovation = last_innovation;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -230,21 +220,35 @@ mod tests {
         let _ = PerformanceRegulator::new(0.0, 1.0, 2.0);
     }
 
+    /// `reg`'s state, framed alone.
+    fn state_frame(reg: &PerformanceRegulator) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        reg.encode_state(&mut w);
+        w.finish().expect("small frame")
+    }
+
+    /// Decode a [`state_frame`] into `reg`.
+    fn decode_frame(reg: &mut PerformanceRegulator, frame: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = SnapshotReader::new(frame)?;
+        reg.decode_state(&mut r)?;
+        r.finish()
+    }
+
     #[test]
-    fn checkpoint_round_trips_bit_exactly() {
+    fn state_round_trips_bit_exactly() {
         let mut reg = PerformanceRegulator::new(0.5, 1.0, 8.0);
         for i in 0..20 {
             reg.step(0.8, 0.3 + 0.01 * f64::from(i), 1.5);
         }
-        let state = reg.checkpoint();
         let mut fresh = PerformanceRegulator::new(0.5, 1.0, 8.0);
-        assert!(fresh.restore(&state));
+        decode_frame(&mut fresh, &state_frame(&reg)).expect("restorable");
         assert_eq!(fresh.base_speed().to_bits(), reg.base_speed().to_bits());
         assert_eq!(
             fresh.required_speedup().to_bits(),
             reg.required_speedup().to_bits()
         );
         assert_eq!(fresh.innovation().to_bits(), reg.innovation().to_bits());
+        assert_eq!(format!("{fresh:?}"), format!("{reg:?}"));
         // Identical futures: the next step must produce identical bits.
         let a = reg.step(0.8, 0.42, 1.5);
         let b = fresh.step(0.8, 0.42, 1.5);
@@ -252,20 +256,30 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_unrestorable_state() {
+    fn decode_refuses_unrestorable_state() {
         let mut reg = PerformanceRegulator::new(0.5, 1.0, 8.0);
-        let before = reg.checkpoint();
-        let bad = RegulatorState {
-            base_variance: -1.0,
-            ..before
-        };
-        assert!(!reg.restore(&bad));
-        let bad = RegulatorState {
-            base_estimate: f64::NAN,
-            ..before
-        };
-        assert!(!reg.restore(&bad));
-        // The failed restores left the regulator untouched.
-        assert_eq!(reg.checkpoint(), before);
+        reg.step(0.8, 0.3, 1.5);
+        let before = format!("{reg:?}");
+        // (estimate, variance, speedup): a negative or NaN variance, a
+        // NaN estimate and an infinite speedup are each refused.
+        for (estimate, variance, speedup) in [
+            (0.5, -1.0, 1.0),
+            (0.5, f64::NAN, 1.0),
+            (f64::NAN, 0.01, 1.0),
+            (0.5, 0.01, f64::INFINITY),
+        ] {
+            let mut w = SnapshotWriter::new();
+            for v in [estimate, variance, speedup, 0.0, 0.0] {
+                w.put_f64(v);
+            }
+            let frame = w.finish().expect("small frame");
+            assert_eq!(
+                decode_frame(&mut reg, &frame),
+                Err(SnapshotError::Corrupt),
+                "({estimate}, {variance}, {speedup})"
+            );
+            // The refused decode left the regulator untouched.
+            assert_eq!(format!("{reg:?}"), before);
+        }
     }
 }

@@ -19,6 +19,7 @@
 //! performance, only energy); `FallbackGovernor` hands the device back
 //! to the stock governors and probes each cycle for recovery.
 
+use crate::persist::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_soc::DegradationLevel;
 
 // The controller's fixed tunings of the resilience layer. They are
@@ -276,39 +277,40 @@ impl DegradationLadder {
         LadderEvent::None
     }
 
-    /// Capture the ladder's mutable state for a checkpoint. The
+    /// Append the ladder's mutable state to a snapshot payload. The
     /// thresholds (`degrade_after`, `probation_cycles`) are
-    /// construction parameters and are not part of the state.
-    pub fn checkpoint(&self) -> LadderState {
-        LadderState {
-            level: self.level,
-            cycle: self.cycle,
-            consecutive_failed: self.consecutive_failed,
-            consecutive_clean: self.consecutive_clean,
-            failed_cycles: self.failed_cycles,
-            degradations: self.degradations,
-            recoveries: self.recoveries,
-            last_failed_cycle: self.last_failed_cycle,
-            episode_start: self.episode_start,
-            recovery_latency: self.recovery_latency,
-            climb_latency: self.climb_latency,
-        }
+    /// construction parameters and are not written.
+    pub fn encode_state(&self, w: &mut SnapshotWriter) {
+        w.put_u8(self.level.wire_code());
+        w.put_uvar(self.cycle);
+        w.put_uvar(self.consecutive_failed);
+        w.put_uvar(self.consecutive_clean);
+        w.put_uvar(self.failed_cycles);
+        w.put_uvar(self.degradations);
+        w.put_uvar(self.recoveries);
+        w.put_opt_uvar(self.last_failed_cycle);
+        w.put_opt_uvar(self.episode_start);
+        w.put_opt_uvar(self.recovery_latency);
+        w.put_opt_uvar(self.climb_latency);
     }
 
-    /// Restore a [`checkpoint`](DegradationLadder::checkpoint),
-    /// replacing all mutable state.
-    pub fn restore(&mut self, state: &LadderState) {
-        self.level = state.level;
-        self.cycle = state.cycle;
-        self.consecutive_failed = state.consecutive_failed;
-        self.consecutive_clean = state.consecutive_clean;
-        self.failed_cycles = state.failed_cycles;
-        self.degradations = state.degradations;
-        self.recoveries = state.recoveries;
-        self.last_failed_cycle = state.last_failed_cycle;
-        self.episode_start = state.episode_start;
-        self.recovery_latency = state.recovery_latency;
-        self.climb_latency = state.climb_latency;
+    /// Read the state [`encode_state`](DegradationLadder::encode_state)
+    /// wrote, replacing all mutable state. An unknown level code is
+    /// [`SnapshotError::Corrupt`]. Fields are assigned as they are
+    /// read, so decode into a copy and keep it only on success.
+    pub fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.level = persist::require(DegradationLevel::from_wire(r.take_u8()?))?;
+        self.cycle = r.take_uvar()?;
+        self.consecutive_failed = r.take_uvar()?;
+        self.consecutive_clean = r.take_uvar()?;
+        self.failed_cycles = r.take_uvar()?;
+        self.degradations = r.take_uvar()?;
+        self.recoveries = r.take_uvar()?;
+        self.last_failed_cycle = r.take_opt_uvar()?;
+        self.episode_start = r.take_opt_uvar()?;
+        self.recovery_latency = r.take_opt_uvar()?;
+        self.climb_latency = r.take_opt_uvar()?;
+        Ok(())
     }
 
     /// Force the ladder to a level, resetting the consecutive counters
@@ -320,35 +322,6 @@ impl DegradationLadder {
         self.consecutive_failed = 0;
         self.consecutive_clean = 0;
     }
-}
-
-/// The mutable state of a [`DegradationLadder`], as captured by
-/// [`DegradationLadder::checkpoint`]. Plain data for the checkpoint
-/// codec in [`crate::persist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LadderState {
-    /// Current degradation level.
-    pub level: DegradationLevel,
-    /// Control cycles observed.
-    pub cycle: u64,
-    /// Consecutive failed cycles toward the next step down.
-    pub consecutive_failed: u64,
-    /// Consecutive clean cycles toward the next step up.
-    pub consecutive_clean: u64,
-    /// Total cycles classified as failed.
-    pub failed_cycles: u64,
-    /// Steps taken down the ladder.
-    pub degradations: u64,
-    /// Steps taken up the ladder.
-    pub recoveries: u64,
-    /// Cycle index of the most recent failure.
-    pub last_failed_cycle: Option<u64>,
-    /// First failed cycle of the episode in progress.
-    pub episode_start: Option<u64>,
-    /// Latest full-episode recovery latency, cycles.
-    pub recovery_latency: Option<u64>,
-    /// Latest climb-out latency, cycles.
-    pub climb_latency: Option<u64>,
 }
 
 #[cfg(test)]
@@ -466,21 +439,44 @@ mod tests {
         assert_eq!(l.recovery_latency(), Some(19));
     }
 
+    /// `l`'s state, framed alone.
+    fn state_frame(l: &DegradationLadder) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        l.encode_state(&mut w);
+        w.finish().expect("small frame")
+    }
+
+    /// A fresh (3, 2) ladder decoded from `frame`.
+    fn decoded(frame: &[u8]) -> Result<DegradationLadder, SnapshotError> {
+        let mut l = DegradationLadder::new(3, 2);
+        let mut r = SnapshotReader::new(frame)?;
+        l.decode_state(&mut r)?;
+        r.finish()?;
+        Ok(l)
+    }
+
     #[test]
-    fn ladder_checkpoint_round_trips_and_force_level_resets_counters() {
+    fn ladder_state_round_trips_and_force_level_resets_counters() {
         let mut l = DegradationLadder::new(3, 2);
         for failed in [true, true, true, false, true] {
             l.observe(failed);
         }
-        let state = l.checkpoint();
-        let mut fresh = DegradationLadder::new(3, 2);
-        fresh.restore(&state);
-        assert_eq!(fresh.checkpoint(), state);
+        let frame = state_frame(&l);
+        let mut fresh = decoded(&frame).expect("restorable");
+        assert_eq!(format!("{fresh:?}"), format!("{l:?}"));
         // Identical futures after restore.
         for failed in [false, false, false] {
             assert_eq!(l.observe(failed), fresh.observe(failed));
         }
-        assert_eq!(fresh.checkpoint(), l.checkpoint());
+        assert_eq!(state_frame(&fresh), state_frame(&l));
+
+        // An unknown level code (the payload's first byte, CRC
+        // re-sealed) is refused.
+        let mut bad = frame;
+        bad[persist::HEADER_LEN] = 7;
+        let crc = persist::crc32(&bad[persist::HEADER_LEN..]);
+        bad[12..16].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(decoded(&bad).map(|_| ()), Err(SnapshotError::Corrupt));
 
         // force_level discards probation progress: a cold restart at
         // SafeConfig must serve the full probation before climbing.

@@ -8,9 +8,10 @@
 //! scheduler.
 
 use crate::optimizer::Plan;
+use crate::persist::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_profiler::Config;
 use asgov_soc::sysfs::{self, Decimal};
-use asgov_soc::{Device, SocErrorKind};
+use asgov_soc::{BwIndex, Device, FreqIndex, GpuFreqIndex, SocErrorKind};
 
 /// What happened to actuation over the control cycle just ended
 /// (consumed by the controller's degradation ladder each cycle).
@@ -348,94 +349,115 @@ impl ConfigScheduler {
         }
     }
 
-    /// Capture the scheduler's mutable state for a checkpoint. The
+    /// Append the scheduler's mutable state to a snapshot payload. The
     /// dwell/retry tuning (`min_dwell_ms`, `cpu_only`, `max_retries`,
-    /// `backoff_base_ms`) are construction parameters and are not part
-    /// of the state. Deadlines (`switch_at_ms`, `retry_at_ms`) are
-    /// stored as the absolute device milliseconds they were armed for;
-    /// [`restore`](ConfigScheduler::restore) re-anchors them.
-    pub fn checkpoint(&self) -> SchedulerState {
-        SchedulerState {
-            switch_at_ms: self.switch_at_ms,
-            pending_upper: self.pending_upper,
-            applied_speedup: self.applied_speedup,
-            last_dwell_ms: self.last_dwell_ms,
-            retry_config: self.retry_config,
-            retry_at_ms: self.retry_at_ms,
-            retry_attempts: self.retry_attempts,
-            writes_failed: self.writes_failed,
-            sysfs_busy: self.sysfs_busy,
-            wrong_governor: self.wrong_governor,
-            other_errors: self.other_errors,
-            retries: self.retries,
-            governor_reasserts: self.governor_reasserts,
-            thermal_clamps_detected: self.thermal_clamps_detected,
-            cycle_failed: self.cycle_failed,
-            last_fault: self.last_fault,
-        }
+    /// `backoff_base_ms`) are construction parameters and are not
+    /// written. Deadlines (`switch_at_ms`, `retry_at_ms`) are written as
+    /// the absolute device milliseconds they were armed for;
+    /// [`decode_state`](ConfigScheduler::decode_state) re-anchors them.
+    pub fn encode_state(&self, w: &mut SnapshotWriter) {
+        w.put_opt_uvar(self.switch_at_ms);
+        put_opt_config(w, self.pending_upper);
+        w.put_f64(self.applied_speedup);
+        w.put_uvar(self.last_dwell_ms.0);
+        w.put_uvar(self.last_dwell_ms.1);
+        put_opt_config(w, self.retry_config);
+        w.put_uvar(self.retry_at_ms);
+        w.put_uvar(u64::from(self.retry_attempts));
+        w.put_uvar(self.writes_failed);
+        w.put_uvar(self.sysfs_busy);
+        w.put_uvar(self.wrong_governor);
+        w.put_uvar(self.other_errors);
+        w.put_uvar(self.retries);
+        w.put_uvar(self.governor_reasserts);
+        w.put_uvar(self.thermal_clamps_detected);
+        w.put_bool(self.cycle_failed);
+        w.put_opt_u8(self.last_fault.map(SocErrorKind::wire_code));
     }
 
-    /// Restore a [`checkpoint`](ConfigScheduler::checkpoint), shifting
-    /// every armed deadline forward by `delta_ms` (the downtime between
-    /// the snapshot and the restart) so the pending switch and retry
-    /// fire relative to the resumed clock rather than in the past.
-    pub fn restore(&mut self, state: &SchedulerState, delta_ms: u64) {
-        self.switch_at_ms = state.switch_at_ms.map(|t| t.saturating_add(delta_ms));
-        self.pending_upper = state.pending_upper;
-        self.applied_speedup = state.applied_speedup;
-        self.last_dwell_ms = state.last_dwell_ms;
-        self.retry_config = state.retry_config;
-        self.retry_at_ms = state.retry_at_ms.saturating_add(delta_ms);
-        self.retry_attempts = state.retry_attempts;
-        self.writes_failed = state.writes_failed;
-        self.sysfs_busy = state.sysfs_busy;
-        self.wrong_governor = state.wrong_governor;
-        self.other_errors = state.other_errors;
-        self.retries = state.retries;
-        self.governor_reasserts = state.governor_reasserts;
-        self.thermal_clamps_detected = state.thermal_clamps_detected;
-        self.cycle_failed = state.cycle_failed;
-        self.last_fault = state.last_fault;
+    /// Read the state [`encode_state`](ConfigScheduler::encode_state)
+    /// wrote, shifting every armed deadline forward by `delta_ms` (the
+    /// downtime between the snapshot and the restart) so the pending
+    /// switch and retry fire relative to the resumed clock rather than
+    /// in the past. A pending or retried configuration that `known`
+    /// refuses (one outside the controller's profile), a non-finite
+    /// applied speedup or an unknown fault code is
+    /// [`SnapshotError::Corrupt`].
+    ///
+    /// Fields are assigned as they are read, so an error leaves the
+    /// scheduler partly overwritten: decode into a copy and keep it
+    /// only on success.
+    pub fn decode_state(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        delta_ms: u64,
+        known: impl Fn(Config) -> bool,
+    ) -> Result<(), SnapshotError> {
+        self.switch_at_ms = r.take_opt_uvar()?.map(|t| t.saturating_add(delta_ms));
+        self.pending_upper = take_opt_config(r)?;
+        self.applied_speedup = r.take_f64()?;
+        self.last_dwell_ms = (r.take_uvar()?, r.take_uvar()?);
+        self.retry_config = take_opt_config(r)?;
+        self.retry_at_ms = r.take_uvar()?.saturating_add(delta_ms);
+        self.retry_attempts = persist::narrow(r.take_uvar()?)?;
+        self.writes_failed = r.take_uvar()?;
+        self.sysfs_busy = r.take_uvar()?;
+        self.wrong_governor = r.take_uvar()?;
+        self.other_errors = r.take_uvar()?;
+        self.retries = r.take_uvar()?;
+        self.governor_reasserts = r.take_uvar()?;
+        self.thermal_clamps_detected = r.take_uvar()?;
+        self.cycle_failed = r.take_bool()?;
+        self.last_fault = match r.take_opt_u8()? {
+            Some(code) => Some(persist::require(SocErrorKind::from_wire(code))?),
+            None => None,
+        };
+        persist::ensure(self.applied_speedup.is_finite())?;
+        for cfg in [self.pending_upper, self.retry_config]
+            .into_iter()
+            .flatten()
+        {
+            persist::ensure(known(cfg))?;
+        }
+        Ok(())
     }
 }
 
-/// The mutable state of a [`ConfigScheduler`], as captured by
-/// [`ConfigScheduler::checkpoint`]. Plain data for the checkpoint codec
-/// in [`crate::persist`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SchedulerState {
-    /// Absolute ms of the armed intra-period switch, if any.
-    pub switch_at_ms: Option<u64>,
-    /// Upper configuration awaiting the switch, if any.
-    pub pending_upper: Option<Config>,
-    /// Average speedup of the installed (rounded) schedule.
-    pub applied_speedup: f64,
-    /// Dwell split `(τ_l, τ_h)` of the installed plan, ms.
-    pub last_dwell_ms: (u64, u64),
-    /// Configuration awaiting a backed-off retry, if any.
-    pub retry_config: Option<Config>,
-    /// Absolute ms the pending retry is armed for.
-    pub retry_at_ms: u64,
-    /// Retry attempts consumed for the pending configuration.
-    pub retry_attempts: u32,
-    /// Writes that stayed failed after all recovery attempts.
-    pub writes_failed: u64,
-    /// Writes transiently rejected with `Busy`.
-    pub sysfs_busy: u64,
-    /// Writes rejected with `WrongGovernor`.
-    pub wrong_governor: u64,
-    /// Writes rejected for any other cause.
-    pub other_errors: u64,
-    /// Write retries performed.
-    pub retries: u64,
-    /// Times `userspace` was re-asserted.
-    pub governor_reasserts: u64,
-    /// Thermal clamps detected via read-back.
-    pub thermal_clamps_detected: u64,
-    /// Whether the cycle in progress has already failed.
-    pub cycle_failed: bool,
-    /// Cause of the last write failure seen this cycle.
-    pub last_fault: Option<SocErrorKind>,
+/// Append one profile configuration to a snapshot payload. The GPU
+/// index rides in a typed `put_opt_uvar` field, so the presence tag is
+/// persist.rs's 0/1 convention rather than a hand-rolled byte.
+fn put_config(w: &mut SnapshotWriter, cfg: Config) {
+    w.put_uvar(cfg.freq.0 as u64);
+    w.put_uvar(cfg.bw.0 as u64);
+    w.put_opt_uvar(cfg.gpu.map(|g| g.0 as u64));
+}
+
+/// Decode one profile configuration (whether the profile holds it is
+/// the caller's check).
+fn take_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
+    let freq = FreqIndex(persist::narrow(r.take_uvar()?)?);
+    let bw = BwIndex(persist::narrow(r.take_uvar()?)?);
+    let gpu = r
+        .take_opt_uvar()?
+        .map(persist::narrow)
+        .transpose()?
+        .map(GpuFreqIndex);
+    Ok(Config { freq, bw, gpu })
+}
+
+fn put_opt_config(w: &mut SnapshotWriter, cfg: Option<Config>) {
+    w.put_bool(cfg.is_some());
+    if let Some(c) = cfg {
+        put_config(w, c);
+    }
+}
+
+fn take_opt_config(r: &mut SnapshotReader<'_>) -> Result<Option<Config>, SnapshotError> {
+    if r.take_bool()? {
+        Ok(Some(take_config(r)?))
+    } else {
+        Ok(None)
+    }
 }
 
 #[cfg(test)]
@@ -672,24 +694,42 @@ mod tests {
         assert_eq!(out.fault, Some(asgov_soc::SocErrorKind::Busy));
     }
 
+    /// `sched`'s state, framed alone.
+    fn state_frame(sched: &ConfigScheduler) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        sched.encode_state(&mut w);
+        w.finish().expect("small frame")
+    }
+
+    /// A fresh 200 ms scheduler decoded from `frame`, `delta_ms` later.
+    fn decoded(
+        frame: &[u8],
+        delta_ms: u64,
+        known: impl Fn(Config) -> bool,
+    ) -> Result<ConfigScheduler, SnapshotError> {
+        let mut sched = ConfigScheduler::new(200, false);
+        let mut r = SnapshotReader::new(frame)?;
+        sched.decode_state(&mut r, delta_ms, known)?;
+        r.finish()?;
+        Ok(sched)
+    }
+
     #[test]
-    fn checkpoint_round_trips_and_reanchors_deadlines() {
+    fn state_round_trips_and_reanchors_deadlines() {
         let mut dev = userspace_device();
         let mut sched = ConfigScheduler::new(200, false);
         sched.install(&mut dev, &plan((2, 1), (8, 5), 1.2, 0.8), 2000);
-        let state = sched.checkpoint();
-        assert_eq!(state.switch_at_ms, Some(1200));
-        assert!(state.pending_upper.is_some());
+        assert_eq!(sched.next_actuation_ms(), 1200);
+        let frame = state_frame(&sched);
 
-        // Zero-delta restore reproduces the scheduler exactly.
-        let mut fresh = ConfigScheduler::new(200, false);
-        fresh.restore(&state, 0);
-        assert_eq!(fresh.checkpoint(), state);
+        // Zero-delta decode reproduces the scheduler exactly.
+        let fresh = decoded(&frame, 0, |_| true).expect("restorable");
+        assert_eq!(format!("{fresh:?}"), format!("{sched:?}"));
+        assert_eq!(state_frame(&fresh), frame);
 
         // A 300 ms downtime shifts the armed switch by 300 ms.
-        let mut shifted = ConfigScheduler::new(200, false);
-        shifted.restore(&state, 300);
-        assert_eq!(shifted.checkpoint().switch_at_ms, Some(1500));
+        let mut shifted = decoded(&frame, 300, |_| true).expect("restorable");
+        assert_eq!(shifted.switch_at_ms, Some(1500));
         assert_eq!(shifted.next_actuation_ms(), 1500);
 
         // The shifted switch still fires (against a device whose clock
@@ -700,6 +740,32 @@ mod tests {
         }
         shifted.tick(&mut dev);
         assert_eq!(dev.freq(), FreqIndex(8), "re-anchored switch applied");
+    }
+
+    #[test]
+    fn decode_refuses_configs_outside_the_profile_and_bad_codes() {
+        let mut dev = userspace_device();
+        let mut sched = ConfigScheduler::new(200, false);
+        sched.install(&mut dev, &plan((2, 1), (8, 5), 1.2, 0.8), 2000);
+        let frame = state_frame(&sched);
+        // The pending upper (8, 5) is outside a profile that lacks it.
+        let lacks_upper = |cfg: Config| cfg.freq != FreqIndex(8);
+        assert_eq!(
+            decoded(&frame, 0, lacks_upper).map(|_| ()),
+            Err(SnapshotError::Corrupt)
+        );
+        // An unknown fault code is refused: the code is the payload's
+        // last byte, and the CRC (header bytes 12..16) is re-sealed.
+        sched.last_fault = Some(SocErrorKind::Busy);
+        let mut frame = state_frame(&sched);
+        let last = frame.len() - 1;
+        frame[last] = 9;
+        let crc = persist::crc32(&frame[persist::HEADER_LEN..]);
+        frame[12..16].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            decoded(&frame, 0, |_| true).map(|_| ()),
+            Err(SnapshotError::Corrupt)
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! control cycle, which component produced which quantity.
 
 use asgov_core::{ControllerBuilder, EnergyOptimizer};
+use asgov_governors::AdrenoTz;
 use asgov_obs::RingSink;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
 use asgov_soc::{event, Device, DeviceConfig, Workload as _};
@@ -50,12 +51,21 @@ fn main() {
     // the controller's 2 s period.
     let optimizer = EnergyOptimizer::new(&profile);
     let period_s = 2_000.0 * 1e-3;
+    // The stock GPU governor runs beside the controller, as in every
+    // other controller leg (the GPU is outside the controlled
+    // configuration).
+    let mut gpu_gov = AdrenoTz::default();
     let mut controller = ControllerBuilder::new(profile).target_gips(target).build();
     let mut device = Device::new(dev_cfg);
     let sink = Rc::new(RefCell::new(RingSink::new(16)));
     device.install_obs_sink(sink.clone());
     app.reset();
-    event::run(&mut device, &mut app, &mut [&mut controller], 10_000);
+    event::run(
+        &mut device,
+        &mut app,
+        &mut [&mut gpu_gov, &mut controller],
+        10_000,
+    );
 
     println!("one live run, r = {target:.4} GIPS; per-cycle quantities:");
     for rec in sink.borrow().records() {

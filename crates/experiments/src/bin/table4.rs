@@ -1,11 +1,16 @@
 //! Table IV — controller performance and energy under baseline (BL),
 //! no-load (NL) and heavier-load (HL) conditions, profiling done at BL.
+//!
+//! Every leg runs the controller stack of `harness::compare` (the stock
+//! GPU governor beside the controller, per-run seeds), so the BL column
+//! is Table III's row for each app.
 
-use asgov_core::{ControllerBuilder, EnergyController};
-use asgov_experiments::harness::ExperimentOptions;
-use asgov_experiments::render::pct;
-use asgov_profiler::{measure_default, measure_fixed, profile_app};
-use asgov_soc::{DeviceConfig, Policy};
+use asgov_experiments::harness::{
+    compare, measure_controller, profile_app_for_mode, Comparison, ExperimentOptions,
+};
+use asgov_experiments::render::pct_flagged;
+use asgov_profiler::measure_default;
+use asgov_soc::DeviceConfig;
 use asgov_workloads::{AppKind, BackgroundLoad, LoadLevel, PhasedApp};
 
 fn apps_under(load: &BackgroundLoad) -> Vec<PhasedApp> {
@@ -37,77 +42,54 @@ fn main() {
         |idx| {
             let mut bl_app = bl_apps[idx].clone();
             let duration = opts.duration_ms.unwrap_or(bl_app.spec().test_duration_ms);
-            let deadline = matches!(bl_app.spec().kind, AppKind::Batch { .. });
-            let profile = profile_app(&dev_cfg, &mut bl_app, &opts.profile);
+            let profile = profile_app_for_mode(&dev_cfg, &mut bl_app, &opts);
             let target = measure_default(&dev_cfg, &mut bl_app, opts.runs, duration).gips;
-
-            let mut perf = Vec::new();
-            let mut energy = Vec::new();
-            for level in LoadLevel::ALL {
-                let load = BackgroundLoad::with_level(level, 1);
-                let mut app = apps_under(&load).remove(idx);
-                let default = measure_default(&dev_cfg, &mut app, opts.runs, duration);
-                let profile2 = profile.clone();
-                let controller = measure_fixed(&dev_cfg, &mut app, opts.runs, duration, || {
-                    let c: EnergyController = ControllerBuilder::new(profile2.clone())
-                        .target_gips(target)
-                        .target_margin(if deadline { 0.0 } else { 0.01 })
-                        .build();
-                    vec![Box::new(c) as Box<dyn Policy>]
-                });
-                let p = if deadline {
-                    (default.duration_ms - controller.duration_ms) / default.duration_ms * 100.0
-                } else {
-                    (controller.gips - default.gips) / default.gips * 100.0
-                };
-                perf.push(p);
-                energy.push((default.energy_j - controller.energy_j) / default.energy_j * 100.0);
-            }
-            (bl_app.spec().name, perf, energy)
+            let cells: Vec<Comparison> = LoadLevel::ALL
+                .into_iter()
+                .map(|level| {
+                    let load = BackgroundLoad::with_level(level, 1);
+                    let mut app = apps_under(&load).remove(idx);
+                    let default = measure_default(&dev_cfg, &mut app, opts.runs, duration);
+                    let controller =
+                        measure_controller(&dev_cfg, &mut app, &profile, target, &opts);
+                    Comparison {
+                        app: app.spec().name.to_string(),
+                        profile: profile.clone(),
+                        default,
+                        controller,
+                        deadline_based: matches!(app.spec().kind, AppKind::Batch { .. }),
+                    }
+                })
+                .collect();
+            (bl_app.spec().name, cells)
         },
     );
-    for (name, perf, energy) in rows {
+    for (name, cells) in rows {
+        let perf = |c: &Comparison| pct_flagged(c.performance_delta_pct(), c.baseline_degenerate());
+        let energy = |c: &Comparison| pct_flagged(c.energy_savings_pct(), c.baseline_degenerate());
         println!(
             "{:<14} {:>9} {:>9} {:>9}   {:>9} {:>9} {:>9}",
             name,
-            pct(perf[0]),
-            pct(perf[1]),
-            pct(perf[2]),
-            pct(energy[0]),
-            pct(energy[1]),
-            pct(energy[2]),
+            perf(&cells[0]),
+            perf(&cells[1]),
+            perf(&cells[2]),
+            energy(&cells[0]),
+            energy(&cells[1]),
+            energy(&cells[2]),
         );
     }
     // The paper's §V-C re-profiling follow-up: MobileBench re-profiled
-    // for the NL case recovers to 11.1% savings with no perf loss.
+    // for the NL case recovers to 11.1% savings with no perf loss. That
+    // is Table III's procedure run at NL.
     println!("\n-- §V-C follow-up: re-profiling for the runtime load --");
-    {
-        let nl = BackgroundLoad::with_level(LoadLevel::None, 1);
-        let mut app = apps_under(&nl).remove(1); // MobileBench
-        let duration = opts.duration_ms.unwrap_or(app.spec().test_duration_ms);
-        let deadline = matches!(app.spec().kind, AppKind::Batch { .. });
-        let profile = profile_app(&dev_cfg, &mut app, &opts.profile);
-        let target = measure_default(&dev_cfg, &mut app, opts.runs, duration).gips;
-        let default = measure_default(&dev_cfg, &mut app, opts.runs, duration);
-        let controller = measure_fixed(&dev_cfg, &mut app, opts.runs, duration, || {
-            let c: EnergyController = ControllerBuilder::new(profile.clone())
-                .target_gips(target)
-                .target_margin(if deadline { 0.0 } else { 0.01 })
-                .build();
-            vec![Box::new(c) as Box<dyn Policy>]
-        });
-        let p = if deadline {
-            (default.duration_ms - controller.duration_ms) / default.duration_ms * 100.0
-        } else {
-            (controller.gips - default.gips) / default.gips * 100.0
-        };
-        let e = (default.energy_j - controller.energy_j) / default.energy_j * 100.0;
-        println!(
-            "MobileBench re-profiled at NL: perf {}, energy {}   (paper: 0%, 11.1%)",
-            pct(p),
-            pct(e)
-        );
-    }
+    let nl = BackgroundLoad::with_level(LoadLevel::None, 1);
+    let mut app = apps_under(&nl).remove(1); // MobileBench
+    let c = compare(&dev_cfg, &mut app, &opts);
+    println!(
+        "MobileBench re-profiled at NL: perf {}, energy {}   (paper: 0%, 11.1%)",
+        pct_flagged(c.performance_delta_pct(), c.baseline_degenerate()),
+        pct_flagged(c.energy_savings_pct(), c.baseline_degenerate())
+    );
 
     println!("\nPaper (perf BL/NL/HL, energy BL/NL/HL):");
     println!("VidCon +0.8/+0.2/-8.0, 25.3/28.0/11.4 | MobileBench +4.0/-3.5/-2.0, 15.3/-4.9/4.6");

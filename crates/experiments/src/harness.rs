@@ -197,15 +197,7 @@ pub fn compare(
 
     let profile = profile_app_for_mode(dev_cfg, app, opts);
     let default = measure_default(dev_cfg, app, opts.runs, duration);
-    let target = default.gips;
-
-    let profile_for_ctrl = profile.clone();
-    let mode = opts.mode;
-    let mut run_idx = 0;
-    let controller = measure_fixed(dev_cfg, app, opts.runs, duration, || {
-        run_idx += 1;
-        controller_stack(&profile_for_ctrl, target, mode, deadline_based, run_idx)
-    });
+    let controller = measure_controller(dev_cfg, app, &profile, default.gips, opts);
 
     Comparison {
         app: app.spec().name.to_string(),
@@ -214,6 +206,28 @@ pub fn compare(
         controller,
         deadline_based,
     }
+}
+
+/// The controller leg of [`compare`]: `opts.runs` runs of `app` under
+/// the controller stack (the stock GPU governor beside a controller
+/// built around `profile` and aimed at `target_gips`, plus
+/// `cpubw_hwmon` in CPU-only mode), run `i` seeded `0xc0de + i`.
+/// Table IV calls it directly to run a profile and target taken under
+/// one background load against an app under another.
+pub fn measure_controller(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    profile: &ProfileTable,
+    target_gips: f64,
+    opts: &ExperimentOptions,
+) -> DefaultMeasurement {
+    let duration = opts.duration_ms.unwrap_or(app.spec().test_duration_ms);
+    let deadline_based = matches!(app.spec().kind, AppKind::Batch { .. });
+    let mut run_idx = 0;
+    measure_fixed(dev_cfg, app, opts.runs, duration, || {
+        run_idx += 1;
+        controller_stack(profile, target_gips, opts.mode, deadline_based, run_idx)
+    })
 }
 
 /// Run [`compare`] for every app, fanning the apps out across the

@@ -29,9 +29,6 @@ pub struct StoredPolicy {
     pub target_gips: f64,
     /// Default-governor energy over one `epoch_ms` window, joules.
     pub baseline_energy_j: f64,
-    /// Whether the app is deadline-based (batch) rather than
-    /// rate-based.
-    pub deadline_based: bool,
     /// `EnergyOptimizer::new(&profile)`, built once at resolution.
     optimizer: EnergyOptimizer,
 }
@@ -140,7 +137,6 @@ fn resolve_one(
     // devices actually execute.
     let mut app =
         ctor(BackgroundLoad::with_level(load, cfg.seed)).with_quantum(cfg.demand_quantum_ms);
-    let deadline_based = matches!(app.spec().kind, asgov_workloads::AppKind::Batch { .. });
     // Serial per-signature profiling: the signature fan-out above is
     // already parallel, and `profile_app_serial` is bit-identical to
     // the threaded sweep by the `ordered_map` contract.
@@ -161,7 +157,6 @@ fn resolve_one(
         profile,
         target_gips: baseline.gips,
         baseline_energy_j: baseline.energy_j,
-        deadline_based,
     }
 }
 

@@ -35,10 +35,11 @@
 //! ## Layering
 //!
 //! This crate sits *below* `asgov-soc`: it depends only on
-//! `asgov-util`. The SoC-level enums (`SocErrorKind`,
-//! `DegradationLevel`) are mirrored here as [`FaultClass`] and
-//! [`Level`]; the `From` conversions live in `asgov-soc`, which sees
-//! both sides.
+//! `asgov-util`. The two enums a cycle record shares with the SoC and
+//! the controller are defined here, once: [`SocErrorKind`] (the class
+//! of a failed sysfs write) and [`DegradationLevel`] (the controller's
+//! ladder level). Each carries its wire name, its snapshot code and its
+//! counter index; `asgov-soc` re-exports both under the same names.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -51,6 +52,8 @@ mod sink;
 
 pub use agg::{FleetStats, LayoutMismatch};
 pub use hist::Histogram;
-pub use record::{parse_jsonl, CycleRecord, FaultClass, Level, RecordError, LEGACY_SCHEMA, SCHEMA};
+pub use record::{
+    parse_jsonl, CycleRecord, DegradationLevel, RecordError, SocErrorKind, LEGACY_SCHEMA, SCHEMA,
+};
 pub use ring::RingBuffer;
 pub use sink::{DeviceEvent, Metrics, NullSink, RingSink, TraceSink};

@@ -12,12 +12,16 @@ pub const SCHEMA: &str = "asgov-obs/v2";
 /// as zero.
 pub const LEGACY_SCHEMA: &str = "asgov-obs/v1";
 
-/// Mirror of `asgov_soc::SocErrorKind` — the class of actuation fault
-/// observed during a control cycle. Lives here (below the SoC crate) so
-/// records need no upward dependency; the `From` conversion is in
-/// `asgov-soc`.
+/// The class of a failed sysfs write (`asgov_soc::SocError::kind`):
+/// small and `Copy`, so cycle records, health counters and snapshots
+/// name a failure cause without carrying path strings around. Defined
+/// here, below the SoC crate, so records need no upward dependency;
+/// `asgov-soc` re-exports it.
+///
+/// Declaration order is [`SocErrorKind::ALL`]'s, and fixes both the
+/// counter index and the snapshot wire code: new kinds go at the end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultClass {
+pub enum SocErrorKind {
     /// Write to a sysfs path that does not exist.
     NoSuchFile,
     /// Write to a read-only sysfs path.
@@ -31,84 +35,136 @@ pub enum FaultClass {
     Busy,
 }
 
-impl FaultClass {
-    /// Every fault class, in a fixed order (stable across releases of
-    /// the same schema version; used to index per-class counters).
-    pub const ALL: [FaultClass; 5] = [
-        FaultClass::NoSuchFile,
-        FaultClass::ReadOnly,
-        FaultClass::InvalidValue,
-        FaultClass::WrongGovernor,
-        FaultClass::Busy,
+impl SocErrorKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [SocErrorKind; 5] = [
+        SocErrorKind::NoSuchFile,
+        SocErrorKind::ReadOnly,
+        SocErrorKind::InvalidValue,
+        SocErrorKind::WrongGovernor,
+        SocErrorKind::Busy,
     ];
 
-    /// Stable wire name.
+    /// Stable wire name (JSONL traces and reports).
     pub fn as_str(self) -> &'static str {
         match self {
-            FaultClass::NoSuchFile => "no-such-file",
-            FaultClass::ReadOnly => "read-only",
-            FaultClass::InvalidValue => "invalid-value",
-            FaultClass::WrongGovernor => "wrong-governor",
-            FaultClass::Busy => "busy",
+            SocErrorKind::NoSuchFile => "no-such-file",
+            SocErrorKind::ReadOnly => "read-only",
+            SocErrorKind::InvalidValue => "invalid-value",
+            SocErrorKind::WrongGovernor => "wrong-governor",
+            SocErrorKind::Busy => "busy",
         }
     }
 
-    /// Parse a wire name produced by [`FaultClass::as_str`].
+    /// Parse a wire name produced by [`SocErrorKind::as_str`].
     pub fn parse(s: &str) -> Option<Self> {
-        FaultClass::ALL.into_iter().find(|f| f.as_str() == s)
+        Self::ALL.into_iter().find(|k| k.as_str() == s)
     }
 
-    /// Index into per-class counter arrays (the position in
-    /// [`FaultClass::ALL`]).
+    /// Index into per-kind counter arrays (the position in
+    /// [`SocErrorKind::ALL`]).
     pub fn index(self) -> usize {
-        FaultClass::ALL.iter().position(|f| *f == self).unwrap_or(0)
+        self as usize
+    }
+
+    /// Stable one-byte snapshot code (the position in
+    /// [`SocErrorKind::ALL`]).
+    pub fn wire_code(self) -> u8 {
+        self as u8
+    }
+
+    /// Decode a [`SocErrorKind::wire_code`] (`None` for an unknown code:
+    /// a corrupt or future snapshot, never a panic).
+    pub fn from_wire(code: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(code)).copied()
     }
 }
 
-impl std::fmt::Display for FaultClass {
+impl std::fmt::Display for SocErrorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-/// Mirror of `asgov_soc::DegradationLevel` — where the controller sat
-/// on the degradation ladder when the record was emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Level {
-    /// Full closed-loop operation.
+/// The controller's degradation ladder, most capable first: where the
+/// controller sat when a record was emitted, and the level a health
+/// report or snapshot carries. `asgov-soc` re-exports it.
+///
+/// `Full` runs the paper's two-configuration schedule; `SafeConfig`
+/// pins one safe configuration (no optimization); `FallbackGovernor`
+/// hands the device back to the stock governors and only probes for
+/// recovery. Declaration order is [`DegradationLevel::ALL`]'s and fixes
+/// the counter index, the snapshot wire code and the ordering (worse
+/// is greater).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub enum DegradationLevel {
+    /// Full two-configuration control (normal operation).
     #[default]
     Full,
-    /// Pinned to the profiled maximum-speedup configuration.
+    /// Single safe configuration, feedback suspended.
     SafeConfig,
-    /// Delegated back to the stock kernel governors.
+    /// Device handed back to the fallback (stock) governor.
     FallbackGovernor,
 }
 
-impl Level {
+impl DegradationLevel {
     /// Every level, ladder order.
-    pub const ALL: [Level; 3] = [Level::Full, Level::SafeConfig, Level::FallbackGovernor];
+    pub const ALL: [DegradationLevel; 3] = [
+        DegradationLevel::Full,
+        DegradationLevel::SafeConfig,
+        DegradationLevel::FallbackGovernor,
+    ];
 
-    /// Stable wire name.
+    /// Stable wire name (JSONL traces and reports).
     pub fn as_str(self) -> &'static str {
         match self {
-            Level::Full => "full",
-            Level::SafeConfig => "safe-config",
-            Level::FallbackGovernor => "fallback-governor",
+            DegradationLevel::Full => "full",
+            DegradationLevel::SafeConfig => "safe-config",
+            DegradationLevel::FallbackGovernor => "fallback-governor",
         }
     }
 
-    /// Parse a wire name produced by [`Level::as_str`].
+    /// Parse a wire name produced by [`DegradationLevel::as_str`].
     pub fn parse(s: &str) -> Option<Self> {
-        Level::ALL.into_iter().find(|l| l.as_str() == s)
+        Self::ALL.into_iter().find(|l| l.as_str() == s)
     }
 
-    /// Index into per-level counter arrays.
+    /// Index into per-level counter arrays (the position in
+    /// [`DegradationLevel::ALL`]).
     pub fn index(self) -> usize {
-        Level::ALL.iter().position(|l| *l == self).unwrap_or(0)
+        self as usize
+    }
+
+    /// Stable one-byte snapshot code (the position in
+    /// [`DegradationLevel::ALL`]).
+    pub fn wire_code(self) -> u8 {
+        self as u8
+    }
+
+    /// Decode a [`DegradationLevel::wire_code`] (`None` for an unknown
+    /// code).
+    pub fn from_wire(code: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(code)).copied()
+    }
+
+    /// One step less capable (saturates at `FallbackGovernor`).
+    pub fn down(self) -> Self {
+        match self {
+            DegradationLevel::Full => DegradationLevel::SafeConfig,
+            _ => DegradationLevel::FallbackGovernor,
+        }
+    }
+
+    /// One step more capable (saturates at `Full`).
+    pub fn up(self) -> Self {
+        match self {
+            DegradationLevel::FallbackGovernor => DegradationLevel::SafeConfig,
+            _ => DegradationLevel::Full,
+        }
     }
 }
 
-impl std::fmt::Display for Level {
+impl std::fmt::Display for DegradationLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
@@ -150,9 +206,9 @@ pub struct CycleRecord {
     /// Wall-clock latency of the actuation (sysfs writes + retries), ns.
     pub actuation_ns: u64,
     /// Actuation fault observed during the cycle, if any.
-    pub fault: Option<FaultClass>,
+    pub fault: Option<SocErrorKind>,
     /// Degradation-ladder level after this cycle's health accounting.
-    pub level: Level,
+    pub level: DegradationLevel,
     /// Supervisor restarts of the emitting controller so far (0 when
     /// unsupervised; v1 records decode as 0).
     pub restarts: u64,
@@ -179,7 +235,7 @@ impl Default for CycleRecord {
             solve_ns: 0,
             actuation_ns: 0,
             fault: None,
-            level: Level::Full,
+            level: DegradationLevel::Full,
             restarts: 0,
             snapshot_errors: 0,
         }
@@ -195,6 +251,9 @@ pub enum RecordError {
     BadSchema(String),
     /// A required field is missing or has the wrong type.
     MissingField(&'static str),
+    /// An integer field holds a negative, fractional or too-large
+    /// number.
+    OutOfRange(&'static str),
 }
 
 impl std::fmt::Display for RecordError {
@@ -203,6 +262,9 @@ impl std::fmt::Display for RecordError {
             RecordError::Malformed => write!(f, "line is not valid JSON"),
             RecordError::BadSchema(s) => write!(f, "unknown schema tag {s:?} (want {SCHEMA:?})"),
             RecordError::MissingField(name) => write!(f, "missing or mistyped field {name:?}"),
+            RecordError::OutOfRange(name) => {
+                write!(f, "field {name:?} is not a whole number in range")
+            }
         }
     }
 }
@@ -260,25 +322,27 @@ impl CycleRecord {
                 .and_then(Json::as_f64)
                 .ok_or(RecordError::MissingField(name)),
         };
-        let int_field = |name: &'static str| {
-            j.get(name)
+        fn int_field<T: TryFrom<u64>>(j: &Json, name: &'static str) -> Result<T, RecordError> {
+            let v = j
+                .get(name)
                 .and_then(Json::as_f64)
-                .ok_or(RecordError::MissingField(name))
-        };
-        let u64_field = |name: &'static str| int_field(name).map(|v| v as u64);
-        let u32_field = |name: &'static str| int_field(name).map(|v| v as u32);
+                .ok_or(RecordError::MissingField(name))?;
+            whole(v).ok_or(RecordError::OutOfRange(name))
+        }
+        let u64_field = |name: &'static str| int_field::<u64>(j, name);
+        let u32_field = |name: &'static str| int_field::<u32>(j, name);
         let fault = match j.get("fault") {
             Some(Json::Null) | None => None,
             Some(v) => Some(
                 v.as_str()
-                    .and_then(FaultClass::parse)
+                    .and_then(SocErrorKind::parse)
                     .ok_or(RecordError::MissingField("fault"))?,
             ),
         };
         let level = j
             .get("level")
             .and_then(Json::as_str)
-            .and_then(Level::parse)
+            .and_then(DegradationLevel::parse)
             .ok_or(RecordError::MissingField("level"))?;
         Ok(Self {
             cycle: u64_field("cycle")?,
@@ -318,6 +382,21 @@ impl CycleRecord {
     }
 }
 
+/// `v` as a `T` when it is a whole number that `T` holds. JSON numbers
+/// are `f64`s, and a plain `as` cast would read −1 as 0, 2.5 as 2 and
+/// 1e30 as the type's maximum.
+fn whole<T: TryFrom<u64>>(v: f64) -> Option<T> {
+    // 2^64 is the first `f64` past `u64::MAX`; NaN is in no range.
+    let in_range = (0.0..18_446_744_073_709_551_616.0).contains(&v);
+    // In range, the cast truncates, so it round-trips only whole numbers.
+    let n = v as u64;
+    if in_range && n as f64 == v {
+        T::try_from(n).ok()
+    } else {
+        None
+    }
+}
+
 /// Decode a whole JSONL document (one record per non-empty line).
 pub fn parse_jsonl(text: &str) -> Result<Vec<CycleRecord>, RecordError> {
     text.lines()
@@ -347,8 +426,8 @@ mod tests {
             tau_upper_ms: 800,
             solve_ns: 1_850,
             actuation_ns: 12_400,
-            fault: Some(FaultClass::Busy),
-            level: Level::SafeConfig,
+            fault: Some(SocErrorKind::Busy),
+            level: DegradationLevel::SafeConfig,
             restarts: 1,
             snapshot_errors: 0,
         }
@@ -379,7 +458,7 @@ mod tests {
         assert_eq!(back.restarts, 0);
         assert_eq!(back.snapshot_errors, 0);
         assert_eq!(back.cycle, 2);
-        assert_eq!(back.fault, Some(FaultClass::Busy));
+        assert_eq!(back.fault, Some(SocErrorKind::Busy));
         // A v2 line missing the new fields is rejected, not defaulted.
         let mut j = sample(2).to_json();
         j.set("restarts", asgov_util::Json::Null);
@@ -393,12 +472,12 @@ mod tests {
     fn null_fault_round_trips() {
         let rec = CycleRecord {
             fault: None,
-            level: Level::Full,
+            level: DegradationLevel::Full,
             ..sample(0)
         };
         let back = CycleRecord::from_jsonl_line(&rec.to_jsonl_line()).unwrap();
         assert_eq!(back.fault, None);
-        assert_eq!(back.level, Level::Full);
+        assert_eq!(back.level, DegradationLevel::Full);
     }
 
     #[test]
@@ -432,6 +511,32 @@ mod tests {
     }
 
     #[test]
+    fn integer_fields_refuse_negative_fractional_and_huge_numbers() {
+        for (field, bad) in [
+            ("cycle", -1.0),
+            ("t_ms", 2.5),
+            ("solve_ns", 1e30),
+            ("lower_freq", 4_294_967_296.0),
+            ("restarts", f64::NAN),
+        ] {
+            let mut j = sample(0).to_json();
+            j.set(field, bad);
+            assert_eq!(
+                CycleRecord::from_json(&j),
+                Err(RecordError::OutOfRange(field)),
+                "{field} = {bad}"
+            );
+        }
+        // Whole numbers at the edges of their types still decode.
+        let mut j = sample(0).to_json();
+        j.set("lower_freq", 4_294_967_295.0);
+        j.set("t_ms", 9_007_199_254_740_992.0);
+        let rec = CycleRecord::from_json(&j).expect("in range");
+        assert_eq!(rec.lower.0, u32::MAX);
+        assert_eq!(rec.t_ms, 1 << 53);
+    }
+
+    #[test]
     fn rejects_unknown_schema() {
         let mut j = sample(0).to_json();
         j.set("schema", "asgov-obs/v999");
@@ -447,14 +552,50 @@ mod tests {
     }
 
     #[test]
-    fn wire_names_are_total_and_invertible() {
-        for f in FaultClass::ALL {
-            assert_eq!(FaultClass::parse(f.as_str()), Some(f));
+    fn wire_names_and_codes_are_total_and_invertible() {
+        for (i, k) in SocErrorKind::ALL.into_iter().enumerate() {
+            assert_eq!(SocErrorKind::parse(k.as_str()), Some(k));
+            assert_eq!(k.to_string(), k.as_str());
+            assert_eq!(k.index(), i);
+            assert_eq!(SocErrorKind::from_wire(k.wire_code()), Some(k));
         }
-        for l in Level::ALL {
-            assert_eq!(Level::parse(l.as_str()), Some(l));
+        for (i, l) in DegradationLevel::ALL.into_iter().enumerate() {
+            assert_eq!(DegradationLevel::parse(l.as_str()), Some(l));
+            assert_eq!(l.to_string(), l.as_str());
+            assert_eq!(l.index(), i);
+            assert_eq!(DegradationLevel::from_wire(l.wire_code()), Some(l));
         }
-        assert_eq!(FaultClass::parse("nope"), None);
-        assert_eq!(Level::parse("nope"), None);
+        assert_eq!(SocErrorKind::parse("nope"), None);
+        assert_eq!(DegradationLevel::parse("nope"), None);
+        // The snapshot codes are pinned: a frame written today must
+        // decode to the same kind and level tomorrow.
+        assert_eq!(SocErrorKind::Busy.wire_code(), 4);
+        assert_eq!(DegradationLevel::FallbackGovernor.wire_code(), 2);
+        for code in [5, 255] {
+            assert_eq!(SocErrorKind::from_wire(code), None);
+        }
+        for code in [3, 255] {
+            assert_eq!(DegradationLevel::from_wire(code), None);
+        }
+    }
+
+    #[test]
+    fn ladder_steps_saturate() {
+        assert_eq!(DegradationLevel::Full.down(), DegradationLevel::SafeConfig);
+        assert_eq!(
+            DegradationLevel::SafeConfig.down(),
+            DegradationLevel::FallbackGovernor
+        );
+        assert_eq!(
+            DegradationLevel::FallbackGovernor.down(),
+            DegradationLevel::FallbackGovernor
+        );
+        assert_eq!(
+            DegradationLevel::FallbackGovernor.up(),
+            DegradationLevel::SafeConfig
+        );
+        assert_eq!(DegradationLevel::SafeConfig.up(), DegradationLevel::Full);
+        assert_eq!(DegradationLevel::Full.up(), DegradationLevel::Full);
+        assert!(DegradationLevel::Full < DegradationLevel::FallbackGovernor);
     }
 }

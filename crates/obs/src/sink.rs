@@ -1,7 +1,7 @@
 //! The sink the device and controller emit trace data into.
 
 use crate::hist::Histogram;
-use crate::record::{CycleRecord, FaultClass, Level};
+use crate::record::{CycleRecord, DegradationLevel, SocErrorKind};
 use crate::ring::RingBuffer;
 use asgov_util::Json;
 use std::fmt;
@@ -100,11 +100,11 @@ impl TraceSink for NullSink {
 pub struct Metrics {
     /// Control cycles observed.
     pub cycles: u64,
-    /// Cycles that carried an actuation fault, per [`FaultClass`]
-    /// (indexed by [`FaultClass::index`]).
+    /// Cycles that carried an actuation fault, per [`SocErrorKind`]
+    /// (indexed by [`SocErrorKind::index`]).
     pub faults: [u64; 5],
-    /// Cycles spent at each degradation [`Level`] (indexed by
-    /// [`Level::index`]).
+    /// Cycles spent at each [`DegradationLevel`] (indexed by
+    /// [`DegradationLevel::index`]).
     pub level_cycles: [u64; 3],
     /// Ladder step-downs observed (one per level crossed).
     pub degradations: u64,
@@ -149,10 +149,10 @@ impl Metrics {
         o.set("cycles", self.cycles as f64);
         let mut faults = Json::object();
         let mut recoveries = Json::object();
-        // `FaultClass::ALL` / `Level::ALL` order matches `index()`, so
-        // zipping the class list against the counter arrays avoids any
-        // indexing entirely.
-        for (f, (&n, &r)) in FaultClass::ALL
+        // `SocErrorKind::ALL` / `DegradationLevel::ALL` order matches
+        // `index()`, so zipping the kind list against the counter arrays
+        // avoids any indexing entirely.
+        for (f, (&n, &r)) in SocErrorKind::ALL
             .iter()
             .zip(self.faults.iter().zip(self.recoveries_by_fault.iter()))
         {
@@ -166,7 +166,7 @@ impl Metrics {
         o.set("faulted_cycles", faults);
         o.set("recoveries_by_fault", recoveries);
         let mut levels = Json::object();
-        for (l, &n) in Level::ALL.iter().zip(self.level_cycles.iter()) {
+        for (l, &n) in DegradationLevel::ALL.iter().zip(self.level_cycles.iter()) {
             if n > 0 {
                 levels.set(l.as_str(), n as f64);
             }
@@ -188,10 +188,10 @@ impl Metrics {
 pub struct RingSink {
     ring: RingBuffer<CycleRecord>,
     metrics: Metrics,
-    prev_level: Level,
+    prev_level: DegradationLevel,
     /// The fault class that opened the current degraded episode, for
     /// recovery attribution.
-    episode_fault: Option<FaultClass>,
+    episode_fault: Option<SocErrorKind>,
 }
 
 impl RingSink {
@@ -200,7 +200,7 @@ impl RingSink {
         Self {
             ring: RingBuffer::new(capacity),
             metrics: Metrics::default(),
-            prev_level: Level::Full,
+            prev_level: DegradationLevel::Full,
             episode_fault: None,
         }
     }
@@ -249,7 +249,7 @@ impl TraceSink for RingSink {
         if rec.level.index() > self.prev_level.index() {
             self.metrics.degradations += (rec.level.index() - self.prev_level.index()) as u64;
         }
-        if rec.level == Level::Full && self.prev_level != Level::Full {
+        if rec.level == DegradationLevel::Full && self.prev_level != DegradationLevel::Full {
             if let Some(n) = self
                 .episode_fault
                 .and_then(|fault| self.metrics.recoveries_by_fault.get_mut(fault.index()))
@@ -257,7 +257,7 @@ impl TraceSink for RingSink {
                 *n += 1;
             }
         }
-        if rec.level == Level::Full && rec.fault.is_none() {
+        if rec.level == DegradationLevel::Full && rec.fault.is_none() {
             self.episode_fault = None;
         }
         self.prev_level = rec.level;
@@ -276,7 +276,7 @@ impl TraceSink for RingSink {
 mod tests {
     use super::*;
 
-    fn rec(cycle: u64, fault: Option<FaultClass>, level: Level) -> CycleRecord {
+    fn rec(cycle: u64, fault: Option<SocErrorKind>, level: DegradationLevel) -> CycleRecord {
         CycleRecord {
             cycle,
             t_ms: 2_000 * (cycle + 1),
@@ -292,18 +292,22 @@ mod tests {
     #[test]
     fn aggregates_counters_and_histograms() {
         let mut sink = RingSink::new(8);
-        sink.record_cycle(&rec(0, None, Level::Full));
-        sink.record_cycle(&rec(1, Some(FaultClass::Busy), Level::Full));
-        sink.record_cycle(&rec(2, Some(FaultClass::Busy), Level::SafeConfig));
-        sink.record_cycle(&rec(3, None, Level::SafeConfig));
-        sink.record_cycle(&rec(4, None, Level::Full));
+        sink.record_cycle(&rec(0, None, DegradationLevel::Full));
+        sink.record_cycle(&rec(1, Some(SocErrorKind::Busy), DegradationLevel::Full));
+        sink.record_cycle(&rec(
+            2,
+            Some(SocErrorKind::Busy),
+            DegradationLevel::SafeConfig,
+        ));
+        sink.record_cycle(&rec(3, None, DegradationLevel::SafeConfig));
+        sink.record_cycle(&rec(4, None, DegradationLevel::Full));
         let m = sink.metrics();
         assert_eq!(m.cycles, 5);
-        assert_eq!(m.faults[FaultClass::Busy.index()], 2);
-        assert_eq!(m.level_cycles[Level::Full.index()], 3);
-        assert_eq!(m.level_cycles[Level::SafeConfig.index()], 2);
+        assert_eq!(m.faults[SocErrorKind::Busy.index()], 2);
+        assert_eq!(m.level_cycles[DegradationLevel::Full.index()], 3);
+        assert_eq!(m.level_cycles[DegradationLevel::SafeConfig.index()], 2);
         assert_eq!(m.degradations, 1);
-        assert_eq!(m.recoveries_by_fault[FaultClass::Busy.index()], 1);
+        assert_eq!(m.recoveries_by_fault[SocErrorKind::Busy.index()], 1);
         assert_eq!(m.solve_ns.count(), 5);
         assert_eq!(m.innovation_abs.count(), 5);
     }
@@ -313,19 +317,30 @@ mod tests {
         // Busy opens the episode; a later WrongGovernor mid-episode
         // does not steal the attribution.
         let mut sink = RingSink::new(8);
-        sink.record_cycle(&rec(0, Some(FaultClass::Busy), Level::SafeConfig));
-        sink.record_cycle(&rec(1, Some(FaultClass::WrongGovernor), Level::SafeConfig));
-        sink.record_cycle(&rec(2, None, Level::Full));
+        sink.record_cycle(&rec(
+            0,
+            Some(SocErrorKind::Busy),
+            DegradationLevel::SafeConfig,
+        ));
+        sink.record_cycle(&rec(
+            1,
+            Some(SocErrorKind::WrongGovernor),
+            DegradationLevel::SafeConfig,
+        ));
+        sink.record_cycle(&rec(2, None, DegradationLevel::Full));
         let m = sink.metrics();
-        assert_eq!(m.recoveries_by_fault[FaultClass::Busy.index()], 1);
-        assert_eq!(m.recoveries_by_fault[FaultClass::WrongGovernor.index()], 0);
+        assert_eq!(m.recoveries_by_fault[SocErrorKind::Busy.index()], 1);
+        assert_eq!(
+            m.recoveries_by_fault[SocErrorKind::WrongGovernor.index()],
+            0
+        );
     }
 
     #[test]
     fn jsonl_lists_retained_records_in_order() {
         let mut sink = RingSink::new(2);
         for i in 0..4 {
-            sink.record_cycle(&rec(i, None, Level::Full));
+            sink.record_cycle(&rec(i, None, DegradationLevel::Full));
         }
         let text = sink.to_jsonl();
         let records = crate::record::parse_jsonl(&text).unwrap();
@@ -338,7 +353,7 @@ mod tests {
     #[test]
     fn null_sink_accepts_everything() {
         let mut sink = NullSink;
-        sink.record_cycle(&rec(0, None, Level::Full));
+        sink.record_cycle(&rec(0, None, DegradationLevel::Full));
         sink.device_event(10, DeviceEvent::CpuFreq { from: 0, to: 9 });
         sink.power_span(10, 1.5, 1.5, 4);
     }
@@ -371,7 +386,7 @@ mod tests {
     #[test]
     fn metrics_json_has_the_headline_keys() {
         let mut sink = RingSink::new(4);
-        sink.record_cycle(&rec(0, Some(FaultClass::Busy), Level::Full));
+        sink.record_cycle(&rec(0, Some(SocErrorKind::Busy), DegradationLevel::Full));
         let j = sink.metrics().to_json();
         assert_eq!(j.get("cycles").and_then(Json::as_f64), Some(1.0));
         assert!(j.get("solve_ns").is_some());

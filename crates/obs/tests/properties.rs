@@ -2,16 +2,18 @@
 //! keeps exactly the newest N, and records survive a JSONL round trip
 //! bit-for-bit. Randomized but seeded — failures replay exactly.
 
-use asgov_obs::{parse_jsonl, CycleRecord, FaultClass, Level, RingBuffer, RingSink, TraceSink};
+use asgov_obs::{
+    parse_jsonl, CycleRecord, DegradationLevel, RingBuffer, RingSink, SocErrorKind, TraceSink,
+};
 use asgov_util::Rng;
 
 fn random_record(rng: &mut Rng, cycle: u64) -> CycleRecord {
     let fault = if rng.gen_bool(0.3) {
-        Some(FaultClass::ALL[rng.gen_range_usize(0..FaultClass::ALL.len())])
+        Some(SocErrorKind::ALL[rng.gen_range_usize(0..SocErrorKind::ALL.len())])
     } else {
         None
     };
-    let level = Level::ALL[rng.gen_range_usize(0..Level::ALL.len())];
+    let level = DegradationLevel::ALL[rng.gen_range_usize(0..DegradationLevel::ALL.len())];
     let tau_lower_ms = (rng.gen_range_usize(0..11) * 200) as u64;
     CycleRecord {
         cycle,

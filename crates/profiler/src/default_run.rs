@@ -37,7 +37,8 @@ impl DefaultMeasurement {
 }
 
 /// Run the application under the stock Android governors
-/// (`interactive` + `cpubw_hwmon`), `runs` times, for at most `max_ms`
+/// (`interactive` + `cpubw_hwmon` + the GPU's `msm-adreno-tz`), `runs`
+/// times, for at most `max_ms`
 /// each (batch applications stop at completion). `perf` runs here too:
 /// paper §III-A measures `R_def` with the same tooling as the online
 /// controller.

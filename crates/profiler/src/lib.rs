@@ -16,9 +16,9 @@
 //!
 //! This crate also measures the *default run* — performance
 //! `R_def`, power `P_def`, time `T_def` and energy `E_def` under the
-//! stock `interactive` + `cpubw_hwmon` governors — which provides both
-//! the controller's performance target and the energy baseline every
-//! table of the paper compares against.
+//! stock `interactive` + `cpubw_hwmon` + `msm-adreno-tz` governors —
+//! which provides both the controller's performance target and the
+//! energy baseline every table of the paper compares against.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

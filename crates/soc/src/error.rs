@@ -33,74 +33,9 @@ pub enum SocError {
     Busy(String),
 }
 
-/// A field-free classification of [`SocError`] — small and `Copy`, so
-/// per-cycle diagnostic logs and health counters can record a failure
-/// cause without carrying path strings around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SocErrorKind {
-    /// [`SocError::NoSuchFile`].
-    NoSuchFile,
-    /// [`SocError::ReadOnly`].
-    ReadOnly,
-    /// [`SocError::InvalidValue`].
-    InvalidValue,
-    /// [`SocError::WrongGovernor`].
-    WrongGovernor,
-    /// [`SocError::Busy`].
-    Busy,
-}
-
-impl SocErrorKind {
-    /// Stable one-byte wire code for checkpoint serialization. Codes
-    /// are append-only: existing values never change meaning.
-    pub fn wire_code(self) -> u8 {
-        match self {
-            SocErrorKind::NoSuchFile => 0,
-            SocErrorKind::ReadOnly => 1,
-            SocErrorKind::InvalidValue => 2,
-            SocErrorKind::WrongGovernor => 3,
-            SocErrorKind::Busy => 4,
-        }
-    }
-
-    /// Decode a [`SocErrorKind::wire_code`] (`None` for unknown codes —
-    /// a corrupt or future snapshot, never a panic).
-    pub fn from_wire(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(SocErrorKind::NoSuchFile),
-            1 => Some(SocErrorKind::ReadOnly),
-            2 => Some(SocErrorKind::InvalidValue),
-            3 => Some(SocErrorKind::WrongGovernor),
-            4 => Some(SocErrorKind::Busy),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for SocErrorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SocErrorKind::NoSuchFile => "no-such-file",
-            SocErrorKind::ReadOnly => "read-only",
-            SocErrorKind::InvalidValue => "invalid-value",
-            SocErrorKind::WrongGovernor => "wrong-governor",
-            SocErrorKind::Busy => "busy",
-        };
-        f.write_str(s)
-    }
-}
-
-impl From<SocErrorKind> for asgov_obs::FaultClass {
-    fn from(kind: SocErrorKind) -> Self {
-        match kind {
-            SocErrorKind::NoSuchFile => asgov_obs::FaultClass::NoSuchFile,
-            SocErrorKind::ReadOnly => asgov_obs::FaultClass::ReadOnly,
-            SocErrorKind::InvalidValue => asgov_obs::FaultClass::InvalidValue,
-            SocErrorKind::WrongGovernor => asgov_obs::FaultClass::WrongGovernor,
-            SocErrorKind::Busy => asgov_obs::FaultClass::Busy,
-        }
-    }
-}
+/// The field-free kind of a [`SocError`] (defined in `asgov-obs`, so
+/// cycle records carry it without depending on this crate).
+pub use asgov_obs::SocErrorKind;
 
 impl SocError {
     /// The field-free kind of this error.
@@ -179,21 +114,6 @@ mod tests {
         assert_eq!(busy.kind(), SocErrorKind::Busy);
         assert!(busy.to_string().contains("busy"));
         assert_eq!(SocErrorKind::Busy.to_string(), "busy");
-    }
-
-    #[test]
-    fn wire_codes_round_trip_and_reject_unknowns() {
-        for kind in [
-            SocErrorKind::NoSuchFile,
-            SocErrorKind::ReadOnly,
-            SocErrorKind::InvalidValue,
-            SocErrorKind::WrongGovernor,
-            SocErrorKind::Busy,
-        ] {
-            assert_eq!(SocErrorKind::from_wire(kind.wire_code()), Some(kind));
-        }
-        assert_eq!(SocErrorKind::from_wire(5), None);
-        assert_eq!(SocErrorKind::from_wire(255), None);
     }
 
     #[test]

@@ -7,83 +7,9 @@
 //! [`Policy::health`](crate::Policy::health) so experiment binaries and
 //! the CLI can print a failure summary instead of a bare counter.
 
-use std::fmt;
-
-/// The controller's degradation ladder (most capable first).
-///
-/// `Full` runs the paper's two-configuration schedule; `SafeConfig`
-/// pins one safe configuration (no optimization); `FallbackGovernor`
-/// hands the device back to the stock governors and only probes for
-/// recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum DegradationLevel {
-    /// Full two-configuration control (normal operation).
-    #[default]
-    Full,
-    /// Single safe configuration, feedback suspended.
-    SafeConfig,
-    /// Device handed back to the fallback (stock) governor.
-    FallbackGovernor,
-}
-
-impl DegradationLevel {
-    /// One step less capable (saturates at `FallbackGovernor`).
-    pub fn down(self) -> Self {
-        match self {
-            DegradationLevel::Full => DegradationLevel::SafeConfig,
-            _ => DegradationLevel::FallbackGovernor,
-        }
-    }
-
-    /// One step more capable (saturates at `Full`).
-    pub fn up(self) -> Self {
-        match self {
-            DegradationLevel::FallbackGovernor => DegradationLevel::SafeConfig,
-            _ => DegradationLevel::Full,
-        }
-    }
-
-    /// Stable one-byte wire code for checkpoint serialization.
-    pub fn wire_code(self) -> u8 {
-        match self {
-            DegradationLevel::Full => 0,
-            DegradationLevel::SafeConfig => 1,
-            DegradationLevel::FallbackGovernor => 2,
-        }
-    }
-
-    /// Decode a [`DegradationLevel::wire_code`] (`None` for unknown
-    /// codes).
-    pub fn from_wire(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(DegradationLevel::Full),
-            1 => Some(DegradationLevel::SafeConfig),
-            2 => Some(DegradationLevel::FallbackGovernor),
-            _ => None,
-        }
-    }
-}
-
-impl From<DegradationLevel> for asgov_obs::Level {
-    fn from(level: DegradationLevel) -> Self {
-        match level {
-            DegradationLevel::Full => asgov_obs::Level::Full,
-            DegradationLevel::SafeConfig => asgov_obs::Level::SafeConfig,
-            DegradationLevel::FallbackGovernor => asgov_obs::Level::FallbackGovernor,
-        }
-    }
-}
-
-impl fmt::Display for DegradationLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            DegradationLevel::Full => "full",
-            DegradationLevel::SafeConfig => "safe-config",
-            DegradationLevel::FallbackGovernor => "fallback-governor",
-        };
-        f.write_str(s)
-    }
-}
+/// The controller's degradation ladder (defined in `asgov-obs`, so
+/// cycle records carry it without depending on this crate).
+pub use asgov_obs::DegradationLevel;
 
 /// Per-run health summary of a hardened controller: what faults it
 /// observed, how it degraded and how fast it recovered.
@@ -303,26 +229,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ladder_steps_saturate() {
-        assert_eq!(DegradationLevel::Full.down(), DegradationLevel::SafeConfig);
-        assert_eq!(
-            DegradationLevel::SafeConfig.down(),
-            DegradationLevel::FallbackGovernor
-        );
-        assert_eq!(
-            DegradationLevel::FallbackGovernor.down(),
-            DegradationLevel::FallbackGovernor
-        );
-        assert_eq!(
-            DegradationLevel::FallbackGovernor.up(),
-            DegradationLevel::SafeConfig
-        );
-        assert_eq!(DegradationLevel::SafeConfig.up(), DegradationLevel::Full);
-        assert_eq!(DegradationLevel::Full.up(), DegradationLevel::Full);
-        assert!(DegradationLevel::Full < DegradationLevel::FallbackGovernor);
-    }
-
-    #[test]
     fn clean_report_summarizes_as_healthy() {
         let r = HealthReport::default();
         assert!(r.is_clean());
@@ -383,19 +289,6 @@ mod tests {
         assert!(HealthReport::default()
             .merge(&HealthReport::default())
             .is_clean());
-    }
-
-    #[test]
-    fn degradation_wire_codes_round_trip_and_reject_unknowns() {
-        for level in [
-            DegradationLevel::Full,
-            DegradationLevel::SafeConfig,
-            DegradationLevel::FallbackGovernor,
-        ] {
-            assert_eq!(DegradationLevel::from_wire(level.wire_code()), Some(level));
-        }
-        assert_eq!(DegradationLevel::from_wire(3), None);
-        assert_eq!(DegradationLevel::from_wire(255), None);
     }
 
     #[test]
