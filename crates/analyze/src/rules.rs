@@ -602,22 +602,62 @@ fn rule_nondeterminism(ctx: &Ctx, out: &mut Vec<Finding>) {
     }
 }
 
+/// Exact `==`/`!=` on a float. An operand next to the operator counts
+/// as a float when it is a float literal, an `as f64`/`as f32` cast, or
+/// a bare name bound with an explicit float type earlier in the same
+/// `fn`: `let [mut] x: f64` or the parameter `[mut] x: f64`.
 fn rule_float_eq(ctx: &Ctx, out: &mut Vec<Finding>) {
     let code = ctx.code;
-    for i in 0..code.len() {
-        if !matches!(code[i].text.as_str(), "==" | "!=") || code[i].kind != TokKind::Punct {
+    let text = |j: usize| code.get(j).map_or("", |t| t.text.as_str());
+    let float_ty = |j: usize| matches!(text(j), "f64" | "f32");
+    // Float names bound so far in the current `fn`, and the paren depth
+    // of its parameter list while the scan is inside it.
+    let mut floats: Vec<&str> = Vec::new();
+    let (mut depth, mut fn_seen, mut params_at) = (0usize, false, None);
+    for (i, t) in code.iter().enumerate() {
+        let (l1, l2, r1, r2) = (i.wrapping_sub(1), i.wrapping_sub(2), i + 1, i + 2);
+        match t.text.as_str() {
+            "fn" => {
+                floats.clear();
+                fn_seen = true;
+            }
+            "(" => {
+                depth += 1;
+                if std::mem::take(&mut fn_seen) {
+                    params_at = Some(depth);
+                }
+            }
+            ")" => {
+                if params_at == Some(depth) {
+                    params_at = None;
+                }
+                depth = depth.saturating_sub(1);
+            }
+            _ => {}
+        }
+        let is_let = text(l1) == "let" || (text(l1) == "mut" && text(l2) == "let");
+        let is_param = params_at == Some(depth) && matches!(text(l1), "(" | "," | "mut");
+        if text(r1) == ":" && float_ty(r2) && (is_let || is_param) {
+            floats.push(t.text.as_str());
+        }
+        if !matches!(t.text.as_str(), "==" | "!=") || t.kind != TokKind::Punct {
             continue;
         }
-        let float_adjacent = [i.checked_sub(1), Some(i + 1)]
-            .into_iter()
-            .flatten()
-            .filter_map(|j| code.get(j))
-            .any(|t| t.kind == TokKind::Float);
-        if float_adjacent {
+        let literal = |j: usize| code.get(j).is_some_and(|o| o.kind == TokKind::Float);
+        let name = |j: usize| floats.contains(&text(j));
+        // A name must be bare: not a field or path segment on the left,
+        // not a call, index, method receiver or cast operand on the right.
+        if literal(l1)
+            || literal(r1)
+            || (name(l1) && !matches!(text(l2), "." | "::"))
+            || (name(r1) && !matches!(text(r2), "." | "(" | "[" | "::" | "as"))
+            || (text(l2) == "as" && float_ty(l1))
+            || (text(r2) == "as" && float_ty(i + 3))
+        {
             ctx.push(
                 out,
                 "float-eq",
-                code[i].line,
+                t.line,
                 "exact float comparison; compare against a tolerance or restructure".to_string(),
             );
         }
@@ -803,6 +843,30 @@ fn f() {}
         // Integer comparison is fine.
         let src = "fn f(x: u64) -> bool { x == 5 }\n";
         assert!(check_file("crates/cli/src/x.rs", "asgov-cli", src).is_empty());
+    }
+
+    #[test]
+    fn float_eq_types_casts_and_names_per_fn() {
+        let flagged = |src: &str| !check_file("crates/cli/src/x.rs", "asgov-cli", src).is_empty();
+        // Casts to a float type on either side.
+        assert!(flagged(
+            "fn f(n: u64, m: u64) -> bool { n as f64 == m as f64 }\n"
+        ));
+        assert!(flagged("fn f(n: u64, m: u64) -> bool { m != n as f32 }\n"));
+        assert!(!flagged("fn f(x: f64, m: u64) -> bool { x as u64 == m }\n"));
+        // `let` bindings, `mut` parameters, and the binding's own `fn` only.
+        assert!(flagged(
+            "fn f(a: u64) -> bool { let mut x: f32 = 1.0; x == a }\n"
+        ));
+        assert!(flagged("fn f(mut a: f64, b: u64) -> bool { b != a }\n"));
+        assert!(!flagged(
+            "fn f(a: f64) {}\nfn g(a: u64, b: u64) -> bool { a == b }\n"
+        ));
+        // Fields, calls and method results are not the bound name.
+        assert!(!flagged("fn f(a: f64, s: S) -> bool { s.a == s.b }\n"));
+        assert!(!flagged(
+            "fn f(a: f64, b: f64) -> bool { a.to_bits() == b.to_bits() }\n"
+        ));
     }
 
     #[test]

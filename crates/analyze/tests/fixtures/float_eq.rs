@@ -20,3 +20,15 @@ fn integers_are_fine(n: u64) -> bool {
 fn ranges_are_fine(n: usize) -> usize {
     (0..10).chain(0..=n).sum()
 }
+
+fn same_value(a: f64, b: f64) -> bool {
+    a == b // line 25: float-eq
+}
+
+fn counted_exactly(n: u64, v: f64) -> bool {
+    n as f64 == v // line 29: float-eq
+}
+
+fn bit_identical(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
+}

@@ -93,15 +93,6 @@ impl AdaptiveIntegrator {
         self.last_error
     }
 
-    /// Update the clamping range (e.g. when a new profile table is
-    /// loaded). The current speedup is re-clamped.
-    pub fn set_range(&mut self, min_speedup: f64, max_speedup: f64) {
-        assert!(min_speedup <= max_speedup && min_speedup > 0.0);
-        self.min_speedup = min_speedup;
-        self.max_speedup = max_speedup;
-        self.speedup = self.speedup.clamp(min_speedup, max_speedup);
-    }
-
     /// Advance one control cycle: `target` is `r`, `measured` is `y_n`,
     /// and `base_speed` is the estimate of `b_n`. Returns the new
     /// required speedup `s_{n+1}`.
@@ -216,12 +207,5 @@ mod tests {
     #[should_panic(expected = "min_speedup")]
     fn rejects_inverted_range() {
         let _ = AdaptiveIntegrator::new(1.0, 5.0, 2.0);
-    }
-
-    #[test]
-    fn set_range_reclamps() {
-        let mut reg = AdaptiveIntegrator::new(8.0, 1.0, 10.0);
-        reg.set_range(1.0, 4.0);
-        assert_eq!(reg.speedup(), 4.0);
     }
 }

@@ -334,14 +334,6 @@ impl EnergyController {
         self.phase_changes
     }
 
-    pub(crate) fn set_optimizer(&mut self, optimizer: EnergyOptimizer) {
-        self.optimizer = optimizer;
-    }
-
-    pub(crate) fn set_speedup_range(&mut self, min_s: f64, max_s: f64) {
-        self.regulator.set_range(min_s, max_s);
-    }
-
     /// Hand the device back to the stock governors (ladder bottom).
     fn enter_fallback(&mut self, device: &mut Device) {
         let _ = device.sysfs_write(sysfs::CPU_GOVERNOR, "interactive");

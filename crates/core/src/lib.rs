@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod adaptive;
 mod controller;
 mod optimizer;
 pub mod persist;
@@ -67,7 +66,6 @@ pub mod resilience;
 mod scheduler;
 mod supervisor;
 
-pub use adaptive::LoadAdaptiveController;
 pub use controller::{ControlMode, ControllerBuilder, EnergyController, OptimizerStrategy};
 pub use optimizer::EnergyOptimizer;
 pub use persist::{Restartable, SnapshotError, SnapshotReader, SnapshotWriter};

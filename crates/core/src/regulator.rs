@@ -105,11 +105,6 @@ impl PerformanceRegulator {
         self.integrator.reset(speedup);
     }
 
-    /// Update the available speedup range (e.g. after a profile swap).
-    pub fn set_range(&mut self, min_speedup: f64, max_speedup: f64) {
-        self.integrator.set_range(min_speedup, max_speedup);
-    }
-
     /// Append the regulator's mutable state to a snapshot payload: the
     /// Kalman posterior estimate and variance, the integrator's speedup
     /// and tracking error, and the most recent innovation. The

@@ -390,6 +390,7 @@ fn whole<T: TryFrom<u64>>(v: f64) -> Option<T> {
     let in_range = (0.0..18_446_744_073_709_551_616.0).contains(&v);
     // In range, the cast truncates, so it round-trips only whole numbers.
     let n = v as u64;
+    // asgov-analyze: allow(float-eq): exact round-trip test for a whole number, not a tolerance comparison
     if in_range && n as f64 == v {
         T::try_from(n).ok()
     } else {

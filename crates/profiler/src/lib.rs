@@ -19,17 +19,20 @@
 //! stock `interactive` + `cpubw_hwmon` + `msm-adreno-tz` governors —
 //! which provides both the controller's performance target and the
 //! energy baseline every table of the paper compares against.
+//!
+//! A profile holds for the background load it was taken under. To
+//! control under another load, profile under that load: Table IV's
+//! §V-C follow-up does exactly that, since the paper leaves
+//! load-parameterized profiles as future work.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod default_run;
-mod load_model;
 mod profile;
 mod table;
 
 pub use default_run::{measure_default, measure_fixed, DefaultMeasurement};
-pub use load_model::{LoadModel, LoadModelError, LoadSignature};
 pub use profile::{
     fit_mar_cse, profile_app, profile_app_cpu_only, profile_app_serial, profile_app_threads,
     profile_app_with_gpu, ProfileOptions,

@@ -1,10 +1,10 @@
 //! Property-based tests of the profile table: TSV and JSON round-trips
-//! for arbitrary tables, interpolation bounds, and load-model convexity.
+//! for arbitrary tables, and its vector accessors.
 //!
 //! Randomized inputs come from a seeded [`asgov_util::Rng`] so every
 //! run exercises the same cases (the hermetic stand-in for proptest).
 
-use asgov_profiler::{Config, LoadModel, LoadSignature, ProfileEntry, ProfileTable};
+use asgov_profiler::{Config, ProfileEntry, ProfileTable};
 use asgov_soc::{BwIndex, FreqIndex, GpuFreqIndex};
 use asgov_util::Rng;
 
@@ -87,76 +87,5 @@ fn vectors_match_entries() {
             assert_eq!(table.config(i), e.config, "case {case}");
         }
         assert!(table.min_speedup() <= table.max_speedup(), "case {case}");
-    }
-}
-
-/// Load-model output is always within the convex hull of its anchor
-/// profiles, row by row.
-#[test]
-fn load_model_convex() {
-    let mut rng = Rng::seed_from_u64(0xf0_0004);
-    for case in 0..128 {
-        let base_lo = rng.gen_range(0.05..1.0);
-        let base_hi = rng.gen_range(0.05..1.0);
-        let n = rng.gen_range_usize(2..20);
-        let query = rng.gen_range(0.0..0.5);
-        let mk = |base: f64, tilt: f64| ProfileTable {
-            app: "m".into(),
-            base_gips: base,
-            entries: (0..n)
-                .map(|i| ProfileEntry {
-                    config: Config {
-                        freq: FreqIndex(i % 18),
-                        bw: BwIndex(i % 13),
-                        gpu: None,
-                    },
-                    speedup: 1.0 + i as f64 * 0.3 + tilt,
-                    power_w: 1.0 + i as f64 * 0.2 + tilt,
-                    measured: true,
-                })
-                .collect(),
-        };
-        let lo = mk(base_lo, 0.0);
-        let hi = mk(base_hi, 0.5);
-        let model = LoadModel::new(vec![
-            (
-                LoadSignature {
-                    cpu_util: 0.05,
-                    traffic_mbps: 0.0,
-                },
-                lo.clone(),
-            ),
-            (
-                LoadSignature {
-                    cpu_util: 0.30,
-                    traffic_mbps: 0.0,
-                },
-                hi.clone(),
-            ),
-        ])
-        .unwrap();
-        let out = model
-            .table_for(&LoadSignature {
-                cpu_util: query,
-                traffic_mbps: 0.0,
-            })
-            .unwrap();
-        for ((o, l), h) in out.entries.iter().zip(&lo.entries).zip(&hi.entries) {
-            let (smin, smax) = (l.speedup.min(h.speedup), l.speedup.max(h.speedup));
-            assert!(
-                o.speedup >= smin - 1e-9 && o.speedup <= smax + 1e-9,
-                "case {case}"
-            );
-            let (pmin, pmax) = (l.power_w.min(h.power_w), l.power_w.max(h.power_w));
-            assert!(
-                o.power_w >= pmin - 1e-9 && o.power_w <= pmax + 1e-9,
-                "case {case}"
-            );
-        }
-        let (bmin, bmax) = (base_lo.min(base_hi), base_lo.max(base_hi));
-        assert!(
-            out.base_gips >= bmin - 1e-9 && out.base_gips <= bmax + 1e-9,
-            "case {case}"
-        );
     }
 }

@@ -190,8 +190,6 @@ pub struct Device {
     // cumulative signals governors sample and difference
     busy_core_ms: f64,
     busy_ms: f64,
-    bg_util_ms: f64,
-    bg_traffic_mb: f64,
     // statistics
     stats_start_ms: u64,
     instr_at_stats_start: f64,
@@ -236,8 +234,6 @@ impl Device {
             battery: Battery::nexus6(),
             busy_core_ms: 0.0,
             busy_ms: 0.0,
-            bg_util_ms: 0.0,
-            bg_traffic_mb: 0.0,
             stats_start_ms: 0,
             instr_at_stats_start: 0.0,
             time_in_freq_ms: vec![0; nf],
@@ -344,18 +340,6 @@ impl Device {
     /// load-based governors such as `interactive` and `ondemand`.
     pub fn busy_ms(&self) -> f64 {
         self.busy_ms
-    }
-
-    /// Cumulative background-thread utilization, util·ms (the per-task
-    /// accounting a controller can read from `/proc` to estimate the
-    /// background load — paper §V-C envisions load-adaptive profiles).
-    pub fn bg_util_ms(&self) -> f64 {
-        self.bg_util_ms
-    }
-
-    /// Cumulative background bus traffic, MB.
-    pub fn bg_traffic_mb(&self) -> f64 {
-        self.bg_traffic_mb
     }
 
     /// CPU busy fraction of the most recent tick (0–1).
@@ -834,8 +818,6 @@ impl Device {
         self.pmu.record(instructions, cycles, bus_bytes);
         self.busy_core_ms += busy_cores * TICK_MS as f64;
         self.busy_ms += busy_frac * TICK_MS as f64;
-        self.bg_util_ms += demand.bg.cpu_util * TICK_MS as f64;
-        self.bg_traffic_mb += demand.bg.traffic_mbps * dt_s;
         let measured_first_w = self
             .monitor
             .record_span(total_first_w, total_rest_w, span_ms);
@@ -844,8 +826,6 @@ impl Device {
             self.pmu.record(instructions, cycles, bus_bytes);
             self.busy_core_ms += busy_cores * TICK_MS as f64;
             self.busy_ms += busy_frac * TICK_MS as f64;
-            self.bg_util_ms += demand.bg.cpu_util * TICK_MS as f64;
-            self.bg_traffic_mb += demand.bg.traffic_mbps * dt_s;
         }
         if span_ms > 1 {
             self.battery.drain_span(total_rest_w * dt_s, span_ms - 1);
@@ -1443,8 +1423,6 @@ mod tests {
                 d.radio().serviced_packets().to_bits(),
                 d.busy_core_ms().to_bits(),
                 d.busy_ms().to_bits(),
-                d.bg_util_ms().to_bits(),
-                d.bg_traffic_mb().to_bits(),
                 d.last_touch_ms().unwrap_or(u64::MAX),
             ];
             bits.extend(d.stats().time_in_freq_ms);

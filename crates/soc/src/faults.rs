@@ -143,8 +143,7 @@ pub struct FaultWindow {
 
 /// A [`FaultPlan`] construction error. Invalid windows used to be
 /// accepted silently (an inverted window simply never fired); they are
-/// now rejected at build time with a `Result`, matching the
-/// Result-not-panic precedent of `LoadModel::table_for`.
+/// now rejected at build time with a `Result`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultPlanError {
     /// `start_ms >= end_ms`: the window could never become active.

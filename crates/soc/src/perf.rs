@@ -83,11 +83,6 @@ impl PerfReader {
         device.set_tool_overhead(0.0, 0.0);
     }
 
-    /// Whether the reader is currently sampling.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Earliest millisecond at which [`PerfReader::poll`] can produce a
     /// reading ([`u64::MAX`] while disabled) — every earlier poll
     /// returns `None` without touching any state or RNG, so the event

@@ -207,11 +207,13 @@ impl fmt::Display for Json {
 }
 
 fn write_number(out: &mut String, v: f64) {
+    // asgov-analyze: allow(float-eq): exact integrality test picks the integer spelling, not a tolerance comparison
+    let integral = v == v.trunc();
     if !v.is_finite() {
         // JSON cannot express non-finite numbers; null is the least
         // surprising degradation for diagnostic artifacts.
         out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e15 {
+    } else if integral && v.abs() < 1e15 {
         out.push_str(&format!("{}", v as i64));
     } else {
         // Shortest representation that round-trips.

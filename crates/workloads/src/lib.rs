@@ -19,7 +19,8 @@
 //! Applications are built from [`AppSpec`]s — cyclic phase machines with
 //! frame-granular work arrival, Poisson touch events and periodic
 //! power/work events — executed by [`PhasedApp`], which implements
-//! [`asgov_soc::Workload`].
+//! [`asgov_soc::Workload`]. Every model here is a `PhasedApp`; any other
+//! [`asgov_soc::Workload`] drives the device just as well.
 //!
 //! Background load scenarios (paper §V-C):
 //! [`BackgroundLoad::baseline`] (BL — WiFi on, e-mail sync, Spotify
@@ -32,11 +33,9 @@
 mod app;
 pub mod apps;
 mod background;
-mod trace_workload;
 
 pub use app::{AppKind, AppSpec, EventSpec, PhaseSpec, PhasedApp, TouchSpec};
 pub use background::{BackgroundLoad, LoadLevel};
-pub use trace_workload::{TraceParseError, TraceSample, TraceWorkload};
 
 /// All six paper applications (Table III order), under a given
 /// background load.

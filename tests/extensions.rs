@@ -1,11 +1,12 @@
-//! End-to-end tests of the future-work extensions (§V-B, §V-C, §VII)
-//! and the related-work baselines (§VI).
+//! End-to-end tests of the future-work extensions (§VII), the
+//! related-work baselines (§VI) and control of a workload that is not a
+//! `PhasedApp`.
 
 use asgov::governors::{AdrenoTz, CpubwHwmon, Interactive, MarCse, NetRateManager};
 use asgov::prelude::*;
 use asgov::profiler::profile_app_with_gpu;
 use asgov::soc::NetRateIndex;
-use asgov::workloads::TraceWorkload;
+use asgov::soc::{ConstantWorkload, Demand, Executed};
 
 fn quick_profile() -> ProfileOptions {
     ProfileOptions {
@@ -114,35 +115,57 @@ fn network_manager_matches_pinned_maximum_performance_cheaper() {
     );
 }
 
-#[test]
-fn controller_drives_a_replayed_trace() {
-    // Record-style CSV -> TraceWorkload -> profile -> control.
-    let csv = "\
-t_ms,rate_gips,ipc0,bytes_per_instr,active_cores,extra_power_w,gpu_work_ghz
-0,0.15,1.3,0.6,1.2,0.05,0.0
-2000,0.45,1.3,0.6,2.0,0.05,0.0
-4000,0.25,1.3,0.6,1.5,0.05,0.0
-";
-    let dev_cfg = DeviceConfig::nexus6();
-    let mut trace_app =
-        TraceWorkload::from_csv("Recorded", csv, BackgroundLoad::baseline(1)).unwrap();
+/// A workload that is not a `PhasedApp`: two constant rates that take
+/// turns every `period_ms`, so the demand the controller must serve
+/// changes mid-run.
+struct Alternating {
+    low: ConstantWorkload,
+    high: ConstantWorkload,
+    period_ms: u64,
+}
 
-    // Measure the default governors on the replay.
+impl Workload for Alternating {
+    fn name(&self) -> &str {
+        "Alternating"
+    }
+
+    fn demand(&mut self, now_ms: u64) -> Demand {
+        if (now_ms / self.period_ms) % 2 == 1 {
+            self.high.demand(now_ms)
+        } else {
+            self.low.demand(now_ms)
+        }
+    }
+
+    fn deliver(&mut self, _now_ms: u64, _executed: Executed) {}
+
+    fn reset(&mut self) {}
+
+    fn next_event_ms(&self, now_ms: u64) -> u64 {
+        (now_ms / self.period_ms + 1) * self.period_ms
+    }
+}
+
+#[test]
+fn controller_holds_target_on_a_switching_non_phased_workload() {
+    // Hand-made profile -> controller on a workload whose rate switches
+    // every 2 s: the controller needs only the table, not a PhasedApp.
+    let dev_cfg = DeviceConfig::nexus6();
+    let mut app = Alternating {
+        low: ConstantWorkload::new("low", 0.5, 1.3, 0.6),
+        high: ConstantWorkload::new("high", 2.0, 1.3, 0.6),
+        period_ms: 2_000,
+    };
+
+    // Measure the default governors on the switching demand.
     let mut device = Device::new(dev_cfg.clone());
     let mut cpu = Interactive::default();
     let mut bw = CpubwHwmon::default();
-    trace_app.reset();
-    let default = sim::run(
-        &mut device,
-        &mut trace_app,
-        &mut [&mut cpu, &mut bw],
-        30_000,
-    );
+    let default = sim::run(&mut device, &mut app, &mut [&mut cpu, &mut bw], 30_000);
 
     // Hand-profile at a handful of pinned points via the generic
-    // device interface (TraceWorkload is not a PhasedApp, so the
-    // high-level profiler helpers don't apply — the controller only
-    // needs the table).
+    // device interface (the high-level profiler helpers take a
+    // PhasedApp; the controller only needs the table).
     let mut entries = Vec::new();
     let mut base = 0.0;
     for (i, f) in [0usize, 6, 12, 17].into_iter().enumerate() {
@@ -150,8 +173,7 @@ t_ms,rate_gips,ipc0,bytes_per_instr,active_cores,extra_power_w,gpu_work_ghz
         d.set_cpu_governor("userspace");
         d.set_bw_governor("userspace");
         d.set_cpu_freq(asgov::soc::FreqIndex(f));
-        trace_app.reset();
-        let r = sim::run(&mut d, &mut trace_app, &mut [], 12_000);
+        let r = sim::run(&mut d, &mut app, &mut [], 12_000);
         if i == 0 {
             base = r.avg_gips;
         }
@@ -163,60 +185,24 @@ t_ms,rate_gips,ipc0,bytes_per_instr,active_cores,extra_power_w,gpu_work_ghz
         });
     }
     let table = ProfileTable {
-        app: "Recorded".into(),
+        app: "Alternating".into(),
         base_gips: base,
         entries,
     };
     assert!(table.validate().is_empty(), "{:?}", table.validate());
+    // The high rate outruns the lowest frequency, so the table has a
+    // real speedup range to choose from.
+    assert!(table.max_speedup() > 1.5, "{:?}", table.speedups());
 
     let mut controller = ControllerBuilder::new(table)
         .target_gips(default.avg_gips)
         .build();
     let mut device = Device::new(dev_cfg);
-    trace_app.reset();
-    let report = sim::run(&mut device, &mut trace_app, &mut [&mut controller], 30_000);
+    let report = sim::run(&mut device, &mut app, &mut [&mut controller], 30_000);
     let perf = (report.avg_gips - default.avg_gips) / default.avg_gips;
     assert!(
         perf > -0.06,
-        "controller holds the replayed target, perf {:.1}%",
+        "controller holds the switching target, perf {:.1}%",
         perf * 100.0
     );
-}
-
-#[test]
-fn load_adaptive_controller_runs_end_to_end() {
-    use asgov::core::LoadAdaptiveController;
-    use asgov::profiler::{LoadModel, LoadSignature};
-
-    let dev_cfg = DeviceConfig::nexus6();
-    let mut nl_app = apps::spotify(BackgroundLoad::none(1));
-    let nl = profile_app(&dev_cfg, &mut nl_app, &quick_profile());
-    let mut hl_app = apps::spotify(BackgroundLoad::heavy(1));
-    let hl = profile_app(&dev_cfg, &mut hl_app, &quick_profile());
-    let model = LoadModel::new(vec![
-        (
-            LoadSignature {
-                cpu_util: 0.008,
-                traffic_mbps: 4.0,
-            },
-            nl.clone(),
-        ),
-        (
-            LoadSignature {
-                cpu_util: 0.16,
-                traffic_mbps: 180.0,
-            },
-            hl,
-        ),
-    ])
-    .unwrap();
-
-    let inner = ControllerBuilder::new(nl).target_gips(0.11).build();
-    let mut adaptive = LoadAdaptiveController::new(inner, model, 5_000);
-    let mut app = apps::spotify(BackgroundLoad::baseline(1));
-    let mut device = Device::new(dev_cfg);
-    app.reset();
-    let report = sim::run(&mut device, &mut app, &mut [&mut adaptive], 25_000);
-    assert!(adaptive.profile_swaps() >= 3);
-    assert!(report.avg_gips > 0.08);
 }

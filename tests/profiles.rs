@@ -1,10 +1,10 @@
 //! Profile lifecycle tests across crates: persistence round-trips
-//! through the filesystem, profile/controller consistency, load models
-//! and the CPU-only re-profiling path.
+//! through the filesystem, profile/controller consistency and the
+//! CPU-only re-profiling path.
 
 use asgov::governors::AdrenoTz;
 use asgov::prelude::*;
-use asgov::profiler::{LoadModel, LoadSignature, ProfileTable};
+use asgov::profiler::ProfileTable;
 
 fn quick_profile() -> ProfileOptions {
     ProfileOptions {
@@ -121,50 +121,6 @@ fn cpu_only_profile_controls_without_bw_actuation() {
     );
     assert_eq!(device.bw_governor(), "cpubw_hwmon");
     assert_eq!(controller.actuation_failures(), 0);
-}
-
-#[test]
-fn load_model_generates_between_real_profiles() {
-    let dev_cfg = DeviceConfig::nexus6();
-    let mut nl = apps::spotify(BackgroundLoad::none(1));
-    let nl_profile = profile_app(&dev_cfg, &mut nl, &quick_profile());
-    let mut hl = apps::spotify(BackgroundLoad::heavy(1));
-    let hl_profile = profile_app(&dev_cfg, &mut hl, &quick_profile());
-
-    let model = LoadModel::new(vec![
-        (
-            LoadSignature {
-                cpu_util: 0.008,
-                traffic_mbps: 4.0,
-            },
-            nl_profile.clone(),
-        ),
-        (
-            LoadSignature {
-                cpu_util: 0.16,
-                traffic_mbps: 180.0,
-            },
-            hl_profile.clone(),
-        ),
-    ])
-    .unwrap();
-
-    // The generated mid-load profile sits between its anchors, row-wise.
-    let mid = model
-        .table_for(&LoadSignature {
-            cpu_util: 0.08,
-            traffic_mbps: 90.0,
-        })
-        .unwrap();
-    for ((m, lo), hi) in mid
-        .entries
-        .iter()
-        .zip(&nl_profile.entries)
-        .zip(&hl_profile.entries)
-    {
-        let (p_lo, p_hi) = (lo.power_w.min(hi.power_w), lo.power_w.max(hi.power_w));
-        assert!(m.power_w >= p_lo - 1e-9 && m.power_w <= p_hi + 1e-9);
-    }
 }
 
 #[test]
