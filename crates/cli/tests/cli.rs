@@ -312,3 +312,67 @@ fn baseline_reports_the_four_quantities() {
         assert!(text.contains(q), "missing {q}");
     }
 }
+
+/// Profile Spotify into `dir` (coordinated, or `--cpu-only`), then run
+/// `asgov control` from that profile at a fixed target; returns stdout.
+fn control_stdout(dir: &str, cpu_only: bool) -> String {
+    let dir = std::env::temp_dir().join(dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let profile_path = dir.join("spotify.tsv");
+    let profile_path = profile_path.to_str().unwrap();
+    let mode: &[&str] = if cpu_only { &["--cpu-only"] } else { &[] };
+    let out = asgov()
+        .args(["profile", "--app", "Spotify", "--runs", "1"])
+        .args(["--window-s", "2", "--stride", "4", "--out", profile_path])
+        .args(mode)
+        .output()
+        .expect("run profile");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = asgov()
+        .args(["control", "--app", "Spotify", "--profile", profile_path])
+        .args(["--target", "0.11", "--duration-s", "8"])
+        .args(mode)
+        .output()
+        .expect("run control");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn control_output_is_pinned() {
+    assert_eq!(
+        control_stdout("asgov_cli_pin_coordinated", false),
+        concat!(
+            "Spotify under the asgov controller (target 0.1100 GIPS, BL):\n",
+            "  achieved = 0.1330 GIPS\n",
+            "  power    = 1.565 W\n",
+            "  energy   = 12.5 J over 8.0 s\n",
+            "  base-speed estimate = 0.1340 GIPS, 4 control cycles, 0 actuation failures\n",
+            "  health   = healthy: no faults observed\n",
+        )
+    );
+}
+
+#[test]
+fn cpu_only_control_output_is_pinned() {
+    assert_eq!(
+        control_stdout("asgov_cli_pin_cpu_only", true),
+        concat!(
+            "Spotify under the asgov controller (target 0.1100 GIPS, BL):\n",
+            "  achieved = 0.1330 GIPS\n",
+            "  power    = 1.672 W\n",
+            "  energy   = 13.4 J over 8.0 s\n",
+            "  base-speed estimate = 0.1340 GIPS, 4 control cycles, 0 actuation failures\n",
+            "  health   = healthy: no faults observed\n",
+        )
+    );
+}

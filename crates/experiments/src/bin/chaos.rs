@@ -30,8 +30,18 @@ use asgov_util::Json;
 use asgov_workloads::{apps, BackgroundLoad};
 use std::path::{Path, PathBuf};
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
+/// The fault-matrix report, at the repository root.
+const MATRIX_FILE: &str = "CHAOS_faultmatrix.json";
+/// The per-cycle trace of `--trace`, at the repository root.
+const TRACE_FILE: &str = "CHAOS_trace.jsonl";
+
+/// `name` at the repository root. Output names the file repo-relative,
+/// so the printed report does not depend on where the tree is checked
+/// out.
+fn at_repo_root(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name)
 }
 
 /// One row of the fault matrix: a named plan and its injection window.
@@ -315,9 +325,8 @@ fn main() {
         doc.set("warm_vs_cold_energy_delta_j_mean", mean_delta);
     }
 
-    let path = repo_root().join("CHAOS_faultmatrix.json");
-    std::fs::write(&path, doc.to_pretty()).expect("write fault-matrix report");
-    println!("wrote {}", path.display());
+    std::fs::write(at_repo_root(MATRIX_FILE), doc.to_pretty()).expect("write fault-matrix report");
+    println!("wrote {MATRIX_FILE}");
 
     if trace {
         // Re-run the sysfs-busy scenario with the observability sink
@@ -335,15 +344,13 @@ fn main() {
             Some(FaultInjector::new(plan, 0x5eed)),
         );
         let sink = sink.borrow();
-        let trace_path = repo_root().join("CHAOS_trace.jsonl");
-        std::fs::write(&trace_path, sink.to_jsonl()).expect("write chaos trace");
+        std::fs::write(at_repo_root(TRACE_FILE), sink.to_jsonl()).expect("write chaos trace");
         println!(
-            "traced sysfs-busy: {:.4} GIPS, {:.1} J, {} cycle records ({} faulted), wrote {}",
+            "traced sysfs-busy: {:.4} GIPS, {:.1} J, {} cycle records ({} faulted), wrote {TRACE_FILE}",
             report.avg_gips,
             report.energy_j,
             sink.ring().len(),
             sink.metrics().total_faults(),
-            trace_path.display()
         );
     }
 }
