@@ -5,7 +5,10 @@
 use asgov_bench::{bench, suite_report, synthetic_profile, synthetic_table, BenchConfig};
 use asgov_control::{AdaptiveIntegrator, KalmanFilter};
 use asgov_core::persist::crc32;
-use asgov_core::{ControllerBuilder, EnergyController, EnergyOptimizer, Restartable};
+use asgov_core::{
+    with_controller_stack, ControlMode, ControllerBuilder, EnergyController, EnergyOptimizer,
+    Restartable,
+};
 use asgov_governors::{AdrenoTz, CpubwHwmon};
 use asgov_linprog::{two_point, HullSolver};
 use asgov_obs::{CycleRecord, RingSink, TraceSink as _};
@@ -169,9 +172,11 @@ fn controller_suite(quick: bool) -> Json {
         if let Some(sink) = &sink {
             device.install_obs_sink(sink.clone());
         }
-        let mut gpu = AdrenoTz::default();
-        let mut policies: [&mut dyn Policy; 2] = [&mut gpu, &mut ctrl];
-        black_box(sim::run(&mut device, &mut app, &mut policies, sim_ms));
+        black_box(with_controller_stack(
+            ControlMode::Coordinated,
+            &mut ctrl,
+            |policies| sim::run(&mut device, &mut app, policies, sim_ms),
+        ));
         if let Some(sink) = sink {
             black_box(sink.borrow().ring().len());
         }
@@ -254,9 +259,9 @@ fn controller_suite(quick: bool) -> Json {
     {
         let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = apps::spotify(BackgroundLoad::baseline(1));
-        let mut gpu = AdrenoTz::default();
-        let mut policies: [&mut dyn Policy; 2] = [&mut gpu, &mut ctrl];
-        sim::run(&mut device, &mut app, &mut policies, warm_ms);
+        with_controller_stack(ControlMode::Coordinated, &mut ctrl, |policies| {
+            sim::run(&mut device, &mut app, policies, warm_ms)
+        });
     }
     let snapshot_len = ctrl.snapshot_bytes(warm_ms).map_or(0, |b| b.len());
     results.push(bench("controller_snapshot_roundtrip", &cfg, || {

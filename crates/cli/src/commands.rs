@@ -1,14 +1,14 @@
 //! Command implementations.
 
 use crate::args::Command;
-use asgov_core::{ControlMode, ControllerBuilder};
-use asgov_governors::{AdrenoTz, CpubwHwmon};
+use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder};
+use asgov_experiments::harness::{compare, ExperimentOptions};
 use asgov_obs::{parse_jsonl, CycleRecord, RingSink, TraceSink as _};
 use asgov_profiler::{
     measure_default, profile_app, profile_app_cpu_only, profile_app_with_gpu, ProfileOptions,
     ProfileTable,
 };
-use asgov_soc::{event, Device, DeviceConfig, Policy, Workload as _};
+use asgov_soc::{event, Device, DeviceConfig, Workload as _};
 use asgov_workloads::{apps, BackgroundLoad};
 use std::cell::RefCell;
 use std::error::Error;
@@ -122,8 +122,6 @@ pub fn run(cmd: Command) -> Result<()> {
                 .target_gips(target)
                 .mode(mode)
                 .build();
-            let mut bw = CpubwHwmon::default();
-            let mut gpu_gov = AdrenoTz::default();
             let mut device = Device::new(dev_cfg);
             // One record per 2 s control cycle; past the cap the fault
             // list covers the newest cycles.
@@ -131,13 +129,9 @@ pub fn run(cmd: Command) -> Result<()> {
             let sink = Rc::new(RefCell::new(RingSink::new(retained as usize)));
             device.install_obs_sink(sink.clone());
             a.reset();
-            let mut policies: Vec<&mut dyn Policy> = Vec::new();
-            if cpu_only {
-                policies.push(&mut bw);
-            }
-            policies.push(&mut gpu_gov);
-            policies.push(&mut controller);
-            let report = event::run(&mut device, &mut a, &mut policies, duration_ms);
+            let report = with_controller_stack(mode, &mut controller, |policies| {
+                event::run(&mut device, &mut a, policies, duration_ms)
+            });
 
             println!("{app} under the asgov controller (target {target:.4} GIPS, {load}):");
             println!("  achieved = {:.4} GIPS", report.avg_gips);
@@ -179,52 +173,38 @@ pub fn run(cmd: Command) -> Result<()> {
             let dev_cfg = DeviceConfig::nexus6();
             let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
                 .ok_or_else(|| unknown_app(&app))?;
-            let opts = if quick {
-                ProfileOptions {
+            // Table III's procedure over a `duration_ms` window;
+            // `--quick` profiles one 6 s run per configuration and
+            // measures one run per leg instead of three.
+            let mut opts = ExperimentOptions {
+                duration_ms: Some(duration_ms),
+                ..ExperimentOptions::default()
+            };
+            if quick {
+                opts.profile = ProfileOptions {
                     runs_per_config: 1,
                     run_ms: 6_000,
                     freq_stride: 2,
                     interpolate: true,
-                }
-            } else {
-                ProfileOptions::default()
-            };
-            let runs = if quick { 1 } else { 3 };
-            eprintln!("profiling {app}...");
-            let table = profile_app(&dev_cfg, &mut a, &opts);
-            eprintln!("measuring the default governors...");
-            let default = measure_default(&dev_cfg, &mut a, runs, duration_ms);
-
-            let mut controller = ControllerBuilder::new(table)
-                .target_gips(default.gips)
-                .build();
-            let mut gpu_gov = AdrenoTz::default();
-            let mut device = Device::new(dev_cfg);
-            a.reset();
-            eprintln!("running the controller...");
-            let report = event::run(
-                &mut device,
-                &mut a,
-                &mut [&mut gpu_gov, &mut controller],
-                duration_ms,
-            );
-
-            let savings = (default.energy_j - report.energy_j) / default.energy_j * 100.0;
-            let perf = (report.avg_gips - default.gips) / default.gips * 100.0;
+                };
+                opts.runs = 1;
+            }
+            eprintln!("profiling {app}, measuring the default governors and the controller...");
+            let c = compare(&dev_cfg, &mut a, &opts);
             println!("{app} ({load}, {} s):", duration_ms / 1000);
+            for (leg, m) in [("default:   ", &c.default), ("controller:", &c.controller)] {
+                println!(
+                    "  {leg} {:.4} GIPS  {:.3} W  {:.1} J",
+                    m.gips, m.power_w, m.energy_j
+                );
+            }
             println!(
-                "  default:    {:.4} GIPS  {:.3} W  {:.1} J",
-                default.gips, default.power_w, default.energy_j
+                "  => {:+.1}% energy at {:+.1}% performance",
+                c.energy_savings_pct(),
+                c.performance_delta_pct()
             );
-            println!(
-                "  controller: {:.4} GIPS  {:.3} W  {:.1} J",
-                report.avg_gips, report.avg_power_w, report.energy_j
-            );
-            println!("  => {savings:+.1}% energy at {perf:+.1}% performance");
-            if let Some(health) = report.health {
-                if !health.is_clean() {
-                    println!("  health:     {}", health.summary());
-                }
+            if let Some(summary) = c.failure_summary() {
+                println!("  health:     {summary}");
             }
             Ok(())
         }
@@ -265,17 +245,14 @@ pub fn run(cmd: Command) -> Result<()> {
             };
 
             let mut controller = ControllerBuilder::new(table).target_gips(target).build();
-            let mut gpu_gov = AdrenoTz::default();
             let mut device = Device::new(dev_cfg);
             let sink = Rc::new(RefCell::new(RingSink::new(capacity)));
             device.install_obs_sink(sink.clone());
             a.reset();
-            let report = event::run(
-                &mut device,
-                &mut a,
-                &mut [&mut gpu_gov, &mut controller],
-                duration_ms,
-            );
+            let report =
+                with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
+                    event::run(&mut device, &mut a, policies, duration_ms)
+                });
 
             let sink = sink.borrow();
             let path = out.unwrap_or_else(|| format!("{app}.trace.jsonl"));

@@ -376,3 +376,61 @@ fn cpu_only_control_output_is_pinned() {
         )
     );
 }
+
+/// `asgov compare` prints the Table III row `harness::compare` gives
+/// with the same options: for a deadline-critical app the performance
+/// is its completion time, and the controller leg is Table III's.
+#[test]
+fn compare_prints_the_harness_comparison() {
+    use asgov_experiments::harness::{compare, ExperimentOptions};
+    use asgov_profiler::ProfileOptions;
+    use asgov_workloads::{apps, BackgroundLoad, LoadLevel};
+
+    let out = asgov()
+        .args([
+            "compare",
+            "--app",
+            "VidCon",
+            "--quick",
+            "--duration-s",
+            "30",
+        ])
+        .output()
+        .expect("run compare");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+
+    let opts = ExperimentOptions {
+        profile: ProfileOptions {
+            runs_per_config: 1,
+            run_ms: 6_000,
+            freq_stride: 2,
+            interpolate: true,
+        },
+        runs: 1,
+        duration_ms: Some(30_000),
+        ..ExperimentOptions::default()
+    };
+    let mut app = apps::by_name("VidCon", BackgroundLoad::with_level(LoadLevel::Baseline, 1))
+        .expect("registry app");
+    let c = compare(&asgov_soc::DeviceConfig::nexus6(), &mut app, &opts);
+    let m = &c.controller;
+    let controller = format!(
+        "controller: {:.4} GIPS  {:.3} W  {:.1} J",
+        m.gips, m.power_w, m.energy_j
+    );
+    let row = format!(
+        "=> {:+.1}% energy at {:+.1}% performance",
+        c.energy_savings_pct(),
+        c.performance_delta_pct()
+    );
+    assert!(
+        text.contains(&controller),
+        "want {controller:?} in:\n{text}"
+    );
+    assert!(text.contains(&row), "want {row:?} in:\n{text}");
+}

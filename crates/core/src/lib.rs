@@ -30,11 +30,13 @@
 //! [`EnergyController`] wires the four together as an
 //! [`asgov_soc::Policy`]. [`ControlMode::CpuOnly`] reproduces the
 //! paper's §V-D ablation (memory bandwidth left to `cpubw_hwmon`).
+//! [`with_controller_stack`] runs the controller beside the stock
+//! governors the paper keeps in each mode.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use asgov_core::{ControllerBuilder, ControlMode};
+//! use asgov_core::{with_controller_stack, ControllerBuilder, ControlMode};
 //! use asgov_profiler::{profile_app, measure_default, ProfileOptions};
 //! use asgov_soc::{sim, Device, DeviceConfig};
 //! use asgov_workloads::{apps, BackgroundLoad};
@@ -51,7 +53,9 @@
 //!     .target_gips(default.gips)
 //!     .build();
 //! let mut device = Device::new(dev_cfg);
-//! let report = sim::run(&mut device, &mut app, &mut [&mut controller], 60_000);
+//! let report = with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
+//!     sim::run(&mut device, &mut app, policies, 60_000)
+//! });
 //! println!("energy: {:.1} J vs default {:.1} J", report.energy_j, default.energy_j);
 //! ```
 
@@ -64,6 +68,7 @@ pub mod persist;
 mod regulator;
 pub mod resilience;
 mod scheduler;
+mod stack;
 mod supervisor;
 
 pub use controller::{ControlMode, ControllerBuilder, EnergyController, OptimizerStrategy};
@@ -72,4 +77,5 @@ pub use persist::{Restartable, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use regulator::PerformanceRegulator;
 pub use resilience::{DegradationLadder, DivergenceGuard, LadderEvent, PerfGate};
 pub use scheduler::{ConfigScheduler, CycleOutcome};
+pub use stack::with_controller_stack;
 pub use supervisor::{Supervisor, SupervisorConfig};

@@ -5,7 +5,8 @@
 //!
 //! Run: `cargo run --release -p asgov-experiments --bin ablations`
 
-use asgov_core::{ControllerBuilder, EnergyController};
+use asgov_core::{ControlMode, ControllerBuilder};
+use asgov_experiments::harness::measure_with_controller;
 use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive, MpDecision};
 use asgov_profiler::{
     measure_default, measure_fixed, profile_app, DefaultMeasurement, ProfileOptions, ProfileTable,
@@ -30,15 +31,14 @@ fn run_controller<F>(
 where
     F: Fn(ControllerBuilder) -> ControllerBuilder + Copy,
 {
-    let profile = profile.clone();
-    measure_fixed(dev_cfg, app, 1, DURATION_MS, move || {
-        let builder = tweak(ControllerBuilder::new(profile.clone()).target_gips(target));
-        let controller: EnergyController = builder.build();
-        vec![
-            Box::new(AdrenoTz::default()) as Box<dyn Policy>,
-            Box::new(controller),
-        ]
-    })
+    measure_with_controller(
+        dev_cfg,
+        app,
+        1,
+        DURATION_MS,
+        ControlMode::Coordinated,
+        |_| tweak(ControllerBuilder::new(profile.clone()).target_gips(target)).build(),
+    )
 }
 
 fn row(label: &str, default: &DefaultMeasurement, m: &DefaultMeasurement) {

@@ -19,16 +19,21 @@
 //! with cold restarts and once with warm (checkpoint) restarts — and
 //! the comparison lands in the same JSON under `"kill_matrix"`.
 
-use asgov_core::{ControllerBuilder, SupervisorConfig};
-use asgov_governors::AdrenoTz;
+use asgov_core::{
+    with_controller_stack, ControlMode, ControllerBuilder, Supervisor, SupervisorConfig,
+};
+use asgov_obs::RingSink;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
+use asgov_soc::sim::RunReport;
 use asgov_soc::{
     event, Device, DeviceConfig, FaultInjector, FaultKind, FaultPlan, HealthReport, Policy,
     Workload as _,
 };
 use asgov_util::Json;
-use asgov_workloads::{apps, BackgroundLoad};
+use asgov_workloads::{apps, BackgroundLoad, PhasedApp};
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 /// The fault-matrix report, at the repository root.
 const MATRIX_FILE: &str = "CHAOS_faultmatrix.json";
@@ -42,6 +47,20 @@ fn at_repo_root(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(name)
+}
+
+/// Run `app` from reset on `device` under the coordinated controller
+/// stack around `controller` (a controller or its supervisor).
+fn coordinated_run(
+    device: &mut Device,
+    app: &mut PhasedApp,
+    controller: &mut impl Policy,
+    duration_ms: u64,
+) -> RunReport {
+    app.reset();
+    with_controller_stack(ControlMode::Coordinated, controller, |policies| {
+        event::run(device, app, policies, duration_ms)
+    })
 }
 
 /// One row of the fault matrix: a named plan and its injection window.
@@ -137,19 +156,22 @@ fn run_kill_matrix(
             for &seed in seeds {
                 for (mode, warm) in [("cold", false), ("warm", true)] {
                     let plan = kill_plan(f_start, f_end, kills);
-                    let sup_cfg = SupervisorConfig {
-                        warm,
-                        ..SupervisorConfig::default()
-                    };
-                    let report = asgov_experiments::harness::supervised_run(
-                        dev_cfg,
-                        &mut app,
-                        &profile,
-                        default.gips,
-                        duration_ms,
-                        Some(FaultInjector::new(plan, seed)),
-                        sup_cfg,
+                    let (profile, target) = (profile.clone(), default.gips);
+                    let mut supervisor = Supervisor::new(
+                        move || {
+                            ControllerBuilder::new(profile.clone())
+                                .target_gips(target)
+                                .build()
+                        },
+                        SupervisorConfig {
+                            warm,
+                            ..SupervisorConfig::default()
+                        },
                     );
+                    let mut device = Device::new(dev_cfg.clone());
+                    device.install_faults(FaultInjector::new(plan, seed));
+                    let report =
+                        coordinated_run(&mut device, &mut app, &mut supervisor, duration_ms);
                     let health = report.health.expect("supervisor reports health");
                     assert!(
                         report.energy_j.is_finite() && report.avg_gips.is_finite(),
@@ -230,10 +252,7 @@ fn main() {
         let mut controller = ControllerBuilder::new(profile.clone())
             .target_gips(default.gips)
             .build();
-        let mut gpu_gov = AdrenoTz::default();
-        app.reset();
-        let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut controller];
-        let report = event::run(&mut device, &mut app, &mut policies, duration_ms);
+        let report = coordinated_run(&mut device, &mut app, &mut controller, duration_ms);
         let health = report.health.expect("controller reports health");
         assert!(
             report.energy_j.is_finite() && report.avg_gips.is_finite(),
@@ -334,15 +353,14 @@ fn main() {
         let plan = FaultPlan::new()
             .window_p(f_start, f_end, 0.8, FaultKind::SysfsBusy)
             .expect("valid window");
-        let (report, sink) = asgov_experiments::harness::traced_controller_run(
-            &dev_cfg,
-            &mut app,
-            &profile,
-            default.gips,
-            duration_ms,
-            4096,
-            Some(FaultInjector::new(plan, 0x5eed)),
-        );
+        let mut device = Device::new(dev_cfg.clone());
+        device.install_faults(FaultInjector::new(plan, 0x5eed));
+        let sink = Rc::new(RefCell::new(RingSink::new(4096)));
+        device.install_obs_sink(sink.clone());
+        let mut controller = ControllerBuilder::new(profile.clone())
+            .target_gips(default.gips)
+            .build();
+        let report = coordinated_run(&mut device, &mut app, &mut controller, duration_ms);
         let sink = sink.borrow();
         std::fs::write(at_repo_root(TRACE_FILE), sink.to_jsonl()).expect("write chaos trace");
         println!(

@@ -4,8 +4,7 @@
 //! binary: it prints the loop structure and demonstrates, on one live
 //! control cycle, which component produced which quantity.
 
-use asgov_core::{ControllerBuilder, EnergyOptimizer};
-use asgov_governors::AdrenoTz;
+use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder, EnergyOptimizer};
 use asgov_obs::RingSink;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
 use asgov_soc::{event, Device, DeviceConfig, Workload as _};
@@ -51,21 +50,14 @@ fn main() {
     // the controller's 2 s period.
     let optimizer = EnergyOptimizer::new(&profile);
     let period_s = 2_000.0 * 1e-3;
-    // The stock GPU governor runs beside the controller, as in every
-    // other controller leg (the GPU is outside the controlled
-    // configuration).
-    let mut gpu_gov = AdrenoTz::default();
     let mut controller = ControllerBuilder::new(profile).target_gips(target).build();
     let mut device = Device::new(dev_cfg);
     let sink = Rc::new(RefCell::new(RingSink::new(16)));
     device.install_obs_sink(sink.clone());
     app.reset();
-    event::run(
-        &mut device,
-        &mut app,
-        &mut [&mut gpu_gov, &mut controller],
-        10_000,
-    );
+    with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
+        event::run(&mut device, &mut app, policies, 10_000)
+    });
 
     println!("one live run, r = {target:.4} GIPS; per-cycle quantities:");
     for rec in sink.borrow().records() {

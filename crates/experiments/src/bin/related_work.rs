@@ -8,8 +8,8 @@
 //! heuristic search is inexact, and only the LP controller holds the
 //! target at minimum energy.
 
-use asgov_core::{ControllerBuilder, EnergyController, OptimizerStrategy};
-use asgov_experiments::harness::ExperimentOptions;
+use asgov_core::{ControlMode, ControllerBuilder, OptimizerStrategy};
+use asgov_experiments::harness::{measure_with_controller, ExperimentOptions};
 use asgov_governors::{AdrenoTz, CpubwHwmon, MarCse, Schedutil};
 use asgov_profiler::{fit_mar_cse, measure_default, measure_fixed, profile_app};
 use asgov_soc::{DeviceConfig, Policy};
@@ -65,18 +65,19 @@ fn main() {
         ("asgov (CoScale-style search)", OptimizerStrategy::Gradient),
         ("asgov (LP, the paper)", OptimizerStrategy::LinearProgram),
     ] {
-        let p = profile.clone();
-        let target = default.gips;
-        let m = measure_fixed(&dev_cfg, &mut app, opts.runs, duration, move || {
-            let c: EnergyController = ControllerBuilder::new(p.clone())
-                .target_gips(target)
-                .optimizer_strategy(strategy)
-                .build();
-            vec![
-                Box::new(AdrenoTz::default()) as Box<dyn Policy>,
-                Box::new(c),
-            ]
-        });
+        let m = measure_with_controller(
+            &dev_cfg,
+            &mut app,
+            opts.runs,
+            duration,
+            ControlMode::Coordinated,
+            |_| {
+                ControllerBuilder::new(profile.clone())
+                    .target_gips(default.gips)
+                    .optimizer_strategy(strategy)
+                    .build()
+            },
+        );
         rows.push((label.into(), m.gips, m.energy_j));
     }
 

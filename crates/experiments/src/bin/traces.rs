@@ -7,7 +7,7 @@
 //! `NAME` is any registry application (default AngryBirds); an unknown
 //! or missing name exits with status 2 and lists the valid ones.
 
-use asgov_core::ControllerBuilder;
+use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder};
 use asgov_experiments::render::csv;
 use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
 use asgov_obs::{CycleRecord, DeviceEvent, TraceSink};
@@ -115,13 +115,10 @@ fn main() {
     let profile = profile_app(&dev_cfg, &mut app, &opts);
     let target = measure_default(&dev_cfg, &mut app, 1, duration).gips;
     let mut controller = ControllerBuilder::new(profile).target_gips(target).build();
-    let mut gpu = AdrenoTz::default();
-    let (series, events) = series_and_events(
-        &dev_cfg,
-        &mut app,
-        &mut [&mut gpu, &mut controller],
-        duration,
-    );
+    let (series, events) =
+        with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
+            series_and_events(&dev_cfg, &mut app, policies, duration)
+        });
     std::fs::write(format!("results/{app_name}_controller_series.csv"), series).unwrap();
     std::fs::write(format!("results/{app_name}_controller_events.csv"), events).unwrap();
 

@@ -2,17 +2,13 @@
 //! baseline, run the controller, and compare — the procedure behind
 //! Tables III, IV and V.
 
-use asgov_core::{ControlMode, ControllerBuilder, EnergyController, Supervisor, SupervisorConfig};
-use asgov_governors::{AdrenoTz, CpubwHwmon};
-use asgov_obs::RingSink;
+use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder, EnergyController};
 use asgov_profiler::{
-    measure_default, measure_fixed, profile_app, DefaultMeasurement, ProfileOptions, ProfileTable,
+    measure_default, measure_runs, profile_app, DefaultMeasurement, ProfileOptions, ProfileTable,
 };
-use asgov_soc::sim::RunReport;
-use asgov_soc::{event, Device, DeviceConfig, FaultInjector, Policy, Workload as _};
+use asgov_soc::sim::{self, RunReport};
+use asgov_soc::DeviceConfig;
 use asgov_workloads::{AppKind, PhasedApp};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Outcome of one app's default-vs-controller comparison.
 #[derive(Debug, Clone)]
@@ -151,39 +147,6 @@ impl ExperimentOptions {
     }
 }
 
-/// Build the controller policy stack for the given mode.
-///
-/// Deadline-critical (batch) applications get a zero target margin: for
-/// them the figure of merit is completion time, and any slack directly
-/// lengthens the run.
-fn controller_stack(
-    profile: &ProfileTable,
-    target_gips: f64,
-    mode: ControlMode,
-    deadline_based: bool,
-    run: usize,
-) -> Vec<Box<dyn Policy>> {
-    let controller: EnergyController = ControllerBuilder::new(profile.clone())
-        .target_gips(target_gips)
-        .target_margin(if deadline_based { 0.0 } else { 0.01 })
-        .mode(mode)
-        .seed(0xc0de + run as u64)
-        .build();
-    // The stock GPU governor runs in every configuration (the GPU is
-    // not part of the paper's controlled configuration).
-    match mode {
-        ControlMode::Coordinated => vec![
-            Box::new(AdrenoTz::default()) as Box<dyn Policy>,
-            Box::new(controller),
-        ],
-        ControlMode::CpuOnly => vec![
-            Box::new(CpubwHwmon::default()) as Box<dyn Policy>,
-            Box::new(AdrenoTz::default()),
-            Box::new(controller),
-        ],
-    }
-}
-
 /// Profile `app`, measure the default baseline and the controller, and
 /// return the comparison. This is one row of Table III (or V with
 /// `mode = CpuOnly`).
@@ -209,11 +172,13 @@ pub fn compare(
 }
 
 /// The controller leg of [`compare`]: `opts.runs` runs of `app` under
-/// the controller stack (the stock GPU governor beside a controller
-/// built around `profile` and aimed at `target_gips`, plus
-/// `cpubw_hwmon` in CPU-only mode), run `i` seeded `0xc0de + i`.
-/// Table IV calls it directly to run a profile and target taken under
-/// one background load against an app under another.
+/// the controller stack ([`with_controller_stack`] in `opts.mode`) with
+/// a controller built around `profile` and aimed at `target_gips`, run
+/// `i` seeded `0xc0de + i + 1`. Deadline-critical (batch) applications
+/// get a zero target margin: for them the figure of merit is
+/// completion time, and any slack directly lengthens the run. Table IV
+/// calls it directly to run a profile and target taken under one
+/// background load against an app under another.
 pub fn measure_controller(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
@@ -223,10 +188,33 @@ pub fn measure_controller(
 ) -> DefaultMeasurement {
     let duration = opts.duration_ms.unwrap_or(app.spec().test_duration_ms);
     let deadline_based = matches!(app.spec().kind, AppKind::Batch { .. });
-    let mut run_idx = 0;
-    measure_fixed(dev_cfg, app, opts.runs, duration, || {
-        run_idx += 1;
-        controller_stack(profile, target_gips, opts.mode, deadline_based, run_idx)
+    measure_with_controller(dev_cfg, app, opts.runs, duration, opts.mode, |run| {
+        ControllerBuilder::new(profile.clone())
+            .target_gips(target_gips)
+            .target_margin(if deadline_based { 0.0 } else { 0.01 })
+            .mode(opts.mode)
+            .seed(0xc0de + run as u64 + 1)
+            .build()
+    })
+}
+
+/// `runs` runs of `app`, at most `duration_ms` each, under the
+/// controller stack in `mode` ([`with_controller_stack`]), with run
+/// `i`'s controller built by `build(i)`; devices and seeds as in
+/// [`measure_runs`].
+pub fn measure_with_controller(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    runs: usize,
+    duration_ms: u64,
+    mode: ControlMode,
+    mut build: impl FnMut(usize) -> EnergyController,
+) -> DefaultMeasurement {
+    measure_runs(dev_cfg, app, runs, |run, device, app| {
+        let mut controller = build(run);
+        with_controller_stack(mode, &mut controller, |policies| {
+            sim::run(device, app, policies, duration_ms)
+        })
     })
 }
 
@@ -271,75 +259,6 @@ pub fn profile_app_for_mode(
 pub fn default_run(dev_cfg: &DeviceConfig, app: &mut PhasedApp, duration_ms: u64) -> RunReport {
     let m = measure_default(dev_cfg, app, 1, duration_ms);
     m.reports.into_iter().next().expect("one run requested")
-}
-
-/// Run the controller once with a [`RingSink`] installed on the device
-/// (optionally under an injected fault plan), returning the run report
-/// and the sink with the per-cycle trace and aggregated metrics.
-///
-/// This is the traced twin of the controller leg of [`compare`]: same
-/// policy stack (stock GPU governor + coordinated controller), same
-/// seeding discipline.
-pub fn traced_controller_run(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    profile: &ProfileTable,
-    target_gips: f64,
-    duration_ms: u64,
-    capacity: usize,
-    faults: Option<FaultInjector>,
-) -> (RunReport, Rc<RefCell<RingSink>>) {
-    let mut controller = ControllerBuilder::new(profile.clone())
-        .target_gips(target_gips)
-        .build();
-    let mut gpu_gov = AdrenoTz::default();
-    let mut device = Device::new(dev_cfg.clone());
-    if let Some(injector) = faults {
-        device.install_faults(injector);
-    }
-    let sink = Rc::new(RefCell::new(RingSink::new(capacity)));
-    device.install_obs_sink(sink.clone());
-    app.reset();
-    let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut controller];
-    let report = event::run(&mut device, app, &mut policies, duration_ms);
-    (report, sink)
-}
-
-/// Run the controller under a [`Supervisor`] (optionally with an
-/// injected fault plan), returning the run report. Same policy stack
-/// and seeding discipline as [`traced_controller_run`]; the report's
-/// health carries the supervisor's restart/downtime/recovery counters.
-///
-/// This is the leg behind the chaos binary's kill matrix: the fault
-/// plan injects controller kills, the supervisor brings the controller
-/// back (cold or warm per `sup_cfg.warm`), and the report shows what
-/// the outage cost.
-pub fn supervised_run(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    profile: &ProfileTable,
-    target_gips: f64,
-    duration_ms: u64,
-    faults: Option<FaultInjector>,
-    sup_cfg: SupervisorConfig,
-) -> RunReport {
-    let factory_profile = profile.clone();
-    let mut supervisor = Supervisor::new(
-        move || {
-            ControllerBuilder::new(factory_profile.clone())
-                .target_gips(target_gips)
-                .build()
-        },
-        sup_cfg,
-    );
-    let mut gpu_gov = AdrenoTz::default();
-    let mut device = Device::new(dev_cfg.clone());
-    if let Some(injector) = faults {
-        device.install_faults(injector);
-    }
-    app.reset();
-    let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut supervisor];
-    event::run(&mut device, app, &mut policies, duration_ms)
 }
 
 #[cfg(test)]

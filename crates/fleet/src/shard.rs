@@ -11,9 +11,11 @@
 use crate::report::{app_stream, fault_stream, EpochStats};
 use crate::spec::{DeviceSpec, FleetConfig, FleetError};
 use crate::store::PolicyStore;
-use asgov_core::{SnapshotError, SnapshotReader, SnapshotWriter, Supervisor, SupervisorConfig};
-use asgov_governors::AdrenoTz;
-use asgov_soc::{event, Device, DeviceConfig, Policy, Workload as _};
+use asgov_core::{
+    with_controller_stack, ControlMode, SnapshotError, SnapshotReader, SnapshotWriter, Supervisor,
+    SupervisorConfig,
+};
+use asgov_soc::{event, Device, DeviceConfig, Workload as _};
 use asgov_util::Rng;
 use asgov_workloads::BackgroundLoad;
 use std::sync::Arc;
@@ -170,12 +172,11 @@ pub fn run_epoch_into(
             supervisor.migrate_in(snapshot);
         }
 
-        let mut gpu_gov = AdrenoTz::default();
         app.reset();
-        let energy_j = {
-            let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut supervisor];
-            event::run_energy_j(&mut device, &mut app, &mut policies, cfg.epoch_ms)
-        };
+        let energy_j =
+            with_controller_stack(ControlMode::Coordinated, &mut supervisor, |policies| {
+                event::run_energy_j(&mut device, &mut app, policies, cfg.epoch_ms)
+            });
         if let Some(slot) = state.snapshots.get_mut(i as usize) {
             *slot = supervisor.migrate_out(device.now_ms());
         }

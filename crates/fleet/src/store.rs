@@ -193,10 +193,11 @@ mod tests {
     /// supervised restarts.
     #[test]
     fn shared_optimizer_controller_matches_build() {
-        use asgov_core::{Restartable, Supervisor, SupervisorConfig};
-        use asgov_governors::AdrenoTz;
+        use asgov_core::{
+            with_controller_stack, ControlMode, Restartable, Supervisor, SupervisorConfig,
+        };
         use asgov_soc::faults::{FaultInjector, FaultKind, FaultPlan};
-        use asgov_soc::{event, Device, Policy, Workload as _};
+        use asgov_soc::{event, Device, Workload as _};
 
         let cfg = FleetConfig {
             demand_quantum_ms: 20,
@@ -239,11 +240,10 @@ mod tests {
             device.install_faults(FaultInjector::new(plan, 4));
             let mut app = build_app(app, BackgroundLoad::with_level(load, 5), 20).expect("app");
             app.reset();
-            let mut gpu_gov = AdrenoTz::default();
-            let report = {
-                let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut supervisor];
-                event::run(&mut device, &mut app, &mut policies, 12_000)
-            };
+            let report =
+                with_controller_stack(ControlMode::Coordinated, &mut supervisor, |policies| {
+                    event::run(&mut device, &mut app, policies, 12_000)
+                });
             let snapshot = supervisor
                 .inner()
                 .snapshot_bytes(device.now_ms())

@@ -67,6 +67,27 @@ pub fn measure_fixed<F>(
 where
     F: FnMut() -> Vec<Box<dyn Policy>>,
 {
+    measure_runs(dev_cfg, app, runs, |_, device, app| {
+        let mut policies = make_policies();
+        let mut refs: Vec<&mut dyn Policy> =
+            policies.iter_mut().map(|p| p as &mut dyn Policy).collect();
+        sim::run(device, app, &mut refs, max_ms)
+    })
+}
+
+/// Run the application `runs` times, each on a fresh device (run `i`
+/// seeded `dev_cfg.seed ^ (0xf0 + i)`) with the application reset, and
+/// aggregate the reports. `run_one(i, device, app)` drives run `i`:
+/// it builds the policies and makes the engine call.
+pub fn measure_runs<F>(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    runs: usize,
+    mut run_one: F,
+) -> DefaultMeasurement
+where
+    F: FnMut(usize, &mut Device, &mut PhasedApp) -> RunReport,
+{
     assert!(runs > 0, "need at least one run");
     let mut reports = Vec::with_capacity(runs);
     for run in 0..runs {
@@ -75,12 +96,8 @@ where
                 .clone()
                 .with_seed(dev_cfg.seed ^ (0xf0 + run as u64)),
         );
-        let mut policies = make_policies();
-        let mut refs: Vec<&mut dyn Policy> =
-            policies.iter_mut().map(|p| p as &mut dyn Policy).collect();
         app.reset();
-        let report = sim::run(&mut device, app, &mut refs, max_ms);
-        reports.push(report);
+        reports.push(run_one(run, &mut device, app));
     }
     DefaultMeasurement::from_reports(reports)
 }

@@ -32,7 +32,7 @@ mod default_run;
 mod profile;
 mod table;
 
-pub use default_run::{measure_default, measure_fixed, DefaultMeasurement};
+pub use default_run::{measure_default, measure_fixed, measure_runs, DefaultMeasurement};
 pub use profile::{
     fit_mar_cse, profile_app, profile_app_cpu_only, profile_app_serial, profile_app_threads,
     profile_app_with_gpu, ProfileOptions,
