@@ -6,7 +6,11 @@
 //! and per fault class, and writes `BENCH_fleet.json` at the repository
 //! root with throughput figures (device-epochs/sec, controller
 //! cycles/sec, peak RSS), keyed per tier so the 10³/10⁵/10⁶ rows
-//! accumulate across invocations.
+//! accumulate across invocations. Each row also carries
+//! `reference_s`, the time of a fixed CPU kernel split over the run's
+//! threads, and `device_epochs_per_ref`, the throughput in
+//! device-epochs per reference time: a machine-independent figure a
+//! regression gate can compare across runners.
 //!
 //! Run: `cargo run --release -p asgov-experiments --bin fleet --
 //!       [--tier smoke|bench|bench-1m] [--devices N] [--shards N]
@@ -119,6 +123,49 @@ fn peak_rss_kib() -> u64 {
         .unwrap_or(0)
 }
 
+/// Total iterations of the reference kernel, split evenly over the
+/// run's threads (about 15 ms of one core's time).
+const REFERENCE_ITERS: u64 = 4_000_000;
+
+/// Reference samples taken before the run, and again after it.
+const REFERENCE_SAMPLES: usize = 5;
+
+/// One sample of the machine's speed: the wall time of a fixed amount
+/// of CPU work — integer and floating-point arithmetic, a branch and a
+/// small table, like the simulator's inner loops — split over
+/// `threads` threads, s. With the work split the way the fleet splits
+/// its shards, throughput times this time cancels both core speed and
+/// core count.
+fn reference_s(threads: usize) -> f64 {
+    let threads = threads.max(1);
+    let t = Instant::now();
+    std::thread::scope(|s| {
+        for seed in 0..threads as u64 {
+            let iters = REFERENCE_ITERS / threads as u64;
+            s.spawn(move || {
+                std::hint::black_box(reference_kernel(std::hint::black_box(seed), iters))
+            });
+        }
+    });
+    t.elapsed().as_secs_f64()
+}
+
+fn reference_kernel(seed: u64, iters: u64) -> f64 {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut table = [0.0f64; 256];
+    let mut acc = 0.0;
+    for _ in 0..iters {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let u = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let slot = &mut table[(x & 255) as usize];
+        *slot = *slot * 0.999 + u.sqrt() * if u > 0.5 { 1.5 } else { 0.5 };
+        acc += *slot / (1.0 + u);
+    }
+    acc
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Invocation { cfg, tier } = match parse_args(&args) {
@@ -149,6 +196,16 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let threads = if cfg.threads == 0 {
+        asgov_util::par::default_threads(cfg.shards as usize)
+    } else {
+        cfg.threads
+    };
+    // The fleet's pool never runs more workers than shards.
+    let ref_threads = threads.min(cfg.shards as usize);
+    let mut ref_samples: Vec<f64> = (0..REFERENCE_SAMPLES)
+        .map(|_| reference_s(ref_threads))
+        .collect();
     let t_run = Instant::now();
     let report = match fleet.run(&store) {
         Ok(r) => r.clone(),
@@ -158,16 +215,18 @@ fn main() {
         }
     };
     let run_secs = t_run.elapsed().as_secs_f64();
+    // The reference is the lower quartile of the samples before and
+    // after: bursts of contention inflate single samples, and the lower
+    // quartile follows the slower drift of the machine's speed.
+    ref_samples.extend((0..REFERENCE_SAMPLES).map(|_| reference_s(ref_threads)));
+    ref_samples.sort_by(f64::total_cmp);
+    let ref_s = ref_samples[ref_samples.len() / 4];
 
     let device_epochs = report.totals.online + report.totals.offline;
     let device_epochs_per_sec = device_epochs as f64 / run_secs.max(1e-9);
+    let device_epochs_per_ref = device_epochs_per_sec * ref_s;
     let cycles_per_sec = report.controller_cycles() as f64 / run_secs.max(1e-9);
     let rss_kib = peak_rss_kib();
-    let threads = if cfg.threads == 0 {
-        asgov_util::par::default_threads(cfg.shards as usize)
-    } else {
-        cfg.threads
-    };
 
     let s = &report.totals.savings;
     println!("\nenergy savings vs default governor, percent (mean ± std [min, max], n):");
@@ -191,6 +250,10 @@ fn main() {
          peak RSS {:.1} MiB",
         rss_kib as f64 / 1024.0
     );
+    println!(
+        "reference kernel: {:.2} ms on {ref_threads} threads, {device_epochs_per_ref:.1} device-epochs per reference",
+        ref_s * 1e3
+    );
 
     let mut row = Json::object();
     row.set("devices", cfg.devices as f64);
@@ -204,14 +267,14 @@ fn main() {
     row.set("run_secs", run_secs);
     row.set("device_epochs", device_epochs as f64);
     row.set("device_epochs_per_sec", device_epochs_per_sec);
+    row.set("reference_s", ref_s);
+    row.set("device_epochs_per_ref", device_epochs_per_ref);
     row.set("controller_cycles_per_sec", cycles_per_sec);
     row.set("peak_rss_kib", rss_kib as f64);
     row.set("report", report.to_json());
 
-    // Top level mirrors this run (back-compat for the regression gate,
-    // which reads `device_epochs_per_sec` of the smoke tier) and keys every
-    // tier's latest row under "tiers" so the 10³/10⁵/10⁶ results
-    // accumulate across invocations.
+    // Top level mirrors this run and keys every tier's latest row under
+    // "tiers" so the 10³/10⁵/10⁶ results accumulate across invocations.
     let path = repo_root().join("BENCH_fleet.json");
     let mut tiers = std::fs::read_to_string(&path)
         .ok()
@@ -234,6 +297,8 @@ fn main() {
         "run_secs",
         "device_epochs",
         "device_epochs_per_sec",
+        "reference_s",
+        "device_epochs_per_ref",
         "controller_cycles_per_sec",
         "peak_rss_kib",
         "report",

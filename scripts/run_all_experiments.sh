@@ -26,25 +26,30 @@ done
 # otherwise. Both write ./BENCH_fleet.json (per-tier rows accumulate
 # under its "tiers" key).
 echo "=== fleet ==="
-# Extract a tier's device_epochs_per_sec from BENCH_fleet.json: the
-# file's keys are sorted, so the first device_epochs_per_sec after the
-# tier key is that tier's row.
-smoke_dps() {
-  awk '/"smoke": \{/{f=1} f && /"device_epochs_per_sec":/{gsub(/[",]/,"",$2); print $2; exit}' \
-    BENCH_fleet.json 2>/dev/null || true
+# The smoke tier's device_epochs_per_ref from a BENCH_fleet.json on
+# stdin: throughput in device-epochs per run of a fixed CPU kernel the
+# fleet binary times beside the run, so it does not move with the
+# runner's speed. The file's keys are sorted, so the first
+# device_epochs_per_ref after the tier key is that tier's row.
+smoke_ratio() {
+  # Reads to the end (no early `exit`): a writer piping into it must
+  # not die of SIGPIPE under `pipefail`.
+  awk '/"smoke": \{/{f=1} f && !done && /"device_epochs_per_ref":/{gsub(/[",]/,"",$2); print $2; done=1}' 
 }
 if [ "$QUICK" = "--quick" ]; then
-  # Committed baseline, captured before the run overwrites the file.
-  BASELINE_DPS="$(smoke_dps)"
+  # The committed baseline: from git when the tree is a checkout (an
+  # earlier fleet run may have rewritten the file), else the file as
+  # it stands before this run overwrites it.
+  BASELINE="$( (git show HEAD:BENCH_fleet.json 2>/dev/null || cat BENCH_fleet.json 2>/dev/null) | smoke_ratio)"
   cargo run --release -p asgov-experiments --bin fleet -- --smoke \
     > "results/fleet.txt" 2>&1
-  # Perf regression gate: the 10^3 smoke tier's device-epochs/sec must
-  # stay within 30% of the committed baseline throughput.
-  NEW_DPS="$(smoke_dps)"
-  if [ -n "$BASELINE_DPS" ] && [ -n "$NEW_DPS" ]; then
-    awk -v b="$BASELINE_DPS" -v n="$NEW_DPS" \
-      'BEGIN { printf "fleet smoke gate: %.0f device-epochs/sec vs committed %.0f (floor 70%%)\n", n, b; exit !(n >= 0.7 * b) }' \
-      || { echo "FAIL: fleet smoke device-epochs/sec regressed more than 30% vs the committed baseline" >&2; exit 1; }
+  # Perf regression gate: the 10^3 smoke tier's device-epochs per
+  # reference must stay within 30% of the committed baseline.
+  NEW="$(smoke_ratio < BENCH_fleet.json)"
+  if [ -n "$BASELINE" ] && [ -n "$NEW" ]; then
+    awk -v b="$BASELINE" -v n="$NEW" \
+      'BEGIN { printf "fleet smoke gate: %.1f device-epochs per reference vs committed %.1f (floor 70%%)\n", n, b; exit !(n >= 0.7 * b) }' \
+      || { echo "FAIL: fleet smoke device-epochs per reference regressed more than 30% vs the committed baseline" >&2; exit 1; }
   else
     echo "fleet smoke gate: no committed smoke baseline; gate skipped"
   fi
