@@ -23,10 +23,11 @@ OPTIONS:
   --root <DIR>          Workspace root (default: discovered upward
                         from the current directory)
   --report <FILE>       Report path (default: <root>/ANALYZE_report.json)
-  --baseline <FILE>     Diff findings against a committed report; any
-                        finding not in the baseline fails the run. The
-                        diff is written next to the report as
-                        <report>.diff
+  --baseline <FILE>     Diff findings and the inventory (files scanned,
+                        codec pairs) against a committed report; a
+                        finding not in the baseline, or any inventory
+                        change, fails the run. The diff is written next
+                        to the report as <report>.diff
   --skip-interleavings  Lint only; skip the interleaving checker
   --quick               Smaller interleaving configurations (CI smoke)";
 
@@ -95,8 +96,36 @@ fn finding_keys(findings: &Json) -> Vec<(String, String, String)> {
     out
 }
 
+/// The inventory a baseline holds the tree to, one key per item: the
+/// scanned-file count, then every codec pair in report order (name,
+/// op count, verified and `Restartable` flags; pairs carry no line
+/// numbers).
+fn inventory_keys(report: &Json) -> Vec<String> {
+    let files = report.get("files_scanned").and_then(Json::as_f64);
+    let mut out = vec![format!("files_scanned {}", files.unwrap_or(-1.0))];
+    let pairs = report.get("codec_pairs");
+    let mut i = 0;
+    while let Some(p) = pairs.and_then(|ps| ps.at(i)) {
+        let s = |k: &str| p.get(k).and_then(Json::as_str).unwrap_or("-");
+        let b = |k: &str| p.get(k).and_then(Json::as_bool).unwrap_or(false);
+        out.push(format!(
+            "codec pair {} {}::{}/{} ops={} verified={} restartable={}",
+            s("file"),
+            s("impl_type"),
+            s("writer"),
+            s("reader"),
+            p.get("ops").and_then(Json::as_f64).unwrap_or(-1.0),
+            b("verified"),
+            b("restartable"),
+        ));
+        i += 1;
+    }
+    out
+}
+
 /// Compare the current report against a committed baseline. Returns
-/// the diff text and whether any *new* finding appeared.
+/// the diff text and whether the run must fail: a *new* finding
+/// appeared, or the inventory ([`inventory_keys`]) changed at all.
 fn baseline_diff(baseline_raw: &str, current: &Json) -> (String, bool) {
     let empty = Json::Arr(vec![]);
     let baseline = Json::parse(baseline_raw).unwrap_or(Json::Null);
@@ -118,7 +147,23 @@ fn baseline_diff(baseline_raw: &str, current: &Json) -> (String, bool) {
     if diff.is_empty() {
         diff.push_str("no finding drift against baseline\n");
     }
-    (diff, new_count > 0)
+    let base_inv = inventory_keys(&baseline);
+    let cur_inv = inventory_keys(current);
+    let added: Vec<&String> = cur_inv.iter().filter(|k| !base_inv.contains(k)).collect();
+    let removed: Vec<&String> = base_inv.iter().filter(|k| !cur_inv.contains(k)).collect();
+    for k in &added {
+        diff.push_str(&format!("+ inventory: {k}\n"));
+    }
+    for k in &removed {
+        diff.push_str(&format!("- inventory: {k}\n"));
+    }
+    let inventory_drift = base_inv != cur_inv;
+    if !inventory_drift {
+        diff.push_str("no inventory drift against baseline\n");
+    } else if added.is_empty() && removed.is_empty() {
+        diff.push_str("~ inventory: codec pairs reordered\n");
+    }
+    (diff, new_count > 0 || inventory_drift)
 }
 
 fn main() -> ExitCode {
@@ -257,7 +302,10 @@ fn main() -> ExitCode {
         print!("baseline: {diff}");
         println!("baseline diff: {}", diff_path.display());
         if has_new {
-            eprintln!("error: new findings relative to the committed baseline");
+            eprintln!(
+                "error: new findings or inventory drift relative to the committed baseline \
+                 (regenerate it with --skip-interleavings --report <baseline>)"
+            );
             regressed = true;
         }
     }
@@ -322,6 +370,56 @@ mod tests {
         let (diff, has_new) = baseline_diff(&base.to_pretty(), &cur);
         assert!(!has_new, "removals must not fail the gate");
         assert!(diff.contains("- [float-eq] a.rs: x == y"), "{diff}");
+    }
+
+    /// A report with `files` scanned files and one codec pair per
+    /// `(reader, ops)`.
+    fn inventory(files: usize, pairs: &[(&str, usize)]) -> Json {
+        let mut doc = report_with(&[]);
+        doc.set("files_scanned", files);
+        let pairs = pairs
+            .iter()
+            .map(|&(reader, ops)| {
+                let mut p = Json::object();
+                p.set("file", "a.rs");
+                p.set("impl_type", "A");
+                p.set("writer", "snapshot_bytes");
+                p.set("reader", reader);
+                p.set("ops", ops);
+                p.set("verified", true);
+                p.set("restartable", true);
+                p
+            })
+            .collect();
+        doc.set("codec_pairs", Json::Arr(pairs));
+        doc
+    }
+
+    #[test]
+    fn inventory_drift_fails_and_is_listed() {
+        let base = inventory(10, &[("restore_bytes", 4), ("decode_state", 2)]);
+        let (diff, failed) = baseline_diff(&base.to_pretty(), &base);
+        assert!(!failed);
+        assert!(diff.contains("no inventory drift"), "{diff}");
+
+        let cur = inventory(11, &[("restore_bytes", 4), ("decode_state", 2)]);
+        let (diff, failed) = baseline_diff(&base.to_pretty(), &cur);
+        assert!(failed, "a new scanned file must fail the gate");
+        assert!(diff.contains("+ inventory: files_scanned 11"), "{diff}");
+        assert!(diff.contains("- inventory: files_scanned 10"), "{diff}");
+
+        let cur = inventory(10, &[("restore_bytes", 5), ("decode_state", 2)]);
+        let (diff, failed) = baseline_diff(&base.to_pretty(), &cur);
+        assert!(failed, "a changed op count must fail the gate");
+        assert!(
+            diff.contains("::snapshot_bytes/restore_bytes ops=5"),
+            "{diff}"
+        );
+
+        let cur = inventory(10, &[("decode_state", 2), ("restore_bytes", 4)]);
+        let (diff, failed) = baseline_diff(&base.to_pretty(), &cur);
+        assert!(failed, "reordered pairs must fail the gate");
+        assert!(diff.contains("codec pairs reordered"), "{diff}");
     }
 
     #[test]

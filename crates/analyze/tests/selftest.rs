@@ -438,3 +438,58 @@ fn fleet_shard_loop_is_covered_and_clean() {
         );
     }
 }
+
+/// `--baseline` fails on inventory drift that no finding shows: the
+/// fixture tree adds a file and a field to a symmetric codec pair
+/// after `inventory_baseline.json` was taken. A baseline regenerated
+/// from the tree passes.
+#[test]
+fn baseline_catches_inventory_drift() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let root = std::env::temp_dir().join("asgov_analyze_inventory_fixture");
+    let src = root.join("crates/demo/src");
+    std::fs::create_dir_all(&src).expect("fixture tree");
+    std::fs::write(root.join("Cargo.toml"), "").expect("fixture manifest");
+    std::fs::copy(fixtures.join("inventory.rs"), src.join("lib.rs")).expect("fixture source");
+    std::fs::write(
+        src.join("extra.rs"),
+        "//! A file added after the baseline.\n",
+    )
+    .expect("extra file");
+    let report = root.join("report.json");
+    let run = |baseline: &Path| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_asgov-analyze"))
+            .args(["--workspace", "--skip-interleavings", "--root"])
+            .arg(&root)
+            .arg("--report")
+            .arg(&report)
+            .arg("--baseline")
+            .arg(baseline)
+            .output()
+            .expect("run asgov-analyze")
+    };
+
+    let out = run(&fixtures.join("inventory_baseline.json"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "inventory drift passed:\n{stdout}");
+    assert!(stdout.contains("0 finding(s)"), "{stdout}");
+    for line in [
+        "+ inventory: files_scanned 2",
+        "- inventory: files_scanned 1",
+        "+ inventory: codec pair crates/demo/src/lib.rs Demo::encode_state/decode_state ops=3",
+        "- inventory: codec pair crates/demo/src/lib.rs Demo::encode_state/decode_state ops=2",
+    ] {
+        assert!(stdout.contains(line), "missing {line:?} in:\n{stdout}");
+    }
+
+    let regenerated = root.join("baseline.json");
+    std::fs::copy(&report, &regenerated).expect("regenerate the baseline");
+    let out = run(&regenerated);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "regenerated baseline failed:\n{stdout}"
+    );
+    assert!(stdout.contains("no inventory drift"), "{stdout}");
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -8,12 +8,17 @@
 # Usage: scripts/analyze.sh [--quick] [--skip-interleavings] [--baseline]
 #   --quick               smaller interleaving configurations (CI smoke)
 #   --skip-interleavings  lints only
-#   --baseline            additionally diff the finding list against the
-#                         committed ANALYZE_baseline.json; any finding
-#                         not in the baseline fails the run, and the
-#                         diff lands in ANALYZE_report.json.diff. (Line
-#                         numbers are excluded from the comparison, so
-#                         findings that merely moved do not trip it.)
+#   --baseline            additionally diff the finding list and the
+#                         inventory (files scanned, codec pairs) against
+#                         the committed ANALYZE_baseline.json; a finding
+#                         not in the baseline, or any inventory change,
+#                         fails the run, and the diff lands in
+#                         ANALYZE_report.json.diff. (Line numbers are
+#                         excluded from the comparison, so findings that
+#                         merely moved do not trip it.) Regenerate the
+#                         baseline after adding or removing files:
+#                         cargo run --release -p asgov-analyze -- --workspace
+#                           --skip-interleavings --report ANALYZE_baseline.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 args=()
