@@ -97,30 +97,21 @@ fn finding_keys(findings: &Json) -> Vec<(String, String, String)> {
 }
 
 /// The inventory a baseline holds the tree to, one key per item: the
-/// scanned-file count, then every codec pair in report order (name,
-/// op count, verified and `Restartable` flags; pairs carry no line
-/// numbers).
+/// scanned-file count, then every codec pair in report order, as its
+/// compact JSON (pairs carry no line numbers).
 fn inventory_keys(report: &Json) -> Vec<String> {
-    let files = report.get("files_scanned").and_then(Json::as_f64);
-    let mut out = vec![format!("files_scanned {}", files.unwrap_or(-1.0))];
-    let pairs = report.get("codec_pairs");
-    let mut i = 0;
-    while let Some(p) = pairs.and_then(|ps| ps.at(i)) {
-        let s = |k: &str| p.get(k).and_then(Json::as_str).unwrap_or("-");
-        let b = |k: &str| p.get(k).and_then(Json::as_bool).unwrap_or(false);
-        out.push(format!(
-            "codec pair {} {}::{}/{} ops={} verified={} restartable={}",
-            s("file"),
-            s("impl_type"),
-            s("writer"),
-            s("reader"),
-            p.get("ops").and_then(Json::as_f64).unwrap_or(-1.0),
-            b("verified"),
-            b("restartable"),
-        ));
-        i += 1;
-    }
-    out
+    let files = report
+        .get("files_scanned")
+        .map_or("-".into(), Json::to_string);
+    let pairs = report.get("codec_pairs").and_then(Json::as_array);
+    std::iter::once(format!("files_scanned {files}"))
+        .chain(
+            pairs
+                .unwrap_or_default()
+                .iter()
+                .map(|p| format!("codec pair {p}")),
+        )
+        .collect()
 }
 
 /// Compare the current report against a committed baseline. Returns
@@ -411,10 +402,8 @@ mod tests {
         let cur = inventory(10, &[("restore_bytes", 5), ("decode_state", 2)]);
         let (diff, failed) = baseline_diff(&base.to_pretty(), &cur);
         assert!(failed, "a changed op count must fail the gate");
-        assert!(
-            diff.contains("::snapshot_bytes/restore_bytes ops=5"),
-            "{diff}"
-        );
+        let changed = r#"+ inventory: codec pair {"file":"a.rs","impl_type":"A","ops":5"#;
+        assert!(diff.contains(changed), "{diff}");
 
         let cur = inventory(10, &[("decode_state", 2), ("restore_bytes", 4)]);
         let (diff, failed) = baseline_diff(&base.to_pretty(), &cur);

@@ -476,8 +476,8 @@ fn baseline_catches_inventory_drift() {
     for line in [
         "+ inventory: files_scanned 2",
         "- inventory: files_scanned 1",
-        "+ inventory: codec pair crates/demo/src/lib.rs Demo::encode_state/decode_state ops=3",
-        "- inventory: codec pair crates/demo/src/lib.rs Demo::encode_state/decode_state ops=2",
+        r#"+ inventory: codec pair {"file":"crates/demo/src/lib.rs","impl_type":"Demo","ops":3"#,
+        r#"- inventory: codec pair {"file":"crates/demo/src/lib.rs","impl_type":"Demo","ops":2"#,
     ] {
         assert!(stdout.contains(line), "missing {line:?} in:\n{stdout}");
     }

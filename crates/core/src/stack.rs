@@ -13,22 +13,9 @@ use asgov_soc::Policy;
 /// memory bandwidth stays with `cpubw_hwmon` (§V-D).
 ///
 /// `controller` is an [`crate::EnergyController`] or a
-/// [`crate::Supervisor`] around one. The stock governors are fresh
-/// per call and live on the stack; nothing is allocated. The caller
-/// owns the engine call (`sim::run`, `event::run_energy_j`, …), so
-/// the device, workload and duration stay its business:
-///
-/// ```no_run
-/// # use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder};
-/// # use asgov_soc::{sim, Device, DeviceConfig};
-/// # fn demo(profile: asgov_profiler::ProfileTable, app: &mut asgov_workloads::PhasedApp) {
-/// let mut controller = ControllerBuilder::new(profile).target_gips(0.5).build();
-/// let mut device = Device::new(DeviceConfig::nexus6());
-/// let report = with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
-///     sim::run(&mut device, app, policies, 60_000)
-/// });
-/// # }
-/// ```
+/// [`crate::Supervisor`]. The stock governors live on the stack for
+/// the call; nothing is allocated. The caller owns the engine call
+/// (`sim::run`, `event::run_energy_j`, …), device and workload.
 pub fn with_controller_stack<C: Policy, R>(
     mode: ControlMode,
     controller: &mut C,

@@ -26,8 +26,7 @@ use asgov_obs::RingSink;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
 use asgov_soc::sim::RunReport;
 use asgov_soc::{
-    event, Device, DeviceConfig, FaultInjector, FaultKind, FaultPlan, HealthReport, Policy,
-    Workload as _,
+    event, Device, DeviceConfig, FaultInjector, FaultKind, FaultPlan, Policy, Workload as _,
 };
 use asgov_util::Json;
 use asgov_workloads::{apps, BackgroundLoad, PhasedApp};
@@ -85,13 +84,6 @@ fn fault_matrix(start: u64, end: u64) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-struct Row {
-    fault: &'static str,
-    energy_j: f64,
-    avg_gips: f64,
-    health: HealthReport,
-}
-
 /// A fault plan with `kills` controller-kill windows spread evenly
 /// across `[start, end)`.
 fn kill_plan(start: u64, end: u64, kills: u64) -> FaultPlan {
@@ -106,18 +98,9 @@ fn kill_plan(start: u64, end: u64, kills: u64) -> FaultPlan {
     plan
 }
 
-struct KillRow {
-    app: &'static str,
-    kills: u64,
-    seed: u64,
-    mode: &'static str,
-    energy_j: f64,
-    avg_gips: f64,
-    health: HealthReport,
-}
-
 /// Supervised cold-vs-warm restart comparison under injected controller
-/// kills: apps × kill counts × seeds × {cold, warm}.
+/// kills: apps × kill counts × seeds × {cold, warm}, one JSON row each
+/// (cold, then warm).
 fn run_kill_matrix(
     dev_cfg: &DeviceConfig,
     opts: &ProfileOptions,
@@ -125,7 +108,7 @@ fn run_kill_matrix(
     f_start: u64,
     f_end: u64,
     seeds: &[u64],
-) -> Vec<KillRow> {
+) -> Vec<Json> {
     let mut rows = Vec::new();
     println!("\n=== Kill matrix: supervised cold vs warm restarts ===\n");
     println!(
@@ -194,15 +177,23 @@ fn run_kill_matrix(
                         health.snapshot_errors,
                         rec,
                     );
-                    rows.push(KillRow {
-                        app: app_name,
-                        kills,
-                        seed,
-                        mode,
-                        energy_j: report.energy_j,
-                        avg_gips: report.avg_gips,
-                        health,
-                    });
+                    let mut row = Json::object();
+                    row.set("app", app_name);
+                    row.set("kills", kills as f64);
+                    row.set("seed", seed as f64);
+                    row.set("mode", mode);
+                    row.set("energy_j", report.energy_j);
+                    row.set("avg_gips", report.avg_gips);
+                    row.set("restarts", health.restarts as f64);
+                    row.set("warm_restarts", health.warm_restarts as f64);
+                    row.set("snapshot_errors", health.snapshot_errors as f64);
+                    row.set("downtime_ms", health.downtime_ms as f64);
+                    match health.restart_recovery_ms {
+                        Some(ms) => row.set("recovery_ms", ms as f64),
+                        None => row.set("recovery_ms", Json::Null),
+                    }
+                    row.set("level", health.level.to_string().as_str());
+                    rows.push(row);
                 }
             }
         }
@@ -245,7 +236,7 @@ fn main() {
         "rec (cyc)"
     );
 
-    let mut rows = Vec::new();
+    let mut matrix = Vec::new();
     for (name, plan) in fault_matrix(f_start, f_end) {
         let mut device = Device::new(dev_cfg.clone());
         device.install_faults(FaultInjector::new(plan, 0x5eed));
@@ -273,15 +264,20 @@ fn main() {
             health.level.to_string(),
             latency,
         );
-        rows.push(Row {
-            fault: name,
-            energy_j: report.energy_j,
-            avg_gips: report.avg_gips,
-            health,
-        });
+        let mut row = Json::object();
+        row.set("fault", name);
+        row.set("energy_j", report.energy_j);
+        row.set("avg_gips", report.avg_gips);
+        row.set("health", health.to_json());
+        matrix.push(row);
     }
 
-    let clean_energy = rows[0].energy_j;
+    let energy_j = |row: &Json| {
+        row.get("energy_j")
+            .and_then(Json::as_f64)
+            .unwrap_or(f64::NAN)
+    };
+    let clean_energy = energy_j(&matrix[0]);
     println!(
         "\nbaseline (default governors): {:.4} GIPS, {:.1} J; clean controller run: {:.1} J",
         default.gips, default.energy_j, clean_energy
@@ -294,15 +290,6 @@ fn main() {
     doc.set("fault_window_ms", format!("{f_start}..{f_end}").as_str());
     doc.set("default_gips", default.gips);
     doc.set("default_energy_j", default.energy_j);
-    let mut matrix = Vec::new();
-    for r in &rows {
-        let mut row = Json::object();
-        row.set("fault", r.fault);
-        row.set("energy_j", r.energy_j);
-        row.set("avg_gips", r.avg_gips);
-        row.set("health", r.health.to_json());
-        matrix.push(row);
-    }
     doc.set("matrix", Json::Arr(matrix));
 
     if kill_matrix {
@@ -312,7 +299,7 @@ fn main() {
         let mut deltas = Vec::new();
         for pair in kill_rows.chunks(2) {
             if let [cold, warm] = pair {
-                deltas.push(cold.energy_j - warm.energy_j);
+                deltas.push(energy_j(cold) - energy_j(warm));
             }
         }
         let mean_delta = deltas.iter().sum::<f64>() / deltas.len().max(1) as f64;
@@ -320,27 +307,7 @@ fn main() {
             "\nwarm restarts saved {mean_delta:.2} J on average over cold (paired across {} scenarios)",
             deltas.len()
         );
-        let mut arr = Vec::new();
-        for r in &kill_rows {
-            let mut row = Json::object();
-            row.set("app", r.app);
-            row.set("kills", r.kills as f64);
-            row.set("seed", r.seed as f64);
-            row.set("mode", r.mode);
-            row.set("energy_j", r.energy_j);
-            row.set("avg_gips", r.avg_gips);
-            row.set("restarts", r.health.restarts as f64);
-            row.set("warm_restarts", r.health.warm_restarts as f64);
-            row.set("snapshot_errors", r.health.snapshot_errors as f64);
-            row.set("downtime_ms", r.health.downtime_ms as f64);
-            match r.health.restart_recovery_ms {
-                Some(ms) => row.set("recovery_ms", ms as f64),
-                None => row.set("recovery_ms", Json::Null),
-            }
-            row.set("level", r.health.level.to_string().as_str());
-            arr.push(row);
-        }
-        doc.set("kill_matrix", Json::Arr(arr));
+        doc.set("kill_matrix", Json::Arr(kill_rows));
         doc.set("warm_vs_cold_energy_delta_j_mean", mean_delta);
     }
 

@@ -6,11 +6,9 @@
 //! and per fault class, and writes `BENCH_fleet.json` at the repository
 //! root with throughput figures (device-epochs/sec, controller
 //! cycles/sec, peak RSS), keyed per tier so the 10³/10⁵/10⁶ rows
-//! accumulate across invocations. Each row also carries
-//! `reference_s`, the time of a fixed CPU kernel split over the run's
-//! threads, and `device_epochs_per_ref`, the throughput in
-//! device-epochs per reference time: a machine-independent figure a
-//! regression gate can compare across runners.
+//! accumulate across invocations, and `device_epochs_per_ref`: the
+//! throughput per [`reference_s`], which a gate can compare across
+//! machines.
 //!
 //! Run: `cargo run --release -p asgov-experiments --bin fleet --
 //!       [--tier smoke|bench|bench-1m] [--devices N] [--shards N]
@@ -310,7 +308,7 @@ fn main() {
     bench.set("tiers", tiers);
 
     match std::fs::write(&path, bench.to_pretty() + "\n") {
-        Ok(()) => println!("\nwrote {}", path.display()),
+        Ok(()) => println!("\nwrote BENCH_fleet.json"),
         Err(e) => {
             eprintln!("fleet: writing {}: {e}", path.display());
             std::process::exit(1);

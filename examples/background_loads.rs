@@ -35,15 +35,11 @@ fn main() {
         let mut controller = ControllerBuilder::new(profile.clone())
             .target_gips(target)
             .build();
-        let mut gpu_gov = asgov::governors::AdrenoTz::default();
         let mut device = Device::new(dev_cfg.clone());
         app.reset();
-        let report = sim::run(
-            &mut device,
-            &mut app,
-            &mut [&mut gpu_gov, &mut controller],
-            60_000,
-        );
+        let report = with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
+            sim::run(&mut device, &mut app, policies, 60_000)
+        });
 
         println!(
             "{:<6} {:>11.1}% {:>11.1}% {:>10.3}",

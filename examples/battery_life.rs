@@ -25,15 +25,11 @@ fn main() {
     let mut controller = ControllerBuilder::new(profile)
         .target_gips(default.gips)
         .build();
-    let mut gpu_gov = asgov::governors::AdrenoTz::default();
     let mut device = Device::new(dev_cfg.clone());
     app.reset();
-    let report = sim::run(
-        &mut device,
-        &mut app,
-        &mut [&mut gpu_gov, &mut controller],
-        120_000,
-    );
+    let report = with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
+        sim::run(&mut device, &mut app, policies, 120_000)
+    });
 
     let capacity = device.battery().capacity_j();
     let hours = |power_w: f64| capacity / power_w / 3600.0;

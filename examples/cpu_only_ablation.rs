@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release --example cpu_only_ablation`
 
-use asgov::governors::{AdrenoTz, CpubwHwmon};
 use asgov::prelude::*;
 
 fn main() {
@@ -27,15 +26,11 @@ fn main() {
     let mut coordinated = ControllerBuilder::new(coord_profile)
         .target_gips(default.gips)
         .build();
-    let mut gpu_gov = AdrenoTz::default();
     let mut device = Device::new(dev_cfg.clone());
     app.reset();
-    let coord = sim::run(
-        &mut device,
-        &mut app,
-        &mut [&mut gpu_gov, &mut coordinated],
-        120_000,
-    );
+    let coord = with_controller_stack(ControlMode::Coordinated, &mut coordinated, |policies| {
+        sim::run(&mut device, &mut app, policies, 120_000)
+    });
 
     // CPU-only: re-profiled with the bandwidth under cpubw_hwmon.
     let cpu_profile = profile_app_cpu_only(&dev_cfg, &mut app, &opts);
@@ -43,16 +38,12 @@ fn main() {
         .target_gips(default.gips)
         .mode(ControlMode::CpuOnly)
         .build();
-    let mut bw_gov = CpubwHwmon::default();
-    let mut gpu_gov2 = AdrenoTz::default();
+    // The stack keeps cpubw_hwmon beside a CPU-only controller.
     let mut device = Device::new(dev_cfg);
     app.reset();
-    let cpuonly = sim::run(
-        &mut device,
-        &mut app,
-        &mut [&mut bw_gov, &mut gpu_gov2, &mut cpu_only],
-        120_000,
-    );
+    let cpuonly = with_controller_stack(ControlMode::CpuOnly, &mut cpu_only, |policies| {
+        sim::run(&mut device, &mut app, policies, 120_000)
+    });
 
     let s_coord = (default.energy_j - coord.energy_j) / default.energy_j * 100.0;
     let s_cpu = (default.energy_j - cpuonly.energy_j) / default.energy_j * 100.0;

@@ -86,15 +86,11 @@ fn main() {
     let mut controller = ControllerBuilder::new(profile)
         .target_gips(baseline.gips)
         .build();
-    let mut gpu_gov = asgov::governors::AdrenoTz::default();
     let mut device = Device::new(dev_cfg);
     app.reset();
-    let report = sim::run(
-        &mut device,
-        &mut app,
-        &mut [&mut gpu_gov, &mut controller],
-        90_000,
-    );
+    let report = with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
+        sim::run(&mut device, &mut app, policies, 90_000)
+    });
 
     println!(
         "default: {:.3} GIPS / {:.1} J   controller: {:.3} GIPS / {:.1} J   ({:.1}% saved)",

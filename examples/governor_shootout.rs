@@ -99,12 +99,10 @@ fn main() {
     );
     let target = rows[0].1;
     let mut controller = ControllerBuilder::new(profile).target_gips(target).build();
-    let mut gpu_gov = asgov::governors::AdrenoTz::default();
-    rows.push(run_stack(
-        &dev_cfg,
-        &mut app,
-        "asgov controller",
-        &mut [&mut gpu_gov, &mut controller],
+    rows.push(with_controller_stack(
+        ControlMode::Coordinated,
+        &mut controller,
+        |policies| run_stack(&dev_cfg, &mut app, "asgov controller", policies),
     ));
 
     println!("{:<28} {:>10} {:>12}", "policy stack", "GIPS", "energy (J)");

@@ -5,7 +5,6 @@
 //!
 //! Run with: `cargo run --release --example gpu_axis`
 
-use asgov::governors::AdrenoTz;
 use asgov::prelude::*;
 use asgov::profiler::profile_app_with_gpu;
 
@@ -30,15 +29,11 @@ fn main() {
     let mut controller2 = ControllerBuilder::new(profile2)
         .target_gips(default.gips)
         .build();
-    let mut gpu_gov = AdrenoTz::default();
     let mut device = Device::new(dev_cfg.clone());
     app.reset();
-    let two_axis = sim::run(
-        &mut device,
-        &mut app,
-        &mut [&mut gpu_gov, &mut controller2],
-        90_000,
-    );
+    let two_axis = with_controller_stack(ControlMode::Coordinated, &mut controller2, |policies| {
+        sim::run(&mut device, &mut app, policies, 90_000)
+    });
 
     // Three-axis control: the controller pins the GPU too.
     let profile3 = profile_app_with_gpu(&dev_cfg, &mut app, &opts);

@@ -41,17 +41,13 @@ fn main() {
     let mut controller = ControllerBuilder::new(profile)
         .target_gips(baseline.gips)
         .build();
-    // The GPU stays with its stock governor (see the gpu_axis example
-    // for three-axis control).
-    let mut gpu_gov = asgov::governors::AdrenoTz::default();
+    // The stack keeps the GPU with its stock governor (see the gpu_axis
+    // example for three-axis control).
     let mut device = Device::new(dev_cfg);
     app.reset();
-    let report = sim::run(
-        &mut device,
-        &mut app,
-        &mut [&mut gpu_gov, &mut controller],
-        60_000,
-    );
+    let report = with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
+        sim::run(&mut device, &mut app, policies, 60_000)
+    });
     println!(
         "energy controller:  {:.3} GIPS at {:.2} W -> {:.1} J",
         report.avg_gips, report.avg_power_w, report.energy_j

@@ -66,7 +66,7 @@ pub use asgov_workloads as workloads;
 
 /// Convenient single-import surface for applications of the library.
 pub mod prelude {
-    pub use asgov_core::{ControlMode, ControllerBuilder, EnergyController};
+    pub use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder, EnergyController};
     pub use asgov_governors::{android_defaults, CpubwHwmon, Interactive};
     pub use asgov_profiler::{
         measure_default, measure_fixed, profile_app, profile_app_cpu_only, ProfileOptions,
