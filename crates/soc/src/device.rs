@@ -186,6 +186,9 @@ pub struct Device {
     radio: Radio,
     pmu: Pmu,
     monitor: PowerMonitor,
+    // Extra monitors on the same power trace, one per added seed; empty
+    // unless a caller asks for replicas (`add_replica_monitor`).
+    replicas: Vec<PowerMonitor>,
     battery: Battery,
     // cumulative signals governors sample and difference
     busy_core_ms: f64,
@@ -231,6 +234,7 @@ impl Device {
             radio: Radio::wifi(),
             pmu: Pmu::new(),
             monitor: PowerMonitor::new(cfg.monitor_noise_w, cfg.seed),
+            replicas: Vec::new(),
             battery: Battery::nexus6(),
             busy_core_ms: 0.0,
             busy_ms: 0.0,
@@ -302,6 +306,26 @@ impl Device {
     /// The power monitor.
     pub fn monitor(&self) -> &PowerMonitor {
         &self.monitor
+    }
+
+    /// Attach a replica power monitor seeded `seed`: a second Monsoon
+    /// on the same power trace, with the primary monitor's noise level
+    /// and its own noise stream. Every span is booked into it exactly as
+    /// into the primary monitor, and [`Device::reset_stats`] clears it,
+    /// so after a run on an untouched device it holds the bits the
+    /// primary monitor of a device seeded `seed` would hold after the
+    /// same run. That holds because the seed reaches nothing but the
+    /// monitor's noise and no policy or workload reads the monitor
+    /// during a run (see [`Policy`](crate::Policy)): one simulated
+    /// trajectory then stands for every seed's run. Add replicas before
+    /// the device's first span.
+    pub fn add_replica_monitor(&mut self, seed: u64) {
+        self.replicas.push(self.monitor.replica(seed));
+    }
+
+    /// The replica monitors, in the order they were added.
+    pub fn replica_monitors(&self) -> &[PowerMonitor] {
+        &self.replicas
     }
 
     /// The battery.
@@ -595,8 +619,9 @@ impl Device {
         }
     }
 
-    /// Reset statistics (histograms, energy integrator, transition
-    /// counters) without touching device state.
+    /// Reset statistics (histograms, energy integrators of the monitor
+    /// and its replicas, transition counters) without touching device
+    /// state.
     pub fn reset_stats(&mut self) {
         self.gpu.reset_stats();
         self.stats_start_ms = self.now_ms;
@@ -606,6 +631,7 @@ impl Device {
         self.freq_transitions = 0;
         self.bw_transitions = 0;
         self.monitor.reset();
+        self.replicas.iter_mut().for_each(PowerMonitor::reset);
     }
 
     // ---- execution -----------------------------------------------------
@@ -821,6 +847,9 @@ impl Device {
         let measured_first_w = self
             .monitor
             .record_span(total_first_w, total_rest_w, span_ms);
+        if !self.replicas.is_empty() {
+            self.record_replica_spans(total_first_w, total_rest_w, span_ms);
+        }
         self.battery.drain(total_first_w * dt_s);
         for _ in 1..span_ms {
             self.pmu.record(instructions, cycles, bus_bytes);
@@ -863,6 +892,17 @@ impl Device {
             },
             power: first,
             span_ms,
+        }
+    }
+
+    /// Book a span into every replica monitor, as into the primary one.
+    /// Kept out of line so a device without replicas runs a
+    /// `tick_span` no larger than before replicas existed.
+    #[cold]
+    #[inline(never)]
+    fn record_replica_spans(&mut self, first_w: f64, rest_w: f64, span_ms: u64) {
+        for replica in &mut self.replicas {
+            replica.record_span(first_w, rest_w, span_ms);
         }
     }
 
@@ -1381,9 +1421,11 @@ mod tests {
     /// in the first millisecond only), with the GPU and radio busy and
     /// with both idle (their one-add zero replay). Monitor noise is on
     /// for the 1 ms span and off for longer ones, since a span draws its
-    /// noise once (see `monitor`).
+    /// noise once (see `monitor`). A replica monitor seeded `k` holds
+    /// the bits of the monitor of a separate device seeded `k`.
     #[test]
     fn tick_span_is_bit_identical_to_repeated_ticks() {
+        const REPLICA_SEEDS: [u64; 2] = [8, 9];
         let busy = Demand {
             gpu_work: 0.35,
             net_pps: 700.0,
@@ -1400,8 +1442,8 @@ mod tests {
             net_pps: 0.0,
             ..busy
         };
-        let fresh = |n: u64| {
-            let mut cfg = DeviceConfig::nexus6().with_seed(7);
+        let fresh = |n: u64, seed: u64| {
+            let mut cfg = DeviceConfig::nexus6().with_seed(seed);
             if n > 1 {
                 cfg.monitor_noise_w = 0.0;
             }
@@ -1411,13 +1453,14 @@ mod tests {
             d.set_gpu_freq(GpuFreqIndex(4));
             d
         };
-        let fingerprint = |d: &Device| {
+        let fingerprint = |d: &Device, monitor: &PowerMonitor| {
             let mut bits = vec![
                 d.now_ms(),
                 d.pmu().instructions().to_bits(),
                 d.pmu().cycles().to_bits(),
                 d.pmu().bus_bytes().to_bits(),
-                d.monitor().energy_j().to_bits(),
+                monitor.energy_j().to_bits(),
+                monitor.elapsed_ms(),
                 d.battery().drained_j().to_bits(),
                 d.gpu().busy_ms().to_bits(),
                 d.radio().serviced_packets().to_bits(),
@@ -1431,13 +1474,20 @@ mod tests {
         };
         for (label, demand) in [("busy", busy), ("idle GPU and radio", idle_gpu_and_radio)] {
             for n in [1u64, 2, 7, 200] {
-                let mut spanned = fresh(n);
-                let span_out = spanned.tick_span(&demand, n, None);
-                let mut ticked = fresh(n);
-                let first_out = ticked.tick(&demand);
-                for _ in 1..n {
-                    ticked.tick(&demand);
+                let ticked = |seed: u64| {
+                    let mut d = fresh(n, seed);
+                    let first_out = d.tick(&demand);
+                    for _ in 1..n {
+                        d.tick(&demand);
+                    }
+                    (first_out, d)
+                };
+                let mut spanned = fresh(n, 7);
+                for seed in REPLICA_SEEDS {
+                    spanned.add_replica_monitor(seed);
                 }
+                let span_out = spanned.tick_span(&demand, n, None);
+                let (first_out, ticked_7) = ticked(7);
                 assert_eq!(span_out.span_ms, n, "{label}, n = {n}: span run");
                 assert_eq!(
                     TickOutcome {
@@ -1448,11 +1498,61 @@ mod tests {
                     "{label}, n = {n}: outcome of the first tick"
                 );
                 assert_eq!(
-                    fingerprint(&spanned),
-                    fingerprint(&ticked),
+                    fingerprint(&spanned, spanned.monitor()),
+                    fingerprint(&ticked_7, ticked_7.monitor()),
                     "{label}, n = {n}"
                 );
+                let replicas = spanned.replica_monitors();
+                assert_eq!(replicas.len(), REPLICA_SEEDS.len());
+                for (replica, seed) in replicas.iter().zip(REPLICA_SEEDS) {
+                    let (_, alone) = ticked(seed);
+                    assert_eq!(
+                        fingerprint(&spanned, replica),
+                        fingerprint(&alone, alone.monitor()),
+                        "{label}, n = {n}: replica seeded {seed}"
+                    );
+                    if n == 1 {
+                        assert_ne!(
+                            replica.energy_j().to_bits(),
+                            spanned.monitor().energy_j().to_bits(),
+                            "{label}: replica seeded {seed} draws its own noise"
+                        );
+                    }
+                }
             }
+        }
+    }
+
+    /// `reset_stats` clears the replica monitors with the primary one,
+    /// so a second run on the same device measures that run only, in
+    /// every replica, and each replica keeps reading what a separate
+    /// device seeded like it reads over the same two runs.
+    #[test]
+    fn replica_monitors_reset_with_the_statistics() {
+        use crate::workload::{ConstantWorkload, Workload as _};
+        const REPLICA_SEEDS: [u64; 2] = [21, 22];
+        let two_runs = |seed: u64, replicas: &[u64]| {
+            let mut d = Device::new(DeviceConfig::nexus6().with_seed(seed));
+            replicas.iter().for_each(|&r| d.add_replica_monitor(r));
+            let mut app = ConstantWorkload::new("toy", 0.3, 1.5, 1.0);
+            let first = crate::sim::run(&mut d, &mut app, &mut [], 300);
+            app.reset();
+            let second = crate::sim::run(&mut d, &mut app, &mut [], 200);
+            (d, [first, second])
+        };
+        let (mut shared, runs) = two_runs(20, &REPLICA_SEEDS);
+        assert_eq!(runs[1].duration_ms, 200);
+        for (i, seed) in REPLICA_SEEDS.into_iter().enumerate() {
+            let replica = &shared.replica_monitors()[i];
+            assert_eq!(replica.elapsed_ms(), 200, "second run only");
+            let (_, alone) = two_runs(seed, &[]);
+            assert_eq!(runs[1].measured_by(replica), alone[1], "seed {seed}");
+            assert_ne!(runs[1], alone[1], "seed {seed} draws its own noise");
+        }
+        shared.reset_stats();
+        for replica in shared.replica_monitors() {
+            assert_eq!(replica.energy_j(), 0.0);
+            assert_eq!(replica.elapsed_ms(), 0);
         }
     }
 

@@ -69,6 +69,15 @@
 //! workload is polled first, since at demand quantum 1 phased apps sit
 //! at `now + 1` every millisecond.
 //!
+//! The monitor is write-only during a run: no policy or workload reads
+//! [`Device::monitor`] (workloads never see the device; policies are
+//! bound by the [`Policy`] contract), and an installed obs sink
+//! receives the primary monitor's spans only. So the monitor's seed
+//! changes the measured energy and nothing else, and a replica monitor
+//! ([`Device::add_replica_monitor`]) fed the same spans holds the bits a
+//! separate run seeded like it would measure. The profiler's repeated
+//! runs rely on this.
+//!
 //! The differential suites (`event.rs` unit tests, `tests/event_core.rs`
 //! at the workspace root) check this against a forced-1 ms oracle: a
 //! test-only workload wrapper that keeps the default hooks, so the

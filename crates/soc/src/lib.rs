@@ -89,6 +89,14 @@ pub use workload::{BackgroundDemand, ConstantWorkload, Demand, Executed, Workloa
 /// [`Device::set_mem_bw`]) — as in-kernel governors do — or through the
 /// virtual sysfs tree ([`Device::sysfs_write`]) as user-space controllers
 /// do.
+///
+/// No policy may read the measured power ([`Device::monitor`], the
+/// replica monitors, or the energy and power of [`Device::stats`])
+/// during a run: the measured energy is the run's output, never an
+/// input. The paper's controller decides on profiled power, not
+/// measured power. Replica monitors ([`Device::add_replica_monitor`])
+/// rely on this, since one trajectory can stand for every monitor seed
+/// only while no decision depends on the monitor's noise.
 pub trait Policy {
     /// Short human-readable policy name (e.g. `"interactive"`).
     fn name(&self) -> &str;

@@ -42,6 +42,11 @@ impl PowerMonitor {
         }
     }
 
+    /// A fresh monitor with this one's noise level and its own `seed`.
+    pub(crate) fn replica(&self, seed: u64) -> Self {
+        Self::new(self.noise_sigma_w, seed)
+    }
+
     /// Record a span of `span_ms` ticks (at least one): `first_w` is the
     /// average power of its first tick, `rest_w` that of each later
     /// tick. One noise draw `σ·√n·z` covers the span and lands on its

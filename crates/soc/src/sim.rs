@@ -4,6 +4,7 @@
 
 use crate::device::{Device, DeviceStats};
 use crate::health::HealthReport;
+use crate::monitor::PowerMonitor;
 use crate::workload::Workload;
 use crate::Policy;
 
@@ -42,6 +43,20 @@ impl RunReport {
     /// Execution time in seconds.
     pub fn duration_s(&self) -> f64 {
         self.duration_ms as f64 * 1e-3
+    }
+
+    /// This run as `monitor` measured it: the energy and average power
+    /// (in the report and in its `stats`) are `monitor`'s, everything
+    /// else is this report's. With one of the device's replica monitors
+    /// ([`Device::replica_monitors`]) this is the report a run on a
+    /// device seeded like that replica would return.
+    pub fn measured_by(&self, monitor: &PowerMonitor) -> RunReport {
+        let mut report = self.clone();
+        report.energy_j = monitor.energy_j();
+        report.avg_power_w = monitor.average_power_w();
+        report.stats.energy_j = report.energy_j;
+        report.stats.avg_power_w = report.avg_power_w;
+        report
     }
 
     /// Machine-readable summary of the run as a JSON object (the
