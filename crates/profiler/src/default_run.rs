@@ -1,7 +1,7 @@
 //! Measuring the default-governor baseline (`R_def`, `P_def`, `T_def`,
 //! `E_def` — paper §III-A) and arbitrary fixed-configuration runs.
 
-use crate::profile::{run_pinned, Pin};
+use crate::profile::{run_pinned, run_seeds, Pin};
 use asgov_soc::sim::RunReport;
 use asgov_soc::Workload as _;
 use asgov_soc::{sim, Device, DeviceConfig, Policy};
@@ -42,6 +42,12 @@ impl DefaultMeasurement {
 /// each (batch applications stop at completion). `perf` runs here too:
 /// paper §III-A measures `R_def` with the same tooling as the online
 /// controller.
+///
+/// Run `i` is seeded `dev_cfg.seed ^ (i + 0xd0)`. The seed reaches only
+/// the power monitor's noise, so the runs share one simulation with a
+/// replica monitor per extra run: an extra run costs one noise stream,
+/// not one simulation, and its report is bit for bit that of a run on
+/// its own device.
 pub fn measure_default(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
@@ -49,9 +55,9 @@ pub fn measure_default(
     max_ms: u64,
 ) -> DefaultMeasurement {
     assert!(runs > 0, "need at least one run");
-    let seeds = (0..runs as u64).map(|run| dev_cfg.seed ^ (run + 0xd0));
-    let reports = seeds.map(|seed| run_pinned(dev_cfg, app, Pin::default(), seed, max_ms).0);
-    DefaultMeasurement::from_reports(reports.collect())
+    let (seed, extra) = run_seeds(dev_cfg, runs, 0xd0);
+    let (reports, _) = run_pinned(dev_cfg, app, Pin::default(), seed, &extra, max_ms);
+    DefaultMeasurement::from_reports(reports)
 }
 
 /// Run the application under an arbitrary policy stack (e.g. the online
@@ -105,7 +111,41 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgov_workloads::{apps, BackgroundLoad};
+    use asgov_workloads::{apps, paper_apps, BackgroundLoad};
+
+    /// One, two and three baseline runs on all six paper apps equal the
+    /// one-device-per-seed oracle report for report, bit for bit. The
+    /// window lets VidCon, a batch app, finish before it.
+    #[test]
+    fn replicated_baselines_match_the_per_seed_oracle() {
+        use crate::profile::oracle::{assert_same_reports, run_per_seed};
+        let dev_cfg = DeviceConfig::nexus6();
+        let max_ms = 60_000;
+        for app in paper_apps(BackgroundLoad::baseline(1)) {
+            for runs in 1..=3 {
+                let m = measure_default(&dev_cfg, &mut app.clone(), runs, max_ms);
+                let (seed, extra) = run_seeds(&dev_cfg, runs, 0xd0);
+                let (reports, _) = run_per_seed(
+                    &dev_cfg,
+                    &mut app.clone(),
+                    Pin::default(),
+                    seed,
+                    &extra,
+                    max_ms,
+                );
+                assert_same_reports(&reports, &m.reports);
+                assert_eq!(m, DefaultMeasurement::from_reports(reports));
+                if app.spec().name == "VidCon" {
+                    assert!(
+                        m.reports
+                            .iter()
+                            .all(|r| r.completed && r.duration_ms < max_ms),
+                        "VidCon finishes inside the window"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn default_measurement_aggregates_runs() {

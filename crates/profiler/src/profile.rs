@@ -2,8 +2,9 @@
 //!
 //! Every profiled point is one [`run_pinned`] call: a fresh device with
 //! `perf`'s overhead on, the pinned axes under `userspace` and the rest
-//! under their stock governors. [`sweep`] measures a table's corners
-//! across the frequency ladder, and each public profiler is a corner
+//! under their stock governors, and one replica power monitor per
+//! repeated run. [`sweep`] measures a table's corners across the
+//! frequency ladder, and each public profiler is a [`Shape`]: a corner
 //! list plus a row layout.
 
 use crate::table::{Config, ProfileEntry, ProfileTable};
@@ -18,7 +19,10 @@ use asgov_workloads::PhasedApp;
 /// Knobs of the profiling procedure. The defaults mirror the paper.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileOptions {
-    /// Runs averaged per configuration (paper: 3).
+    /// Runs averaged per configuration (paper: 3). Each run has its own
+    /// seed, derived from `(DeviceConfig::seed, run)`, and the runs share
+    /// one simulation with a replica power monitor per extra run, so an
+    /// extra run costs one noise stream, not one simulation.
     pub runs_per_config: usize,
     /// Measurement window per run for rate-based applications, ms.
     /// Batch applications run to completion instead.
@@ -54,17 +58,41 @@ pub(crate) struct Pin {
     gpu: Option<GpuFreqIndex>,
 }
 
-/// One run of `app` for at most `run_ms` on a fresh device seeded
-/// `seed`, with `pin` applied. Returns the report and the device (for
-/// its PMU counters).
+/// How a profiled point's runs are simulated: [`run_pinned`] in
+/// production, the one-device-per-seed oracle in tests.
+type RunPinned =
+    fn(&DeviceConfig, &mut PhasedApp, Pin, u64, &[u64], u64) -> (Vec<RunReport>, Device);
+
+/// The seeds of `runs` repeated runs: run `i` is seeded
+/// `dev_cfg.seed ^ (i + salt)`. Returns run 0's seed and the others'.
+pub(crate) fn run_seeds(dev_cfg: &DeviceConfig, runs: usize, salt: u64) -> (u64, Vec<u64>) {
+    let seed = |run: u64| dev_cfg.seed ^ (run + salt);
+    (seed(0), (1..runs as u64).map(seed).collect())
+}
+
+/// Run `app` for at most `run_ms` with `pin` applied, once per seed:
+/// `seed`, then each of `extra`. Returns one report per seed, in that
+/// order, and the device (for its PMU counters).
+///
+/// The runs share one simulation. The device is seeded `seed` and
+/// carries one replica monitor per `extra` seed; the seed reaches only
+/// the monitor's noise and nothing reads the monitor during a run (see
+/// [`Device::add_replica_monitor`]), so every seed's run follows the
+/// same trajectory. An extra seed's report is the simulated one as its
+/// replica measured it, bit for bit the report of a fresh device seeded
+/// like it. An extra seed costs one noise stream, not one simulation.
 pub(crate) fn run_pinned(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
     pin: Pin,
     seed: u64,
+    extra: &[u64],
     run_ms: u64,
-) -> (RunReport, Device) {
+) -> (Vec<RunReport>, Device) {
     let mut device = Device::new(dev_cfg.clone().with_seed(seed));
+    for &seed in extra {
+        device.add_replica_monitor(seed);
+    }
     // The paper measures performance with `perf` at a 1 s period in
     // every run — profiling and the default baseline included — so its
     // 4 % load and 15 mW power overhead are present here just as they
@@ -102,21 +130,26 @@ pub(crate) fn run_pinned(
         .collect();
     app.reset();
     let report = sim::run(&mut device, app, &mut policies, run_ms);
-    (report, device)
+    let replicas = device.replica_monitors().iter();
+    let mut reports: Vec<RunReport> = replicas.map(|m| report.measured_by(m)).collect();
+    reports.insert(0, report);
+    (reports, device)
 }
 
 /// Average (GIPS, W) at `pin` over `opts.runs_per_config` runs seeded
-/// `dev_cfg.seed ^ (run + salt)`.
+/// `dev_cfg.seed ^ (run + salt)`, simulated by `run`.
 fn measure(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
     opts: &ProfileOptions,
     pin: Pin,
     salt: u64,
+    run: RunPinned,
 ) -> (f64, f64) {
+    let (seed, extra) = run_seeds(dev_cfg, opts.runs_per_config, salt);
+    let (reports, _) = run(dev_cfg, app, pin, seed, &extra, opts.run_ms);
     let (mut gips, mut power) = (0.0, 0.0);
-    for run in 0..opts.runs_per_config as u64 {
-        let (report, _) = run_pinned(dev_cfg, app, pin, dev_cfg.seed ^ (run + salt), opts.run_ms);
+    for report in &reports {
         gips += report.avg_gips;
         power += report.avg_power_w;
     }
@@ -178,6 +211,7 @@ fn sweep(
     threads: usize,
     salt: u64,
     corners: &[Pin],
+    run: RunPinned,
 ) -> Sweep {
     assert!(opts.runs_per_config > 0, "need at least one run");
     assert!(opts.freq_stride > 0, "stride must be positive");
@@ -187,7 +221,7 @@ fn sweep(
         // asgov-analyze: allow(hot-path-transitive): every profiler passes a non-empty corner list, and ordered_map hands the closure below indices drawn from 0..freqs.len()
         ..corners[0]
     };
-    let base = measure(dev_cfg, app, opts, base_pin, salt);
+    let base = measure(dev_cfg, app, opts, base_pin, salt, run);
     let freqs: Vec<FreqIndex> = (lo_f..=hi_f.min(dev_cfg.table.num_freqs() - 1))
         .step_by(opts.freq_stride)
         .map(FreqIndex)
@@ -204,7 +238,7 @@ fn sweep(
             .iter()
             .map(|&corner| match (Pin { freq, ..corner }) {
                 pin if pin == base_pin => base,
-                pin => measure(dev_cfg, &mut worker_app, opts, pin, salt),
+                pin => measure(dev_cfg, &mut worker_app, opts, pin, salt, run),
             })
             .collect()
     });
@@ -272,6 +306,69 @@ fn bw_axis(dev_cfg: &DeviceConfig, hi: usize) -> Vec<Rung<BwIndex>> {
     axis(&mbps, hi, BwIndex)
 }
 
+/// The table layouts the public profilers produce.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Frequency × memory bandwidth, the GPU under its stock governor.
+    Bandwidth,
+    /// Frequency × memory bandwidth × GPU frequency.
+    BandwidthGpu,
+    /// Frequency only, the bandwidth under `cpubw_hwmon`.
+    CpuOnly,
+}
+
+/// Measure `shape`'s corners with `run` and lay out its table.
+fn profile(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    opts: &ProfileOptions,
+    threads: usize,
+    shape: Shape,
+    run: RunPinned,
+) -> ProfileTable {
+    let t = &dev_cfg.table;
+    let no_gpu = [(None, 0.0, Some(0))];
+    match shape {
+        Shape::Bandwidth => {
+            // The GPU stays under its stock governor throughout (the
+            // paper does not include it in the controlled configuration).
+            let corners = [t.min_bw(), t.max_bw()].map(|bw| Pin {
+                bw: Some(bw),
+                ..Pin::default()
+            });
+            sweep(dev_cfg, app, opts, threads, 1, &corners, run).table(
+                &bw_axis(dev_cfg, 1),
+                &no_gpu,
+                opts.interpolate,
+            )
+        }
+        Shape::BandwidthGpu => {
+            let gpu_hi = GpuFreqIndex(ADRENO420_FREQS_GHZ.len() - 1);
+            // Four measured corners per frequency: (bw, gpu) ∈ {lo, hi}²,
+            // bandwidth-major.
+            let corners = [t.min_bw(), t.max_bw()]
+                .into_iter()
+                .flat_map(|bw| [GpuFreqIndex(0), gpu_hi].map(|gpu| (bw, gpu)))
+                .map(|(bw, gpu)| Pin {
+                    freq: None,
+                    bw: Some(bw),
+                    gpu: Some(gpu),
+                })
+                .collect::<Vec<_>>();
+            sweep(dev_cfg, app, opts, threads, 0x30, &corners, run).table(
+                &bw_axis(dev_cfg, 2),
+                &axis(&ADRENO420_FREQS_GHZ, 1, |g| Some(GpuFreqIndex(g))),
+                opts.interpolate,
+            )
+        }
+        Shape::CpuOnly => sweep(dev_cfg, app, opts, threads, 0x10, &[Pin::default()], run).table(
+            &[(t.min_bw(), 0.0, Some(0))],
+            &no_gpu,
+            opts.interpolate,
+        ),
+    }
+}
+
 /// Profile an application offline (paper §III-A): measure its base
 /// speed at the SoC's lowest configuration, then speedup and power for
 /// every `freq_stride`-th frequency inside the application's usable
@@ -321,18 +418,7 @@ pub fn profile_app_threads(
     opts: &ProfileOptions,
     threads: usize,
 ) -> ProfileTable {
-    let t = &dev_cfg.table;
-    // The GPU stays under its stock governor throughout (the paper
-    // does not include it in the controlled configuration).
-    let corners = [t.min_bw(), t.max_bw()].map(|bw| Pin {
-        bw: Some(bw),
-        ..Pin::default()
-    });
-    sweep(dev_cfg, app, opts, threads, 1, &corners).table(
-        &bw_axis(dev_cfg, 1),
-        &[(None, 0.0, Some(0))],
-        opts.interpolate,
-    )
+    profile(dev_cfg, app, opts, threads, Shape::Bandwidth, run_pinned)
 }
 
 /// Three-axis offline profile (the paper's §VII extension): every
@@ -348,24 +434,7 @@ pub fn profile_app_with_gpu(
     app: &mut PhasedApp,
     opts: &ProfileOptions,
 ) -> ProfileTable {
-    let t = &dev_cfg.table;
-    let gpu_hi = GpuFreqIndex(ADRENO420_FREQS_GHZ.len() - 1);
-    // Four measured corners per frequency: (bw, gpu) ∈ {lo, hi}²,
-    // bandwidth-major.
-    let corners = [t.min_bw(), t.max_bw()]
-        .into_iter()
-        .flat_map(|bw| [GpuFreqIndex(0), gpu_hi].map(|gpu| (bw, gpu)))
-        .map(|(bw, gpu)| Pin {
-            freq: None,
-            bw: Some(bw),
-            gpu: Some(gpu),
-        })
-        .collect::<Vec<_>>();
-    sweep(dev_cfg, app, opts, 0, 0x30, &corners).table(
-        &bw_axis(dev_cfg, 2),
-        &axis(&ADRENO420_FREQS_GHZ, 1, |g| Some(GpuFreqIndex(g))),
-        opts.interpolate,
-    )
+    profile(dev_cfg, app, opts, 0, Shape::BandwidthGpu, run_pinned)
 }
 
 /// Profile for the paper's §V-D CPU-only ablation: the CPU frequency is
@@ -382,11 +451,7 @@ pub fn profile_app_cpu_only(
     app: &mut PhasedApp,
     opts: &ProfileOptions,
 ) -> ProfileTable {
-    sweep(dev_cfg, app, opts, 0, 0x10, &[Pin::default()]).table(
-        &[(dev_cfg.table.min_bw(), 0.0, Some(0))],
-        &[(None, 0.0, Some(0))],
-        opts.interpolate,
-    )
+    profile(dev_cfg, app, opts, 0, Shape::CpuOnly, run_pinned)
 }
 
 /// Fit a MAR-CSE model (paper §VI, Liang & Lai): for each training
@@ -416,11 +481,11 @@ pub fn fit_mar_cse(
                 gpu: None,
             };
             let seed = dev_cfg.seed ^ (freq.0 as u64 + 0x50);
-            let (report, device) =
-                run_pinned(dev_cfg, &mut app_ref.clone(), pin, seed, opts.run_ms);
-            (report.instructions > 0.0).then(|| {
+            let (reports, device) =
+                run_pinned(dev_cfg, &mut app_ref.clone(), pin, seed, &[], opts.run_ms);
+            reports.first().filter(|r| r.instructions > 0.0).map(|r| {
                 let mar = device.pmu().bus_bytes() / device.pmu().instructions();
-                (report.energy_j / report.instructions, freq, mar)
+                (r.energy_j / r.instructions, freq, mar)
             })
         });
 
@@ -441,11 +506,120 @@ pub fn fit_mar_cse(
     asgov_governors::MarCseModel::new(points)
 }
 
+/// The one-device-per-seed loop the replica monitors replace, kept as
+/// the differential tests' oracle.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// [`run_pinned`]'s contract, the slow way: each seed's run
+    /// simulated on a fresh device of its own, without replicas.
+    pub(crate) fn run_per_seed(
+        dev_cfg: &DeviceConfig,
+        app: &mut PhasedApp,
+        pin: Pin,
+        seed: u64,
+        extra: &[u64],
+        run_ms: u64,
+    ) -> (Vec<RunReport>, Device) {
+        let (mut reports, device) = run_pinned(dev_cfg, app, pin, seed, &[], run_ms);
+        for &seed in extra {
+            reports.extend(run_pinned(dev_cfg, app, pin, seed, &[], run_ms).0);
+        }
+        (reports, device)
+    }
+
+    /// Assert two report lists equal field for field, every float to
+    /// the bit.
+    pub(crate) fn assert_same_reports(oracle: &[RunReport], replicated: &[RunReport]) {
+        assert_eq!(oracle, replicated);
+        let bits = |r: &RunReport| {
+            [
+                r.energy_j,
+                r.avg_power_w,
+                r.instructions,
+                r.avg_gips,
+                r.stats.energy_j,
+                r.stats.avg_power_w,
+                r.stats.instructions,
+                r.stats.avg_gips,
+            ]
+            .map(f64::to_bits)
+        };
+        for (o, r) in oracle.iter().zip(replicated) {
+            assert_eq!(bits(o), bits(r), "{} under {}", o.app, o.policy);
+        }
+    }
+
+    /// [`run_per_seed`]'s reports, after asserting that [`run_pinned`]
+    /// returns the same ones.
+    pub(crate) fn run_checked(
+        dev_cfg: &DeviceConfig,
+        app: &mut PhasedApp,
+        pin: Pin,
+        seed: u64,
+        extra: &[u64],
+        run_ms: u64,
+    ) -> (Vec<RunReport>, Device) {
+        let (replicated, _) = run_pinned(dev_cfg, app, pin, seed, extra, run_ms);
+        let (reports, device) = run_per_seed(dev_cfg, app, pin, seed, extra, run_ms);
+        assert_eq!(reports.len(), 1 + extra.len());
+        assert_same_reports(&reports, &replicated);
+        (reports, device)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use asgov_soc::BwIndex;
-    use asgov_workloads::{apps, BackgroundLoad};
+    use asgov_workloads::{apps, paper_apps, BackgroundLoad};
+
+    /// Every profiler shape, at the paper's three runs per
+    /// configuration, on all six paper apps: each measured point's
+    /// reports equal the one-device-per-seed oracle's bit for bit, and
+    /// so does the table built from them.
+    #[test]
+    fn replicated_profiles_match_the_per_seed_oracle() {
+        let dev_cfg = DeviceConfig::nexus6();
+        let opts = ProfileOptions {
+            runs_per_config: 3,
+            run_ms: 3_000,
+            freq_stride: 4,
+            interpolate: true,
+        };
+        let bits = |t: &ProfileTable| {
+            let mut bits = vec![t.base_gips.to_bits()];
+            bits.extend(
+                t.entries
+                    .iter()
+                    .flat_map(|e| [e.speedup.to_bits(), e.power_w.to_bits()]),
+            );
+            bits
+        };
+        type Profiler = fn(&DeviceConfig, &mut PhasedApp, &ProfileOptions) -> ProfileTable;
+        let shapes: [(Profiler, Shape); 3] = [
+            (profile_app, Shape::Bandwidth),
+            (profile_app_with_gpu, Shape::BandwidthGpu),
+            (profile_app_cpu_only, Shape::CpuOnly),
+        ];
+        for app in paper_apps(BackgroundLoad::baseline(1)) {
+            for (public, shape) in shapes {
+                let replicated = public(&dev_cfg, &mut app.clone(), &opts);
+                let oracle = profile(
+                    &dev_cfg,
+                    &mut app.clone(),
+                    &opts,
+                    0,
+                    shape,
+                    oracle::run_checked,
+                );
+                let name = app.spec().name;
+                assert_eq!(replicated, oracle, "{name} {shape:?}");
+                assert_eq!(bits(&replicated), bits(&oracle), "{name} {shape:?}");
+            }
+        }
+    }
 
     fn opts_fast() -> ProfileOptions {
         ProfileOptions {
