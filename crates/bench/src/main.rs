@@ -423,9 +423,9 @@ fn main() {
         ("controller", controller_suite(quick)),
         ("simulator", simulator_suite(quick)),
     ] {
-        let path = root.join(format!("BENCH_{suite}.json"));
-        std::fs::write(&path, report.to_pretty()).expect("write benchmark report");
-        println!("wrote {}", path.display());
+        let file = format!("BENCH_{suite}.json");
+        std::fs::write(root.join(&file), report.to_pretty()).expect("write benchmark report");
+        println!("wrote {file}");
         if suite == "optimizer" {
             let speedup = derived(&report, "hull_speedup_at_234");
             println!("  hull vs two-point at N=234: {speedup:.1}x");

@@ -322,28 +322,6 @@ impl Policy for Schedutil {
     }
 }
 
-/// The `userspace` governor: frequency is whatever a user-space agent
-/// writes to `scaling_setspeed`; the governor itself does nothing.
-#[derive(Debug, Clone, Default)]
-pub struct UserspaceCpu;
-
-impl Policy for UserspaceCpu {
-    fn name(&self) -> &str {
-        "userspace"
-    }
-
-    fn start(&mut self, device: &mut Device) {
-        device.set_cpu_governor("userspace");
-    }
-
-    fn tick(&mut self, _device: &mut Device) {}
-
-    fn next_event_ms(&self, _device: &Device) -> u64 {
-        // `tick` is a no-op: the event engine never needs to wake us.
-        u64::MAX
-    }
-}
-
 /// The `performance` governor: pins the maximum frequency.
 #[derive(Debug, Clone, Default)]
 pub struct PerformanceCpu;
@@ -574,7 +552,5 @@ mod tests {
         assert_eq!(dev.freq(), dev.table().max_freq());
         PowersaveCpu.start(&mut dev);
         assert_eq!(dev.freq(), FreqIndex(0));
-        UserspaceCpu.start(&mut dev);
-        assert_eq!(dev.cpu_governor(), "userspace");
     }
 }

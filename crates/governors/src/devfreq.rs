@@ -85,28 +85,6 @@ impl Policy for CpubwHwmon {
     }
 }
 
-/// The devfreq `userspace` governor: bandwidth is whatever a user-space
-/// agent writes to `userspace/set_freq`.
-#[derive(Debug, Clone, Default)]
-pub struct UserspaceBw;
-
-impl Policy for UserspaceBw {
-    fn name(&self) -> &str {
-        "userspace"
-    }
-
-    fn start(&mut self, device: &mut Device) {
-        device.set_bw_governor("userspace");
-    }
-
-    fn tick(&mut self, _device: &mut Device) {}
-
-    fn next_event_ms(&self, _device: &Device) -> u64 {
-        // `tick` is a no-op: the event engine never needs to wake us.
-        u64::MAX
-    }
-}
-
 /// The devfreq `performance` governor: pins the maximum bandwidth.
 #[derive(Debug, Clone, Default)]
 pub struct PerformanceBw;
@@ -245,7 +223,5 @@ mod tests {
         assert_eq!(dev.bw(), dev.table().max_bw());
         PowersaveBw.start(&mut dev);
         assert_eq!(dev.bw(), dev.table().min_bw());
-        UserspaceBw.start(&mut dev);
-        assert_eq!(dev.bw_governor(), "userspace");
     }
 }

@@ -16,14 +16,14 @@
 //! - [`Ondemand`] — the classic Linux default: jump to max frequency
 //!   above `up_threshold`, proportional decrease below it.
 //! - [`Conservative`] — steps one frequency at a time.
-//! - [`UserspaceCpu`] / [`PerformanceCpu`] / [`PowersaveCpu`].
+//! - [`PerformanceCpu`] / [`PowersaveCpu`].
 //!
 //! Memory-bandwidth governors ([`devfreq`]):
 //!
 //! - [`CpubwHwmon`] — monitors bus traffic from the L2 hardware
 //!   counters, votes bandwidth up immediately and decays it with an
 //!   exponential back-off (the behaviour visible in the paper's Fig. 5).
-//! - [`UserspaceBw`] / [`PerformanceBw`] / [`PowersaveBw`].
+//! - [`PerformanceBw`] / [`PowersaveBw`].
 //!
 //! All governors implement [`asgov_soc::Policy`] and act only while
 //! their name matches the device's selected governor, mirroring how the
@@ -37,16 +37,12 @@ pub mod devfreq;
 pub mod gpufreq;
 pub mod hotplug;
 pub mod marcse;
-pub mod netrate;
 
-pub use cpufreq::{
-    Conservative, Interactive, Ondemand, PerformanceCpu, PowersaveCpu, Schedutil, UserspaceCpu,
-};
-pub use devfreq::{CpubwHwmon, PerformanceBw, PowersaveBw, UserspaceBw};
+pub use cpufreq::{Conservative, Interactive, Ondemand, PerformanceCpu, PowersaveCpu, Schedutil};
+pub use devfreq::{CpubwHwmon, PerformanceBw, PowersaveBw};
 pub use gpufreq::AdrenoTz;
 pub use hotplug::MpDecision;
 pub use marcse::{MarCse, MarCseModel};
-pub use netrate::NetRateManager;
 
 /// The default governor pair on the paper's Nexus 6:
 /// `interactive` for the CPU and `cpubw_hwmon` for the memory bus.

@@ -46,8 +46,8 @@
 //!   its drained total once per span, since that total never exceeds
 //!   the capacity and, for a non-negative drain, rounded addition is
 //!   monotone, so the per-ms clamped sequence is `min(unclamped sum,
-//!   capacity)`; and an idle GPU's or radio's per-ms `+ 0.0` is one
-//!   add, since adding a zero is idempotent. The power monitor's
+//!   capacity)`; and an idle GPU's per-ms `+ 0.0` is one add, since
+//!   adding a zero is idempotent. The power monitor's
 //!   measurement noise is the exception: one draw `σ·√n·z` per `n`-ms
 //!   span ([`PowerMonitor`](crate::PowerMonitor)), the exact law of `n`
 //!   per-ms draws, identical to the per-ms draw at `n = 1` and absent

@@ -52,7 +52,6 @@ pub mod faults;
 pub mod gpu;
 mod health;
 mod monitor;
-pub mod net;
 mod perf;
 mod pmu;
 mod power;
@@ -72,7 +71,6 @@ pub use faults::{
 pub use gpu::{Gpu, GpuFreqIndex};
 pub use health::{DegradationLevel, HealthReport};
 pub use monitor::PowerMonitor;
-pub use net::{NetRateIndex, Radio};
 pub use perf::{PerfReader, PerfReading};
 pub use pmu::Pmu;
 pub use power::{PowerBreakdown, PowerModel, PowerModelParams};

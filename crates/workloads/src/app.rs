@@ -56,8 +56,6 @@ pub struct PhaseSpec {
     pub extra_traffic_mbps: f64,
     /// GPU render work per tick, GHz-equivalents (0 = GPU unused).
     pub gpu_work_ghz: f64,
-    /// Network packets per second this phase's traffic needs serviced.
-    pub net_pps: f64,
 }
 
 impl Default for PhaseSpec {
@@ -76,7 +74,6 @@ impl Default for PhaseSpec {
             extra_power_w: 0.0,
             extra_traffic_mbps: 0.0,
             gpu_work_ghz: 0.0,
-            net_pps: 0.0,
         }
     }
 }
@@ -403,7 +400,6 @@ impl PhasedApp {
             active_cores: phase.active_cores,
             extra_power_w: extra_power,
             gpu_work: phase.gpu_work_ghz,
-            net_pps: phase.net_pps,
             touch,
             bg,
         };

@@ -62,8 +62,7 @@ pub fn vidcon(background: BackgroundLoad) -> PhasedApp {
             active_cores: 1.8,
             extra_power_w: 0.05,
             extra_traffic_mbps: 0.0,
-            gpu_work_ghz: 0.0,
-            net_pps: 0.0, // conversion never touches the GPU
+            gpu_work_ghz: 0.0, // conversion never touches the GPU
         }],
         touch: None,
         events: vec![],
@@ -107,7 +106,6 @@ pub fn mobilebench(background: BackgroundLoad) -> PhasedApp {
             extra_power_w: 0.0,
             extra_traffic_mbps: 0.0,
             gpu_work_ghz: 0.12,
-            net_pps: 0.0,
         });
         phases.push(PhaseSpec {
             name: "fetch",
@@ -122,8 +120,7 @@ pub fn mobilebench(background: BackgroundLoad) -> PhasedApp {
             active_cores: 2.6,
             extra_power_w: 0.12, // radio active
             extra_traffic_mbps: 0.0,
-            gpu_work_ghz: 0.12,
-            net_pps: 0.0, // compositor work while rendering pages
+            gpu_work_ghz: 0.12, // compositor work while rendering pages
         });
         phases.push(PhaseSpec {
             name: "read",
@@ -138,8 +135,7 @@ pub fn mobilebench(background: BackgroundLoad) -> PhasedApp {
             active_cores: 1.8,
             extra_power_w: 0.0,
             extra_traffic_mbps: 0.0,
-            gpu_work_ghz: 0.10,
-            net_pps: 0.0, // scroll animation
+            gpu_work_ghz: 0.10, // scroll animation
         });
     }
     let spec = AppSpec {
@@ -181,8 +177,7 @@ pub fn angrybirds(background: BackgroundLoad) -> PhasedApp {
             active_cores: 0.45,
             extra_power_w: 0.02,
             extra_traffic_mbps: 0.0,
-            gpu_work_ghz: 0.22,
-            net_pps: 0.0, // 60 fps scene rendering
+            gpu_work_ghz: 0.22, // 60 fps scene rendering
         }],
         touch: Some(TouchSpec {
             rate_per_s: 0.8, // slingshot flings
@@ -226,8 +221,7 @@ pub fn wechat(background: BackgroundLoad) -> PhasedApp {
             active_cores: 0.42,
             extra_power_w: 0.35,       // camera + radio
             extra_traffic_mbps: 150.0, // up/down video streams
-            gpu_work_ghz: 0.08,
-            net_pps: 0.0, // preview composition
+            gpu_work_ghz: 0.08,        // preview composition
         }],
         touch: None,
         events: vec![],
@@ -263,8 +257,7 @@ pub fn mxplayer(background: BackgroundLoad) -> PhasedApp {
                 active_cores: 1.2,
                 extra_power_w: 0.30, // hardware decoder + display pipeline
                 extra_traffic_mbps: 0.0,
-                gpu_work_ghz: 0.0,
-                net_pps: 0.0, // decoder bypasses the GPU (paper §V-A)
+                gpu_work_ghz: 0.0, // decoder bypasses the GPU (paper §V-A)
             },
             // Periodic demux/buffer spike; misses its deadline below f5,
             // which is why f1–f4 are excluded from the profile.
@@ -282,7 +275,6 @@ pub fn mxplayer(background: BackgroundLoad) -> PhasedApp {
                 extra_power_w: 0.30,
                 extra_traffic_mbps: 0.0,
                 gpu_work_ghz: 0.0,
-                net_pps: 0.0,
             },
         ],
         touch: None,
@@ -317,7 +309,6 @@ pub fn spotify(background: BackgroundLoad) -> PhasedApp {
             extra_power_w: 0.12, // audio path + radio
             extra_traffic_mbps: 0.0,
             gpu_work_ghz: 0.0,
-            net_pps: 0.0,
         }],
         touch: None,
         events: vec![
@@ -375,7 +366,6 @@ pub fn ebook(background: BackgroundLoad) -> PhasedApp {
             extra_power_w: 0.0,
             extra_traffic_mbps: 0.0,
             gpu_work_ghz: 0.01,
-            net_pps: 0.0,
         }],
         touch: None,
         events: vec![EventSpec {
@@ -417,7 +407,6 @@ pub fn idler(background: BackgroundLoad) -> PhasedApp {
             extra_power_w: 0.0,
             extra_traffic_mbps: 0.0,
             gpu_work_ghz: 0.0,
-            net_pps: 0.0,
         }],
         touch: None,
         events: vec![],
@@ -450,7 +439,6 @@ pub fn cruncher(background: BackgroundLoad) -> PhasedApp {
             extra_power_w: 0.0,
             extra_traffic_mbps: 0.0,
             gpu_work_ghz: 0.0,
-            net_pps: 0.0,
         }],
         touch: None,
         events: vec![],

@@ -27,7 +27,6 @@ fn puzzle_game(background: BackgroundLoad) -> PhasedApp {
                 cap_busy: false,
                 extra_traffic_mbps: 0.0,
                 gpu_work_ghz: 0.1,
-                net_pps: 0.0,
             },
             PhaseSpec {
                 name: "thinking",
@@ -43,7 +42,6 @@ fn puzzle_game(background: BackgroundLoad) -> PhasedApp {
                 cap_busy: false,
                 extra_traffic_mbps: 0.0,
                 gpu_work_ghz: 0.02,
-                net_pps: 0.0,
             },
         ],
         touch: Some(TouchSpec {

@@ -2,10 +2,9 @@
 //! related-work baselines (§VI) and control of a workload that is not a
 //! `PhasedApp`.
 
-use asgov::governors::{AdrenoTz, CpubwHwmon, Interactive, MarCse, NetRateManager};
+use asgov::governors::{AdrenoTz, CpubwHwmon, Interactive, MarCse};
 use asgov::prelude::*;
 use asgov::profiler::profile_app_with_gpu;
-use asgov::soc::NetRateIndex;
 use asgov::soc::{ConstantWorkload, Demand, Executed};
 
 fn quick_profile() -> ProfileOptions {
@@ -65,54 +64,6 @@ fn mar_cse_saves_energy_but_gives_no_performance_guarantee() {
         "the critical-speed governor should save energy on a game"
     );
     // No assertion that performance is held — that is the point.
-}
-
-#[test]
-fn network_manager_matches_pinned_maximum_performance_cheaper() {
-    let mk_app = || {
-        let spec = AppSpec {
-            name: "NetBound",
-            kind: AppKind::Interactive,
-            phases: vec![PhaseSpec {
-                rate_gips: 0.3,
-                net_pps: 2_400.0,
-                ..PhaseSpec::default()
-            }],
-            touch: None,
-            events: vec![],
-            profile_freq_range: (0, 17),
-            max_backlog_frames: Some(3.0),
-            test_duration_ms: 30_000,
-        };
-        PhasedApp::new(spec, BackgroundLoad::none(1), 7)
-    };
-
-    let run = |managed: bool| {
-        let mut device = Device::new(DeviceConfig::nexus6());
-        let mut cpu = Interactive::default();
-        let mut app = mk_app();
-        if managed {
-            let mut mgr = NetRateManager::default();
-            sim::run(&mut device, &mut app, &mut [&mut cpu, &mut mgr], 30_000)
-        } else {
-            device.set_net_rate(NetRateIndex(4)); // pinned maximum
-            sim::run(&mut device, &mut app, &mut [&mut cpu], 30_000)
-        }
-    };
-    let pinned = run(false);
-    let managed = run(true);
-    assert!(
-        (managed.avg_gips - pinned.avg_gips).abs() / pinned.avg_gips < 0.02,
-        "manager must not throttle the stream: {} vs {}",
-        pinned.avg_gips,
-        managed.avg_gips
-    );
-    assert!(
-        managed.energy_j < pinned.energy_j,
-        "coalescing must beat the pinned maximum: {} vs {} J",
-        pinned.energy_j,
-        managed.energy_j
-    );
 }
 
 /// A workload that is not a `PhasedApp`: two constant rates that take
