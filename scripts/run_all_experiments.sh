@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper (plus the ablation,
-# scope, related-work and trace studies) into ./results/.
+# scope, related-work and trace studies, and the examples' outputs)
+# into ./results/.
 # Full-fidelity runs take a few minutes; pass --quick to smoke-test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,6 +21,14 @@ for bin in table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4 fig5 \
     cargo run --release -p asgov-experiments --bin "$bin" -- $EXTRA \
       > "results/$bin.txt" 2>&1
   fi
+done
+# The examples run in well under a second each and take no --quick
+# flag; their stdout is pinned like the experiments' outputs.
+mkdir -p results/examples
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  echo "=== example $name ==="
+  cargo run --release -q --example "$name" > "results/examples/$name.txt"
 done
 # The fleet study scales with device count rather than a --quick flag:
 # smoke (10^3 devices) for the quick pass, the full 10^5-device bench
