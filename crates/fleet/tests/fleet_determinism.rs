@@ -288,9 +288,8 @@ fn smoke_checkpoint_frame_is_pinned() {
 
 /// The q20 tier's checkpoint frame after one epoch, pinned like the
 /// q1 smoke frame above: the 20 ms demand windows (spans of up to 20
-/// ms, frames booked at their window's start, clamp-once battery
-/// replay) must keep every byte of device state they had when the pin
-/// was taken.
+/// ms, frames booked at their window's start) must keep every byte of
+/// device state they had when the pin was taken.
 #[test]
 fn smoke_q20_checkpoint_frame_is_pinned() {
     let cfg = FleetConfig {

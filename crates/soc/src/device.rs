@@ -5,8 +5,7 @@
 //! application's [`Demand`], runs the roofline performance model at the
 //! current (frequency, bandwidth) operating point, retires instructions
 //! into the [`Pmu`], computes whole-device power through the
-//! [`PowerModel`] and integrates it in the [`PowerMonitor`] and
-//! [`Battery`].
+//! [`PowerModel`] and integrates it in the [`PowerMonitor`].
 //!
 //! Governors and controllers actuate the device either through the
 //! in-kernel driver interface ([`Device::set_cpu_freq`] /
@@ -14,7 +13,6 @@
 //! ([`Device::sysfs_write`]), which enforces the Linux rule that
 //! `scaling_setspeed` only works under the `userspace` governor.
 
-use crate::battery::Battery;
 use crate::dvfs::{BwIndex, DvfsTable, FreqIndex};
 use crate::faults::{FaultInjector, PerfFault};
 use crate::gpu::{Gpu, GpuFreqIndex};
@@ -192,7 +190,6 @@ pub struct Device {
     // Extra monitors on the same power trace, one per added seed; empty
     // unless a caller asks for replicas (`add_replica_monitor`).
     replicas: Vec<PowerMonitor>,
-    battery: Battery,
     // cumulative signals governors sample and difference
     busy_core_ms: f64,
     busy_ms: f64,
@@ -204,8 +201,6 @@ pub struct Device {
     freq_transitions: u64,
     bw_transitions: u64,
     pending_transition_energy_j: f64,
-    last_touch_ms: Option<u64>,
-    last_busy_frac: f64,
     tool_load: f64,
     tool_power_w: f64,
     faults: Option<FaultInjector>,
@@ -237,7 +232,6 @@ impl Device {
             pmu: Pmu::new(),
             monitor: PowerMonitor::new(cfg.monitor_noise_w, cfg.seed),
             replicas: Vec::new(),
-            battery: Battery::nexus6(),
             busy_core_ms: 0.0,
             busy_ms: 0.0,
             stats_start_ms: 0,
@@ -247,8 +241,6 @@ impl Device {
             freq_transitions: 0,
             bw_transitions: 0,
             pending_transition_energy_j: 0.0,
-            last_touch_ms: None,
-            last_busy_frac: 0.0,
             tool_load: 0.0,
             tool_power_w: 0.0,
             faults: None,
@@ -316,11 +308,6 @@ impl Device {
         &self.replicas
     }
 
-    /// The battery.
-    pub fn battery(&self) -> &Battery {
-        &self.battery
-    }
-
     /// Number of online cores (all four unless hotplugging changed it).
     pub fn online_cores(&self) -> f64 {
         self.online_cores
@@ -352,16 +339,6 @@ impl Device {
     /// load-based governors such as `interactive` and `ondemand`.
     pub fn busy_ms(&self) -> f64 {
         self.busy_ms
-    }
-
-    /// CPU busy fraction of the most recent tick (0–1).
-    pub fn last_busy_frac(&self) -> f64 {
-        self.last_busy_frac
-    }
-
-    /// Time of the most recent touch event, if any.
-    pub fn last_touch_ms(&self) -> Option<u64> {
-        self.last_touch_ms
     }
 
     /// Currently selected cpufreq governor name.
@@ -646,22 +623,13 @@ impl Device {
     ///
     /// The expensive contention / roofline / power model is evaluated
     /// once, and every per-millisecond accumulator (PMU counters, busy
-    /// time, monitor energy, battery, GPU counters) then
+    /// time, monitor energy, GPU counters) then
     /// ends with the exact bits the sequence of floating-point additions
     /// of a 1 ms loop would produce, provided no fault boundary falls
     /// strictly inside the span (the caller bounds spans by
-    /// [`Device::next_fault_boundary_ms`]). Two replay rules skip work
-    /// without moving a bit:
-    ///
-    /// - *clamp once* — the battery's drained total gets plain adds over
-    ///   the span and one `min(capacity)` at the end
-    ///   (`Battery::drain_span`): the drained total never exceeds the
-    ///   capacity, and for a non-negative per-ms drain rounded addition
-    ///   is monotone, so the per-ms clamped sequence equals the clamped
-    ///   unclamped sum;
-    /// - *one add for a zero increment* — an idle GPU's per-ms `+ 0.0`
-    ///   is idempotent (for either sign of zero), so one add books the
-    ///   whole span.
+    /// [`Device::next_fault_boundary_ms`]). One replay rule skips work
+    /// without moving a bit: an idle GPU's per-ms `+ 0.0` is idempotent
+    /// (for either sign of zero), so one add books the whole span.
     ///
     /// The one exception is the power monitor's measurement noise,
     /// drawn once per span (see [`PowerMonitor`]): a span is
@@ -821,27 +789,22 @@ impl Device {
         // associative, so the per-ms adds must not be hoisted; fusing
         // is safe because the accumulators are independent). The first
         // millisecond is peeled: it carries the transition surcharge.
-        // The monitor books the span itself, with one noise draw, and
-        // the battery books the rest of the span with one clamp.
-        let cycles = fg_busy_cores * f_hz * dt_s;
+        // The monitor books the span itself, with one noise draw.
         let bus_bytes = (fg_traffic_bps + bg_traffic_bps) * dt_s;
-        self.pmu.record(instructions, cycles, bus_bytes);
+        self.pmu.record(instructions, bus_bytes);
         self.busy_core_ms += busy_cores * TICK_MS as f64;
         self.busy_ms += busy_frac * TICK_MS as f64;
+        debug_assert!(total_first_w >= 0.0 && total_rest_w >= 0.0);
         let measured_first_w = self
             .monitor
             .record_span(total_first_w, total_rest_w, span_ms);
         if !self.replicas.is_empty() {
             self.record_replica_spans(total_first_w, total_rest_w, span_ms);
         }
-        self.battery.drain(total_first_w * dt_s);
         for _ in 1..span_ms {
-            self.pmu.record(instructions, cycles, bus_bytes);
+            self.pmu.record(instructions, bus_bytes);
             self.busy_core_ms += busy_cores * TICK_MS as f64;
             self.busy_ms += busy_frac * TICK_MS as f64;
-        }
-        if span_ms > 1 {
-            self.battery.drain_span(total_rest_w * dt_s, span_ms - 1);
         }
 
         // --- statistics: integer counters hoist exactly.
@@ -851,12 +814,6 @@ impl Device {
         if let Some(t) = self.time_in_bw_ms.get_mut(self.bw.0) {
             *t += TICK_MS * span_ms;
         }
-        if demand.touch {
-            // A 1 ms loop latches the touch each millisecond; the
-            // surviving value is the last millisecond of the span.
-            self.last_touch_ms = Some(now + span_ms - 1);
-        }
-        self.last_busy_frac = busy_frac;
         self.now_ms += TICK_MS * span_ms;
         // The sink, if any, receives the span as the monitor measured
         // it. The call is opaque to the optimizer, so it comes after the
@@ -1184,17 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn touch_events_are_latched() {
-        let mut d = quiet_device();
-        let mut demand = cpu_demand(0.1);
-        d.tick(&demand);
-        assert_eq!(d.last_touch_ms(), None);
-        demand.touch = true;
-        d.tick(&demand);
-        assert_eq!(d.last_touch_ms(), Some(1));
-    }
-
-    #[test]
     fn cpuidle_sheds_idle_leakage() {
         let mut cfg = DeviceConfig::nexus6();
         cfg.monitor_noise_w = 0.0;
@@ -1412,7 +1358,6 @@ mod tests {
         const REPLICA_SEEDS: [u64; 2] = [8, 9];
         let busy = Demand {
             gpu_work: 0.35,
-            touch: true,
             bg: BackgroundDemand {
                 cpu_util: 0.2,
                 traffic_mbps: 150.0,
@@ -1439,15 +1384,12 @@ mod tests {
             let mut bits = vec![
                 d.now_ms(),
                 d.pmu().instructions().to_bits(),
-                d.pmu().cycles().to_bits(),
                 d.pmu().bus_bytes().to_bits(),
                 monitor.energy_j().to_bits(),
                 monitor.elapsed_ms(),
-                d.battery().drained_j().to_bits(),
                 d.gpu().busy_ms().to_bits(),
                 d.busy_core_ms().to_bits(),
                 d.busy_ms().to_bits(),
-                d.last_touch_ms().unwrap_or(u64::MAX),
             ];
             bits.extend(d.stats().time_in_freq_ms);
             bits.extend(d.gpu().time_in_freq_ms());

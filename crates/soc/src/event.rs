@@ -41,15 +41,11 @@
 //!   ends the span at or before the millisecond the work runs out;
 //! - [`Device::tick_span`] preserves the exact floating-point addition
 //!   order of every per-millisecond accumulator (f64 addition is not
-//!   associative, so sums are replayed, not hoisted). Two replay rules
-//!   drop work whose result is known bit for bit: the battery clamps
-//!   its drained total once per span, since that total never exceeds
-//!   the capacity and, for a non-negative drain, rounded addition is
-//!   monotone, so the per-ms clamped sequence is `min(unclamped sum,
-//!   capacity)`; and an idle GPU's per-ms `+ 0.0` is one add, since
-//!   adding a zero is idempotent. The power monitor's
-//!   measurement noise is the exception: one draw `σ·√n·z` per `n`-ms
-//!   span ([`PowerMonitor`](crate::PowerMonitor)), the exact law of `n`
+//!   associative, so sums are replayed, not hoisted). One replay rule
+//!   drops work whose result is known bit for bit: an idle GPU's per-ms
+//!   `+ 0.0` is one add, since adding a zero is idempotent. The power
+//!   monitor's measurement noise is the exception: one draw `σ·√n·z`
+//!   per `n`-ms span ([`PowerMonitor`](crate::PowerMonitor)), the exact law of `n`
 //!   per-ms draws, identical to the per-ms draw at `n = 1` and absent
 //!   at `σ = 0`. Coalesced spans with noise on therefore match the
 //!   1 ms loop in law, not in bits;

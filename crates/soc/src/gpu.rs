@@ -123,18 +123,9 @@ impl Gpu {
         self.time_in_freq_ms.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// Execute one tick: `gpu_work` is the render work demanded this
-    /// tick, expressed in GHz-equivalents of GPU time (0 = GPU idle).
-    /// Returns `(throughput_fraction, power_w)` where the fraction is
-    /// 1.0 when the GPU keeps up and < 1.0 when it is the bottleneck.
-    pub fn tick(&mut self, gpu_work: f64) -> (f64, f64) {
-        let rate = self.evaluate(gpu_work);
-        self.accumulate(rate, 1);
-        (rate.fraction, rate.power_w)
-    }
-
     /// The per-tick rates at the current operating point under
-    /// `gpu_work`; pure, so a span evaluates it once.
+    /// `gpu_work`, the render work demanded per tick in GHz-equivalents
+    /// of GPU time (0 = GPU idle); pure, so a span evaluates it once.
     pub(crate) fn evaluate(&self, gpu_work: f64) -> GpuRate {
         let f = self.freq_ghz(self.cur);
         let v = self.voltage(self.cur);
@@ -157,9 +148,9 @@ impl Gpu {
     }
 
     /// Book `span_ms` ticks at `rate`: the busy accumulator receives
-    /// the same per-millisecond additions `span_ms` calls to
-    /// [`Gpu::tick`] would make. An idle GPU's `+ 0.0` is idempotent
-    /// (for either sign of zero), so one add books the whole span.
+    /// the same per-millisecond additions as `span_ms` one-tick spans.
+    /// An idle GPU's `+ 0.0` is idempotent (for either sign of zero), so
+    /// one add books the whole span.
     pub(crate) fn accumulate(&mut self, rate: GpuRate, span_ms: u64) {
         // asgov-analyze: allow(float-eq): exact test for the idempotent `+ 0.0`, not a tolerance comparison
         let adds = if rate.util == 0.0 {
@@ -211,26 +202,37 @@ mod tests {
     fn keeps_up_when_fast_enough() {
         let mut g = Gpu::adreno420();
         g.set_freq(GpuFreqIndex(4)); // 600 MHz
-        let (fraction, power) = g.tick(0.3);
-        assert_eq!(fraction, 1.0);
-        assert!(power > 0.1, "busy GPU draws real power, got {power}");
+        let rate = g.evaluate(0.3);
+        assert_eq!(rate.fraction, 1.0);
+        assert!(
+            rate.power_w > 0.1,
+            "busy GPU draws real power, got {}",
+            rate.power_w
+        );
     }
 
     #[test]
     fn bottlenecks_when_too_slow() {
         let mut g = Gpu::adreno420();
         g.set_freq(GpuFreqIndex(0)); // 200 MHz
-        let (fraction, _) = g.tick(0.4);
-        assert!((fraction - 0.5).abs() < 1e-12, "200 MHz vs 0.4 GHz work");
+        let rate = g.evaluate(0.4);
+        assert!(
+            (rate.fraction - 0.5).abs() < 1e-12,
+            "200 MHz vs 0.4 GHz work"
+        );
     }
 
     #[test]
     fn idle_gpu_draws_only_leakage() {
         let mut g = Gpu::adreno420();
         g.set_freq(GpuFreqIndex(4));
-        let (fraction, power) = g.tick(0.0);
-        assert_eq!(fraction, 1.0);
-        assert!(power < 0.06, "idle GPU draws ~leakage, got {power}");
+        let rate = g.evaluate(0.0);
+        assert_eq!(rate.fraction, 1.0);
+        assert!(
+            rate.power_w < 0.06,
+            "idle GPU draws ~leakage, got {}",
+            rate.power_w
+        );
     }
 
     #[test]
@@ -249,7 +251,8 @@ mod tests {
         let mut g = Gpu::adreno420();
         g.set_freq(GpuFreqIndex(2));
         for _ in 0..10 {
-            g.tick(0.21); // half utilization at 0.42 GHz
+            let rate = g.evaluate(0.21); // half utilization at 0.42 GHz
+            g.accumulate(rate, 1);
         }
         assert_eq!(g.time_in_freq_ms()[2], 10);
         assert!((g.busy_ms() - 5.0).abs() < 1e-9);

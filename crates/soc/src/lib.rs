@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod battery;
 mod device;
 mod dvfs;
 mod error;
@@ -59,7 +58,6 @@ pub mod sim;
 pub mod sysfs;
 mod workload;
 
-pub use battery::Battery;
 pub use device::{Device, DeviceConfig, DeviceStats, TickOutcome};
 pub use dvfs::{
     BwIndex, CpuFreq, DvfsTable, FreqIndex, MemBw, NEXUS6_CPU_FREQS_GHZ, NEXUS6_MEM_BWS_MBPS,

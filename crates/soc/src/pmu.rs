@@ -1,4 +1,4 @@
-//! Performance monitoring unit: retired-instruction and cycle counters.
+//! Performance monitoring unit: retired-instruction and bus-byte counters.
 //!
 //! The paper reads the instruction counter through `perf` and derives a
 //! GIPS (giga-instructions per second) metric; see [`crate::PerfReader`]
@@ -10,7 +10,6 @@
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Pmu {
     instructions: f64,
-    cycles: f64,
     bus_bytes: f64,
 }
 
@@ -22,21 +21,15 @@ impl Pmu {
 
     /// Record one tick of execution.
     #[inline]
-    pub(crate) fn record(&mut self, instructions: f64, cycles: f64, bus_bytes: f64) {
-        debug_assert!(instructions >= 0.0 && cycles >= 0.0 && bus_bytes >= 0.0);
+    pub(crate) fn record(&mut self, instructions: f64, bus_bytes: f64) {
+        debug_assert!(instructions >= 0.0 && bus_bytes >= 0.0);
         self.instructions += instructions;
-        self.cycles += cycles;
         self.bus_bytes += bus_bytes;
     }
 
     /// Cumulative retired instructions.
     pub fn instructions(&self) -> f64 {
         self.instructions
-    }
-
-    /// Cumulative CPU cycles (busy cycles across all cores).
-    pub fn cycles(&self) -> f64 {
-        self.cycles
     }
 
     /// Cumulative memory-bus bytes (what `cpubw_hwmon` monitors via L2
@@ -53,10 +46,9 @@ mod tests {
     #[test]
     fn counters_are_cumulative() {
         let mut pmu = Pmu::new();
-        pmu.record(100.0, 50.0, 10.0);
-        pmu.record(200.0, 100.0, 20.0);
+        pmu.record(100.0, 10.0);
+        pmu.record(200.0, 20.0);
         assert_eq!(pmu.instructions(), 300.0);
-        assert_eq!(pmu.cycles(), 150.0);
         assert_eq!(pmu.bus_bytes(), 30.0);
     }
 
@@ -64,7 +56,6 @@ mod tests {
     fn fresh_pmu_reads_zero() {
         let pmu = Pmu::new();
         assert_eq!(pmu.instructions(), 0.0);
-        assert_eq!(pmu.cycles(), 0.0);
         assert_eq!(pmu.bus_bytes(), 0.0);
     }
 }

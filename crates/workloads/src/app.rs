@@ -104,8 +104,6 @@ pub struct EventSpec {
     /// streaming, DMA), MBps. Contends with the application for the bus
     /// and drives the `cpubw_hwmon` governor's vote up.
     pub extra_traffic_mbps: f64,
-    /// Whether the event counts as a touch (screen interaction).
-    pub touch: bool,
 }
 
 /// Whether the application has a fixed amount of work or runs at a rate.
@@ -341,7 +339,6 @@ impl PhasedApp {
 
         // Events start at the positive multiples of their period that
         // fall inside the window, anchored to absolute time.
-        let mut touch = false;
         for (i, ev) in self.spec.events.iter().enumerate() {
             if ev.period_ms == 0 {
                 continue;
@@ -351,9 +348,6 @@ impl PhasedApp {
                 self.active_events
                     .push((i, start, start.saturating_add(ev.duration_ms)));
                 self.event_backlog_gi += ev.work_gi;
-                if ev.touch {
-                    touch = true;
-                }
                 start = start.saturating_add(ev.period_ms);
             }
         }
@@ -375,7 +369,6 @@ impl PhasedApp {
         if let Some(t) = self.spec.touch {
             let p = (t.rate_per_s * self.window_s).clamp(0.0, 1.0);
             if self.rng.gen_bool(p) {
-                touch = true;
                 self.event_backlog_gi += t.work_gi;
             }
         }
@@ -400,7 +393,6 @@ impl PhasedApp {
             active_cores: phase.active_cores,
             extra_power_w: extra_power,
             gpu_work: phase.gpu_work_ghz,
-            touch,
             bg,
         };
         self.window_demand = demand;
@@ -572,7 +564,6 @@ mod tests {
             power_w: 0.5,
             work_gi: 0.05,
             extra_traffic_mbps: 300.0,
-            touch: false,
         });
         let mut dev = device();
         dev.set_cpu_governor("userspace");
@@ -604,17 +595,29 @@ mod tests {
         );
     }
 
+    /// Whether the demand window opened at `now` books a touch. Nothing
+    /// is executed in the tests that ask, so a window raises the backlog
+    /// by the frames it books (at most two frames of 0.05 GIPS · 17 ms,
+    /// 0.0017 GI) plus the touch's work if one fires: a rise of over
+    /// half a touch's work is a touch.
+    fn books_a_touch(app: &mut PhasedApp, now: u64, touch: TouchSpec) -> bool {
+        let before = app.backlog_gi();
+        let _ = app.demand(now);
+        app.backlog_gi() - before > touch.work_gi / 2.0
+    }
+
     #[test]
     fn touches_fire_at_roughly_the_configured_rate() {
         let mut spec = steady_spec(0.05);
-        spec.touch = Some(TouchSpec {
+        let touch = TouchSpec {
             rate_per_s: 2.0,
-            work_gi: 0.001,
-        });
+            work_gi: 0.01,
+        };
+        spec.touch = Some(touch);
         let mut app = PhasedApp::new(spec, BackgroundLoad::none(1), 42);
         let mut touches = 0;
         for now in 0..60_000u64 {
-            if app.demand(now).touch {
+            if books_a_touch(&mut app, now, touch) {
                 touches += 1;
             }
             app.deliver(now, Executed::default());
@@ -724,16 +727,17 @@ mod tests {
     #[test]
     fn quantum_touches_fire_at_roughly_the_configured_rate() {
         let mut spec = steady_spec(0.05);
-        spec.touch = Some(TouchSpec {
+        let touch = TouchSpec {
             rate_per_s: 2.0,
-            work_gi: 0.001,
-        });
+            work_gi: 0.01,
+        };
+        spec.touch = Some(touch);
         let q = 20u64;
         let mut app = PhasedApp::new(spec, BackgroundLoad::none(1), 42).with_quantum(q);
         let mut touch_windows = 0;
         let mut now = 0u64;
         while now < 60_000 {
-            if app.demand(now).touch {
+            if books_a_touch(&mut app, now, touch) {
                 touch_windows += 1;
             }
             app.deliver_span(now, Executed::default(), q);
@@ -818,7 +822,6 @@ mod tests {
             power_w: 0.5,
             work_gi: 0.05,
             extra_traffic_mbps: 300.0,
-            touch: false,
         });
         let q = 25u64;
         let mut app = PhasedApp::new(spec, BackgroundLoad::none(1), 1).with_quantum(q);
@@ -858,7 +861,6 @@ mod tests {
                 power_w: 0.1,
                 work_gi: 0.001,
                 extra_traffic_mbps: 5.0,
-                touch: false,
             });
         }
         PhasedApp::new(spec, BackgroundLoad::heavy(5), 9).with_quantum(q)

@@ -190,7 +190,6 @@ pub fn angrybirds(background: BackgroundLoad) -> PhasedApp {
             power_w: 0.5,
             work_gi: 0.10,
             extra_traffic_mbps: 250.0, // asset decode bursts (network-paced)
-            touch: false,
         }],
         profile_freq_range: (0, 9), // f1..f10: no gains past f5, margin to f10
         max_backlog_frames: Some(2.5),
@@ -313,13 +312,12 @@ pub fn spotify(background: BackgroundLoad) -> PhasedApp {
         touch: None,
         events: vec![
             EventSpec {
-                name: "song-change",
+                name: "song-change", // user taps next track
                 period_ms: 20_000,
                 duration_ms: 1_500,
                 power_w: 0.25,
                 work_gi: 0.10,
                 extra_traffic_mbps: 60.0,
-                touch: true, // user taps next track
             },
             EventSpec {
                 name: "buffer-refill",
@@ -328,7 +326,6 @@ pub fn spotify(background: BackgroundLoad) -> PhasedApp {
                 power_w: 0.05,
                 work_gi: 0.012,
                 extra_traffic_mbps: 25.0,
-                touch: false,
             },
         ],
         profile_freq_range: (0, 4), // f1..f5 (paper uses f1, f3, f5)
@@ -375,7 +372,6 @@ pub fn ebook(background: BackgroundLoad) -> PhasedApp {
             power_w: 0.05,
             work_gi: 0.35,
             extra_traffic_mbps: 30.0,
-            touch: true,
         }],
         profile_freq_range: (0, 9),
         max_backlog_frames: Some(4.0),

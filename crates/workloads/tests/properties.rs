@@ -6,7 +6,7 @@
 
 use asgov_soc::{Executed, Workload};
 use asgov_util::Rng;
-use asgov_workloads::{AppKind, AppSpec, BackgroundLoad, PhaseSpec, PhasedApp};
+use asgov_workloads::{AppKind, AppSpec, BackgroundLoad, PhaseSpec, PhasedApp, TouchSpec};
 
 fn spec(rate: f64, frame_ms: u64, jitter: f64, backlog: Option<f64>) -> AppSpec {
     AppSpec {
@@ -101,17 +101,21 @@ fn deterministic_and_replayable() {
         let mut v = Vec::new();
         for now in 0..500u64 {
             let d = app.demand(now);
-            v.push((d.desired_gips.unwrap_or(-1.0), d.touch));
+            v.push((d.desired_gips.unwrap_or(-1.0), app.backlog_gi()));
             app.deliver(now, Executed::default());
         }
         v
     };
     for seed in 0u64..200 {
-        let mut a = PhasedApp::new(
-            spec(0.5, 17, 0.5, Some(3.0)),
-            BackgroundLoad::baseline(seed),
-            seed,
-        );
+        // The backlog records the touch draws as well as the jitter.
+        let touchy = AppSpec {
+            touch: Some(TouchSpec {
+                rate_per_s: 4.0,
+                work_gi: 0.01,
+            }),
+            ..spec(0.5, 17, 0.5, Some(3.0))
+        };
+        let mut a = PhasedApp::new(touchy, BackgroundLoad::baseline(seed), seed);
         let first = run(&mut a);
         a.reset();
         let replay = run(&mut a);

@@ -6,6 +6,9 @@
 
 use asgov::prelude::*;
 
+/// The Nexus 6's pack: 3220 mAh at 3.8 V nominal, joules.
+const NEXUS6_BATTERY_J: f64 = 3.220 * 3.8 * 3600.0;
+
 fn main() {
     let dev_cfg = DeviceConfig::nexus6();
     let mut app = apps::spotify(BackgroundLoad::baseline(1));
@@ -31,7 +34,7 @@ fn main() {
         sim::run(&mut device, &mut app, policies, 120_000)
     });
 
-    let capacity = device.battery().capacity_j();
+    let capacity = NEXUS6_BATTERY_J;
     let hours = |power_w: f64| capacity / power_w / 3600.0;
     println!("Nexus 6 battery: {:.0} kJ", capacity / 1000.0);
     println!(

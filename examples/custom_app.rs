@@ -55,7 +55,6 @@ fn puzzle_game(background: BackgroundLoad) -> PhasedApp {
             power_w: 0.2,
             work_gi: 0.08,
             extra_traffic_mbps: 50.0,
-            touch: false,
         }],
         profile_freq_range: (0, 9),
         max_backlog_frames: Some(3.0),
