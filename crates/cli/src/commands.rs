@@ -23,6 +23,22 @@ fn unknown_app(name: &str) -> String {
     format!("unknown application {name:?}; see `asgov list-apps`")
 }
 
+/// Read the profile table at `path`, refusing one that cannot drive a
+/// controller on `dev_cfg`'s device.
+fn load_profile(path: &str, dev_cfg: &DeviceConfig) -> Result<ProfileTable> {
+    let table = ProfileTable::from_tsv(&std::fs::read_to_string(path)?)?;
+    let defects = table.defects(&dev_cfg.table);
+    if defects.is_empty() {
+        Ok(table)
+    } else {
+        Err(format!(
+            "profile {path} cannot drive a controller: {}",
+            defects.join("; ")
+        )
+        .into())
+    }
+}
+
 /// Execute a parsed command.
 ///
 /// # Errors
@@ -97,8 +113,7 @@ pub fn run(cmd: Command) -> Result<()> {
             let dev_cfg = DeviceConfig::nexus6();
             let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
                 .ok_or_else(|| unknown_app(&app))?;
-            let text = std::fs::read_to_string(&profile)?;
-            let table = ProfileTable::from_tsv(&text)?;
+            let table = load_profile(&profile, &dev_cfg)?;
             if table.app != app {
                 eprintln!(
                     "warning: profile is for {:?}, controlling {app:?}",
@@ -221,10 +236,7 @@ pub fn run(cmd: Command) -> Result<()> {
             let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
                 .ok_or_else(|| unknown_app(&app))?;
             let table = match profile {
-                Some(path) => {
-                    let text = std::fs::read_to_string(&path)?;
-                    ProfileTable::from_tsv(&text)?
-                }
+                Some(path) => load_profile(&path, &dev_cfg)?,
                 None => {
                     eprintln!("no --profile; quick-profiling {app}...");
                     let opts = ProfileOptions {

@@ -300,6 +300,60 @@ fn stats_spans_concatenated_traces_and_refuses_negative_integers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `control` and `trace` refuse, with an error and exit code 1 rather
+/// than a panic, a profile that cannot drive a controller: one with no
+/// rows, an index off the Nexus 6 ladders, a `NaN` speedup, or an index
+/// that is not an unsigned integer.
+#[test]
+fn control_and_trace_refuse_a_profile_that_cannot_drive_a_controller() {
+    let dir = std::env::temp_dir().join("asgov_cli_badprofile_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let header = "# app\tSpotify\n# base_gips\t0.05\n\
+                  # freq_idx\tbw_idx\tgpu_idx\tspeedup\tpower_w\tmeasured\n";
+    let cases = [
+        ("empty", "", "no entries"),
+        ("offladder", "99\t0\t-1\t1\t1.5\t1\n", "off the device"),
+        ("nan", "0\t0\t-1\tNaN\t1.5\t1\n", "malformed profile line"),
+        (
+            "negative",
+            "-3\t0\t-1\t1\t1.5\t1\n",
+            "malformed profile line",
+        ),
+        (
+            "fraction",
+            "1.5\t0\t-1\t1\t1.5\t1\n",
+            "malformed profile line",
+        ),
+    ];
+    for (name, rows, why) in cases {
+        let path = dir.join(format!("{name}.tsv"));
+        std::fs::write(&path, format!("{header}{rows}")).unwrap();
+        let trace_out = dir.join(format!("{name}.trace.jsonl"));
+        for command in ["control", "trace"] {
+            let mut cmd = asgov();
+            cmd.args([command, "--app", "Spotify", "--profile"])
+                .arg(&path)
+                .args(["--target", "0.1", "--duration-s", "4"]);
+            if command == "trace" {
+                cmd.arg("--out").arg(&trace_out);
+            }
+            let out = cmd.output().expect("run");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {name}: {err}");
+            assert!(
+                err.contains("error:") && err.contains(why),
+                "{command} {name}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{command} {name}: {err}");
+        }
+        assert!(
+            !trace_out.exists(),
+            "{name}: no trace from a refused profile"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn baseline_reports_the_four_quantities() {
     let out = asgov()

@@ -1,5 +1,6 @@
 //! The profile table (paper Table I).
 
+use asgov_soc::gpu::ADRENO420_FREQS_GHZ;
 use asgov_soc::{BwIndex, DvfsTable, FreqIndex, GpuFreqIndex};
 use asgov_util::Json;
 use std::error::Error;
@@ -135,30 +136,56 @@ impl ProfileTable {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
+    /// The problems that keep the table from driving a controller on a
+    /// device with `ladder`'s CPU and bus ladders and the Adreno 420
+    /// GPU, in human-readable form (empty = it can): no entries, a
+    /// non-finite or non-positive base speed, speedup or power, or a
+    /// configuration off one of the ladders.
+    pub fn defects(&self, ladder: &DvfsTable) -> Vec<String> {
+        if self.is_empty() {
+            return vec!["table has no entries".to_string()];
+        }
+        let mut issues = Vec::new();
+        if !self.base_gips.is_finite() || self.base_gips <= 0.0 {
+            issues.push(format!("bad base speed {} GIPS", self.base_gips));
+        }
+        for e in &self.entries {
+            let c = e.config;
+            if c.freq.0 >= ladder.num_freqs()
+                || c.bw.0 >= ladder.num_bws()
+                || c.gpu.is_some_and(|g| g.0 >= ADRENO420_FREQS_GHZ.len())
+            {
+                issues.push(format!("configuration {c} is off the device's ladders"));
+            }
+            if !e.speedup.is_finite() || e.speedup <= 0.0 {
+                issues.push(format!("bad speedup {} at {c}", e.speedup));
+            }
+            if !e.power_w.is_finite() || e.power_w <= 0.0 {
+                issues.push(format!("bad power {} at {c}", e.power_w));
+            }
+        }
+        issues
+    }
+
     /// Sanity-check the table before handing it to a controller.
     /// Returns a list of human-readable issues (empty = healthy).
     ///
-    /// Checked: non-finite or non-positive values, duplicate
-    /// configurations, a base speed outside plausible bounds, and a
-    /// speedup scale that never reaches ~1 (which suggests the base
-    /// configuration was mis-measured).
-    pub fn validate(&self) -> Vec<String> {
-        let mut issues = Vec::new();
+    /// Checked: the [`ProfileTable::defects`] against `ladder`, and
+    /// three signs of a suspect profile that can still drive a
+    /// controller: duplicate configurations, a base speed outside
+    /// plausible bounds, and a speedup scale that never reaches ~1
+    /// (which suggests the base configuration was mis-measured).
+    pub fn validate(&self, ladder: &DvfsTable) -> Vec<String> {
+        let mut issues = self.defects(ladder);
         if self.is_empty() {
-            issues.push("table has no entries".to_string());
             return issues;
         }
-        if !(1e-4..=100.0).contains(&self.base_gips) {
+        let b = self.base_gips;
+        if b.is_finite() && b > 0.0 && !(1e-4..=100.0).contains(&b) {
             issues.push(format!("implausible base speed {} GIPS", self.base_gips));
         }
         let mut seen = std::collections::BTreeSet::new();
         for e in &self.entries {
-            if !e.speedup.is_finite() || e.speedup <= 0.0 {
-                issues.push(format!("bad speedup {} at {}", e.speedup, e.config));
-            }
-            if !e.power_w.is_finite() || e.power_w <= 0.0 {
-                issues.push(format!("bad power {} at {}", e.power_w, e.config));
-            }
             if !seen.insert(e.config) {
                 issues.push(format!("duplicate configuration {}", e.config));
             }
@@ -193,6 +220,8 @@ impl ProfileTable {
     }
 
     /// Parse the TSV format produced by [`ProfileTable::to_tsv`].
+    /// Indices must be unsigned integers (`-1` for no GPU index) and
+    /// numbers finite.
     ///
     /// # Errors
     ///
@@ -211,10 +240,7 @@ impl ProfileTable {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("# base_gips\t") {
-                base_gips = Some(
-                    rest.parse::<f64>()
-                        .map_err(|_| TableParseError::at(lineno, line))?,
-                );
+                base_gips = Some(finite(rest).ok_or_else(|| TableParseError::at(lineno, line))?);
                 continue;
             }
             if line.starts_with('#') {
@@ -226,30 +252,23 @@ impl ProfileTable {
             if fields.len() != 6 && fields.len() != 5 {
                 return Err(TableParseError::at(lineno, line));
             }
-            let parse = |s: &str| -> Result<f64, TableParseError> {
-                s.parse().map_err(|_| TableParseError::at(lineno, line))
-            };
-            let (gpu, rest) = if fields.len() == 6 {
-                let g = parse(fields[2])?;
-                (
-                    if g < 0.0 {
-                        None
-                    } else {
-                        Some(GpuFreqIndex(g as usize))
-                    },
-                    &fields[3..],
-                )
-            } else {
-                (None, &fields[2..])
+            let bad = || TableParseError::at(lineno, line);
+            let index = |s: &str| s.parse::<usize>().map_err(|_| bad());
+            let number = |s: &str| finite(s).ok_or_else(bad);
+            // `-1` in the GPU column: the GPU is left to its governor.
+            let (gpu, rest) = match fields.len() {
+                6 if fields[2] == "-1" => (None, &fields[3..]),
+                6 => (Some(GpuFreqIndex(index(fields[2])?)), &fields[3..]),
+                _ => (None, &fields[2..]),
             };
             entries.push(ProfileEntry {
                 config: Config {
-                    freq: FreqIndex(parse(fields[0])? as usize),
-                    bw: BwIndex(parse(fields[1])? as usize),
+                    freq: FreqIndex(index(fields[0])?),
+                    bw: BwIndex(index(fields[1])?),
                     gpu,
                 },
-                speedup: parse(rest[0])?,
-                power_w: parse(rest[1])?,
+                speedup: number(rest[0])?,
+                power_w: number(rest[1])?,
                 measured: rest[2] == "1",
             });
         }
@@ -367,6 +386,11 @@ impl ProfileTable {
         }
         out
     }
+}
+
+/// `s` as a finite `f64`.
+fn finite(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
 /// Error parsing a profile table from TSV.
@@ -527,15 +551,64 @@ mod tests {
         ));
     }
 
+    /// Indices parse as unsigned integers and numbers as finite floats:
+    /// a negative or fractional index, or a `NaN` or infinite value, is
+    /// a malformed line rather than a truncated or absurd row.
+    #[test]
+    fn parse_rejects_non_integral_indices_and_non_finite_numbers() {
+        let header = "# app\tx\n# base_gips\t0.5\n";
+        for row in [
+            "-3\t0\t-1\t1.0\t1.5\t1",
+            "1.5\t0\t-1\t1.0\t1.5\t1",
+            "0\t2.0\t-1\t1.0\t1.5\t1",
+            "0\t0\t-2\t1.0\t1.5\t1",
+            "0\t0\t0.5\t1.0\t1.5\t1",
+            "0\t0\t-1\tNaN\t1.5\t1",
+            "0\t0\t-1\t1.0\tinf\t1",
+            "0\t0\t1.0\tNaN\t1",
+        ] {
+            assert!(
+                matches!(
+                    ProfileTable::from_tsv(&format!("{header}{row}\n")),
+                    Err(TableParseError::BadLine { line: 2, .. })
+                ),
+                "{row:?} must be refused"
+            );
+        }
+        assert!(matches!(
+            ProfileTable::from_tsv("# app\tx\n# base_gips\tNaN\n"),
+            Err(TableParseError::BadLine { line: 1, .. })
+        ));
+        // The accepted forms: `-1` for no GPU index, and the five-column
+        // rows written before the GPU axis existed.
+        let t = ProfileTable::from_tsv(&format!(
+            "{header}3\t4\t-1\t1.25\t1.5\t1\n5\t6\t2\t1.5\t2.0\t0\n7\t8\t1.75\t2.5\t1\n"
+        ))
+        .unwrap();
+        let configs: Vec<Config> = t.entries.iter().map(|e| e.config).collect();
+        assert_eq!(
+            configs,
+            vec![
+                Config::new(FreqIndex(3), BwIndex(4)),
+                Config {
+                    gpu: Some(GpuFreqIndex(2)),
+                    ..Config::new(FreqIndex(5), BwIndex(6))
+                },
+                Config::new(FreqIndex(7), BwIndex(8)),
+            ]
+        );
+    }
+
     #[test]
     fn validate_flags_real_problems() {
+        let ladder = DvfsTable::nexus6();
         let mut t = sample();
-        assert!(t.validate().is_empty(), "sample table is healthy");
+        assert!(t.validate(&ladder).is_empty(), "sample table is healthy");
 
         t.entries[1].speedup = f64::NAN;
         t.entries.push(t.entries[0]);
         t.base_gips = 1e9;
-        let issues = t.validate();
+        let issues = t.validate(&ladder);
         assert!(issues.iter().any(|i| i.contains("bad speedup")));
         assert!(issues.iter().any(|i| i.contains("duplicate")));
         assert!(issues.iter().any(|i| i.contains("base speed")));
@@ -545,7 +618,59 @@ mod tests {
             base_gips: 1.0,
             entries: vec![],
         };
-        assert_eq!(empty.validate(), vec!["table has no entries".to_string()]);
+        assert_eq!(
+            empty.validate(&ladder),
+            vec!["table has no entries".to_string()]
+        );
+    }
+
+    /// A table with a bad value or an index off a ladder cannot drive a
+    /// controller; the suspect-but-usable signs are not defects.
+    #[test]
+    fn defects_are_what_a_controller_cannot_run() {
+        let ladder = DvfsTable::nexus6();
+        let mut t = sample();
+        for e in &mut t.entries {
+            e.speedup += 2.0;
+        }
+        t.entries.push(t.entries[0]);
+        assert!(t.defects(&ladder).is_empty(), "suspect, not defective");
+
+        let t = sample();
+        let with = |edit: fn(&mut ProfileTable)| {
+            let mut t = t.clone();
+            edit(&mut t);
+            t.defects(&ladder)
+        };
+        let off = |issues: Vec<String>| issues.iter().any(|i| i.contains("off the device"));
+        assert!(off(with(|t| t.entries[0].config.freq = FreqIndex(18))));
+        assert!(off(with(|t| t.entries[0].config.bw = BwIndex(13))));
+        assert!(off(with(
+            |t| t.entries[0].config.gpu = Some(GpuFreqIndex(5))
+        )));
+        assert!(with(|t| t.entries[0].config.freq = FreqIndex(17)).is_empty());
+        assert!(with(|t| t.entries[0].config.gpu = Some(GpuFreqIndex(4))).is_empty());
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let t = ProfileTable {
+                base_gips: bad,
+                ..sample()
+            };
+            assert!(t.defects(&ladder).iter().any(|i| i.contains("base speed")));
+            let mut t = sample();
+            t.entries[2].speedup = bad;
+            t.entries[1].power_w = bad;
+            let issues = t.defects(&ladder);
+            assert!(issues.iter().any(|i| i.contains("bad speedup")), "{bad}");
+            assert!(issues.iter().any(|i| i.contains("bad power")), "{bad}");
+        }
+        let empty = ProfileTable {
+            entries: vec![],
+            ..sample()
+        };
+        assert_eq!(
+            empty.defects(&ladder),
+            vec!["table has no entries".to_string()]
+        );
     }
 
     #[test]
@@ -554,7 +679,7 @@ mod tests {
         for e in &mut t.entries {
             e.speedup += 2.0;
         }
-        let issues = t.validate();
+        let issues = t.validate(&DvfsTable::nexus6());
         assert!(issues.iter().any(|i| i.contains("mis-measured")));
     }
 
