@@ -1,6 +1,6 @@
 //! Benchmark runner: three suites (`optimizer`, `controller`,
-//! `simulator`), each written as `BENCH_<suite>.json` at the repository
-//! root. `--quick` shrinks the sampling plan for CI smoke runs.
+//! `simulator`), each written as `BENCH_<suite>.json` in the working
+//! directory. `--quick` shrinks the sampling plan for CI smoke runs.
 
 use asgov_bench::{bench, suite_report, synthetic_profile, synthetic_table, BenchConfig};
 use asgov_control::{AdaptiveIntegrator, KalmanFilter};
@@ -18,7 +18,6 @@ use asgov_util::{Json, Rng};
 use asgov_workloads::{apps, BackgroundLoad};
 use std::cell::{Cell, RefCell};
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -32,10 +31,6 @@ const OVERHEAD_PAIRS: usize = 41;
 /// overheads from −34 % to +47 % on a loaded 2-vCPU VM.
 const OVERHEAD_LEGS: usize = 6;
 const OVERHEAD_SIM_MS: u64 = 20_000;
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
-}
 
 /// A deterministic sweep of solve targets spanning the synthetic
 /// profile's speedup range (1.0 ..= 3.2), plus out-of-range extremes.
@@ -416,7 +411,6 @@ fn main() {
             }
         }
     }
-    let root = repo_root();
     let mut overhead = (f64::NAN, f64::NAN, f64::NAN);
     for (suite, report) in [
         ("optimizer", optimizer_suite(quick)),
@@ -424,7 +418,7 @@ fn main() {
         ("simulator", simulator_suite(quick)),
     ] {
         let file = format!("BENCH_{suite}.json");
-        std::fs::write(root.join(&file), report.to_pretty()).expect("write benchmark report");
+        std::fs::write(&file, report.to_pretty()).expect("write benchmark report");
         println!("wrote {file}");
         if suite == "optimizer" {
             let speedup = derived(&report, "hull_speedup_at_234");

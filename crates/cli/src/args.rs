@@ -1,6 +1,7 @@
 //! Minimal hand-rolled argument parsing (the workspace deliberately
 //! carries no CLI dependency).
 
+use asgov_profiler::ProfileOptions;
 use asgov_workloads::LoadLevel;
 use std::fmt;
 
@@ -15,7 +16,7 @@ USAGE:
   asgov baseline --app <NAME> [--duration-s <N>] [--load BL|NL|HL]
   asgov control  --app <NAME> --profile <FILE> [--target <GIPS>]
                  [--duration-s <N>] [--load BL|NL|HL] [--cpu-only]
-  asgov compare  --app <NAME> [--duration-s <N>] [--load BL|NL|HL] [--quick]
+  asgov compare  --app <NAME> [--duration-s <N>] [--load BL|NL|HL]
   asgov trace    --app <NAME> [--profile <FILE>] [--target <GIPS>]
                  [--duration-s <N>] [--load BL|NL|HL] [--out <FILE>]
                  [--capacity <N>]   (records kept, at most 65536)
@@ -28,6 +29,7 @@ COMMANDS:
   baseline    Measure the default-governor run (R_def, P_def, E_def)
   control     Run the online controller from a saved profile (Stage 2)
   compare     Profile + baseline + controller, print the Table III row
+              (over the app's own test duration unless --duration-s)
   trace       Run the controller with the observability sink attached;
               writes per-cycle JSONL to --out (default: <app>.trace.jsonl)
               and prints the metrics summary
@@ -70,12 +72,11 @@ pub enum Command {
         load: LoadLevel,
         cpu_only: bool,
     },
-    /// `asgov compare`
+    /// `asgov compare`; `duration_ms` overrides the app's test duration.
     Compare {
         app: String,
-        duration_ms: u64,
+        duration_ms: Option<u64>,
         load: LoadLevel,
-        quick: bool,
     },
     /// `asgov trace`
     Trace {
@@ -178,15 +179,20 @@ fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, ParseError>
 }
 
 /// A seconds flag's value converted once to milliseconds, the unit the
-/// simulator runs in; `default_s` when the flag is absent.
-fn secs_as_ms(f: &mut Flags, flag: &'static str, default_s: u64) -> Result<u64, ParseError> {
-    let secs = match f.value(flag)? {
-        Some(v) => parse_num(flag, v)?,
-        None => default_s,
+/// simulator runs in; `None` when the flag is absent.
+fn secs_as_ms(f: &mut Flags, flag: &'static str) -> Result<Option<u64>, ParseError> {
+    let Some(v) = f.value(flag)? else {
+        return Ok(None);
     };
+    let secs: u64 = parse_num(flag, v)?;
     secs.checked_mul(1000)
+        .map(Some)
         .ok_or(ParseError::SecondsOverflow { flag, secs })
 }
+
+/// Simulated length of `baseline`, `control` and `trace` runs without
+/// `--duration-s`, ms.
+const DEFAULT_DURATION_MS: u64 = 60_000;
 
 fn parse_load(v: Option<&str>) -> Result<LoadLevel, ParseError> {
     let v = v.unwrap_or("BL").to_uppercase();
@@ -208,17 +214,18 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let cmd = match sub.as_str() {
         "list-apps" => Command::ListApps,
         "profile" => {
+            let defaults = ProfileOptions::default();
             let app = f.value("--app")?.ok_or_else(|| err("--app is required"))?;
             let out = f.value("--out")?.map(str::to_string);
             let stride = match f.value("--stride")? {
                 Some(v) => parse_num("--stride", v)?,
-                None => 2,
+                None => defaults.freq_stride,
             };
             let runs = match f.value("--runs")? {
                 Some(v) => parse_num("--runs", v)?,
-                None => 3,
+                None => defaults.runs_per_config,
             };
-            let window_ms = secs_as_ms(&mut f, "--window-s", 30)?;
+            let window_ms = secs_as_ms(&mut f, "--window-s")?.unwrap_or(defaults.run_ms);
             let load = parse_load(f.value("--load")?)?;
             let cpu_only = f.flag("--cpu-only");
             let gpu = f.flag("--gpu");
@@ -241,7 +248,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 .value("--app")?
                 .ok_or_else(|| err("--app is required"))?
                 .to_string(),
-            duration_ms: secs_as_ms(&mut f, "--duration-s", 60)?,
+            duration_ms: secs_as_ms(&mut f, "--duration-s")?.unwrap_or(DEFAULT_DURATION_MS),
             load: parse_load(f.value("--load")?)?,
         },
         "control" => Command::Control {
@@ -257,7 +264,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 Some(v) => Some(parse_num("--target", v)?),
                 None => None,
             },
-            duration_ms: secs_as_ms(&mut f, "--duration-s", 60)?,
+            duration_ms: secs_as_ms(&mut f, "--duration-s")?.unwrap_or(DEFAULT_DURATION_MS),
             load: parse_load(f.value("--load")?)?,
             cpu_only: f.flag("--cpu-only"),
         },
@@ -266,9 +273,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 .value("--app")?
                 .ok_or_else(|| err("--app is required"))?
                 .to_string(),
-            duration_ms: secs_as_ms(&mut f, "--duration-s", 60)?,
+            duration_ms: secs_as_ms(&mut f, "--duration-s")?,
             load: parse_load(f.value("--load")?)?,
-            quick: f.flag("--quick"),
         },
         "trace" => Command::Trace {
             app: f
@@ -280,7 +286,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 Some(v) => Some(parse_num("--target", v)?),
                 None => None,
             },
-            duration_ms: secs_as_ms(&mut f, "--duration-s", 60)?,
+            duration_ms: secs_as_ms(&mut f, "--duration-s")?.unwrap_or(DEFAULT_DURATION_MS),
             load: parse_load(f.value("--load")?)?,
             out: f.value("--out")?.map(str::to_string),
             capacity: match f.value("--capacity")? {
@@ -354,6 +360,20 @@ mod tests {
     fn rejects_unknown_flag() {
         let e = parse(&v(&["baseline", "--app", "X", "--frobnicate"])).unwrap_err();
         assert!(e.to_string().contains("unrecognized"));
+    }
+
+    #[test]
+    fn compare_defaults_to_the_app_duration_and_has_one_protocol() {
+        assert_eq!(
+            parse(&v(&["compare", "--app", "VidCon"])).unwrap(),
+            Command::Compare {
+                app: "VidCon".into(),
+                duration_ms: None,
+                load: LoadLevel::Baseline,
+            }
+        );
+        let e = parse(&v(&["compare", "--app", "VidCon", "--quick"])).unwrap_err();
+        assert!(e.to_string().contains("unrecognized argument"), "{e}");
     }
 
     #[test]

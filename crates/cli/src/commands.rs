@@ -3,6 +3,7 @@
 use crate::args::Command;
 use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder};
 use asgov_experiments::harness::{compare, ExperimentOptions};
+use asgov_experiments::render::{energy_cell, perf_cell};
 use asgov_obs::{parse_jsonl, CycleRecord, RingSink, TraceSink as _};
 use asgov_profiler::{
     measure_default, profile_app, profile_app_cpu_only, profile_app_with_gpu, ProfileOptions,
@@ -183,30 +184,19 @@ pub fn run(cmd: Command) -> Result<()> {
             app,
             duration_ms,
             load,
-            quick,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
             let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
                 .ok_or_else(|| unknown_app(&app))?;
-            // Table III's procedure over a `duration_ms` window;
-            // `--quick` profiles one 6 s run per configuration and
-            // measures one run per leg instead of three.
-            let mut opts = ExperimentOptions {
-                duration_ms: Some(duration_ms),
+            // Table III's procedure, over the app's test duration unless
+            // `--duration-s` overrides it.
+            let opts = ExperimentOptions {
+                duration_ms,
                 ..ExperimentOptions::default()
             };
-            if quick {
-                opts.profile = ProfileOptions {
-                    runs_per_config: 1,
-                    run_ms: 6_000,
-                    freq_stride: 2,
-                    interpolate: true,
-                };
-                opts.runs = 1;
-            }
             eprintln!("profiling {app}, measuring the default governors and the controller...");
             let c = compare(&dev_cfg, &mut a, &opts);
-            println!("{app} ({load}, {} s):", duration_ms / 1000);
+            println!("{app} ({load}, {} s):", opts.duration_ms_for(&a) / 1000);
             for (leg, m) in [("default:   ", &c.default), ("controller:", &c.controller)] {
                 println!(
                     "  {leg} {:.4} GIPS  {:.3} W  {:.1} J",
@@ -214,9 +204,9 @@ pub fn run(cmd: Command) -> Result<()> {
                 );
             }
             println!(
-                "  => {:+.1}% energy at {:+.1}% performance",
-                c.energy_savings_pct(),
-                c.performance_delta_pct()
+                "  => {} energy at {} performance",
+                energy_cell(&c),
+                perf_cell(&c)
             );
             if let Some(summary) = c.failure_summary() {
                 println!("  health:     {summary}");
@@ -238,14 +228,8 @@ pub fn run(cmd: Command) -> Result<()> {
             let table = match profile {
                 Some(path) => load_profile(&path, &dev_cfg)?,
                 None => {
-                    eprintln!("no --profile; quick-profiling {app}...");
-                    let opts = ProfileOptions {
-                        runs_per_config: 1,
-                        run_ms: 6_000,
-                        freq_stride: 2,
-                        interpolate: true,
-                    };
-                    profile_app(&dev_cfg, &mut a, &opts)
+                    eprintln!("no --profile; profiling {app}...");
+                    profile_app(&dev_cfg, &mut a, &ProfileOptions::default())
                 }
             };
             let target = match target {

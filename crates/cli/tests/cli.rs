@@ -432,46 +432,24 @@ fn cpu_only_control_output_is_pinned() {
 }
 
 /// `asgov compare` prints the Table III row `harness::compare` gives
-/// with the same options: for a deadline-critical app the performance
-/// is its completion time, and the controller leg is Table III's.
+/// at the default options, over the app's own test duration: for a
+/// deadline-critical app the performance is its completion time, and
+/// the controller leg is Table III's.
 #[test]
 fn compare_prints_the_harness_comparison() {
     use asgov_experiments::harness::{compare, ExperimentOptions};
-    use asgov_profiler::ProfileOptions;
     use asgov_workloads::{apps, BackgroundLoad, LoadLevel};
 
-    let out = asgov()
-        .args([
-            "compare",
-            "--app",
-            "VidCon",
-            "--quick",
-            "--duration-s",
-            "30",
-        ])
-        .output()
-        .expect("run compare");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-
-    let opts = ExperimentOptions {
-        profile: ProfileOptions {
-            runs_per_config: 1,
-            run_ms: 6_000,
-            freq_stride: 2,
-            interpolate: true,
-        },
-        runs: 1,
-        duration_ms: Some(30_000),
-        ..ExperimentOptions::default()
-    };
+    let text = compare_stdout(&[]);
     let mut app = apps::by_name("VidCon", BackgroundLoad::with_level(LoadLevel::Baseline, 1))
         .expect("registry app");
-    let c = compare(&asgov_soc::DeviceConfig::nexus6(), &mut app, &opts);
+    let header = format!("VidCon (BL, {} s):", app.spec().test_duration_ms / 1000);
+    let c = compare(
+        &asgov_soc::DeviceConfig::nexus6(),
+        &mut app,
+        &ExperimentOptions::default(),
+    );
+    assert!(!c.truncated(), "both legs run VidCon to completion");
     let m = &c.controller;
     let controller = format!(
         "controller: {:.4} GIPS  {:.3} W  {:.1} J",
@@ -482,9 +460,32 @@ fn compare_prints_the_harness_comparison() {
         c.energy_savings_pct(),
         c.performance_delta_pct()
     );
+    for want in [&header, &controller, &row] {
+        assert!(text.contains(want.as_str()), "want {want:?} in:\n{text}");
+    }
+}
+
+/// A window shorter than VidCon's completion time cuts both legs short,
+/// so the completion times compare nothing: the performance cell reads
+/// `n/a`, not `+0.0%`.
+#[test]
+fn compare_flags_a_truncated_deadline_run() {
+    let text = compare_stdout(&["--duration-s", "30"]);
+    assert!(text.contains("VidCon (BL, 30 s):"), "{text}");
+    assert!(text.contains("energy at n/a performance"), "{text}");
+}
+
+/// `asgov compare --app VidCon` with `extra` flags; returns stdout.
+fn compare_stdout(extra: &[&str]) -> String {
+    let out = asgov()
+        .args(["compare", "--app", "VidCon"])
+        .args(extra)
+        .output()
+        .expect("run compare");
     assert!(
-        text.contains(&controller),
-        "want {controller:?} in:\n{text}"
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
-    assert!(text.contains(&row), "want {row:?} in:\n{text}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
 }

@@ -3,16 +3,17 @@
 //!
 //! For each fault class a seeded [`FaultPlan`] fires mid-run; the table
 //! reports what the controller observed, how far it degraded, and how
-//! fast it recovered, next to the clean-run baseline. The same matrix is
-//! written as `CHAOS_faultmatrix.json` at the repository root (uploaded
-//! as a CI artifact alongside the bench reports).
+//! fast it recovered, next to the clean-run baseline, over 120 s runs
+//! with faults in the middle third. The same matrix is written as
+//! `CHAOS_faultmatrix.json` in the working directory (uploaded as a CI
+//! artifact alongside the bench reports).
 //!
-//! Run: `cargo run --release -p asgov-experiments --bin chaos [-- --quick] [-- --trace] [-- --kill-matrix]`
+//! Run: `cargo run --release -p asgov-experiments --bin chaos [-- --trace] [-- --kill-matrix]`
 //!
 //! With `--trace` the sysfs-busy scenario is re-run with the
 //! observability sink installed, and the per-cycle JSONL trace is
-//! written to `CHAOS_trace.jsonl` at the repository root (uploaded as a
-//! CI artifact alongside the fault matrix).
+//! written to `CHAOS_trace.jsonl` in the working directory (uploaded as
+//! a CI artifact alongside the fault matrix).
 //!
 //! With `--kill-matrix` the supervised controller additionally runs
 //! under injected controller kills — apps × kill counts × seeds, once
@@ -31,22 +32,12 @@ use asgov_soc::{
 use asgov_util::Json;
 use asgov_workloads::{apps, BackgroundLoad, PhasedApp};
 use std::cell::RefCell;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-/// The fault-matrix report, at the repository root.
+/// The fault-matrix report, in the working directory.
 const MATRIX_FILE: &str = "CHAOS_faultmatrix.json";
-/// The per-cycle trace of `--trace`, at the repository root.
+/// The per-cycle trace of `--trace`, in the working directory.
 const TRACE_FILE: &str = "CHAOS_trace.jsonl";
-
-/// `name` at the repository root. Output names the file repo-relative,
-/// so the printed report does not depend on where the tree is checked
-/// out.
-fn at_repo_root(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name)
-}
 
 /// Run `app` from reset on `device` under the coordinated controller
 /// stack around `controller` (a controller or its supervisor).
@@ -202,17 +193,16 @@ fn run_kill_matrix(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let trace = std::env::args().any(|a| a == "--trace");
     let kill_matrix = std::env::args().any(|a| a == "--kill-matrix");
     let dev_cfg = DeviceConfig::nexus6();
-    let duration_ms: u64 = if quick { 40_000 } else { 120_000 };
+    let duration_ms: u64 = 120_000;
     // Faults fire in the middle third of the run: the controller has
     // settled before, and has time to recover after.
     let (f_start, f_end) = (duration_ms / 3, 2 * duration_ms / 3);
     let opts = ProfileOptions {
         runs_per_config: 1,
-        run_ms: if quick { 5_000 } else { 10_000 },
+        run_ms: 10_000,
         freq_stride: 2,
         interpolate: true,
     };
@@ -285,7 +275,6 @@ fn main() {
 
     let mut doc = Json::object();
     doc.set("app", "WeChat");
-    doc.set("quick", quick);
     doc.set("duration_ms", duration_ms as f64);
     doc.set("fault_window_ms", format!("{f_start}..{f_end}").as_str());
     doc.set("default_gips", default.gips);
@@ -293,8 +282,8 @@ fn main() {
     doc.set("matrix", Json::Arr(matrix));
 
     if kill_matrix {
-        let seeds: &[u64] = if quick { &[0x5eed] } else { &[0x5eed, 0x5eee] };
-        let kill_rows = run_kill_matrix(&dev_cfg, &opts, duration_ms, f_start, f_end, seeds);
+        let seeds = [0x5eed, 0x5eee];
+        let kill_rows = run_kill_matrix(&dev_cfg, &opts, duration_ms, f_start, f_end, &seeds);
         // Warm-vs-cold energy delta, paired per (app, kills, seed).
         let mut deltas = Vec::new();
         for pair in kill_rows.chunks(2) {
@@ -311,7 +300,7 @@ fn main() {
         doc.set("warm_vs_cold_energy_delta_j_mean", mean_delta);
     }
 
-    std::fs::write(at_repo_root(MATRIX_FILE), doc.to_pretty()).expect("write fault-matrix report");
+    std::fs::write(MATRIX_FILE, doc.to_pretty()).expect("write fault-matrix report");
     println!("wrote {MATRIX_FILE}");
 
     if trace {
@@ -329,7 +318,7 @@ fn main() {
             .build();
         let report = coordinated_run(&mut device, &mut app, &mut controller, duration_ms);
         let sink = sink.borrow();
-        std::fs::write(at_repo_root(TRACE_FILE), sink.to_jsonl()).expect("write chaos trace");
+        std::fs::write(TRACE_FILE, sink.to_jsonl()).expect("write chaos trace");
         println!(
             "traced sysfs-busy: {:.4} GIPS, {:.1} J, {} cycle records ({} faulted), wrote {TRACE_FILE}",
             report.avg_gips,

@@ -6,13 +6,8 @@ use asgov_soc::DeviceConfig;
 use asgov_workloads::{paper_apps, BackgroundLoad};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let dev_cfg = DeviceConfig::nexus6();
-    let opts = if quick {
-        ExperimentOptions::quick()
-    } else {
-        ExperimentOptions::default()
-    };
+    let opts = ExperimentOptions::default();
     println!("=== Fig. 4: CPU frequency residency, controller vs default ===\n");
     for mut app in paper_apps(BackgroundLoad::baseline(1)) {
         let c = compare(&dev_cfg, &mut app, &opts);

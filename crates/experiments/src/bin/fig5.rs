@@ -6,13 +6,8 @@ use asgov_soc::DeviceConfig;
 use asgov_workloads::{paper_apps, BackgroundLoad};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let dev_cfg = DeviceConfig::nexus6();
-    let opts = if quick {
-        ExperimentOptions::quick()
-    } else {
-        ExperimentOptions::default()
-    };
+    let opts = ExperimentOptions::default();
     println!("=== Fig. 5: memory bandwidth residency, controller vs default ===\n");
     let mut bw1_fracs = Vec::new();
     for mut app in paper_apps(BackgroundLoad::baseline(1)) {

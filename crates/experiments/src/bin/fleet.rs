@@ -3,8 +3,8 @@
 //! §11–§12).
 //!
 //! Prints the aggregate energy-savings distributions per application
-//! and per fault class, and writes `BENCH_fleet.json` at the repository
-//! root with throughput figures (device-epochs/sec, controller
+//! and per fault class, and writes `BENCH_fleet.json` in the working
+//! directory with throughput figures (device-epochs/sec, controller
 //! cycles/sec, peak RSS), keyed per tier so the 10³/10⁵/10⁶ rows
 //! accumulate across invocations, and `device_epochs_per_ref`: the
 //! throughput per [`reference_s`], which a gate can compare across
@@ -23,12 +23,7 @@
 use asgov_fleet::{Fleet, FleetConfig, PolicyStore};
 use asgov_soc::DeviceConfig;
 use asgov_util::Json;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
-}
 
 /// Parsed invocation: the run configuration plus the tier label its
 /// benchmark row is filed under ("custom" when a preset was edited).
@@ -273,8 +268,8 @@ fn main() {
 
     // Top level mirrors this run and keys every tier's latest row under
     // "tiers" so the 10³/10⁵/10⁶ results accumulate across invocations.
-    let path = repo_root().join("BENCH_fleet.json");
-    let mut tiers = std::fs::read_to_string(&path)
+    let path = "BENCH_fleet.json";
+    let mut tiers = std::fs::read_to_string(path)
         .ok()
         .and_then(|text| Json::parse(&text).ok())
         .and_then(|old| old.get("tiers").cloned())
@@ -307,10 +302,10 @@ fn main() {
     }
     bench.set("tiers", tiers);
 
-    match std::fs::write(&path, bench.to_pretty() + "\n") {
-        Ok(()) => println!("\nwrote BENCH_fleet.json"),
+    match std::fs::write(path, bench.to_pretty() + "\n") {
+        Ok(()) => println!("\nwrote {path}"),
         Err(e) => {
-            eprintln!("fleet: writing {}: {e}", path.display());
+            eprintln!("fleet: writing {path}: {e}");
             std::process::exit(1);
         }
     }

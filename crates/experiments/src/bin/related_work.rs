@@ -16,13 +16,8 @@ use asgov_soc::{DeviceConfig, Policy};
 use asgov_workloads::{apps, BackgroundLoad};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let dev_cfg = DeviceConfig::nexus6();
-    let opts = if quick {
-        ExperimentOptions::quick()
-    } else {
-        ExperimentOptions::default()
-    };
+    let opts = ExperimentOptions::default();
     let duration = opts.duration_ms.unwrap_or(120_000);
     let mut app = apps::angrybirds(BackgroundLoad::baseline(1));
 

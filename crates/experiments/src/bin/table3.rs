@@ -2,19 +2,14 @@
 //! controller vs the default governors, six applications.
 
 use asgov_experiments::harness::{compare_all, ExperimentOptions};
-use asgov_experiments::render::pct_flagged;
+use asgov_experiments::render::{energy_cell, perf_cell};
 use asgov_experiments::stats::Summary;
 use asgov_soc::DeviceConfig;
 use asgov_workloads::{paper_apps, BackgroundLoad};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let dev_cfg = DeviceConfig::nexus6();
-    let opts = if quick {
-        ExperimentOptions::quick()
-    } else {
-        ExperimentOptions::default()
-    };
+    let opts = ExperimentOptions::default();
     println!("=== Table III: controller vs default governors (baseline load) ===\n");
     println!(
         "{:<18} {:>12} {:>8} {:>16}   (paper: perf, energy)",
@@ -36,8 +31,8 @@ fn main() {
         println!(
             "{:<18} {:>12} {:>8} {:>16}   ({:>6}, {:>6})",
             c.app,
-            pct_flagged(c.performance_delta_pct(), c.baseline_degenerate()),
-            pct_flagged(c.energy_savings_pct(), c.baseline_degenerate()),
+            perf_cell(&c),
+            energy_cell(&c),
             Summary::of(&powers).display(3),
             paper[i].0,
             paper[i].1,

@@ -8,7 +8,7 @@
 use asgov_experiments::harness::{
     compare, measure_controller, profile_app_for_mode, Comparison, ExperimentOptions,
 };
-use asgov_experiments::render::pct_flagged;
+use asgov_experiments::render::{energy_cell, perf_cell};
 use asgov_profiler::measure_default;
 use asgov_soc::DeviceConfig;
 use asgov_workloads::{AppKind, BackgroundLoad, LoadLevel, PhasedApp};
@@ -18,13 +18,8 @@ fn apps_under(load: &BackgroundLoad) -> Vec<PhasedApp> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let dev_cfg = DeviceConfig::nexus6();
-    let opts = if quick {
-        ExperimentOptions::quick()
-    } else {
-        ExperimentOptions::default()
-    };
+    let opts = ExperimentOptions::default();
 
     println!("=== Table IV: background-load sensitivity (profile taken at BL) ===\n");
     println!(
@@ -41,7 +36,7 @@ fn main() {
         asgov_util::par::default_threads(bl_apps.len()),
         |idx| {
             let mut bl_app = bl_apps[idx].clone();
-            let duration = opts.duration_ms.unwrap_or(bl_app.spec().test_duration_ms);
+            let duration = opts.duration_ms_for(&bl_app);
             let profile = profile_app_for_mode(&dev_cfg, &mut bl_app, &opts);
             let target = measure_default(&dev_cfg, &mut bl_app, opts.runs, duration).gips;
             let cells: Vec<Comparison> = LoadLevel::ALL
@@ -65,17 +60,15 @@ fn main() {
         },
     );
     for (name, cells) in rows {
-        let perf = |c: &Comparison| pct_flagged(c.performance_delta_pct(), c.baseline_degenerate());
-        let energy = |c: &Comparison| pct_flagged(c.energy_savings_pct(), c.baseline_degenerate());
         println!(
             "{:<14} {:>9} {:>9} {:>9}   {:>9} {:>9} {:>9}",
             name,
-            perf(&cells[0]),
-            perf(&cells[1]),
-            perf(&cells[2]),
-            energy(&cells[0]),
-            energy(&cells[1]),
-            energy(&cells[2]),
+            perf_cell(&cells[0]),
+            perf_cell(&cells[1]),
+            perf_cell(&cells[2]),
+            energy_cell(&cells[0]),
+            energy_cell(&cells[1]),
+            energy_cell(&cells[2]),
         );
     }
     // The paper's §V-C re-profiling follow-up: MobileBench re-profiled
@@ -87,8 +80,8 @@ fn main() {
     let c = compare(&dev_cfg, &mut app, &opts);
     println!(
         "MobileBench re-profiled at NL: perf {}, energy {}   (paper: 0%, 11.1%)",
-        pct_flagged(c.performance_delta_pct(), c.baseline_degenerate()),
-        pct_flagged(c.energy_savings_pct(), c.baseline_degenerate())
+        perf_cell(&c),
+        energy_cell(&c)
     );
 
     println!("\nPaper (perf BL/NL/HL, energy BL/NL/HL):");

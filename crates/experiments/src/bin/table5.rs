@@ -3,18 +3,13 @@
 
 use asgov_core::ControlMode;
 use asgov_experiments::harness::{compare_all, ExperimentOptions};
-use asgov_experiments::render::pct_flagged;
+use asgov_experiments::render::{energy_cell, perf_cell};
 use asgov_soc::DeviceConfig;
 use asgov_workloads::{paper_apps, BackgroundLoad};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     let dev_cfg = DeviceConfig::nexus6();
-    let mut opts = if quick {
-        ExperimentOptions::quick()
-    } else {
-        ExperimentOptions::default()
-    };
+    let mut opts = ExperimentOptions::default();
 
     println!("=== Table V: CPU-only DVFS controller vs default (paper §V-D) ===\n");
     println!(
@@ -42,15 +37,9 @@ fn main() {
         println!(
             "{:<18} {:>12} {:>10} {:>14}   ({:>6}, {:>6})",
             cpu_only.app,
-            pct_flagged(
-                cpu_only.performance_delta_pct(),
-                cpu_only.baseline_degenerate()
-            ),
-            pct_flagged(
-                cpu_only.energy_savings_pct(),
-                cpu_only.baseline_degenerate()
-            ),
-            pct_flagged(coord.energy_savings_pct(), coord.baseline_degenerate()),
+            perf_cell(&cpu_only),
+            energy_cell(&cpu_only),
+            energy_cell(&coord),
             paper[i].0,
             paper[i].1,
         );

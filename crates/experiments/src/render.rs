@@ -1,5 +1,7 @@
 //! Plain-text rendering helpers for experiment output.
 
+use crate::harness::Comparison;
+
 /// Render a histogram (fractions summing to 1) as an ASCII bar chart
 /// with one row per bin, labelled 1-based like the paper.
 pub fn histogram(title: &str, fractions: &[f64], label: &str) -> String {
@@ -43,15 +45,29 @@ pub fn pct(v: f64) -> String {
     format!("{v:+.1}%")
 }
 
-/// Format a percentage cell, flagging comparisons whose baseline is
-/// degenerate (see `Comparison::baseline_degenerate`) as `n/a` rather
-/// than printing a misleading `+0.0%`.
-pub fn pct_flagged(v: f64, degenerate: bool) -> String {
-    if degenerate {
+/// Format a percentage cell, flagging a value that measured nothing as
+/// `n/a` rather than printing a misleading `+0.0%`.
+fn pct_flagged(v: f64, flagged: bool) -> String {
+    if flagged {
         "n/a".to_string()
     } else {
         pct(v)
     }
+}
+
+/// A comparison's performance cell: `n/a` when its baseline is
+/// degenerate ([`Comparison::baseline_degenerate`]) or a deadline leg
+/// was cut short ([`Comparison::truncated`]).
+pub fn perf_cell(c: &Comparison) -> String {
+    pct_flagged(
+        c.performance_delta_pct(),
+        c.baseline_degenerate() || c.truncated(),
+    )
+}
+
+/// A comparison's energy cell: `n/a` when its baseline is degenerate.
+pub fn energy_cell(c: &Comparison) -> String {
+    pct_flagged(c.energy_savings_pct(), c.baseline_degenerate())
 }
 
 /// Render rows as CSV with a header. Fields are escaped minimally
