@@ -1,12 +1,13 @@
 //! CLI entry point: `cargo run -p asgov-analyze -- --workspace`.
 //!
 //! Exit status is the contract: 0 when every lint passes and the
-//! interleaving gate verifies, 1 otherwise — CI runs this binary as a
-//! blocking job. A machine-readable report is always written (default
-//! `ANALYZE_report.json`), findings or not, so the artifact can be
-//! uploaded unconditionally.
+//! interleaving gate verifies, 2 on a usage error, 1 otherwise — CI
+//! runs this binary as a blocking job. A machine-readable report is
+//! always written (default `ANALYZE_report.json`), findings or not, so
+//! the artifact can be uploaded unconditionally.
 
 use asgov_analyze::{interleave, report::Report, rules, workspace};
+use asgov_util::args::{ArgError, Flags};
 use asgov_util::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,52 +30,35 @@ OPTIONS:
                         change, fails the run. The diff is written next
                         to the report as <report>.diff
   --skip-interleavings  Lint only; skip the interleaving checker
-  --quick               Smaller interleaving configurations (CI smoke)";
+  --quick               Smaller interleaving configurations (CI smoke)
+  --help                Print this text";
 
 struct Args {
     root: Option<PathBuf>,
     report: Option<PathBuf>,
     baseline: Option<PathBuf>,
-    workspace: bool,
     skip_interleavings: bool,
     quick: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        report: None,
-        baseline: None,
-        workspace: false,
-        skip_interleavings: false,
-        quick: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workspace" => args.workspace = true,
-            "--skip-interleavings" => args.skip_interleavings = true,
-            "--quick" => args.quick = true,
-            "--root" => {
-                args.root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?));
-            }
-            "--report" => {
-                args.report = Some(PathBuf::from(it.next().ok_or("--report needs a path")?));
-            }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
+fn parse_args(f: &mut Flags<'_>) -> Result<Args, ArgError> {
+    if f.flag("--help")? {
+        println!("{USAGE}");
+        std::process::exit(0);
     }
-    if !args.workspace {
-        return Err("pass --workspace to select the analysis target".into());
+    if !f.flag("--workspace")? {
+        return Err(ArgError::usage(
+            "pass --workspace to select the analysis target",
+        ));
     }
-    Ok(args)
+    let path = |v: Option<&str>| v.map(PathBuf::from);
+    Ok(Args {
+        root: path(f.value("--root")?),
+        report: path(f.value("--report")?),
+        baseline: path(f.value("--baseline")?),
+        skip_interleavings: f.flag("--skip-interleavings")?,
+        quick: f.flag("--quick")?,
+    })
 }
 
 /// One finding key for baseline comparison. Line numbers shift under
@@ -158,13 +142,7 @@ fn baseline_diff(baseline_raw: &str, current: &Json) -> (String, bool) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = asgov_util::args::parse_env(USAGE, parse_args);
 
     let Some(root) = args.root.or_else(|| {
         std::env::current_dir()

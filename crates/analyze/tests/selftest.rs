@@ -326,6 +326,28 @@ fn workspace_is_clean_end_to_end() {
     std::fs::remove_file(&report_path).ok();
 }
 
+/// A usage error is exit 2, distinct from the findings' exit 1, and
+/// comes before any scan.
+#[test]
+fn an_unknown_or_repeated_flag_is_a_usage_error() {
+    for (args, named) in [
+        (&["--workspace", "--frobnicate"][..], "\"--frobnicate\""),
+        (
+            &["--workspace", "--quick", "--quick"],
+            "--quick is given more than once",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_asgov-analyze"))
+            .args(args)
+            .output()
+            .expect("run asgov-analyze");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
+}
+
 /// `impl Restartable for` items in the workspace's non-test source:
 /// files outside `tests/`, `examples/` and `benches/` trees, up to each
 /// file's first `#[cfg(test)]`.

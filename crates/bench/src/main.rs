@@ -401,16 +401,7 @@ fn simulator_suite(quick: bool) -> Json {
 }
 
 fn main() {
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => {
-                eprintln!("error: unknown argument `{other}` (expected `--quick`)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let quick = asgov_util::args::parse_env("", |f| f.flag("--quick"));
     let mut overhead = (f64::NAN, f64::NAN, f64::NAN);
     for (suite, report) in [
         ("optimizer", optimizer_suite(quick)),

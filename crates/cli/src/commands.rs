@@ -13,11 +13,13 @@ use asgov_soc::{event, Device, DeviceConfig, Workload as _};
 use asgov_workloads::{apps, BackgroundLoad};
 use std::cell::RefCell;
 use std::error::Error;
+use std::io::Write;
 use std::rc::Rc;
 
-type Result<T> = std::result::Result<T, Box<dyn Error>>;
+/// A command's outcome.
+pub type Result<T> = std::result::Result<T, Box<dyn Error>>;
 
-/// Cycle records `asgov control` retains for its fault list.
+/// Cycle records `asgov control` retains for its fault list and trace.
 const MAX_CONTROL_RECORDS: u64 = 1 << 16;
 
 fn unknown_app(name: &str) -> String {
@@ -40,23 +42,24 @@ fn load_profile(path: &str, dev_cfg: &DeviceConfig) -> Result<ProfileTable> {
     }
 }
 
-/// Execute a parsed command.
+/// Execute a parsed command, printing its report to `out`.
 ///
 /// # Errors
 ///
-/// I/O failures, unknown applications, or malformed profile files.
-pub fn run(cmd: Command) -> Result<()> {
+/// I/O failures (writing to `out` too), unknown applications, or
+/// malformed profile files.
+pub fn run(cmd: Command, out: &mut impl Write) -> Result<()> {
     match cmd {
         Command::ListApps => {
-            println!("built-in application models (see asgov-workloads):");
+            writeln!(out, "built-in application models (see asgov-workloads):")?;
             for (name, _) in apps::REGISTRY {
-                println!("  {name}");
+                writeln!(out, "  {name}")?;
             }
             Ok(())
         }
         Command::Profile {
             app,
-            out,
+            out: path,
             stride,
             runs,
             window_ms,
@@ -81,9 +84,9 @@ pub fn run(cmd: Command) -> Result<()> {
             } else {
                 profile_app(&dev_cfg, &mut a, &opts)
             };
-            println!("{}", table.render(&dev_cfg.table));
-            let path = out.unwrap_or_else(|| format!("{app}.profile.tsv"));
+            let path = path.unwrap_or_else(|| format!("{app}.profile.tsv"));
             std::fs::write(&path, table.to_tsv())?;
+            writeln!(out, "{}", table.render(&dev_cfg.table))?;
             eprintln!("wrote {} configurations to {path}", table.len());
             Ok(())
         }
@@ -96,11 +99,14 @@ pub fn run(cmd: Command) -> Result<()> {
             let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
                 .ok_or_else(|| unknown_app(&app))?;
             let m = measure_default(&dev_cfg, &mut a, 3, duration_ms);
-            println!("{app} under interactive + cpubw_hwmon + msm-adreno-tz ({load}):");
-            println!("  R_def = {:.4} GIPS", m.gips);
-            println!("  P_def = {:.3} W", m.power_w);
-            println!("  T_def = {:.1} s", m.duration_ms / 1000.0);
-            println!("  E_def = {:.1} J", m.energy_j);
+            writeln!(
+                out,
+                "{app} under interactive + cpubw_hwmon + msm-adreno-tz ({load}):"
+            )?;
+            writeln!(out, "  R_def = {:.4} GIPS", m.gips)?;
+            writeln!(out, "  P_def = {:.3} W", m.power_w)?;
+            writeln!(out, "  T_def = {:.1} s", m.duration_ms / 1000.0)?;
+            writeln!(out, "  E_def = {:.1} J", m.energy_j)?;
             Ok(())
         }
         Command::Control {
@@ -110,11 +116,23 @@ pub fn run(cmd: Command) -> Result<()> {
             duration_ms,
             load,
             cpu_only,
+            out: trace_out,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
             let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
                 .ok_or_else(|| unknown_app(&app))?;
-            let table = load_profile(&profile, &dev_cfg)?;
+            let table = match profile {
+                Some(path) => load_profile(&path, &dev_cfg)?,
+                None => {
+                    eprintln!("no --profile; profiling {app}...");
+                    let profile = if cpu_only {
+                        profile_app_cpu_only
+                    } else {
+                        profile_app
+                    };
+                    profile(&dev_cfg, &mut a, &ProfileOptions::default())
+                }
+            };
             if table.app != app {
                 eprintln!(
                     "warning: profile is for {:?}, controlling {app:?}",
@@ -140,7 +158,7 @@ pub fn run(cmd: Command) -> Result<()> {
                 .build();
             let mut device = Device::new(dev_cfg);
             // One record per 2 s control cycle; past the cap the fault
-            // list covers the newest cycles.
+            // list and the trace cover the newest cycles.
             let retained = (duration_ms / 2_000 + 1).min(MAX_CONTROL_RECORDS);
             let sink = Rc::new(RefCell::new(RingSink::new(retained as usize)));
             device.install_obs_sink(sink.clone());
@@ -149,23 +167,31 @@ pub fn run(cmd: Command) -> Result<()> {
                 event::run(&mut device, &mut a, policies, duration_ms)
             });
 
-            println!("{app} under the asgov controller (target {target:.4} GIPS, {load}):");
-            println!("  achieved = {:.4} GIPS", report.avg_gips);
-            println!("  power    = {:.3} W", report.avg_power_w);
-            println!(
+            let sink = sink.borrow();
+            if let Some(path) = &trace_out {
+                std::fs::write(path, sink.to_jsonl())?;
+            }
+            writeln!(
+                out,
+                "{app} under the asgov controller (target {target:.4} GIPS, {load}):"
+            )?;
+            writeln!(out, "  achieved = {:.4} GIPS", report.avg_gips)?;
+            writeln!(out, "  power    = {:.3} W", report.avg_power_w)?;
+            writeln!(
+                out,
                 "  energy   = {:.1} J over {:.1} s",
                 report.energy_j,
                 report.duration_s()
-            );
-            let sink = sink.borrow();
-            println!(
+            )?;
+            writeln!(
+                out,
                 "  base-speed estimate = {:.4} GIPS, {} control cycles, {} actuation failures",
                 controller.base_estimate(),
                 sink.metrics().cycles,
                 controller.actuation_failures()
-            );
+            )?;
             if let Some(health) = report.health {
-                println!("  health   = {}", health.summary());
+                writeln!(out, "  health   = {}", health.summary())?;
             }
             let faults: Vec<_> = sink
                 .records()
@@ -173,10 +199,18 @@ pub fn run(cmd: Command) -> Result<()> {
                 .filter_map(|c| c.fault.map(|k| (c.t_ms, k)))
                 .collect();
             if !faults.is_empty() {
-                println!("  actuation faults by cycle:");
+                writeln!(out, "  actuation faults by cycle:")?;
                 for (t_ms, kind) in faults {
-                    println!("    t={:.1} s: {kind}", t_ms as f64 * 1e-3);
+                    writeln!(out, "    t={:.1} s: {kind}", t_ms as f64 * 1e-3)?;
                 }
+            }
+            if let Some(path) = &trace_out {
+                writeln!(
+                    out,
+                    "  wrote {} cycle records to {path} ({} dropped by the ring)",
+                    sink.ring().len(),
+                    sink.ring().dropped()
+                )?;
             }
             Ok(())
         }
@@ -196,84 +230,34 @@ pub fn run(cmd: Command) -> Result<()> {
             };
             eprintln!("profiling {app}, measuring the default governors and the controller...");
             let c = compare(&dev_cfg, &mut a, &opts);
-            println!("{app} ({load}, {} s):", opts.duration_ms_for(&a) / 1000);
+            writeln!(
+                out,
+                "{app} ({load}, {} s):",
+                opts.duration_ms_for(&a) / 1000
+            )?;
             for (leg, m) in [("default:   ", &c.default), ("controller:", &c.controller)] {
-                println!(
+                writeln!(
+                    out,
                     "  {leg} {:.4} GIPS  {:.3} W  {:.1} J",
                     m.gips, m.power_w, m.energy_j
-                );
+                )?;
             }
-            println!(
+            writeln!(
+                out,
                 "  => {} energy at {} performance",
                 energy_cell(&c),
                 perf_cell(&c)
-            );
+            )?;
             if let Some(summary) = c.failure_summary() {
-                println!("  health:     {summary}");
+                writeln!(out, "  health:     {summary}")?;
             }
-            Ok(())
-        }
-        Command::Trace {
-            app,
-            profile,
-            target,
-            duration_ms,
-            load,
-            out,
-            capacity,
-        } => {
-            let dev_cfg = DeviceConfig::nexus6();
-            let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
-                .ok_or_else(|| unknown_app(&app))?;
-            let table = match profile {
-                Some(path) => load_profile(&path, &dev_cfg)?,
-                None => {
-                    eprintln!("no --profile; profiling {app}...");
-                    profile_app(&dev_cfg, &mut a, &ProfileOptions::default())
-                }
-            };
-            let target = match target {
-                Some(t) => t,
-                None => {
-                    eprintln!("no --target; measuring the default-governor baseline...");
-                    measure_default(&dev_cfg, &mut a, 1, duration_ms).gips
-                }
-            };
-
-            let mut controller = ControllerBuilder::new(table).target_gips(target).build();
-            let mut device = Device::new(dev_cfg);
-            let sink = Rc::new(RefCell::new(RingSink::new(capacity)));
-            device.install_obs_sink(sink.clone());
-            a.reset();
-            let report =
-                with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {
-                    event::run(&mut device, &mut a, policies, duration_ms)
-                });
-
-            let sink = sink.borrow();
-            let path = out.unwrap_or_else(|| format!("{app}.trace.jsonl"));
-            std::fs::write(&path, sink.to_jsonl())?;
-            println!("{app} traced run (target {target:.4} GIPS, {load}):");
-            println!(
-                "  achieved = {:.4} GIPS, {:.3} W, {:.1} J over {:.1} s",
-                report.avg_gips,
-                report.avg_power_w,
-                report.energy_j,
-                report.duration_s()
-            );
-            println!(
-                "  wrote {} cycle records to {path} ({} dropped by the ring)",
-                sink.ring().len(),
-                sink.ring().dropped()
-            );
-            println!("{}", sink.metrics().to_json().to_pretty());
             Ok(())
         }
         Command::Stats { trace } => {
             let text = std::fs::read_to_string(&trace)?;
             let records = parse_jsonl(&text)?;
             if records.is_empty() {
-                println!("{trace}: no records");
+                writeln!(out, "{trace}: no records")?;
                 return Ok(());
             }
             // Replay the stream through a sink to rebuild the aggregates.
@@ -297,20 +281,28 @@ pub fn run(cmd: Command) -> Result<()> {
             };
             let max_abs_err = finite_errs.iter().copied().fold(0.0, f64::max);
             let split_cycles = records.iter().filter(|r| r.tau_upper_ms > 0).count();
-            println!(
+            writeln!(
+                out,
                 "{trace}: {} records spanning {:.1} s",
                 records.len(),
                 span_ms as f64 * 1e-3
-            );
-            println!("  |error|: mean {mean_abs_err:.4} GIPS, max {max_abs_err:.4} GIPS");
+            )?;
+            writeln!(
+                out,
+                "  |error|: mean {mean_abs_err:.4} GIPS, max {max_abs_err:.4} GIPS"
+            )?;
             if non_finite > 0 {
-                println!("  {non_finite} record(s) with non-finite error excluded");
+                writeln!(
+                    out,
+                    "  {non_finite} record(s) with non-finite error excluded"
+                )?;
             }
-            println!(
+            writeln!(
+                out,
                 "  dwell splits: {split_cycles}/{} cycles used two configurations",
                 records.len()
-            );
-            println!("{}", sink.metrics().to_json().to_pretty());
+            )?;
+            writeln!(out, "{}", sink.metrics().to_json().to_pretty())?;
             Ok(())
         }
     }

@@ -56,31 +56,34 @@ fn overflowing_duration_is_a_usage_error() {
     );
 }
 
+/// `trace` was folded into `control --out`, and a flag given twice is
+/// refused rather than letting one occurrence win: both exit 2 before
+/// any work, print nothing on stdout and name the argument.
 #[test]
-fn oversized_trace_capacity_is_a_usage_error() {
-    // It once reached `Vec::with_capacity` after profiling and panicked
-    // with `capacity overflow` (exit 101).
-    let out = asgov()
-        .args([
-            "trace",
-            "--app",
-            "Spotify",
-            "--target",
-            "0.1",
-            "--duration-s",
-            "1",
-            "--capacity",
-            "18446744073709551615",
-        ])
-        .output()
-        .expect("run");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--capacity") && err.contains("USAGE"), "{err}");
-    assert!(
-        !err.contains("profiling"),
-        "profiled before rejecting: {err}"
-    );
+fn trace_is_an_unknown_subcommand_and_a_repeated_flag_is_refused() {
+    for (args, why) in [
+        (
+            &["trace", "--app", "Spotify", "--duration-s", "1"][..],
+            "unknown subcommand \"trace\"",
+        ),
+        (
+            &["baseline", "--app", "Spotify", "--app", "WeChat"],
+            "--app is given more than once",
+        ),
+        (
+            &["control", "--app", "Spotify", "--capacity", "64"],
+            "unrecognized argument \"--capacity\"",
+        ),
+    ] {
+        let out = asgov().args(args).output().expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            err.contains(why) && err.contains("USAGE"),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -148,15 +151,17 @@ fn profile_then_control_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `control --out` without `--profile` profiles the app, runs it and
+/// writes the trace that `stats` reads back.
 #[test]
-fn trace_then_stats_round_trip() {
+fn control_trace_then_stats_round_trip() {
     let dir = std::env::temp_dir().join("asgov_cli_trace_test");
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("spotify.trace.jsonl");
 
     let out = asgov()
         .args([
-            "trace",
+            "control",
             "--app",
             "Spotify",
             "--duration-s",
@@ -165,7 +170,7 @@ fn trace_then_stats_round_trip() {
             trace_path.to_str().unwrap(),
         ])
         .output()
-        .expect("run trace");
+        .expect("run control");
     assert!(
         out.status.success(),
         "{}",
@@ -300,12 +305,12 @@ fn stats_spans_concatenated_traces_and_refuses_negative_integers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `control` and `trace` refuse, with an error and exit code 1 rather
-/// than a panic, a profile that cannot drive a controller: one with no
-/// rows, an index off the Nexus 6 ladders, a `NaN` speedup, or an index
-/// that is not an unsigned integer.
+/// `control` refuses, with an error and exit code 1 rather than a
+/// panic, a profile that cannot drive a controller: one with no rows,
+/// an index off the Nexus 6 ladders, a `NaN` speedup, or an index that
+/// is not an unsigned integer. It writes no trace from one.
 #[test]
-fn control_and_trace_refuse_a_profile_that_cannot_drive_a_controller() {
+fn control_refuses_a_profile_that_cannot_drive_a_controller() {
     let dir = std::env::temp_dir().join("asgov_cli_badprofile_test");
     std::fs::create_dir_all(&dir).unwrap();
     let header = "# app\tSpotify\n# base_gips\t0.05\n\
@@ -329,23 +334,17 @@ fn control_and_trace_refuse_a_profile_that_cannot_drive_a_controller() {
         let path = dir.join(format!("{name}.tsv"));
         std::fs::write(&path, format!("{header}{rows}")).unwrap();
         let trace_out = dir.join(format!("{name}.trace.jsonl"));
-        for command in ["control", "trace"] {
-            let mut cmd = asgov();
-            cmd.args([command, "--app", "Spotify", "--profile"])
-                .arg(&path)
-                .args(["--target", "0.1", "--duration-s", "4"]);
-            if command == "trace" {
-                cmd.arg("--out").arg(&trace_out);
-            }
-            let out = cmd.output().expect("run");
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{command} {name}: {err}");
-            assert!(
-                err.contains("error:") && err.contains(why),
-                "{command} {name}: {err}"
-            );
-            assert!(!err.contains("panicked"), "{command} {name}: {err}");
-        }
+        let out = asgov()
+            .args(["control", "--app", "Spotify", "--profile"])
+            .arg(&path)
+            .args(["--target", "0.1", "--duration-s", "4", "--out"])
+            .arg(&trace_out)
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains("error:") && err.contains(why), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
         assert!(
             !trace_out.exists(),
             "{name}: no trace from a refused profile"

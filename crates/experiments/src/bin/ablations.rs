@@ -51,6 +51,7 @@ fn row(label: &str, default: &DefaultMeasurement, m: &DefaultMeasurement) {
 }
 
 fn main() {
+    asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let mut a = app();
     let opts = ProfileOptions {

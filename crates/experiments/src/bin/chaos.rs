@@ -16,7 +16,7 @@
 //! a CI artifact alongside the fault matrix).
 //!
 //! With `--kill-matrix` the supervised controller additionally runs
-//! under injected controller kills — apps × kill counts × seeds, once
+//! under injected controller kills — apps × kill counts, once
 //! with cold restarts and once with warm (checkpoint) restarts — and
 //! the comparison lands in the same JSON under `"kill_matrix"`.
 
@@ -38,6 +38,9 @@ use std::rc::Rc;
 const MATRIX_FILE: &str = "CHAOS_faultmatrix.json";
 /// The per-cycle trace of `--trace`, in the working directory.
 const TRACE_FILE: &str = "CHAOS_trace.jsonl";
+/// The fault injector's seed in every run. A kill window fires with
+/// p = 1, so it draws nothing from the seed: the kill matrix runs one.
+const SEED: u64 = 0x5eed;
 
 /// Run `app` from reset on `device` under the coordinated controller
 /// stack around `controller` (a controller or its supervisor).
@@ -90,7 +93,7 @@ fn kill_plan(start: u64, end: u64, kills: u64) -> FaultPlan {
 }
 
 /// Supervised cold-vs-warm restart comparison under injected controller
-/// kills: apps × kill counts × seeds × {cold, warm}, one JSON row each
+/// kills: apps × kill counts × {cold, warm}, one JSON row each
 /// (cold, then warm).
 fn run_kill_matrix(
     dev_cfg: &DeviceConfig,
@@ -98,7 +101,6 @@ fn run_kill_matrix(
     duration_ms: u64,
     f_start: u64,
     f_end: u64,
-    seeds: &[u64],
 ) -> Vec<Json> {
     let mut rows = Vec::new();
     println!("\n=== Kill matrix: supervised cold vs warm restarts ===\n");
@@ -127,65 +129,62 @@ fn run_kill_matrix(
         let profile = profile_app(dev_cfg, &mut app, opts);
         let default = measure_default(dev_cfg, &mut app, 1, duration_ms);
         for kills in [1u64, 3] {
-            for &seed in seeds {
-                for (mode, warm) in [("cold", false), ("warm", true)] {
-                    let plan = kill_plan(f_start, f_end, kills);
-                    let (profile, target) = (profile.clone(), default.gips);
-                    let mut supervisor = Supervisor::new(
-                        move || {
-                            ControllerBuilder::new(profile.clone())
-                                .target_gips(target)
-                                .build()
-                        },
-                        SupervisorConfig {
-                            warm,
-                            ..SupervisorConfig::default()
-                        },
-                    );
-                    let mut device = Device::new(dev_cfg.clone());
-                    device.install_faults(FaultInjector::new(plan, seed));
-                    let report =
-                        coordinated_run(&mut device, &mut app, &mut supervisor, duration_ms);
-                    let health = report.health.expect("supervisor reports health");
-                    assert!(
-                        report.energy_j.is_finite() && report.avg_gips.is_finite(),
-                        "{app_name}: supervised run must stay finite under kills"
-                    );
-                    let rec = health
-                        .restart_recovery_ms
-                        .map_or_else(|| "-".into(), |ms| ms.to_string());
-                    println!(
-                        "{:<12} {:>5} {:>8x} {:>6} {:>9.4} {:>9.1} {:>9} {:>12} {:>6}/{:>3} {:>12}",
-                        app_name,
-                        kills,
-                        seed,
-                        mode,
-                        report.avg_gips,
-                        report.energy_j,
-                        health.restarts,
-                        health.downtime_ms,
-                        health.warm_restarts,
-                        health.snapshot_errors,
-                        rec,
-                    );
-                    let mut row = Json::object();
-                    row.set("app", app_name);
-                    row.set("kills", kills as f64);
-                    row.set("seed", seed as f64);
-                    row.set("mode", mode);
-                    row.set("energy_j", report.energy_j);
-                    row.set("avg_gips", report.avg_gips);
-                    row.set("restarts", health.restarts as f64);
-                    row.set("warm_restarts", health.warm_restarts as f64);
-                    row.set("snapshot_errors", health.snapshot_errors as f64);
-                    row.set("downtime_ms", health.downtime_ms as f64);
-                    match health.restart_recovery_ms {
-                        Some(ms) => row.set("recovery_ms", ms as f64),
-                        None => row.set("recovery_ms", Json::Null),
-                    }
-                    row.set("level", health.level.to_string().as_str());
-                    rows.push(row);
+            for (mode, warm) in [("cold", false), ("warm", true)] {
+                let plan = kill_plan(f_start, f_end, kills);
+                let (profile, target) = (profile.clone(), default.gips);
+                let mut supervisor = Supervisor::new(
+                    move || {
+                        ControllerBuilder::new(profile.clone())
+                            .target_gips(target)
+                            .build()
+                    },
+                    SupervisorConfig {
+                        warm,
+                        ..SupervisorConfig::default()
+                    },
+                );
+                let mut device = Device::new(dev_cfg.clone());
+                device.install_faults(FaultInjector::new(plan, SEED));
+                let report = coordinated_run(&mut device, &mut app, &mut supervisor, duration_ms);
+                let health = report.health.expect("supervisor reports health");
+                assert!(
+                    report.energy_j.is_finite() && report.avg_gips.is_finite(),
+                    "{app_name}: supervised run must stay finite under kills"
+                );
+                let rec = health
+                    .restart_recovery_ms
+                    .map_or_else(|| "-".into(), |ms| ms.to_string());
+                println!(
+                    "{:<12} {:>5} {:>8x} {:>6} {:>9.4} {:>9.1} {:>9} {:>12} {:>6}/{:>3} {:>12}",
+                    app_name,
+                    kills,
+                    SEED,
+                    mode,
+                    report.avg_gips,
+                    report.energy_j,
+                    health.restarts,
+                    health.downtime_ms,
+                    health.warm_restarts,
+                    health.snapshot_errors,
+                    rec,
+                );
+                let mut row = Json::object();
+                row.set("app", app_name);
+                row.set("kills", kills as f64);
+                row.set("seed", SEED as f64);
+                row.set("mode", mode);
+                row.set("energy_j", report.energy_j);
+                row.set("avg_gips", report.avg_gips);
+                row.set("restarts", health.restarts as f64);
+                row.set("warm_restarts", health.warm_restarts as f64);
+                row.set("snapshot_errors", health.snapshot_errors as f64);
+                row.set("downtime_ms", health.downtime_ms as f64);
+                match health.restart_recovery_ms {
+                    Some(ms) => row.set("recovery_ms", ms as f64),
+                    None => row.set("recovery_ms", Json::Null),
                 }
+                row.set("level", health.level.to_string().as_str());
+                rows.push(row);
             }
         }
     }
@@ -193,8 +192,8 @@ fn run_kill_matrix(
 }
 
 fn main() {
-    let trace = std::env::args().any(|a| a == "--trace");
-    let kill_matrix = std::env::args().any(|a| a == "--kill-matrix");
+    let (trace, kill_matrix) =
+        asgov_util::args::parse_env("", |f| Ok((f.flag("--trace")?, f.flag("--kill-matrix")?)));
     let dev_cfg = DeviceConfig::nexus6();
     let duration_ms: u64 = 120_000;
     // Faults fire in the middle third of the run: the controller has
@@ -229,7 +228,7 @@ fn main() {
     let mut matrix = Vec::new();
     for (name, plan) in fault_matrix(f_start, f_end) {
         let mut device = Device::new(dev_cfg.clone());
-        device.install_faults(FaultInjector::new(plan, 0x5eed));
+        device.install_faults(FaultInjector::new(plan, SEED));
         let mut controller = ControllerBuilder::new(profile.clone())
             .target_gips(default.gips)
             .build();
@@ -282,9 +281,8 @@ fn main() {
     doc.set("matrix", Json::Arr(matrix));
 
     if kill_matrix {
-        let seeds = [0x5eed, 0x5eee];
-        let kill_rows = run_kill_matrix(&dev_cfg, &opts, duration_ms, f_start, f_end, &seeds);
-        // Warm-vs-cold energy delta, paired per (app, kills, seed).
+        let kill_rows = run_kill_matrix(&dev_cfg, &opts, duration_ms, f_start, f_end);
+        // Warm-vs-cold energy delta, paired per (app, kills).
         let mut deltas = Vec::new();
         for pair in kill_rows.chunks(2) {
             if let [cold, warm] = pair {
@@ -310,7 +308,7 @@ fn main() {
             .window_p(f_start, f_end, 0.8, FaultKind::SysfsBusy)
             .expect("valid window");
         let mut device = Device::new(dev_cfg.clone());
-        device.install_faults(FaultInjector::new(plan, 0x5eed));
+        device.install_faults(FaultInjector::new(plan, SEED));
         let sink = Rc::new(RefCell::new(RingSink::new(4096)));
         device.install_obs_sink(sink.clone());
         let mut controller = ControllerBuilder::new(profile.clone())

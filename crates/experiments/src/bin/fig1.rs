@@ -7,6 +7,7 @@ use asgov_soc::DeviceConfig;
 use asgov_workloads::{apps, BackgroundLoad};
 
 fn main() {
+    asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let mut app = apps::ebook(BackgroundLoad::baseline(1));
     let report = default_run(&dev_cfg, &mut app, 120_000);

@@ -28,6 +28,7 @@ const DIAGRAM: &str = r#"
 "#;
 
 fn main() {
+    asgov_util::args::none();
     println!("=== Fig. 2: the online feedback controller ===");
     println!("{DIAGRAM}");
 

@@ -6,6 +6,7 @@ use asgov_soc::DeviceConfig;
 use asgov_workloads::{paper_apps, BackgroundLoad};
 
 fn main() {
+    asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let opts = ExperimentOptions::default();
     println!("=== Fig. 4: CPU frequency residency, controller vs default ===\n");

@@ -15,13 +15,14 @@
 //!       [--epochs N] [--epoch-ms N] [--threads N] [--seed N]
 //!       [--quantum-ms N]`
 //!
-//! `--smoke` / `--bench` / `--bench-1m` are shorthands for `--tier`.
-//! Invalid input (zero devices or threads, malformed numbers, unknown
-//! flags) is rejected with a diagnostic on stderr and exit code 2 —
-//! never a panic.
+//! `--smoke` / `--bench` / `--bench-1m` are shorthands for `--tier`;
+//! give at most one tier. Invalid input (zero devices or threads,
+//! malformed numbers, unknown or repeated flags) is rejected with a
+//! diagnostic on stderr and exit code 2 — never a panic.
 
 use asgov_fleet::{Fleet, FleetConfig, PolicyStore};
 use asgov_soc::DeviceConfig;
+use asgov_util::args::{ArgError, Flags};
 use asgov_util::Json;
 use std::time::Instant;
 
@@ -29,76 +30,64 @@ use std::time::Instant;
 /// benchmark row is filed under ("custom" when a preset was edited).
 struct Invocation {
     cfg: FleetConfig,
-    tier: String,
+    tier: &'static str,
 }
 
-fn parse_args(args: &[String]) -> Result<Invocation, String> {
-    let mut tier = "smoke".to_string();
-    let mut overrides: Vec<(String, u64)> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let flag = a.as_str();
-        match flag {
-            "--smoke" => tier = "smoke".into(),
-            "--bench" => tier = "bench".into(),
-            "--bench-1m" => tier = "bench-1m".into(),
-            "--tier" => {
-                let v = it.next().ok_or("--tier needs a value".to_string())?;
-                match v.as_str() {
-                    "smoke" | "bench" | "bench-1m" => tier = v.clone(),
-                    other => {
-                        return Err(format!(
-                            "unknown tier {other:?} (expected smoke, bench or bench-1m)"
-                        ))
-                    }
-                }
-            }
-            "--devices" | "--shards" | "--epochs" | "--epoch-ms" | "--seed" | "--threads"
-            | "--quantum-ms" => {
-                let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                let v: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("{flag}: {raw:?} is not a non-negative integer"))?;
-                if v == 0 && flag != "--seed" {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                overrides.push((flag.to_string(), v));
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag {other:?} (see --help in the doc header)"
-                ))
-            }
+fn parse_args(f: &mut Flags<'_>) -> Result<Invocation, ArgError> {
+    let mut tiers: Vec<&str> = f.value("--tier")?.into_iter().collect();
+    for tier in ["smoke", "bench", "bench-1m"] {
+        if f.flag(&format!("--{tier}"))? {
+            tiers.push(tier);
         }
     }
-    let mut cfg = match tier.as_str() {
-        "bench" => FleetConfig::bench(),
-        "bench-1m" => FleetConfig::bench_1m(),
-        _ => FleetConfig::smoke(),
+    let (mut tier, mut cfg) = match tiers[..] {
+        [] | ["smoke"] => ("smoke", FleetConfig::smoke()),
+        ["bench"] => ("bench", FleetConfig::bench()),
+        ["bench-1m"] => ("bench-1m", FleetConfig::bench_1m()),
+        [other] => {
+            return Err(ArgError::usage(format!(
+                "unknown tier {other:?} (expected smoke, bench or bench-1m)"
+            )))
+        }
+        _ => return Err(ArgError::usage("give at most one tier")),
     };
-    for (flag, v) in &overrides {
-        match flag.as_str() {
-            "--devices" => cfg.devices = *v,
-            "--shards" => cfg.shards = *v,
-            "--epochs" => cfg.epochs = *v,
-            "--epoch-ms" => cfg.epoch_ms = *v,
-            "--seed" => cfg.seed = *v,
-            "--threads" => cfg.threads = *v as usize,
-            "--quantum-ms" => cfg.demand_quantum_ms = *v,
-            _ => {}
-        }
-    }
     // Benchmark rows stay comparable: any override that changes the
     // simulated workload files the run under "custom" instead of
     // overwriting a preset tier's row. Thread count does not change
     // results, so it keeps the tier label.
-    if overrides.iter().any(|(f, _)| f != "--threads") {
-        tier = "custom".into();
+    let mut custom = false;
+    let mut count = |f: &mut Flags<'_>, flag: &str, workload: bool| {
+        let v = f.num::<u64>(flag)?;
+        custom |= workload && v.is_some();
+        match v {
+            Some(0) if flag != "--seed" => {
+                Err(ArgError::usage(format!("{flag} must be at least 1")))
+            }
+            v => Ok(v),
+        }
+    };
+    for (flag, field) in [
+        ("--devices", &mut cfg.devices),
+        ("--shards", &mut cfg.shards),
+        ("--epochs", &mut cfg.epochs),
+        ("--epoch-ms", &mut cfg.epoch_ms),
+        ("--seed", &mut cfg.seed),
+        ("--quantum-ms", &mut cfg.demand_quantum_ms),
+    ] {
+        if let Some(v) = count(f, flag, true)? {
+            *field = v;
+        }
+    }
+    if let Some(v) = count(f, "--threads", false)? {
+        cfg.threads = v as usize;
+    }
+    if custom {
+        tier = "custom";
     }
     // Keep the partition sane if the user shrank the device count
     // below the preset shard count.
     cfg.shards = cfg.shards.min(cfg.devices).max(1);
-    cfg.validate().map_err(|e| e.to_string())?;
+    cfg.validate().map_err(|e| ArgError::usage(e.to_string()))?;
     Ok(Invocation { cfg, tier })
 }
 
@@ -160,14 +149,7 @@ fn reference_kernel(seed: u64, iters: u64) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Invocation { cfg, tier } = match parse_args(&args) {
-        Ok(inv) => inv,
-        Err(msg) => {
-            eprintln!("fleet: {msg}");
-            std::process::exit(2);
-        }
-    };
+    let Invocation { cfg, tier } = asgov_util::args::parse_env("", parse_args);
     println!(
         "=== Fleet [{tier}]: {} devices, {} shards, {} epochs x {} ms, quantum {} ms (seed {:#x}) ===\n",
         cfg.devices, cfg.shards, cfg.epochs, cfg.epoch_ms, cfg.demand_quantum_ms, cfg.seed
@@ -274,10 +256,10 @@ fn main() {
         .and_then(|text| Json::parse(&text).ok())
         .and_then(|old| old.get("tiers").cloned())
         .unwrap_or_else(Json::object);
-    tiers.set(&tier, row.clone());
+    tiers.set(tier, row.clone());
 
     let mut bench = Json::object();
-    bench.set("tier", tier.as_str());
+    bench.set("tier", tier);
     for key in [
         "devices",
         "shards",

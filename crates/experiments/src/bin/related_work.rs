@@ -16,6 +16,7 @@ use asgov_soc::{DeviceConfig, Policy};
 use asgov_workloads::{apps, BackgroundLoad};
 
 fn main() {
+    asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let opts = ExperimentOptions::default();
     let duration = opts.duration_ms.unwrap_or(120_000);

@@ -9,6 +9,7 @@ use asgov_soc::DeviceConfig;
 use asgov_workloads::{apps, BackgroundLoad};
 
 fn main() {
+    asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let opts = ExperimentOptions::default();
     println!("=== §V-B application scope: where the controller cannot help ===\n");

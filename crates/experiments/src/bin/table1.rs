@@ -5,6 +5,7 @@ use asgov_soc::DeviceConfig;
 use asgov_workloads::{apps, BackgroundLoad};
 
 fn main() {
+    asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let mut app = apps::angrybirds(BackgroundLoad::baseline(1));
     let table = profile_app(&dev_cfg, &mut app, &ProfileOptions::default());

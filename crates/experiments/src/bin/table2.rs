@@ -3,6 +3,7 @@
 use asgov_soc::DvfsTable;
 
 fn main() {
+    asgov_util::args::none();
     let t = DvfsTable::nexus6();
     println!("=== Table II: Nexus 6 operating points (paper §IV-A) ===\n");
     println!(

@@ -8,6 +8,7 @@ use asgov_soc::DeviceConfig;
 use asgov_workloads::{paper_apps, BackgroundLoad};
 
 fn main() {
+    asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let opts = ExperimentOptions::default();
     println!("=== Table III: controller vs default governors (baseline load) ===\n");

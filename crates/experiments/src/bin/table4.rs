@@ -18,6 +18,7 @@ fn apps_under(load: &BackgroundLoad) -> Vec<PhasedApp> {
 }
 
 fn main() {
+    asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let opts = ExperimentOptions::default();
 

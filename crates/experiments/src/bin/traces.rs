@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p asgov-experiments --bin traces [--app NAME]`
 //! Writes `results/<app>_{default,controller}_{series,events}.csv`.
 //! `NAME` is any registry application (default AngryBirds); an unknown
-//! or missing name exits with status 2 and lists the valid ones.
+//! name exits with status 2 and lists the valid ones.
 
 use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder};
 use asgov_experiments::render::csv;
@@ -68,24 +68,13 @@ fn series_and_events(
     (csv(&["t_ms", "power_w"], &rows), events)
 }
 
-/// The `--app` value: AngryBirds when the flag is absent, `None` when
-/// the flag ends the command line without a value.
-fn app_name(args: &[String]) -> Option<&str> {
-    match args.iter().position(|a| a == "--app") {
-        None => Some("AngryBirds"),
-        Some(i) => args.get(i + 1).map(String::as_str),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let names = || apps::REGISTRY.map(|(name, _)| name).join(", ");
-    let Some(app_name) = app_name(&args) else {
-        eprintln!("traces: --app needs a value; valid names: {}", names());
-        std::process::exit(2);
-    };
-    let Some(mut app) = apps::by_name(app_name, BackgroundLoad::baseline(1)) else {
-        eprintln!("traces: unknown app {app_name:?}; valid names: {}", names());
+    let app_name = asgov_util::args::parse_env("", |f| {
+        Ok(f.value("--app")?.unwrap_or("AngryBirds").to_string())
+    });
+    let Some(mut app) = apps::by_name(&app_name, BackgroundLoad::baseline(1)) else {
+        let names = apps::REGISTRY.map(|(name, _)| name).join(", ");
+        eprintln!("traces: unknown app {app_name:?}; valid names: {names}");
         std::process::exit(2);
     };
     let dev_cfg = DeviceConfig::nexus6();
@@ -123,21 +112,4 @@ fn main() {
     std::fs::write(format!("results/{app_name}_controller_events.csv"), events).unwrap();
 
     println!("wrote results/{app_name}_{{default,controller}}_{{series,events}}.csv");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn app_flag_needs_a_value() {
-        assert_eq!(app_name(&args(&[])), Some("AngryBirds"));
-        assert_eq!(app_name(&args(&["--quick"])), Some("AngryBirds"));
-        assert_eq!(app_name(&args(&["--app", "WeChat"])), Some("WeChat"));
-        assert_eq!(app_name(&args(&["--quick", "--app"])), None);
-    }
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 /// Supervision tuning for fleet devices: checkpoints on the control
 /// cycle, quick restarts (an epoch is only seconds long).
-fn supervisor_config() -> SupervisorConfig {
+pub(crate) fn supervisor_config() -> SupervisorConfig {
     SupervisorConfig {
         max_restarts: 8,
         backoff_base_ms: 50,

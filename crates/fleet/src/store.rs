@@ -193,9 +193,7 @@ mod tests {
     /// supervised restarts.
     #[test]
     fn shared_optimizer_controller_matches_build() {
-        use asgov_core::{
-            with_controller_stack, ControlMode, Restartable, Supervisor, SupervisorConfig,
-        };
+        use asgov_core::{with_controller_stack, ControlMode, Restartable, Supervisor};
         use asgov_soc::faults::{FaultInjector, FaultKind, FaultPlan};
         use asgov_soc::{event, Device, Workload as _};
 
@@ -222,16 +220,7 @@ mod tests {
                         .build()
                 }
             };
-            let mut supervisor = Supervisor::new(
-                factory,
-                SupervisorConfig {
-                    max_restarts: 8,
-                    backoff_base_ms: 50,
-                    backoff_max_ms: 400,
-                    checkpoint_period_ms: 2_000,
-                    warm: true,
-                },
-            );
+            let mut supervisor = Supervisor::new(factory, crate::shard::supervisor_config());
             let plan = FaultPlan::new()
                 .window(3_000, 3_200, FaultKind::ControllerKill)
                 .and_then(|p| p.window(7_500, 7_700, FaultKind::ControllerKill))

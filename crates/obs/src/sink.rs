@@ -143,7 +143,7 @@ impl Metrics {
         self.faults.iter().sum()
     }
 
-    /// JSON summary (used by `asgov trace` / `asgov stats` output).
+    /// JSON summary (printed by `asgov stats`).
     pub fn to_json(&self) -> Json {
         let mut o = Json::object();
         o.set("cycles", self.cycles as f64);

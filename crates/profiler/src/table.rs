@@ -2,7 +2,6 @@
 
 use asgov_soc::gpu::ADRENO420_FREQS_GHZ;
 use asgov_soc::{BwIndex, DvfsTable, FreqIndex, GpuFreqIndex};
-use asgov_util::Json;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -167,38 +166,6 @@ impl ProfileTable {
         issues
     }
 
-    /// Sanity-check the table before handing it to a controller.
-    /// Returns a list of human-readable issues (empty = healthy).
-    ///
-    /// Checked: the [`ProfileTable::defects`] against `ladder`, and
-    /// three signs of a suspect profile that can still drive a
-    /// controller: duplicate configurations, a base speed outside
-    /// plausible bounds, and a speedup scale that never reaches ~1
-    /// (which suggests the base configuration was mis-measured).
-    pub fn validate(&self, ladder: &DvfsTable) -> Vec<String> {
-        let mut issues = self.defects(ladder);
-        if self.is_empty() {
-            return issues;
-        }
-        let b = self.base_gips;
-        if b.is_finite() && b > 0.0 && !(1e-4..=100.0).contains(&b) {
-            issues.push(format!("implausible base speed {} GIPS", self.base_gips));
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for e in &self.entries {
-            if !seen.insert(e.config) {
-                issues.push(format!("duplicate configuration {}", e.config));
-            }
-        }
-        if self.min_speedup() > 1.5 {
-            issues.push(format!(
-                "smallest speedup is {:.3}: the base configuration looks mis-measured",
-                self.min_speedup()
-            ));
-        }
-        issues
-    }
-
     /// Render as a tab-separated table (stable on-disk format — the
     /// workspace deliberately carries no serde *format* crate).
     /// Round-trips through [`ProfileTable::from_tsv`].
@@ -279,94 +246,6 @@ impl ProfileTable {
         })
     }
 
-    /// Serialize as a JSON document (hand-rolled via `asgov-util` — the
-    /// workspace carries no serde). Round-trips through
-    /// [`ProfileTable::from_json`].
-    pub fn to_json(&self) -> String {
-        let mut doc = Json::object();
-        doc.set("app", self.app.as_str());
-        doc.set("base_gips", self.base_gips);
-        let entries: Vec<Json> = self
-            .entries
-            .iter()
-            .map(|e| {
-                let mut row = Json::object();
-                row.set("freq", e.config.freq.0);
-                row.set("bw", e.config.bw.0);
-                row.set("gpu", e.config.gpu.map_or(Json::Null, |g| Json::from(g.0)));
-                row.set("speedup", e.speedup);
-                row.set("power_w", e.power_w);
-                row.set("measured", e.measured);
-                row
-            })
-            .collect();
-        doc.set("entries", Json::Arr(entries));
-        doc.to_pretty()
-    }
-
-    /// Parse the JSON format produced by [`ProfileTable::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableParseError::BadJson`] on malformed input or a
-    /// document missing required fields.
-    pub fn from_json(text: &str) -> Result<Self, TableParseError> {
-        let bad = |what: &'static str| TableParseError::BadJson(what);
-        let doc = Json::parse(text).map_err(|_| bad("unparseable document"))?;
-        let app = doc
-            .get("app")
-            .and_then(Json::as_str)
-            .ok_or(bad("missing app"))?
-            .to_string();
-        let base_gips = doc
-            .get("base_gips")
-            .and_then(Json::as_f64)
-            .ok_or(bad("missing base_gips"))?;
-        let rows = doc
-            .get("entries")
-            .and_then(Json::as_array)
-            .ok_or(bad("missing entries"))?;
-        let mut entries = Vec::with_capacity(rows.len());
-        for row in rows {
-            let idx = |key: &str| -> Result<usize, TableParseError> {
-                row.get(key)
-                    .and_then(Json::as_f64)
-                    // asgov-analyze: allow(float-eq): exact integrality test on a parsed index, not a tolerance comparison
-                    .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                    .map(|v| v as usize)
-                    .ok_or(bad("bad index field"))
-            };
-            let num = |key: &str| row.get(key).and_then(Json::as_f64).ok_or(bad("bad number"));
-            let gpu = match row.get("gpu") {
-                None | Some(Json::Null) => None,
-                Some(g) => Some(GpuFreqIndex(
-                    g.as_f64()
-                        // asgov-analyze: allow(float-eq): exact integrality test on a parsed index, not a tolerance comparison
-                        .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                        .ok_or(bad("bad gpu index"))? as usize,
-                )),
-            };
-            entries.push(ProfileEntry {
-                config: Config {
-                    freq: FreqIndex(idx("freq")?),
-                    bw: BwIndex(idx("bw")?),
-                    gpu,
-                },
-                speedup: num("speedup")?,
-                power_w: num("power_w")?,
-                measured: row
-                    .get("measured")
-                    .and_then(Json::as_bool)
-                    .ok_or(bad("bad measured flag"))?,
-            });
-        }
-        Ok(Self {
-            app,
-            base_gips,
-            entries,
-        })
-    }
-
     /// Pretty-print in the style of the paper's Table I.
     pub fn render(&self, table: &DvfsTable) -> String {
         let mut out = format!(
@@ -405,8 +284,6 @@ pub enum TableParseError {
     },
     /// A required header line is missing.
     MissingHeader(&'static str),
-    /// A malformed JSON document (see [`ProfileTable::from_json`]).
-    BadJson(&'static str),
 }
 
 impl TableParseError {
@@ -425,7 +302,6 @@ impl fmt::Display for TableParseError {
                 write!(f, "malformed profile line {line}: {content:?}")
             }
             TableParseError::MissingHeader(h) => write!(f, "missing header {h:?}"),
-            TableParseError::BadJson(what) => write!(f, "malformed profile JSON: {what}"),
         }
     }
 }
@@ -511,31 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let mut t = sample();
-        t.entries[1].config.gpu = Some(GpuFreqIndex(3));
-        let json = t.to_json();
-        let back = ProfileTable::from_json(&json).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(matches!(
-            ProfileTable::from_json("not json"),
-            Err(TableParseError::BadJson(_))
-        ));
-        assert!(matches!(
-            ProfileTable::from_json(r#"{"app": "x"}"#),
-            Err(TableParseError::BadJson(_))
-        ));
-        assert!(matches!(
-            ProfileTable::from_json(r#"{"app": "x", "base_gips": 1.0, "entries": [{"freq": -1}]}"#),
-            Err(TableParseError::BadJson(_))
-        ));
-    }
-
-    #[test]
     fn parse_rejects_garbage() {
         assert!(matches!(
             ProfileTable::from_tsv("# app\tx\n# base_gips\tnope\n"),
@@ -599,36 +450,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn validate_flags_real_problems() {
-        let ladder = DvfsTable::nexus6();
-        let mut t = sample();
-        assert!(t.validate(&ladder).is_empty(), "sample table is healthy");
-
-        t.entries[1].speedup = f64::NAN;
-        t.entries.push(t.entries[0]);
-        t.base_gips = 1e9;
-        let issues = t.validate(&ladder);
-        assert!(issues.iter().any(|i| i.contains("bad speedup")));
-        assert!(issues.iter().any(|i| i.contains("duplicate")));
-        assert!(issues.iter().any(|i| i.contains("base speed")));
-
-        let empty = ProfileTable {
-            app: "x".into(),
-            base_gips: 1.0,
-            entries: vec![],
-        };
-        assert_eq!(
-            empty.validate(&ladder),
-            vec!["table has no entries".to_string()]
-        );
-    }
-
     /// A table with a bad value or an index off a ladder cannot drive a
-    /// controller; the suspect-but-usable signs are not defects.
+    /// controller; a suspect-but-usable table (duplicate rows, no row
+    /// near speedup 1) has no defects.
     #[test]
     fn defects_are_what_a_controller_cannot_run() {
         let ladder = DvfsTable::nexus6();
+        assert!(
+            sample().defects(&ladder).is_empty(),
+            "sample table is healthy"
+        );
         let mut t = sample();
         for e in &mut t.entries {
             e.speedup += 2.0;
@@ -671,16 +502,6 @@ mod tests {
             empty.defects(&ladder),
             vec!["table has no entries".to_string()]
         );
-    }
-
-    #[test]
-    fn validate_flags_missing_base_anchor() {
-        let mut t = sample();
-        for e in &mut t.entries {
-            e.speedup += 2.0;
-        }
-        let issues = t.validate(&DvfsTable::nexus6());
-        assert!(issues.iter().any(|i| i.contains("mis-measured")));
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn controller_holds_target_on_a_switching_non_phased_workload() {
         base_gips: base,
         entries,
     };
-    let issues = table.validate(&dev_cfg.table);
+    let issues = table.defects(&dev_cfg.table);
     assert!(issues.is_empty(), "{issues:?}");
     // The high rate outruns the lowest frequency, so the table has a
     // real speedup range to choose from.
