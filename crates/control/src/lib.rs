@@ -8,9 +8,6 @@
 //! - [`KalmanFilter`] — the scalar Kalman filter that continuously
 //!   estimates the application *base speed* `b_n` from measurements
 //!   `y_n = s_{n-1} · b_n + v` (paper §III-B3, following POET).
-//! - [`PhaseDetector`] — a variance-based application phase-change
-//!   detector (paper §V-B discusses rapidly varying phases as the hard
-//!   case; this hook lets the controller re-seed its estimator).
 //!
 //! All types are plain `f64` state machines with no allocation, suitable
 //! for per-control-cycle invocation at negligible overhead.
@@ -20,8 +17,6 @@
 
 mod integrator;
 mod kalman;
-mod phase;
 
 pub use integrator::AdaptiveIntegrator;
 pub use kalman::{KalmanEstimate, KalmanFilter};
-pub use phase::{PhaseDetector, PhaseEvent};

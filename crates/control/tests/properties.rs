@@ -5,7 +5,7 @@
 //! Randomized inputs come from a seeded [`asgov_util::Rng`] so every
 //! run exercises the same cases (the hermetic stand-in for proptest).
 
-use asgov_control::{AdaptiveIntegrator, KalmanFilter, PhaseDetector, PhaseEvent};
+use asgov_control::{AdaptiveIntegrator, KalmanFilter};
 use asgov_util::Rng;
 
 /// The adaptive integrator converges to the required speedup for any
@@ -90,45 +90,5 @@ fn kalman_variance_well_formed() {
             assert!(kf.variance().is_finite(), "case {case}");
             assert!(kf.value().is_finite(), "case {case}");
         }
-    }
-}
-
-/// The phase detector never fires on a constant signal.
-#[test]
-fn phase_detector_quiet_on_constant() {
-    let mut rng = Rng::seed_from_u64(0xc0_0006);
-    for case in 0..128 {
-        let value = rng.gen_range(0.01..100.0);
-        let n = rng.gen_range_usize(20..200);
-        let mut d = PhaseDetector::new(4, 16, 0.2);
-        for _ in 0..n {
-            assert_eq!(d.push(value), PhaseEvent::Stable, "case {case}");
-        }
-    }
-}
-
-/// The phase detector always fires on a sufficiently large step.
-#[test]
-fn phase_detector_fires_on_big_step() {
-    let mut rng = Rng::seed_from_u64(0xc0_0007);
-    for case in 0..128 {
-        let base = rng.gen_range(1.0..10.0);
-        let factor = rng.gen_range(2.0..5.0);
-        let mut d = PhaseDetector::new(4, 16, 0.25);
-        for _ in 0..32 {
-            d.push(base);
-        }
-        let mut fired = false;
-        for _ in 0..16 {
-            if matches!(d.push(base * factor), PhaseEvent::Changed(_)) {
-                fired = true;
-                break;
-            }
-        }
-        assert!(
-            fired,
-            "case {case}: step {base} -> {} missed",
-            base * factor
-        );
     }
 }

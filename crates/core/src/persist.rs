@@ -49,7 +49,7 @@ pub const MAGIC: [u8; 4] = *b"ASGV";
 
 /// Current snapshot format version. Bump on any payload layout change;
 /// restores reject other versions rather than misinterpret bytes.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Size of the fixed frame header, bytes.
 pub const HEADER_LEN: usize = 16;

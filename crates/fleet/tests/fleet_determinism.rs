@@ -271,7 +271,7 @@ fn damaged_fleet_snapshots_error_and_never_panic() {
 
 /// Golden pin on the fleet frame's bytes: the length and CRC-32 of the
 /// `FleetConfig::smoke()` checkpoint after one epoch, in snapshot
-/// format version 2 (varint integers), cross-checked against zlib's
+/// format version 3 (varint integers), cross-checked against zlib's
 /// `crc32` of the same bytes. A change to the checksum, the frame
 /// layout or any simulated state moves them; the restored-state digest
 /// below separates a layout change from a state change.
@@ -282,8 +282,8 @@ fn smoke_checkpoint_frame_is_pinned() {
     let mut fleet = Fleet::new(cfg).expect("valid config");
     fleet.step(&store).expect("epoch 0");
     let frame = fleet.checkpoint().expect("checkpoint encodes");
-    assert_eq!(frame.len(), 116_330, "smoke checkpoint length moved");
-    assert_eq!(crc32(&frame), 0x936C_C2B6, "smoke checkpoint bytes moved");
+    assert_eq!(frame.len(), 115_378, "smoke checkpoint length moved");
+    assert_eq!(crc32(&frame), 0x3C9A_67B1, "smoke checkpoint bytes moved");
 }
 
 /// The q20 tier's checkpoint frame after one epoch, pinned like the
@@ -300,8 +300,8 @@ fn smoke_q20_checkpoint_frame_is_pinned() {
     let mut fleet = Fleet::new(cfg).expect("valid config");
     fleet.step(&store).expect("epoch 0");
     let frame = fleet.checkpoint().expect("checkpoint encodes");
-    assert_eq!(frame.len(), 116_345, "q20 checkpoint length moved");
-    assert_eq!(crc32(&frame), 0x97D9_14FD, "q20 checkpoint bytes moved");
+    assert_eq!(frame.len(), 115_393, "q20 checkpoint length moved");
+    assert_eq!(crc32(&frame), 0x5D02_3D62, "q20 checkpoint bytes moved");
 }
 
 /// FNV-1a over formatted text, fed as it is written so no large
@@ -368,12 +368,12 @@ fn smoke_restored_controller_state_is_pinned() {
     });
     assert_eq!(
         q1,
-        (0x471F_CB4F_55C5_3263, 952),
+        (0xE10F_3140_0EA5_BD5B, 952),
         "q1 restored controller state moved"
     );
     assert_eq!(
         q20,
-        (0x9F6D_E98B_3AEB_2698, 952),
+        (0x8248_3DF5_4A9C_79D2, 952),
         "q20 restored controller state moved"
     );
 }

@@ -129,34 +129,6 @@ fn absurd_target_clamps_gracefully() {
 }
 
 #[test]
-fn phase_detection_does_not_hurt_steady_apps() {
-    let dev_cfg = DeviceConfig::nexus6();
-    let mut app = apps::wechat(BackgroundLoad::baseline(1));
-    let profile = profile_app(&dev_cfg, &mut app, &quick_profile());
-    let default = measure_default(&dev_cfg, &mut app, 1, 60_000);
-
-    let mut controller = ControllerBuilder::new(profile)
-        .target_gips(default.gips)
-        .phase_detection(true)
-        .build();
-    let mut gpu = AdrenoTz::default();
-    let mut device = Device::new(dev_cfg);
-    app.reset();
-    let report = sim::run(
-        &mut device,
-        &mut app,
-        &mut [&mut gpu, &mut controller],
-        60_000,
-    );
-    let perf = (report.avg_gips - default.gips) / default.gips;
-    assert!(
-        perf > -0.04,
-        "phase detection should be benign on a steady app, perf {:.1}%",
-        perf * 100.0
-    );
-}
-
-#[test]
 fn controller_survives_empty_measurement_cycles() {
     // A perf period longer than the control cycle means some cycles see
     // no reading; the controller must reuse the last measurement rather
