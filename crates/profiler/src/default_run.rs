@@ -4,7 +4,7 @@
 use crate::profile::{run_pinned, run_seeds, Pin};
 use asgov_soc::sim::RunReport;
 use asgov_soc::Workload as _;
-use asgov_soc::{sim, Device, DeviceConfig, Policy};
+use asgov_soc::{sim, Device, DeviceConfig, PerfReader, Policy};
 use asgov_workloads::PhasedApp;
 
 /// Aggregate of one or more baseline runs.
@@ -61,8 +61,8 @@ pub fn measure_default(
 }
 
 /// Run the application under an arbitrary policy stack (e.g. the online
-/// controller), `runs` times. The `make_policies` closure builds a fresh
-/// policy stack per run.
+/// controller), `runs` times, as [`measure_runs`] does. The
+/// `make_policies` closure builds a fresh policy stack per run.
 pub fn measure_fixed<F>(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
@@ -85,6 +85,11 @@ where
 /// seeded `dev_cfg.seed ^ (0xf0 + i)`) with the application reset, and
 /// aggregate the reports. `run_one(i, device, app)` drives run `i`:
 /// it builds the policies and makes the engine call.
+///
+/// Every device carries `perf`'s cost at the paper's 1 s period, as
+/// the default baseline's does ([`measure_default`]): a leg measured
+/// here is compared against that baseline, so both carry the tool. A
+/// controller's own reader injects the same pair when it starts.
 pub fn measure_runs<F>(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
@@ -102,6 +107,7 @@ where
                 .clone()
                 .with_seed(dev_cfg.seed ^ (0xf0 + run as u64)),
         );
+        PerfReader::apply_paper_overhead(&mut device);
         app.reset();
         reports.push(run_one(run, &mut device, app));
     }
@@ -172,6 +178,27 @@ mod tests {
             high_mass > 0.05,
             "default should spend real time at f10+, got {high_mass}"
         );
+    }
+
+    /// A `measure_fixed` leg under the three stock governors is the
+    /// default baseline's run on the same seed, bit for bit: both carry
+    /// the `perf` tool's cost.
+    #[test]
+    fn stock_fixed_leg_equals_the_pinned_default_run() {
+        use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
+        let dev_cfg = DeviceConfig::nexus6();
+        let mut app = apps::wechat(BackgroundLoad::baseline(1));
+        let m = measure_fixed(&dev_cfg, &mut app, 1, 10_000, || {
+            vec![
+                Box::new(Interactive::default()) as Box<dyn Policy>,
+                Box::new(CpubwHwmon::default()),
+                Box::new(AdrenoTz::default()),
+            ]
+        });
+        let (seed, _) = run_seeds(&dev_cfg, 1, 0xf0);
+        let (reports, _) = run_pinned(&dev_cfg, &mut app, Pin::default(), seed, &[], 10_000);
+        assert_eq!(m.reports, reports);
+        assert_eq!(m.energy_j.to_bits(), reports[0].energy_j.to_bits());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
 use asgov_soc::gpu::ADRENO420_FREQS_GHZ;
 use asgov_soc::sim::RunReport;
 use asgov_soc::Workload;
-use asgov_soc::{sim, BwIndex, Device, DeviceConfig, FreqIndex, GpuFreqIndex, Policy};
+use asgov_soc::{sim, BwIndex, Device, DeviceConfig, FreqIndex, GpuFreqIndex, PerfReader, Policy};
 use asgov_util::par;
 use asgov_workloads::PhasedApp;
 
@@ -93,11 +93,7 @@ pub(crate) fn run_pinned(
     for &seed in extra {
         device.add_replica_monitor(seed);
     }
-    // The paper measures performance with `perf` at a 1 s period in
-    // every run — profiling and the default baseline included — so its
-    // 4 % load and 15 mW power overhead are present here just as they
-    // are online.
-    device.set_tool_overhead(0.04, 0.015);
+    PerfReader::apply_paper_overhead(&mut device);
     if pin.freq.is_some() {
         device.set_cpu_governor("userspace");
     }

@@ -38,6 +38,19 @@ pub struct PerfReader {
 }
 
 impl PerfReader {
+    /// The sampling period the paper runs `perf` at, ms: 1 s, which
+    /// costs 4 % CPU load and 15 mW.
+    pub const PAPER_PERIOD_MS: u64 = 1_000;
+
+    /// Charge `device` the tool's cost at [`PerfReader::PAPER_PERIOD_MS`]
+    /// without sampling, as an enabled reader at that period does. The
+    /// paper runs `perf` in every measured run, the default-governor
+    /// baseline and profiling included.
+    pub fn apply_paper_overhead(device: &mut Device) {
+        let paper = Self::new(Self::PAPER_PERIOD_MS, 0.0, 0);
+        device.set_tool_overhead(paper.overhead_load(), paper.overhead_power_w());
+    }
+
     /// A reader sampling every `period_ms` (clamped to the 100 ms
     /// minimum) with relative Gaussian measurement noise `noise_rel`
     /// (e.g. `0.02` for 2 %).
