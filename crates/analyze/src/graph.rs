@@ -30,7 +30,7 @@
 //! whole function — the annotation must therefore argue for every
 //! panic in the body, not just the line it sits on.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{panic_token, PanicToken, Tok, TokKind, KEYWORDS};
 use crate::parse::ParsedFile;
 use std::collections::BTreeMap;
 
@@ -96,14 +96,6 @@ struct Node {
     direct_panic: Option<(u32, String)>,
     calls: Vec<CallSite>,
 }
-
-/// Keywords that cannot end an expression before `[` (mirrors the
-/// per-file `hot-path-index` rule).
-const KEYWORDS: [&str; 29] = [
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
-    "return", "static", "trait", "use", "while",
-];
 
 /// Run the transitive analysis over every parsed file.
 pub fn check_transitive(files: &[GraphFile<'_>]) -> TransitiveReport {
@@ -263,35 +255,17 @@ fn describe(n: &Node, files: &[GraphFile<'_>]) -> String {
 /// skipping test lines (a fn body can embed `#[cfg(test)]` items only
 /// at module level, but closures inside `#[test]` spans do occur).
 fn direct_panic_in(body: &[&Tok], is_test_line: &dyn Fn(u32) -> bool) -> Option<(u32, String)> {
-    for i in 0..body.len() {
-        let t = body[i];
+    for (i, t) in body.iter().enumerate() {
         if is_test_line(t.line) {
             continue;
         }
-        let next = body.get(i + 1).map(|t| t.text.as_str());
-        let prev = i.checked_sub(1).map(|p| body[p].text.as_str());
-        if t.kind == TokKind::Ident {
-            match t.text.as_str() {
-                "unwrap" | "expect" if prev == Some(".") && next == Some("(") => {
-                    return Some((t.line, format!(".{}()", t.text)));
-                }
-                "panic" | "unreachable" | "todo" | "unimplemented" if next == Some("!") => {
-                    return Some((t.line, format!("{}!", t.text)));
-                }
-                _ => {}
-            }
-        }
-        if t.text == "[" && i > 0 {
-            let p = body[i - 1];
-            let indexes = match p.kind {
-                TokKind::Ident => !KEYWORDS.contains(&p.text.as_str()),
-                TokKind::Punct => matches!(p.text.as_str(), ")" | "]"),
-                _ => false,
-            };
-            if indexes {
-                return Some((t.line, format!("{}[…]", p.text)));
-            }
-        }
+        let token = match panic_token(body, i) {
+            Some(PanicToken::Method) => format!(".{}()", t.text),
+            Some(PanicToken::Macro) => format!("{}!", t.text),
+            Some(PanicToken::Index) => format!("{}[…]", body[i - 1].text),
+            None => continue,
+        };
+        return Some((t.line, token));
     }
     None
 }

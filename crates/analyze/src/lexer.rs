@@ -54,6 +54,55 @@ impl Tok {
     }
 }
 
+/// Rust keywords: an identifier position that can neither end an
+/// expression before `[` nor name a called function.
+pub(crate) const KEYWORDS: [&str; 29] = [
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
+    "return", "static", "trait", "use", "while",
+];
+
+/// A token that can panic at run time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PanicToken {
+    /// `unwrap` or `expect` in `.unwrap(` / `.expect(`.
+    Method,
+    /// `panic`, `unreachable`, `todo` or `unimplemented` before `!`.
+    Macro,
+    /// A `[` that indexes an expression: it follows a non-keyword
+    /// identifier, `)` or `]`.
+    Index,
+}
+
+/// Classify `code[i]` of a comment-free token stream as a panic-family
+/// token, or `None`.
+pub(crate) fn panic_token(code: &[&Tok], i: usize) -> Option<PanicToken> {
+    let t = code.get(i)?;
+    let next = code.get(i + 1).map(|t| t.text.as_str());
+    let prev = i.checked_sub(1).and_then(|p| code.get(p));
+    let prev_text = prev.map(|p| p.text.as_str());
+    match (t.kind, t.text.as_str()) {
+        (TokKind::Ident, "unwrap" | "expect") if prev_text == Some(".") && next == Some("(") => {
+            Some(PanicToken::Method)
+        }
+        (TokKind::Ident, "panic" | "unreachable" | "todo" | "unimplemented")
+            if next == Some("!") =>
+        {
+            Some(PanicToken::Macro)
+        }
+        (_, "[") => {
+            let p = prev?;
+            let indexes = match p.kind {
+                TokKind::Ident => !KEYWORDS.contains(&p.text.as_str()),
+                TokKind::Punct => matches!(p.text.as_str(), ")" | "]"),
+                _ => false,
+            };
+            indexes.then_some(PanicToken::Index)
+        }
+        _ => None,
+    }
+}
+
 /// Multi-character operators, longest first so maximal munch wins.
 const MULTI_PUNCT: [&str; 11] = [
     "..=", "::", "==", "!=", "<=", ">=", "=>", "->", "..", "&&", "||",

@@ -29,7 +29,7 @@
 //! [`check_workspace`] — its allows are therefore only policed for
 //! staleness there.
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{lex, panic_token, PanicToken, Tok, TokKind};
 use crate::{allow, codec, graph, parse, units};
 
 /// One lint finding.
@@ -112,14 +112,6 @@ const NONDETERMINISM_IDENTS: [&str; 7] = [
 
 /// Obs-emission entry points that must be gated.
 const OBS_EMIT_IDENTS: [&str; 3] = ["emit_cycle", "record_cycle", "device_event"];
-
-/// Rust keywords (an identifier position that cannot be an expression
-/// ending before `[`).
-const KEYWORDS: [&str; 29] = [
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
-    "return", "static", "trait", "use", "while",
-];
 
 /// Analyze one file standalone: lex, evaluate every per-file rule,
 /// apply allow annotations, and report the allow meta-findings. The
@@ -524,62 +516,33 @@ impl TestLines {
 }
 
 fn rule_hot_path_panic(ctx: &Ctx, out: &mut Vec<Finding>) {
-    let code = ctx.code;
-    for i in 0..code.len() {
-        let t = code[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let next = code.get(i + 1).map(|t| t.text.as_str());
-        let prev = i.checked_sub(1).map(|p| code[p].text.as_str());
-        match t.text.as_str() {
-            "unwrap" | "expect" if prev == Some(".") && next == Some("(") => {
-                ctx.push(
-                    out,
-                    "hot-path-panic",
-                    t.line,
-                    format!(
-                        ".{}() can panic inside the control loop of {}; propagate or default instead",
-                        t.text, ctx.crate_name
-                    ),
-                );
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" if next == Some("!") => {
-                ctx.push(
-                    out,
-                    "hot-path-panic",
-                    t.line,
-                    format!(
-                        "{}! aborts the control loop; degrade gracefully instead",
-                        t.text
-                    ),
-                );
-            }
-            _ => {}
-        }
+    for (i, t) in ctx.code.iter().enumerate() {
+        let message = match panic_token(ctx.code, i) {
+            Some(PanicToken::Method) => format!(
+                ".{}() can panic inside the control loop of {}; propagate or default instead",
+                t.text, ctx.crate_name
+            ),
+            Some(PanicToken::Macro) => format!(
+                "{}! aborts the control loop; degrade gracefully instead",
+                t.text
+            ),
+            Some(PanicToken::Index) | None => continue,
+        };
+        ctx.push(out, "hot-path-panic", t.line, message);
     }
 }
 
 fn rule_hot_path_index(ctx: &Ctx, out: &mut Vec<Finding>) {
     let code = ctx.code;
-    for i in 1..code.len() {
-        if code[i].text != "[" {
-            continue;
-        }
-        let prev = code[i - 1];
-        let indexes_expression = match prev.kind {
-            TokKind::Ident => !KEYWORDS.contains(&prev.text.as_str()),
-            TokKind::Punct => matches!(prev.text.as_str(), ")" | "]"),
-            _ => false,
-        };
-        if indexes_expression {
+    for (i, t) in code.iter().enumerate() {
+        if panic_token(code, i) == Some(PanicToken::Index) {
             ctx.push(
                 out,
                 "hot-path-index",
-                code[i].line,
+                t.line,
                 format!(
                     "`{}[…]` indexing panics when out of range; use .get()/.get_mut() or prove the bound",
-                    prev.text
+                    code[i - 1].text
                 ),
             );
         }

@@ -46,6 +46,17 @@ fn a_stale_quick_flag_is_refused() {
     assert_refused(env!("CARGO_BIN_EXE_table3"), &["--quick"], "\"--quick\"");
 }
 
+/// `fleet` picks its tier with `--smoke`, `--bench` or `--bench-1m`
+/// only; there is no `--tier`.
+#[test]
+fn a_tier_flag_is_refused() {
+    assert_refused(
+        env!("CARGO_BIN_EXE_fleet"),
+        &["--tier", "smoke"],
+        "\"--tier\"",
+    );
+}
+
 /// The binaries that take flags refuse one given twice.
 #[test]
 fn a_repeated_flag_is_refused() {

@@ -43,9 +43,3 @@ pub use devfreq::{CpubwHwmon, PerformanceBw, PowersaveBw};
 pub use gpufreq::AdrenoTz;
 pub use hotplug::MpDecision;
 pub use marcse::{MarCse, MarCseModel};
-
-/// The default governor pair on the paper's Nexus 6:
-/// `interactive` for the CPU and `cpubw_hwmon` for the memory bus.
-pub fn android_defaults() -> (Interactive, CpubwHwmon) {
-    (Interactive::default(), CpubwHwmon::default())
-}

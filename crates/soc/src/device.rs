@@ -829,7 +829,6 @@ impl Device {
                 instructions,
                 gips: ips_run / 1e9,
                 busy_frac,
-                traffic_mb: traffic_mbps * dt_s,
             },
             power: first,
             span_ms,

@@ -54,7 +54,6 @@ fn work_conserved() {
                     instructions: run * 1e9,
                     gips: run * 1e3,
                     busy_frac: 0.5,
-                    traffic_mb: 0.0,
                 },
             );
             executed += run;
