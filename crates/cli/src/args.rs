@@ -12,7 +12,7 @@ asgov — application-specific performance-aware energy optimization
 USAGE:
   asgov list-apps
   asgov profile  --app <NAME> [--out <FILE>] [--stride <N>] [--runs <N>]
-                 [--window-s <N>] [--load BL|NL|HL] [--cpu-only | --gpu]
+                 [--window-s <N>] [--load BL|NL|HL] [--cpu-only]
   asgov baseline --app <NAME> [--duration-s <N>] [--load BL|NL|HL]
   asgov control  --app <NAME> [--profile <FILE>] [--target <GIPS>]
                  [--duration-s <N>] [--load BL|NL|HL] [--cpu-only]
@@ -47,7 +47,6 @@ pub enum Command {
         window_ms: u64,
         load: LoadLevel,
         cpu_only: bool,
-        gpu: bool,
     },
     /// `asgov baseline`
     Baseline {
@@ -96,19 +95,13 @@ fn app(f: &mut Flags<'_>) -> Result<String, ArgError> {
 /// # Errors
 ///
 /// Returns [`ArgError`] on unknown subcommands, missing required
-/// flags, unparsable values or conflicting flags.
+/// flags or unparsable values.
 pub fn command(f: &mut Flags<'_>) -> Result<Command, ArgError> {
     let owned = |v: Option<&str>| v.map(str::to_string);
     Ok(match f.subcommand() {
         Some("list-apps") => Command::ListApps,
         Some("profile") => {
             let defaults = ProfileOptions::default();
-            let (cpu_only, gpu) = (f.flag("--cpu-only")?, f.flag("--gpu")?);
-            if cpu_only && gpu {
-                return Err(ArgError::usage(
-                    "--cpu-only and --gpu are mutually exclusive",
-                ));
-            }
             Command::Profile {
                 app: app(f)?,
                 out: owned(f.value("--out")?),
@@ -116,8 +109,7 @@ pub fn command(f: &mut Flags<'_>) -> Result<Command, ArgError> {
                 runs: f.num("--runs")?.unwrap_or(defaults.runs_per_config),
                 window_ms: f.secs_as_ms("--window-s")?.unwrap_or(defaults.run_ms),
                 load: load(f)?,
-                cpu_only,
-                gpu,
+                cpu_only: f.flag("--cpu-only")?,
             }
         }
         Some("baseline") => Command::Baseline {
@@ -172,23 +164,16 @@ mod tests {
                 window_ms,
                 load,
                 cpu_only,
-                gpu,
                 out,
             } => {
                 assert_eq!(app, "AngryBirds");
                 assert_eq!((stride, runs, window_ms), (2, 3, 30_000));
                 assert_eq!(load, LoadLevel::Baseline);
-                assert!(!cpu_only && !gpu);
+                assert!(!cpu_only);
                 assert!(out.is_none());
             }
             other => panic!("wrong command {other:?}"),
         }
-    }
-
-    #[test]
-    fn rejects_conflicting_axes() {
-        let e = parse(&["profile", "--app", "X", "--cpu-only", "--gpu"]).unwrap_err();
-        assert!(e.to_string().contains("mutually exclusive"));
     }
 
     #[test]

@@ -6,8 +6,7 @@ use asgov_experiments::harness::{compare, ExperimentOptions};
 use asgov_experiments::render::{energy_cell, perf_cell};
 use asgov_obs::{parse_jsonl, CycleRecord, RingSink, TraceSink as _};
 use asgov_profiler::{
-    measure_default, profile_app, profile_app_cpu_only, profile_app_with_gpu, ProfileOptions,
-    ProfileTable,
+    measure_default, profile_app, profile_app_cpu_only, ProfileOptions, ProfileTable,
 };
 use asgov_soc::{event, Device, DeviceConfig, Workload as _};
 use asgov_workloads::{apps, BackgroundLoad};
@@ -65,7 +64,6 @@ pub fn run(cmd: Command, out: &mut impl Write) -> Result<()> {
             window_ms,
             load,
             cpu_only,
-            gpu,
         } => {
             let dev_cfg = DeviceConfig::nexus6();
             let mut a = apps::by_name(&app, BackgroundLoad::with_level(load, 1))
@@ -79,8 +77,6 @@ pub fn run(cmd: Command, out: &mut impl Write) -> Result<()> {
             eprintln!("profiling {app} under {load} load...");
             let table = if cpu_only {
                 profile_app_cpu_only(&dev_cfg, &mut a, &opts)
-            } else if gpu {
-                profile_app_with_gpu(&dev_cfg, &mut a, &opts)
             } else {
                 profile_app(&dev_cfg, &mut a, &opts)
             };

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! asgov list-apps
-//! asgov profile  --app AngryBirds [--out profile.tsv] [--stride 2] [--runs 3] [--cpu-only | --gpu]
+//! asgov profile  --app AngryBirds [--out profile.tsv] [--stride 2] [--runs 3] [--cpu-only]
 //! asgov baseline --app AngryBirds [--duration-s 60]
 //! asgov control  --app AngryBirds [--profile profile.tsv] [--target GIPS] [--duration-s 60] [--cpu-only] [--out run.jsonl]
 //! asgov compare  --app AngryBirds [--duration-s 60] [--load BL|NL|HL]

@@ -56,9 +56,10 @@ fn overflowing_duration_is_a_usage_error() {
     );
 }
 
-/// `trace` was folded into `control --out`, and a flag given twice is
-/// refused rather than letting one occurrence win: both exit 2 before
-/// any work, print nothing on stdout and name the argument.
+/// `trace` was folded into `control --out`, `profile --gpu` went with
+/// the GPU axis, and a flag given twice is refused rather than letting
+/// one occurrence win: each exits 2 before any work, prints nothing on
+/// stdout and names the argument.
 #[test]
 fn trace_is_an_unknown_subcommand_and_a_repeated_flag_is_refused() {
     for (args, why) in [
@@ -73,6 +74,10 @@ fn trace_is_an_unknown_subcommand_and_a_repeated_flag_is_refused() {
         (
             &["control", "--app", "Spotify", "--capacity", "64"],
             "unrecognized argument \"--capacity\"",
+        ),
+        (
+            &["profile", "--app", "Spotify", "--gpu"],
+            "unrecognized argument \"--gpu\"",
         ),
     ] {
         let out = asgov().args(args).output().expect("run");

@@ -311,9 +311,6 @@ impl EnergyController {
         if self.mode == ControlMode::Coordinated {
             let _ = device.sysfs_write(sysfs::BW_GOVERNOR, "cpubw_hwmon");
         }
-        if self.optimizer.controls_gpu() {
-            let _ = device.sysfs_write(sysfs::GPU_GOVERNOR, "msm-adreno-tz");
-        }
     }
 
     /// Pin the safe (maximum-speedup) configuration through the
@@ -592,9 +589,6 @@ impl Policy for EnergyController {
         if self.mode == ControlMode::Coordinated {
             let _ = device.sysfs_write(sysfs::BW_GOVERNOR, "userspace");
         }
-        if self.optimizer.controls_gpu() {
-            let _ = device.sysfs_write(sysfs::GPU_GOVERNOR, "userspace");
-        }
         self.perf.enable(device);
         self.cycle_end_ms = device.now_ms() + self.period_ms;
         self.readings.clear();
@@ -859,11 +853,7 @@ mod tests {
     /// A five-configuration table on the Nexus 6 ladders.
     fn small_profile() -> ProfileTable {
         let mk = |f: usize, b: usize, s: f64, p: f64| asgov_profiler::ProfileEntry {
-            config: Config {
-                freq: FreqIndex(f),
-                bw: BwIndex(b),
-                gpu: None,
-            },
+            config: Config::new(FreqIndex(f), BwIndex(b)),
             speedup: s,
             power_w: p,
             measured: true,
@@ -916,7 +906,6 @@ mod tests {
         w.put_bool(true);
         w.put_uvar(if is("pending_upper") { 9 } else { 8 });
         w.put_uvar(12);
-        w.put_opt_uvar(None);
         w.put_f64(1.5);
         w.put_uvar(1_200);
         w.put_uvar(800);

@@ -123,11 +123,6 @@ impl EnergyOptimizer {
         self.min_speedup
     }
 
-    /// Whether any configuration in the table pins the GPU axis.
-    pub fn controls_gpu(&self) -> bool {
-        self.configs.iter().any(|c| c.gpu.is_some())
-    }
-
     /// Largest available speedup.
     pub fn max_speedup(&self) -> f64 {
         self.max_speedup
@@ -229,11 +224,7 @@ mod tests {
 
     fn table() -> ProfileTable {
         let mk = |f: usize, b: usize, s: f64, p: f64| ProfileEntry {
-            config: Config {
-                freq: FreqIndex(f),
-                bw: BwIndex(b),
-                gpu: None,
-            },
+            config: Config::new(FreqIndex(f), BwIndex(b)),
             speedup: s,
             power_w: p,
             measured: true,

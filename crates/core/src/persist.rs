@@ -24,7 +24,8 @@
 //! [`SnapshotWriter::put_u64`] stay fixed 8 bytes. Version 1 wrote
 //! every integer fixed-width; its frames now decode to
 //! [`SnapshotError::VersionMismatch`], which a supervisor counts as a
-//! cold start.
+//! cold start. So do version-3 frames, whose profile configurations
+//! carried an optional GPU index that version 4 dropped.
 //!
 //! The codec is deliberately paranoid: every decode path returns a
 //! [`SnapshotError`] instead of panicking, so a truncated, bit-flipped
@@ -49,7 +50,7 @@ pub const MAGIC: [u8; 4] = *b"ASGV";
 
 /// Current snapshot format version. Bump on any payload layout change;
 /// restores reject other versions rather than misinterpret bytes.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Size of the fixed frame header, bytes.
 pub const HEADER_LEN: usize = 16;
@@ -812,9 +813,10 @@ mod tests {
 
     #[test]
     fn other_versions_are_reported_not_misread() {
-        // Version 1 (fixed-width integers) and a future version: both
-        // are intact frames the reader refuses to interpret.
-        for found in [1, VERSION + 1] {
+        // Version 1 (fixed-width integers), version 3 (configurations
+        // with a GPU index) and a future version: all are intact frames
+        // the reader refuses to interpret.
+        for found in [1, 3, VERSION + 1] {
             let mut w = SnapshotWriter::new();
             w.put_u64(99);
             let mut frame = w.finish().expect("small frame");

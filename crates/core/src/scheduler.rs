@@ -11,7 +11,7 @@ use crate::optimizer::Plan;
 use crate::persist::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_profiler::Config;
 use asgov_soc::sysfs::{self, Decimal};
-use asgov_soc::{BwIndex, Device, FreqIndex, GpuFreqIndex, SocErrorKind};
+use asgov_soc::{BwIndex, Device, FreqIndex, SocErrorKind};
 
 /// What happened to actuation over the control cycle just ended
 /// (consumed by the controller's degradation ladder each cycle).
@@ -320,19 +320,6 @@ impl ConfigScheduler {
                 Err(_) => hard_failure = true,
             }
         }
-        if let Some(g) = config.gpu {
-            let hz = (device.gpu().freq_ghz(g) * 1e9).round() as u64;
-            match self.write_recovering(
-                device,
-                sysfs::GPU_CLK,
-                Decimal::new(hz).as_str(),
-                sysfs::GPU_GOVERNOR,
-            ) {
-                Ok(()) => {}
-                Err(SocErrorKind::Busy) => busy = true,
-                Err(_) => hard_failure = true,
-            }
-        }
 
         if busy && self.retry_attempts < self.max_retries {
             self.retry_attempts += 1;
@@ -423,13 +410,10 @@ impl ConfigScheduler {
     }
 }
 
-/// Append one profile configuration to a snapshot payload. The GPU
-/// index rides in a typed `put_opt_uvar` field, so the presence tag is
-/// persist.rs's 0/1 convention rather than a hand-rolled byte.
+/// Append one profile configuration to a snapshot payload.
 fn put_config(w: &mut SnapshotWriter, cfg: Config) {
     w.put_uvar(cfg.freq.0 as u64);
     w.put_uvar(cfg.bw.0 as u64);
-    w.put_opt_uvar(cfg.gpu.map(|g| g.0 as u64));
 }
 
 /// Decode one profile configuration (whether the profile holds it is
@@ -437,12 +421,7 @@ fn put_config(w: &mut SnapshotWriter, cfg: Config) {
 fn take_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
     let freq = FreqIndex(persist::narrow(r.take_uvar()?)?);
     let bw = BwIndex(persist::narrow(r.take_uvar()?)?);
-    let gpu = r
-        .take_opt_uvar()?
-        .map(persist::narrow)
-        .transpose()?
-        .map(GpuFreqIndex);
-    Ok(Config { freq, bw, gpu })
+    Ok(Config::new(freq, bw))
 }
 
 fn put_opt_config(w: &mut SnapshotWriter, cfg: Option<Config>) {
@@ -467,16 +446,8 @@ mod tests {
 
     fn plan(l: (usize, usize), u: (usize, usize), tau_l: f64, tau_u: f64) -> Plan {
         Plan {
-            lower: Config {
-                freq: FreqIndex(l.0),
-                bw: BwIndex(l.1),
-                gpu: None,
-            },
-            upper: Config {
-                freq: FreqIndex(u.0),
-                bw: BwIndex(u.1),
-                gpu: None,
-            },
+            lower: Config::new(FreqIndex(l.0), BwIndex(l.1)),
+            upper: Config::new(FreqIndex(u.0), BwIndex(u.1)),
             tau_lower: tau_l,
             tau_upper: tau_u,
             speedup_lower: 1.0,
@@ -598,32 +569,6 @@ mod tests {
         assert_eq!(dev.freq(), FreqIndex(2));
         assert_eq!(dev.bw(), BwIndex(7), "bandwidth untouched in cpu-only");
         assert_eq!(sched.writes_failed(), 0);
-    }
-
-    #[test]
-    fn applies_the_gpu_axis_when_present() {
-        let mut dev = userspace_device();
-        dev.set_gpu_governor("userspace");
-        let mut sched = ConfigScheduler::new(200, false);
-        let mut p = plan((2, 1), (8, 5), 2.0, 0.0);
-        p.lower.gpu = Some(asgov_soc::GpuFreqIndex(3));
-        sched.install(&mut dev, &p, 2000);
-        assert_eq!(dev.gpu().freq(), asgov_soc::GpuFreqIndex(3));
-        assert_eq!(sched.writes_failed(), 0);
-    }
-
-    #[test]
-    fn gpu_write_recovers_by_reasserting_the_governor() {
-        let mut dev = userspace_device(); // GPU still on msm-adreno-tz
-        let mut sched = ConfigScheduler::new(200, false);
-        let mut p = plan((2, 1), (8, 5), 2.0, 0.0);
-        p.lower.gpu = Some(asgov_soc::GpuFreqIndex(3));
-        sched.install(&mut dev, &p, 2000);
-        assert_eq!(dev.gpu().governor(), "userspace", "governor re-asserted");
-        assert_eq!(dev.gpu().freq(), asgov_soc::GpuFreqIndex(3));
-        assert_eq!(sched.writes_failed(), 0, "recovered, not failed");
-        assert!(sched.wrong_governor() > 0);
-        assert!(sched.governor_reasserts() > 0);
     }
 
     #[test]

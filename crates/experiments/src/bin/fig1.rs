@@ -1,8 +1,8 @@
 //! Fig. 1 — histogram of CPU frequencies chosen by the default governor
 //! for the e-book reader (the paper's motivating observation).
 
-use asgov_experiments::harness::default_run;
 use asgov_experiments::render::histogram;
+use asgov_profiler::measure_default;
 use asgov_soc::DeviceConfig;
 use asgov_workloads::{apps, BackgroundLoad};
 
@@ -10,7 +10,8 @@ fn main() {
     asgov_util::args::none();
     let dev_cfg = DeviceConfig::nexus6();
     let mut app = apps::ebook(BackgroundLoad::baseline(1));
-    let report = default_run(&dev_cfg, &mut app, 120_000);
+    let measured = measure_default(&dev_cfg, &mut app, 1, 120_000);
+    let report = measured.reports.first().expect("one run requested");
     println!("=== Fig. 1: eBook reading, default governor ===\n");
     println!(
         "{}",

@@ -6,7 +6,7 @@ use asgov_core::{with_controller_stack, ControlMode, ControllerBuilder, EnergyCo
 use asgov_profiler::{
     measure_default, measure_runs, profile_app, DefaultMeasurement, ProfileOptions, ProfileTable,
 };
-use asgov_soc::sim::{self, RunReport};
+use asgov_soc::sim;
 use asgov_soc::DeviceConfig;
 use asgov_workloads::{AppKind, PhasedApp};
 
@@ -261,13 +261,6 @@ pub fn profile_app_for_mode(
         ControlMode::Coordinated => profile_app(dev_cfg, app, &opts.profile),
         ControlMode::CpuOnly => asgov_profiler::profile_app_cpu_only(dev_cfg, app, &opts.profile),
     }
-}
-
-/// Run an app under the default governors only, returning the report
-/// (for histogram figures).
-pub fn default_run(dev_cfg: &DeviceConfig, app: &mut PhasedApp, duration_ms: u64) -> RunReport {
-    let m = measure_default(dev_cfg, app, 1, duration_ms);
-    m.reports.into_iter().next().expect("one run requested")
 }
 
 #[cfg(test)]

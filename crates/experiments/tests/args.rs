@@ -1,9 +1,9 @@
 //! Every experiment binary refuses an argument it does not know: exit
 //! status 2 before any work, nothing on stdout, and the argument named
 //! on stderr. A stale flag in a script fails loudly instead of running
-//! something else.
+//! something else. A binary whose stdout reader has gone ends quietly.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const BINARIES: [&str; 16] = [
     env!("CARGO_BIN_EXE_table1"),
@@ -70,4 +70,27 @@ fn a_repeated_flag_is_refused() {
     ] {
         assert_refused(bin, args, "given more than once");
     }
+}
+
+/// `fleet … | head -1`: a reader that stops early wanted no more
+/// output, so the binary ends with status 0 and no panic. The pipe's
+/// read end is closed before the binary starts, so its first `print!`
+/// already finds stdout closed.
+#[test]
+fn a_closed_stdout_ends_the_binary_quietly() {
+    let dir = std::env::temp_dir().join(format!("asgov_closed_stdout_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(["--devices", "50", "--threads", "1"])
+        .current_dir(&dir)
+        .stdout(Stdio::from(writer))
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run");
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }

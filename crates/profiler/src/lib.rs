@@ -35,6 +35,6 @@ mod table;
 pub use default_run::{measure_default, measure_fixed, measure_runs, DefaultMeasurement};
 pub use profile::{
     fit_mar_cse, profile_app, profile_app_cpu_only, profile_app_serial, profile_app_threads,
-    profile_app_with_gpu, ProfileOptions,
+    ProfileOptions,
 };
 pub use table::{Config, ProfileEntry, ProfileTable, TableParseError};

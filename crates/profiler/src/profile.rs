@@ -9,10 +9,9 @@
 
 use crate::table::{Config, ProfileEntry, ProfileTable};
 use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
-use asgov_soc::gpu::ADRENO420_FREQS_GHZ;
 use asgov_soc::sim::RunReport;
 use asgov_soc::Workload;
-use asgov_soc::{sim, BwIndex, Device, DeviceConfig, FreqIndex, GpuFreqIndex, PerfReader, Policy};
+use asgov_soc::{sim, BwIndex, Device, DeviceConfig, FreqIndex, PerfReader, Policy};
 use asgov_util::par;
 use asgov_workloads::PhasedApp;
 
@@ -30,10 +29,10 @@ pub struct ProfileOptions {
     /// Profile every `freq_stride`-th frequency (paper: alternate
     /// frequencies → 2).
     pub freq_stride: usize,
-    /// Fill the intermediate bandwidths (and GPU frequencies) of each
-    /// profiled frequency by linear interpolation between the measured
-    /// lowest and highest settings (paper behaviour). When `false` the
-    /// table keeps only measured points.
+    /// Fill the intermediate bandwidths of each profiled frequency by
+    /// linear interpolation between the measured lowest and highest
+    /// settings (paper behaviour). When `false` the table keeps only
+    /// measured points.
     pub interpolate: bool,
 }
 
@@ -49,13 +48,12 @@ impl Default for ProfileOptions {
 }
 
 /// The operating point a profiling run pins. An axis left `None` runs
-/// under its stock governor: `interactive`, `cpubw_hwmon` or
-/// `msm-adreno-tz`.
+/// under its stock governor, `interactive` or `cpubw_hwmon`; the GPU
+/// always runs under `msm-adreno-tz`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Pin {
     freq: Option<FreqIndex>,
     bw: Option<BwIndex>,
-    gpu: Option<GpuFreqIndex>,
 }
 
 /// How a profiled point's runs are simulated: [`run_pinned`] in
@@ -100,30 +98,22 @@ pub(crate) fn run_pinned(
     if pin.bw.is_some() {
         device.set_bw_governor("userspace");
     }
-    if pin.gpu.is_some() {
-        device.set_gpu_governor("userspace");
-    }
     if let Some(freq) = pin.freq {
         device.set_cpu_freq(freq);
     }
     if let Some(bw) = pin.bw {
         device.set_mem_bw(bw);
     }
-    if let Some(gpu) = pin.gpu {
-        device.set_gpu_freq(gpu);
-    }
     let mut cpu = Interactive::default();
     let mut bw = CpubwHwmon::default();
     let mut gpu = AdrenoTz::default();
-    let stock: [(bool, &mut dyn Policy); 3] = [
-        (pin.freq.is_none(), &mut cpu),
-        (pin.bw.is_none(), &mut bw),
-        (pin.gpu.is_none(), &mut gpu),
-    ];
+    let stock: [(bool, &mut dyn Policy); 2] =
+        [(pin.freq.is_none(), &mut cpu), (pin.bw.is_none(), &mut bw)];
     let mut policies: Vec<&mut dyn Policy> = stock
         .into_iter()
         .filter_map(|(stock, policy)| stock.then_some(policy))
         .collect();
+    policies.push(&mut gpu);
     app.reset();
     let report = sim::run(&mut device, app, &mut policies, run_ms);
     let replicas = device.replica_monitors().iter();
@@ -162,28 +152,28 @@ struct Sweep {
     corners: Vec<Vec<(f64, f64)>>,
 }
 
-/// One row of a table axis: its setting, its position `t` between the
-/// axis's low and high corner, and, when the row was measured, the
-/// offset its corner adds to the sweep's corner index.
-type Rung<T> = (T, f64, Option<usize>);
+/// One row of the bandwidth axis: its setting, its position `t` between
+/// the axis's low and high corner, and, when the row was measured, its
+/// corner's index in the sweep.
+type Rung = (BwIndex, f64, Option<usize>);
 
-/// The rungs of an axis measured at its first and last setting, whose
-/// physical values (MB/s, GHz) are `values`. `hi` is the last setting's
-/// corner offset.
-fn axis<T>(values: &[f64], hi: usize, setting: impl Fn(usize) -> T) -> Vec<Rung<T>> {
-    // asgov-analyze: allow(hot-path-transitive): values is a DVFS table's bandwidth ladder or the GPU ladder, never empty
-    let (lo, last) = (values[0], values.len() - 1);
-    let span = values[last] - lo;
-    values
-        .iter()
+/// The bandwidth axis of `dev_cfg`, measured at its lowest setting
+/// (corner 0) and its highest (corner 1), each rung placed by its MB/s.
+fn bw_axis(dev_cfg: &DeviceConfig) -> Vec<Rung> {
+    let t = &dev_cfg.table;
+    let mbps: Vec<f64> = t.bw_indices().map(|b| t.bw(b).0).collect();
+    // asgov-analyze: allow(hot-path-transitive): mbps is a DVFS table's bandwidth ladder, never empty
+    let (lo, last) = (mbps[0], mbps.len() - 1);
+    let span = mbps[last] - lo;
+    mbps.iter()
         .enumerate()
         .map(|(i, v)| {
             let corner = match i {
                 0 => Some(0),
-                _ if i == last => Some(hi),
+                _ if i == last => Some(1),
                 _ => None,
             };
-            (setting(i), (v - lo) / span, corner)
+            (BwIndex(i), (v - lo) / span, corner)
         })
         .collect()
 }
@@ -248,42 +238,32 @@ fn sweep(
 
 impl Sweep {
     /// Lay the corners out as table rows, bandwidth-major within each
-    /// frequency. With `interpolate` every (bandwidth, GPU) rung pair is
-    /// bilinear between its frequency's measured corners; without it
-    /// only the measured pairs are kept, at their measured values. A
-    /// one-rung axis sits at `t = 0` with offset 0 at both ends, so it
-    /// adds `0.0` and leaves the other axis's values bit-exact.
-    fn table(
-        self,
-        bws: &[Rung<BwIndex>],
-        gpus: &[Rung<Option<GpuFreqIndex>>],
-        interpolate: bool,
-    ) -> ProfileTable {
+    /// frequency. With `interpolate` every bandwidth rung is linear
+    /// between its frequency's measured corners; without it only the
+    /// measured rungs are kept, at their measured values. A one-rung
+    /// axis sits at `t = 0` with offset 0 at both ends, so its row is
+    /// its corner, bit for bit.
+    fn table(self, bws: &[Rung], interpolate: bool) -> ProfileTable {
         // The last rung is the high corner (or, alone, the only one).
         let bh = bws.last().and_then(|r| r.2).unwrap_or(0);
-        let gh = gpus.last().and_then(|r| r.2).unwrap_or(0);
-        let lerp = |lo: (f64, f64), hi: (f64, f64), t: f64| {
-            (lo.0 + t * (hi.0 - lo.0), lo.1 + t * (hi.1 - lo.1))
-        };
         let mut entries = Vec::new();
         for (&freq, c) in self.freqs.iter().zip(&self.corners) {
-            for &(bw, tb, cb) in bws {
-                for &(gpu, tg, cg) in gpus {
-                    let measured = cb.zip(cg).map(|(b, g)| c[b + g]);
-                    let (gips, power_w) = match measured {
-                        _ if interpolate => {
-                            lerp(lerp(c[0], c[bh], tb), lerp(c[gh], c[bh + gh], tb), tg)
-                        }
-                        Some(point) => point,
-                        None => continue,
-                    };
-                    entries.push(ProfileEntry {
-                        config: Config { freq, bw, gpu },
-                        speedup: gips / self.base_gips,
-                        power_w,
-                        measured: measured.is_some(),
-                    });
-                }
+            for &(bw, t, corner) in bws {
+                let measured = corner.map(|b| c[b]);
+                let (gips, power_w) = match measured {
+                    _ if interpolate => {
+                        let (lo, hi) = (c[0], c[bh]);
+                        (lo.0 + t * (hi.0 - lo.0), lo.1 + t * (hi.1 - lo.1))
+                    }
+                    Some(point) => point,
+                    None => continue,
+                };
+                entries.push(ProfileEntry {
+                    config: Config { freq, bw },
+                    speedup: gips / self.base_gips,
+                    power_w,
+                    measured: measured.is_some(),
+                });
             }
         }
         ProfileTable {
@@ -294,21 +274,11 @@ impl Sweep {
     }
 }
 
-/// The bandwidth axis of `dev_cfg`, measured at its lowest and highest
-/// setting; `hi` is the highest setting's corner offset.
-fn bw_axis(dev_cfg: &DeviceConfig, hi: usize) -> Vec<Rung<BwIndex>> {
-    let t = &dev_cfg.table;
-    let mbps: Vec<f64> = t.bw_indices().map(|b| t.bw(b).0).collect();
-    axis(&mbps, hi, BwIndex)
-}
-
 /// The table layouts the public profilers produce.
 #[derive(Debug, Clone, Copy)]
 enum Shape {
-    /// Frequency × memory bandwidth, the GPU under its stock governor.
+    /// Frequency × memory bandwidth.
     Bandwidth,
-    /// Frequency × memory bandwidth × GPU frequency.
-    BandwidthGpu,
     /// Frequency only, the bandwidth under `cpubw_hwmon`.
     CpuOnly,
 }
@@ -323,45 +293,17 @@ fn profile(
     run: RunPinned,
 ) -> ProfileTable {
     let t = &dev_cfg.table;
-    let no_gpu = [(None, 0.0, Some(0))];
     match shape {
         Shape::Bandwidth => {
-            // The GPU stays under its stock governor throughout (the
-            // paper does not include it in the controlled configuration).
             let corners = [t.min_bw(), t.max_bw()].map(|bw| Pin {
                 bw: Some(bw),
                 ..Pin::default()
             });
-            sweep(dev_cfg, app, opts, threads, 1, &corners, run).table(
-                &bw_axis(dev_cfg, 1),
-                &no_gpu,
-                opts.interpolate,
-            )
+            sweep(dev_cfg, app, opts, threads, 1, &corners, run)
+                .table(&bw_axis(dev_cfg), opts.interpolate)
         }
-        Shape::BandwidthGpu => {
-            let gpu_hi = GpuFreqIndex(ADRENO420_FREQS_GHZ.len() - 1);
-            // Four measured corners per frequency: (bw, gpu) ∈ {lo, hi}²,
-            // bandwidth-major.
-            let corners = [t.min_bw(), t.max_bw()]
-                .into_iter()
-                .flat_map(|bw| [GpuFreqIndex(0), gpu_hi].map(|gpu| (bw, gpu)))
-                .map(|(bw, gpu)| Pin {
-                    freq: None,
-                    bw: Some(bw),
-                    gpu: Some(gpu),
-                })
-                .collect::<Vec<_>>();
-            sweep(dev_cfg, app, opts, threads, 0x30, &corners, run).table(
-                &bw_axis(dev_cfg, 2),
-                &axis(&ADRENO420_FREQS_GHZ, 1, |g| Some(GpuFreqIndex(g))),
-                opts.interpolate,
-            )
-        }
-        Shape::CpuOnly => sweep(dev_cfg, app, opts, threads, 0x10, &[Pin::default()], run).table(
-            &[(t.min_bw(), 0.0, Some(0))],
-            &no_gpu,
-            opts.interpolate,
-        ),
+        Shape::CpuOnly => sweep(dev_cfg, app, opts, threads, 0x10, &[Pin::default()], run)
+            .table(&[(t.min_bw(), 0.0, Some(0))], opts.interpolate),
     }
 }
 
@@ -417,22 +359,6 @@ pub fn profile_app_threads(
     profile(dev_cfg, app, opts, threads, Shape::Bandwidth, run_pinned)
 }
 
-/// Three-axis offline profile (the paper's §VII extension): every
-/// `freq_stride`-th CPU frequency × {lowest, highest} memory bandwidth
-/// × {lowest, highest} GPU frequency, with linear interpolation along
-/// both the bandwidth and the GPU ladders (when `opts.interpolate`).
-///
-/// # Panics
-///
-/// Panics if `opts.runs_per_config` or `opts.freq_stride` is zero.
-pub fn profile_app_with_gpu(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    opts: &ProfileOptions,
-) -> ProfileTable {
-    profile(dev_cfg, app, opts, 0, Shape::BandwidthGpu, run_pinned)
-}
-
 /// Profile for the paper's §V-D CPU-only ablation: the CPU frequency is
 /// pinned per configuration while the memory bandwidth stays under the
 /// default `cpubw_hwmon` governor. The resulting table has one row per
@@ -474,7 +400,6 @@ pub fn fit_mar_cse(
             let pin = Pin {
                 freq: Some(freq),
                 bw: Some(table.min_bw()),
-                gpu: None,
             };
             let seed = dev_cfg.seed ^ (freq.0 as u64 + 0x50);
             let (reports, device) =
@@ -594,9 +519,8 @@ mod tests {
             bits
         };
         type Profiler = fn(&DeviceConfig, &mut PhasedApp, &ProfileOptions) -> ProfileTable;
-        let shapes: [(Profiler, Shape); 3] = [
+        let shapes: [(Profiler, Shape); 2] = [
             (profile_app, Shape::Bandwidth),
-            (profile_app_with_gpu, Shape::BandwidthGpu),
             (profile_app_cpu_only, Shape::CpuOnly),
         ];
         for app in paper_apps(BackgroundLoad::baseline(1)) {
@@ -718,34 +642,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.entries.iter().all(|e| e.measured));
         assert!(t.entries[1].speedup >= t.entries[0].speedup * 0.9);
-    }
-
-    #[test]
-    fn gpu_profile_without_interpolation_keeps_only_measured_corners() {
-        let dev_cfg = DeviceConfig::nexus6();
-        let mut app = apps::angrybirds(BackgroundLoad::baseline(1));
-        let opts = ProfileOptions {
-            interpolate: false,
-            ..opts_fast()
-        };
-        let t = profile_app_with_gpu(&dev_cfg, &mut app, &opts);
-        // AngryBirds profiles f1..f10 with stride 4 -> f1, f5, f9.
-        assert_eq!(t.len(), 3 * 4);
-        assert!(t.entries.iter().all(|e| e.measured));
-        for rows in t.entries.chunks(4) {
-            let corners: Vec<_> = rows.iter().map(|e| (e.config.bw, e.config.gpu)).collect();
-            let (bw_hi, gpu_hi) = (dev_cfg.table.max_bw(), GpuFreqIndex(4));
-            assert_eq!(
-                corners,
-                [
-                    (BwIndex(0), Some(GpuFreqIndex(0))),
-                    (BwIndex(0), Some(gpu_hi)),
-                    (bw_hi, Some(GpuFreqIndex(0))),
-                    (bw_hi, Some(gpu_hi)),
-                ]
-            );
-            assert!(rows.iter().all(|e| e.config.freq == rows[0].config.freq));
-        }
     }
 
     #[test]

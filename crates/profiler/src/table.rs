@@ -1,43 +1,31 @@
 //! The profile table (paper Table I).
 
-use asgov_soc::gpu::ADRENO420_FREQS_GHZ;
-use asgov_soc::{BwIndex, DvfsTable, FreqIndex, GpuFreqIndex};
+use asgov_soc::{BwIndex, DvfsTable, FreqIndex};
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
 /// A *system configuration*: an ordered pair of CPU frequency and
-/// memory bandwidth indices (paper §III-A). The controller framework is
-/// axis-generic in principle (the paper lists GPU frequency and network
-/// packet rate as future axes); this pair is what the paper controls.
+/// memory bandwidth indices (paper §III-A). The GPU stays under its
+/// stock governor, as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Config {
     /// CPU frequency index.
     pub freq: FreqIndex,
     /// Memory bandwidth index.
     pub bw: BwIndex,
-    /// GPU frequency index, when the GPU axis is controlled too (the
-    /// paper's §VII extension); `None` leaves the GPU to its governor.
-    pub gpu: Option<GpuFreqIndex>,
 }
 
 impl Config {
-    /// A two-axis configuration (the paper's controlled pair).
+    /// The configuration `(freq, bw)`.
     pub fn new(freq: FreqIndex, bw: BwIndex) -> Self {
-        Self {
-            freq,
-            bw,
-            gpu: None,
-        }
+        Self { freq, bw }
     }
 }
 
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.gpu {
-            Some(g) => write!(f, "({}, {}, {})", self.freq, self.bw, g),
-            None => write!(f, "({}, {})", self.freq, self.bw),
-        }
+        write!(f, "({}, {})", self.freq, self.bw)
     }
 }
 
@@ -136,10 +124,10 @@ impl ProfileTable {
     }
 
     /// The problems that keep the table from driving a controller on a
-    /// device with `ladder`'s CPU and bus ladders and the Adreno 420
-    /// GPU, in human-readable form (empty = it can): no entries, a
-    /// non-finite or non-positive base speed, speedup or power, or a
-    /// configuration off one of the ladders.
+    /// device with `ladder`'s CPU and bus ladders, in human-readable
+    /// form (empty = it can): no entries, a non-finite or non-positive
+    /// base speed, speedup or power, or a configuration off one of the
+    /// ladders.
     pub fn defects(&self, ladder: &DvfsTable) -> Vec<String> {
         if self.is_empty() {
             return vec!["table has no entries".to_string()];
@@ -150,10 +138,7 @@ impl ProfileTable {
         }
         for e in &self.entries {
             let c = e.config;
-            if c.freq.0 >= ladder.num_freqs()
-                || c.bw.0 >= ladder.num_bws()
-                || c.gpu.is_some_and(|g| g.0 >= ADRENO420_FREQS_GHZ.len())
-            {
+            if c.freq.0 >= ladder.num_freqs() || c.bw.0 >= ladder.num_bws() {
                 issues.push(format!("configuration {c} is off the device's ladders"));
             }
             if !e.speedup.is_finite() || e.speedup <= 0.0 {
@@ -175,20 +160,22 @@ impl ProfileTable {
             "# app\t{}\n# base_gips\t{}\n",
             self.app, self.base_gips
         ));
-        out.push_str("# freq_idx\tbw_idx\tgpu_idx\tspeedup\tpower_w\tmeasured\n");
+        out.push_str("# freq_idx\tbw_idx\tspeedup\tpower_w\tmeasured\n");
         for e in &self.entries {
-            let gpu = e.config.gpu.map_or(-1i64, |g| g.0 as i64);
             out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\n",
-                e.config.freq.0, e.config.bw.0, gpu, e.speedup, e.power_w, e.measured as u8
+                "{}\t{}\t{}\t{}\t{}\n",
+                e.config.freq.0, e.config.bw.0, e.speedup, e.power_w, e.measured as u8
             ));
         }
         out
     }
 
     /// Parse the TSV format produced by [`ProfileTable::to_tsv`].
-    /// Indices must be unsigned integers (`-1` for no GPU index) and
-    /// numbers finite.
+    /// Indices must be unsigned integers and numbers finite. Tables
+    /// written while the profiler had a GPU axis carry a sixth column,
+    /// `gpu_idx`, after `bw_idx`: a row with `-1` there (GPU under its
+    /// governor) loads as its five-column form, and one with a GPU index
+    /// is refused.
     ///
     /// # Errors
     ///
@@ -214,26 +201,16 @@ impl ProfileTable {
                 continue;
             }
             let fields: Vec<&str> = line.split('\t').collect();
-            // 6 fields with the GPU column; 5 for tables written before
-            // the GPU axis existed.
-            if fields.len() != 6 && fields.len() != 5 {
-                return Err(TableParseError::at(lineno, line));
-            }
             let bad = || TableParseError::at(lineno, line);
+            let rest = match fields.len() {
+                5 => &fields[2..],
+                6 if fields[2] == "-1" => &fields[3..],
+                _ => return Err(bad()),
+            };
             let index = |s: &str| s.parse::<usize>().map_err(|_| bad());
             let number = |s: &str| finite(s).ok_or_else(bad);
-            // `-1` in the GPU column: the GPU is left to its governor.
-            let (gpu, rest) = match fields.len() {
-                6 if fields[2] == "-1" => (None, &fields[3..]),
-                6 => (Some(GpuFreqIndex(index(fields[2])?)), &fields[3..]),
-                _ => (None, &fields[2..]),
-            };
             entries.push(ProfileEntry {
-                config: Config {
-                    freq: FreqIndex(index(fields[0])?),
-                    bw: BwIndex(index(fields[1])?),
-                    gpu,
-                },
+                config: Config::new(FreqIndex(index(fields[0])?), BwIndex(index(fields[1])?)),
                 speedup: number(rest[0])?,
                 power_w: number(rest[1])?,
                 measured: rest[2] == "1",
@@ -326,31 +303,19 @@ mod tests {
             base_gips: 0.129,
             entries: vec![
                 ProfileEntry {
-                    config: Config {
-                        freq: FreqIndex(0),
-                        bw: BwIndex(0),
-                        gpu: None,
-                    },
+                    config: Config::new(FreqIndex(0), BwIndex(0)),
                     speedup: 1.0,
                     power_w: 1.62357,
                     measured: true,
                 },
                 ProfileEntry {
-                    config: Config {
-                        freq: FreqIndex(0),
-                        bw: BwIndex(2),
-                        gpu: None,
-                    },
+                    config: Config::new(FreqIndex(0), BwIndex(2)),
                     speedup: 1.0077,
                     power_w: 1.74209,
                     measured: false,
                 },
                 ProfileEntry {
-                    config: Config {
-                        freq: FreqIndex(4),
-                        bw: BwIndex(0),
-                        gpu: None,
-                    },
+                    config: Config::new(FreqIndex(4), BwIndex(0)),
                     speedup: 1.837,
                     power_w: 2.21922,
                     measured: true,
@@ -409,14 +374,16 @@ mod tests {
     fn parse_rejects_non_integral_indices_and_non_finite_numbers() {
         let header = "# app\tx\n# base_gips\t0.5\n";
         for row in [
+            "-3\t0\t1.0\t1.5\t1",
+            "1.5\t0\t1.0\t1.5\t1",
+            "0\t2.0\t1.0\t1.5\t1",
+            "0\t0\tNaN\t1.5\t1",
+            "0\t0\t1.0\tinf\t1",
             "-3\t0\t-1\t1.0\t1.5\t1",
-            "1.5\t0\t-1\t1.0\t1.5\t1",
-            "0\t2.0\t-1\t1.0\t1.5\t1",
             "0\t0\t-2\t1.0\t1.5\t1",
             "0\t0\t0.5\t1.0\t1.5\t1",
             "0\t0\t-1\tNaN\t1.5\t1",
-            "0\t0\t-1\t1.0\tinf\t1",
-            "0\t0\t1.0\tNaN\t1",
+            "0\t0\t1.0\tNaN",
         ] {
             assert!(
                 matches!(
@@ -430,23 +397,30 @@ mod tests {
             ProfileTable::from_tsv("# app\tx\n# base_gips\tNaN\n"),
             Err(TableParseError::BadLine { line: 1, .. })
         ));
-        // The accepted forms: `-1` for no GPU index, and the five-column
-        // rows written before the GPU axis existed.
-        let t = ProfileTable::from_tsv(&format!(
-            "{header}3\t4\t-1\t1.25\t1.5\t1\n5\t6\t2\t1.5\t2.0\t0\n7\t8\t1.75\t2.5\t1\n"
-        ))
-        .unwrap();
-        let configs: Vec<Config> = t.entries.iter().map(|e| e.config).collect();
+    }
+
+    /// A table written while the profiler had a GPU axis (six columns,
+    /// `gpu_idx` after `bw_idx`) loads to the same table as its
+    /// five-column form when every row leaves the GPU to its governor
+    /// (`-1`); a row that pins a GPU index is refused, naming the line.
+    #[test]
+    fn six_column_tables_load_only_without_a_gpu_index() {
+        let six = "# app\tAngryBirds\n# base_gips\t0.129\n\
+                   # freq_idx\tbw_idx\tgpu_idx\tspeedup\tpower_w\tmeasured\n\
+                   0\t0\t-1\t1\t1.62357\t1\n\
+                   0\t2\t-1\t1.0077\t1.74209\t0\n\
+                   4\t0\t-1\t1.837\t2.21922\t1\n";
+        let t = ProfileTable::from_tsv(six).unwrap();
+        assert_eq!(t, sample());
+        assert_eq!(t, ProfileTable::from_tsv(&sample().to_tsv()).unwrap());
+
+        let pinned = six.replacen("0\t2\t-1\t", "0\t2\t3\t", 1);
         assert_eq!(
-            configs,
-            vec![
-                Config::new(FreqIndex(3), BwIndex(4)),
-                Config {
-                    gpu: Some(GpuFreqIndex(2)),
-                    ..Config::new(FreqIndex(5), BwIndex(6))
-                },
-                Config::new(FreqIndex(7), BwIndex(8)),
-            ]
+            ProfileTable::from_tsv(&pinned),
+            Err(TableParseError::BadLine {
+                line: 4,
+                content: "0\t2\t3\t1.0077\t1.74209\t0".to_string(),
+            })
         );
     }
 
@@ -476,11 +450,7 @@ mod tests {
         let off = |issues: Vec<String>| issues.iter().any(|i| i.contains("off the device"));
         assert!(off(with(|t| t.entries[0].config.freq = FreqIndex(18))));
         assert!(off(with(|t| t.entries[0].config.bw = BwIndex(13))));
-        assert!(off(with(
-            |t| t.entries[0].config.gpu = Some(GpuFreqIndex(5))
-        )));
         assert!(with(|t| t.entries[0].config.freq = FreqIndex(17)).is_empty());
-        assert!(with(|t| t.entries[0].config.gpu = Some(GpuFreqIndex(4))).is_empty());
         for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
             let t = ProfileTable {
                 base_gips: bad,

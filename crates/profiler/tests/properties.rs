@@ -5,20 +5,14 @@
 //! run exercises the same cases (the hermetic stand-in for proptest).
 
 use asgov_profiler::{Config, ProfileEntry, ProfileTable};
-use asgov_soc::{BwIndex, FreqIndex, GpuFreqIndex};
+use asgov_soc::{BwIndex, FreqIndex};
 use asgov_util::Rng;
 
 fn random_entry(rng: &mut Rng) -> ProfileEntry {
-    let gpu = if rng.gen_bool(0.3) {
-        Some(GpuFreqIndex(rng.gen_range_usize(0..5)))
-    } else {
-        None
-    };
     ProfileEntry {
         config: Config {
             freq: FreqIndex(rng.gen_range_usize(0..18)),
             bw: BwIndex(rng.gen_range_usize(0..13)),
-            gpu,
         },
         speedup: rng.gen_range(0.1..10.0),
         power_w: rng.gen_range(0.5..8.0),

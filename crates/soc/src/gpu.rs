@@ -1,6 +1,7 @@
-//! GPU model (Adreno 420) — the paper's first "future work" axis
-//! (§VII: "include GPU frequencies … into the control system
-//! framework").
+//! GPU model (Adreno 420). The paper leaves the GPU to its stock
+//! `msm-adreno-tz` governor and names it only as a future control axis
+//! (§VII); here it is hardware that every run carries, never a
+//! controlled axis.
 //!
 //! The GPU renders the frames games demand. Its operating point scales
 //! like the CPU's: utilization-dependent dynamic power on a voltage

@@ -58,28 +58,6 @@ impl RunReport {
         report.stats.avg_power_w = report.avg_power_w;
         report
     }
-
-    /// Machine-readable summary of the run as a JSON object (the
-    /// hand-rolled `asgov-util` surface — the workspace carries no
-    /// serde). Histograms are omitted; this is the scalar summary that
-    /// result files and the bench harness persist.
-    pub fn to_json(&self) -> asgov_util::Json {
-        let mut doc = asgov_util::Json::object();
-        doc.set("app", self.app.as_str());
-        doc.set("policy", self.policy.as_str());
-        doc.set("duration_ms", self.duration_ms as f64);
-        doc.set("elapsed_ms", self.duration_ms as f64);
-        doc.set("max_ms", self.max_ms as f64);
-        doc.set("energy_j", self.energy_j);
-        doc.set("avg_power_w", self.avg_power_w);
-        doc.set("instructions", self.instructions);
-        doc.set("avg_gips", self.avg_gips);
-        doc.set("completed", self.completed);
-        if let Some(h) = &self.health {
-            doc.set("health", h.to_json());
-        }
-        doc
-    }
 }
 
 pub use crate::event::run;
@@ -185,17 +163,6 @@ mod tests {
         assert!(report.energy_j > 0.5 && report.energy_j < 5.0);
         assert!((report.avg_power_w - report.energy_j / 1.0).abs() < 1e-9);
         assert!(report.avg_gips > 0.0);
-
-        // The JSON summary carries the same scalars.
-        let json = report.to_json();
-        assert_eq!(
-            json.get("app").and_then(asgov_util::Json::as_str),
-            Some("toy")
-        );
-        assert_eq!(
-            json.get("energy_j").and_then(asgov_util::Json::as_f64),
-            Some(report.energy_j)
-        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! [`parse_env`] runs a binary's reader over the process's own
 //! arguments and ends the process with status 2 on any error, before
-//! the binary does any work.
+//! the binary does any work. It also makes a closed stdout end the
+//! process quietly with status 0 (see [`parse_env`]).
 
 use std::fmt;
 use std::str::FromStr;
@@ -192,7 +193,14 @@ pub fn parse<T>(
 /// [`parse`] over this process's arguments. On any error — including
 /// an argument that is not UTF-8 — prints `<program>: <error>` and
 /// then `usage`, when not empty, to stderr, and exits with status 2.
+///
+/// It first installs a panic hook under which a `print!` that finds
+/// stdout closed ends the process with status 0 and prints nothing: a
+/// reader that stopped early (`fleet | head -1`) wanted no more
+/// output, so that is not a failure. Every other panic reaches the hook
+/// installed before.
 pub fn parse_env<T>(usage: &str, read: impl FnOnce(&mut Flags<'_>) -> Result<T, ArgError>) -> T {
+    quiet_on_closed_stdout();
     let mut args = std::env::args_os();
     let program = args
         .next()
@@ -218,6 +226,24 @@ pub fn parse_env<T>(usage: &str, read: impl FnOnce(&mut Flags<'_>) -> Result<T, 
 /// For a binary that takes no arguments: refuse any, as [`parse_env`].
 pub fn none() {
     parse_env("", |_| Ok(()));
+}
+
+/// Chain a panic hook that exits with status 0 on the panic `print!`
+/// raises when stdout's reader has gone.
+fn quiet_on_closed_stdout() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload_as_str().is_some_and(is_closed_stdout) {
+            std::process::exit(0);
+        }
+        previous(info);
+    }));
+}
+
+/// Is `msg` the panic message of a `print!` to a closed stdout?
+fn is_closed_stdout(msg: &str) -> bool {
+    msg.strip_prefix("failed printing to stdout: ")
+        .is_some_and(|err| err.starts_with("Broken pipe"))
 }
 
 #[cfg(test)]
@@ -297,6 +323,20 @@ mod tests {
         });
         assert_eq!(got, Ok((None, Some(1))));
         assert_eq!(read(&[], |f| Ok(owned(f.subcommand()))), Ok(None));
+    }
+
+    #[test]
+    fn only_a_broken_stdout_pipe_is_quiet() {
+        assert!(is_closed_stdout(
+            "failed printing to stdout: Broken pipe (os error 32)"
+        ));
+        for other in [
+            "failed printing to stderr: Broken pipe (os error 32)",
+            "failed printing to stdout: No space left on device (os error 28)",
+            "index out of bounds",
+        ] {
+            assert!(!is_closed_stdout(other), "{other}");
+        }
     }
 
     #[test]

@@ -41,8 +41,7 @@ fn main() {
     let mut controller = ControllerBuilder::new(profile)
         .target_gips(baseline.gips)
         .build();
-    // The stack keeps the GPU with its stock governor (see the gpu_axis
-    // example for three-axis control).
+    // The stack keeps the GPU with its stock governor, as the paper does.
     let mut device = Device::new(dev_cfg);
     app.reset();
     let report = with_controller_stack(ControlMode::Coordinated, &mut controller, |policies| {

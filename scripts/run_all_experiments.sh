@@ -47,15 +47,23 @@ if [ "$SMOKE" = "--smoke" ]; then
   # earlier fleet run may have rewritten the file), else the file as
   # it stands before this run overwrites it.
   BASELINE="$( (git show HEAD:BENCH_fleet.json 2>/dev/null || cat BENCH_fleet.json 2>/dev/null) | smoke_ratio)"
-  cargo run --release -p asgov-experiments --bin fleet -- --smoke \
-    > "results/fleet.txt" 2>&1
-  # Perf regression gate: the 10^3 smoke tier's device-epochs per
-  # reference must stay within 30% of the committed baseline.
-  NEW="$(smoke_ratio < BENCH_fleet.json)"
+  # Perf regression gate: the median of three smoke runs' device-epochs
+  # per reference must stay within 30% of the committed baseline. A
+  # warm-up run goes first and is not counted: a cold first run can
+  # read well below the warm ones. results/fleet.txt and
+  # BENCH_fleet.json keep the last run's output.
+  RATIOS=""
+  for run in warm-up 1 2 3; do
+    cargo run --release -p asgov-experiments --bin fleet -- --smoke \
+      > "results/fleet.txt" 2>&1
+    [ "$run" = warm-up ] || RATIOS="$RATIOS $(smoke_ratio < BENCH_fleet.json)"
+  done
+  # Empty unless all three runs filed a smoke row.
+  NEW="$(printf '%s\n' $RATIOS | sort -g | awk '{ v[NR] = $1 } END { if (NR == 3) print v[2] }')"
   if [ -n "$BASELINE" ] && [ -n "$NEW" ]; then
-    awk -v b="$BASELINE" -v n="$NEW" \
-      'BEGIN { printf "fleet smoke gate: %.1f device-epochs per reference vs committed %.1f (floor 70%%)\n", n, b; exit !(n >= 0.7 * b) }' \
-      || { echo "FAIL: fleet smoke device-epochs per reference regressed more than 30% vs the committed baseline" >&2; exit 1; }
+    awk -v b="$BASELINE" -v n="$NEW" -v runs="$(printf ' %.1f' $RATIOS)" \
+      'BEGIN { printf "fleet smoke gate: median %.1f device-epochs per reference (runs:%s) vs committed %.1f (floor 70%%)\n", n, runs, b; exit !(n >= 0.7 * b) }' \
+      || { echo "FAIL: fleet smoke median device-epochs per reference regressed more than 30% vs the committed baseline" >&2; exit 1; }
   else
     echo "fleet smoke gate: no committed smoke baseline; gate skipped"
   fi

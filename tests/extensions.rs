@@ -1,43 +1,9 @@
-//! End-to-end tests of the future-work extensions (§VII), the
-//! related-work baselines (§VI) and control of a workload that is not a
-//! `PhasedApp`.
+//! End-to-end tests of the related-work baselines (§VI) and control of
+//! a workload that is not a `PhasedApp`.
 
 use asgov::governors::{AdrenoTz, CpubwHwmon, Interactive, MarCse};
 use asgov::prelude::*;
-use asgov::profiler::profile_app_with_gpu;
 use asgov::soc::{ConstantWorkload, Demand, Executed};
-
-fn quick_profile() -> ProfileOptions {
-    ProfileOptions {
-        runs_per_config: 1,
-        run_ms: 6_000,
-        freq_stride: 4,
-        interpolate: true,
-    }
-}
-
-#[test]
-fn three_axis_controller_holds_target_and_owns_the_gpu() {
-    let dev_cfg = DeviceConfig::nexus6();
-    let mut app = apps::angrybirds(BackgroundLoad::baseline(1));
-    let profile = profile_app_with_gpu(&dev_cfg, &mut app, &quick_profile());
-    let default = measure_default(&dev_cfg, &mut app, 1, 40_000);
-
-    let mut controller = ControllerBuilder::new(profile)
-        .target_gips(default.gips)
-        .build();
-    let mut device = Device::new(dev_cfg);
-    app.reset();
-    let report = sim::run(&mut device, &mut app, &mut [&mut controller], 40_000);
-
-    assert_eq!(device.gpu().governor(), "userspace");
-    let perf = (report.avg_gips - default.gips) / default.gips;
-    assert!(perf > -0.06, "three-axis perf {:.1}%", perf * 100.0);
-    assert!(
-        report.energy_j < default.energy_j * 1.02,
-        "three-axis control must not burn more than the default"
-    );
-}
 
 #[test]
 fn mar_cse_saves_energy_but_gives_no_performance_guarantee() {

@@ -122,34 +122,3 @@ fn cpu_only_profile_controls_without_bw_actuation() {
     assert_eq!(device.bw_governor(), "cpubw_hwmon");
     assert_eq!(controller.actuation_failures(), 0);
 }
-
-#[test]
-fn gpu_profile_has_three_axes_and_controls_them() {
-    use asgov::profiler::profile_app_with_gpu;
-    let dev_cfg = DeviceConfig::nexus6();
-    let mut app = apps::angrybirds(BackgroundLoad::baseline(1));
-    let table = profile_app_with_gpu(
-        &dev_cfg,
-        &mut app,
-        &ProfileOptions {
-            runs_per_config: 1,
-            run_ms: 5_000,
-            freq_stride: 4,
-            interpolate: true,
-        },
-    );
-    assert!(table.entries.iter().all(|e| e.config.gpu.is_some()));
-    // 3 freqs (f1, f5, f9) × 13 bw × 5 gpu.
-    assert_eq!(table.len(), 3 * 13 * 5);
-
-    let mut controller = ControllerBuilder::new(table).target_gips(0.3).build();
-    let mut device = Device::new(dev_cfg);
-    app.reset();
-    sim::run(&mut device, &mut app, &mut [&mut controller], 20_000);
-    assert_eq!(
-        device.gpu().governor(),
-        "userspace",
-        "controller claimed the GPU"
-    );
-    assert_eq!(controller.actuation_failures(), 0);
-}
