@@ -107,12 +107,13 @@ pub(crate) fn run_pinned(
     let mut cpu = Interactive::default();
     let mut bw = CpubwHwmon::default();
     let mut gpu = AdrenoTz::default();
-    let stock: [(bool, &mut dyn Policy); 2] =
-        [(pin.freq.is_none(), &mut cpu), (pin.bw.is_none(), &mut bw)];
-    let mut policies: Vec<&mut dyn Policy> = stock
-        .into_iter()
-        .filter_map(|(stock, policy)| stock.then_some(policy))
-        .collect();
+    let mut policies: Vec<&mut dyn Policy> = Vec::with_capacity(3);
+    if pin.freq.is_none() {
+        policies.push(&mut cpu);
+    }
+    if pin.bw.is_none() {
+        policies.push(&mut bw);
+    }
     policies.push(&mut gpu);
     app.reset();
     let report = sim::run(&mut device, app, &mut policies, run_ms);
