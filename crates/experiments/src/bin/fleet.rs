@@ -6,7 +6,8 @@
 //! and per fault class, and writes `BENCH_fleet.json` in the working
 //! directory with throughput figures (device-epochs/sec, controller
 //! cycles/sec, peak RSS), keyed per tier so the 10³/10⁵/10⁶ rows
-//! accumulate across invocations, and `device_epochs_per_ref`: the
+//! accumulate across invocations (a run at a quantum other than its
+//! tier's is keyed `<tier>/q<N>`), and `device_epochs_per_ref`: the
 //! throughput per [`reference_s`], which a gate can compare across
 //! machines.
 //!
@@ -25,11 +26,13 @@ use asgov_util::args::{ArgError, Flags};
 use asgov_util::Json;
 use std::time::Instant;
 
-/// Parsed invocation: the run configuration plus the tier label its
-/// benchmark row is filed under ("custom" when a preset was edited).
+/// Parsed invocation: the run configuration plus the key its benchmark
+/// row is filed under: the tier's name, `<tier>/q<N>` when only the
+/// demand quantum differs from the tier's, or "custom" when anything
+/// else that changes the workload was edited.
 struct Invocation {
     cfg: FleetConfig,
-    tier: &'static str,
+    tier: String,
 }
 
 fn parse_args(f: &mut Flags<'_>) -> Result<Invocation, ArgError> {
@@ -39,16 +42,19 @@ fn parse_args(f: &mut Flags<'_>) -> Result<Invocation, ArgError> {
             tiers.push(tier);
         }
     }
-    let (mut tier, mut cfg) = match tiers[..] {
+    let (tier, mut cfg) = match tiers[..] {
         [] | ["smoke"] => ("smoke", FleetConfig::smoke()),
         ["bench"] => ("bench", FleetConfig::bench()),
         ["bench-1m"] => ("bench-1m", FleetConfig::bench_1m()),
         _ => return Err(ArgError::usage("give at most one tier")),
     };
-    // Benchmark rows stay comparable: any override that changes the
-    // simulated workload files the run under "custom" instead of
-    // overwriting a preset tier's row. Thread count does not change
-    // results, so it keeps the tier label.
+    // Benchmark rows stay comparable: an override that changes the
+    // simulated workload files the run under its own key instead of
+    // overwriting a preset tier's row. A quantum other than the tier's
+    // gets `<tier>/q<N>` (the q1 and q20 rows of one tier sit side by
+    // side); any other override gets "custom". Thread count does not
+    // change results, so it keeps the tier label.
+    let tier_quantum_ms = cfg.demand_quantum_ms;
     let mut custom = false;
     let mut count = |f: &mut Flags<'_>, flag: &str, workload: bool| {
         let v = f.num::<u64>(flag)?;
@@ -66,18 +72,24 @@ fn parse_args(f: &mut Flags<'_>) -> Result<Invocation, ArgError> {
         ("--epochs", &mut cfg.epochs),
         ("--epoch-ms", &mut cfg.epoch_ms),
         ("--seed", &mut cfg.seed),
-        ("--quantum-ms", &mut cfg.demand_quantum_ms),
     ] {
         if let Some(v) = count(f, flag, true)? {
             *field = v;
         }
     }
+    if let Some(v) = count(f, "--quantum-ms", false)? {
+        cfg.demand_quantum_ms = v;
+    }
     if let Some(v) = count(f, "--threads", false)? {
         cfg.threads = v as usize;
     }
-    if custom {
-        tier = "custom";
-    }
+    let tier = if custom {
+        "custom".to_string()
+    } else if cfg.demand_quantum_ms != tier_quantum_ms {
+        format!("{tier}/q{}", cfg.demand_quantum_ms)
+    } else {
+        tier.to_string()
+    };
     // Keep the partition sane if the user shrank the device count
     // below the preset shard count.
     cfg.shards = cfg.shards.min(cfg.devices).max(1);
@@ -250,10 +262,10 @@ fn main() {
         .and_then(|text| Json::parse(&text).ok())
         .and_then(|old| old.get("tiers").cloned())
         .unwrap_or_else(Json::object);
-    tiers.set(tier, row.clone());
+    tiers.set(&tier, row.clone());
 
     let mut bench = Json::object();
-    bench.set("tier", tier);
+    bench.set("tier", tier.as_str());
     for key in [
         "devices",
         "shards",
@@ -309,6 +321,34 @@ fn print_stream(label: &str, s: &asgov_obs::FleetStats, stream: usize, full: boo
             "  {label:<18} {:>6.1} ± {:>5.1}  n={n}{suffix}",
             s.mean(stream),
             s.std(stream),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tier_of(args: &[&str]) -> String {
+        let argv: Vec<String> = args.iter().map(|a| (*a).to_string()).collect();
+        let mut flags = Flags::new(&argv);
+        parse_args(&mut flags).map(|inv| inv.tier).unwrap()
+    }
+
+    /// A quantum other than the tier's files the row beside the tier's
+    /// own, never over it; the tier's own quantum, or a thread count,
+    /// keeps the tier's key; any other workload override is "custom".
+    #[test]
+    fn rows_are_keyed_apart_by_quantum() {
+        assert_eq!(tier_of(&[]), "smoke");
+        assert_eq!(tier_of(&["--smoke", "--quantum-ms", "1"]), "smoke");
+        assert_eq!(tier_of(&["--smoke", "--quantum-ms", "20"]), "smoke/q20");
+        assert_eq!(tier_of(&["--bench-1m", "--threads", "4"]), "bench-1m");
+        assert_eq!(tier_of(&["--bench-1m", "--quantum-ms", "20"]), "bench-1m");
+        assert_eq!(tier_of(&["--bench-1m", "--quantum-ms", "1"]), "bench-1m/q1");
+        assert_eq!(
+            tier_of(&["--bench-1m", "--quantum-ms", "1", "--seed", "3"]),
+            "custom"
         );
     }
 }

@@ -275,8 +275,9 @@ impl TableParseError {
 impl fmt::Display for TableParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // `line` counts from 0; an editor counts from 1.
             TableParseError::BadLine { line, content } => {
-                write!(f, "malformed profile line {line}: {content:?}")
+                write!(f, "malformed profile line {}: {content:?}", line + 1)
             }
             TableParseError::MissingHeader(h) => write!(f, "missing header {h:?}"),
         }
@@ -365,6 +366,18 @@ mod tests {
             ProfileTable::from_tsv("# app\tx\n1\t2\t3\n"),
             Err(TableParseError::BadLine { .. })
         ));
+    }
+
+    /// The field counts lines from 0; the message names the line as an
+    /// editor numbers it.
+    #[test]
+    fn bad_line_message_counts_from_one() {
+        let err = ProfileTable::from_tsv("# app\tx\n# base_gips\tnope\n").unwrap_err();
+        assert!(matches!(err, TableParseError::BadLine { line: 1, .. }));
+        assert_eq!(
+            err.to_string(),
+            "malformed profile line 2: \"# base_gips\\tnope\""
+        );
     }
 
     /// Indices parse as unsigned integers and numbers as finite floats:

@@ -640,6 +640,11 @@ impl Device {
     /// The returned outcome is that of the first millisecond of the span
     /// (the remaining milliseconds are identical except for the
     /// transition-energy surcharge).
+    ///
+    /// `#[inline]` lets the event engine, instantiated in each caller's
+    /// crate, inline the span: without LTO an unmarked `tick_span` is a
+    /// real call per millisecond at quantum 1 (DESIGN.md §9).
+    #[inline]
     pub fn tick_span(
         &mut self,
         demand: &Demand,

@@ -156,6 +156,11 @@ impl BackgroundLoad {
     /// contribute pro rata to their overlap with the window. A 1 ms
     /// window is the per-millisecond model: the step is scaled by
     /// exactly 1 and a burst is fully in or out.
+    ///
+    /// `#[inline]`: an app opens one window per millisecond at quantum
+    /// 1, and the call and its returned struct cost more than the body
+    /// (DESIGN.md §9).
+    #[inline]
     pub fn demand_window(&mut self, now_ms: u64, window_ms: u64) -> BackgroundDemand {
         let window_ms = window_ms.max(1);
         if window_ms != self.step_window_ms {
