@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Per-layer attribution of the benchmark, written to BENCH_layers.json.
 #
-#   scripts/bench_layers.sh [BASE_REV] [RUNS] [SECONDS]
+#   scripts/bench_layers.sh BASE_REV [RUNS] [SECONDS]
 #
 # Runs the benchmark binary traced (`--trace 1 --out`) on fleet-exact
 # and paper, RUNS times each (default 3, seeds 1..RUNS) with a measured
-# phase of SECONDS (default 8), for the working tree and, when BASE_REV
-# is given and is not `-`, for BASE_REV too, alternating the two builds
-# run by run. BASE_REV is exported and built as scripts/bench_ab.sh does
-# it, in the same $BENCH_AB_DIR (default ./.bench_ab), so the two
-# scripts share the export and both builds; the traced results land in
-# $DIR/layers-before and $DIR/layers-after.
+# phase of SECONDS (default 8), for BASE_REV and for the working tree,
+# alternating the two builds run by run. BASE_REV is exported and built
+# as scripts/bench_ab.sh does it, in the same $BENCH_AB_DIR (default
+# ./.bench_ab), so the two scripts share the export and both builds.
+# The traced result files land in $DIR/layers-before and
+# $DIR/layers-after, where `workloads compare` can read them.
 #
 # BENCH_layers.json holds, per side (`before`: BASE_REV, `after`: the
 # working tree) and workload, the median over the runs of each row that
@@ -21,11 +21,11 @@
 # span pays, which bounds how fine a layer the trace can resolve.
 set -euo pipefail
 
-if [[ $# -gt 3 ]]; then
-  echo "usage: $0 [BASE_REV] [RUNS] [SECONDS]" >&2
+if [[ $# -lt 1 || $# -gt 3 ]]; then
+  echo "usage: $0 BASE_REV [RUNS] [SECONDS]" >&2
   exit 2
 fi
-base_rev=${1:--}
+base_rev=$1
 runs=${2:-3}
 seconds=${3:-8}
 workloads="fleet-exact paper"
@@ -38,13 +38,9 @@ mkdir -p "$dir"
 dir=$(cd "$dir" && pwd)
 source "$root/scripts/bench_common.sh"
 
-sides="after"
-if [[ $base_rev != - ]]; then
-  export_rev "$root" "$dir" "$base_rev"
-  echo "building $base_rev ..." >&2
-  build_bench "$dir/parent" "$dir/target-a"
-  sides="before after"
-fi
+export_rev "$root" "$dir" "$base_rev"
+echo "building $base_rev ..." >&2
+build_bench "$dir/parent" "$dir/target-a"
 echo "building the working tree ..." >&2
 build_bench "$root" "$dir/target-b"
 
@@ -52,7 +48,7 @@ rm -rf "$dir/layers-before" "$dir/layers-after"
 mkdir -p "$dir/layers-before" "$dir/layers-after"
 for w in $workloads; do
   for ((i = 1; i <= runs; i++)); do
-    for side in $sides; do
+    for side in before after; do
       echo "$w run $i/$runs: $side" >&2
       if [[ $side == before ]]; then
         bin=$dir/target-a/release/workloads src=$dir/parent
@@ -86,12 +82,9 @@ side_json() { # SIDE REV
 
 {
   printf '{\n  "runs": %s,\n  "seconds": %s,\n  "cpus": %s' "$runs" "$seconds" "$(nproc)"
-  if [[ $base_rev != - ]]; then
-    printf ',\n  "before": {\n'
-    side_json before "$(cat "$dir/parent.rev")"
-    printf '\n  }'
-  fi
-  printf ',\n  "after": {\n'
+  printf ',\n  "before": {\n'
+  side_json before "$(cat "$dir/parent.rev")"
+  printf '\n  },\n  "after": {\n'
   side_json after "$(git -C "$root" describe --always --dirty)"
   printf '\n  }\n}\n'
 } > "$root/BENCH_layers.json"
