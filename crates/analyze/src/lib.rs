@@ -16,11 +16,12 @@
 //!
 //! The lint engine has two tiers. Token-level rules work straight off
 //! the lexer. Semantic rules work off an item-level parser ([`parse`])
-//! that recovers functions, signatures, and impl blocks: snapshot-codec
-//! symmetry ([`codec`]) proves every persist writer/reader pair agrees
-//! on the wire layout, the units-of-measure lint ([`units`]) makes the
-//! `_ms`/`_ticks`/`_j` suffix convention machine-checked, and the
-//! call-graph pass ([`graph`]) chases panic reachability across files.
+//! that recovers functions, signatures, and impl blocks: the
+//! units-of-measure lint ([`units`]) makes the `_ms`/`_ticks`/`_j`
+//! suffix convention machine-checked, and the call-graph pass
+//! ([`graph`]) chases panic reachability across files. Snapshot-codec
+//! symmetry needs no pass: each persisted component derives its writer
+//! and reader from one field list (`asgov_core::snapshot_fields!`).
 //!
 //! The binary (`cargo run -p asgov-analyze -- --workspace`) runs both
 //! engines, writes `ANALYZE_report.json` ([`report`]) and exits
@@ -28,7 +29,6 @@
 //! DESIGN.md §8 for the rule catalog and the allow-annotation policy.
 
 pub mod allow;
-pub mod codec;
 pub mod graph;
 pub mod interleave;
 pub mod lexer;

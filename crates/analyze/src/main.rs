@@ -24,8 +24,8 @@ OPTIONS:
   --root <DIR>          Workspace root (default: discovered upward
                         from the current directory)
   --report <FILE>       Report path (default: <root>/ANALYZE_report.json)
-  --baseline <FILE>     Diff findings and the inventory (files scanned,
-                        codec pairs) against a committed report; a
+  --baseline <FILE>     Diff findings and the inventory (the number of
+                        files scanned) against a committed report; a
                         finding not in the baseline, or any inventory
                         change, fails the run. The diff is written next
                         to the report as <report>.diff
@@ -80,27 +80,17 @@ fn finding_keys(findings: &Json) -> Vec<(String, String, String)> {
     out
 }
 
-/// The inventory a baseline holds the tree to, one key per item: the
-/// scanned-file count, then every codec pair in report order, as its
-/// compact JSON (pairs carry no line numbers).
-fn inventory_keys(report: &Json) -> Vec<String> {
+/// The inventory a baseline holds the tree to: the scanned-file count.
+fn inventory_key(report: &Json) -> String {
     let files = report
         .get("files_scanned")
         .map_or("-".into(), Json::to_string);
-    let pairs = report.get("codec_pairs").and_then(Json::as_array);
-    std::iter::once(format!("files_scanned {files}"))
-        .chain(
-            pairs
-                .unwrap_or_default()
-                .iter()
-                .map(|p| format!("codec pair {p}")),
-        )
-        .collect()
+    format!("files_scanned {files}")
 }
 
 /// Compare the current report against a committed baseline. Returns
 /// the diff text and whether the run must fail: a *new* finding
-/// appeared, or the inventory ([`inventory_keys`]) changed at all.
+/// appeared, or the inventory ([`inventory_key`]) changed at all.
 fn baseline_diff(baseline_raw: &str, current: &Json) -> (String, bool) {
     let empty = Json::Arr(vec![]);
     let baseline = Json::parse(baseline_raw).unwrap_or(Json::Null);
@@ -122,21 +112,15 @@ fn baseline_diff(baseline_raw: &str, current: &Json) -> (String, bool) {
     if diff.is_empty() {
         diff.push_str("no finding drift against baseline\n");
     }
-    let base_inv = inventory_keys(&baseline);
-    let cur_inv = inventory_keys(current);
-    let added: Vec<&String> = cur_inv.iter().filter(|k| !base_inv.contains(k)).collect();
-    let removed: Vec<&String> = base_inv.iter().filter(|k| !cur_inv.contains(k)).collect();
-    for k in &added {
-        diff.push_str(&format!("+ inventory: {k}\n"));
-    }
-    for k in &removed {
-        diff.push_str(&format!("- inventory: {k}\n"));
-    }
+    let base_inv = inventory_key(&baseline);
+    let cur_inv = inventory_key(current);
     let inventory_drift = base_inv != cur_inv;
-    if !inventory_drift {
+    if inventory_drift {
+        diff.push_str(&format!(
+            "+ inventory: {cur_inv}\n- inventory: {base_inv}\n"
+        ));
+    } else {
         diff.push_str("no inventory drift against baseline\n");
-    } else if added.is_empty() && removed.is_empty() {
-        diff.push_str("~ inventory: codec pairs reordered\n");
     }
     (diff, new_count > 0 || inventory_drift)
 }
@@ -185,7 +169,6 @@ fn main() -> ExitCode {
         findings: analysis.findings,
         files_scanned: files.len(),
         interleave,
-        codec_pairs: analysis.codec_pairs,
     };
 
     for f in &report.findings {
@@ -195,13 +178,6 @@ fn main() -> ExitCode {
         "asgov-analyze: {} files, {} finding(s)",
         report.files_scanned,
         report.findings.len()
-    );
-    let verified = report.codec_pairs.iter().filter(|p| p.verified).count();
-    println!(
-        "codec-symmetry: {}/{} pairs verified ({} Restartable impls)",
-        verified,
-        report.codec_pairs.len(),
-        report.codec_pairs.iter().filter(|p| p.restartable).count()
     );
     if let Some(il) = &report.interleave {
         for (cfg, out) in &il.ordered {
@@ -341,52 +317,25 @@ mod tests {
         assert!(diff.contains("- [float-eq] a.rs: x == y"), "{diff}");
     }
 
-    /// A report with `files` scanned files and one codec pair per
-    /// `(reader, ops)`.
-    fn inventory(files: usize, pairs: &[(&str, usize)]) -> Json {
+    /// A report with `files` scanned files and no findings.
+    fn inventory(files: usize) -> Json {
         let mut doc = report_with(&[]);
         doc.set("files_scanned", files);
-        let pairs = pairs
-            .iter()
-            .map(|&(reader, ops)| {
-                let mut p = Json::object();
-                p.set("file", "a.rs");
-                p.set("impl_type", "A");
-                p.set("writer", "snapshot_bytes");
-                p.set("reader", reader);
-                p.set("ops", ops);
-                p.set("verified", true);
-                p.set("restartable", true);
-                p
-            })
-            .collect();
-        doc.set("codec_pairs", Json::Arr(pairs));
         doc
     }
 
     #[test]
     fn inventory_drift_fails_and_is_listed() {
-        let base = inventory(10, &[("restore_bytes", 4), ("decode_state", 2)]);
+        let base = inventory(10);
         let (diff, failed) = baseline_diff(&base.to_pretty(), &base);
         assert!(!failed);
         assert!(diff.contains("no inventory drift"), "{diff}");
 
-        let cur = inventory(11, &[("restore_bytes", 4), ("decode_state", 2)]);
+        let cur = inventory(11);
         let (diff, failed) = baseline_diff(&base.to_pretty(), &cur);
         assert!(failed, "a new scanned file must fail the gate");
         assert!(diff.contains("+ inventory: files_scanned 11"), "{diff}");
         assert!(diff.contains("- inventory: files_scanned 10"), "{diff}");
-
-        let cur = inventory(10, &[("restore_bytes", 5), ("decode_state", 2)]);
-        let (diff, failed) = baseline_diff(&base.to_pretty(), &cur);
-        assert!(failed, "a changed op count must fail the gate");
-        let changed = r#"+ inventory: codec pair {"file":"a.rs","impl_type":"A","ops":5"#;
-        assert!(diff.contains(changed), "{diff}");
-
-        let cur = inventory(10, &[("decode_state", 2), ("restore_bytes", 4)]);
-        let (diff, failed) = baseline_diff(&base.to_pretty(), &cur);
-        assert!(failed, "reordered pairs must fail the gate");
-        assert!(diff.contains("codec pairs reordered"), "{diff}");
     }
 
     #[test]

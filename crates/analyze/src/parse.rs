@@ -1,10 +1,10 @@
 //! Item-level parsing on top of the token stream.
 //!
 //! The lexer ([`crate::lexer`]) gives a flat token list; the semantic
-//! analyses (codec symmetry, units of measure, transitive panic
-//! reachability) need *items*: which function a token belongs to, what
-//! the function's parameters and return type look like, and which
-//! `impl` block it sits in. This module recovers exactly that much
+//! analyses (units of measure, transitive panic reachability) need
+//! *items*: which function a token belongs to, what the function's
+//! parameters and return type look like, and which `impl` block it
+//! sits in. This module recovers exactly that much
 //! structure — no expressions, no types beyond their spelling — by a
 //! single bracket-matching pass over the comment-free stream.
 //!

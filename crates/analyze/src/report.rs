@@ -6,13 +6,14 @@
 //! bytes are stable for identical inputs.
 
 use crate::interleave::InterleaveReport;
-use crate::rules::{CodecPairReport, Finding, RULE_IDS};
+use crate::rules::{Finding, RULE_IDS};
 use asgov_util::Json;
 
-/// Schema tag for the analyzer report artifact. v2 adds the per-rule
-/// finding counts (`rules`) and the codec-pair inventory
-/// (`codec_pairs`) from the semantic analysis layer.
-pub const SCHEMA: &str = "asgov-analyze/v2";
+/// Schema tag for the analyzer report artifact. v2 added the per-rule
+/// finding counts (`rules`); v3 drops the `codec-symmetry` rule and
+/// its `codec_pairs` inventory, which the derived snapshot codecs made
+/// empty.
+pub const SCHEMA: &str = "asgov-analyze/v3";
 
 /// Everything one analyzer run produced.
 #[derive(Debug)]
@@ -23,9 +24,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Interleaving-checker outcome, when that engine ran.
     pub interleave: Option<InterleaveReport>,
-    /// Codec-pair inventory from the symmetry pass: every writer/reader
-    /// pair in the tree, with its verification status.
-    pub codec_pairs: Vec<CodecPairReport>,
 }
 
 impl Report {
@@ -62,25 +60,6 @@ impl Report {
             rules.set(rule, n);
         }
         doc.set("rules", rules);
-        let pairs: Vec<Json> = self
-            .codec_pairs
-            .iter()
-            .map(|p| {
-                let mut o = Json::object();
-                o.set("file", p.file.as_str());
-                match &p.impl_type {
-                    Some(t) => o.set("impl_type", t.as_str()),
-                    None => o.set("impl_type", Json::Null),
-                }
-                o.set("writer", p.writer.as_str());
-                o.set("reader", p.reader.as_str());
-                o.set("restartable", p.restartable);
-                o.set("ops", p.ops);
-                o.set("verified", p.verified);
-                o
-            })
-            .collect();
-        doc.set("codec_pairs", Json::Arr(pairs));
         if let Some(il) = &self.interleave {
             let mut o = Json::object();
             o.set("teeth_ok", il.teeth_ok);
@@ -149,37 +128,20 @@ mod tests {
             }],
             files_scanned: 42,
             interleave: None,
-            codec_pairs: vec![CodecPairReport {
-                file: "crates/core/src/controller.rs".into(),
-                impl_type: Some("EnergyController".into()),
-                writer: "snapshot_bytes".into(),
-                reader: "restore_bytes".into(),
-                restartable: true,
-                ops: 9,
-                verified: true,
-            }],
         };
         let j = report.to_json();
         assert_eq!(j.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(j.get("clean").and_then(Json::as_bool), Some(false));
         let f = j.get("findings").and_then(|f| f.at(0)).expect("finding");
         assert_eq!(f.get("line").and_then(Json::as_f64), Some(7.0));
-        // v2 sections: per-rule counts cover every known rule; the
-        // codec inventory round-trips with its verification bit.
+        // Per-rule counts cover every known rule.
         let rules = j.get("rules").expect("rules section");
         assert_eq!(rules.get("float-eq").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(
-            rules.get("codec-symmetry").and_then(Json::as_f64),
-            Some(0.0)
-        );
         assert_eq!(rules.get("unit-mismatch").and_then(Json::as_f64), Some(0.0));
         assert_eq!(
             rules.get("hot-path-transitive").and_then(Json::as_f64),
             Some(0.0)
         );
-        let p = j.get("codec_pairs").and_then(|p| p.at(0)).expect("pair");
-        assert_eq!(p.get("verified").and_then(Json::as_bool), Some(true));
-        assert_eq!(p.get("restartable").and_then(Json::as_bool), Some(true));
         // Parse back — the artifact must be valid JSON.
         let back = Json::parse(&j.to_pretty()).expect("round trip");
         assert_eq!(back.get("files_scanned").and_then(Json::as_f64), Some(42.0));
@@ -192,7 +154,6 @@ mod tests {
             findings: vec![],
             files_scanned: 1,
             interleave: Some(il),
-            codec_pairs: vec![],
         };
         assert!(report.clean());
         let j = report.to_json();

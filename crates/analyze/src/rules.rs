@@ -18,19 +18,18 @@
 //! | `float-eq` | all | no `==`/`!=` against float literals |
 //! | `obs-gating` | core, control | obs emission only behind `has_obs_sink` |
 //! | `error-taxonomy` | all | `SocErrorKind` / `SnapshotError` values come from their taxonomies, not ad-hoc construction |
-//! | `codec-symmetry` | all | every persist writer/reader pair encodes and decodes the same wire layout ([`crate::codec`]) |
 //! | `unit-mismatch` | all | no cross-unit arithmetic/comparison under the `_ms`/`_ticks`/`_j` suffix convention ([`crate::units`]) |
 //! | `hot-path-transitive` | workspace runs | hot-path code must not *call into* panicking helpers anywhere in the workspace ([`crate::graph`]) |
 //!
 //! The first six rules are token-level and run per file through
-//! [`check_file`]. The three semantic rules need the item parser; the
-//! codec and units passes are still per-file, while
+//! [`check_file`]. The two semantic rules need the item parser; the
+//! units pass is still per-file, while
 //! `hot-path-transitive` is inherently cross-file and only runs in
 //! [`check_workspace`] — its allows are therefore only policed for
 //! staleness there.
 
 use crate::lexer::{lex, panic_token, PanicToken, Tok, TokKind};
-use crate::{allow, codec, graph, parse, units};
+use crate::{allow, graph, parse, units};
 
 /// One lint finding.
 #[derive(Debug, Clone)]
@@ -56,14 +55,13 @@ impl std::fmt::Display for Finding {
 }
 
 /// Every rule the analyzer knows, including the allow meta-rules.
-pub const RULE_IDS: [&str; 12] = [
+pub const RULE_IDS: [&str; 11] = [
     "hot-path-panic",
     "hot-path-index",
     "nondeterminism",
     "float-eq",
     "obs-gating",
     "error-taxonomy",
-    "codec-symmetry",
     "unit-mismatch",
     "hot-path-transitive",
     "allow-missing-reason",
@@ -129,35 +127,12 @@ pub fn check_file(rel_path: &str, crate_name: &str, source: &str) -> Vec<Finding
     fa.finalize(&rules_run)
 }
 
-/// One row of the codec-pair inventory published in the report: every
-/// writer/reader pair the symmetry pass found, verified or not.
-#[derive(Debug, Clone)]
-pub struct CodecPairReport {
-    /// Workspace-relative file holding the pair.
-    pub file: String,
-    /// Impl type both sides belong to, when any.
-    pub impl_type: Option<String>,
-    /// Writer function name.
-    pub writer: String,
-    /// Reader function name.
-    pub reader: String,
-    /// Whether the pair is a `Restartable` impl (`snapshot_bytes` /
-    /// `restore_bytes`).
-    pub restartable: bool,
-    /// Normalized top-level codec ops on the writer side.
-    pub ops: usize,
-    /// True when both sides proved symmetric.
-    pub verified: bool,
-}
-
 /// Everything a whole-workspace analysis produced.
 #[derive(Debug)]
 pub struct WorkspaceAnalysis {
     /// Findings across all files, all rules (including the cross-file
     /// `hot-path-transitive` pass), post-allow.
     pub findings: Vec<Finding>,
-    /// Codec-pair inventory for the report.
-    pub codec_pairs: Vec<CodecPairReport>,
 }
 
 /// Analyze a whole workspace: run every per-file rule on every file,
@@ -224,29 +199,11 @@ pub fn check_workspace(files: &[(String, String, String)]) -> WorkspaceAnalysis 
     }
 
     let mut findings = Vec::new();
-    let mut codec_pairs = Vec::new();
     for fa in fas {
-        for p in &fa.pairs {
-            if fa.test_lines.contains(p.line) {
-                continue;
-            }
-            codec_pairs.push(CodecPairReport {
-                file: fa.file.clone(),
-                impl_type: p.impl_type.clone(),
-                writer: p.writer.clone(),
-                reader: p.reader.clone(),
-                restartable: p.restartable,
-                ops: p.ops,
-                verified: p.mismatch.is_none(),
-            });
-        }
         findings.extend(fa.finalize(&RULE_IDS));
     }
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-    WorkspaceAnalysis {
-        findings,
-        codec_pairs,
-    }
+    WorkspaceAnalysis { findings }
 }
 
 /// Per-file analysis state: raw (pre-allow) findings plus everything
@@ -260,7 +217,6 @@ struct FileAnalysis<'a> {
     code: Vec<&'a Tok>,
     parsed: parse::ParsedFile,
     raw: Vec<Finding>,
-    pairs: Vec<codec::CodecPair>,
 }
 
 impl<'a> FileAnalysis<'a> {
@@ -317,28 +273,7 @@ impl<'a> FileAnalysis<'a> {
             }
         }
 
-        // Semantic per-file rules, off the item parser. The codec pass
-        // skips persist.rs itself: that file *implements* the primitive
-        // vocabulary (its `put_bytes` body legitimately differs from
-        // `take_bytes`'s), and its correctness is proven by round-trip
-        // tests instead.
-        let pairs = if rel_path == "crates/core/src/persist.rs" {
-            Vec::new()
-        } else {
-            codec::check_codec(&code, &parsed)
-        };
-        for p in &pairs {
-            if let Some(m) = &p.mismatch {
-                if !test_lines.contains(p.line) {
-                    raw.push(Finding {
-                        rule: "codec-symmetry",
-                        file: file.clone(),
-                        line: p.line,
-                        message: m.clone(),
-                    });
-                }
-            }
-        }
+        // Semantic per-file rule, off the item parser.
         for (line, message) in units::check_units(&code, &parsed, &|l| test_lines.contains(l)) {
             if !test_lines.contains(line) {
                 raw.push(Finding {
@@ -358,7 +293,6 @@ impl<'a> FileAnalysis<'a> {
             code,
             parsed,
             raw,
-            pairs,
         }
     }
 

@@ -111,68 +111,6 @@ fn allow_meta_rules_fire_on_the_allows_fixture() {
 }
 
 #[test]
-fn codec_drift_fixture_flags_only_the_drifted_pair() {
-    // Teeth: a reordered/narrowed reader must be caught at the writer's
-    // definition line; the symmetric `Clean` pair in the same file must
-    // stay quiet (precision).
-    let findings = scan(
-        "codec_drift.rs",
-        "crates/core/src/codec_drift.rs",
-        "asgov-core",
-    );
-    assert_eq!(
-        rule_lines(&findings),
-        [("codec-symmetry", 11)],
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn codec_varint_fixture_flags_the_fixed_width_reader() {
-    // Teeth: a `put_uvar` writer read back with `take_u64` is caught at
-    // the writer's definition line, as a mismatch of two primitives
-    // (not of an unknown `helper:uvar`); the all-varint pair is quiet.
-    let findings = scan(
-        "codec_varint.rs",
-        "crates/fleet/src/codec_varint.rs",
-        "asgov-fleet",
-    );
-    assert_eq!(
-        rule_lines(&findings),
-        [("codec-symmetry", 13)],
-        "{findings:#?}"
-    );
-    let message = &findings.first().expect("one finding").message;
-    assert!(
-        message.contains("writer has uvar but reader has u64"),
-        "{message}"
-    );
-}
-
-#[test]
-fn codec_order_fixture_flags_components_decoded_out_of_order() {
-    // Teeth: two components written scheduler-then-ladder and read
-    // ladder-then-scheduler are caught at the writer's definition line,
-    // although every call is an `encode_state`/`decode_state`; the
-    // components' own symmetric pair stays quiet.
-    let findings = scan(
-        "codec_order.rs",
-        "crates/core/src/codec_order.rs",
-        "asgov-core",
-    );
-    assert_eq!(
-        rule_lines(&findings),
-        [("codec-symmetry", 14)],
-        "{findings:#?}"
-    );
-    let message = &findings.first().expect("one finding").message;
-    assert!(
-        message.contains("writer has helper:scheduler.state but reader has helper:ladder.state"),
-        "{message}"
-    );
-}
-
-#[test]
 fn unit_mix_fixture_flags_each_cross_unit_op() {
     // Teeth: cross-unit `+`, cross-unit `<`, and a cross-suffix
     // binding each produce exactly one finding; the same-unit function
@@ -285,16 +223,14 @@ fn workspace_is_clean_end_to_end() {
     let j = asgov_util::Json::parse(&report).expect("report parses");
     assert_eq!(
         j.get("schema").and_then(asgov_util::Json::as_str),
-        Some("asgov-analyze/v2")
+        Some("asgov-analyze/v3")
     );
     assert_eq!(
         j.get("clean").and_then(asgov_util::Json::as_bool),
         Some(true)
     );
-    // v2 additions: a per-rule count section covering every rule id,
-    // and a codec-pair inventory in which every Restartable impl is
-    // verified.
-    let rules = j.get("rules").expect("v2 report has a rules section");
+    // A per-rule count section covering every rule id.
+    let rules = j.get("rules").expect("report has a rules section");
     for rule in asgov_analyze::rules::RULE_IDS {
         assert_eq!(
             rules.get(rule).and_then(asgov_util::Json::as_f64),
@@ -302,27 +238,6 @@ fn workspace_is_clean_end_to_end() {
             "clean tree must report zero {rule} findings"
         );
     }
-    let pairs = j.get("codec_pairs").expect("v2 report has codec_pairs");
-    let mut i = 0;
-    let mut restartable_seen = 0;
-    while let Some(p) = pairs.at(i) {
-        assert_eq!(
-            p.get("verified").and_then(asgov_util::Json::as_bool),
-            Some(true),
-            "unverified codec pair in a clean tree: {p:?}"
-        );
-        if p.get("restartable").and_then(asgov_util::Json::as_bool) == Some(true) {
-            restartable_seen += 1;
-        }
-        i += 1;
-    }
-    assert!(i >= 2, "codec-pair inventory looks truncated: {i} pairs");
-    let restartable_impls = restartable_impls_in_non_test_source(root);
-    assert!(restartable_impls >= 1, "no Restartable impl found");
-    assert_eq!(
-        restartable_seen, restartable_impls,
-        "every Restartable impl must appear in the inventory exactly once"
-    );
     std::fs::remove_file(&report_path).ok();
 }
 
@@ -346,38 +261,6 @@ fn an_unknown_or_repeated_flag_is_a_usage_error() {
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
         assert!(err.contains(named), "{args:?}: {err}");
     }
-}
-
-/// `impl Restartable for` items in the workspace's non-test source:
-/// files outside `tests/`, `examples/` and `benches/` trees, up to each
-/// file's first `#[cfg(test)]`.
-fn restartable_impls_in_non_test_source(root: &Path) -> usize {
-    let files = asgov_analyze::workspace::discover(root).expect("discover");
-    let mut count = 0;
-    for file in files {
-        if ["/tests/", "/examples/", "/benches/"]
-            .iter()
-            .any(|d| format!("/{}", file.rel).contains(d))
-        {
-            continue;
-        }
-        let source = std::fs::read_to_string(&file.path).expect("read source");
-        let tokens = asgov_analyze::lexer::lex(&source);
-        let code: Vec<&str> = tokens
-            .iter()
-            .filter(|t| !t.is_comment())
-            .map(|t| t.text.as_str())
-            .collect();
-        let end = code
-            .windows(6)
-            .position(|w| w == ["#", "[", "cfg", "(", "test", ")"])
-            .unwrap_or(code.len());
-        count += code[..end]
-            .windows(3)
-            .filter(|w| *w == ["impl", "Restartable", "for"])
-            .count();
-    }
-    count
 }
 
 #[test]
@@ -462,9 +345,8 @@ fn fleet_shard_loop_is_covered_and_clean() {
 }
 
 /// `--baseline` fails on inventory drift that no finding shows: the
-/// fixture tree adds a file and a field to a symmetric codec pair
-/// after `inventory_baseline.json` was taken. A baseline regenerated
-/// from the tree passes.
+/// fixture tree adds a file after `inventory_baseline.json` was taken.
+/// A baseline regenerated from the tree passes.
 #[test]
 fn baseline_catches_inventory_drift() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -498,8 +380,6 @@ fn baseline_catches_inventory_drift() {
     for line in [
         "+ inventory: files_scanned 2",
         "- inventory: files_scanned 1",
-        r#"+ inventory: codec pair {"file":"crates/demo/src/lib.rs","impl_type":"Demo","ops":3"#,
-        r#"- inventory: codec pair {"file":"crates/demo/src/lib.rs","impl_type":"Demo","ops":2"#,
     ] {
         assert!(stdout.contains(line), "missing {line:?} in:\n{stdout}");
     }

@@ -1,7 +1,7 @@
 //! The online controller (paper Fig. 2) as an [`asgov_soc::Policy`].
 
 use crate::optimizer::EnergyOptimizer;
-use crate::persist::{self, Restartable, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::persist::Restartable;
 use crate::regulator::PerformanceRegulator;
 use crate::resilience::{self, DegradationLadder, DivergenceGuard, LadderEvent, PerfGate};
 use crate::scheduler::ConfigScheduler;
@@ -486,74 +486,31 @@ impl EnergyController {
 }
 
 impl Restartable for EnergyController {
-    fn snapshot_bytes(&self, now_ms: u64) -> Result<Vec<u8>, SnapshotError> {
-        let mut w = SnapshotWriter::new();
-        w.put_uvar(now_ms);
-        w.put_uvar(self.cycle_end_ms);
-        w.put_uvar(self.cycles);
-        w.put_f64(self.last_measured);
-        w.put_f64_slice(&self.readings)?;
-        w.put_uvar(self.drought_run);
-        w.put_uvar(self.perf_droughts);
-        w.put_uvar(self.last_lower_index as u64);
-        self.regulator.encode_state(&mut w);
-        self.scheduler.encode_state(&mut w);
-        self.ladder.encode_state(&mut w);
-        w.put_uvar(self.gate.rejected());
-        w.put_uvar(self.guard.reseeds());
-        w.finish()
-    }
+    // The regulator, scheduler and ladder decode into copies (plain
+    // data, so copying them allocates nothing). A frame can be
+    // checksum-clean yet carry values the controller must never ingest
+    // (hand-crafted, or written by a buggy peer); the checks refuse them
+    // before they could panic deep inside the control loop.
+    crate::snapshot_fields! {
+        fn snapshot_bytes(&self, now_ms: u64) -> frame;
+        fn restore_bytes(&mut self, bytes, now_ms: u64) -> frame;
 
-    /// Restores are transactional: the frame is decoded into locals and
-    /// stack copies of the regulator, scheduler and ladder (plain data,
-    /// so copying them allocates nothing), every domain condition is
-    /// checked, and only then is anything committed. A refused frame
-    /// leaves the controller untouched.
-    fn restore_bytes(&mut self, bytes: &[u8], now_ms: u64) -> Result<(), SnapshotError> {
-        let mut r = SnapshotReader::new(bytes)?;
-        // Re-anchor absolute deadlines: the device clock kept running
-        // while the controller was dead, so everything armed for the
-        // future shifts by the downtime.
-        let delta_ms = now_ms.saturating_sub(r.take_uvar()?);
-        let cycle_end_ms = r.take_uvar()?.saturating_add(delta_ms);
-        let cycles = r.take_uvar()?;
-        let last_measured = r.take_f64()?;
-        let readings = r.take_f64_vec()?;
-        let drought_run = r.take_uvar()?;
-        let perf_droughts = r.take_uvar()?;
-        let last_lower_index: usize = persist::narrow(r.take_uvar()?)?;
-        let mut regulator = self.regulator.clone();
-        regulator.decode_state(&mut r)?;
-        let mut scheduler = self.scheduler.clone();
-        scheduler.decode_state(&mut r, delta_ms, |cfg| {
-            self.optimizer.index_of(cfg).is_some()
-        })?;
-        let mut ladder = self.ladder.clone();
-        ladder.decode_state(&mut r)?;
-        let gate_rejected = r.take_uvar()?;
-        let guard_reseeds = r.take_uvar()?;
-        r.finish()?;
-        // Domain validation: a frame can be checksum-clean yet carry
-        // values the controller must never ingest (hand-crafted, or
-        // written by a buggy peer). They would otherwise panic deep
-        // inside the control loop.
-        persist::ensure(last_measured.is_finite())?;
-        persist::ensure(readings.iter().all(|g| g.is_finite()))?;
-        persist::ensure(last_lower_index < self.optimizer.len())?;
-
-        self.regulator = regulator;
-        self.scheduler = scheduler;
-        self.ladder = ladder;
-        self.gate.restore_rejected(gate_rejected);
-        self.guard.restore_reseeds(guard_reseeds);
-        self.cycle_end_ms = cycle_end_ms;
-        self.cycles = cycles;
-        self.last_measured = last_measured;
-        self.readings = readings;
-        self.drought_run = drought_run;
-        self.perf_droughts = perf_droughts;
-        self.last_lower_index = last_lower_index;
-        Ok(())
+        // The device clock kept running while the controller was dead,
+        // so every deadline armed for the future shifts by the downtime.
+        #[since(now_ms)] delta_ms: u64 = now_ms,
+        #[deadline(delta_ms)] cycle_end_ms: u64,
+        cycles: u64,
+        #[check(last_measured.is_finite())] last_measured: f64,
+        #[check(readings.iter().all(|g| g.is_finite()))] readings: Vec<f64>,
+        drought_run: u64,
+        perf_droughts: u64,
+        #[check(last_lower_index < self.optimizer.len())] last_lower_index: usize,
+        #[nested] regulator: PerformanceRegulator,
+        #[nested(delta_ms, |cfg| self.optimizer.index_of(cfg).is_some())]
+        scheduler: ConfigScheduler,
+        #[nested] ladder: DegradationLadder,
+        gate_rejected: u64 = self.gate.rejected() => self.gate.restore_rejected(gate_rejected),
+        guard_reseeds: u64 = self.guard.reseeds() => self.guard.restore_reseeds(guard_reseeds),
     }
 
     fn restart_cold(&mut self, device: &mut Device) {
@@ -643,6 +600,7 @@ impl Policy for EnergyController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SnapshotWriter;
     use asgov_obs::RingSink;
     use asgov_profiler::{measure_default, profile_app, Config, ProfileOptions};
     use asgov_soc::{sim, BwIndex, DeviceConfig, FreqIndex, Workload as _};
@@ -868,6 +826,52 @@ mod tests {
                 mk(4, 12, 2.6, 3.0),
                 mk(8, 12, 3.4, 4.2),
             ],
+        }
+    }
+
+    #[test]
+    fn random_state_round_trips_with_deadlines_shifted() {
+        use crate::persist::arbitrary;
+        use crate::{regulator, resilience, scheduler};
+        let build = || ControllerBuilder::new(small_profile()).build();
+        let known: Vec<Config> = small_profile().entries.iter().map(|e| e.config).collect();
+        let mut rng = asgov_util::Rng::seed_from_u64(0xc7_2001);
+        for case in 0..100 {
+            let mut c = build();
+            c.cycle_end_ms = arbitrary::u64(&mut rng);
+            c.cycles = arbitrary::u64(&mut rng);
+            c.last_measured = arbitrary::f64(&mut rng);
+            c.readings = (0..rng.gen_range_usize(0..5))
+                .map(|_| arbitrary::f64(&mut rng))
+                .collect();
+            c.drought_run = arbitrary::u64(&mut rng);
+            c.perf_droughts = arbitrary::u64(&mut rng);
+            c.last_lower_index = rng.gen_range_usize(0..c.optimizer.len());
+            regulator::tests::fill(&mut c.regulator, &mut rng);
+            scheduler::tests::fill(&mut c.scheduler, &mut rng, &known);
+            resilience::tests::fill(&mut c.ladder, &mut rng);
+            c.gate.restore_rejected(arbitrary::u64(&mut rng));
+            c.guard.restore_reseeds(arbitrary::u64(&mut rng));
+
+            let then_ms = arbitrary::u64(&mut rng);
+            let frame = c.snapshot_bytes(then_ms).expect("encodes");
+            let mut back = build();
+            back.restore_bytes(&frame, then_ms).expect("restorable");
+            assert_eq!(format!("{back:?}"), format!("{c:?}"), "case {case}");
+            assert_eq!(
+                back.snapshot_bytes(then_ms),
+                Ok(frame.clone()),
+                "case {case}"
+            );
+
+            let now_ms = then_ms.saturating_add(arbitrary::u64(&mut rng) | 1);
+            let delta_ms = now_ms - then_ms;
+            let mut later = build();
+            later.restore_bytes(&frame, now_ms).expect("restorable");
+            let mut want = c.clone();
+            want.cycle_end_ms = c.cycle_end_ms.saturating_add(delta_ms);
+            want.scheduler = scheduler::tests::shifted(&c.scheduler, delta_ms);
+            assert_eq!(format!("{later:?}"), format!("{want:?}"), "case {case}");
         }
     }
 

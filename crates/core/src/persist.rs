@@ -13,10 +13,10 @@
 //! ```
 //!
 //! The header is fixed-width in every version, so a reader always
-//! finds the version. In the version-2 payload, every integer a codec
-//! writes (timestamps, counters, indices, the payloads of optional
-//! integers, and the length prefixes of byte fields and `f64` slices)
-//! is an unsigned LEB128 varint ([`SnapshotWriter::put_uvar`]): seven
+//! finds the version. Since version 2, every integer a codec writes
+//! (timestamps, counters, indices, the payloads of optional integers,
+//! and the length prefixes of byte fields and `f64` slices) is an
+//! unsigned LEB128 varint ([`SnapshotWriter::put_uvar`]): seven
 //! bits per byte, low group first, the top bit set on every byte but
 //! the last. Only the canonical, shortest form decodes, so a value has
 //! exactly one encoding and frames stay byte-deterministic. `f64`s stay
@@ -27,12 +27,19 @@
 //! cold start. So do version-3 frames, whose profile configurations
 //! carried an optional GPU index that version 4 dropped.
 //!
+//! Every persisted component states its payload once, as a field list
+//! given to [`snapshot_fields!`](crate::snapshot_fields): the macro
+//! derives the writer and the reader from that one list, so the two
+//! sides put and take the same fields, in the same order, with the
+//! same encodings. A field's type picks its encoding ([`Wire`]).
+//!
 //! The codec is deliberately paranoid: every decode path returns a
 //! [`SnapshotError`] instead of panicking, so a truncated, bit-flipped
 //! or crafted snapshot can never take the supervisor down — the worst
-//! case is a counted cold restart. Restores are transactional: callers
-//! decode the complete payload first and only then apply it, so a
-//! failure partway through decoding leaves the controller untouched.
+//! case is a counted cold restart. Restores are transactional: a
+//! generated reader decodes and checks the complete payload first and
+//! only then applies it, so a failure partway through decoding leaves
+//! the component untouched.
 //!
 //! Everything here is dependency-free. The CRC-32 is the IEEE one
 //! (reflected, polynomial `0xEDB88320`, zlib-compatible), computed
@@ -41,7 +48,9 @@
 //! and fleet frame is checksummed, so this loop is on the fleet's
 //! epoch path; its output is the bitwise definition's, bit for bit.
 
-use asgov_soc::{Device, Policy};
+use asgov_obs::FleetStats;
+use asgov_profiler::Config;
+use asgov_soc::{BwIndex, DegradationLevel, Device, FreqIndex, Policy, SocErrorKind};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -362,11 +371,6 @@ impl SnapshotWriter {
         Ok(())
     }
 
-    /// Current payload length, bytes (pre-framing).
-    pub fn payload_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Frame the payload: header (magic, version, length, CRC-32)
     /// followed by the payload bytes, in one exactly sized allocation.
     ///
@@ -618,6 +622,242 @@ pub fn ensure_config(matches: bool, field: &'static str) -> Result<(), SnapshotE
     }
 }
 
+/// A value with one snapshot encoding: [`Wire::take`] reads back what
+/// [`Wire::put`] appended (`put` fails only with `TooLarge`). A field
+/// list ([`snapshot_fields!`](crate::snapshot_fields)) encodes each
+/// field by its type.
+pub trait Wire: Sized {
+    /// Append the value.
+    fn put(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError>;
+    /// Read one value.
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// One [`Wire`] impl per row: the type, the expression that puts `v`
+/// (a `&Self`) into `w`, and the one that takes a value from `r`.
+macro_rules! wire {
+    ($($t:ty: |$v:ident, $w:ident| $put:expr, |$r:ident| $take:expr;)*) => {$(
+        impl Wire for $t {
+            #[inline] fn put(&self, $w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+                let $v = self;
+                Ok($put)
+            }
+            #[inline] fn take($r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> { $take }
+        }
+    )*};
+}
+
+wire! {
+    u64: |v, w| w.put_uvar(*v), |r| r.take_uvar();
+    u32: |v, w| w.put_uvar(u64::from(*v)), |r| narrow(r.take_uvar()?);
+    usize: |v, w| w.put_uvar(*v as u64), |r| narrow(r.take_uvar()?);
+    f64: |v, w| w.put_f64(*v), |r| r.take_f64();
+    bool: |v, w| w.put_bool(*v), |r| r.take_bool();
+    Option<u64>: |v, w| w.put_opt_uvar(*v), |r| r.take_opt_uvar();
+    Vec<f64>: |v, w| w.put_f64_slice(v)?, |r| r.take_f64_vec();
+    Option<Vec<u8>>: |v, w| w.put_opt_bytes(v.as_deref())?,
+        |r| Ok(r.take_opt_bytes()?.map(<[u8]>::to_vec));
+    DegradationLevel: |v, w| w.put_u8(v.wire_code()),
+        |r| require(DegradationLevel::from_wire(r.take_u8()?));
+    Option<SocErrorKind>: |v, w| w.put_opt_u8(v.map(SocErrorKind::wire_code)),
+        |r| r.take_opt_u8()?.map(|c| require(SocErrorKind::from_wire(c))).transpose();
+    // Whether the profile holds a configuration is the reader's check.
+    Config: |v, w| (v.freq.0, v.bw.0).put(w)?,
+        |r| Wire::take(r).map(|(f, b)| Config::new(FreqIndex(f), BwIndex(b)));
+    Option<Config>: |v, w| { w.put_bool(v.is_some()); if let Some(c) = v { c.put(w)? } },
+        |r| if r.take_bool()? { Config::take(r).map(Some) } else { Ok(None) };
+    // Fixed 8-byte words (about half are `f64` bit patterns, which a
+    // varint would lengthen), counted by the bytes present before any
+    // is reserved: a short frame must not reserve megabytes.
+    FleetStats: |v, w| {
+            let words = v.serialize_words();
+            words.len().put(w)?;
+            for &x in &words { w.put_u64(x); }
+        },
+        |r| {
+            let n = r.take_uvar()?;
+            ensure(n <= r.remaining() as u64 / 8 && n <= 1 << 22)?;
+            let words = (0..n).map(|_| r.take_u64()).collect::<Result<Vec<_>, _>>()?;
+            require(FleetStats::deserialize_words(&words))
+        };
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        self.0.put(w)?;
+        self.1.put(w)
+    }
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((A::take(r)?, B::take(r)?))
+    }
+}
+
+/// An absolute device-clock deadline (unarmed when `None`), which a
+/// restore moves by the downtime the clock kept running through.
+pub trait Deadline {
+    /// The deadline `delta_ms` later.
+    fn shifted(self, delta_ms: u64) -> Self;
+}
+
+impl Deadline for u64 {
+    fn shifted(self, delta_ms: u64) -> Self {
+        self.saturating_add(delta_ms)
+    }
+}
+
+impl Deadline for Option<u64> {
+    fn shifted(self, delta_ms: u64) -> Self {
+        self.map(|t| t.shifted(delta_ms))
+    }
+}
+
+/// Derive a component's snapshot writer and reader from one field list,
+/// inside its `impl` block. A component nested in another's payload
+/// gets `write_fields`/`read_fields` over a [`SnapshotWriter`] /
+/// [`SnapshotReader`]; a framed one gets a writer that returns a frame
+/// and a reader that takes one (`bytes`). Either reader may take
+/// parameters of its own, and a framed writer too:
+///
+/// ```text
+/// pub(crate) fn write_fields(&self, w);
+/// pub(crate) fn read_fields(&mut self, r, delta_ms: u64);
+/// // or
+/// fn snapshot_bytes(&self, now_ms: u64) -> frame;
+/// fn restore_bytes(&mut self, bytes, now_ms: u64) -> frame;
+/// ```
+///
+/// Each line that follows is one field. `name: Type` is `self.name`;
+/// `name: Type = get => set` is written from `get` and committed by
+/// `set`, which may use any line's name (without `=> set`, a later
+/// line's `set` consumes it). The type picks the encoding ([`Wire`]);
+/// an attribute changes it:
+///
+/// - `#[check(cond)]`: the reader refuses the frame as `Corrupt` unless
+///   `cond` holds once the line is read; it may follow another attribute;
+/// - `#[deadline(delta_ms)]`: a [`Deadline`], shifted by `delta_ms`;
+/// - `#[since(now_ms)]`: the writer's clock; the reader binds the time
+///   elapsed since it, `now_ms` minus the written value;
+/// - `#[pin]`: a configuration value; a written value other than the
+///   reader's own `get` is [`SnapshotError::ConfigMismatch`] naming the line;
+/// - `#[nested]`, `#[nested(args)]`: a component with its own field list,
+///   read by `read_fields(r, args)` into a copy;
+/// - `#[len(n)]`: a `Vec` written as its length and its elements; the
+///   reader refuses a length other than `n` before it allocates;
+/// - `#[frames(T, n, ctx)]`: `n` uncounted `T`s, each a length-prefixed
+///   `T::snapshot_bytes()` frame read back by `T::restore_bytes(ctx, _)`.
+///
+/// The reader takes the lines in the writer's order, each into a local,
+/// checking as it goes (a framed reader then requires the frame fully
+/// consumed), and commits only after that: a refused frame leaves
+/// `self` untouched.
+#[macro_export]
+macro_rules! snapshot_fields {
+    (@lines $op:ident $s:ident $io:tt; $(
+        $(#[$k:ident $(($($ka:tt)*))?])* $name:ident: $ty:ty $(= $get:expr $(=> $set:expr)?)?
+    ),* $(,)?) => {$(
+        $crate::snapshot_fields!(@$op $s $io {$($k $(($($ka)*))?)*} $name ($ty) ($(= $get $(=> $set)?)?));
+    )*};
+    (@place $s:ident $name:ident ()) => { $s.$name };
+    (@place $s:ident $name:ident (= $get:expr $(=> $set:expr)?)) => { $get };
+
+    (@put $s:ident $w:tt {nested $($a:tt)?} $name:ident $ty:tt $g:tt) => {
+        $crate::snapshot_fields!(@place $s $name $g).write_fields($w)?;
+    };
+    (@put $s:ident $w:tt {len $n:tt} $name:ident $ty:tt $g:tt) => {
+        let v = &$crate::snapshot_fields!(@place $s $name $g);
+        $crate::persist::Wire::put(&v.len(), $w)?;
+        for x in v { $crate::persist::Wire::put(x, $w)?; }
+    };
+    (@put $s:ident $w:tt {frames $($c:tt)*} $name:ident $ty:tt $g:tt) => {
+        for x in &$crate::snapshot_fields!(@place $s $name $g) { $w.put_bytes(&x.snapshot_bytes()?)?; }
+    };
+    (@put $s:ident $w:tt $k:tt $name:ident $ty:tt $g:tt) => {
+        $crate::persist::Wire::put(&$crate::snapshot_fields!(@place $s $name $g), $w)?;
+    };
+
+    (@take $s:ident $r:tt {} $name:ident ($ty:ty) $g:tt) => {
+        let $name: $ty = $crate::persist::Wire::take($r)?;
+    };
+    (@take $s:ident $r:tt {deadline($d:expr)} $name:ident ($ty:ty) $g:tt) => {
+        let $name: $ty = $crate::persist::Deadline::shifted($crate::persist::Wire::take($r)?, $d);
+    };
+    (@take $s:ident $r:tt {since($now:expr)} $name:ident ($ty:ty) $g:tt) => {
+        let $name: $ty = $now.saturating_sub($crate::persist::Wire::take($r)?);
+    };
+    (@take $s:ident $r:tt {pin} $name:ident ($ty:ty) (= $get:expr)) => {
+        let $name: $ty = $crate::persist::Wire::take($r)?;
+        $crate::persist::ensure_config($name == $get, stringify!($name))?;
+    };
+    (@take $s:ident $r:tt {nested $(($($a:tt)*))?} $name:ident ($ty:ty) $g:tt) => {
+        let mut $name: $ty = $crate::snapshot_fields!(@place $s $name $g).clone();
+        $name.read_fields($r, $($($a)*)?)?;
+    };
+    (@take $s:ident $r:tt {len($n:expr)} $name:ident ($ty:ty) $g:tt) => {
+        let n: u64 = $crate::persist::Wire::take($r)?;
+        $crate::persist::ensure(n == $n)?;
+        let mut $name: $ty = Vec::with_capacity(n as usize);
+        for _ in 0..n { $name.push($crate::persist::Wire::take($r)?); }
+    };
+    (@take $s:ident $r:tt {frames($t:ty, $n:expr, $ctx:expr)} $name:ident ($ty:ty) $g:tt) => {
+        let mut $name: $ty = Vec::with_capacity($n as usize);
+        for _ in 0..$n { $name.push(<$t>::restore_bytes($ctx, $r.take_bytes()?)?); }
+    };
+    (@take $s:ident $r:tt {check($c:expr)} $($line:tt)*) => {
+        $crate::snapshot_fields!(@take $s $r {} $($line)*);
+        $crate::persist::ensure($c)?;
+    };
+    (@take $s:ident $r:tt {$k:ident $(($($ka:tt)*))? check($c:expr)} $($line:tt)*) => {
+        $crate::snapshot_fields!(@take $s $r {$k $(($($ka)*))?} $($line)*);
+        $crate::persist::ensure($c)?;
+    };
+
+    (@commit $s:ident $r:tt $k:tt $name:ident $ty:tt ()) => { $s.$name = $name; };
+    (@commit $s:ident $r:tt $k:tt $name:ident $ty:tt (= $get:expr)) => {};
+    (@commit $s:ident $r:tt $k:tt $name:ident $ty:tt (= $get:expr => $set:expr)) => { $set; };
+
+    (
+        $(#[$wm:meta])* $wv:vis fn write_fields(&$ws:ident, $w:ident);
+        $(#[$rm:meta])* $rv:vis fn read_fields(&mut $rs:ident, $r:ident $(, $ra:ident: $rt:ty)*);
+        $($lines:tt)*
+    ) => {
+        $(#[$wm])*
+        $wv fn write_fields(&$ws, $w: &mut $crate::persist::SnapshotWriter)
+            -> ::core::result::Result<(), $crate::persist::SnapshotError> {
+            $crate::snapshot_fields!(@lines put $ws $w; $($lines)*);
+            Ok(())
+        }
+        $(#[$rm])*
+        $rv fn read_fields(&mut $rs, $r: &mut $crate::persist::SnapshotReader<'_> $(, $ra: $rt)*)
+            -> ::core::result::Result<(), $crate::persist::SnapshotError> {
+            $crate::snapshot_fields!(@lines take $rs $r; $($lines)*);
+            $crate::snapshot_fields!(@lines commit $rs $r; $($lines)*);
+            Ok(())
+        }
+    };
+    (
+        $(#[$wm:meta])* $wv:vis fn $write:ident(&$ws:ident $(, $wa:ident: $wt:ty)*) -> frame;
+        $(#[$rm:meta])* $rv:vis fn $read:ident(&mut $rs:ident, $bytes:ident $(, $ra:ident: $rt:ty)*) -> frame;
+        $($lines:tt)*
+    ) => {
+        $(#[$wm])*
+        $wv fn $write(&$ws $(, $wa: $wt)*)
+            -> ::core::result::Result<::std::vec::Vec<u8>, $crate::persist::SnapshotError> {
+            let mut frame = $crate::persist::SnapshotWriter::new();
+            $crate::snapshot_fields!(@lines put $ws (&mut frame); $($lines)*);
+            frame.finish()
+        }
+        $(#[$rm])*
+        $rv fn $read(&mut $rs, $bytes: &[u8] $(, $ra: $rt)*)
+            -> ::core::result::Result<(), $crate::persist::SnapshotError> {
+            let mut frame = $crate::persist::SnapshotReader::new($bytes)?;
+            $crate::snapshot_fields!(@lines take $rs (&mut frame); $($lines)*);
+            frame.finish()?;
+            $crate::snapshot_fields!(@lines commit $rs (); $($lines)*);
+            Ok(())
+        }
+    };
+}
+
 /// A policy whose lifecycle a [`crate::Supervisor`] can manage:
 /// checkpoint its state, restore it after a crash, or start over cold.
 pub trait Restartable: Policy {
@@ -648,6 +888,39 @@ pub trait Restartable: Policy {
     /// lifetime restart/snapshot-error totals so it can stamp them into
     /// its own telemetry. Default: ignore.
     fn note_restart_telemetry(&mut self, _restarts: u64, _snapshot_errors: u64) {}
+}
+
+/// Random field values for the components' round-trip tests: varints
+/// of every width (0 and `u64::MAX` included), both `Option` arms, and
+/// finite floats of either sign.
+#[cfg(test)]
+pub(crate) mod arbitrary {
+    use asgov_util::Rng;
+
+    pub(crate) fn u64(rng: &mut Rng) -> u64 {
+        match rng.gen_range_usize(0..8) {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.next_u64() >> rng.gen_range_usize(0..64),
+        }
+    }
+
+    pub(crate) fn opt_u64(rng: &mut Rng) -> Option<u64> {
+        rng.gen_bool(0.5).then(|| u64(rng))
+    }
+
+    pub(crate) fn f64(rng: &mut Rng) -> f64 {
+        rng.gen_range(-1e3..1e3) * 10f64.powi(rng.gen_range_usize(0..12) as i32 - 6)
+    }
+
+    /// One of `items`, or `None` half the time.
+    pub(crate) fn pick<T: Copy>(rng: &mut Rng, items: &[T]) -> Option<T> {
+        if rng.gen_bool(0.5) {
+            items.get(rng.gen_range_usize(0..items.len())).copied()
+        } else {
+            None
+        }
+    }
 }
 
 #[cfg(test)]

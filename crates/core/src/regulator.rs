@@ -1,7 +1,6 @@
 //! The performance regulator: adaptive-gain integrator + Kalman base
 //! speed estimator (paper §III-B3, Eqns. 2–3).
 
-use crate::persist::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_control::{AdaptiveIntegrator, KalmanFilter};
 
 /// Computes the required speedup `s_n` for the next control cycle from
@@ -105,45 +104,55 @@ impl PerformanceRegulator {
         self.integrator.reset(speedup);
     }
 
-    /// Append the regulator's mutable state to a snapshot payload: the
-    /// Kalman posterior estimate and variance, the integrator's speedup
-    /// and tracking error, and the most recent innovation. The
-    /// configured variances, gain and speedup range are construction
-    /// parameters and are not written.
-    pub fn encode_state(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.kalman.value());
-        w.put_f64(self.kalman.variance());
-        w.put_f64(self.integrator.speedup());
-        w.put_f64(self.integrator.last_error());
-        w.put_f64(self.last_innovation);
-    }
+    crate::snapshot_fields! {
+        /// The Kalman posterior estimate and variance, the integrator's
+        /// speedup and tracking error, and the last innovation. The
+        /// variances, gain and speedup range are construction
+        /// parameters and are not written.
+        pub(crate) fn write_fields(&self, w);
+        /// Reads back what [`write_fields`](Self::write_fields) wrote.
+        pub(crate) fn read_fields(&mut self, r);
 
-    /// Read the state [`encode_state`](PerformanceRegulator::encode_state)
-    /// wrote. A negative or non-finite variance, or a non-finite
-    /// estimate or speedup (a corrupted or hand-crafted snapshot), is
-    /// [`SnapshotError::Corrupt`], and the regulator is left untouched.
-    pub fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let base_estimate = r.take_f64()?;
-        let base_variance = r.take_f64()?;
-        let speedup = r.take_f64()?;
-        let last_error = r.take_f64()?;
-        let last_innovation = r.take_f64()?;
-        persist::ensure(
-            base_variance.is_finite()
-                && base_variance >= 0.0
-                && base_estimate.is_finite()
-                && speedup.is_finite(),
-        )?;
-        self.kalman.reset(base_estimate, base_variance);
-        self.integrator.restore_state(speedup, last_error);
-        self.last_innovation = last_innovation;
-        Ok(())
+        #[check(base_estimate.is_finite())] base_estimate: f64 = self.kalman.value(),
+        #[check(base_variance.is_finite() && base_variance >= 0.0)]
+        base_variance: f64 = self.kalman.variance()
+            => self.kalman.reset(base_estimate, base_variance),
+        #[check(speedup.is_finite())] speedup: f64 = self.integrator.speedup(),
+        last_error: f64 = self.integrator.last_error()
+            => self.integrator.restore_state(speedup, last_error),
+        last_innovation: f64,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::persist::arbitrary;
+    use crate::{SnapshotError, SnapshotReader, SnapshotWriter};
+    use asgov_util::Rng;
+
+    /// Fill every persisted field of `reg` from `rng`.
+    pub(crate) fn fill(reg: &mut PerformanceRegulator, rng: &mut Rng) {
+        let estimate = arbitrary::f64(rng);
+        reg.kalman.reset(estimate, arbitrary::f64(rng).abs());
+        let speedup = arbitrary::f64(rng);
+        reg.integrator.restore_state(speedup, arbitrary::f64(rng));
+        reg.last_innovation = arbitrary::f64(rng);
+    }
+
+    #[test]
+    fn random_state_round_trips() {
+        let mut rng = Rng::seed_from_u64(0x2e9_0001);
+        for case in 0..200 {
+            let mut reg = PerformanceRegulator::new(0.5, 1.0, 8.0);
+            fill(&mut reg, &mut rng);
+            let frame = state_frame(&reg);
+            let mut back = PerformanceRegulator::new(0.5, 1.0, 8.0);
+            decode_frame(&mut back, &frame).expect("restorable");
+            assert_eq!(format!("{back:?}"), format!("{reg:?}"), "case {case}");
+            assert_eq!(state_frame(&back), frame, "case {case}: re-encoded");
+        }
+    }
 
     /// Plant: y = s · b_true, the regulator must find s = r / b_true.
     #[test]
@@ -218,14 +227,14 @@ mod tests {
     /// `reg`'s state, framed alone.
     fn state_frame(reg: &PerformanceRegulator) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        reg.encode_state(&mut w);
+        reg.write_fields(&mut w).expect("fixed-size fields");
         w.finish().expect("small frame")
     }
 
     /// Decode a [`state_frame`] into `reg`.
     fn decode_frame(reg: &mut PerformanceRegulator, frame: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::new(frame)?;
-        reg.decode_state(&mut r)?;
+        reg.read_fields(&mut r)?;
         r.finish()
     }
 

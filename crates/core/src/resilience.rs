@@ -19,7 +19,6 @@
 //! performance, only energy); `FallbackGovernor` hands the device back
 //! to the stock governors and probes each cycle for recovery.
 
-use crate::persist::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_soc::DegradationLevel;
 
 // The controller's fixed tunings of the resilience layer. They are
@@ -277,40 +276,24 @@ impl DegradationLadder {
         LadderEvent::None
     }
 
-    /// Append the ladder's mutable state to a snapshot payload. The
-    /// thresholds (`degrade_after`, `probation_cycles`) are
-    /// construction parameters and are not written.
-    pub fn encode_state(&self, w: &mut SnapshotWriter) {
-        w.put_u8(self.level.wire_code());
-        w.put_uvar(self.cycle);
-        w.put_uvar(self.consecutive_failed);
-        w.put_uvar(self.consecutive_clean);
-        w.put_uvar(self.failed_cycles);
-        w.put_uvar(self.degradations);
-        w.put_uvar(self.recoveries);
-        w.put_opt_uvar(self.last_failed_cycle);
-        w.put_opt_uvar(self.episode_start);
-        w.put_opt_uvar(self.recovery_latency);
-        w.put_opt_uvar(self.climb_latency);
-    }
+    crate::snapshot_fields! {
+        /// The ladder's mutable state. The thresholds are construction
+        /// parameters and are not written.
+        pub(crate) fn write_fields(&self, w);
+        /// Reads back what [`write_fields`](Self::write_fields) wrote.
+        pub(crate) fn read_fields(&mut self, r);
 
-    /// Read the state [`encode_state`](DegradationLadder::encode_state)
-    /// wrote, replacing all mutable state. An unknown level code is
-    /// [`SnapshotError::Corrupt`]. Fields are assigned as they are
-    /// read, so decode into a copy and keep it only on success.
-    pub fn decode_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.level = persist::require(DegradationLevel::from_wire(r.take_u8()?))?;
-        self.cycle = r.take_uvar()?;
-        self.consecutive_failed = r.take_uvar()?;
-        self.consecutive_clean = r.take_uvar()?;
-        self.failed_cycles = r.take_uvar()?;
-        self.degradations = r.take_uvar()?;
-        self.recoveries = r.take_uvar()?;
-        self.last_failed_cycle = r.take_opt_uvar()?;
-        self.episode_start = r.take_opt_uvar()?;
-        self.recovery_latency = r.take_opt_uvar()?;
-        self.climb_latency = r.take_opt_uvar()?;
-        Ok(())
+        level: DegradationLevel,
+        cycle: u64,
+        consecutive_failed: u64,
+        consecutive_clean: u64,
+        failed_cycles: u64,
+        degradations: u64,
+        recoveries: u64,
+        last_failed_cycle: Option<u64>,
+        episode_start: Option<u64>,
+        recovery_latency: Option<u64>,
+        climb_latency: Option<u64>,
     }
 
     /// Force the ladder to a level, resetting the consecutive counters
@@ -325,8 +308,38 @@ impl DegradationLadder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::persist::{self, arbitrary, SnapshotError, SnapshotReader, SnapshotWriter};
+    use asgov_util::Rng;
+
+    /// Fill every persisted field of `l` from `rng`.
+    pub(crate) fn fill(l: &mut DegradationLadder, rng: &mut Rng) {
+        l.level = arbitrary::pick(rng, &DegradationLevel::ALL).unwrap_or_default();
+        l.cycle = arbitrary::u64(rng);
+        l.consecutive_failed = arbitrary::u64(rng);
+        l.consecutive_clean = arbitrary::u64(rng);
+        l.failed_cycles = arbitrary::u64(rng);
+        l.degradations = arbitrary::u64(rng);
+        l.recoveries = arbitrary::u64(rng);
+        l.last_failed_cycle = arbitrary::opt_u64(rng);
+        l.episode_start = arbitrary::opt_u64(rng);
+        l.recovery_latency = arbitrary::opt_u64(rng);
+        l.climb_latency = arbitrary::opt_u64(rng);
+    }
+
+    #[test]
+    fn random_ladder_state_round_trips() {
+        let mut rng = Rng::seed_from_u64(0x1add_e201);
+        for case in 0..200 {
+            let mut l = DegradationLadder::new(3, 2);
+            fill(&mut l, &mut rng);
+            let frame = state_frame(&l);
+            let back = decoded(&frame).expect("restorable");
+            assert_eq!(format!("{back:?}"), format!("{l:?}"), "case {case}");
+            assert_eq!(state_frame(&back), frame, "case {case}: re-encoded");
+        }
+    }
 
     #[test]
     fn gate_rejects_nan_negative_and_outliers() {
@@ -442,7 +455,7 @@ mod tests {
     /// `l`'s state, framed alone.
     fn state_frame(l: &DegradationLadder) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        l.encode_state(&mut w);
+        l.write_fields(&mut w).expect("fixed-size fields");
         w.finish().expect("small frame")
     }
 
@@ -450,7 +463,7 @@ mod tests {
     fn decoded(frame: &[u8]) -> Result<DegradationLadder, SnapshotError> {
         let mut l = DegradationLadder::new(3, 2);
         let mut r = SnapshotReader::new(frame)?;
-        l.decode_state(&mut r)?;
+        l.read_fields(&mut r)?;
         r.finish()?;
         Ok(l)
     }

@@ -8,10 +8,9 @@
 //! scheduler.
 
 use crate::optimizer::Plan;
-use crate::persist::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_profiler::Config;
 use asgov_soc::sysfs::{self, Decimal};
-use asgov_soc::{BwIndex, Device, FreqIndex, SocErrorKind};
+use asgov_soc::{Device, SocErrorKind};
 
 /// What happened to actuation over the control cycle just ended
 /// (consumed by the controller's degradation ladder each cycle).
@@ -336,112 +335,92 @@ impl ConfigScheduler {
         }
     }
 
-    /// Append the scheduler's mutable state to a snapshot payload. The
-    /// dwell/retry tuning (`min_dwell_ms`, `cpu_only`, `max_retries`,
-    /// `backoff_base_ms`) are construction parameters and are not
-    /// written. Deadlines (`switch_at_ms`, `retry_at_ms`) are written as
-    /// the absolute device milliseconds they were armed for;
-    /// [`decode_state`](ConfigScheduler::decode_state) re-anchors them.
-    pub fn encode_state(&self, w: &mut SnapshotWriter) {
-        w.put_opt_uvar(self.switch_at_ms);
-        put_opt_config(w, self.pending_upper);
-        w.put_f64(self.applied_speedup);
-        w.put_uvar(self.last_dwell_ms.0);
-        w.put_uvar(self.last_dwell_ms.1);
-        put_opt_config(w, self.retry_config);
-        w.put_uvar(self.retry_at_ms);
-        w.put_uvar(u64::from(self.retry_attempts));
-        w.put_uvar(self.writes_failed);
-        w.put_uvar(self.sysfs_busy);
-        w.put_uvar(self.wrong_governor);
-        w.put_uvar(self.other_errors);
-        w.put_uvar(self.retries);
-        w.put_uvar(self.governor_reasserts);
-        w.put_uvar(self.thermal_clamps_detected);
-        w.put_bool(self.cycle_failed);
-        w.put_opt_u8(self.last_fault.map(SocErrorKind::wire_code));
-    }
+    crate::snapshot_fields! {
+        /// The scheduler's mutable state. The dwell and retry tuning are
+        /// construction parameters and are not written.
+        pub(crate) fn write_fields(&self, w);
+        /// `delta_ms` is the downtime since the snapshot, which every
+        /// armed deadline shifts by; `known` refuses configurations
+        /// outside the controller's profile.
+        pub(crate) fn read_fields(&mut self, r, delta_ms: u64, known: impl Fn(Config) -> bool);
 
-    /// Read the state [`encode_state`](ConfigScheduler::encode_state)
-    /// wrote, shifting every armed deadline forward by `delta_ms` (the
-    /// downtime between the snapshot and the restart) so the pending
-    /// switch and retry fire relative to the resumed clock rather than
-    /// in the past. A pending or retried configuration that `known`
-    /// refuses (one outside the controller's profile), a non-finite
-    /// applied speedup or an unknown fault code is
-    /// [`SnapshotError::Corrupt`].
-    ///
-    /// Fields are assigned as they are read, so an error leaves the
-    /// scheduler partly overwritten: decode into a copy and keep it
-    /// only on success.
-    pub fn decode_state(
-        &mut self,
-        r: &mut SnapshotReader<'_>,
-        delta_ms: u64,
-        known: impl Fn(Config) -> bool,
-    ) -> Result<(), SnapshotError> {
-        self.switch_at_ms = r.take_opt_uvar()?.map(|t| t.saturating_add(delta_ms));
-        self.pending_upper = take_opt_config(r)?;
-        self.applied_speedup = r.take_f64()?;
-        self.last_dwell_ms = (r.take_uvar()?, r.take_uvar()?);
-        self.retry_config = take_opt_config(r)?;
-        self.retry_at_ms = r.take_uvar()?.saturating_add(delta_ms);
-        self.retry_attempts = persist::narrow(r.take_uvar()?)?;
-        self.writes_failed = r.take_uvar()?;
-        self.sysfs_busy = r.take_uvar()?;
-        self.wrong_governor = r.take_uvar()?;
-        self.other_errors = r.take_uvar()?;
-        self.retries = r.take_uvar()?;
-        self.governor_reasserts = r.take_uvar()?;
-        self.thermal_clamps_detected = r.take_uvar()?;
-        self.cycle_failed = r.take_bool()?;
-        self.last_fault = match r.take_opt_u8()? {
-            Some(code) => Some(persist::require(SocErrorKind::from_wire(code))?),
-            None => None,
-        };
-        persist::ensure(self.applied_speedup.is_finite())?;
-        for cfg in [self.pending_upper, self.retry_config]
-            .into_iter()
-            .flatten()
-        {
-            persist::ensure(known(cfg))?;
-        }
-        Ok(())
-    }
-}
-
-/// Append one profile configuration to a snapshot payload.
-fn put_config(w: &mut SnapshotWriter, cfg: Config) {
-    w.put_uvar(cfg.freq.0 as u64);
-    w.put_uvar(cfg.bw.0 as u64);
-}
-
-/// Decode one profile configuration (whether the profile holds it is
-/// the caller's check).
-fn take_config(r: &mut SnapshotReader<'_>) -> Result<Config, SnapshotError> {
-    let freq = FreqIndex(persist::narrow(r.take_uvar()?)?);
-    let bw = BwIndex(persist::narrow(r.take_uvar()?)?);
-    Ok(Config::new(freq, bw))
-}
-
-fn put_opt_config(w: &mut SnapshotWriter, cfg: Option<Config>) {
-    w.put_bool(cfg.is_some());
-    if let Some(c) = cfg {
-        put_config(w, c);
-    }
-}
-
-fn take_opt_config(r: &mut SnapshotReader<'_>) -> Result<Option<Config>, SnapshotError> {
-    if r.take_bool()? {
-        Ok(Some(take_config(r)?))
-    } else {
-        Ok(None)
+        #[deadline(delta_ms)] switch_at_ms: Option<u64>,
+        #[check(pending_upper.is_none_or(&known))] pending_upper: Option<Config>,
+        #[check(applied_speedup.is_finite())] applied_speedup: f64,
+        last_dwell_ms: (u64, u64),
+        #[check(retry_config.is_none_or(&known))] retry_config: Option<Config>,
+        #[deadline(delta_ms)] retry_at_ms: u64,
+        retry_attempts: u32,
+        writes_failed: u64,
+        sysfs_busy: u64,
+        wrong_governor: u64,
+        other_errors: u64,
+        retries: u64,
+        governor_reasserts: u64,
+        thermal_clamps_detected: u64,
+        cycle_failed: bool,
+        last_fault: Option<SocErrorKind>,
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::persist::{
+        self, arbitrary, Deadline, SnapshotError, SnapshotReader, SnapshotWriter,
+    };
+    use asgov_util::Rng;
+
+    /// Fill every persisted field of `s` from `rng`, drawing the
+    /// pending and retried configurations from `known`.
+    pub(crate) fn fill(s: &mut ConfigScheduler, rng: &mut Rng, known: &[Config]) {
+        s.switch_at_ms = arbitrary::opt_u64(rng);
+        s.pending_upper = arbitrary::pick(rng, known);
+        s.applied_speedup = arbitrary::f64(rng);
+        s.last_dwell_ms = (arbitrary::u64(rng), arbitrary::u64(rng));
+        s.retry_config = arbitrary::pick(rng, known);
+        s.retry_at_ms = arbitrary::u64(rng);
+        s.retry_attempts = arbitrary::u64(rng) as u32;
+        s.writes_failed = arbitrary::u64(rng);
+        s.sysfs_busy = arbitrary::u64(rng);
+        s.wrong_governor = arbitrary::u64(rng);
+        s.other_errors = arbitrary::u64(rng);
+        s.retries = arbitrary::u64(rng);
+        s.governor_reasserts = arbitrary::u64(rng);
+        s.thermal_clamps_detected = arbitrary::u64(rng);
+        s.cycle_failed = rng.gen_bool(0.5);
+        s.last_fault = arbitrary::pick(rng, &SocErrorKind::ALL);
+    }
+
+    /// `s` with its armed deadlines `delta_ms` later.
+    pub(crate) fn shifted(s: &ConfigScheduler, delta_ms: u64) -> ConfigScheduler {
+        let mut s = s.clone();
+        s.switch_at_ms = s.switch_at_ms.shifted(delta_ms);
+        s.retry_at_ms = s.retry_at_ms.shifted(delta_ms);
+        s
+    }
+
+    #[test]
+    fn random_state_round_trips_with_deadlines_shifted() {
+        let known = [
+            Config::new(FreqIndex(0), BwIndex(0)),
+            Config::new(FreqIndex(8), BwIndex(12)),
+            Config::new(FreqIndex(usize::MAX), BwIndex(usize::MAX)),
+        ];
+        let mut rng = Rng::seed_from_u64(0x5c4e_d001);
+        for case in 0..200 {
+            let mut s = ConfigScheduler::new(200, false);
+            fill(&mut s, &mut rng, &known);
+            let frame = state_frame(&s);
+            let back = decoded(&frame, 0, |c| known.contains(&c)).expect("restorable");
+            assert_eq!(format!("{back:?}"), format!("{s:?}"), "case {case}");
+            assert_eq!(state_frame(&back), frame, "case {case}: re-encoded");
+            let delta_ms = arbitrary::u64(&mut rng) | 1;
+            let later = decoded(&frame, delta_ms, |c| known.contains(&c)).expect("restorable");
+            let want = shifted(&s, delta_ms);
+            assert_eq!(format!("{later:?}"), format!("{want:?}"), "case {case}");
+        }
+    }
     use asgov_soc::{BwIndex, Demand, DeviceConfig, FreqIndex};
 
     fn plan(l: (usize, usize), u: (usize, usize), tau_l: f64, tau_u: f64) -> Plan {
@@ -642,7 +621,7 @@ mod tests {
     /// `sched`'s state, framed alone.
     fn state_frame(sched: &ConfigScheduler) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        sched.encode_state(&mut w);
+        sched.write_fields(&mut w).expect("fixed-size fields");
         w.finish().expect("small frame")
     }
 
@@ -654,7 +633,7 @@ mod tests {
     ) -> Result<ConfigScheduler, SnapshotError> {
         let mut sched = ConfigScheduler::new(200, false);
         let mut r = SnapshotReader::new(frame)?;
-        sched.decode_state(&mut r, delta_ms, known)?;
+        sched.read_fields(&mut r, delta_ms, known)?;
         r.finish()?;
         Ok(sched)
     }

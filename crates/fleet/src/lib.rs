@@ -42,9 +42,6 @@ pub use shard::ShardState;
 pub use spec::{DeviceSpec, FaultClass, FleetConfig, FleetError};
 pub use store::{PolicyStore, StoredPolicy};
 
-use asgov_core::persist::{ensure, ensure_config, require};
-use asgov_core::{SnapshotError, SnapshotReader, SnapshotWriter};
-use asgov_obs::FleetStats;
 use asgov_util::par::WorkerPool;
 use std::sync::{Mutex, PoisonError};
 
@@ -211,28 +208,34 @@ impl Fleet {
         Ok(())
     }
 
-    /// Encode the whole run — shard states *and* the report so far —
-    /// as one framed snapshot, suitable for warm-migrating a mid-run
-    /// fleet to another process.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::TooLarge`] if any component is 4 GiB or
-    /// longer.
-    pub fn checkpoint(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut w = SnapshotWriter::new();
-        w.put_uvar(self.config.devices);
-        w.put_uvar(self.config.shards);
-        w.put_uvar(self.config.epochs);
-        w.put_uvar(self.config.epoch_ms);
-        w.put_uvar(self.config.seed);
-        w.put_uvar(self.config.demand_quantum_ms);
-        w.put_uvar(self.report.epochs_run);
-        encode_stats(&mut w, &self.report.totals)?;
-        for shard in &self.shards {
-            w.put_bytes(&shard.snapshot_bytes()?)?;
-        }
-        w.finish()
+    asgov_core::snapshot_fields! {
+        /// Encode the whole run — shard states *and* the report so far —
+        /// as one framed snapshot, suitable for warm-migrating a mid-run
+        /// fleet to another process.
+        ///
+        /// # Errors
+        ///
+        /// [`SnapshotError::TooLarge`](asgov_core::SnapshotError::TooLarge)
+        /// if any component is 4 GiB or longer.
+        pub fn checkpoint(&self) -> frame;
+        fn restore_frame(&mut self, bytes) -> frame;
+
+        // An intact checkpoint taken under another run configuration
+        // names the field the operator changed, not "corrupt".
+        #[pin] devices: u64 = self.config.devices,
+        #[pin] shards: u64 = self.config.shards,
+        #[pin] epochs: u64 = self.config.epochs,
+        #[pin] epoch_ms: u64 = self.config.epoch_ms,
+        #[pin] seed: u64 = self.config.seed,
+        #[pin] demand_quantum_ms: u64 = self.config.demand_quantum_ms,
+        #[check(epochs_run <= self.config.epochs)]
+        epochs_run: u64 = self.report.epochs_run => self.report.epochs_run = epochs_run,
+        #[nested] totals: EpochStats = self.report.totals => self.report.totals = totals,
+        // One frame per shard, each at the resume epoch (checkpoints
+        // are taken at epoch boundaries, and `run` needs them aligned).
+        #[frames(ShardState, self.config.shards, &self.config)]
+        #[check(shards.iter().all(|s| s.next_epoch == epochs_run))]
+        shards: Vec<ShardState>,
     }
 
     /// Restore a fleet from a [`Fleet::checkpoint`] frame, resuming at
@@ -246,44 +249,9 @@ impl Fleet {
     /// [`FleetError::Snapshot`] on damage or a config mismatch,
     /// [`FleetError::BadConfig`] when `config` itself is invalid.
     pub fn restore(config: FleetConfig, bytes: &[u8]) -> Result<Self, FleetError> {
-        config.validate()?;
-        let mut r = SnapshotReader::new(bytes)?;
-        // Per-field identity checks: an intact checkpoint taken under a
-        // different run configuration reports *which* field the operator
-        // changed (`ConfigMismatch`), not "corrupt".
-        ensure_config(r.take_uvar()? == config.devices, "devices")?;
-        ensure_config(r.take_uvar()? == config.shards, "shards")?;
-        ensure_config(r.take_uvar()? == config.epochs, "epochs")?;
-        ensure_config(r.take_uvar()? == config.epoch_ms, "epoch_ms")?;
-        ensure_config(r.take_uvar()? == config.seed, "seed")?;
-        ensure_config(
-            r.take_uvar()? == config.demand_quantum_ms,
-            "demand_quantum_ms",
-        )?;
-        let epochs_run = r.take_uvar()?;
-        ensure(epochs_run <= config.epochs)?;
-        let totals = decode_stats(&mut r)?;
-        let mut shards = Vec::with_capacity(config.shards as usize);
-        for _ in 0..config.shards {
-            let frame = r.take_bytes()?;
-            let state = ShardState::restore_bytes(&config, frame)?;
-            // Checkpoints are taken at epoch boundaries: every shard
-            // must sit at exactly the fleet's resume epoch, or `run`
-            // would reject the fleet as out of alignment.
-            ensure(state.next_epoch == epochs_run)?;
-            shards.push(state);
-        }
-        r.finish()?;
-        let mut report = FleetReport::new(config);
-        report.epochs_run = epochs_run;
-        report.totals = totals;
-        let threads = store::resolve_threads(config.threads, shards.len());
-        Ok(Self {
-            config,
-            shards,
-            report,
-            pool: WorkerPool::new(threads),
-        })
+        let mut fleet = Self::new(config)?;
+        fleet.restore_frame(bytes)?;
+        Ok(fleet)
     }
 
     /// Borrow the shard states (diagnostics, tests).
@@ -292,59 +260,10 @@ impl Fleet {
     }
 }
 
-fn encode_stats(w: &mut SnapshotWriter, s: &EpochStats) -> Result<(), SnapshotError> {
-    w.put_uvar(s.online);
-    w.put_uvar(s.offline);
-    w.put_f64(s.energy_j);
-    w.put_uvar(s.restarts);
-    w.put_uvar(s.warm_restarts);
-    w.put_uvar(s.warm_migrations);
-    w.put_uvar(s.snapshot_errors);
-    w.put_uvar(s.downtime_ms);
-    let words = s.savings.serialize_words();
-    w.put_uvar(words.len() as u64);
-    for word in words {
-        w.put_u64(word);
-    }
-    Ok(())
-}
-
-fn decode_stats(r: &mut SnapshotReader) -> Result<EpochStats, SnapshotError> {
-    let mut s = EpochStats {
-        online: r.take_uvar()?,
-        offline: r.take_uvar()?,
-        energy_j: r.take_f64()?,
-        restarts: r.take_uvar()?,
-        warm_restarts: r.take_uvar()?,
-        warm_migrations: r.take_uvar()?,
-        snapshot_errors: r.take_uvar()?,
-        downtime_ms: r.take_uvar()?,
-        ..EpochStats::default()
-    };
-    ensure(s.energy_j.is_finite())?;
-    let nwords = r.take_uvar()?;
-    // Bound the allocation by the bytes actually present before
-    // reserving it: a short frame must not reserve megabytes. The words
-    // stay fixed 8-byte `u64`s (about half are `f64` bit patterns, which
-    // a varint would lengthen), so each needs exactly 8 bytes.
-    ensure(nwords <= r.remaining() as u64 / 8)?;
-    ensure(nwords <= 1 << 22)?;
-    let mut words = Vec::with_capacity(nwords as usize);
-    for _ in 0..nwords {
-        words.push(r.take_u64()?);
-    }
-    let savings = require(FleetStats::deserialize_words(&words))?;
-    // The decoded aggregator must carry the fleet's fixed stream
-    // layout, or later merges would fail far from the codec.
-    let mut probe = report::savings_agg();
-    ensure(probe.merge(&savings).is_ok())?;
-    s.savings = savings;
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgov_core::{SnapshotError, SnapshotReader, SnapshotWriter};
 
     #[test]
     fn new_rejects_invalid_configs() {
@@ -370,6 +289,39 @@ mod tests {
     }
 
     #[test]
+    fn random_checkpoints_round_trip() {
+        let cfg = FleetConfig {
+            devices: 12,
+            shards: 4,
+            ..FleetConfig::smoke()
+        };
+        let mut rng = asgov_util::Rng::seed_from_u64(0xf1ee_7001);
+        for case in 0..50 {
+            let mut fleet = Fleet::new(cfg).expect("valid config");
+            let epochs_run = rng.gen_range_usize(0..cfg.epochs as usize + 1) as u64;
+            fleet.report.epochs_run = epochs_run;
+            fleet.report.totals = report::tests::random_stats(&mut rng);
+            for shard in &mut fleet.shards {
+                shard.next_epoch = epochs_run;
+                for slot in &mut shard.snapshots {
+                    *slot = rng
+                        .gen_bool(0.5)
+                        .then(|| report::tests::wide(&mut rng).to_le_bytes().to_vec());
+                }
+            }
+            let bytes = fleet.checkpoint().expect("small frame");
+            let back = Fleet::restore(cfg, &bytes).expect("clean frame");
+            assert_eq!(back.shards(), fleet.shards(), "case {case}");
+            assert_eq!(
+                format!("{:?}", back.report()),
+                format!("{:?}", fleet.report()),
+                "case {case}"
+            );
+            assert_eq!(back.checkpoint(), Ok(bytes), "case {case}: re-encoded");
+        }
+    }
+
+    #[test]
     fn stats_word_count_past_the_frame_is_corrupt() {
         // A valid stats header declaring 2^22 savings words with none
         // present: rejected before the 32 MiB reservation, as Corrupt.
@@ -384,7 +336,7 @@ mod tests {
         let frame = w.finish().expect("small frame");
         let mut r = SnapshotReader::new(&frame).expect("intact frame");
         assert_eq!(
-            decode_stats(&mut r).map(|_| ()),
+            EpochStats::default().read_fields(&mut r),
             Err(SnapshotError::Corrupt)
         );
     }

@@ -99,6 +99,24 @@ impl EpochStats {
         self.downtime_ms += other.downtime_ms;
         Ok(())
     }
+
+    asgov_core::snapshot_fields! {
+        /// The stats, for a fleet checkpoint.
+        pub(crate) fn write_fields(&self, w);
+        /// Savings columns off the fleet's fixed stream layout are
+        /// refused here: later merges would fail far from the codec.
+        pub(crate) fn read_fields(&mut self, r);
+
+        online: u64,
+        offline: u64,
+        #[check(energy_j.is_finite())] energy_j: f64,
+        restarts: u64,
+        warm_restarts: u64,
+        warm_migrations: u64,
+        snapshot_errors: u64,
+        downtime_ms: u64,
+        #[check(savings_agg().merge(&savings).is_ok())] savings: FleetStats,
+    }
 }
 
 /// The aggregate fleet report: configuration echo, telemetry, and the
@@ -201,8 +219,62 @@ impl FleetReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use asgov_core::{SnapshotReader, SnapshotWriter};
+    use asgov_util::Rng;
+
+    /// A varint of any width, 0 and `u64::MAX` included.
+    pub(crate) fn wide(rng: &mut Rng) -> u64 {
+        match rng.gen_range_usize(0..8) {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.next_u64() >> rng.gen_range_usize(0..64),
+        }
+    }
+
+    /// Stats with every persisted field drawn from `rng`.
+    pub(crate) fn random_stats(rng: &mut Rng) -> EpochStats {
+        let mut s = EpochStats {
+            online: wide(rng),
+            offline: wide(rng),
+            energy_j: rng.gen_range(-1e9..1e9),
+            restarts: wide(rng),
+            warm_restarts: wide(rng),
+            warm_migrations: wide(rng),
+            snapshot_errors: wide(rng),
+            downtime_ms: wide(rng),
+            ..EpochStats::default()
+        };
+        for _ in 0..rng.gen_range_usize(0..40) {
+            let stream = rng.gen_range_usize(0..SAVINGS_STREAMS);
+            if rng.gen_bool(0.1) {
+                s.savings.record_excluded(stream);
+            } else {
+                s.savings.record(stream, rng.gen_range(-50.0..60.0));
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn random_stats_round_trip() {
+        let mut rng = Rng::seed_from_u64(0x57a7_5001);
+        for case in 0..100 {
+            let stats = random_stats(&mut rng);
+            let mut w = SnapshotWriter::new();
+            stats.write_fields(&mut w).expect("small stats");
+            let frame = w.finish().expect("small frame");
+            let mut back = EpochStats::default();
+            let mut r = SnapshotReader::new(&frame).expect("intact frame");
+            back.read_fields(&mut r).expect("restorable");
+            r.finish().expect("fully consumed");
+            assert_eq!(format!("{back:?}"), format!("{stats:?}"), "case {case}");
+            let mut w = SnapshotWriter::new();
+            back.write_fields(&mut w).expect("small stats");
+            assert_eq!(w.finish(), Ok(frame), "case {case}: re-encoded");
+        }
+    }
 
     #[test]
     fn stream_layout_is_dense_and_disjoint() {

@@ -11,10 +11,7 @@
 use crate::report::{app_stream, fault_stream, EpochStats};
 use crate::spec::{DeviceSpec, FleetConfig, FleetError};
 use crate::store::PolicyStore;
-use asgov_core::{
-    with_controller_stack, ControlMode, SnapshotError, SnapshotReader, SnapshotWriter, Supervisor,
-    SupervisorConfig,
-};
+use asgov_core::{with_controller_stack, ControlMode, SnapshotError, Supervisor, SupervisorConfig};
 use asgov_soc::{event, Device, DeviceConfig, Workload as _};
 use asgov_util::Rng;
 use asgov_workloads::BackgroundLoad;
@@ -35,7 +32,7 @@ pub(crate) fn supervisor_config() -> SupervisorConfig {
 /// A shard's persistent state between epochs: the controller snapshot
 /// of every device in the shard (struct-of-arrays — ids are implicit
 /// in the position within the shard's contiguous range).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardState {
     /// Shard index (`0..cfg.shards`).
     pub shard: u64,
@@ -57,23 +54,21 @@ impl ShardState {
         }
     }
 
-    /// Encode the shard state as a framed snapshot (CRC-protected, so
-    /// truncation and bit-flips decode to [`SnapshotError`], never
-    /// panic).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::TooLarge`] if a device snapshot or the frame
-    /// is 4 GiB or longer.
-    pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut w = SnapshotWriter::new();
-        w.put_uvar(self.shard);
-        w.put_uvar(self.next_epoch);
-        w.put_uvar(self.snapshots.len() as u64);
-        for snap in &self.snapshots {
-            w.put_opt_bytes(snap.as_deref())?;
-        }
-        w.finish()
+    asgov_core::snapshot_fields! {
+        /// Encode the shard state as a framed snapshot (CRC-protected,
+        /// so truncation and bit-flips decode to [`SnapshotError`],
+        /// never panic).
+        ///
+        /// # Errors
+        ///
+        /// [`SnapshotError::TooLarge`] if a device snapshot or the frame
+        /// is 4 GiB or longer.
+        pub fn snapshot_bytes(&self) -> frame;
+        fn restore_frame(&mut self, bytes, cfg: &FleetConfig) -> frame;
+
+        #[check(shard < cfg.shards)] shard: u64,
+        #[check(next_epoch <= cfg.epochs)] next_epoch: u64,
+        #[len(cfg.shard_range(shard).1)] snapshots: Vec<Option<Vec<u8>>>,
     }
 
     /// Decode a shard state previously encoded by
@@ -85,24 +80,9 @@ impl ShardState {
     /// Any [`SnapshotError`] on damage, truncation, or a frame that
     /// does not match `cfg`'s partition.
     pub fn restore_bytes(cfg: &FleetConfig, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes)?;
-        let shard = r.take_uvar()?;
-        let next_epoch = r.take_uvar()?;
-        let count = r.take_uvar()?;
-        asgov_core::persist::ensure(shard < cfg.shards)?;
-        asgov_core::persist::ensure(next_epoch <= cfg.epochs)?;
-        let (_, expected) = cfg.shard_range(shard);
-        asgov_core::persist::ensure(count == expected)?;
-        let mut snapshots = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            snapshots.push(r.take_opt_bytes()?.map(<[u8]>::to_vec));
-        }
-        r.finish()?;
-        Ok(Self {
-            shard,
-            next_epoch,
-            snapshots,
-        })
+        let mut state = Self::default();
+        state.restore_frame(bytes, cfg)?;
+        Ok(state)
     }
 }
 
@@ -225,6 +205,30 @@ mod tests {
         let bytes = state.snapshot_bytes().expect("small frame");
         let back = ShardState::restore_bytes(&cfg, &bytes).expect("clean frame");
         assert_eq!(back, state);
+    }
+
+    #[test]
+    fn random_shard_states_round_trip() {
+        let cfg = FleetConfig {
+            devices: 10,
+            shards: 3,
+            ..FleetConfig::smoke()
+        };
+        let mut rng = Rng::seed_from_u64(0x5a4d_0001);
+        for case in 0..100 {
+            let mut state = ShardState::new(&cfg, rng.gen_range_usize(0..3) as u64);
+            state.next_epoch = rng.gen_range_usize(0..cfg.epochs as usize + 1) as u64;
+            for slot in &mut state.snapshots {
+                *slot = rng.gen_bool(0.5).then(|| {
+                    let len = rng.gen_range_usize(0..300);
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
+                });
+            }
+            let bytes = state.snapshot_bytes().expect("small frame");
+            let back = ShardState::restore_bytes(&cfg, &bytes).expect("clean frame");
+            assert_eq!(back, state, "case {case}");
+            assert_eq!(back.snapshot_bytes(), Ok(bytes), "case {case}: re-encoded");
+        }
     }
 
     #[test]

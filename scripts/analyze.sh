@@ -9,7 +9,7 @@
 #   --quick               smaller interleaving configurations (CI smoke)
 #   --skip-interleavings  lints only
 #   --baseline            additionally diff the finding list and the
-#                         inventory (files scanned, codec pairs) against
+#                         inventory (the number of files scanned) against
 #                         the committed ANALYZE_baseline.json; a finding
 #                         not in the baseline, or any inventory change,
 #                         fails the run, and the diff lands in

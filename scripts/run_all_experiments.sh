@@ -51,15 +51,30 @@ if [ "$SMOKE" = "--smoke" ]; then
   # per reference must stay within 30% of the committed baseline. A
   # warm-up run goes first and is not counted: a cold first run can
   # read well below the warm ones. results/fleet.txt and
-  # BENCH_fleet.json keep the last run's output.
+  # BENCH_fleet.json keep the median run's output, so the committed
+  # baseline the next change is judged against is the figure this gate
+  # judged.
   RATIOS=""
+  RUNS="$(mktemp -d)"
   for run in warm-up 1 2 3; do
     cargo run --release -p asgov-experiments --bin fleet -- --smoke \
       > "results/fleet.txt" 2>&1
-    [ "$run" = warm-up ] || RATIOS="$RATIOS $(smoke_ratio < BENCH_fleet.json)"
+    if [ "$run" != warm-up ]; then
+      RATIOS="$RATIOS $(smoke_ratio < BENCH_fleet.json)"
+      cp BENCH_fleet.json "$RUNS/$run.json"
+      cp results/fleet.txt "$RUNS/$run.txt"
+    fi
   done
-  # Empty unless all three runs filed a smoke row.
-  NEW="$(printf '%s\n' $RATIOS | sort -g | awk '{ v[NR] = $1 } END { if (NR == 3) print v[2] }')"
+  # "<ratio> <run>" of the median run; empty unless all three runs
+  # filed a smoke row.
+  MEDIAN="$(for run in 1 2 3; do printf '%s %s\n' "$(smoke_ratio < "$RUNS/$run.json")" "$run"; done |
+    sort -g | awk 'NF == 2 { v[++n] = $0 } END { if (n == 3) print v[2] }')"
+  NEW="${MEDIAN% *}"
+  if [ -n "$MEDIAN" ]; then
+    cp "$RUNS/${MEDIAN#* }.json" BENCH_fleet.json
+    cp "$RUNS/${MEDIAN#* }.txt" results/fleet.txt
+  fi
+  rm -rf "$RUNS"
   if [ -n "$BASELINE" ] && [ -n "$NEW" ]; then
     awk -v b="$BASELINE" -v n="$NEW" -v runs="$(printf ' %.1f' $RATIOS)" \
       'BEGIN { printf "fleet smoke gate: median %.1f device-epochs per reference (runs:%s) vs committed %.1f (floor 70%%)\n", n, runs, b; exit !(n >= 0.7 * b) }' \
